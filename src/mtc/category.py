@@ -16,18 +16,27 @@ multiplicity order.  ``R[a,b,c]`` is the matrix of the braiding c_{a,b}
 restricted to fusion channel c: c_{a,b} = sum_c fbar^{ba->c}_beta
 R[a,b,c][beta,alpha] f^{ab->c}_alpha.  Any symbol involving the unit label is
 the canonical identity and is not stored.
+
+Every basis has one order, owned by ``CategorySpec``: ``tree_basis`` lists
+the left-nested trees of a word per root, ``split_basis`` the tree pairs of
+u (x) v fused to a root, and ``f_basis`` takes the F-rows from the trees of
+(a, b, c) and the F-columns from the pairs of (a) (x) (b, c).  Each list
+comes with its label -> position map (``tree_positions`` for trees) and is
+built once per spec; the split bases are kept by ``engine.split_transform``
+with their change of basis.  Every other module looks positions up there.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CategoryFileError, NotModular, NotPremodular, RingAxiomError,
                      SnapFailure)
-from .report import VerificationReport
+from .report import VerificationReport, max_dev
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,9 @@ class FusionRing:
         return vec
 
 
-def _mult_free(ring: FusionRing) -> bool:
-    return bool(np.all(ring.N <= 1))
+def _positions(labels) -> dict:
+    """label -> position map of a basis list."""
+    return {lab: i for i, lab in enumerate(labels)}
 
 
 class CategorySpec:
@@ -128,7 +138,6 @@ class CategorySpec:
                   for k, v in R.items()}
         self.label_names = list(label_names) if label_names else None
         self.product_of = product_of  # (base name, factor count) for products
-        self.multiplicity_free = _mult_free(ring)
         for arr in (self.dims, self.theta):
             arr.setflags(write=False)
         for table in (self.F, self.R):
@@ -163,30 +172,94 @@ class CategorySpec:
             raise KeyError(f"label index {i} out of range for {self.name}")
         return i
 
+    # -- bases -----------------------------------------------------------
+    def tree_basis(self, word):
+        """Left-nested fusion trees of a word, {root: trees}.
+
+        A tree is (labels, mults) with labels the intermediate charges
+        (A_2, ..., A_n) and mults the fusion-vertex multiplicities; A_1 = w_1
+        and A_0 = 0 are implicit.  Trees with a common root are sorted
+        lexicographically by (labels, mults).
+        """
+        cache = self._cache.setdefault("trees", {})
+        hit = cache.get(word)
+        if hit is not None:
+            return hit
+        ring = self.ring
+        if not word:
+            hit = {0: [((), ())]}
+        else:
+            partial = [((), (), word[0])]
+            for letter in word[1:]:
+                nxt = []
+                for labels, mults, a in partial:
+                    for c in ring.channels(a, letter):
+                        for alpha in range(ring.n(a, letter, c)):
+                            nxt.append((labels + (c,), mults + (alpha,), c))
+                partial = nxt
+            hit = {}
+            for labels, mults, root in partial:
+                hit.setdefault(root, []).append((labels, mults))
+            for root in hit:
+                hit[root].sort()
+        cache[word] = hit
+        return hit
+
+    def tree_positions(self, word):
+        """{root: {tree: position}} for the trees of the word."""
+        cache = self._cache.setdefault("tree_pos", {})
+        hit = cache.get(word)
+        if hit is None:
+            hit = cache[word] = {root: _positions(ts) for root, ts
+                                 in self.tree_basis(word).items()}
+        return hit
+
+    def split_basis(self, u, v, c):
+        """Basis of Hom(u (x) v, c) split at the cut: (columns, positions).
+
+        Column (a, si, b, ti, mu) is f^{ab->c}_mu o (tree si of u at root a
+        (x) tree ti of v at root b).  ``engine.split_transform`` stores it
+        with its change of basis, so it is not cached here.
+        """
+        tu = self.tree_basis(u)
+        tv = self.tree_basis(v)
+        N = self.ring.N
+        cols = [(a, si, b, ti, mu)
+                for a in sorted(tu) for si in range(len(tu[a]))
+                for b in sorted(tv) for ti in range(len(tv[b]))
+                for mu in range(N[a, b, c])]
+        return cols, _positions(cols)
+
+    def f_basis(self, a, b, c, d):
+        """(rows, row positions, columns, column positions) of F[a,b,c,d].
+
+        Row (e, alpha, beta) is the tree ((e, d), (alpha, beta)) of (a, b, c);
+        column (f, gamma, delta) the split pair (a, 0, f, gamma, delta) of
+        (a) (x) (b, c), as tree gamma of (b, c) at root f is ((f,), (gamma,)).
+        """
+        cache = self._cache.setdefault("f_basis", {})
+        key = (a, b, c, d)
+        hit = cache.get(key)
+        if hit is None:
+            rows = [(L[0], M[0], M[1])
+                    for L, M in self.tree_basis((a, b, c)).get(d, ())]
+            cols = [(f, gamma, delta) for _, _, f, gamma, delta
+                    in self.split_basis((a,), (b, c), d)[0]]
+            hit = cache[key] = (rows, _positions(rows), cols,
+                                _positions(cols))
+        return hit
+
     # -- F/R lookup --------------------------------------------------------
     def f_rows(self, a, b, c, d):
         """Canonical (e, alpha, beta) row labels of F[a,b,c,d]."""
-        N = self.ring.N
-        out = []
-        for e in range(self.rank):
-            for alpha in range(N[a, b, e]):
-                for beta in range(N[e, c, d]):
-                    out.append((e, alpha, beta))
-        return out
+        return self.f_basis(a, b, c, d)[0]
 
     def f_cols(self, a, b, c, d):
         """Canonical (f, gamma, delta) column labels of F[a,b,c,d]."""
-        N = self.ring.N
-        out = []
-        for f in range(self.rank):
-            for gamma in range(N[b, c, f]):
-                for delta in range(N[a, f, d]):
-                    out.append((f, gamma, delta))
-        return out
+        return self.f_basis(a, b, c, d)[2]
 
     def f_block(self, a, b, c, d) -> np.ndarray:
-        rows = self.f_rows(a, b, c, d)
-        cols = self.f_cols(a, b, c, d)
+        rows, _, cols, _ = self.f_basis(a, b, c, d)
         if not rows or not cols:
             return np.zeros((len(rows), len(cols)), dtype=np.complex128)
         if 0 in (a, b, c):
@@ -250,7 +323,7 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
                     for g in ring.channels(f_ch, c):
                         for d in range(r):
                             for e in ring.channels(g, d):
-                                worst = max(worst, _pentagon_cell(
+                                worst = max_dev(worst, _pentagon_cell(
                                     spec, a, b, c, d, e, f_ch, g))
     return worst
 
@@ -259,60 +332,49 @@ def _pentagon_cell(spec, a, b, c, d, e, f_ch, g):
     ring = spec.ring
     N = ring.N
     F1 = spec.f_block(f_ch, c, d, e)
-    rows1 = {lab: i for i, lab in enumerate(spec.f_rows(f_ch, c, d, e))}
-    cols1 = spec.f_cols(f_ch, c, d, e)
+    _, rows1, _, cols1 = spec.f_basis(f_ch, c, d, e)
     worst = 0.0
     Fabc = spec.f_block(a, b, c, g)
-    rows_abc = {lab: i for i, lab in enumerate(spec.f_rows(a, b, c, g))}
-    cols_abc = spec.f_cols(a, b, c, g)
+    _, rows_abc, _, cols_abc = spec.f_basis(a, b, c, g)
     for al in range(N[a, b, f_ch]):
         for bt in range(N[f_ch, c, g]):
             for gm in range(N[g, d, e]):
                 for l in ring.channels(c, d):
                     Fabl = spec.f_block(a, b, l, e)
-                    rows_abl = {lab: i for i, lab in enumerate(spec.f_rows(a, b, l, e))}
-                    cols_abl = spec.f_cols(a, b, l, e)
+                    _, rows_abl, _, cols_abl = spec.f_basis(a, b, l, e)
                     for nu in range(N[c, d, l]):
                         for k in ring.channels(b, l):
                             Fbcd = spec.f_block(b, c, d, k)
-                            rows_bcd = {lab: i for i, lab in
-                                        enumerate(spec.f_rows(b, c, d, k))}
-                            cols_bcd = {lab: i for i, lab in
-                                        enumerate(spec.f_cols(b, c, d, k))}
-                            Fahd_cache = {}
+                            _, rows_bcd, _, cols_bcd = spec.f_basis(b, c, d, k)
                             for lm in range(N[b, l, k]):
                                 for mu in range(N[a, k, e]):
                                     lhs = 0.0 + 0.0j
                                     for delta in range(N[f_ch, l, e]):
                                         i1 = rows1[(g, bt, gm)]
-                                        j1 = cols1.index((l, nu, delta))
+                                        j1 = cols1[(l, nu, delta)]
                                         i2 = rows_abl[(f_ch, al, delta)]
-                                        j2 = cols_abl.index((k, lm, mu))
+                                        j2 = cols_abl[(k, lm, mu)]
                                         lhs += F1[i1, j1] * Fabl[i2, j2]
                                     rhs = 0.0 + 0.0j
                                     for h in ring.channels(b, c):
-                                        if h not in Fahd_cache:
-                                            Fahd_cache[h] = (
-                                                spec.f_block(a, h, d, e),
-                                                {lab: i for i, lab in enumerate(
-                                                    spec.f_rows(a, h, d, e))},
-                                                spec.f_cols(a, h, d, e))
-                                        Fahd, rows_ahd, cols_ahd = Fahd_cache[h]
+                                        Fahd = spec.f_block(a, h, d, e)
+                                        _, rows_ahd, _, cols_ahd = \
+                                            spec.f_basis(a, h, d, e)
                                         for sg in range(N[b, c, h]):
                                             for ps in range(N[a, h, g]):
                                                 x1 = Fabc[rows_abc[(f_ch, al, bt)],
-                                                          cols_abc.index((h, sg, ps))]
+                                                          cols_abc[(h, sg, ps)]]
                                                 if x1 == 0:
                                                     continue
                                                 for rh in range(N[h, d, k]):
                                                     x2 = Fahd[rows_ahd[(g, ps, gm)],
-                                                              cols_ahd.index((k, rh, mu))]
+                                                              cols_ahd[(k, rh, mu)]]
                                                     if x2 == 0:
                                                         continue
                                                     x3 = Fbcd[rows_bcd[(h, sg, rh)],
                                                               cols_bcd[(l, nu, lm)]]
                                                     rhs += x1 * x2 * x3
-                                    worst = max(worst, abs(lhs - rhs))
+                                    worst = max_dev(worst, abs(lhs - rhs))
     return worst
 
 
@@ -334,7 +396,8 @@ def _hexagon_deviation(spec: CategorySpec, inverse: bool) -> float:
         for b in range(r):
             for c in range(r):
                 for d in ring.word_dims((a, c, b)).nonzero()[0]:
-                    worst = max(worst, _hexagon_cell(spec, a, b, c, int(d), inverse))
+                    worst = max_dev(worst, _hexagon_cell(spec, a, b, c, int(d),
+                                                         inverse))
     return worst
 
 
@@ -350,14 +413,11 @@ def _hexagon_cell(spec, a, b, c, d, inverse):
     ring = spec.ring
     N = ring.N
     Facb = spec.f_block(a, c, b, d)
-    rows_acb = spec.f_rows(a, c, b, d)
-    cols_acb = spec.f_cols(a, c, b, d)
+    _, rows_acb, _, cols_acb = spec.f_basis(a, c, b, d)
     Fcab = spec.f_block(c, a, b, d)
-    rows_cab = spec.f_rows(c, a, b, d)
-    cols_cab = spec.f_cols(c, a, b, d)
+    rows_cab, _, cols_cab, _ = spec.f_basis(c, a, b, d)
     Fabc = spec.f_block(a, b, c, d)
-    rows_abc = spec.f_rows(a, b, c, d)
-    cols_abc = spec.f_cols(a, b, c, d)
+    _, rows_abc, cols_abc, _ = spec.f_basis(a, b, c, d)
 
     # LHS[(e,alpha,beta),(g,gamma,delta)]; alpha on Hom(ca->e)-slot after
     # braiding, gamma on Hom(cb->g)-slot after braiding.
@@ -375,15 +435,9 @@ def _hexagon_cell(spec, a, b, c, d, inverse):
             Rcb = _r_action(spec, c, b, g, inverse)
             acc = 0.0 + 0.0j
             for al in range(N[a, c, e]):
-                try:
-                    i_in = rows_acb.index((e, al, bt))
-                except ValueError:
-                    continue
+                i_in = rows_acb[(e, al, bt)]
                 for gm in range(N[b, c, g]):
-                    try:
-                        j_in = cols_acb.index((g, gm, dl))
-                    except ValueError:
-                        continue
+                    j_in = cols_acb[(g, gm, dl)]
                     acc += Rca[al2, al] * Facb[i_in, j_in] * Rcb[gm2, gm]
             lhs[i_out, j_out] = acc
 
@@ -396,10 +450,7 @@ def _hexagon_cell(spec, a, b, c, d, inverse):
                 if x1 == 0:
                     continue
                 for dl2 in range(N[f, c, d]):
-                    try:
-                        i_mid = rows_abc.index((f, gm_f, dl2))
-                    except ValueError:
-                        continue
+                    i_mid = rows_abc[(f, gm_f, dl2)]
                     acc += x1 * Rcf[dl2, dl_f] * Fabc[i_mid, j_out]
             rhs[i_out, j_out] = acc
     if lhs.size == 0:
@@ -417,7 +468,7 @@ def _ribbon_deviation(spec: CategorySpec) -> float:
                 mat = spec.r_block(b, a, c) @ spec.r_block(a, b, c)
                 want = spec.theta[c] / (spec.theta[a] * spec.theta[b])
                 dev = np.max(np.abs(mat - want * np.eye(mat.shape[0])))
-                worst = max(worst, float(dev))
+                worst = max_dev(worst, float(dev))
     return worst
 
 
@@ -437,10 +488,10 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
         return rep
 
     # structural ribbon data
-    dev = max(abs(spec.theta[0] - 1.0), abs(spec.dims[0] - 1.0))
-    dev = max(dev, float(np.max(np.abs(spec.theta[ring.dual] - spec.theta))))
-    dev = max(dev, float(np.max(np.abs(spec.dims[ring.dual] - spec.dims))))
-    dev = max(dev, float(np.max(np.abs(np.abs(spec.theta) - 1.0))))
+    dev = max_dev(abs(spec.theta[0] - 1.0), abs(spec.dims[0] - 1.0),
+                  float(np.max(np.abs(spec.theta[ring.dual] - spec.theta))),
+                  float(np.max(np.abs(spec.dims[ring.dual] - spec.dims))),
+                  float(np.max(np.abs(np.abs(spec.theta) - 1.0))))
     rep.add_deviation("ribbon_structure", "twist normalization and duality",
                       dev, tol.atol)
 
@@ -488,11 +539,9 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     for a in range(spec.rank):
         abar = int(ring.dual[a])
         blk = spec.f_block(a, abar, a, a)
-        rows = spec.f_rows(a, abar, a, a)
-        cols = spec.f_cols(a, abar, a, a)
-        i = rows.index((0, 0, 0))
-        j = cols.index((0, 0, 0))
-        dev = max(dev, abs(abs(spec.dims[a] * blk[i, j]) - 1.0))
+        _, rows, _, cols = spec.f_basis(a, abar, a, a)
+        dev = max_dev(dev, abs(abs(spec.dims[a] * blk[rows[(0, 0, 0)],
+                                                      cols[(0, 0, 0)]]) - 1.0))
     rep.add_deviation("dims_f_consistency",
                       "dimensions agree with vacuum F-symbols", dev, tol.atol)
     return rep
@@ -667,6 +716,34 @@ def _require(cond, message, location):
         raise CategoryFileError(message, location)
 
 
+def _finite(values) -> bool:
+    return all(isinstance(x, (int, float)) and math.isfinite(x)
+               for x in values)
+
+
+def _symbol_entries(data, section, layout, key_len, rank, origin):
+    """(location, integer labels, value) of each [labels..., re, im] entry
+    of the F or R section; the first key_len labels, the block key, must be
+    simples."""
+    seen = set()
+    width = len(layout.split(","))
+    for idx, entry in enumerate(data.get(section, [])):
+        loc = f"{origin}:{section}[{idx}]"
+        _require(isinstance(entry, list) and len(entry) == width + 2,
+                 f"{section} entries are [{layout},re,im]", loc)
+        labels = tuple(entry[:width])
+        _require(all(isinstance(x, int) for x in labels),
+                 f"{section} labels and multiplicity indices must be integers",
+                 loc)
+        _require(all(0 <= x < rank for x in labels[:key_len]),
+                 f"{section} label out of range", loc)
+        _require(_finite(entry[width:]), f"{section}-symbol must be finite",
+                 loc)
+        _require(labels not in seen, f"duplicate {section} entry", loc)
+        seen.add(labels)
+        yield loc, labels, complex(entry[width], entry[width + 1])
+
+
 def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
     for field in ("name", "rank", "dual", "fusion", "theta"):
         _require(field in data, f"missing required section {field!r}", origin)
@@ -687,6 +764,7 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         _require(0 <= i < rank and 0 <= j < rank and 0 <= k < rank,
                  "fusion label out of range", loc)
         _require(m >= 1, "fusion multiplicity must be positive", loc)
+        _require(N[i, j, k] == 0, f"duplicate fusion entry ({i},{j},{k})", loc)
         N[i, j, k] = m
     try:
         ring = FusionRing(N, dual)
@@ -699,83 +777,59 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
              f"{origin}:theta")
     theta = []
     for idx, pair in enumerate(theta_raw):
+        loc = f"{origin}:theta[{idx}]"
         _require(isinstance(pair, list) and len(pair) == 2,
-                 "twists are [re, im] pairs", f"{origin}:theta[{idx}]")
+                 "twists are [re, im] pairs", loc)
+        _require(_finite(pair), "twist must be finite", loc)
         theta.append(complex(pair[0], pair[1]))
 
-    F = {}
-    for idx, entry in enumerate(data.get("F", [])):
-        loc = f"{origin}:F[{idx}]"
-        _require(isinstance(entry, list) and len(entry) == 12,
-                 "F entries are [a,b,c,d,e,alpha,beta,f,gamma,delta,re,im]", loc)
-        a, b, c, d, e, al, bt, f, gm, dl = (int(x) for x in entry[:10])
-        _require(min(al, bt, gm, dl) >= 1, "multiplicity indices are 1-based", loc)
-        key = (a, b, c, d)
-        F.setdefault(key, []).append((e, al - 1, bt - 1, f, gm - 1, dl - 1,
-                                      complex(entry[10], entry[11])))
-    R = {}
-    for idx, entry in enumerate(data.get("R", [])):
-        loc = f"{origin}:R[{idx}]"
-        _require(isinstance(entry, list) and len(entry) == 7,
-                 "R entries are [a,b,c,alpha,beta,re,im]", loc)
-        a, b, c, al, bt = (int(x) for x in entry[:5])
-        _require(min(al, bt) >= 1, "multiplicity indices are 1-based", loc)
-        R.setdefault((a, b, c), []).append((al - 1, bt - 1,
-                                            complex(entry[5], entry[6])))
-
-    # assemble dense blocks; need a helper spec for row enumeration
-    if "dims" in data and data["dims"] is not None:
-        dims = np.asarray(data["dims"], dtype=np.float64)
-        _require(dims.shape == (rank,), "dims must list one value per label",
+    dims = data.get("dims")
+    if dims is not None:
+        _require(isinstance(dims, list) and len(dims) == rank
+                 and _finite(dims), "dims must list one finite value per label",
                  f"{origin}:dims")
-    else:
-        dims = None
+        dims = np.asarray(dims, dtype=np.float64)
 
-    shell = CategorySpec(data["name"], ring,
-                         dims if dims is not None else np.ones(rank),
-                         theta, {}, {})
+    # the bases depend on the fusion ring alone
+    shell = CategorySpec(data["name"], ring, np.ones(rank), theta, {}, {})
     F_blocks = {}
-    for key, entries in F.items():
-        a, b, c, d = key
-        rows = shell.f_rows(a, b, c, d)
-        cols = shell.f_cols(a, b, c, d)
-        blk = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-        for (e, al, bt, f, gm, dl, z) in entries:
-            try:
-                ir = rows.index((e, al, bt))
-                jc = cols.index((f, gm, dl))
-            except ValueError:
-                raise CategoryFileError(
-                    f"F entry {key}+({e},{al + 1},{bt + 1};{f},{gm + 1},{dl + 1})"
-                    " violates fusion multiplicities", origin) from None
-            blk[ir, jc] = z
-        F_blocks[key] = blk
+    for loc, labels, z in _symbol_entries(
+            data, "F", "a,b,c,d,e,alpha,beta,f,gamma,delta", 4, rank, origin):
+        a, b, c, d, e, al, bt, f, gm, dl = labels
+        rows, row_pos, cols, col_pos = shell.f_basis(a, b, c, d)
+        ir = row_pos.get((e, al - 1, bt - 1))
+        jc = col_pos.get((f, gm - 1, dl - 1))
+        _require(ir is not None and jc is not None,
+                 f"F entry {(a, b, c, d)}+({e},{al},{bt};{f},{gm},{dl})"
+                 " violates fusion multiplicities (indices are 1-based)", loc)
+        if (a, b, c, d) not in F_blocks:
+            F_blocks[a, b, c, d] = np.zeros((len(rows), len(cols)),
+                                            dtype=np.complex128)
+        F_blocks[a, b, c, d][ir, jc] = z
     R_blocks = {}
-    for key, entries in R.items():
-        a, b, c = key
+    for loc, labels, z in _symbol_entries(data, "R", "a,b,c,alpha,beta", 3,
+                                          rank, origin):
+        a, b, c, al, bt = labels
         n_ab = ring.n(a, b, c)
         n_ba = ring.n(b, a, c)
-        blk = np.zeros((n_ba, n_ab), dtype=np.complex128)
-        for (al, bt, z) in entries:
-            _require(al < n_ab and bt < n_ba,
-                     f"R entry {key} multiplicity out of range", origin)
-            blk[bt, al] = z
-        R_blocks[key] = blk
+        _require(1 <= al <= n_ab and 1 <= bt <= n_ba,
+                 f"R entry {(a, b, c)} multiplicity out of range", loc)
+        if (a, b, c) not in R_blocks:
+            R_blocks[a, b, c] = np.zeros((n_ba, n_ab), dtype=np.complex128)
+        R_blocks[a, b, c][bt - 1, al - 1] = z
 
     if dims is None:
+        # d_a = 1 / |F[a,a*,a;a] at the vacuum channels|
         dims = np.ones(rank)
-        probe = CategorySpec(data["name"], ring, dims, theta, F_blocks, R_blocks)
-        derived = np.ones(rank)
         for a in range(1, rank):
             abar = int(ring.dual[a])
-            blk = probe.f_block(a, abar, a, a)
-            rows = probe.f_rows(a, abar, a, a)
-            cols = probe.f_cols(a, abar, a, a)
-            entry = blk[rows.index((0, 0, 0)), cols.index((0, 0, 0))]
+            _, row_pos, _, col_pos = shell.f_basis(a, abar, a, a)
+            blk = F_blocks.get((a, abar, a, a))
+            entry = 0.0 if blk is None else \
+                blk[row_pos[(0, 0, 0)], col_pos[(0, 0, 0)]]
             _require(abs(entry) > 0, f"cannot derive dim of label {a} from F-data",
                      origin)
-            derived[a] = 1.0 / abs(entry)
-        dims = derived
+            dims[a] = 1.0 / abs(entry)
 
     return CategorySpec(data["name"], ring, dims, theta, F_blocks, R_blocks,
                         product_of=tuple(data["product_of"])
@@ -785,8 +839,12 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
 def load_category(path) -> CategorySpec:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+
+    def non_finite(token):
+        raise CategoryFileError(f"non-finite number {token}", str(path))
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise CategoryFileError(f"invalid JSON ({exc.msg})",
                                 f"{path}:{exc.lineno}:{exc.colno}") from exc

@@ -19,10 +19,6 @@ from .errors import RankOverflow, ShapeMismatch
 MAX_PRODUCT_RANK = 128
 
 
-def factor_labels(prod: CategorySpec, rank2: int, label: int):
-    return divmod(int(label), rank2)
-
-
 def _pair_tables(shell: CategorySpec, s1: CategorySpec, s2: CategorySpec):
     ring = shell.ring
     rank = ring.rank
@@ -40,16 +36,9 @@ def _pair_tables(shell: CategorySpec, s1: CategorySpec, s2: CategorySpec):
                     d1, d2 = divmod(D, r2)
                     F1 = s1.f_block(a1, b1, c1, d1)
                     F2 = s2.f_block(a2, b2, c2, d2)
-                    rp1 = {lab: i for i, lab in
-                           enumerate(s1.f_rows(a1, b1, c1, d1))}
-                    cp1 = {lab: i for i, lab in
-                           enumerate(s1.f_cols(a1, b1, c1, d1))}
-                    rp2 = {lab: i for i, lab in
-                           enumerate(s2.f_rows(a2, b2, c2, d2))}
-                    cp2 = {lab: i for i, lab in
-                           enumerate(s2.f_cols(a2, b2, c2, d2))}
-                    rows = shell.f_rows(A, B, Cc, D)
-                    cols = shell.f_cols(A, B, Cc, D)
+                    _, rp1, _, cp1 = s1.f_basis(a1, b1, c1, d1)
+                    _, rp2, _, cp2 = s2.f_basis(a2, b2, c2, d2)
+                    rows, _, cols, _ = shell.f_basis(A, B, Cc, D)
                     blk = np.zeros((len(rows), len(cols)),
                                    dtype=np.complex128)
                     for i, (E, al, bt) in enumerate(rows):

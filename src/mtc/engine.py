@@ -5,7 +5,9 @@ matrix over the left-nested fusion-tree bases of Hom(w, c) and Hom(w', c).
 A tree for a word of length n is a pair (labels, mults) with labels the
 intermediate charges (A_2, ..., A_n) and mults the fusion-vertex
 multiplicities; A_1 = w_1 and A_0 = 0 are implicit.  Trees with a common
-root are ordered lexicographically by (labels, mults).
+root are ordered lexicographically by (labels, mults).  The engine reads
+every basis and its positions from their one owner, ``CategorySpec`` in
+``mtc.category``: ``tree_basis``, ``split_basis`` and ``f_basis``.
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
@@ -21,6 +23,7 @@ import numpy as np
 from .category import CategorySpec
 from .errors import (PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism,
                      WordTooLong)
+from .report import max_dev
 
 MAX_WORD_LENGTH = 8
 
@@ -33,53 +36,22 @@ def _cache(spec: CategorySpec, section: str) -> dict:
 # trees
 
 
-def trees(spec: CategorySpec, word):
-    """All left-nested fusion trees of the word, grouped by root."""
+def _word(word):
     word = tuple(int(x) for x in word)
     if len(word) > MAX_WORD_LENGTH:
         raise WordTooLong(
             f"word of length {len(word)} exceeds the cap {MAX_WORD_LENGTH}")
-    cache = _cache(spec, "trees")
-    if word in cache:
-        return cache[word]
-    ring = spec.ring
-    if not word:
-        out = {0: [((), ())]}
-    else:
-        partial = [((), (), word[0])]
-        for letter in word[1:]:
-            nxt = []
-            for labels, mults, a in partial:
-                for c in ring.channels(a, letter):
-                    for alpha in range(ring.n(a, letter, c)):
-                        nxt.append((labels + (c,), mults + (alpha,), c))
-            partial = nxt
-        out = {}
-        for labels, mults, root in partial:
-            out.setdefault(root, []).append((labels, mults))
-        for root in out:
-            out[root].sort()
-    cache[word] = out
-    return out
+    return word
+
+
+def trees(spec: CategorySpec, word):
+    """All left-nested fusion trees of the word, grouped by root."""
+    return spec.tree_basis(_word(word))
 
 
 def tree_positions(spec: CategorySpec, word):
-    word = tuple(int(x) for x in word)
-    cache = _cache(spec, "tree_pos")
-    if word in cache:
-        return cache[word]
-    out = {root: {t: i for i, t in enumerate(ts)}
-           for root, ts in trees(spec, word).items()}
-    cache[word] = out
-    return out
-
-
-def _fcols_pos(spec, a, b, c, d):
-    cache = _cache(spec, "fcols_pos")
-    key = (a, b, c, d)
-    if key not in cache:
-        cache[key] = {lab: i for i, lab in enumerate(spec.f_cols(a, b, c, d))}
-    return cache[key]
+    """{root: {tree: position}} for the trees of the word."""
+    return spec.tree_positions(_word(word))
 
 
 def _finv(spec, a, b, c, d):
@@ -161,18 +133,12 @@ class Morphism:
     def deviation(self, other: "Morphism") -> float:
         if self.src != other.src or self.dst != other.dst:
             raise ShapeMismatch("comparing morphisms with different words")
-        dev = 0.0
-        for c in self.blocks:
-            dev = max(dev, float(np.max(np.abs(self.blocks[c] - other.blocks[c])))
-                      if self.blocks[c].size else 0.0)
-        return dev
-
-    def allclose(self, other: "Morphism", atol: float = 1e-9) -> bool:
-        return self.deviation(other) <= atol
+        return max_dev(*(float(np.max(np.abs(blk - other.blocks[c])))
+                         for c, blk in self.blocks.items() if blk.size))
 
     def max_abs(self) -> float:
-        return max((float(np.max(np.abs(blk))) for blk in self.blocks.values()
-                    if blk.size), default=0.0)
+        return max_dev(*(float(np.max(np.abs(blk)))
+                         for blk in self.blocks.values() if blk.size))
 
     def __repr__(self):
         return f"Morphism({self.src} -> {self.dst})"
@@ -204,21 +170,6 @@ def as_scalar(m: Morphism) -> complex:
 # split transforms and tensor products
 
 
-def _split_cols(spec, u, v, c):
-    tu = trees(spec, u)
-    tv = trees(spec, v)
-    ring = spec.ring
-    cols = []
-    for a in sorted(tu):
-        for si in range(len(tu[a])):
-            for b in sorted(tv):
-                n = ring.n(a, b, c)
-                for ti in range(len(tv[b])):
-                    for mu in range(n):
-                        cols.append((a, si, b, ti, mu))
-    return cols
-
-
 def split_transform(spec: CategorySpec, word, k: int):
     """Change of basis between trees of the word and split pairs at cut k.
 
@@ -234,69 +185,56 @@ def split_transform(spec: CategorySpec, word, k: int):
     if not 0 <= k <= len(word):
         raise PositionOutOfRange(f"cut {k} invalid for word of length {len(word)}")
     u, v = word[:k], word[k:]
-    tw = trees(spec, word)
-    out = {}
-    if len(v) == 0:
-        for c, ts in tw.items():
-            cols = [(c, i, 0, 0, 0) for i in range(len(ts))]
-            out[c] = (np.eye(len(ts), dtype=np.complex128), cols,
-                      {col: i for i, col in enumerate(cols)})
-    elif len(v) == 1:
-        tu = trees(spec, u)
-        tpos = tree_positions(spec, word)
-        for c, ts in tw.items():
-            cols = _split_cols(spec, u, v, c)
-            M = np.zeros((len(ts), len(cols)), dtype=np.complex128)
-            for j, (a, si, b, ti, mu) in enumerate(cols):
-                if k == 0:
-                    tree = ((), ())
-                else:
-                    s = tu[a][si]
-                    tree = (s[0] + (c,), s[1] + (mu,))
-                M[tpos[c][tree], j] = 1.0
-            out[c] = (M, cols, {col: i for i, col in enumerate(cols)})
-    else:
+    tu = trees(spec, u)
+    tv = trees(spec, v)
+    tpos = tree_positions(spec, word)
+    if len(v) > 1:
         z = v[-1]
-        prev = word[:-1]
-        v2 = v[:-1]
-        sub = split_transform(spec, prev, k)
-        tu = trees(spec, u)
-        tv = trees(spec, v)
-        tprev = trees(spec, prev)
-        tv2_pos = tree_positions(spec, v2)
-        tpos = tree_positions(spec, word)
-        for c, ts in tw.items():
-            cols = _split_cols(spec, u, v, c)
-            M = np.zeros((len(ts), len(cols)), dtype=np.complex128)
-            for j, (a, si, b, ti, mu) in enumerate(cols):
-                t = tv[b][ti]
-                if len(v) == 2:
-                    b2 = v[0]
-                    t2 = ((), ())
-                else:
-                    b2 = t[0][-2]
-                    t2 = (t[0][:-1], t[1][:-1])
-                beta = t[1][-1]
-                t2i = tv2_pos[b2][t2]
-                Finv = _finv(spec, a, b2, z, c)
-                frows = spec.f_rows(a, b2, z, c)
-                row_of = _fcols_pos(spec, a, b2, z, c)[(b, beta, mu)]
-                for idx, (e, alpha2, beta2) in enumerate(frows):
-                    coeff = Finv[row_of, idx]
-                    if coeff == 0:
-                        continue
-                    if e not in sub:
-                        continue
-                    Msub, _, colpos_sub = sub[e]
-                    col_sub = colpos_sub.get((a, si, b2, t2i, alpha2))
-                    if col_sub is None:
-                        continue
-                    vec = Msub[:, col_sub]
-                    for ri in np.nonzero(vec)[0]:
-                        rtree = tprev[e][ri]
-                        new_tree = (rtree[0] + (c,), rtree[1] + (beta2,))
-                        M[tpos[c][new_tree], j] += coeff * vec[ri]
-            out[c] = (M, cols, {col: i for i, col in enumerate(cols)})
+        sub = split_transform(spec, word[:-1], k)
+        tprev = trees(spec, word[:-1])
+        tv2_pos = tree_positions(spec, v[:-1])
+    out = {}
+    for c, ts in trees(spec, word).items():
+        cols, colpos = spec.split_basis(u, v, c)
+        if not v:
+            # the split basis of (word, ()) at root c is (c, i, 0, 0, 0)
+            out[c] = (np.eye(len(ts), dtype=np.complex128), cols, colpos)
+            continue
+        M = np.zeros((len(ts), len(cols)), dtype=np.complex128)
+        for j, (a, si, b, ti, mu) in enumerate(cols):
+            if len(v) == 1:
+                s = tu[a][si]
+                tree = ((), ()) if k == 0 else (s[0] + (c,), s[1] + (mu,))
+                M[tpos[c][tree], j] = 1.0
+                continue
+            t = tv[b][ti]
+            if len(v) == 2:
+                b2 = v[0]
+                t2 = ((), ())
+            else:
+                b2 = t[0][-2]
+                t2 = (t[0][:-1], t[1][:-1])
+            beta = t[1][-1]
+            t2i = tv2_pos[b2][t2]
+            Finv = _finv(spec, a, b2, z, c)
+            frows, _, _, fcol_pos = spec.f_basis(a, b2, z, c)
+            row_of = fcol_pos[(b, beta, mu)]
+            for idx, (e, alpha2, beta2) in enumerate(frows):
+                coeff = Finv[row_of, idx]
+                if coeff == 0:
+                    continue
+                if e not in sub:
+                    continue
+                Msub, _, colpos_sub = sub[e]
+                col_sub = colpos_sub.get((a, si, b2, t2i, alpha2))
+                if col_sub is None:
+                    continue
+                vec = Msub[:, col_sub]
+                for ri in np.nonzero(vec)[0]:
+                    rtree = tprev[e][ri]
+                    new_tree = (rtree[0] + (c,), rtree[1] + (beta2,))
+                    M[tpos[c][new_tree], j] += coeff * vec[ri]
+        out[c] = (M, cols, colpos)
     cache[key] = out
     return out
 
@@ -372,7 +310,7 @@ def _braid_local(spec, q, a, b, d, over):
                     rmats[x] = np.linalg.inv(spec.r_block(b, a, x))
             D[jj, ii] = rmats[x][g2, g]
     local = spec.f_block(q, b, a, d) @ D @ _finv(spec, q, a, b, d)
-    out = (local, spec.f_rows(q, a, b, d), spec.f_rows(q, b, a, d))
+    out = (local, spec.f_basis(q, a, b, d)[1], spec.f_rows(q, b, a, d))
     cache[key] = out
     return out
 
@@ -415,8 +353,9 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
                 x_old, al = L[p - 2], M[p - 2]
             A_next = L[p - 1]
             bt = M[p - 1]
-            local, rows_src, rows_dst = _braid_local(spec, q, a, b, A_next, over)
-            i_loc = rows_src.index((x_old, al, bt))
+            local, pos_src, rows_dst = _braid_local(spec, q, a, b, A_next,
+                                                    over)
+            i_loc = pos_src[(x_old, al, bt)]
             for j_loc, (x2, al2, bt2) in enumerate(rows_dst):
                 val = local[j_loc, i_loc]
                 if val == 0:

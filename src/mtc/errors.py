@@ -31,10 +31,6 @@ class SnapFailure(MtcError):
     """A value expected to be a non-negative integer is too far from one."""
 
 
-class RelationFailure(MtcError):
-    """A matrix relation that should hold exactly fails beyond tolerance."""
-
-
 class ShapeMismatch(MtcError):
     """Morphism composition or inversion attempted with incompatible shapes."""
 
@@ -49,10 +45,6 @@ class PositionOutOfRange(MtcError):
 
 class TraceOnNonEndomorphism(MtcError):
     """Quantum trace requested for a morphism whose source and target differ."""
-
-
-class WrongLevels(MtcError):
-    """Associator levels requested outside the supported integer range."""
 
 
 class XiNotZeroOne(MtcError):

@@ -23,6 +23,7 @@ from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
                      cup_twisted, double_braiding, embed, identity, tensor,
                      trees)
 from .errors import ShapeMismatch, XiNotZeroOne
+from .report import max_dev
 
 # Selected against the scalar route for the left-center weights on every
 # built-in category and exponent.  Candidates with a single braiding
@@ -90,15 +91,15 @@ class SumMorphism:
             a = self.comps.get(key)
             b = other.comps.get(key)
             if a is None:
-                dev = max(dev, b.max_abs())
+                dev = max_dev(dev, b.max_abs())
             elif b is None:
-                dev = max(dev, a.max_abs())
+                dev = max_dev(dev, a.max_abs())
             else:
-                dev = max(dev, a.deviation(b))
+                dev = max_dev(dev, a.deviation(b))
         return dev
 
     def max_abs(self) -> float:
-        return max((m.max_abs() for m in self.comps.values()), default=0.0)
+        return max_dev(*(m.max_abs() for m in self.comps.values()))
 
     def inverse(self) -> "SumMorphism":
         """Inverse of a sum morphism whose nonzero component pattern is a
@@ -132,10 +133,6 @@ def sum_tensor(f: SumMorphism, g: SumMorphism) -> SumMorphism:
         for (dg, sg), G in g.comps.items():
             comps[(df * len(g.dst) + dg, sf * len(g.src) + sg)] = tensor(F, G)
     return SumMorphism(f.spec, src, dst, comps)
-
-
-def zero_morphism(spec, src, dst) -> Morphism:
-    return Morphism(spec, src, dst, {})
 
 
 def fusion_basis(spec: CategorySpec, i, j, k, alpha) -> Morphism:
@@ -305,14 +302,6 @@ class PermutationAlgebra:
         src = tuple(a + b for a in self.dual_words for b in self.words)
         r = self.rank
         comps = {(0, i * r + i): cap(self.prod, self.labels[i])
-                 for i in range(r)}
-        return SumMorphism(self.prod, src, self.unit_words, comps)
-
-    def cap_A_twisted(self) -> SumMorphism:
-        """A (x) A^v -> 1."""
-        src = tuple(a + b for a in self.words for b in self.dual_words)
-        r = self.rank
-        comps = {(0, i * r + i): cap_twisted(self.prod, self.labels[i])
                  for i in range(r)}
         return SumMorphism(self.prod, src, self.unit_words, comps)
 
@@ -490,26 +479,27 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
             (m @ sum_tensor(m, idA)).deviation(m @ sum_tensor(idA, m)), tol)
         report.add_deviation(
             f"unit{sfx}", "algebra-unit",
-            max((m @ sum_tensor(eta, idA)).deviation(idA),
-                (m @ sum_tensor(idA, eta)).deviation(idA)), tol)
+            max_dev((m @ sum_tensor(eta, idA)).deviation(idA),
+                    (m @ sum_tensor(idA, eta)).deviation(idA)), tol)
         report.add_deviation(
             f"coassociativity{sfx}", "coalgebra-coassociativity",
             (sum_tensor(de, idA) @ de).deviation(sum_tensor(idA, de) @ de),
             tol)
         report.add_deviation(
             f"counit{sfx}", "coalgebra-counit",
-            max((sum_tensor(eps, idA) @ de).deviation(idA),
-                (sum_tensor(idA, eps) @ de).deviation(idA)), tol)
+            max_dev((sum_tensor(eps, idA) @ de).deviation(idA),
+                    (sum_tensor(idA, eps) @ de).deviation(idA)), tol)
         f_mid = de @ m
         report.add_deviation(
             f"frobenius{sfx}", "frobenius-compatibility",
-            max((sum_tensor(idA, m) @ sum_tensor(de, idA)).deviation(f_mid),
+            max_dev(
+                (sum_tensor(idA, m) @ sum_tensor(de, idA)).deviation(f_mid),
                 (sum_tensor(m, idA) @ sum_tensor(idA, de)).deviation(f_mid)),
             tol)
         eps_eta = (eps @ eta).comps[(0, 0)].blocks[0][0, 0]
         report.add_deviation(
             f"specialness{sfx}", "specialness",
-            max((m @ de).deviation(idA), abs(eps_eta - alg.dim)), tol)
+            max_dev((m @ de).deviation(idA), abs(eps_eta - alg.dim)), tol)
 
         em = eps @ m
         p1 = sum_tensor(em, idAv) @ sum_tensor(idA, alg.cup_A())
@@ -546,11 +536,12 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     n0 = n_values[0]
     report.add_deviation(
         "twist_intertwiner", "twist-intertwiner",
-        max(alg.multiplication(n0 + 1).deviation(
-                sig @ alg.multiplication(n0)
-                @ sum_tensor(sig_inv, sig_inv)),
-            alg.comultiplication(n0 + 1).deviation(
-                sum_tensor(sig, sig) @ alg.comultiplication(n0) @ sig_inv)),
+        max_dev(alg.multiplication(n0 + 1).deviation(
+                    sig @ alg.multiplication(n0)
+                    @ sum_tensor(sig_inv, sig_inv)),
+                alg.comultiplication(n0 + 1).deviation(
+                    sum_tensor(sig, sig) @ alg.comultiplication(n0)
+                    @ sig_inv)),
         tol)
 
     want = np.zeros(base.rank, dtype=np.complex128)

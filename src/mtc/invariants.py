@@ -18,7 +18,7 @@ from .category import CategorySpec, ModularDatum
 from .deligne import MAX_PRODUCT_RANK
 from .engine import trees
 from .errors import RankOverflow, ShapeMismatch
-from .report import VerificationReport
+from .report import VerificationReport, max_dev
 
 
 def transposition_invariant(rank: int) -> np.ndarray:
@@ -142,7 +142,7 @@ def check_invariant(z: np.ndarray, md: ModularDatum, n: int,
     rows, cols = np.nonzero(np.abs(zc) > tol)
     t_dev = 0.0
     for a, b in zip(rows, cols):
-        t_dev = max(t_dev, abs(tvec[a] - tvec[b]))
+        t_dev = max_dev(t_dev, abs(tvec[a] - tvec[b]))
     report.add_deviation("t_matching", "t-invariance", t_dev, tol)
 
     report.add_deviation("vacuum_entry", "vacuum-normalization",

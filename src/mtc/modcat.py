@@ -16,6 +16,7 @@ from __future__ import annotations
 from .category import CategorySpec
 from .engine import (Morphism, block_crossing, double_braiding, embed,
                      identity, twist_endo)
+from .report import max_dev
 
 
 def _key_cache(spec, name):
@@ -187,8 +188,8 @@ def module_triangle_deviation(spec, M_word, X, n: int = 0) -> float:
     U, V = _pair(X)
     unit = ((), ())
     ident = identity(spec, M_word + U + V)
-    return max(psi(spec, M_word, unit, X, n).deviation(ident),
-               psi(spec, M_word, X, unit, n).deviation(ident))
+    return max_dev(psi(spec, M_word, unit, X, n).deviation(ident),
+                   psi(spec, M_word, X, unit, n).deviation(ident))
 
 
 def gamma_functor_deviation(spec, M_word, X, Y, n: int = 0) -> float:
@@ -227,8 +228,8 @@ def psi_shortcut_deviation(spec, M_word, X, Y) -> float:
                    left=M_word + U, right=Vp)
     short1 = embed(spec, block_crossing(spec, Up + V, len(Up), False),
                    left=M_word + U, right=Vp)
-    return max(psi(spec, M_word, X, Y, 0).deviation(short0),
-               psi(spec, M_word, X, Y, 1).deviation(short1))
+    return max_dev(psi(spec, M_word, X, Y, 0).deviation(short0),
+                   psi(spec, M_word, X, Y, 1).deviation(short1))
 
 
 def alpha_functor_deviation(spec, M_word, X, Y, Z, sign: str = "+") -> float:

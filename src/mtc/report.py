@@ -10,6 +10,7 @@ serialized form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 TOOL_VERSION = "0.1.0"
@@ -17,6 +18,21 @@ TOOL_VERSION = "0.1.0"
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped"
+
+
+def max_dev(*devs):
+    """The largest deviation, or NaN as soon as one of them is NaN.
+
+    ``max`` keeps its running value when compared with NaN, so a deviation
+    accumulator built on it would let a NaN deviation pass its tolerance.
+    """
+    out = 0.0
+    for dev in devs:
+        if dev != dev:
+            return math.nan
+        if dev > out:
+            out = dev
+    return out
 
 
 @dataclass
@@ -65,8 +81,8 @@ class VerificationReport:
 
     @property
     def max_deviation(self) -> float:
-        devs = [c.max_deviation for c in self.checks if c.status != SKIP]
-        return max(devs) if devs else 0.0
+        return max_dev(*(c.max_deviation for c in self.checks
+                         if c.status != SKIP))
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status == FAIL]

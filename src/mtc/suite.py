@@ -30,7 +30,7 @@ from .modcat import (alpha_functor_deviation, commutor_witness_deviation,
                      left_module_pentagon_deviation, module_commutor,
                      module_pentagon_deviation, module_triangle_deviation,
                      psi, psi_from_gamma, psi_shortcut_deviation)
-from .report import VerificationReport
+from .report import VerificationReport, max_dev
 
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
                "invariants"]
@@ -123,7 +123,7 @@ def _module_section(spec, report, tol_config, n_values, rng):
     for m, x1, x2, y1, y2, z1, z2 in _label_tuples(r, 7, rng):
         X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
         for n in n_values:
-            worst = max(worst, module_pentagon_deviation(
+            worst = max_dev(worst, module_pentagon_deviation(
                 spec, (m,), X, Y, Z, n))
     report.add_deviation("module_pentagon", "module-pentagon", worst, atol,
                          wall_time=time.perf_counter() - t0,
@@ -133,7 +133,7 @@ def _module_section(spec, report, tol_config, n_values, rng):
     worst = 0.0
     for m, x1, x2, y1, y2, z1, z2 in _label_tuples(r, 7, rng)[:64]:
         X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
-        worst = max(worst, left_module_pentagon_deviation(
+        worst = max_dev(worst, left_module_pentagon_deviation(
             spec, X, Y, Z, (m,), n_values[0]))
     report.add_deviation("left_module_pentagon", "left-module-pentagon",
                          worst, atol, wall_time=time.perf_counter() - t0)
@@ -142,7 +142,7 @@ def _module_section(spec, report, tol_config, n_values, rng):
     worst = 0.0
     for m, x1, x2 in _label_tuples(r, 3, rng):
         for n in n_values:
-            worst = max(worst, module_triangle_deviation(
+            worst = max_dev(worst, module_triangle_deviation(
                 spec, (m,), ((x1,), (x2,)), n))
     report.add_deviation("module_triangle", "module-unit-triangle", worst,
                          atol, wall_time=time.perf_counter() - t0)
@@ -151,9 +151,9 @@ def _module_section(spec, report, tol_config, n_values, rng):
     worst = 0.0
     for m, x1, x2, y1, y2 in _label_tuples(r, 5, rng):
         X, Y = ((x1,), (x2,)), ((y1,), (y2,))
-        worst = max(worst, gamma_functor_deviation(spec, (m,), X, Y,
-                                                   n_values[0]))
-        worst = max(worst, psi_shortcut_deviation(spec, (m,), X, Y))
+        worst = max_dev(worst, gamma_functor_deviation(spec, (m,), X, Y,
+                                                       n_values[0]))
+        worst = max_dev(worst, psi_shortcut_deviation(spec, (m,), X, Y))
     report.add_deviation("twist_mismatch_functor", "twist-mismatch-equation",
                          worst, atol, wall_time=time.perf_counter() - t0)
 
@@ -163,7 +163,7 @@ def _module_section(spec, report, tol_config, n_values, rng):
     for m, x1, x2, y1, y2 in _label_tuples(r, 5, rng)[:64]:
         X, Y = ((x1,), (x2,)), ((y1,), (y2,))
         direct = psi(spec, (m,), X, Y, n_top)
-        worst = max(worst, direct.deviation(
+        worst = max_dev(worst, direct.deviation(
             psi_from_gamma(spec, (m,), X, Y, n_top)))
     report.add_deviation("associator_from_chain", "associator-chain", worst,
                          atol, wall_time=time.perf_counter() - t0)
@@ -174,7 +174,8 @@ def _module_section(spec, report, tol_config, n_values, rng):
         got = extract_twist(spec, (u,))
         blk = got.blocks.get(u)
         want = complex(spec.theta[u])
-        worst = max(worst, abs(blk[0, 0] - want) if blk is not None else 1.0)
+        worst = max_dev(worst, abs(blk[0, 0] - want) if blk is not None
+                        else 1.0)
     report.add_deviation("twist_extraction", "twist-from-mismatch", worst,
                          atol, wall_time=time.perf_counter() - t0)
 
@@ -182,15 +183,16 @@ def _module_section(spec, report, tol_config, n_values, rng):
     worst = 0.0
     for m, x1, x2, y1, y2, z1, z2 in _label_tuples(r, 7, rng)[:32]:
         X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
-        worst = max(worst, alpha_functor_deviation(spec, (m,), X, Y, Z, "+"))
-        worst = max(worst, alpha_functor_deviation(spec, (m,), X, Y, Z, "-"))
+        worst = max_dev(worst,
+                        alpha_functor_deviation(spec, (m,), X, Y, Z, "+"),
+                        alpha_functor_deviation(spec, (m,), X, Y, Z, "-"))
     report.add_deviation("alpha_module_functor", "alpha-induction-functor",
                          worst, atol, wall_time=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     worst = 0.0
     for m, u, v, up, vp in _label_tuples(r, 5, rng)[:32]:
-        worst = max(worst, commutor_witness_deviation(
+        worst = max_dev(worst, commutor_witness_deviation(
             spec, (m,), (u,), (v,), (up,), (vp,)))
     report.add_deviation("commutor_witness", "commutor-intertwiner", worst,
                          atol, wall_time=time.perf_counter() - t0)

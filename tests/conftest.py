@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from mtc import get_category
+from mtc.builtins import BUILTIN_NAMES as BUILTINS
 
-BUILTINS = ["trivial", "semion", "fibonacci", "ising", "z_3(1)",
-            "rep_z2_symmetric"]
 MODULAR = ["trivial", "semion", "fibonacci", "ising", "z_3(1)"]
 
 _SPECS = {}

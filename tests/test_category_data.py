@@ -13,6 +13,7 @@ from mtc.category import (CategorySpec, FusionRing, ToleranceConfig,
                           spec_from_dict, spec_to_dict)
 from mtc.errors import (CategoryFileError, NotModular, RingAxiomError,
                         SnapFailure)
+from mtc.report import max_dev
 
 from conftest import MODULAR
 
@@ -88,6 +89,31 @@ def test_perturbed_braiding_fails_hexagon_only(spec_of):
     assert by_name["pentagon"].status == "pass"
     assert by_name["hexagon_braiding"].status == "fail"
     assert 1e-4 < by_name["hexagon_braiding"].max_deviation < 1e-2
+
+
+def test_nan_braiding_fails(spec_of):
+    """A NaN R-symbol fails every check that reads it instead of being
+    dropped by the running maximum."""
+    ising = spec_of("ising")
+    R = dict(ising.R)
+    R[(1, 1, 0)] = np.array([[np.nan]], dtype=np.complex128)
+    bad = CategorySpec("ising-nan", ising.ring, ising.dims, ising.theta,
+                       dict(ising.F), R)
+    rep = validate_category(bad)
+    by_name = {c.name: c for c in rep.checks}
+    for name in ("hexagon_braiding", "hexagon_inverse",
+                 "ribbon_compatibility"):
+        assert by_name[name].status == "fail", name
+    assert by_name["pentagon"].status == "pass"
+    assert not rep.passed
+    assert np.isnan(rep.max_deviation)
+
+
+def test_max_dev_propagates_nan():
+    assert max_dev() == 0.0
+    assert max_dev(1e-3, 2e-3, 0.0) == 2e-3
+    for devs in ((np.nan, 1.0), (1.0, np.nan), (0.0, np.nan, 2.0)):
+        assert np.isnan(max_dev(*devs))
 
 
 def test_tolerance_config_ordering():
@@ -218,6 +244,67 @@ def test_file_errors_carry_locations(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(CategoryFileError, match="invalid JSON"):
         load_category(path)
+
+
+def _semion_data():
+    return spec_to_dict(get_category("semion"))
+
+
+@pytest.mark.parametrize("section", ["fusion", "F", "R"])
+def test_duplicate_entries_rejected(section):
+    """A repeated entry is refused instead of overwriting the first one."""
+    data = _semion_data()
+    data[section].append(list(data[section][-1]))
+    idx = len(data[section]) - 1
+    with pytest.raises(CategoryFileError,
+                       match=rf"{section}\[{idx}\]: duplicate"):
+        spec_from_dict(data, origin="unit")
+
+
+@pytest.mark.parametrize("section,slot", [("F", 0), ("F", 5), ("R", 2),
+                                          ("R", 3)])
+def test_non_integer_labels_rejected(section, slot):
+    """1.4 is not truncated to a label or multiplicity index of 1."""
+    data = _semion_data()
+    data[section][-1][slot] += 0.4
+    idx = len(data[section]) - 1
+    with pytest.raises(CategoryFileError, match=rf"{section}\[{idx}\]"):
+        spec_from_dict(data, origin="unit")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_rejected(tmp_path, literal):
+    text = dump_category(get_category("semion"))
+    path = tmp_path / "semion.json"
+    path.write_text(text.replace('"dims": [\n  1.0', f'"dims": [\n  {literal}'),
+                    encoding="utf-8")
+    with pytest.raises(CategoryFileError, match=f"non-finite number {literal}"):
+        load_category(path)
+
+
+@pytest.mark.parametrize("section", ["theta", "dims", "F", "R"])
+def test_non_finite_values_rejected(section):
+    data = _semion_data()
+    if section == "theta":
+        data["theta"][1][1] = float("inf")
+        where = r"theta\[1\]"
+    elif section == "dims":
+        data["dims"][1] = float("nan")
+        where = "dims"
+    else:
+        data[section][0][-1] = float("nan")
+        where = rf"{section}\[0\]"
+    with pytest.raises(CategoryFileError, match=where + ": .*finite"):
+        spec_from_dict(data, origin="unit")
+
+
+def test_fusion_violation_carries_entry_location():
+    data = _semion_data()
+    data["F"].append([1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1.0, 0.0])
+    idx = len(data["F"]) - 1
+    with pytest.raises(CategoryFileError,
+                       match=rf"F\[{idx}\]: .*violates fusion"):
+        spec_from_dict(data, origin="unit")
 
 
 def test_label_resolution(spec_of):

@@ -67,6 +67,18 @@ def test_composition_shape_guard(spec_of):
         identity(spec, (1, 1)) @ identity(spec, (1, 2))
 
 
+def test_nan_blocks_are_not_close(spec_of):
+    """A NaN entry in any root block makes the deviation NaN."""
+    spec = spec_of("ising")
+    ident = identity(spec, (1, 1))
+    blocks = {c: blk.copy() for c, blk in ident.blocks.items()}
+    blocks[2][0, 0] = np.nan
+    bad = Morphism(spec, (1, 1), (1, 1), blocks)
+    assert np.isnan(bad.deviation(ident))
+    assert np.isnan(ident.deviation(bad))
+    assert np.isnan(bad.max_abs())
+
+
 # ---------------------------------------------------------------------------
 # monoidal structure
 

@@ -1,0 +1,44 @@
+"""The benchmark's traced run still finds every layer function it wraps.
+
+``perfbench/tracing.py`` looks the package's public functions up by module
+and name; a renamed or deleted one breaks ``run.py --trace 1``.  The trace
+runs in a fresh interpreter, because the tracer refuses to start while any
+loaded module (a test module here) still holds an unwrapped function.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import mtc
+from tracing import Tracer
+tracer = Tracer()
+tracer.start([])
+try:
+    report = mtc.run_suite("semion", suites=["category", "product", "module"])
+finally:
+    tracer.stop()
+metrics = tracer.pass_metrics(1.0)
+print(json.dumps({{"passed": report.passed, "metrics": sorted(metrics),
+                  "trees_calls": metrics["engine.trees_calls"]}}))
+"""
+
+
+def test_traced_suite_runs():
+    script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["passed"]
+    assert out["trees_calls"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # run.py adds the traced/untraced pass comparison itself
+    from_run = {"trace.pass_s", "trace.untraced_pass_s", "trace.overhead_s"}
+    assert set(out["metrics"]) == {m["name"] for m in declared} - from_run
