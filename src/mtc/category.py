@@ -512,6 +512,9 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
                         if blk.shape[0] != blk.shape[1]:
                             raise NotPremodular(
                                 f"F-block ({a},{b},{c};{d}) is not square")
+                        if not np.isfinite(blk).all():
+                            raise NotPremodular(
+                                f"F-block ({a},{b},{c};{d}) is not finite")
                         if blk.size:
                             s = np.linalg.svd(blk, compute_uv=False)
                             if s[-1] < tol.atol:
@@ -751,8 +754,9 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
     _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer",
              f"{origin}:rank")
     dual = data["dual"]
-    _require(isinstance(dual, list) and len(dual) == rank,
-             "dual must list one image per label", f"{origin}:dual")
+    _require(isinstance(dual, list) and len(dual) == rank
+             and all(isinstance(x, int) for x in dual),
+             "dual must list one integer image per label", f"{origin}:dual")
     N = np.zeros((rank, rank, rank), dtype=np.int64)
     for idx, entry in enumerate(data["fusion"]):
         loc = f"{origin}:fusion[{idx}]"

@@ -23,11 +23,11 @@ import numpy as np
 from .builtins import BUILTIN_NAMES
 from .category import ToleranceConfig, modular_datum
 from .errors import MtcError
-from .frobenius import xi_formula
+from .frobenius import azumaya_defect, xi_formula
 from .invariants import (annulus_coefficient, annulus_tree_count,
                          check_invariant, parse_cycles,
                          permutation_invariant)
-from .report import TOOL_VERSION
+from .report import TOOL_VERSION, json_document
 from .suite import SUITE_NAMES, resolve_target, run_suite
 
 USAGE_ERROR = 2
@@ -85,19 +85,12 @@ def _cmd_modular_data(args) -> int:
     spec = resolve_target(args.target)
     md = modular_datum(spec, _tolerance(args))
     if args.json:
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "target": spec.name,
-            "rank": spec.rank,
-            "global_dim": float(md.global_dim),
-            "is_modular": bool(md.is_modular),
-            "S": _complex_table(md.S),
-            "T": [[float(z.real), float(z.imag)] for z in np.diag(md.T)],
-            "charge_conjugation":
-                [[int(x) for x in row] for row in md.charge_conjugation],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2)
-                         + "\n")
+        sys.stdout.write(json_document(
+            spec.name, rank=spec.rank, global_dim=float(md.global_dim),
+            is_modular=bool(md.is_modular), S=_complex_table(md.S),
+            T=[[float(z.real), float(z.imag)] for z in np.diag(md.T)],
+            charge_conjugation=[[int(x) for x in row]
+                                for row in md.charge_conjugation]))
         return 0
     print(f"target: {spec.name}")
     print(f"rank: {spec.rank}   global dim: {md.global_dim:.12g}   "
@@ -111,18 +104,11 @@ def _cmd_modular_data(args) -> int:
 def _cmd_xi(args) -> int:
     spec = resolve_target(args.target)
     xi = xi_formula(spec)
-    want = np.zeros(spec.rank, dtype=np.complex128)
-    want[0] = 1.0
-    azumaya = bool(np.max(np.abs(xi - want)) <= 1e-6)
+    azumaya = azumaya_defect(spec) <= 1e-6
     if args.json:
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "target": spec.name,
-            "xi": [[float(z.real), float(z.imag)] for z in xi],
-            "azumaya": azumaya,
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2)
-                         + "\n")
+        sys.stdout.write(json_document(
+            spec.name, xi=[[float(z.real), float(z.imag)] for z in xi],
+            azumaya=azumaya))
         return 0
     print(f"target: {spec.name}")
     for i, z in enumerate(xi):
@@ -138,15 +124,10 @@ def _cmd_z(args) -> int:
     md = modular_datum(spec, _tolerance(args))
     report = check_invariant(z, md, len(perm), _tolerance(args).atol)
     if args.json:
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "target": spec.name,
-            "perm": [p + 1 for p in perm],
-            "Z": [[int(x) for x in row] for row in z],
-            "invariance": json.loads(report.to_json())["checks"],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2)
-                         + "\n")
+        sys.stdout.write(json_document(
+            spec.name, perm=[p + 1 for p in perm],
+            Z=[[int(x) for x in row] for row in z],
+            invariance=json.loads(report.to_json())["checks"]))
         return 0 if report.passed else 1
     print(f"target: {spec.name}   perm: {args.perm}   "
           f"size: {z.shape[0]}x{z.shape[1]}")
@@ -160,16 +141,9 @@ def _cmd_annulus(args) -> int:
     ring = annulus_coefficient(spec, args.i, args.j, args.k, args.l)
     diag = annulus_tree_count(spec, args.i, args.j, args.k, args.l)
     if args.json:
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "target": spec.name,
-            "labels": [args.i, args.j, args.k, args.l],
-            "ring_route": ring,
-            "tree_route": diag,
-            "agree": ring == diag,
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2)
-                         + "\n")
+        sys.stdout.write(json_document(
+            spec.name, labels=[args.i, args.j, args.k, args.l],
+            ring_route=ring, tree_route=diag, agree=ring == diag))
     else:
         print(f"A[{args.i},{args.j},{args.k} -> {args.l}] = {ring} "
               f"(ring), {diag} (trees)")

@@ -544,9 +544,7 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
                     @ sig_inv)),
         tol)
 
-    want = np.zeros(base.rank, dtype=np.complex128)
-    want[0] = 1.0
-    defect = float(np.max(np.abs(xi_formula(base) - want)))
+    defect = azumaya_defect(base)
     if expect_azumaya:
         report.add_deviation("azumaya", "azumaya-obstruction", defect, tol)
     else:

@@ -1,16 +1,18 @@
 """Check results and verification reports.
 
 A report is an ordered list of named checks, each with a measured maximal
-deviation and the tolerance it was held against.  Reports render either as a
-human-readable table or as deterministic JSON: two runs on the same input with
-the same seed produce byte-identical JSON, so wall times are kept out of the
-serialized form.
+deviation and the tolerance it was held against.  A check's wall time is
+measured by the report: the time since its previous check, or since the
+report was created.  Reports render either as a human-readable table or as
+deterministic JSON: two runs on the same input with the same seed produce
+byte-identical JSON, so wall times are kept out of the serialized form.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 TOOL_VERSION = "0.1.0"
@@ -35,6 +37,13 @@ def max_dev(*devs):
     return out
 
 
+def json_document(target: str, **fields) -> str:
+    """Deterministic JSON about one target: sorted keys, a fixed indent and
+    repr-roundtrip floats, with the tool version and the target included."""
+    payload = {"tool_version": TOOL_VERSION, "target": target, **fields}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -46,13 +55,14 @@ class CheckResult:
     detail: str = ""
 
     @classmethod
-    def from_deviation(cls, name, tag, deviation, tolerance, wall_time=0.0, detail=""):
+    def from_deviation(cls, name, tag, deviation, tolerance, detail=""):
         status = PASS if deviation <= tolerance else FAIL
-        return cls(name, tag, status, float(deviation), float(tolerance), wall_time, detail)
+        return cls(name, tag, status, float(deviation), float(tolerance),
+                   detail=detail)
 
     @classmethod
     def skipped(cls, name, tag, reason):
-        return cls(name, tag, SKIP, 0.0, 0.0, 0.0, reason)
+        return cls(name, tag, SKIP, 0.0, 0.0, detail=reason)
 
 
 @dataclass
@@ -60,20 +70,26 @@ class VerificationReport:
     target: str
     options: dict = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
+    _clock: float = field(default_factory=time.perf_counter, init=False,
+                          repr=False, compare=False)
 
     def add(self, check: CheckResult) -> CheckResult:
+        now = time.perf_counter()
+        check.wall_time, self._clock = now - self._clock, now
         self.checks.append(check)
         return check
 
-    def add_deviation(self, name, tag, deviation, tolerance, wall_time=0.0, detail=""):
+    def add_deviation(self, name, tag, deviation, tolerance, detail=""):
         return self.add(CheckResult.from_deviation(name, tag, deviation, tolerance,
-                                                   wall_time, detail))
+                                                   detail))
 
     def add_skip(self, name, tag, reason):
         return self.add(CheckResult.skipped(name, tag, reason))
 
     def extend(self, other: "VerificationReport"):
+        """Append another report's checks with the times it measured."""
         self.checks.extend(other.checks)
+        self._clock = time.perf_counter()
 
     @property
     def passed(self) -> bool:
@@ -99,12 +115,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        # Deterministic: fixed key order, no wall times, repr-roundtrip floats.
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "target": self.target,
-            "options": self.options,
-            "checks": [
+        # no wall times: they differ from run to run
+        return json_document(
+            self.target,
+            options=self.options,
+            checks=[
                 {
                     "name": c.name,
                     "theorem_tag": c.theorem_tag,
@@ -115,9 +130,7 @@ class VerificationReport:
                 }
                 for c in self.checks
             ],
-            "summary": self.summary(),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            summary=self.summary())
 
     def to_table(self) -> str:
         rows = []

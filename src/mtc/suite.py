@@ -4,30 +4,32 @@ Sections run in dependency order: the axioms of the input data, its
 modular data, the square of the category, the module associator family on
 the square, the canonical algebra, and the permutation invariants.
 Sections can be selected individually; everything downstream of a failed
-load is reported, not swallowed.
+load is reported, not swallowed.  The module section is one table of
+sweeps, each over the label tuples of one length: all of them while they
+fit the sweep's budget, a seeded sample of that size otherwise.  Check
+times are measured by the report, not here.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import time
 
 import numpy as np
 
 from .builtins import BUILTIN_NAMES, get_category
-from .category import (DEFAULT_TOL, CategorySpec, ToleranceConfig,
-                       load_category, modular_datum, modular_group_relations,
+from .category import (DEFAULT_TOL, CategorySpec, load_category,
+                       modular_datum, modular_group_relations,
                        validate_category, verlinde_fusion)
 from .deligne import MAX_PRODUCT_RANK, deligne_power
-from .errors import MtcError, SnapFailure
+from .errors import SnapFailure
 from .frobenius import frobenius_report
 from .invariants import (annulus_coefficient, annulus_tree_count,
                          induced_decomposition_defect, invariant_report,
                          symmetric_group_check)
 from .modcat import (alpha_functor_deviation, commutor_witness_deviation,
                      extract_twist, gamma_functor_deviation,
-                     left_module_pentagon_deviation, module_commutor,
+                     left_module_pentagon_deviation,
                      module_pentagon_deviation, module_triangle_deviation,
                      psi, psi_from_gamma, psi_shortcut_deviation)
 from .report import VerificationReport, max_dev
@@ -35,8 +37,9 @@ from .report import VerificationReport, max_dev
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
                "invariants"]
 
-# module-layer sweeps enumerate r^k label tuples; above this budget a
-# seeded sample of the same size is used instead
+# module-layer sweeps enumerate r^k label tuples; above a sweep's budget a
+# seeded sample of that size is used instead.  This is the budget of the
+# sweeps with no smaller cap.
 _SWEEP_BUDGET = 256
 
 
@@ -53,31 +56,22 @@ def resolve_target(target: str) -> CategorySpec:
         raise ValueError(exc.args[0]) from None
 
 
-def _label_tuples(rank: int, k: int, rng) -> list[tuple[int, ...]]:
-    total = rank ** k
-    if total <= _SWEEP_BUDGET:
+def _label_tuples(rank: int, k: int, budget: int, rng
+                  ) -> list[tuple[int, ...]]:
+    """All r^k label tuples, or a seeded sample of ``budget`` of them."""
+    if rank ** k <= budget:
         return list(itertools.product(range(rank), repeat=k))
-    picks = rng.integers(0, rank, size=(_SWEEP_BUDGET, k))
+    picks = rng.integers(0, rank, size=(budget, k))
     return [tuple(int(x) for x in row) for row in picks]
 
 
-def _category_section(spec, report, tol_config):
-    t0 = time.perf_counter()
-    sub = validate_category(spec, tol_config)
-    for c in sub.checks:
-        c.wall_time = (time.perf_counter() - t0) / max(len(sub.checks), 1)
-    report.extend(sub)
-    return sub.passed
-
-
 def _modular_section(spec, report, tol_config, md):
-    t0 = time.perf_counter()
     if not md.is_modular:
         report.add_skip("verlinde_fusion", "verlinde-formula",
                         "S-matrix is degenerate")
         report.add_skip("modular_group", "modular-group-relations",
                         "S-matrix is degenerate")
-        return md
+        return
     try:
         nval = verlinde_fusion(md, tol_config)
         dev = float(np.max(np.abs(nval - spec.ring.N)))
@@ -86,23 +80,15 @@ def _modular_section(spec, report, tol_config, md):
         report.add_deviation("verlinde_fusion", "verlinde-formula", dev,
                              tol_config.atol, detail=str(exc))
     else:
-        report.add_deviation("verlinde_fusion", "verlinde-formula", dev, 0.5,
-                             wall_time=time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    _, rel = modular_group_relations(md, tol_config)
-    for c in rel.checks:
-        c.wall_time = (time.perf_counter() - t0) / max(len(rel.checks), 1)
-    report.extend(rel)
-    return md
+        report.add_deviation("verlinde_fusion", "verlinde-formula", dev, 0.5)
+    report.extend(modular_group_relations(md, tol_config)[1])
 
 
 def _product_section(spec, report, tol_config, md):
-    t0 = time.perf_counter()
     prod = deligne_power(spec, 2)
     sub = validate_category(prod, tol_config)
     report.add_deviation("square_axioms", "product-coherence",
                          sub.max_deviation, tol_config.atol,
-                         wall_time=time.perf_counter() - t0,
                          detail=f"{len(sub.checks)} checks on {prod.name}")
     if md is not None and md.is_modular:
         md2 = modular_datum(prod, tol_config)
@@ -112,90 +98,61 @@ def _product_section(spec, report, tol_config, md):
     return prod
 
 
+def _square_objects(labels):
+    """Objects of the square, one per consecutive pair of base labels."""
+    it = iter(labels)
+    return [((x1,), (x2,)) for x1, x2 in zip(it, it)]
+
+
 def _module_section(spec, report, tol_config, n_values, rng):
-    # simples of the square are pairs of base labels; every word below
-    # lives in the base category
-    r = spec.rank
-    atol = tol_config.atol
+    # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
+    # (x1, x2), ... of the square; every word below lives in the base
+    # category
+    n0, n_top = n_values[0], max(n_values)
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m, x1, x2, y1, y2, z1, z2 in _label_tuples(r, 7, rng):
-        X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
-        for n in n_values:
-            worst = max_dev(worst, module_pentagon_deviation(
-                spec, (m,), X, Y, Z, n))
-    report.add_deviation("module_pentagon", "module-pentagon", worst, atol,
-                         wall_time=time.perf_counter() - t0,
-                         detail=f"n in {list(n_values)}")
+    def on_square(dev):
+        return lambda t: dev((t[0],), *_square_objects(t[1:]))
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m, x1, x2, y1, y2, z1, z2 in _label_tuples(r, 7, rng)[:64]:
-        X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
-        worst = max_dev(worst, left_module_pentagon_deviation(
-            spec, X, Y, Z, (m,), n_values[0]))
-    report.add_deviation("left_module_pentagon", "left-module-pentagon",
-                         worst, atol, wall_time=time.perf_counter() - t0)
+    def twist(t):
+        blk = extract_twist(spec, t).blocks.get(t[0])
+        return (abs(blk[0, 0] - complex(spec.theta[t[0]]))
+                if blk is not None else 1.0)
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m, x1, x2 in _label_tuples(r, 3, rng):
-        for n in n_values:
-            worst = max_dev(worst, module_triangle_deviation(
-                spec, (m,), ((x1,), (x2,)), n))
-    report.add_deviation("module_triangle", "module-unit-triangle", worst,
-                         atol, wall_time=time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m, x1, x2, y1, y2 in _label_tuples(r, 5, rng):
-        X, Y = ((x1,), (x2,)), ((y1,), (y2,))
-        worst = max_dev(worst, gamma_functor_deviation(spec, (m,), X, Y,
-                                                       n_values[0]))
-        worst = max_dev(worst, psi_shortcut_deviation(spec, (m,), X, Y))
-    report.add_deviation("twist_mismatch_functor", "twist-mismatch-equation",
-                         worst, atol, wall_time=time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    n_top = max(n_values)
-    for m, x1, x2, y1, y2 in _label_tuples(r, 5, rng)[:64]:
-        X, Y = ((x1,), (x2,)), ((y1,), (y2,))
-        direct = psi(spec, (m,), X, Y, n_top)
-        worst = max_dev(worst, direct.deviation(
-            psi_from_gamma(spec, (m,), X, Y, n_top)))
-    report.add_deviation("associator_from_chain", "associator-chain", worst,
-                         atol, wall_time=time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    for u, in _label_tuples(r, 1, rng):
-        got = extract_twist(spec, (u,))
-        blk = got.blocks.get(u)
-        want = complex(spec.theta[u])
-        worst = max_dev(worst, abs(blk[0, 0] - want) if blk is not None
-                        else 1.0)
-    report.add_deviation("twist_extraction", "twist-from-mismatch", worst,
-                         atol, wall_time=time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m, x1, x2, y1, y2, z1, z2 in _label_tuples(r, 7, rng)[:32]:
-        X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
-        worst = max_dev(worst,
-                        alpha_functor_deviation(spec, (m,), X, Y, Z, "+"),
-                        alpha_functor_deviation(spec, (m,), X, Y, Z, "-"))
-    report.add_deviation("alpha_module_functor", "alpha-induction-functor",
-                         worst, atol, wall_time=time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m, u, v, up, vp in _label_tuples(r, 5, rng)[:32]:
-        worst = max_dev(worst, commutor_witness_deviation(
-            spec, (m,), (u,), (v,), (up,), (vp,)))
-    report.add_deviation("commutor_witness", "commutor-intertwiner", worst,
-                         atol, wall_time=time.perf_counter() - t0)
+    # name, statement, tuple length, sample budget, deviation of one tuple
+    sweeps = [
+        ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
+         on_square(lambda m, X, Y, Z: max_dev(*(
+             module_pentagon_deviation(spec, m, X, Y, Z, n)
+             for n in n_values)))),
+        ("left_module_pentagon", "left-module-pentagon", 7, 64,
+         on_square(lambda m, X, Y, Z: left_module_pentagon_deviation(
+             spec, X, Y, Z, m, n0))),
+        ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
+         on_square(lambda m, X: max_dev(*(
+             module_triangle_deviation(spec, m, X, n) for n in n_values)))),
+        ("twist_mismatch_functor", "twist-mismatch-equation", 5,
+         _SWEEP_BUDGET,
+         on_square(lambda m, X, Y: max_dev(
+             gamma_functor_deviation(spec, m, X, Y, n0),
+             psi_shortcut_deviation(spec, m, X, Y)))),
+        ("associator_from_chain", "associator-chain", 5, 64,
+         on_square(lambda m, X, Y: psi(spec, m, X, Y, n_top).deviation(
+             psi_from_gamma(spec, m, X, Y, n_top)))),
+        ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET, twist),
+        ("alpha_module_functor", "alpha-induction-functor", 7, 32,
+         on_square(lambda m, X, Y, Z: max_dev(
+             alpha_functor_deviation(spec, m, X, Y, Z, "+"),
+             alpha_functor_deviation(spec, m, X, Y, Z, "-")))),
+        ("commutor_witness", "commutor-intertwiner", 5, 32,
+         lambda t: commutor_witness_deviation(spec, *((x,) for x in t))),
+    ]
+    for name, tag, k, budget, deviation in sweeps:
+        worst = max_dev(*(deviation(t) for t in
+                          _label_tuples(spec.rank, k, budget, rng)))
+        report.add_deviation(
+            name, tag, worst, tol_config.atol,
+            detail=f"n in {list(n_values)}" if name == "module_pentagon"
+            else "")
 
 
 def _invariants_section(spec, report, tol_config, md):
@@ -204,34 +161,27 @@ def _invariants_section(spec, report, tol_config, md):
                         "requires a nondegenerate S-matrix")
         return
     atol = tol_config.atol
-    t0 = time.perf_counter()
     sub = invariant_report(spec, md, (1, 0), atol)
     report.add_deviation("transposition_invariant", "permutation-invariants",
-                         sub.max_deviation, atol,
-                         wall_time=time.perf_counter() - t0)
+                         sub.max_deviation, atol)
     if spec.rank ** 3 <= MAX_PRODUCT_RANK:
-        t0 = time.perf_counter()
         sub3 = invariant_report(spec, md, (1, 2, 0), atol)
         report.add_deviation("three_cycle_invariant",
                              "permutation-invariants", sub3.max_deviation,
-                             atol, wall_time=time.perf_counter() - t0)
-        t0 = time.perf_counter()
+                             atol)
         hom = symmetric_group_check(spec.rank, 3)
         report.add_deviation("symmetric_group_action",
-                             "permutation-homomorphism", float(hom), 0.5,
-                             wall_time=time.perf_counter() - t0)
+                             "permutation-homomorphism", float(hom), 0.5)
     else:
         report.add_skip("three_cycle_invariant", "permutation-invariants",
                         "triple product exceeds the rank bound")
 
-    t0 = time.perf_counter()
     worst = 0
     for i, j, k, l in itertools.product(range(spec.rank), repeat=4):
         worst = max(worst, abs(annulus_coefficient(spec, i, j, k, l)
                                - annulus_tree_count(spec, i, j, k, l)))
     report.add_deviation("annulus_counts", "annulus-coefficients",
-                         float(worst), 0.5,
-                         wall_time=time.perf_counter() - t0)
+                         float(worst), 0.5)
     report.add_deviation("induced_modules", "induced-module-decomposition",
                          float(induced_decomposition_defect(spec)), 0.5)
 
@@ -256,7 +206,7 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
 
     md = None
     if "category" in chosen:
-        _category_section(spec, report, tol_config)
+        report.extend(validate_category(spec, tol_config))
     if any(s in chosen for s in ("modular", "product", "invariants",
                                  "frobenius")):
         md = modular_datum(spec, tol_config)
@@ -279,15 +229,10 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
         _module_section(spec, report, tol_config, n_values, rng)
 
     if "frobenius" in chosen:
-        t0 = time.perf_counter()
-        frob = frobenius_report(
+        report.extend(frobenius_report(
             spec, n_values=n_values, tol=max(tol_config.atol, 1e-8),
             prod=prod,
-            expect_azumaya=(md.is_modular if md is not None else True))
-        span = (time.perf_counter() - t0) / max(len(frob.checks), 1)
-        for c in frob.checks:
-            c.wall_time = span
-        report.extend(frob)
+            expect_azumaya=(md.is_modular if md is not None else True)))
 
     if "invariants" in chosen:
         _invariants_section(spec, report, tol_config, md)

@@ -109,6 +109,22 @@ def test_nan_braiding_fails(spec_of):
     assert np.isnan(rep.max_deviation)
 
 
+def test_nan_f_symbol_fails_completeness(spec_of):
+    """A NaN F-symbol fails f_completeness, naming its block, instead of
+    reaching the SVD."""
+    ising = spec_of("ising")
+    F = dict(ising.F)
+    F[(1, 1, 1, 1)] = F[(1, 1, 1, 1)].copy()
+    F[(1, 1, 1, 1)][0, 1] = np.nan
+    bad = CategorySpec("ising-nan-f", ising.ring, ising.dims, ising.theta, F,
+                       dict(ising.R))
+    rep = validate_category(bad)
+    check = {c.name: c for c in rep.checks}["f_completeness"]
+    assert check.status == "fail"
+    assert "(1,1,1;1)" in check.detail
+    assert not rep.passed
+
+
 def test_max_dev_propagates_nan():
     assert max_dev() == 0.0
     assert max_dev(1e-3, 2e-3, 0.0) == 2e-3
@@ -269,6 +285,15 @@ def test_non_integer_labels_rejected(section, slot):
     data[section][-1][slot] += 0.4
     idx = len(data[section]) - 1
     with pytest.raises(CategoryFileError, match=rf"{section}\[{idx}\]"):
+        spec_from_dict(data, origin="unit")
+
+
+@pytest.mark.parametrize("image", [1.7, "1"])
+def test_non_integer_dual_rejected(image):
+    """1.7 and "1" are not read as the label 1."""
+    data = _semion_data()
+    data["dual"][1] = image
+    with pytest.raises(CategoryFileError, match="unit:dual: "):
         spec_from_dict(data, origin="unit")
 
 
