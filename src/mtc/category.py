@@ -24,10 +24,14 @@ u (x) v fused to a root, and ``f_basis`` takes the F-rows from the trees of
 comes with its label -> position map (``tree_positions`` for trees) and is
 built once per spec; the split bases are kept by ``engine.split_transform``
 with their change of basis.  Every other module looks positions up there.
+``f_tensor`` reads the part of an F-block between one row channel e and
+one column channel f as an array [alpha, beta, gamma, delta]; the pentagon
+and the hexagons are contractions of these arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -65,12 +69,15 @@ class FusionRing:
             raise RingAxiomError("dual involution has wrong length")
         self.N.setflags(write=False)
         self.dual.setflags(write=False)
+        self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
+                           for row in plane] for plane in self.N]
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
 
     def channels(self, a, b):
-        return [c for c in range(self.rank) if self.N[a, b, c]]
+        """The labels c with N[a,b,c] > 0, ascending."""
+        return self._channels[a][b]
 
     def check_axioms(self):
         """Raise RingAxiomError unless unit, duality, associativity and the
@@ -277,6 +284,25 @@ class CategorySpec:
                                 f"expected {(len(rows), len(cols))}")
         return blk
 
+    def f_tensor(self, a, b, c, d, e, f) -> np.ndarray:
+        """Block of F[a,b,c,d] from row channel e to column channel f,
+        indexed [alpha, beta, gamma, delta] as the labels of ``f_basis``."""
+        cache = self._cache.setdefault("f_tensor", {})
+        key = (a, b, c, d, e, f)
+        hit = cache.get(key)
+        if hit is None:
+            N = self.ring.N
+            _, row_pos, _, col_pos = self.f_basis(a, b, c, d)
+            shape = (N[a, b, e], N[e, c, d], N[b, c, f], N[a, f, d])
+            # the rows of one channel e are contiguous, and so are the
+            # columns of one f; an empty block may start anywhere
+            i = row_pos.get((e, 0, 0), 0)
+            j = col_pos.get((f, 0, 0), 0)
+            hit = cache[key] = self.f_block(a, b, c, d)[
+                i:i + shape[0] * shape[1],
+                j:j + shape[2] * shape[3]].reshape(shape)
+        return hit
+
     def r_block(self, a, b, c) -> np.ndarray:
         """Matrix of c_{a,b} on channel c; rows index (b a -> c), columns (a b -> c)."""
         n_ab = self.ring.n(a, b, c)
@@ -304,77 +330,38 @@ class CategorySpec:
 def _pentagon_deviation(spec: CategorySpec) -> float:
     """Max deviation of the pentagon identity over all admissible labels.
 
-    With row/column labels as in ``f_block``, the identity contracted over
-    multiplicities reads, for fixed simple labels a,b,c,d,e:
+    With T = ``f_tensor`` indexed [alpha, beta, gamma, delta], the 2-move
+    and the 3-move path between the left- and right-nested trees of
+    (a, b, c, d) at e agree for every f, g (left) and l, k (right):
 
-      sum_delta F[f,c,d;e][(g,bt,gm),(l,nu,delta)] F[a,b,l;e][(f,al,delta),(k,lm,mu)]
-        = sum_{h,sg,ps,rh} F[a,b,c;g][(f,al,bt),(h,sg,ps)]
-                           F[a,h,d;e][(g,ps,gm),(k,rh,mu)]
-                           F[b,c,d;k][(h,sg,rh),(l,nu,lm)]
+      sum_delta T(f,c,d,e,g,l)[bt,gm,nu,delta] T(a,b,l,e,f,k)[al,delta,lm,mu]
+        = sum_{h,sg,ps,rh} T(a,b,c,g,f,h)[al,bt,sg,ps]
+                           T(a,h,d,e,g,k)[ps,gm,rh,mu]
+                           T(b,c,d,k,h,l)[sg,rh,nu,lm]
     """
     ring = spec.ring
     N = ring.N
-    r = spec.rank
+    T = spec.f_tensor
     worst = 0.0
-    for a in range(r):
-        for b in range(r):
-            for f_ch in ring.channels(a, b):
-                for c in range(r):
-                    for g in ring.channels(f_ch, c):
-                        for d in range(r):
-                            for e in ring.channels(g, d):
-                                worst = max_dev(worst, _pentagon_cell(
-                                    spec, a, b, c, d, e, f_ch, g))
-    return worst
-
-
-def _pentagon_cell(spec, a, b, c, d, e, f_ch, g):
-    ring = spec.ring
-    N = ring.N
-    F1 = spec.f_block(f_ch, c, d, e)
-    _, rows1, _, cols1 = spec.f_basis(f_ch, c, d, e)
-    worst = 0.0
-    Fabc = spec.f_block(a, b, c, g)
-    _, rows_abc, _, cols_abc = spec.f_basis(a, b, c, g)
-    for al in range(N[a, b, f_ch]):
-        for bt in range(N[f_ch, c, g]):
-            for gm in range(N[g, d, e]):
-                for l in ring.channels(c, d):
-                    Fabl = spec.f_block(a, b, l, e)
-                    _, rows_abl, _, cols_abl = spec.f_basis(a, b, l, e)
-                    for nu in range(N[c, d, l]):
+    for a, b, c, d in itertools.product(range(spec.rank), repeat=4):
+        for f in ring.channels(a, b):
+            for g in ring.channels(f, c):
+                for e in ring.channels(g, d):
+                    for l in ring.channels(c, d):
                         for k in ring.channels(b, l):
-                            Fbcd = spec.f_block(b, c, d, k)
-                            _, rows_bcd, _, cols_bcd = spec.f_basis(b, c, d, k)
-                            for lm in range(N[b, l, k]):
-                                for mu in range(N[a, k, e]):
-                                    lhs = 0.0 + 0.0j
-                                    for delta in range(N[f_ch, l, e]):
-                                        i1 = rows1[(g, bt, gm)]
-                                        j1 = cols1[(l, nu, delta)]
-                                        i2 = rows_abl[(f_ch, al, delta)]
-                                        j2 = cols_abl[(k, lm, mu)]
-                                        lhs += F1[i1, j1] * Fabl[i2, j2]
-                                    rhs = 0.0 + 0.0j
-                                    for h in ring.channels(b, c):
-                                        Fahd = spec.f_block(a, h, d, e)
-                                        _, rows_ahd, _, cols_ahd = \
-                                            spec.f_basis(a, h, d, e)
-                                        for sg in range(N[b, c, h]):
-                                            for ps in range(N[a, h, g]):
-                                                x1 = Fabc[rows_abc[(f_ch, al, bt)],
-                                                          cols_abc[(h, sg, ps)]]
-                                                if x1 == 0:
-                                                    continue
-                                                for rh in range(N[h, d, k]):
-                                                    x2 = Fahd[rows_ahd[(g, ps, gm)],
-                                                              cols_ahd[(k, rh, mu)]]
-                                                    if x2 == 0:
-                                                        continue
-                                                    x3 = Fbcd[rows_bcd[(h, sg, rh)],
-                                                              cols_bcd[(l, nu, lm)]]
-                                                    rhs += x1 * x2 * x3
-                                    worst = max_dev(worst, abs(lhs - rhs))
+                            if not N[a, k, e]:
+                                continue
+                            lhs = np.einsum("BGND,ADLM->ABGNLM",
+                                            T(f, c, d, e, g, l),
+                                            T(a, b, l, e, f, k))
+                            rhs = sum(np.einsum("ABSP,PGRM,SRNL->ABGNLM",
+                                                T(a, b, c, g, f, h),
+                                                T(a, h, d, e, g, k),
+                                                T(b, c, d, k, h, l))
+                                      for h in ring.channels(b, c)
+                                      if N[a, h, g] and N[h, d, k])
+                            worst = max_dev(worst, float(np.max(
+                                np.abs(lhs - rhs))))
     return worst
 
 
@@ -387,75 +374,36 @@ def _hexagon_deviation(spec: CategorySpec, inverse: bool) -> float:
         = sum_f F[c,a,b;d][e,f] R[c,f;d] F[a,b,c;d][f,g]
 
     and the second hexagon replaces every R-matrix by its inverse.  With
-    multiplicities each R acts on the corresponding multiplicity slot.
+    multiplicities each R acts on the corresponding multiplicity slot of
+    the F-tensor.
     """
     ring = spec.ring
-    r = spec.rank
-    worst = 0.0
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                for d in ring.word_dims((a, c, b)).nonzero()[0]:
-                    worst = max_dev(worst, _hexagon_cell(spec, a, b, c, int(d),
-                                                         inverse))
-    return worst
-
-
-def _r_action(spec, a, b, c, inverse):
-    """Matrix acting on the (a b -> c) multiplicity slot for the braiding
-    c_{a,b} (or its inverse) in channel c."""
-    if inverse:
-        return np.linalg.inv(spec.r_block(b, a, c))
-    return spec.r_block(a, b, c)
-
-
-def _hexagon_cell(spec, a, b, c, d, inverse):
-    ring = spec.ring
     N = ring.N
-    Facb = spec.f_block(a, c, b, d)
-    _, rows_acb, _, cols_acb = spec.f_basis(a, c, b, d)
-    Fcab = spec.f_block(c, a, b, d)
-    rows_cab, _, cols_cab, _ = spec.f_basis(c, a, b, d)
-    Fabc = spec.f_block(a, b, c, d)
-    _, rows_abc, cols_abc, _ = spec.f_basis(a, b, c, d)
+    T = spec.f_tensor
+    actions = {}
 
-    # LHS[(e,alpha,beta),(g,gamma,delta)]; alpha on Hom(ca->e)-slot after
-    # braiding, gamma on Hom(cb->g)-slot after braiding.
-    n_rows = len(rows_cab)
-    n_cols = len(cols_abc)
-    lhs = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    rhs = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    for i_out, (e, al2, bt) in enumerate(rows_cab):
-        if N[a, c, e] == 0:
-            continue
-        Rca = _r_action(spec, c, a, e, inverse)  # maps (ac) slot to (ca) slot
-        for j_out, (g, gm2, dl) in enumerate(cols_abc):
-            if N[c, b, g] == 0:
-                continue
-            Rcb = _r_action(spec, c, b, g, inverse)
-            acc = 0.0 + 0.0j
-            for al in range(N[a, c, e]):
-                i_in = rows_acb[(e, al, bt)]
-                for gm in range(N[b, c, g]):
-                    j_in = cols_acb[(g, gm, dl)]
-                    acc += Rca[al2, al] * Facb[i_in, j_in] * Rcb[gm2, gm]
-            lhs[i_out, j_out] = acc
+    def R(x, y, z):
+        """The braiding c_{x,y}, or its inverse, on channel z."""
+        if (x, y, z) not in actions:
+            actions[x, y, z] = np.linalg.inv(spec.r_block(y, x, z)) \
+                if inverse else spec.r_block(x, y, z)
+        return actions[x, y, z]
 
-            acc = 0.0 + 0.0j
-            for k_f, (f, gm_f, dl_f) in enumerate(cols_cab):
-                if N[c, f, d] == 0 or N[a, b, f] == 0:
-                    continue
-                Rcf = _r_action(spec, c, f, d, inverse)
-                x1 = Fcab[i_out, k_f]
-                if x1 == 0:
-                    continue
-                for dl2 in range(N[f, c, d]):
-                    i_mid = rows_abc[(f, gm_f, dl2)]
-                    acc += x1 * Rcf[dl2, dl_f] * Fabc[i_mid, j_out]
-            rhs[i_out, j_out] = acc
-    if lhs.size == 0:
-        return 0.0
-    return float(np.max(np.abs(lhs - rhs)))
+    worst = 0.0
+    for a, b, c in itertools.product(range(spec.rank), repeat=3):
+        for e in ring.channels(a, c):
+            for d in ring.channels(e, b):
+                for g in ring.channels(c, b):
+                    if not N[a, g, d]:
+                        continue
+                    lhs = np.einsum("Xa,aBgD,Yg->XBYD", R(c, a, e),
+                                    T(a, c, b, d, e, g), R(c, b, g))
+                    rhs = sum(np.einsum("XBmF,EF,mEYD->XBYD",
+                                        T(c, a, b, d, e, f), R(c, f, d),
+                                        T(a, b, c, d, f, g))
+                              for f in ring.channels(a, b) if N[c, f, d])
+                    worst = max_dev(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def _ribbon_deviation(spec: CategorySpec) -> float:
@@ -540,11 +488,8 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     # |d_a * F[a,a*,a;a][0-channel]| = 1
     dev = 0.0
     for a in range(spec.rank):
-        abar = int(ring.dual[a])
-        blk = spec.f_block(a, abar, a, a)
-        _, rows, _, cols = spec.f_basis(a, abar, a, a)
-        dev = max_dev(dev, abs(abs(spec.dims[a] * blk[rows[(0, 0, 0)],
-                                                      cols[(0, 0, 0)]]) - 1.0))
+        vacuum = spec.f_tensor(a, int(ring.dual[a]), a, a, 0, 0)[0, 0, 0, 0]
+        dev = max_dev(dev, abs(abs(spec.dims[a] * vacuum) - 1.0))
     rep.add_deviation("dims_f_consistency",
                       "dimensions agree with vacuum F-symbols", dev, tol.atol)
     return rep
@@ -592,6 +537,8 @@ def modular_datum(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
                 if N[i, j, k]:
                     acc += N[i, j, k] * theta[k] / (theta[i] * theta[j]) * d[k]
             S[i, j] = s00 * acc
+    if not np.isfinite(S).all():
+        raise NotPremodular(f"S-matrix of {spec.name} is not finite")
     T = np.diag(theta)
     C = np.zeros((r, r), dtype=np.float64)
     for k in range(r):
@@ -833,7 +780,9 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
                 blk[row_pos[(0, 0, 0)], col_pos[(0, 0, 0)]]
             _require(abs(entry) > 0, f"cannot derive dim of label {a} from F-data",
                      origin)
-            dims[a] = 1.0 / abs(entry)
+            dims[a] = dim = 1.0 / float(abs(entry))
+            _require(math.isfinite(dim), f"derived dim of label {a} is not finite",
+                     origin)
 
     return CategorySpec(data["name"], ring, dims, theta, F_blocks, R_blocks,
                         product_of=tuple(data["product_of"])

@@ -14,7 +14,6 @@ usage or unreadable input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -127,7 +126,7 @@ def _cmd_z(args) -> int:
         sys.stdout.write(json_document(
             spec.name, perm=[p + 1 for p in perm],
             Z=[[int(x) for x in row] for row in z],
-            invariance=json.loads(report.to_json())["checks"]))
+            invariance=[c.to_record() for c in report.checks]))
         return 0 if report.passed else 1
     print(f"target: {spec.name}   perm: {args.perm}   "
           f"size: {z.shape[0]}x{z.shape[1]}")

@@ -64,6 +64,13 @@ class CheckResult:
     def skipped(cls, name, tag, reason):
         return cls(name, tag, SKIP, 0.0, 0.0, detail=reason)
 
+    def to_record(self) -> dict:
+        """The check as written to JSON; the wall time is left out, as it
+        differs from run to run."""
+        return {"name": self.name, "theorem_tag": self.theorem_tag,
+                "status": self.status, "max_deviation": self.max_deviation,
+                "tolerance": self.tolerance, "detail": self.detail}
+
 
 @dataclass
 class VerificationReport:
@@ -115,22 +122,9 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        # no wall times: they differ from run to run
-        return json_document(
-            self.target,
-            options=self.options,
-            checks=[
-                {
-                    "name": c.name,
-                    "theorem_tag": c.theorem_tag,
-                    "status": c.status,
-                    "max_deviation": c.max_deviation,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            summary=self.summary())
+        return json_document(self.target, options=self.options,
+                             checks=[c.to_record() for c in self.checks],
+                             summary=self.summary())
 
     def to_table(self) -> str:
         rows = []

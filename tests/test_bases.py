@@ -1,6 +1,7 @@
 """The basis contract: F-rows are the left-nested trees of (a, b, c) at root
-d, F-columns the right-nested (f, gamma, delta) pairs, and every position
-map inverts its label list."""
+d, F-columns the right-nested (f, gamma, delta) pairs, every position map
+inverts its label list, and ``f_tensor`` is the F-block read in that
+basis."""
 
 import itertools
 
@@ -12,7 +13,7 @@ from mtc.deligne import deligne_power
 from mtc.engine import tree_positions, trees
 from mtc.errors import NotPremodular
 
-from conftest import BUILTINS
+from conftest import BUILTINS, random_rep_a4
 
 SQUARES = ["fibonacci", "ising"]
 
@@ -22,9 +23,12 @@ def squares(spec_of):
     return {name: deligne_power(spec_of(name), 2) for name in SQUARES}
 
 
-@pytest.fixture(params=[*BUILTINS, *(f"{name}^2" for name in SQUARES)])
+@pytest.fixture(params=[*BUILTINS, *(f"{name}^2" for name in SQUARES),
+                        "rep_a4_random"])
 def spec(request, spec_of, squares):
     name = request.param
+    if name == "rep_a4_random":
+        return random_rep_a4()
     return squares[name[:-2]] if name.endswith("^2") else spec_of(name)
 
 
@@ -65,6 +69,21 @@ def test_position_maps_invert_their_lists(spec):
                 assert_inverts(ts, pos[root])
             for k, root in itertools.product(range(n + 1), range(r)):
                 assert_inverts(*spec.split_basis(word[:k], word[k:], root))
+
+
+def test_f_tensor_is_the_f_block_in_the_basis(spec):
+    N = spec.ring.N
+    for a, b, c, d in itertools.product(range(spec.rank), repeat=4):
+        rows, row_pos, cols, col_pos = spec.f_basis(a, b, c, d)
+        blk = spec.f_block(a, b, c, d)
+        for e, f in itertools.product({row[0] for row in rows},
+                                      {col[0] for col in cols}):
+            t = spec.f_tensor(a, b, c, d, e, f)
+            assert t.shape == (N[a, b, e], N[e, c, d], N[b, c, f], N[a, f, d])
+            for (alpha, beta, gamma, delta) in itertools.product(
+                    *map(range, t.shape)):
+                assert t[alpha, beta, gamma, delta] == \
+                    blk[row_pos[e, alpha, beta], col_pos[f, gamma, delta]]
 
 
 def test_wrong_block_shape_is_refused(spec_of):

@@ -9,13 +9,14 @@ import pytest
 from mtc import get_category, modular_datum, validate_category, verlinde_fusion
 from mtc.builtins import BUILTIN_NAMES
 from mtc.category import (CategorySpec, FusionRing, ToleranceConfig,
+                          _hexagon_deviation, _pentagon_deviation,
                           dump_category, load_category, modular_group_relations,
                           spec_from_dict, spec_to_dict)
-from mtc.errors import (CategoryFileError, NotModular, RingAxiomError,
-                        SnapFailure)
+from mtc.errors import (CategoryFileError, NotModular, NotPremodular,
+                        RingAxiomError, SnapFailure)
 from mtc.report import max_dev
 
-from conftest import MODULAR
+from conftest import MODULAR, random_rep_a4
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -76,19 +77,39 @@ def test_builtin_coherence(spec_of, name):
     assert rep.max_deviation < 1e-9
 
 
-def test_perturbed_braiding_fails_hexagon_only(spec_of):
+@pytest.mark.parametrize("table,intact,broken", [
+    ("R", "pentagon", "hexagon_braiding"),
+    ("F", "f_completeness", "pentagon"),
+], ids=["R", "F"])
+def test_detuned_symbol_fails_coherence(spec_of, table, intact, broken):
     """Multiplying one R-symbol by a small phase breaks the hexagon at the
-    size of the perturbation while the pentagon stays exact."""
+    size of the perturbation while the pentagon stays exact; an F-symbol so
+    detuned breaks the pentagon while every F-block stays invertible."""
     fib = spec_of("fibonacci")
-    R = dict(fib.R)
-    R[(1, 1, 1)] = R[(1, 1, 1)] * np.exp(1e-3j)
+    F, R = dict(fib.F), dict(fib.R)
+    symbols, key = (R, (1, 1, 1)) if table == "R" else (F, (1, 1, 1, 1))
+    symbols[key] = symbols[key] * np.exp(1e-3j)
     bad = CategorySpec("fibonacci-detuned", fib.ring, fib.dims, fib.theta,
-                       dict(fib.F), R)
+                       F, R)
     rep = validate_category(bad)
     by_name = {c.name: c for c in rep.checks}
-    assert by_name["pentagon"].status == "pass"
-    assert by_name["hexagon_braiding"].status == "fail"
-    assert 1e-4 < by_name["hexagon_braiding"].max_deviation < 1e-2
+    assert by_name[intact].status == "pass"
+    assert by_name[broken].status == "fail"
+    assert 1e-4 < by_name[broken].max_deviation < 1e-2
+
+
+def test_multiplicity_deviations_are_pinned():
+    """On random data with a fusion multiplicity of 2, the coherence
+    deviations equal those of the scalar loops that summed every
+    multiplicity index by hand."""
+    spec = random_rep_a4()
+    spec.ring.check_axioms()
+    assert _pentagon_deviation(spec) == \
+        pytest.approx(52.811151219724614, rel=1e-12)
+    assert _hexagon_deviation(spec, inverse=False) == \
+        pytest.approx(21.927861018782412, rel=1e-12)
+    assert _hexagon_deviation(spec, inverse=True) == \
+        pytest.approx(271.07264024483294, rel=1e-12)
 
 
 def test_nan_braiding_fails(spec_of):
@@ -184,6 +205,16 @@ def test_verlinde_round_trip(spec_of, name):
     assert np.array_equal(N, spec.ring.N)
 
 
+def test_non_finite_s_matrix_refused(spec_of):
+    """An infinite dimension makes S non-finite; that is refused before the
+    SVD, which would fail to converge."""
+    semion = spec_of("semion")
+    bad = CategorySpec("semion-inf", semion.ring, [1.0, np.inf], semion.theta,
+                       dict(semion.F), dict(semion.R))
+    with pytest.raises(NotPremodular, match="not finite"):
+        modular_datum(bad)
+
+
 def test_verlinde_snap_failure(spec_of):
     """A detuned S-matrix stays invertible but snaps to nothing integral."""
     md = modular_datum(spec_of("semion"))
@@ -237,6 +268,18 @@ def test_dims_derived_from_f_data(spec_of):
     del data["dims"]
     spec = spec_from_dict(data)
     assert np.max(np.abs(spec.dims - spec_of("fibonacci").dims)) < 1e-12
+
+
+def test_non_finite_derived_dim_rejected():
+    """A subnormal vacuum F-entry would give an infinite dimension."""
+    data = spec_to_dict(get_category("semion"))
+    del data["dims"]
+    vacuum = [1, 1, 1, 1, 0, 1, 1, 0, 1, 1]
+    entry = next(e for e in data["F"] if e[:10] == vacuum)
+    entry[10] = -1e-320
+    with pytest.raises(CategoryFileError,
+                       match="unit: derived dim of label 1 is not finite"):
+        spec_from_dict(data, origin="unit")
 
 
 def test_file_errors_carry_locations(tmp_path):
