@@ -523,6 +523,8 @@ def modular_datum(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     S t S = gamma t^-1 S t^-1 C holds with a nontrivial charge conjugation C.
     ``is_modular`` records invertibility of S at the working tolerance.
     """
+    if not (np.isfinite(spec.dims).all() and np.isfinite(spec.theta).all()):
+        raise NotPremodular(f"dims or twists of {spec.name} are not finite")
     r = spec.rank
     dim = spec.global_dim()
     s00 = 1.0 / np.sqrt(dim)

@@ -137,6 +137,11 @@ def _cmd_z(args) -> int:
 
 def _cmd_annulus(args) -> int:
     spec = resolve_target(args.target)
+    for flag in ("i", "j", "k", "l"):
+        label = getattr(args, flag)
+        if not 0 <= label < spec.rank:
+            raise ValueError(f"label --{flag} {label} is outside [0, "
+                             f"{spec.rank}): {spec.name} has rank {spec.rank}")
     ring = annulus_coefficient(spec, args.i, args.j, args.k, args.l)
     diag = annulus_tree_count(spec, args.i, args.j, args.k, args.l)
     if args.json:

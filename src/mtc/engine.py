@@ -11,12 +11,19 @@ every basis and its positions from their one owner, ``CategorySpec`` in
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
-multiplication.  Tensor products are computed through cached split
-transforms, braidings through cached local F' R F^-1 matrices, and duality
-morphisms through a calibrated cup/cap gauge.
+multiplication.  Right whiskering f (x) id_v leaves the tail of every
+left-nested tree untouched, so it is a re-indexing of f's blocks by a
+cached gather.  Left whiskering id_u (x) g places g's blocks in the split
+basis of the cut by a cached gather and conjugates by the cached split
+transforms.  ``tensor`` is their composite (f (x) id) o (id (x) g), and
+``embed`` applies them directly.  Braidings go through cached local
+F' R F^-1 matrices, and duality morphisms through a calibrated cup/cap
+gauge.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +98,14 @@ class Morphism:
                         f"expected {shape}")
             full[c] = blk
         self.blocks = full
+
+    @classmethod
+    def trusted(cls, spec, src, dst, blocks) -> "Morphism":
+        """Morphism from blocks already complete and of the right shapes,
+        with words already tuples of ints; nothing is checked."""
+        out = cls.__new__(cls)
+        out.spec, out.src, out.dst, out.blocks = spec, src, dst, blocks
+        return out
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         if not isinstance(other, Morphism):
@@ -167,7 +182,7 @@ def as_scalar(m: Morphism) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# split transforms and tensor products
+# split transforms and whiskering
 
 
 def split_transform(spec: CategorySpec, word, k: int):
@@ -239,48 +254,157 @@ def split_transform(spec: CategorySpec, word, k: int):
     return out
 
 
-def tensor(f: Morphism, g: Morphism) -> Morphism:
-    """Horizontal juxtaposition f (x) g."""
-    spec = f.spec
-    src = f.src + g.src
-    dst = f.dst + g.dst
-    ssrc = split_transform(spec, src, len(f.src))
-    sdst = split_transform(spec, dst, len(f.dst))
-    tsrc = trees(spec, src)
-    tdst = trees(spec, dst)
-    blocks = {}
-    for c in set(tsrc) & set(tdst):
+def _cut(tree, k, word):
+    """Split a tree of the word after its first k letters into (root of
+    those letters, their subtree, tail).  The tail is the rest of the tree,
+    which a map on the first k letters never touches; for k = 0 the empty
+    prefix has root 0 and the first letter enters the tail as
+    0 (x) w_1 -> w_1."""
+    L, M = tree
+    if k == 0:
+        return 0, ((), ()), ((word[0],) + L, (0,) + M)
+    a = word[0] if k == 1 else L[k - 2]
+    return a, (L[:k - 1], M[:k - 1]), (L[k - 1:], M[k - 1:])
+
+
+def _block_offsets(tsrc, tdst):
+    """Sorted common roots of two tree bases and each root block's offset
+    in the row-major concatenation of the blocks in that order."""
+    roots = sorted(set(tsrc) & set(tdst))
+    offsets, n = {}, 0
+    for c in roots:
+        offsets[c] = n
+        n += len(tdst[c]) * len(tsrc[c])
+    return roots, offsets, n
+
+
+class _Plan(NamedTuple):
+    """A cached whiskering: a gather from the input's blocks, concatenated
+    row-major in the order of ``roots``, into one flat output array."""
+
+    roots: tuple
+    size: int
+    idx: np.ndarray  # [output offsets, input offsets], one pair per entry
+    layout: tuple  # per output root: (root, offset, rows, columns, ...)
+
+
+def _gather(m: Morphism, plan: _Plan) -> np.ndarray:
+    flat = np.zeros(plan.size, dtype=np.complex128)
+    if plan.roots:
+        flat[plan.idx[0]] = np.concatenate(
+            [m.blocks[c].ravel() for c in plan.roots])[plan.idx[1]]
+    return flat
+
+
+def _right_plan(spec, src, dst, v):
+    """Plan of f (x) id_v for f : src -> dst.  An output entry is f's entry
+    between the subtrees of the first letters when both trees have the same
+    root there and the same tail after it, and 0 otherwise."""
+    cache = _cache(spec, "whisker_right")
+    key = (src, dst, v)
+    plan = cache.get(key)
+    if plan is not None:
+        return plan
+    sword, dword = src + v, dst + v
+    tsrc, tdst = trees(spec, sword), trees(spec, dword)
+    tf_src = trees(spec, src)
+    psrc, pdst = tree_positions(spec, src), tree_positions(spec, dst)
+    roots, f_off, _ = _block_offsets(tf_src, trees(spec, dst))
+    out_roots, out_off, size = _block_offsets(tsrc, tdst)
+    out_idx, in_idx, layout = [], [], []
+    for c in out_roots:
+        shape = (len(tdst[c]), len(tsrc[c]))
+        by_tail = {}
+        for j, tree in enumerate(tsrc[c]):
+            a, sub, tail = _cut(tree, len(src), sword)
+            by_tail.setdefault((a, tail), []).append((j, psrc[a][sub]))
+        for i, tree in enumerate(tdst[c]):
+            a, sub, tail = _cut(tree, len(dst), dword)
+            cols = by_tail.get((a, tail))
+            if cols is None:
+                continue
+            row = out_off[c] + i * shape[1]
+            frow = f_off[a] + pdst[a][sub] * len(tf_src[a])
+            for j, jf in cols:
+                out_idx.append(row + j)
+                in_idx.append(frow + jf)
+        layout.append((c, out_off[c]) + shape)
+    plan = cache[key] = _Plan(tuple(roots), size,
+                              np.array([out_idx, in_idx], dtype=np.intp),
+                              tuple(layout))
+    return plan
+
+
+def _left_plan(spec, u, src, dst):
+    """Plan of id_u (x) g for g : src -> dst.  The gather fills, root by
+    root, the matrix in the split bases of the cut that equals
+    kron(id, g_b) on the columns (a, si, b, ti, mu) of each (a, b, mu); the
+    layout adds the cached split transforms Md and Ms of the target and
+    source words."""
+    cache = _cache(spec, "whisker_left")
+    key = (u, src, dst)
+    plan = cache.get(key)
+    if plan is not None:
+        return plan
+    sword, dword = u + src, u + dst
+    ssrc = split_transform(spec, sword, len(u))
+    sdst = split_transform(spec, dword, len(u))
+    tg_src, tg_dst = trees(spec, src), trees(spec, dst)
+    roots, g_off, _ = _block_offsets(tg_src, tg_dst)
+    out_roots, out_off, size = _block_offsets(trees(spec, sword),
+                                              trees(spec, dword))
+    out_idx, in_idx, layout = [], [], []
+    for c in out_roots:
         Ms, cols_s, _ = ssrc[c]
-        Md, cols_d, _ = sdst[c]
-        big = np.zeros((len(cols_d), len(cols_s)), dtype=np.complex128)
-        gs = {}
+        Md, cols_d, colpos_d = sdst[c]
         for j, (a, si, b, ti, mu) in enumerate(cols_s):
-            gs.setdefault((a, b, mu), []).append(j)
-        gd = {}
-        for j, (a, si, b, ti, mu) in enumerate(cols_d):
-            gd.setdefault((a, b, mu), []).append(j)
-        for key, js in gs.items():
-            a, b, _ = key
-            jd = gd.get(key)
-            if jd is None:
+            if b not in g_off:
                 continue
-            fa = f.blocks.get(a)
-            gb = g.blocks.get(b)
-            if fa is None or gb is None:
-                continue
-            big[np.ix_(jd, js)] = np.kron(fa, gb)
-        blocks[c] = np.linalg.solve(Md.T, big @ Ms.T)
-    return Morphism(spec, src, dst, blocks)
+            width = len(tg_src[b])
+            for td in range(len(tg_dst[b])):
+                out_idx.append(out_off[c] + colpos_d[(a, si, b, td, mu)]
+                               * len(cols_s) + j)
+                in_idx.append(g_off[b] + td * width + ti)
+        layout.append((c, out_off[c], len(cols_d), len(cols_s), Md, Ms))
+    plan = cache[key] = _Plan(tuple(roots), size,
+                              np.array([out_idx, in_idx], dtype=np.intp),
+                              tuple(layout))
+    return plan
+
+
+def _whisker_right(f: Morphism, v) -> Morphism:
+    """f (x) id_v, a re-indexing of f's blocks."""
+    if not v:
+        return f
+    plan = _right_plan(f.spec, f.src, f.dst, v)
+    flat = _gather(f, plan)
+    return Morphism.trusted(f.spec, f.src + v, f.dst + v,
+                            {c: flat[o:o + r * k].reshape(r, k)
+                             for c, o, r, k in plan.layout})
+
+
+def _whisker_left(u, g: Morphism) -> Morphism:
+    """id_u (x) g, conjugating g's blocks by the cached split transforms."""
+    if not u:
+        return g
+    plan = _left_plan(g.spec, u, g.src, g.dst)
+    flat = _gather(g, plan)
+    return Morphism.trusted(
+        g.spec, u + g.src, u + g.dst,
+        {c: np.linalg.solve(Md.T, flat[o:o + r * k].reshape(r, k) @ Ms.T)
+         for c, o, r, k, Md, Ms in plan.layout})
+
+
+def tensor(f: Morphism, g: Morphism) -> Morphism:
+    """Horizontal juxtaposition f (x) g = (f (x) id) o (id (x) g)."""
+    return _whisker_right(f, g.dst) @ _whisker_left(f.src, g)
 
 
 def embed(spec: CategorySpec, f: Morphism, left=(), right=()) -> Morphism:
     """id_left (x) f (x) id_right."""
-    out = f
-    if tuple(left):
-        out = tensor(identity(spec, left), out)
-    if tuple(right):
-        out = tensor(out, identity(spec, right))
-    return out
+    left = tuple(int(x) for x in left)
+    right = tuple(int(x) for x in right)
+    return _whisker_right(_whisker_left(left, f), right)
 
 
 # ---------------------------------------------------------------------------

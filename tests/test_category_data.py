@@ -215,6 +215,15 @@ def test_non_finite_s_matrix_refused(spec_of):
         modular_datum(bad)
 
 
+def test_non_finite_twist_refused(spec_of):
+    """A non-finite twist is refused before S is built from it."""
+    semion = spec_of("semion")
+    bad = CategorySpec("semion-nan", semion.ring, semion.dims,
+                       [1.0, np.nan], dict(semion.F), dict(semion.R))
+    with pytest.raises(NotPremodular, match="not finite"):
+        modular_datum(bad)
+
+
 def test_verlinde_snap_failure(spec_of):
     """A detuned S-matrix stays invertible but snaps to nothing integral."""
     md = modular_datum(spec_of("semion"))

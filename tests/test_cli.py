@@ -144,6 +144,22 @@ def test_compute_annulus(capsys):
     assert payload["agree"] is True
 
 
+@pytest.mark.parametrize("target,labels,bad", [
+    ("trivial", ("1", "1", "1", "1"), "--i 1"),
+    ("fibonacci", ("-1", "1", "1", "1"), "--i -1"),
+], ids=["past_rank", "negative"])
+def test_compute_annulus_label_out_of_range(capsys, target, labels, bad):
+    """A label outside [0, rank) is a usage error naming the label and the
+    rank, not a traceback or a silently wrong count."""
+    argv = [x for flag, label in zip(("--i", "--j", "--k", "--l"), labels)
+            for x in (flag, label)]
+    code, out, err = run(capsys, "compute", "annulus", *argv, target)
+    assert code == 2
+    assert out == ""
+    assert bad in err
+    assert "rank" in err
+
+
 def test_bad_n_range(capsys):
     code, _, err = run(capsys, "check", "semion", "--n-range", "x..y")
     assert code == 2
