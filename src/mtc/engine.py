@@ -16,9 +16,10 @@ left-nested tree untouched, so it is a re-indexing of f's blocks by a
 cached gather.  Left whiskering id_u (x) g places g's blocks in the split
 basis of the cut by a cached gather and conjugates by the cached split
 transforms.  ``tensor`` is their composite (f (x) id) o (id (x) g), and
-``embed`` applies them directly.  Braidings go through cached local
-F' R F^-1 matrices, and duality morphisms through a calibrated cup/cap
-gauge.
+``embed`` applies them directly.  An elementary braiding is the R-blocks
+of its two letters whiskered into the word, so ``split_transform`` is the
+one place that applies F-moves.  Duality morphisms go through a calibrated
+cup/cap gauge.
 """
 
 from __future__ import annotations
@@ -185,6 +186,11 @@ def as_scalar(m: Morphism) -> complex:
 # split transforms and whiskering
 
 
+def _check_cut(word, k):
+    if not 0 <= k <= len(word):
+        raise PositionOutOfRange(f"cut {k} invalid for word of length {len(word)}")
+
+
 def split_transform(spec: CategorySpec, word, k: int):
     """Change of basis between trees of the word and split pairs at cut k.
 
@@ -197,8 +203,7 @@ def split_transform(spec: CategorySpec, word, k: int):
     key = (word, k)
     if key in cache:
         return cache[key]
-    if not 0 <= k <= len(word):
-        raise PositionOutOfRange(f"cut {k} invalid for word of length {len(word)}")
+    _check_cut(word, k)
     u, v = word[:k], word[k:]
     tu = trees(spec, u)
     tv = trees(spec, v)
@@ -411,32 +416,15 @@ def embed(spec: CategorySpec, f: Morphism, left=(), right=()) -> Morphism:
 # braiding
 
 
-def _braid_local(spec, q, a, b, d, over):
-    """Matrix of id_q (x) c_{a,b} from Hom(q a b, d) to Hom(q b a, d) in
-    left-nested bases, computed as F(q,b,a;d) D F(q,a,b;d)^-1 with D the
-    R-action on the right-nested channel slot."""
-    cache = _cache(spec, "braid_local")
-    key = (q, a, b, d, bool(over))
-    if key in cache:
-        return cache[key]
-    cols_s = spec.f_cols(q, a, b, d)
-    cols_d = spec.f_cols(q, b, a, d)
-    D = np.zeros((len(cols_d), len(cols_s)), dtype=np.complex128)
-    rmats = {}
-    for jj, (x2, g2, d2) in enumerate(cols_d):
-        for ii, (x, g, d1) in enumerate(cols_s):
-            if x2 != x or d2 != d1:
-                continue
-            if x not in rmats:
-                if over:
-                    rmats[x] = spec.r_block(a, b, x)
-                else:
-                    rmats[x] = np.linalg.inv(spec.r_block(b, a, x))
-            D[jj, ii] = rmats[x][g2, g]
-    local = spec.f_block(q, b, a, d) @ D @ _finv(spec, q, a, b, d)
-    out = (local, spec.f_basis(q, a, b, d)[1], spec.f_rows(q, b, a, d))
-    cache[key] = out
-    return out
+def _crossing(spec, a, b, over):
+    """c_{a,b} (over) or c_{b,a}^-1 (under) on the two-letter word (a, b):
+    the R-block itself at every root."""
+    roots = trees(spec, (a, b))
+    if over:
+        blocks = {c: spec.r_block(a, b, c) for c in roots}
+    else:
+        blocks = {c: np.linalg.inv(spec.r_block(b, a, c)) for c in roots}
+    return Morphism(spec, (a, b), (b, a), blocks)
 
 
 def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
@@ -444,7 +432,9 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
     """Elementary braiding of strands p and p+1 (1-based).
 
     ``over`` selects c_{w_p, w_{p+1}}; otherwise the inverse braiding
-    c_{w_{p+1}, w_p}^-1 is used.
+    c_{w_{p+1}, w_p}^-1 is used.  The crossing's R-blocks are whiskered by
+    the letters before it; the letters after it re-index the cached
+    generator of the prefix ending at strand p+1.
     """
     word = tuple(int(x) for x in word)
     n = len(word)
@@ -455,43 +445,12 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
     key = (word, p, bool(over))
     if key in cache:
         return cache[key]
-    a, b = word[p - 1], word[p]
-    dst_word = word[:p - 1] + (b, a) + word[p + 1:]
-    tsrc = trees(spec, word)
-    tdst = trees(spec, dst_word)
-    dpos = tree_positions(spec, dst_word)
-    blocks = {}
-    for c, ts in tsrc.items():
-        if c not in tdst:
-            continue
-        B = np.zeros((len(tdst[c]), len(ts)), dtype=np.complex128)
-        for i_src, (L, M) in enumerate(ts):
-            if p == 1:
-                q = 0
-                x_old, al = word[0], 0
-            elif p == 2:
-                q = word[0]
-                x_old, al = L[0], M[0]
-            else:
-                q = L[p - 3]
-                x_old, al = L[p - 2], M[p - 2]
-            A_next = L[p - 1]
-            bt = M[p - 1]
-            local, pos_src, rows_dst = _braid_local(spec, q, a, b, A_next,
-                                                    over)
-            i_loc = pos_src[(x_old, al, bt)]
-            for j_loc, (x2, al2, bt2) in enumerate(rows_dst):
-                val = local[j_loc, i_loc]
-                if val == 0:
-                    continue
-                if p == 1:
-                    L2, M2 = L, (bt2,) + M[1:]
-                else:
-                    L2 = L[:p - 2] + (x2,) + L[p - 1:]
-                    M2 = M[:p - 2] + (al2, bt2) + M[p:]
-                B[dpos[c][(L2, M2)], i_src] += val
-        blocks[c] = B
-    out = Morphism(spec, word, dst_word, blocks)
+    if p + 1 < n:
+        out = _whisker_right(braid_generator(spec, word[:p + 1], p, over),
+                             word[p + 1:])
+    else:
+        out = _whisker_left(word[:p - 1],
+                            _crossing(spec, word[p - 1], word[p], over))
     cache[key] = out
     return out
 
@@ -504,6 +463,7 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
     strand); with ``over=False`` it is c_{V,U}^-1.
     """
     word = tuple(int(x) for x in word)
+    _check_cut(word, k)
     cache = _cache(spec, "block_crossing")
     key = (word, k, bool(over))
     if key in cache:
@@ -523,6 +483,7 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
 def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
     """n-th power of the monodromy c_{V,U} o c_{U,V} with U = word[:k]."""
     word = tuple(int(x) for x in word)
+    _check_cut(word, k)
     n = int(n)
     cache = _cache(spec, "double_braiding")
     key = (word, k, n)
@@ -530,21 +491,15 @@ def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
         return cache[key]
     if n == 0:
         out = identity(spec, word)
+    elif n == 1:
+        c1 = block_crossing(spec, word, k, True)
+        c2 = block_crossing(spec, c1.dst, len(word) - k, True)
+        out = c2 @ c1
     else:
-        base_key = (word, k, 1)
-        if base_key in cache:
-            base = cache[base_key]
-        else:
-            c1 = block_crossing(spec, word, k, True)
-            c2 = block_crossing(spec, c1.dst, len(word) - k, True)
-            base = c2 @ c1
-            cache[base_key] = base
-        if n == 1:
-            out = base
-        else:
-            out = Morphism(spec, word, word,
-                           {c: np.linalg.matrix_power(blk, n)
-                            for c, blk in base.blocks.items()})
+        base = double_braiding(spec, word, k, 1)
+        out = Morphism(spec, word, word,
+                       {c: np.linalg.matrix_power(blk, n)
+                        for c, blk in base.blocks.items()})
     cache[key] = out
     return out
 
