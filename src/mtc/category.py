@@ -38,9 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CategoryFileError, NotModular, NotPremodular, RingAxiomError,
-                     SnapFailure)
+from .errors import (CategoryFileError, InvalidWord, NotModular, NotPremodular,
+                     RingAxiomError, SnapFailure, WordTooLong)
 from .report import VerificationReport, max_dev
+
+MAX_WORD_LENGTH = 8
 
 
 @dataclass(frozen=True)
@@ -187,11 +189,25 @@ class CategorySpec:
         (A_2, ..., A_n) and mults the fusion-vertex multiplicities; A_1 = w_1
         and A_0 = 0 are implicit.  Trees with a common root are sorted
         lexicographically by (labels, mults).
+
+        A word is a tuple of Python ints in [0, rank), at most
+        MAX_WORD_LENGTH long.  It is checked here, the first time its basis
+        is built; anything else raises InvalidWord or WordTooLong.
         """
         cache = self._cache.setdefault("trees", {})
-        hit = cache.get(word)
+        try:
+            hit = cache.get(word)
+        except TypeError:  # unhashable, so it fails the check below
+            hit = None
         if hit is not None:
             return hit
+        if type(word) is not tuple or not all(
+                type(x) is int and 0 <= x < self.rank for x in word):
+            raise InvalidWord(f"word {word!r} is not a tuple of Python ints "
+                              f"in [0, {self.rank})")
+        if len(word) > MAX_WORD_LENGTH:
+            raise WordTooLong(
+                f"word of length {len(word)} exceeds the cap {MAX_WORD_LENGTH}")
         ring = self.ring
         if not word:
             hit = {0: [((), ())]}
@@ -668,6 +684,11 @@ def _require(cond, message, location):
         raise CategoryFileError(message, location)
 
 
+def _integers(values) -> bool:
+    """Every value is an int; JSON true and false are not."""
+    return all(type(x) is int for x in values)
+
+
 def _finite(values) -> bool:
     return all(isinstance(x, (int, float)) and math.isfinite(x)
                for x in values)
@@ -684,7 +705,7 @@ def _symbol_entries(data, section, layout, key_len, rank, origin):
         _require(isinstance(entry, list) and len(entry) == width + 2,
                  f"{section} entries are [{layout},re,im]", loc)
         labels = tuple(entry[:width])
-        _require(all(isinstance(x, int) for x in labels),
+        _require(_integers(labels),
                  f"{section} labels and multiplicity indices must be integers",
                  loc)
         _require(all(0 <= x < rank for x in labels[:key_len]),
@@ -700,11 +721,11 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
     for field in ("name", "rank", "dual", "fusion", "theta"):
         _require(field in data, f"missing required section {field!r}", origin)
     rank = data["rank"]
-    _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer",
+    _require(type(rank) is int and rank >= 1, "rank must be a positive integer",
              f"{origin}:rank")
     dual = data["dual"]
     _require(isinstance(dual, list) and len(dual) == rank
-             and all(isinstance(x, int) for x in dual),
+             and _integers(dual),
              "dual must list one integer image per label", f"{origin}:dual")
     N = np.zeros((rank, rank, rank), dtype=np.int64)
     for idx, entry in enumerate(data["fusion"]):
@@ -712,7 +733,7 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         _require(isinstance(entry, list) and len(entry) == 4,
                  "fusion entries are [i, j, k, mult]", loc)
         i, j, k, m = entry
-        _require(all(isinstance(x, int) for x in entry), "fusion entry not integral",
+        _require(_integers(entry), "fusion entry not integral",
                  loc)
         _require(0 <= i < rank and 0 <= j < rank and 0 <= k < rank,
                  "fusion label out of range", loc)

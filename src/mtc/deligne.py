@@ -106,8 +106,8 @@ def deligne_power(spec: CategorySpec, n: int) -> CategorySpec:
 
 
 def _factor_words(word, r2):
-    w1 = tuple(int(x) // r2 for x in word)
-    w2 = tuple(int(x) % r2 for x in word)
+    w1 = tuple(x // r2 for x in word)
+    w2 = tuple(x % r2 for x in word)
     return w1, w2
 
 
@@ -118,7 +118,6 @@ def product_tree_map(prod: CategorySpec, s1: CategorySpec, s2: CategorySpec,
     Returns {root: list of (i1, i2)} aligned with the product tree order;
     the factor roots are divmod(root, s2.rank).
     """
-    word = tuple(int(x) for x in word)
     cache = prod._cache.setdefault("ptree_map", {})
     if word in cache:
         return cache[word]

@@ -1,5 +1,10 @@
 """Fusion-tree diagram calculus.
 
+A word is a tuple of Python ints in [0, rank).  Nothing here converts or
+checks words: ``CategorySpec.tree_basis`` checks each word the first time
+its basis is built and raises ``InvalidWord`` (or ``WordTooLong``), and
+every word reaches it before a basis is used.
+
 A morphism between tensor words w -> w' is stored per simple root c as a
 matrix over the left-nested fusion-tree bases of Hom(w, c) and Hom(w', c).
 A tree for a word of length n is a pair (labels, mults) with labels the
@@ -28,12 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category import CategorySpec
-from .errors import (PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism,
-                     WordTooLong)
+from .category import MAX_WORD_LENGTH, CategorySpec  # noqa: F401 (re-exported)
+from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
-
-MAX_WORD_LENGTH = 8
 
 
 def _cache(spec: CategorySpec, section: str) -> dict:
@@ -44,22 +46,14 @@ def _cache(spec: CategorySpec, section: str) -> dict:
 # trees
 
 
-def _word(word):
-    word = tuple(int(x) for x in word)
-    if len(word) > MAX_WORD_LENGTH:
-        raise WordTooLong(
-            f"word of length {len(word)} exceeds the cap {MAX_WORD_LENGTH}")
-    return word
-
-
 def trees(spec: CategorySpec, word):
     """All left-nested fusion trees of the word, grouped by root."""
-    return spec.tree_basis(_word(word))
+    return spec.tree_basis(word)
 
 
 def tree_positions(spec: CategorySpec, word):
     """{root: {tree: position}} for the trees of the word."""
-    return spec.tree_positions(_word(word))
+    return spec.tree_positions(word)
 
 
 def _finv(spec, a, b, c, d):
@@ -81,12 +75,17 @@ class Morphism:
 
     def __init__(self, spec, src, dst, blocks):
         self.spec = spec
-        self.src = tuple(int(x) for x in src)
-        self.dst = tuple(int(x) for x in dst)
-        tsrc = trees(spec, self.src)
-        tdst = trees(spec, self.dst)
+        self.src = src
+        self.dst = dst
+        tsrc = trees(spec, src)
+        tdst = trees(spec, dst)
+        roots = set(tsrc) & set(tdst)
+        stray = set(blocks) - roots
+        if stray:
+            raise ShapeMismatch(f"blocks at roots {sorted(stray)} that "
+                                f"{src} and {dst} do not share")
         full = {}
-        for c in set(tsrc) & set(tdst):
+        for c in roots:
             shape = (len(tdst[c]), len(tsrc[c]))
             blk = blocks.get(c)
             if blk is None:
@@ -102,8 +101,8 @@ class Morphism:
 
     @classmethod
     def trusted(cls, spec, src, dst, blocks) -> "Morphism":
-        """Morphism from blocks already complete and of the right shapes,
-        with words already tuples of ints; nothing is checked."""
+        """Morphism from blocks already complete and of the right shapes;
+        nothing is checked."""
         out = cls.__new__(cls)
         out.spec, out.src, out.dst, out.blocks = spec, src, dst, blocks
         return out
@@ -161,7 +160,6 @@ class Morphism:
 
 
 def identity(spec: CategorySpec, word) -> Morphism:
-    word = tuple(int(x) for x in word)
     return Morphism(spec, word, word,
                     {c: np.eye(len(ts), dtype=np.complex128)
                      for c, ts in trees(spec, word).items()})
@@ -198,7 +196,6 @@ def split_transform(spec: CategorySpec, word, k: int):
     vector f^{ab->c}_mu o (tree_si(u) (x) tree_ti(v)), u = word[:k],
     v = word[k:], expanded as M[:, col] over the trees of the full word.
     """
-    word = tuple(int(x) for x in word)
     cache = _cache(spec, "split")
     key = (word, k)
     if key in cache:
@@ -407,8 +404,6 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 def embed(spec: CategorySpec, f: Morphism, left=(), right=()) -> Morphism:
     """id_left (x) f (x) id_right."""
-    left = tuple(int(x) for x in left)
-    right = tuple(int(x) for x in right)
     return _whisker_right(_whisker_left(left, f), right)
 
 
@@ -436,7 +431,6 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
     the letters before it; the letters after it re-index the cached
     generator of the prefix ending at strand p+1.
     """
-    word = tuple(int(x) for x in word)
     n = len(word)
     if not 1 <= p <= n - 1:
         raise PositionOutOfRange(
@@ -462,7 +456,6 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
     With ``over`` the result is c_{U,V} (every U strand crosses over every V
     strand); with ``over=False`` it is c_{V,U}^-1.
     """
-    word = tuple(int(x) for x in word)
     _check_cut(word, k)
     cache = _cache(spec, "block_crossing")
     key = (word, k, bool(over))
@@ -482,7 +475,6 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
 
 def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
     """n-th power of the monodromy c_{V,U} o c_{U,V} with U = word[:k]."""
-    word = tuple(int(x) for x in word)
     _check_cut(word, k)
     n = int(n)
     cache = _cache(spec, "double_braiding")
@@ -506,7 +498,6 @@ def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
 
 def twist_endo(spec: CategorySpec, word, power: int = 1) -> Morphism:
     """Ribbon twist of the whole word, theta_c^power on each root block."""
-    word = tuple(int(x) for x in word)
     return Morphism(spec, word, word,
                     {c: (spec.theta[c] ** power) * np.eye(len(ts))
                      for c, ts in trees(spec, word).items()})
@@ -561,7 +552,6 @@ def dual_word(spec: CategorySpec, word):
 
 def nested_cup(spec: CategorySpec, word) -> Morphism:
     """1 -> w (x) dual(w), cups nested outside-in."""
-    word = tuple(int(x) for x in word)
     if not word:
         return identity(spec, ())
     x = word[0]
@@ -572,7 +562,6 @@ def nested_cup(spec: CategorySpec, word) -> Morphism:
 
 def nested_cap(spec: CategorySpec, word) -> Morphism:
     """w (x) dual(w) -> 1 with twisted caps, matching nested_cup."""
-    word = tuple(int(x) for x in word)
     if not word:
         return identity(spec, ())
     x = word[0]

@@ -39,6 +39,10 @@ class WordTooLong(MtcError):
     """Tensor word exceeds the supported length bound."""
 
 
+class InvalidWord(MtcError):
+    """A tensor word is not a tuple of Python int labels in [0, rank)."""
+
+
 class PositionOutOfRange(MtcError):
     """Strand position or range does not exist in the given word."""
 

@@ -25,17 +25,6 @@ from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
 from .errors import ShapeMismatch, XiNotZeroOne
 from .report import max_dev
 
-# Selected against the scalar route for the left-center weights on every
-# built-in category and exponent.  Candidates with a single braiding
-# (m o c o Delta and the closed bubble forms) evaluate to pure R-matrix
-# phases per channel and are kept only as controls; the channel weight
-# theta_a theta_p / theta_q demanded by the scalar route is the monodromy
-# theta_a/(theta_p theta_q) times the double twist of the first leg, which
-# the sigma-dressed composite m^(n+1) o (sigma^2 (x) id) o Delta^(n)
-# produces exactly.
-LEFT_PROJECTOR_VARIANT = "sigma"
-
-
 class SumMorphism:
     """Morphism between direct sums of words, as a sparse component matrix."""
 
@@ -360,28 +349,22 @@ class PermutationAlgebra:
 
     # -- left center ----------------------------------------------------------
 
-    def _left_projector_candidate(self, variant: str, n: int = 0
-                                  ) -> SumMorphism:
-        if variant == "sigma":
-            sig2 = self.sigma() @ self.sigma()
-            return self.multiplication(n + 1) \
-                @ sum_tensor(sig2, self.identity()) \
-                @ self.comultiplication(n)
-        if variant == "braid_over":
-            return self.multiplication(n) @ self.braiding(True) \
-                @ self.comultiplication(n)
-        if variant == "braid_under":
-            return self.multiplication(n) @ self.braiding(False) \
-                @ self.comultiplication(n)
-        raise ValueError(f"unknown variant {variant!r}")
-
     def left_center_idempotent(self, n: int = 0) -> SumMorphism:
-        """The idempotent cutting out the left center; its diagonal weights
-        are the xi vector."""
+        """The idempotent m^(n+1) o (sigma^2 (x) id) o Delta^(n) cutting out
+        the left center; its diagonal weights are the xi vector.
+
+        The sigma-dressed form matches the scalar route ``xi_formula`` on
+        every built-in category and exponent.  Its channel weight
+        theta_a theta_p / theta_q is the monodromy theta_a/(theta_p theta_q)
+        times the double twist of the first leg.  A single braiding,
+        m o c o Delta, gives pure R-matrix phases per channel instead.
+        """
         key = ("proj", n)
         if key in self._cache:
             return self._cache[key]
-        out = self._left_projector_candidate(LEFT_PROJECTOR_VARIANT, n)
+        sig2 = self.sigma() @ self.sigma()
+        out = self.multiplication(n + 1) \
+            @ sum_tensor(sig2, self.identity()) @ self.comultiplication(n)
         self._cache[key] = out
         return out
 

@@ -23,11 +23,6 @@ def _key_cache(spec, name):
     return spec._cache.setdefault(name, {})
 
 
-def _pair(X):
-    U, V = X
-    return tuple(int(x) for x in U), tuple(int(x) for x in V)
-
-
 def psi(spec: CategorySpec, M_word, X, Y, n: int = 0) -> Morphism:
     """Right module associator psi^(n)_{M,X,Y} : (M . X) . Y -> M . (X (x) Y).
 
@@ -38,8 +33,7 @@ def psi(spec: CategorySpec, M_word, X, Y, n: int = 0) -> Morphism:
 
     with D the monodromy of the indicated split.
     """
-    M_word = tuple(int(x) for x in M_word)
-    (U, V), (Up, Vp) = _pair(X), _pair(Y)
+    (U, V), (Up, Vp) = X, Y
     n = int(n)
     cache = _key_cache(spec, "psi")
     key = (M_word, U, V, Up, Vp, n)
@@ -63,8 +57,7 @@ def psi_hat(spec: CategorySpec, X, Y, M_word, n: int = 0) -> Morphism:
 
       id_U (x) [D^n_{V,U'V'M} o (c^-1_{V,U'} (x) id_V'M) o (id_U' (x) D^-n_{V,V'M})]
     """
-    M_word = tuple(int(x) for x in M_word)
-    (U, V), (Up, Vp) = _pair(X), _pair(Y)
+    (U, V), (Up, Vp) = X, Y
     n = int(n)
     cache = _key_cache(spec, "psi_hat")
     key = (U, V, Up, Vp, M_word, n)
@@ -83,8 +76,7 @@ def psi_hat(spec: CategorySpec, X, Y, M_word, n: int = 0) -> Morphism:
 
 def gamma(spec: CategorySpec, M_word, X) -> Morphism:
     """Twist mismatch gamma_{M,X} = [theta^-1_{M(x)U} o (theta_M (x) id_U)] (x) id_V."""
-    M_word = tuple(int(x) for x in M_word)
-    U, V = _pair(X)
+    U, V = X
     g = twist_endo(spec, M_word + U, -1) @ embed(
         spec, twist_endo(spec, M_word, 1), right=U)
     return embed(spec, g, right=V)
@@ -93,7 +85,6 @@ def gamma(spec: CategorySpec, M_word, X) -> Morphism:
 def extract_twist(spec: CategorySpec, U_word) -> Morphism:
     """Recover theta_U from the gamma data of the regular module:
     gamma_{1,1xU} o gamma_{1,Ux1}^-1."""
-    U_word = tuple(int(x) for x in U_word)
     a = gamma(spec, (), ((), U_word))
     b = gamma(spec, (), (U_word, ()))
     return a @ b.inverse()
@@ -102,9 +93,6 @@ def extract_twist(spec: CategorySpec, U_word) -> Morphism:
 def module_commutor(spec: CategorySpec, M_word, U_word, V_word) -> Morphism:
     """Gamma_M = [(c_{V,M} o c_{M,V}) (x) id_U] o (id_M (x) c_{U,V})
     from (M, U, V) to (M, V, U)."""
-    M_word = tuple(int(x) for x in M_word)
-    U_word = tuple(int(x) for x in U_word)
-    V_word = tuple(int(x) for x in V_word)
     s1 = embed(spec, block_crossing(spec, U_word + V_word, len(U_word), True),
                left=M_word)
     s2 = embed(spec, double_braiding(spec, M_word + V_word, len(M_word), 1),
@@ -121,8 +109,7 @@ def alpha_induction(spec: CategorySpec, M_word, X, Y, sign: str = "+",
     from (M . Y) . X to (M . X) . Y; the minus sign uses the inverse
     braiding c^-1_{X,Y} in the middle.
     """
-    M_word = tuple(int(x) for x in M_word)
-    (U1, V1), (U2, V2) = _pair(X), _pair(Y)
+    (U1, V1), (U2, V2) = X, Y
     over = sign == "+"
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -144,8 +131,7 @@ def mixed_associator(spec: CategorySpec, X, M_word, Y, n: int = 0,
     D^nhat_{V,MU'V'}, composed left family after right family.  Both
     exponents zero give the identity.
     """
-    M_word = tuple(int(x) for x in M_word)
-    (U, V), (Up, Vp) = _pair(X), _pair(Y)
+    (U, V), (Up, Vp) = X, Y
     xm = U + V + M_word
     right_part = embed(spec, double_braiding(spec, xm + Up, len(xm), -n),
                        right=Vp)
@@ -162,8 +148,7 @@ def mixed_associator(spec: CategorySpec, X, M_word, Y, n: int = 0,
 def module_pentagon_deviation(spec, M_word, X, Y, Z, n: int = 0) -> float:
     """Right pentagon: psi_{M.X,Y,Z} o psi_{M,X,Y(x)Z} against
     (psi_{M,X,Y} . id_Z) o psi_{M,X(x)Y,Z}."""
-    M_word = tuple(int(x) for x in M_word)
-    (U1, V1), (U2, V2), (U3, V3) = _pair(X), _pair(Y), _pair(Z)
+    (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
     lhs = psi(spec, M_word + U1 + V1, Y, Z, n) \
         @ psi(spec, M_word, X, (U2 + U3, V2 + V3), n)
     rhs = embed(spec, psi(spec, M_word, X, Y, n), right=U3 + V3) \
@@ -173,8 +158,7 @@ def module_pentagon_deviation(spec, M_word, X, Y, Z, n: int = 0) -> float:
 
 def left_module_pentagon_deviation(spec, X, Y, Z, M_word, n: int = 0) -> float:
     """Left pentagon for psi_hat."""
-    M_word = tuple(int(x) for x in M_word)
-    (U1, V1), (U2, V2), (U3, V3) = _pair(X), _pair(Y), _pair(Z)
+    (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
     lhs = psi_hat(spec, X, Y, U3 + V3 + M_word, n) \
         @ psi_hat(spec, (U1 + U2, V1 + V2), Z, M_word, n)
     rhs = embed(spec, psi_hat(spec, Y, Z, M_word, n), left=U1 + V1) \
@@ -184,8 +168,7 @@ def left_module_pentagon_deviation(spec, X, Y, Z, M_word, n: int = 0) -> float:
 
 def module_triangle_deviation(spec, M_word, X, n: int = 0) -> float:
     """psi_{M,1,X} and psi_{M,X,1} must both be identities."""
-    M_word = tuple(int(x) for x in M_word)
-    U, V = _pair(X)
+    U, V = X
     unit = ((), ())
     ident = identity(spec, M_word + U + V)
     return max_dev(psi(spec, M_word, unit, X, n).deviation(ident),
@@ -197,8 +180,7 @@ def gamma_functor_deviation(spec, M_word, X, Y, n: int = 0) -> float:
 
       (gamma_{M,X} . id_Y) o gamma_{M.X,Y} o psi^(n) = psi^(n+1) o gamma_{M,X(x)Y}
     """
-    M_word = tuple(int(x) for x in M_word)
-    (U1, V1), (U2, V2) = _pair(X), _pair(Y)
+    (U1, V1), (U2, V2) = X, Y
     lhs = embed(spec, gamma(spec, M_word, X), right=U2 + V2) \
         @ gamma(spec, M_word + U1 + V1, Y) \
         @ psi(spec, M_word, X, Y, n)
@@ -209,8 +191,7 @@ def gamma_functor_deviation(spec, M_word, X, Y, n: int = 0) -> float:
 
 def psi_from_gamma(spec, M_word, X, Y, n: int) -> Morphism:
     """psi^(n) rebuilt by conjugating psi^(0) with the gamma chain n times."""
-    M_word = tuple(int(x) for x in M_word)
-    (U1, V1), (U2, V2) = _pair(X), _pair(Y)
+    (U1, V1), (U2, V2) = X, Y
     cur = psi(spec, M_word, X, Y, 0)
     for _ in range(n):
         cur = embed(spec, gamma(spec, M_word, X), right=U2 + V2) \
@@ -222,8 +203,7 @@ def psi_from_gamma(spec, M_word, X, Y, n: int) -> Morphism:
 
 def psi_shortcut_deviation(spec, M_word, X, Y) -> float:
     """psi^(0) must be a bare crossing and psi^(1) the inverse crossing."""
-    M_word = tuple(int(x) for x in M_word)
-    (U, V), (Up, Vp) = _pair(X), _pair(Y)
+    (U, V), (Up, Vp) = X, Y
     short0 = embed(spec, block_crossing(spec, Up + V, len(Up), True),
                    left=M_word + U, right=Vp)
     short1 = embed(spec, block_crossing(spec, Up + V, len(Up), False),
@@ -238,8 +218,7 @@ def alpha_functor_deviation(spec, M_word, X, Y, Z, sign: str = "+") -> float:
       (gamma^X_{M,Y} . id_Z) o gamma^X_{M.Y,Z}
         = psi^(0)_{M.X,Y,Z} o gamma^X_{M,Y(x)Z} o (psi^(0)_{M,Y,Z}^-1 . id_X)
     """
-    M_word = tuple(int(x) for x in M_word)
-    (U1, V1), (U2, V2), (U3, V3) = _pair(X), _pair(Y), _pair(Z)
+    (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
     lhs = embed(spec, alpha_induction(spec, M_word, X, Y, sign),
                 right=U3 + V3) \
         @ alpha_induction(spec, M_word + U2 + V2, X, Z, sign)
@@ -255,11 +234,6 @@ def commutor_witness_deviation(spec, M_word, U_word, V_word, Up, Vp) -> float:
       gamma^{VxU,-}_{M,U'xV'} o Gamma_{M.(U'xV')}
         = (Gamma_M (x) id) o gamma^{UxV,+}_{M,U'xV'}
     """
-    M_word = tuple(int(x) for x in M_word)
-    U_word = tuple(int(x) for x in U_word)
-    V_word = tuple(int(x) for x in V_word)
-    Up = tuple(int(x) for x in Up)
-    Vp = tuple(int(x) for x in Vp)
     lhs = alpha_induction(spec, M_word, (V_word, U_word), (Up, Vp), "-") \
         @ module_commutor(spec, M_word + Up + Vp, U_word, V_word)
     rhs = embed(spec, module_commutor(spec, M_word, U_word, V_word),

@@ -329,23 +329,48 @@ def test_duplicate_entries_rejected(section):
         spec_from_dict(data, origin="unit")
 
 
-@pytest.mark.parametrize("section,slot", [("F", 0), ("F", 5), ("R", 2),
-                                          ("R", 3)])
-def test_non_integer_labels_rejected(section, slot):
-    """1.4 is not truncated to a label or multiplicity index of 1."""
+@pytest.mark.parametrize(
+    "section,slot,value",
+    [("F", 0, 1.4), ("F", 5, 1.4), ("R", 2, 0.4), ("R", 3, 1.4),
+     ("F", 0, True), ("F", 5, True), ("R", 2, True), ("R", 3, True)],
+    ids=["F-0", "F-5", "R-2", "R-3",
+         "F-0-true", "F-5-true", "R-2-true", "R-3-true"])
+def test_non_integer_labels_rejected(section, slot, value):
+    """1.4 is not truncated to a label or multiplicity index of 1, and
+    JSON true is not read as 1."""
     data = _semion_data()
-    data[section][-1][slot] += 0.4
+    data[section][-1][slot] = value
     idx = len(data[section]) - 1
-    with pytest.raises(CategoryFileError, match=rf"{section}\[{idx}\]"):
+    with pytest.raises(CategoryFileError,
+                       match=rf"{section}\[{idx}\]: .*integers"):
         spec_from_dict(data, origin="unit")
 
 
-@pytest.mark.parametrize("image", [1.7, "1"])
+@pytest.mark.parametrize("image", [1.7, "1", True])
 def test_non_integer_dual_rejected(image):
-    """1.7 and "1" are not read as the label 1."""
+    """1.7, "1" and JSON true are not read as the label 1."""
     data = _semion_data()
     data["dual"][1] = image
     with pytest.raises(CategoryFileError, match="unit:dual: "):
+        spec_from_dict(data, origin="unit")
+
+
+@pytest.mark.parametrize("name", ["trivial", "semion"])
+def test_boolean_rank_rejected(name):
+    """JSON true is not the rank 1."""
+    data = spec_to_dict(get_category(name))
+    data["rank"] = True
+    with pytest.raises(CategoryFileError, match="unit:rank: "):
+        spec_from_dict(data, origin="unit")
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+def test_boolean_fusion_entry_rejected(slot):
+    """JSON true is neither the fusion label 1 nor the multiplicity 1."""
+    data = _semion_data()
+    data["fusion"][-1][slot] = True
+    idx = len(data["fusion"]) - 1
+    with pytest.raises(CategoryFileError, match=rf"unit:fusion\[{idx}\]: "):
         spec_from_dict(data, origin="unit")
 
 

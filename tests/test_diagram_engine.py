@@ -13,7 +13,7 @@ from mtc.engine import (MAX_WORD_LENGTH, Morphism, as_scalar, block_crossing,
                         identity, nested_cap, nested_cup, split_transform,
                         tensor, trace_diagrammatic, trace_formula,
                         tree_positions, trees, twist_endo)
-from mtc.errors import (PositionOutOfRange, ShapeMismatch,
+from mtc.errors import (InvalidWord, PositionOutOfRange, ShapeMismatch,
                         TraceOnNonEndomorphism, WordTooLong)
 
 from conftest import BUILTINS, random_rep_a4
@@ -68,14 +68,48 @@ def test_tree_counts_match_fusion_ring(spec_of, name):
 
 
 def test_word_length_cap(spec_of):
+    spec = spec_of("semion")
     with pytest.raises(WordTooLong):
-        trees(spec_of("semion"), (1,) * 9)
+        trees(spec, (1,) * 9)
+    with pytest.raises(WordTooLong):
+        spec.tree_basis((1,) * 9)
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_labels_outside_the_rank_are_refused(spec_of, label):
+    """Ising has rank 3, so -1 and 3 are not labels of a word."""
+    spec = spec_of("ising")
+    f = identity(spec, (1,))
+    for call in (lambda: trees(spec, (label,)),
+                 lambda: trees(spec, (1, label)),
+                 lambda: identity(spec, (label,)),
+                 lambda: embed(spec, f, left=(label,)),
+                 lambda: embed(spec, f, right=(label,))):
+        with pytest.raises(InvalidWord):
+            call()
+
+
+@pytest.mark.parametrize("word", [[1], (1.0,), (True,), (np.int64(1),),
+                                  "1"])
+def test_words_other_than_int_tuples_are_refused(word):
+    """The check runs when a word's basis is first built, so a fresh spec
+    sees each of these before an equal int tuple is cached."""
+    with pytest.raises(InvalidWord):
+        trees(get_category("ising"), word)
 
 
 def test_composition_shape_guard(spec_of):
     spec = spec_of("ising")
     with pytest.raises(ShapeMismatch):
         identity(spec, (1, 1)) @ identity(spec, (1, 2))
+
+
+def test_blocks_at_roots_outside_both_words_are_refused(spec_of):
+    """sigma has root 1 only, so a block at root 0 is an error, not dropped."""
+    spec = spec_of("ising")
+    one = np.ones((1, 1))
+    with pytest.raises(ShapeMismatch, match=r"roots \[0\]"):
+        Morphism(spec, (1,), (1,), {0: one, 1: one})
 
 
 def test_nan_blocks_are_not_close(spec_of):

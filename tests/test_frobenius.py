@@ -180,8 +180,9 @@ def test_braiding_only_projectors_fail(spec_of):
     alg = algebra_of(spec_of, "semion")
     base = spec_of("semion")
     want = xi_formula(base)
-    for variant in ("braid_over", "braid_under"):
-        proj = alg._left_projector_candidate(variant, 0)
+    for over in (True, False):
+        proj = alg.multiplication(0) @ alg.braiding(over) \
+            @ alg.comultiplication(0)
         diag = np.zeros(base.rank, dtype=np.complex128)
         for (di, si), comp in proj.comps.items():
             if di == si:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mtc.engine import block_crossing, embed, identity
+from mtc.errors import InvalidWord
 from mtc.modcat import (alpha_functor_deviation, alpha_induction,
                         commutor_witness_deviation, extract_twist, gamma,
                         gamma_functor_deviation, left_module_pentagon_deviation,
@@ -18,6 +19,18 @@ from mtc.modcat import (alpha_functor_deviation, alpha_induction,
 def label_pairs(rank):
     """All simple objects of the square as pairs of base words."""
     return [((u,), (v,)) for u in range(rank) for v in range(rank)]
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_module_words_outside_the_rank_are_refused(spec_of, label):
+    """A module word with label -1 or 3 on ising raises InvalidWord; -1 is
+    not read as the last label, and 3 does not end in an IndexError."""
+    spec = spec_of("ising")
+    X, Y, Z = ((1,), (2,)), ((1,), (1,)), ((2,), (1,))
+    with pytest.raises(InvalidWord):
+        psi(spec, (label,), X, Y)
+    with pytest.raises(InvalidWord):
+        module_pentagon_deviation(spec, (label,), X, Y, Z, 0)
 
 
 # ---------------------------------------------------------------------------

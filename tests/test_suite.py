@@ -1,13 +1,22 @@
 """The suite runner: measured check times and the coverage of capped
 module sweeps."""
 
+import json
+import pathlib
 import time
 
 import pytest
 
 import mtc.suite as suite
+from mtc.builtins import BUILTIN_NAMES
 from mtc.report import VerificationReport
 from mtc.suite import run_suite
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# far below every check's tolerance, and above the last-bit differences
+# that BLAS builds on different machines can leave in a deviation
+GOLDEN_DEVIATION_ATOL = 1e-13
 
 
 def test_report_times_each_check_since_the_previous():
@@ -72,3 +81,26 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
     assert seen == {name: {(0,), (1,)} for name in
                     ("left_module_pentagon", "associator_from_chain",
                      "alpha_module_functor", "commutor_witness")}
+
+
+@pytest.mark.parametrize("target", BUILTIN_NAMES)
+def test_report_matches_golden(target):
+    """The JSON report of each builtin equals its committed golden file:
+    names, statuses, tolerances, details, order, options and summary
+    exactly, and each max_deviation to GOLDEN_DEVIATION_ATOL.
+
+    After a change that is meant to alter a report, regenerate its file
+    from the repository root with
+
+        PYTHONPATH=src python3 -m mtc.cli check <target> --json \\
+            > "tests/golden/<target>.json"
+    """
+    want = json.loads((GOLDEN / f"{target}.json").read_text(encoding="utf-8"))
+    got = json.loads(run_suite(target).to_json())
+    want_devs = [c.pop("max_deviation") for c in want["checks"]]
+    got_devs = [c.pop("max_deviation") for c in got["checks"]]
+    assert got == want
+    moved = {c["name"]: (w, g) for c, w, g in
+             zip(got["checks"], want_devs, got_devs)
+             if not abs(g - w) <= GOLDEN_DEVIATION_ATOL}
+    assert not moved, f"golden -> now: {moved}"
