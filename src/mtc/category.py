@@ -167,20 +167,6 @@ class CategorySpec:
             return self.label_names[i]
         return str(i)
 
-    def resolve_label(self, token) -> int:
-        """Map a CLI token (index or label name) to a label index."""
-        alias = {"τ": "tau", "σ": "sigma", "ψ": "psi", "\U0001d7d9": "1"}
-        token = alias.get(str(token), str(token))
-        if self.label_names and token in self.label_names:
-            return self.label_names.index(token)
-        try:
-            i = int(token)
-        except ValueError:
-            raise KeyError(f"unknown label {token!r} for {self.name}") from None
-        if not 0 <= i < self.rank:
-            raise KeyError(f"label index {i} out of range for {self.name}")
-        return i
-
     # -- bases -----------------------------------------------------------
     def tree_basis(self, word):
         """Left-nested fusion trees of a word, {root: trees}.
@@ -690,8 +676,9 @@ def _integers(values) -> bool:
 
 
 def _finite(values) -> bool:
-    return all(isinstance(x, (int, float)) and math.isfinite(x)
-               for x in values)
+    """Every value is a finite int or float; JSON true and false are not."""
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               and math.isfinite(x) for x in values)
 
 
 def _symbol_entries(data, section, layout, key_len, rank, origin):
@@ -710,8 +697,8 @@ def _symbol_entries(data, section, layout, key_len, rank, origin):
                  loc)
         _require(all(0 <= x < rank for x in labels[:key_len]),
                  f"{section} label out of range", loc)
-        _require(_finite(entry[width:]), f"{section}-symbol must be finite",
-                 loc)
+        _require(_finite(entry[width:]),
+                 f"{section}-symbol must be two finite numbers", loc)
         _require(labels not in seen, f"duplicate {section} entry", loc)
         seen.add(labels)
         yield loc, labels, complex(entry[width], entry[width + 1])
@@ -754,14 +741,14 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         loc = f"{origin}:theta[{idx}]"
         _require(isinstance(pair, list) and len(pair) == 2,
                  "twists are [re, im] pairs", loc)
-        _require(_finite(pair), "twist must be finite", loc)
+        _require(_finite(pair), "twist must be two finite numbers", loc)
         theta.append(complex(pair[0], pair[1]))
 
     dims = data.get("dims")
     if dims is not None:
         _require(isinstance(dims, list) and len(dims) == rank
-                 and _finite(dims), "dims must list one finite value per label",
-                 f"{origin}:dims")
+                 and _finite(dims),
+                 "dims must list one finite number per label", f"{origin}:dims")
         dims = np.asarray(dims, dtype=np.float64)
 
     # the bases depend on the fusion ring alone

@@ -2,13 +2,16 @@
 
 Labels of a product are flattened row-major: the pair (a1, a2) becomes
 a1 * rank2 + a2, so iterated products of one base category have labels in
-base-rank positional notation.  All structure data factorizes; the only
-care point is the F-table, whose canonical row order (e, alpha, beta)
-interleaves the two factors and therefore differs from a plain Kronecker
-product of the factor blocks.
+base-rank positional notation.  A multiplicity index pairs the same way,
+(m1, m2) -> m1 * n2 + m2.  Every product block, of the F- and R-tables and
+of a paired morphism, is its two factor blocks paired over the product's
+trees, and ``product_tree_map`` is the one decoder of a product tree into
+its factor trees.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -19,45 +22,43 @@ from .errors import RankOverflow, ShapeMismatch
 MAX_PRODUCT_RANK = 128
 
 
+def _pair_block(B1, B2, rows, cols):
+    """The block of B1 x B2 between product bases given as lists of
+    factor-index pairs (i1, i2): entry (i, j) is B1[r1, c1] * B2[r2, c2]
+    with rows[i] = (r1, r2) and cols[j] = (c1, c2)."""
+    (r1, r2), (c1, c2) = zip(*rows), zip(*cols)
+    return B1[np.ix_(r1, c1)] * B2[np.ix_(r2, c2)]
+
+
 def _pair_tables(shell: CategorySpec, s1: CategorySpec, s2: CategorySpec):
-    ring = shell.ring
-    rank = ring.rank
+    """F and R of the product, each block paired from the factor blocks.
+
+    The rows of F[A,B,C,D] are the trees of (A, B, C) at D.  Its columns
+    (f, gamma, delta) are, in the same order, the trees of (B, C, A) at D:
+    they agree on (f, gamma), and the delta counts N[A,f,D] = N[f,A,D]
+    agree because the fusion ring of braided data commutes.  Both factor
+    F-blocks are indexed the same way, so ``product_tree_map`` of the two
+    words gives the factor rows and columns of every product entry.  R[A,B,C]
+    maps the trees of (A, B) at C to those of (B, A).
+    """
     r2 = s2.rank
+    labels = range(1, shell.rank)
     F = {}
+    for word in itertools.product(labels, repeat=3):
+        rows = product_tree_map(shell, s1, s2, word)
+        cols = product_tree_map(shell, s1, s2, word[1:] + word[:1])
+        for D in sorted(rows):
+            k1, k2 = _factor_words(word + (D,), r2)
+            F[word + (D,)] = _pair_block(s1.f_block(*k1), s2.f_block(*k2),
+                                         rows[D], cols[D])
     R = {}
-    for A in range(1, rank):
-        a1, a2 = divmod(A, r2)
-        for B in range(1, rank):
-            b1, b2 = divmod(B, r2)
-            for Cc in range(1, rank):
-                c1, c2 = divmod(Cc, r2)
-                for D in ring.word_dims((A, B, Cc)).nonzero()[0]:
-                    D = int(D)
-                    d1, d2 = divmod(D, r2)
-                    F1 = s1.f_block(a1, b1, c1, d1)
-                    F2 = s2.f_block(a2, b2, c2, d2)
-                    _, rp1, _, cp1 = s1.f_basis(a1, b1, c1, d1)
-                    _, rp2, _, cp2 = s2.f_basis(a2, b2, c2, d2)
-                    rows, _, cols, _ = shell.f_basis(A, B, Cc, D)
-                    blk = np.zeros((len(rows), len(cols)),
-                                   dtype=np.complex128)
-                    for i, (E, al, bt) in enumerate(rows):
-                        e1, e2 = divmod(E, r2)
-                        al1, al2 = divmod(al, s2.ring.n(a2, b2, e2))
-                        bt1, bt2 = divmod(bt, s2.ring.n(e2, c2, d2))
-                        i1 = rp1[(e1, al1, bt1)]
-                        i2 = rp2[(e2, al2, bt2)]
-                        for j, (Ff, gm, dl) in enumerate(cols):
-                            f1, f2 = divmod(Ff, r2)
-                            gm1, gm2 = divmod(gm, s2.ring.n(b2, c2, f2))
-                            dl1, dl2 = divmod(dl, s2.ring.n(a2, f2, d2))
-                            blk[i, j] = (F1[i1, cp1[(f1, gm1, dl1)]]
-                                         * F2[i2, cp2[(f2, gm2, dl2)]])
-                    F[(A, B, Cc, D)] = blk
-            for Cc in ring.channels(A, B):
-                c1, c2 = divmod(Cc, r2)
-                R[(A, B, Cc)] = np.kron(s1.r_block(a1, b1, c1),
-                                        s2.r_block(a2, b2, c2))
+    for A, B in itertools.product(labels, repeat=2):
+        rows = product_tree_map(shell, s1, s2, (B, A))
+        cols = product_tree_map(shell, s1, s2, (A, B))
+        for C in sorted(cols):
+            k1, k2 = _factor_words((A, B, C), r2)
+            R[(A, B, C)] = _pair_block(s1.r_block(*k1), s2.r_block(*k2),
+                                       rows[C], cols[C])
     return F, R
 
 
@@ -174,11 +175,6 @@ def pair_morphism(prod: CategorySpec, f1: Morphism, f2: Morphism) -> Morphism:
         c1, c2 = divmod(root, r2)
         B1 = f1.blocks.get(c1)
         B2 = f2.blocks.get(c2)
-        if B1 is None or B2 is None:
-            continue
-        si1 = [p[0] for p in smap[root]]
-        si2 = [p[1] for p in smap[root]]
-        di1 = [p[0] for p in dmap[root]]
-        di2 = [p[1] for p in dmap[root]]
-        blocks[root] = B1[np.ix_(di1, si1)] * B2[np.ix_(di2, si2)]
+        if B1 is not None and B2 is not None:
+            blocks[root] = _pair_block(B1, B2, dmap[root], smap[root])
     return Morphism(prod, src, dst, blocks)

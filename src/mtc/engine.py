@@ -165,14 +165,6 @@ def identity(spec: CategorySpec, word) -> Morphism:
                      for c, ts in trees(spec, word).items()})
 
 
-def compose(*morphisms: Morphism) -> Morphism:
-    """Compose right to left: compose(f, g, h) = f o g o h."""
-    out = morphisms[0]
-    for m in morphisms[1:]:
-        out = out @ m
-    return out
-
-
 def as_scalar(m: Morphism) -> complex:
     if m.src != () or m.dst != ():
         raise ShapeMismatch("scalar extraction needs an endomorphism of the "
@@ -507,9 +499,15 @@ def twist_endo(spec: CategorySpec, word, power: int = 1) -> Morphism:
 # duality
 
 
+def _dual(spec: CategorySpec, i: int) -> int:
+    """dual(i), once the word (i,) has passed its check."""
+    trees(spec, (i,))
+    return int(spec.dual[i])
+
+
 def cup(spec: CategorySpec, i: int) -> Morphism:
     """b_i : 1 -> i (x) dual(i), the fusion-tree coevaluation."""
-    ib = int(spec.dual[i])
+    ib = _dual(spec, i)
     return Morphism(spec, (), (i, ib), {0: np.array([[1.0]])})
 
 
@@ -517,7 +515,7 @@ def _cap_scale(spec, i):
     cache = _cache(spec, "cap_scale")
     if i in cache:
         return cache[i]
-    ib = int(spec.dual[i])
+    ib = _dual(spec, i)
     raw = Morphism(spec, (ib, i), (), {0: np.array([[1.0]])})
     zig = tensor(identity(spec, (i,)), raw) @ tensor(cup(spec, i),
                                                      identity(spec, (i,)))
@@ -528,26 +526,26 @@ def _cap_scale(spec, i):
 
 def cap(spec: CategorySpec, i: int) -> Morphism:
     """d_i : dual(i) (x) i -> 1, normalized so the first snake is exact."""
-    ib = int(spec.dual[i])
+    ib = _dual(spec, i)
     return Morphism(spec, (ib, i), (), {0: np.array([[_cap_scale(spec, i)]])})
 
 
 def cup_twisted(spec: CategorySpec, i: int) -> Morphism:
     """bt_i = (id (x) theta_i) o c_{i, dual(i)} o b_i : 1 -> dual(i) (x) i."""
-    ib = int(spec.dual[i])
+    ib = _dual(spec, i)
     tw = tensor(identity(spec, (ib,)), twist_endo(spec, (i,), 1))
     return tw @ braid_generator(spec, (i, ib), 1, True) @ cup(spec, i)
 
 
 def cap_twisted(spec: CategorySpec, i: int) -> Morphism:
     """dt_i = d_i o c_{i, dual(i)} o (theta_i (x) id) : i (x) dual(i) -> 1."""
-    ib = int(spec.dual[i])
+    ib = _dual(spec, i)
     tw = tensor(twist_endo(spec, (i,), 1), identity(spec, (ib,)))
     return cap(spec, i) @ braid_generator(spec, (i, ib), 1, True) @ tw
 
 
 def dual_word(spec: CategorySpec, word):
-    return tuple(int(spec.dual[x]) for x in reversed(tuple(word)))
+    return tuple(_dual(spec, x) for x in reversed(word))
 
 
 def nested_cup(spec: CategorySpec, word) -> Morphism:
@@ -555,7 +553,7 @@ def nested_cup(spec: CategorySpec, word) -> Morphism:
     if not word:
         return identity(spec, ())
     x = word[0]
-    xb = int(spec.dual[x])
+    xb = _dual(spec, x)
     inner = nested_cup(spec, word[1:])
     return embed(spec, inner, (x,), (xb,)) @ cup(spec, x)
 
@@ -565,7 +563,7 @@ def nested_cap(spec: CategorySpec, word) -> Morphism:
     if not word:
         return identity(spec, ())
     x = word[0]
-    xb = int(spec.dual[x])
+    xb = _dual(spec, x)
     inner = nested_cap(spec, word[1:])
     return cap_twisted(spec, x) @ embed(spec, inner, (x,), (xb,))
 

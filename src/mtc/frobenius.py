@@ -32,8 +32,8 @@ class SumMorphism:
 
     def __init__(self, spec, src, dst, comps):
         self.spec = spec
-        self.src = tuple(tuple(w) for w in src)
-        self.dst = tuple(tuple(w) for w in dst)
+        self.src = src
+        self.dst = dst
         self.comps = {}
         for (di, si), mor in comps.items():
             if mor.src != self.src[si] or mor.dst != self.dst[di]:
@@ -109,7 +109,6 @@ class SumMorphism:
 
 
 def sum_identity(spec, words) -> SumMorphism:
-    words = tuple(tuple(w) for w in words)
     return SumMorphism(spec, words, words,
                        {(i, i): identity(spec, w) for i, w in enumerate(words)})
 
@@ -205,14 +204,10 @@ class PermutationAlgebra:
         return embed(base, cap_twisted(base, k), left=(ib, jb)) \
             @ embed(base, bracket, right=(kb,))
 
-    def multiplication(self, n: int = 0, phases=None) -> SumMorphism:
-        """m^(n) : A (x) A -> A.
-
-        ``phases`` optionally rescales the fusion basis, f_alpha ->
-        phases(i,j,k,alpha) f_alpha; the result must not depend on it.
-        """
+    def multiplication(self, n: int = 0) -> SumMorphism:
+        """m^(n) : A (x) A -> A."""
         key = ("m", n)
-        if phases is None and key in self._cache:
+        if key in self._cache:
             return self._cache[key]
         base = self.base
         r = self.rank
@@ -223,25 +218,20 @@ class PermutationAlgebra:
                 for k in base.ring.channels(i, j):
                     acc = None
                     for alpha in range(base.ring.n(i, j, k)):
-                        first = self._m_first(i, j, k, alpha, n)
-                        second = fusion_basis(base, i, j, k, alpha)
-                        if phases is not None:
-                            lam = phases(i, j, k, alpha)
-                            first = first * (1.0 / lam)
-                            second = second * lam
-                        term = pair_morphism(self.prod, first, second)
+                        term = pair_morphism(
+                            self.prod, self._m_first(i, j, k, alpha, n),
+                            fusion_basis(base, i, j, k, alpha))
                         acc = term if acc is None else acc + term
                     comps[(k, i * r + j)] = acc
         out = SumMorphism(self.prod, src, self.words, comps)
-        if phases is None:
-            self._cache[key] = out
+        self._cache[key] = out
         return out
 
-    def comultiplication(self, n: int = 0, phases=None) -> SumMorphism:
+    def comultiplication(self, n: int = 0) -> SumMorphism:
         """Delta^(n) : A -> A (x) A with components weighted by
         d_i d_j / (Dim d_k)."""
         key = ("delta", n)
-        if phases is None and key in self._cache:
+        if key in self._cache:
             return self._cache[key]
         base = self.base
         r = self.rank
@@ -254,18 +244,13 @@ class PermutationAlgebra:
                                                             * base.dims[k])
                     acc = None
                     for alpha in range(base.ring.n(i, j, k)):
-                        first = self._delta_first(i, j, k, alpha, n)
-                        second = fusion_cobasis(base, i, j, k, alpha)
-                        if phases is not None:
-                            lam = phases(i, j, k, alpha)
-                            first = first * lam
-                            second = second * (1.0 / lam)
-                        term = pair_morphism(self.prod, first, second)
+                        term = pair_morphism(
+                            self.prod, self._delta_first(i, j, k, alpha, n),
+                            fusion_cobasis(base, i, j, k, alpha))
                         acc = term if acc is None else acc + term
                     comps[(i * r + j, k)] = acc * weight
         out = SumMorphism(self.prod, self.words, dst, comps)
-        if phases is None:
-            self._cache[key] = out
+        self._cache[key] = out
         return out
 
     # -- duality and pairing -------------------------------------------------

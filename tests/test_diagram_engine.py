@@ -8,7 +8,7 @@ import pytest
 
 from mtc import get_category, modular_datum
 from mtc.engine import (MAX_WORD_LENGTH, Morphism, as_scalar, block_crossing,
-                        braid_generator, cap, cap_twisted, compose, cup,
+                        braid_generator, cap, cap_twisted, cup,
                         cup_twisted, double_braiding, dual_word, embed,
                         identity, nested_cap, nested_cup, split_transform,
                         tensor, trace_diagrammatic, trace_formula,
@@ -87,6 +87,23 @@ def test_labels_outside_the_rank_are_refused(spec_of, label):
                  lambda: embed(spec, f, right=(label,))):
         with pytest.raises(InvalidWord):
             call()
+
+
+@pytest.mark.parametrize("helper", [
+    cup, cap, cup_twisted, cap_twisted,
+    lambda spec, i: nested_cup(spec, (i,)),
+    lambda spec, i: nested_cap(spec, (i,)),
+    lambda spec, i: dual_word(spec, (i,))],
+    ids=["cup", "cap", "cup_twisted", "cap_twisted", "nested_cup",
+         "nested_cap", "dual_word"])
+@pytest.mark.parametrize("label", [-1, 3])
+def test_duality_helpers_refuse_labels_outside_the_rank(spec_of, helper,
+                                                        label):
+    """The dual of a label is looked up only after its word is checked, so
+    neither -1 (read as the last label by indexing) nor the rank gets
+    through."""
+    with pytest.raises(InvalidWord):
+        helper(spec_of("ising"), label)
 
 
 @pytest.mark.parametrize("word", [[1], (1.0,), (True,), (np.int64(1),),

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from mtc.category import CategorySpec
+from mtc.deligne import pair_morphism
 from mtc.engine import identity, trace_formula
 from mtc.errors import ShapeMismatch, XiNotZeroOne
-from mtc.frobenius import (PermutationAlgebra, azumaya_defect,
-                           frobenius_report, left_center_labels, sum_identity,
-                           sum_tensor, xi_formula)
+from mtc.frobenius import (PermutationAlgebra, SumMorphism, azumaya_defect,
+                           frobenius_report, fusion_basis, fusion_cobasis,
+                           left_center_labels, sum_identity, sum_tensor,
+                           xi_formula)
 
 _ALGEBRAS = {}
 
@@ -125,20 +127,32 @@ def test_coproduct_recovered_from_pairing(spec_of):
 
 def test_gauge_independence(spec_of, rng):
     """Rescaling the fusion basis by random phases leaves the structure
-    maps untouched."""
+    maps untouched: each component of m^(1) and Delta^(1), rebuilt with
+    f_alpha -> lam f_alpha and its dual vector scaled by 1 / lam, agrees
+    with the algebra's."""
     alg = algebra_of(spec_of, "ising")
-    phase_table = {}
-
-    def phases(i, j, k, alpha):
-        key = (i, j, k, alpha)
-        if key not in phase_table:
-            phase_table[key] = np.exp(2j * np.pi * rng.random())
-        return phase_table[key]
-
-    m_gauged = alg.multiplication(1, phases=phases)
-    assert m_gauged.deviation(alg.multiplication(1)) < 1e-12
-    de_gauged = alg.comultiplication(1, phases=phases)
-    assert de_gauged.deviation(alg.comultiplication(1)) < 1e-12
+    base, prod, r = alg.base, alg.prod, alg.rank
+    m, de = alg.multiplication(1), alg.comultiplication(1)
+    m_comps, de_comps = {}, {}
+    for i in range(r):
+        for j in range(r):
+            for k in base.ring.channels(i, j):
+                m_terms, de_terms = [], []
+                for alpha in range(base.ring.n(i, j, k)):
+                    lam = np.exp(2j * np.pi * rng.random())
+                    m_terms.append(pair_morphism(
+                        prod, alg._m_first(i, j, k, alpha, 1) * (1.0 / lam),
+                        fusion_basis(base, i, j, k, alpha) * lam))
+                    de_terms.append(pair_morphism(
+                        prod, alg._delta_first(i, j, k, alpha, 1) * lam,
+                        fusion_cobasis(base, i, j, k, alpha) * (1.0 / lam)))
+                weight = base.dims[i] * base.dims[j] / (alg.dim
+                                                        * base.dims[k])
+                m_comps[(k, i * r + j)] = sum(m_terms[1:], m_terms[0])
+                de_comps[(i * r + j, k)] = \
+                    sum(de_terms[1:], de_terms[0]) * weight
+    assert SumMorphism(prod, m.src, m.dst, m_comps).deviation(m) < 1e-12
+    assert SumMorphism(prod, de.src, de.dst, de_comps).deviation(de) < 1e-12
 
 
 # ---------------------------------------------------------------------------
