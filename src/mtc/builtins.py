@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -20,19 +21,15 @@ def _full_tables(ring: FusionRing):
     Blocks involving the unit are canonical and never stored.  Callers
     override the handful of nontrivial entries afterwards.
     """
-    r = ring.rank
-    N = ring.N
     F = {}
     R = {}
-    for a in range(1, r):
-        for b in range(1, r):
-            for c in range(1, r):
-                for d in ring.word_dims((a, b, c)).nonzero()[0]:
-                    d = int(d)
-                    size = int(sum(N[a, b, e] * N[e, c, d] for e in range(r)))
-                    F[(a, b, c, d)] = np.eye(size, dtype=np.complex128)
-            for ch in ring.channels(a, b):
-                R[(a, b, ch)] = np.eye(int(N[a, b, ch]), dtype=np.complex128)
+    labels = range(1, ring.rank)
+    for a, b in itertools.product(labels, repeat=2):
+        for c in labels:
+            for d, ts in sorted(ring.tree_basis((a, b, c)).items()):
+                F[(a, b, c, d)] = np.eye(len(ts), dtype=np.complex128)
+        for ch in ring.channels(a, b):
+            R[(a, b, ch)] = np.eye(ring.n(a, b, ch), dtype=np.complex128)
     return F, R
 
 

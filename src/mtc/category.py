@@ -17,16 +17,19 @@ restricted to fusion channel c: c_{a,b} = sum_c fbar^{ba->c}_beta
 R[a,b,c][beta,alpha] f^{ab->c}_alpha.  Any symbol involving the unit label is
 the canonical identity and is not stored.
 
-Every basis has one order, owned by ``CategorySpec``: ``tree_basis`` lists
-the left-nested trees of a word per root, ``split_basis`` the tree pairs of
-u (x) v fused to a root, and ``f_basis`` takes the F-rows from the trees of
-(a, b, c) and the F-columns from the pairs of (a) (x) (b, c).  Each list
-comes with its label -> position map (``tree_positions`` for trees) and is
-built once per spec; the split bases are kept by ``engine.split_transform``
-with their change of basis.  Every other module looks positions up there.
-``f_tensor`` reads the part of an F-block between one row channel e and
-one column channel f as an array [alpha, beta, gamma, delta]; the pentagon
-and the hexagons are contractions of these arrays.
+The bases depend on the fusion rules alone, so each has one order, owned
+by ``FusionRing``: ``tree_basis`` lists the left-nested trees of a word per
+root, ``split_basis`` the tree pairs of u (x) v fused to a root, and
+``f_basis`` takes the F-rows from the trees of (a, b, c) and the F-columns
+from the pairs of (a) (x) (b, c).  Each list comes with its label ->
+position map (``tree_positions`` for trees) and is built once per ring and
+shared by every spec on it; the split bases are kept by
+``engine.split_transform`` with their change of basis.  Every other module
+looks positions up there.  ``CategorySpec`` holds what F and R decide:
+``f_block``, ``r_block`` and ``f_tensor``, which reads the part of an
+F-block between one row channel e and one column channel f as an array
+[alpha, beta, gamma, delta]; the pentagon and the hexagons are contractions
+of these arrays.
 """
 
 from __future__ import annotations
@@ -58,8 +61,18 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _positions(labels) -> dict:
+    """label -> position map of a basis list."""
+    return {lab: i for i, lab in enumerate(labels)}
+
+
 class FusionRing:
-    """Fusion multiplicities with a unit and a dual involution."""
+    """Fusion multiplicities with a unit and a dual involution, and the
+    fusion-tree bases they determine.
+
+    ``N`` and ``dual`` are read-only, so the bases are built once per ring,
+    cached on the ``_cache`` attribute, and shared by every spec on it.
+    """
 
     def __init__(self, N, dual):
         self.N = np.asarray(N, dtype=np.int64)
@@ -73,6 +86,7 @@ class FusionRing:
         self.dual.setflags(write=False)
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
+        self._cache = {}
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
@@ -121,17 +135,102 @@ class FusionRing:
             vec = np.einsum("a,ac->c", vec, self.N[:, letter, :])
         return vec
 
+    # -- bases -----------------------------------------------------------
+    def tree_basis(self, word):
+        """Left-nested fusion trees of a word, {root: trees}.
 
-def _positions(labels) -> dict:
-    """label -> position map of a basis list."""
-    return {lab: i for i, lab in enumerate(labels)}
+        A tree is (labels, mults) with labels the intermediate charges
+        (A_2, ..., A_n) and mults the fusion-vertex multiplicities; A_1 = w_1
+        and A_0 = 0 are implicit.  Trees with a common root are sorted
+        lexicographically by (labels, mults).
+
+        A word is a tuple of Python ints in [0, rank), at most
+        MAX_WORD_LENGTH long.  It is checked here, the first time its basis
+        is built; anything else raises InvalidWord or WordTooLong.
+        """
+        cache = self._cache.setdefault("trees", {})
+        try:
+            hit = cache.get(word)
+        except TypeError:  # unhashable, so it fails the check below
+            hit = None
+        if hit is not None:
+            return hit
+        if type(word) is not tuple or not all(
+                type(x) is int and 0 <= x < self.rank for x in word):
+            raise InvalidWord(f"word {word!r} is not a tuple of Python ints "
+                              f"in [0, {self.rank})")
+        if len(word) > MAX_WORD_LENGTH:
+            raise WordTooLong(
+                f"word of length {len(word)} exceeds the cap {MAX_WORD_LENGTH}")
+        if not word:
+            hit = {0: [((), ())]}
+        else:
+            partial = [((), (), word[0])]
+            for letter in word[1:]:
+                nxt = []
+                for labels, mults, a in partial:
+                    for c in self.channels(a, letter):
+                        for alpha in range(self.n(a, letter, c)):
+                            nxt.append((labels + (c,), mults + (alpha,), c))
+                partial = nxt
+            hit = {}
+            for labels, mults, root in partial:
+                hit.setdefault(root, []).append((labels, mults))
+            for root in hit:
+                hit[root].sort()
+        cache[word] = hit
+        return hit
+
+    def tree_positions(self, word):
+        """{root: {tree: position}} for the trees of the word."""
+        cache = self._cache.setdefault("tree_pos", {})
+        hit = cache.get(word)
+        if hit is None:
+            hit = cache[word] = {root: _positions(ts) for root, ts
+                                 in self.tree_basis(word).items()}
+        return hit
+
+    def split_basis(self, u, v, c):
+        """Basis of Hom(u (x) v, c) split at the cut: (columns, positions).
+
+        Column (a, si, b, ti, mu) is f^{ab->c}_mu o (tree si of u at root a
+        (x) tree ti of v at root b).  ``engine.split_transform`` stores it
+        with its change of basis, so it is not cached here.
+        """
+        tu = self.tree_basis(u)
+        tv = self.tree_basis(v)
+        N = self.N
+        cols = [(a, si, b, ti, mu)
+                for a in sorted(tu) for si in range(len(tu[a]))
+                for b in sorted(tv) for ti in range(len(tv[b]))
+                for mu in range(N[a, b, c])]
+        return cols, _positions(cols)
+
+    def f_basis(self, a, b, c, d):
+        """(rows, row positions, columns, column positions) of F[a,b,c,d].
+
+        Row (e, alpha, beta) is the tree ((e, d), (alpha, beta)) of (a, b, c);
+        column (f, gamma, delta) the split pair (a, 0, f, gamma, delta) of
+        (a) (x) (b, c), as tree gamma of (b, c) at root f is ((f,), (gamma,)).
+        """
+        cache = self._cache.setdefault("f_basis", {})
+        key = (a, b, c, d)
+        hit = cache.get(key)
+        if hit is None:
+            rows = [(L[0], M[0], M[1])
+                    for L, M in self.tree_basis((a, b, c)).get(d, ())]
+            cols = [(f, gamma, delta) for _, _, f, gamma, delta
+                    in self.split_basis((a,), (b, c), d)[0]]
+            hit = cache[key] = (rows, _positions(rows), cols,
+                                _positions(cols))
+        return hit
 
 
 class CategorySpec:
     """Validated-on-demand container for all skeletal data of one category.
 
-    Instances are treated as immutable; engines cache per-instance data on
-    the ``_cache`` attribute.
+    Instances are treated as immutable; engines cache per-instance data that
+    depends on F and R on the ``_cache`` attribute.
     """
 
     def __init__(self, name, ring, dims, theta, F, R, label_names=None,
@@ -167,108 +266,9 @@ class CategorySpec:
             return self.label_names[i]
         return str(i)
 
-    # -- bases -----------------------------------------------------------
-    def tree_basis(self, word):
-        """Left-nested fusion trees of a word, {root: trees}.
-
-        A tree is (labels, mults) with labels the intermediate charges
-        (A_2, ..., A_n) and mults the fusion-vertex multiplicities; A_1 = w_1
-        and A_0 = 0 are implicit.  Trees with a common root are sorted
-        lexicographically by (labels, mults).
-
-        A word is a tuple of Python ints in [0, rank), at most
-        MAX_WORD_LENGTH long.  It is checked here, the first time its basis
-        is built; anything else raises InvalidWord or WordTooLong.
-        """
-        cache = self._cache.setdefault("trees", {})
-        try:
-            hit = cache.get(word)
-        except TypeError:  # unhashable, so it fails the check below
-            hit = None
-        if hit is not None:
-            return hit
-        if type(word) is not tuple or not all(
-                type(x) is int and 0 <= x < self.rank for x in word):
-            raise InvalidWord(f"word {word!r} is not a tuple of Python ints "
-                              f"in [0, {self.rank})")
-        if len(word) > MAX_WORD_LENGTH:
-            raise WordTooLong(
-                f"word of length {len(word)} exceeds the cap {MAX_WORD_LENGTH}")
-        ring = self.ring
-        if not word:
-            hit = {0: [((), ())]}
-        else:
-            partial = [((), (), word[0])]
-            for letter in word[1:]:
-                nxt = []
-                for labels, mults, a in partial:
-                    for c in ring.channels(a, letter):
-                        for alpha in range(ring.n(a, letter, c)):
-                            nxt.append((labels + (c,), mults + (alpha,), c))
-                partial = nxt
-            hit = {}
-            for labels, mults, root in partial:
-                hit.setdefault(root, []).append((labels, mults))
-            for root in hit:
-                hit[root].sort()
-        cache[word] = hit
-        return hit
-
-    def tree_positions(self, word):
-        """{root: {tree: position}} for the trees of the word."""
-        cache = self._cache.setdefault("tree_pos", {})
-        hit = cache.get(word)
-        if hit is None:
-            hit = cache[word] = {root: _positions(ts) for root, ts
-                                 in self.tree_basis(word).items()}
-        return hit
-
-    def split_basis(self, u, v, c):
-        """Basis of Hom(u (x) v, c) split at the cut: (columns, positions).
-
-        Column (a, si, b, ti, mu) is f^{ab->c}_mu o (tree si of u at root a
-        (x) tree ti of v at root b).  ``engine.split_transform`` stores it
-        with its change of basis, so it is not cached here.
-        """
-        tu = self.tree_basis(u)
-        tv = self.tree_basis(v)
-        N = self.ring.N
-        cols = [(a, si, b, ti, mu)
-                for a in sorted(tu) for si in range(len(tu[a]))
-                for b in sorted(tv) for ti in range(len(tv[b]))
-                for mu in range(N[a, b, c])]
-        return cols, _positions(cols)
-
-    def f_basis(self, a, b, c, d):
-        """(rows, row positions, columns, column positions) of F[a,b,c,d].
-
-        Row (e, alpha, beta) is the tree ((e, d), (alpha, beta)) of (a, b, c);
-        column (f, gamma, delta) the split pair (a, 0, f, gamma, delta) of
-        (a) (x) (b, c), as tree gamma of (b, c) at root f is ((f,), (gamma,)).
-        """
-        cache = self._cache.setdefault("f_basis", {})
-        key = (a, b, c, d)
-        hit = cache.get(key)
-        if hit is None:
-            rows = [(L[0], M[0], M[1])
-                    for L, M in self.tree_basis((a, b, c)).get(d, ())]
-            cols = [(f, gamma, delta) for _, _, f, gamma, delta
-                    in self.split_basis((a,), (b, c), d)[0]]
-            hit = cache[key] = (rows, _positions(rows), cols,
-                                _positions(cols))
-        return hit
-
     # -- F/R lookup --------------------------------------------------------
-    def f_rows(self, a, b, c, d):
-        """Canonical (e, alpha, beta) row labels of F[a,b,c,d]."""
-        return self.f_basis(a, b, c, d)[0]
-
-    def f_cols(self, a, b, c, d):
-        """Canonical (f, gamma, delta) column labels of F[a,b,c,d]."""
-        return self.f_basis(a, b, c, d)[2]
-
     def f_block(self, a, b, c, d) -> np.ndarray:
-        rows, _, cols, _ = self.f_basis(a, b, c, d)
+        rows, _, cols, _ = self.ring.f_basis(a, b, c, d)
         if not rows or not cols:
             return np.zeros((len(rows), len(cols)), dtype=np.complex128)
         if 0 in (a, b, c):
@@ -288,13 +288,14 @@ class CategorySpec:
 
     def f_tensor(self, a, b, c, d, e, f) -> np.ndarray:
         """Block of F[a,b,c,d] from row channel e to column channel f,
-        indexed [alpha, beta, gamma, delta] as the labels of ``f_basis``."""
+        indexed [alpha, beta, gamma, delta] as the labels of
+        ``FusionRing.f_basis``."""
         cache = self._cache.setdefault("f_tensor", {})
         key = (a, b, c, d, e, f)
         hit = cache.get(key)
         if hit is None:
             N = self.ring.N
-            _, row_pos, _, col_pos = self.f_basis(a, b, c, d)
+            _, row_pos, _, col_pos = self.ring.f_basis(a, b, c, d)
             shape = (N[a, b, e], N[e, c, d], N[b, c, f], N[a, f, d])
             # the rows of one channel e are contiguous, and so are the
             # columns of one f; an empty block may start anywhere
@@ -453,25 +454,22 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
 
     # F-block presence / invertibility
     try:
-        dev_f = 0.0
-        for a in range(spec.rank):
-            for b in range(spec.rank):
-                for c in range(spec.rank):
-                    for d in ring.word_dims((a, b, c)).nonzero()[0]:
-                        blk = spec.f_block(a, b, c, int(d))
-                        if blk.shape[0] != blk.shape[1]:
-                            raise NotPremodular(
-                                f"F-block ({a},{b},{c};{d}) is not square")
-                        if not np.isfinite(blk).all():
-                            raise NotPremodular(
-                                f"F-block ({a},{b},{c};{d}) is not finite")
-                        if blk.size:
-                            s = np.linalg.svd(blk, compute_uv=False)
-                            if s[-1] < tol.atol:
-                                raise NotPremodular(
-                                    f"F-block ({a},{b},{c};{d}) is singular")
+        for a, b, c in itertools.product(range(spec.rank), repeat=3):
+            for d in sorted(ring.tree_basis((a, b, c))):
+                blk = spec.f_block(a, b, c, d)
+                if blk.shape[0] != blk.shape[1]:
+                    raise NotPremodular(
+                        f"F-block ({a},{b},{c};{d}) is not square")
+                if not np.isfinite(blk).all():
+                    raise NotPremodular(
+                        f"F-block ({a},{b},{c};{d}) is not finite")
+                if blk.size:
+                    s = np.linalg.svd(blk, compute_uv=False)
+                    if s[-1] < tol.atol:
+                        raise NotPremodular(
+                            f"F-block ({a},{b},{c};{d}) is singular")
         rep.add_deviation("f_completeness", "F-symbols present and invertible",
-                          dev_f, tol.atol)
+                          0.0, tol.atol)
     except NotPremodular as exc:
         rep.add_deviation("f_completeness", "F-symbols present and invertible",
                           1.0, tol.atol, detail=str(exc))
@@ -623,8 +621,7 @@ def spec_to_dict(spec: CategorySpec) -> dict:
     f_entries = []
     for key in sorted(spec.F):
         a, b, c, d = key
-        rows = spec.f_rows(a, b, c, d)
-        cols = spec.f_cols(a, b, c, d)
+        rows, _, cols, _ = ring.f_basis(a, b, c, d)
         blk = spec.F[key]
         for ir, (e, al, bt) in enumerate(rows):
             for jc, (f, gm, dl) in enumerate(cols):
@@ -681,13 +678,21 @@ def _finite(values) -> bool:
                and math.isfinite(x) for x in values)
 
 
+def _list_section(data, section, origin) -> list:
+    """The named section, which must be a JSON list; absent reads as []."""
+    value = data.get(section, [])
+    _require(isinstance(value, list), f"{section} must be a list",
+             f"{origin}:{section}")
+    return value
+
+
 def _symbol_entries(data, section, layout, key_len, rank, origin):
     """(location, integer labels, value) of each [labels..., re, im] entry
     of the F or R section; the first key_len labels, the block key, must be
     simples."""
     seen = set()
     width = len(layout.split(","))
-    for idx, entry in enumerate(data.get(section, [])):
+    for idx, entry in enumerate(_list_section(data, section, origin)):
         loc = f"{origin}:{section}[{idx}]"
         _require(isinstance(entry, list) and len(entry) == width + 2,
                  f"{section} entries are [{layout},re,im]", loc)
@@ -707,6 +712,16 @@ def _symbol_entries(data, section, layout, key_len, rank, origin):
 def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
     for field in ("name", "rank", "dual", "fusion", "theta"):
         _require(field in data, f"missing required section {field!r}", origin)
+    _require(isinstance(data["name"], str), "name must be a string",
+             f"{origin}:name")
+    product_of = data.get("product_of")
+    if "product_of" in data:
+        _require(isinstance(product_of, list) and len(product_of) == 2
+                 and isinstance(product_of[0], str)
+                 and type(product_of[1]) is int and product_of[1] >= 2,
+                 "product_of must be a [name, count >= 2] pair",
+                 f"{origin}:product_of")
+        product_of = tuple(product_of)
     rank = data["rank"]
     _require(type(rank) is int and rank >= 1, "rank must be a positive integer",
              f"{origin}:rank")
@@ -715,7 +730,7 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
              and _integers(dual),
              "dual must list one integer image per label", f"{origin}:dual")
     N = np.zeros((rank, rank, rank), dtype=np.int64)
-    for idx, entry in enumerate(data["fusion"]):
+    for idx, entry in enumerate(_list_section(data, "fusion", origin)):
         loc = f"{origin}:fusion[{idx}]"
         _require(isinstance(entry, list) and len(entry) == 4,
                  "fusion entries are [i, j, k, mult]", loc)
@@ -733,7 +748,7 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
     except RingAxiomError as exc:
         raise CategoryFileError(str(exc), origin) from exc
 
-    theta_raw = data["theta"]
+    theta_raw = _list_section(data, "theta", origin)
     _require(len(theta_raw) == rank, "theta must list one twist per label",
              f"{origin}:theta")
     theta = []
@@ -751,13 +766,11 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
                  "dims must list one finite number per label", f"{origin}:dims")
         dims = np.asarray(dims, dtype=np.float64)
 
-    # the bases depend on the fusion ring alone
-    shell = CategorySpec(data["name"], ring, np.ones(rank), theta, {}, {})
     F_blocks = {}
     for loc, labels, z in _symbol_entries(
             data, "F", "a,b,c,d,e,alpha,beta,f,gamma,delta", 4, rank, origin):
         a, b, c, d, e, al, bt, f, gm, dl = labels
-        rows, row_pos, cols, col_pos = shell.f_basis(a, b, c, d)
+        rows, row_pos, cols, col_pos = ring.f_basis(a, b, c, d)
         ir = row_pos.get((e, al - 1, bt - 1))
         jc = col_pos.get((f, gm - 1, dl - 1))
         _require(ir is not None and jc is not None,
@@ -784,7 +797,7 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         dims = np.ones(rank)
         for a in range(1, rank):
             abar = int(ring.dual[a])
-            _, row_pos, _, col_pos = shell.f_basis(a, abar, a, a)
+            _, row_pos, _, col_pos = ring.f_basis(a, abar, a, a)
             blk = F_blocks.get((a, abar, a, a))
             entry = 0.0 if blk is None else \
                 blk[row_pos[(0, 0, 0)], col_pos[(0, 0, 0)]]
@@ -795,8 +808,7 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
                      origin)
 
     return CategorySpec(data["name"], ring, dims, theta, F_blocks, R_blocks,
-                        product_of=tuple(data["product_of"])
-                        if "product_of" in data else None)
+                        product_of=product_of)
 
 
 def load_category(path) -> CategorySpec:

@@ -6,7 +6,9 @@ base-rank positional notation.  A multiplicity index pairs the same way,
 (m1, m2) -> m1 * n2 + m2.  Every product block, of the F- and R-tables and
 of a paired morphism, is its two factor blocks paired over the product's
 trees, and ``product_tree_map`` is the one decoder of a product tree into
-its factor trees.
+its factor trees.  Trees are decoded on the rings, so the maps built while
+pairing the tables are cached on the product ring and reused by
+``pair_morphism``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import numpy as np
 
 from .category import CategorySpec, FusionRing
-from .engine import Morphism, tree_positions, trees
+from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
 MAX_PRODUCT_RANK = 128
@@ -30,8 +32,9 @@ def _pair_block(B1, B2, rows, cols):
     return B1[np.ix_(r1, c1)] * B2[np.ix_(r2, c2)]
 
 
-def _pair_tables(shell: CategorySpec, s1: CategorySpec, s2: CategorySpec):
-    """F and R of the product, each block paired from the factor blocks.
+def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
+    """F and R of the product on ``ring``, each block paired from the factor
+    blocks.
 
     The rows of F[A,B,C,D] are the trees of (A, B, C) at D.  Its columns
     (f, gamma, delta) are, in the same order, the trees of (B, C, A) at D:
@@ -42,19 +45,19 @@ def _pair_tables(shell: CategorySpec, s1: CategorySpec, s2: CategorySpec):
     maps the trees of (A, B) at C to those of (B, A).
     """
     r2 = s2.rank
-    labels = range(1, shell.rank)
+    labels = range(1, ring.rank)
     F = {}
     for word in itertools.product(labels, repeat=3):
-        rows = product_tree_map(shell, s1, s2, word)
-        cols = product_tree_map(shell, s1, s2, word[1:] + word[:1])
+        rows = product_tree_map(ring, s1.ring, s2.ring, word)
+        cols = product_tree_map(ring, s1.ring, s2.ring, word[1:] + word[:1])
         for D in sorted(rows):
             k1, k2 = _factor_words(word + (D,), r2)
             F[word + (D,)] = _pair_block(s1.f_block(*k1), s2.f_block(*k2),
                                          rows[D], cols[D])
     R = {}
     for A, B in itertools.product(labels, repeat=2):
-        rows = product_tree_map(shell, s1, s2, (B, A))
-        cols = product_tree_map(shell, s1, s2, (A, B))
+        rows = product_tree_map(ring, s1.ring, s2.ring, (B, A))
+        cols = product_tree_map(ring, s1.ring, s2.ring, (A, B))
         for C in sorted(cols):
             k1, k2 = _factor_words((A, B, C), r2)
             R[(A, B, C)] = _pair_block(s1.r_block(*k1), s2.r_block(*k2),
@@ -62,7 +65,7 @@ def _pair_tables(shell: CategorySpec, s1: CategorySpec, s2: CategorySpec):
     return F, R
 
 
-def deligne_pair(s1: CategorySpec, s2: CategorySpec, name=None) -> CategorySpec:
+def deligne_pair(s1: CategorySpec, s2: CategorySpec) -> CategorySpec:
     """The product category of two skeletal presentations."""
     r1, r2 = s1.rank, s2.rank
     rank = r1 * r2
@@ -74,16 +77,13 @@ def deligne_pair(s1: CategorySpec, s2: CategorySpec, name=None) -> CategorySpec:
     dual = [int(s1.dual[a1]) * r2 + int(s2.dual[a2])
             for a1 in range(r1) for a2 in range(r2)]
     ring = FusionRing(N, dual)
-    dims = np.kron(s1.dims, s2.dims)
-    theta = np.kron(s1.theta, s2.theta)
-    if name is None:
-        name = f"{s1.name}*{s2.name}"
-    shell = CategorySpec(name, ring, dims, theta, {}, {})
-    F, R = _pair_tables(shell, s1, s2)
+    F, R = _pair_tables(ring, s1, s2)
     names = None
     if s1.label_names and s2.label_names:
         names = [f"({x},{y})" for x in s1.label_names for y in s2.label_names]
-    return CategorySpec(name, ring, dims, theta, F, R, label_names=names)
+    return CategorySpec(f"{s1.name}*{s2.name}", ring,
+                        np.kron(s1.dims, s2.dims), np.kron(s1.theta, s2.theta),
+                        F, R, label_names=names)
 
 
 def deligne_power(spec: CategorySpec, n: int) -> CategorySpec:
@@ -112,38 +112,33 @@ def _factor_words(word, r2):
     return w1, w2
 
 
-def product_tree_map(prod: CategorySpec, s1: CategorySpec, s2: CategorySpec,
+def product_tree_map(prod: FusionRing, ring1: FusionRing, ring2: FusionRing,
                      word):
     """Per root, the factor-tree indices of each product tree.
 
     Returns {root: list of (i1, i2)} aligned with the product tree order;
-    the factor roots are divmod(root, s2.rank).
+    the factor roots are divmod(root, ring2.rank).  Cached on ``prod``, the
+    ring built from ``ring1`` and ``ring2``.
     """
     cache = prod._cache.setdefault("ptree_map", {})
     if word in cache:
         return cache[word]
-    r2 = s2.rank
+    r2 = ring2.rank
     w1, w2 = _factor_words(word, r2)
-    t1pos = tree_positions(s1, w1)
-    t2pos = tree_positions(s2, w2)
+    t1pos = ring1.tree_positions(w1)
+    t2pos = ring2.tree_positions(w2)
     out = {}
-    for root, ts in trees(prod, word).items():
+    for root, ts in prod.tree_basis(word).items():
         c1, c2 = divmod(root, r2)
         pairs = []
         for (L, M) in ts:
-            L1 = tuple(l // r2 for l in L)
-            L2 = tuple(l % r2 for l in L)
-            M1 = []
-            M2 = []
-            prev2 = w2[0] if word else 0
-            for j, (lab, mult) in enumerate(zip(L, M)):
-                lab2 = lab % r2
-                m1, m2 = divmod(mult, s2.ring.n(prev2, w2[j + 1], lab2))
-                M1.append(m1)
-                M2.append(m2)
-                prev2 = lab2
-            pairs.append((t1pos[c1][(L1, tuple(M1))],
-                          t2pos[c2][(L2, tuple(M2))]))
+            L1, L2 = _factor_words(L, r2)
+            # vertex j fuses ((w2[0],) + L2)[j] and w2[j + 1] into L2[j]
+            ms = [divmod(m, ring2.n(x, y, z))
+                  for m, x, y, z in zip(M, w2[:1] + L2, w2[1:], L2)]
+            M1 = tuple(m1 for m1, _ in ms)
+            M2 = tuple(m2 for _, m2 in ms)
+            pairs.append((t1pos[c1][(L1, M1)], t2pos[c2][(L2, M2)]))
         out[root] = pairs
     cache[word] = out
     return out
@@ -168,8 +163,8 @@ def pair_morphism(prod: CategorySpec, f1: Morphism, f2: Morphism) -> Morphism:
         raise ShapeMismatch("product category does not match the factors")
     src = _interleave(f1.src, f2.src, r2)
     dst = _interleave(f1.dst, f2.dst, r2)
-    smap = product_tree_map(prod, s1, s2, src)
-    dmap = product_tree_map(prod, s1, s2, dst)
+    smap = product_tree_map(prod.ring, s1.ring, s2.ring, src)
+    dmap = product_tree_map(prod.ring, s1.ring, s2.ring, dst)
     blocks = {}
     for root in set(smap) & set(dmap):
         c1, c2 = divmod(root, r2)

@@ -1,7 +1,7 @@
 """Fusion-tree diagram calculus.
 
 A word is a tuple of Python ints in [0, rank).  Nothing here converts or
-checks words: ``CategorySpec.tree_basis`` checks each word the first time
+checks words: ``FusionRing.tree_basis`` checks each word the first time
 its basis is built and raises ``InvalidWord`` (or ``WordTooLong``), and
 every word reaches it before a basis is used.
 
@@ -11,8 +11,10 @@ A tree for a word of length n is a pair (labels, mults) with labels the
 intermediate charges (A_2, ..., A_n) and mults the fusion-vertex
 multiplicities; A_1 = w_1 and A_0 = 0 are implicit.  Trees with a common
 root are ordered lexicographically by (labels, mults).  The engine reads
-every basis and its positions from their one owner, ``CategorySpec`` in
-``mtc.category``: ``tree_basis``, ``split_basis`` and ``f_basis``.
+every basis and its positions from their one owner, the spec's
+``FusionRing`` in ``mtc.category``: ``tree_basis``, ``split_basis`` and
+``f_basis``.  What depends on F and R (split transforms, whiskering
+plans, braid generators) is cached on the spec.
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
@@ -48,12 +50,12 @@ def _cache(spec: CategorySpec, section: str) -> dict:
 
 def trees(spec: CategorySpec, word):
     """All left-nested fusion trees of the word, grouped by root."""
-    return spec.tree_basis(word)
+    return spec.ring.tree_basis(word)
 
 
 def tree_positions(spec: CategorySpec, word):
     """{root: {tree: position}} for the trees of the word."""
-    return spec.tree_positions(word)
+    return spec.ring.tree_positions(word)
 
 
 def _finv(spec, a, b, c, d):
@@ -204,7 +206,7 @@ def split_transform(spec: CategorySpec, word, k: int):
         tv2_pos = tree_positions(spec, v[:-1])
     out = {}
     for c, ts in trees(spec, word).items():
-        cols, colpos = spec.split_basis(u, v, c)
+        cols, colpos = spec.ring.split_basis(u, v, c)
         if not v:
             # the split basis of (word, ()) at root c is (c, i, 0, 0, 0)
             out[c] = (np.eye(len(ts), dtype=np.complex128), cols, colpos)
@@ -226,7 +228,7 @@ def split_transform(spec: CategorySpec, word, k: int):
             beta = t[1][-1]
             t2i = tv2_pos[b2][t2]
             Finv = _finv(spec, a, b2, z, c)
-            frows, _, _, fcol_pos = spec.f_basis(a, b2, z, c)
+            frows, _, _, fcol_pos = spec.ring.f_basis(a, b2, z, c)
             row_of = fcol_pos[(b, beta, mu)]
             for idx, (e, alpha2, beta2) in enumerate(frows):
                 coeff = Finv[row_of, idx]

@@ -15,15 +15,17 @@ duality morphisms, weighted by d_i d_j / (Dim d_k).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .category import CategorySpec
 from .deligne import deligne_power, pair_morphism
 from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
                      cup_twisted, double_braiding, embed, identity, tensor,
-                     trees)
+                     trace_formula, trees)
 from .errors import ShapeMismatch, XiNotZeroOne
-from .report import max_dev
+from .report import VerificationReport, max_dev
 
 class SumMorphism:
     """Morphism between direct sums of words, as a sparse component matrix."""
@@ -204,27 +206,32 @@ class PermutationAlgebra:
         return embed(base, cap_twisted(base, k), left=(ib, jb)) \
             @ embed(base, bracket, right=(kb,))
 
+    def _channel_sums(self, first, second, n) -> dict:
+        """{(i, j, k): the sum over alpha of pair_morphism(first(i, j, k,
+        alpha, n), second(base, i, j, k, alpha))} over every channel k of
+        i (x) j."""
+        base = self.base
+        out = {}
+        for i, j in itertools.product(range(self.rank), repeat=2):
+            for k in base.ring.channels(i, j):
+                acc = None
+                for alpha in range(base.ring.n(i, j, k)):
+                    term = pair_morphism(self.prod, first(i, j, k, alpha, n),
+                                         second(base, i, j, k, alpha))
+                    acc = term if acc is None else acc + term
+                out[i, j, k] = acc
+        return out
+
     def multiplication(self, n: int = 0) -> SumMorphism:
         """m^(n) : A (x) A -> A."""
         key = ("m", n)
         if key in self._cache:
             return self._cache[key]
-        base = self.base
         r = self.rank
         src = tuple(a + b for a in self.words for b in self.words)
-        comps = {}
-        for i in range(r):
-            for j in range(r):
-                for k in base.ring.channels(i, j):
-                    acc = None
-                    for alpha in range(base.ring.n(i, j, k)):
-                        term = pair_morphism(
-                            self.prod, self._m_first(i, j, k, alpha, n),
-                            fusion_basis(base, i, j, k, alpha))
-                        acc = term if acc is None else acc + term
-                    comps[(k, i * r + j)] = acc
-        out = SumMorphism(self.prod, src, self.words, comps)
-        self._cache[key] = out
+        comps = {(k, i * r + j): m for (i, j, k), m in self._channel_sums(
+            self._m_first, fusion_basis, n).items()}
+        out = self._cache[key] = SumMorphism(self.prod, src, self.words, comps)
         return out
 
     def comultiplication(self, n: int = 0) -> SumMorphism:
@@ -233,24 +240,13 @@ class PermutationAlgebra:
         key = ("delta", n)
         if key in self._cache:
             return self._cache[key]
-        base = self.base
+        d = self.base.dims
         r = self.rank
         dst = tuple(a + b for a in self.words for b in self.words)
-        comps = {}
-        for i in range(r):
-            for j in range(r):
-                for k in base.ring.channels(i, j):
-                    weight = base.dims[i] * base.dims[j] / (self.dim
-                                                            * base.dims[k])
-                    acc = None
-                    for alpha in range(base.ring.n(i, j, k)):
-                        term = pair_morphism(
-                            self.prod, self._delta_first(i, j, k, alpha, n),
-                            fusion_cobasis(base, i, j, k, alpha))
-                        acc = term if acc is None else acc + term
-                    comps[(i * r + j, k)] = acc * weight
-        out = SumMorphism(self.prod, self.words, dst, comps)
-        self._cache[key] = out
+        comps = {(i * r + j, k): m * (d[i] * d[j] / (self.dim * d[k]))
+                 for (i, j, k), m in self._channel_sums(
+                     self._delta_first, fusion_cobasis, n).items()}
+        out = self._cache[key] = SumMorphism(self.prod, self.words, dst, comps)
         return out
 
     # -- duality and pairing -------------------------------------------------
@@ -422,9 +418,6 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     With ``expect_azumaya=False`` the obstruction check inverts into a
     control: it passes only when the obstruction is actually present.
     """
-    from .engine import trace_formula
-    from .report import VerificationReport
-
     report = VerificationReport(target=base.name,
                                 options={"n_values": list(n_values),
                                          "tolerance": tol})

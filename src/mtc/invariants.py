@@ -10,6 +10,7 @@ property is exercised rather than assumed.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -156,7 +157,6 @@ def check_invariant(z: np.ndarray, md: ModularDatum, n: int,
 def symmetric_group_check(rank: int, n: int = 3) -> int:
     """Largest deviation of Z[pi sigma] from Z[pi] Z[sigma] over the full
     symmetric group on n letters; exact integer arithmetic."""
-    import itertools
     worst = 0
     perms = list(itertools.permutations(range(n)))
     cache = {p: permutation_invariant(rank, p) for p in perms}

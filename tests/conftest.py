@@ -39,7 +39,8 @@ def rng():
 def random_rep_a4():
     """The Rep(A4) fusion ring, labels 1, 1', 1'', 3 with
     3 (x) 3 = 1 + 1' + 1'' + 2 3, carrying seeded random F-blocks (complex)
-    and R-blocks (real) of the shapes ``f_basis`` and ``r_block`` expect.
+    and R-blocks (real) of the shapes ``FusionRing.f_basis`` and
+    ``r_block`` expect.
 
     The data is not coherent; it gives every multiplicity index of the
     coherence checks a value of its own.
@@ -50,11 +51,10 @@ def random_rep_a4():
         N[a, 3, 3] = N[3, a, 3] = 1
     N[3, 3] = [1, 1, 1, 2]
     ring = FusionRing(N, [0, 2, 1, 3])
-    shell = CategorySpec("rep_a4_random", ring, np.ones(4), np.ones(4), {}, {})
     rng = np.random.default_rng(0)
     F = {}
     for key in itertools.product(range(4), repeat=4):
-        rows, _, cols, _ = shell.f_basis(*key)
+        rows, _, cols, _ = ring.f_basis(*key)
         if 0 not in key[:3] and rows:
             shape = (len(rows), len(cols))
             F[key] = rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -1,7 +1,7 @@
-"""The basis contract: F-rows are the left-nested trees of (a, b, c) at root
-d, F-columns the right-nested (f, gamma, delta) pairs, every position map
-inverts its label list, and ``f_tensor`` is the F-block read in that
-basis."""
+"""The basis contract: the fusion ring owns every basis, F-rows are the
+left-nested trees of (a, b, c) at root d, F-columns the right-nested
+(f, gamma, delta) pairs, every position map inverts its label list, and
+``f_tensor`` is the F-block read in that basis."""
 
 import itertools
 
@@ -45,7 +45,7 @@ def test_f_rows_are_the_trees_of_the_word(spec):
             flat = [(L[0], M[0], M[1]) for L, M in ts.get(d, ())]
             want = [(e, alpha, beta) for e in range(spec.rank)
                     for alpha in range(N[a, b, e]) for beta in range(N[e, c, d])]
-            assert spec.f_rows(a, b, c, d) == flat == want
+            assert spec.ring.f_basis(a, b, c, d)[0] == flat == want
 
 
 def test_f_cols_are_the_right_nested_pairs(spec):
@@ -53,13 +53,13 @@ def test_f_cols_are_the_right_nested_pairs(spec):
     for a, b, c, d in itertools.product(range(spec.rank), repeat=4):
         want = [(f, gamma, delta) for f in range(spec.rank)
                 for gamma in range(N[b, c, f]) for delta in range(N[a, f, d])]
-        assert spec.f_cols(a, b, c, d) == want
+        assert spec.ring.f_basis(a, b, c, d)[2] == want
 
 
 def test_position_maps_invert_their_lists(spec):
     r = spec.rank
     for a, b, c, d in itertools.product(range(r), repeat=4):
-        rows, row_pos, cols, col_pos = spec.f_basis(a, b, c, d)
+        rows, row_pos, cols, col_pos = spec.ring.f_basis(a, b, c, d)
         assert_inverts(rows, row_pos)
         assert_inverts(cols, col_pos)
     for n in range(4):
@@ -68,13 +68,14 @@ def test_position_maps_invert_their_lists(spec):
             for root, ts in trees(spec, word).items():
                 assert_inverts(ts, pos[root])
             for k, root in itertools.product(range(n + 1), range(r)):
-                assert_inverts(*spec.split_basis(word[:k], word[k:], root))
+                assert_inverts(*spec.ring.split_basis(word[:k], word[k:],
+                                                      root))
 
 
 def test_f_tensor_is_the_f_block_in_the_basis(spec):
     N = spec.ring.N
     for a, b, c, d in itertools.product(range(spec.rank), repeat=4):
-        rows, row_pos, cols, col_pos = spec.f_basis(a, b, c, d)
+        rows, row_pos, cols, col_pos = spec.ring.f_basis(a, b, c, d)
         blk = spec.f_block(a, b, c, d)
         for e, f in itertools.product({row[0] for row in rows},
                                       {col[0] for col in cols}):
@@ -84,6 +85,17 @@ def test_f_tensor_is_the_f_block_in_the_basis(spec):
                     *map(range, t.shape)):
                 assert t[alpha, beta, gamma, delta] == \
                     blk[row_pos[e, alpha, beta], col_pos[f, gamma, delta]]
+
+
+def test_specs_on_one_ring_share_its_bases(spec_of):
+    """The bases depend on the fusion rules alone: a second spec on the same
+    ring gets the very objects the first one built."""
+    fib = spec_of("fibonacci")
+    other = CategorySpec("fibonacci-copy", fib.ring, fib.dims, fib.theta,
+                         fib.F, fib.R)
+    for word in [(), (1,), (1, 1, 1)]:
+        assert trees(other, word) is trees(fib, word)
+        assert tree_positions(other, word) is tree_positions(fib, word)
 
 
 def test_wrong_block_shape_is_refused(spec_of):

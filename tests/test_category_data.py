@@ -313,6 +313,16 @@ def test_file_errors_carry_locations(tmp_path):
     with pytest.raises(CategoryFileError, match="invalid JSON"):
         load_category(path)
 
+    # a section of the wrong JSON type is refused at the section
+    for section, value in [("theta", 5), ("fusion", 5), ("F", 5), ("R", 5),
+                           ("R", {}), ("product_of", 5),
+                           ("product_of", "ab"), ("product_of", None),
+                           ("product_of", ["semion", 1]),
+                           ("product_of", ["semion", True]),
+                           ("product_of", [2, "semion"]), ("name", [1])]:
+        with pytest.raises(CategoryFileError, match=rf"^unit:{section}: "):
+            spec_from_dict(dict(data, **{section: value}), origin="unit")
+
 
 def _semion_data():
     return spec_to_dict(get_category("semion"))

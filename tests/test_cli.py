@@ -2,7 +2,10 @@
 subcommands."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from mtc.cli import main
 
 from test_suite import GOLDEN_DEVIATION_ATOL
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_COMPUTE = pathlib.Path(__file__).parent / "golden" / "compute"
 
 
@@ -86,6 +90,24 @@ def test_check_file_target(capsys, tmp_path):
     save_category(get_category("semion"), path)
     code, out, _ = run(capsys, "check", str(path), "--suite", "category")
     assert code == 0
+
+
+def test_check_malformed_file_is_a_usage_error(tmp_path):
+    """A section of the wrong JSON type exits 2 with a located message, not
+    a traceback; run in a fresh interpreter to see the real exit status."""
+    from mtc import get_category
+    from mtc.category import spec_to_dict
+    data = spec_to_dict(get_category("semion"))
+    data["theta"] = 5
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "mtc.cli", "check", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert f"{path}:theta: theta must be a list" in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ modular data, and the paired-morphism functor."""
 import numpy as np
 import pytest
 
-from mtc import get_category, modular_datum, validate_category
+from mtc import deligne, get_category, modular_datum, validate_category
+from mtc.category import CategorySpec
 from mtc.deligne import (MAX_PRODUCT_RANK, deligne_pair, deligne_power,
                          pair_morphism)
 from mtc.engine import braid_generator, double_braiding, identity, trees
@@ -48,9 +49,9 @@ def _reference_pair_tables(prod, s1, s2):
                     d1, d2 = divmod(D, r2)
                     F1 = s1.f_block(a1, b1, c1, d1)
                     F2 = s2.f_block(a2, b2, c2, d2)
-                    _, rp1, _, cp1 = s1.f_basis(a1, b1, c1, d1)
-                    _, rp2, _, cp2 = s2.f_basis(a2, b2, c2, d2)
-                    rows, _, cols, _ = prod.f_basis(A, B, Cc, D)
+                    _, rp1, _, cp1 = s1.ring.f_basis(a1, b1, c1, d1)
+                    _, rp2, _, cp2 = s2.ring.f_basis(a2, b2, c2, d2)
+                    rows, _, cols, _ = ring.f_basis(A, B, Cc, D)
                     blk = np.zeros((len(rows), len(cols)),
                                    dtype=np.complex128)
                     for i, (E, al, bt) in enumerate(rows):
@@ -134,6 +135,21 @@ def test_square_tables_match_reference_with_multiplicity(rep_a4_square):
         for key, blk in ref.items():
             dev = np.max(np.abs(table[key] - blk))
             assert dev <= 1e-12 * np.max(np.abs(blk)), key
+
+
+def test_pairing_builds_one_spec(spec_of, monkeypatch):
+    """The product's tables are paired on its fusion ring, so the only spec
+    built is the product itself."""
+    built = []
+
+    class Counting(CategorySpec):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(deligne, "CategorySpec", Counting)
+    prod = deligne_pair(spec_of("ising"), spec_of("semion"))
+    assert built == [prod.name]
 
 
 def test_power_metadata(spec_of):

@@ -72,7 +72,7 @@ def test_word_length_cap(spec_of):
     with pytest.raises(WordTooLong):
         trees(spec, (1,) * 9)
     with pytest.raises(WordTooLong):
-        spec.tree_basis((1,) * 9)
+        spec.ring.tree_basis((1,) * 9)
 
 
 @pytest.mark.parametrize("label", [-1, 3])
@@ -284,8 +284,8 @@ def _reference_braid_local(spec, q, a, b, d, over):
     """Matrix of id_q (x) c_{a,b} from Hom(q a b, d) to Hom(q b a, d) in
     left-nested bases, computed as F(q,b,a;d) D F(q,a,b;d)^-1 with D the
     R-action on the right-nested channel slot."""
-    cols_s = spec.f_cols(q, a, b, d)
-    cols_d = spec.f_cols(q, b, a, d)
+    _, pos_s, cols_s, _ = spec.ring.f_basis(q, a, b, d)
+    rows_d, _, cols_d, _ = spec.ring.f_basis(q, b, a, d)
     D = np.zeros((len(cols_d), len(cols_s)), dtype=np.complex128)
     for jj, (x2, g2, d2) in enumerate(cols_d):
         for ii, (x, g, d1) in enumerate(cols_s):
@@ -298,7 +298,7 @@ def _reference_braid_local(spec, q, a, b, d, over):
             D[jj, ii] = rmat[g2, g]
     local = spec.f_block(q, b, a, d) @ D \
         @ np.linalg.inv(spec.f_block(q, a, b, d))
-    return local, spec.f_basis(q, a, b, d)[1], spec.f_rows(q, b, a, d)
+    return local, pos_s, rows_d
 
 
 def _reference_braid(spec, word, p, over):
