@@ -30,10 +30,18 @@ looks positions up there.  ``CategorySpec`` holds what F and R decide:
 F-block between one row channel e and one column channel f as an array
 [alpha, beta, gamma, delta]; the pentagon and the hexagons are contractions
 of these arrays.
+
+Every derived table is memoised on its owner by ``cached``, one section of
+the owner's ``_cache`` per table: the ring's ``tree_pos`` and ``f_basis``,
+a product ring's ``ptree_map``, a spec's ``f_tensor`` and the engine and
+module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi``
+and ``proj``.  Only ``tree_basis`` keeps its ``trees`` section by hand,
+since it checks the word on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -66,6 +74,37 @@ def _positions(labels) -> dict:
     return {lab: i for i, lab in enumerate(labels)}
 
 
+def cached(section: str):
+    """Memoise a derived table: ``fn(owner, *args)`` in
+    ``owner._cache[section]``, keyed by the tuple ``args``.
+
+    The wrapper is compiled with fn's own parameters and defaults, so
+    defaults are filled in and keyword arguments land in their positions:
+    every spelling of one call shares an entry, and a positional call binds
+    its arguments once, as a call of fn would.  A call that raises stores
+    nothing, so checks in fn run on a miss only.  An unhashable argument
+    misses too, so fn's checks refuse it however full the section is.
+    """
+    def decorate(fn):
+        code = fn.__code__
+        owner, *args = code.co_varnames[:code.co_argcount]
+        params = ", ".join([owner, *args])
+        key = f"({''.join(a + ', ' for a in args)})"
+        namespace = {"fn": fn}
+        exec(f"def memo({params}):\n"
+             f"    try:\n"
+             f"        return {owner}._cache[{section!r}][{key}]\n"
+             f"    except (KeyError, TypeError):\n"
+             f"        pass\n"
+             f"    out = fn({params})\n"
+             f"    {owner}._cache.setdefault({section!r}, {{}})[{key}] = out\n"
+             f"    return out\n", namespace)
+        memo = functools.wraps(fn)(namespace["memo"])
+        memo.__defaults__ = fn.__defaults__
+        return memo
+    return decorate
+
+
 class FusionRing:
     """Fusion multiplicities with a unit and a dual involution, and the
     fusion-tree bases they determine.
@@ -86,7 +125,7 @@ class FusionRing:
         self.dual.setflags(write=False)
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
-        self._cache = {}
+        self._cache = {"trees": {}}
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
@@ -145,16 +184,19 @@ class FusionRing:
         lexicographically by (labels, mults).
 
         A word is a tuple of Python ints in [0, rank), at most
-        MAX_WORD_LENGTH long.  It is checked here, the first time its basis
-        is built; anything else raises InvalidWord or WordTooLong.
+        MAX_WORD_LENGTH long.  It is checked here: its types on every call,
+        its range and length the first time its basis is built; anything
+        else raises InvalidWord or WordTooLong.
         """
-        cache = self._cache.setdefault("trees", {})
-        try:
-            hit = cache.get(word)
-        except TypeError:  # unhashable, so it fails the check below
-            hit = None
-        if hit is not None:
-            return hit
+        cache = self._cache["trees"]
+        if type(word) is tuple:
+            for x in word:  # a loop: a generator would double a hit's cost
+                if type(x) is not int:
+                    break
+            else:
+                hit = cache.get(word)
+                if hit is not None:  # equal to a word that passed below
+                    return hit
         if type(word) is not tuple or not all(
                 type(x) is int and 0 <= x < self.rank for x in word):
             raise InvalidWord(f"word {word!r} is not a tuple of Python ints "
@@ -181,14 +223,11 @@ class FusionRing:
         cache[word] = hit
         return hit
 
+    @cached("tree_pos")
     def tree_positions(self, word):
         """{root: {tree: position}} for the trees of the word."""
-        cache = self._cache.setdefault("tree_pos", {})
-        hit = cache.get(word)
-        if hit is None:
-            hit = cache[word] = {root: _positions(ts) for root, ts
-                                 in self.tree_basis(word).items()}
-        return hit
+        return {root: _positions(ts)
+                for root, ts in self.tree_basis(word).items()}
 
     def split_basis(self, u, v, c):
         """Basis of Hom(u (x) v, c) split at the cut: (columns, positions).
@@ -206,6 +245,7 @@ class FusionRing:
                 for mu in range(N[a, b, c])]
         return cols, _positions(cols)
 
+    @cached("f_basis")
     def f_basis(self, a, b, c, d):
         """(rows, row positions, columns, column positions) of F[a,b,c,d].
 
@@ -213,17 +253,11 @@ class FusionRing:
         column (f, gamma, delta) the split pair (a, 0, f, gamma, delta) of
         (a) (x) (b, c), as tree gamma of (b, c) at root f is ((f,), (gamma,)).
         """
-        cache = self._cache.setdefault("f_basis", {})
-        key = (a, b, c, d)
-        hit = cache.get(key)
-        if hit is None:
-            rows = [(L[0], M[0], M[1])
-                    for L, M in self.tree_basis((a, b, c)).get(d, ())]
-            cols = [(f, gamma, delta) for _, _, f, gamma, delta
-                    in self.split_basis((a,), (b, c), d)[0]]
-            hit = cache[key] = (rows, _positions(rows), cols,
-                                _positions(cols))
-        return hit
+        rows = [(L[0], M[0], M[1])
+                for L, M in self.tree_basis((a, b, c)).get(d, ())]
+        cols = [(f, gamma, delta) for _, _, f, gamma, delta
+                in self.split_basis((a,), (b, c), d)[0]]
+        return rows, _positions(rows), cols, _positions(cols)
 
 
 class CategorySpec:
@@ -286,25 +320,21 @@ class CategorySpec:
                                 f"expected {(len(rows), len(cols))}")
         return blk
 
+    @cached("f_tensor")
     def f_tensor(self, a, b, c, d, e, f) -> np.ndarray:
         """Block of F[a,b,c,d] from row channel e to column channel f,
         indexed [alpha, beta, gamma, delta] as the labels of
         ``FusionRing.f_basis``."""
-        cache = self._cache.setdefault("f_tensor", {})
-        key = (a, b, c, d, e, f)
-        hit = cache.get(key)
-        if hit is None:
-            N = self.ring.N
-            _, row_pos, _, col_pos = self.ring.f_basis(a, b, c, d)
-            shape = (N[a, b, e], N[e, c, d], N[b, c, f], N[a, f, d])
-            # the rows of one channel e are contiguous, and so are the
-            # columns of one f; an empty block may start anywhere
-            i = row_pos.get((e, 0, 0), 0)
-            j = col_pos.get((f, 0, 0), 0)
-            hit = cache[key] = self.f_block(a, b, c, d)[
-                i:i + shape[0] * shape[1],
-                j:j + shape[2] * shape[3]].reshape(shape)
-        return hit
+        N = self.ring.N
+        _, row_pos, _, col_pos = self.ring.f_basis(a, b, c, d)
+        shape = (N[a, b, e], N[e, c, d], N[b, c, f], N[a, f, d])
+        # the rows of one channel e are contiguous, and so are the
+        # columns of one f; an empty block may start anywhere
+        i = row_pos.get((e, 0, 0), 0)
+        j = col_pos.get((f, 0, 0), 0)
+        return self.f_block(a, b, c, d)[i:i + shape[0] * shape[1],
+                                        j:j + shape[2] * shape[3]
+                                        ].reshape(shape)
 
     def r_block(self, a, b, c) -> np.ndarray:
         """Matrix of c_{a,b} on channel c; rows index (b a -> c), columns (a b -> c)."""

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .category import CategorySpec, FusionRing
+from .category import CategorySpec, FusionRing, cached
 from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
@@ -112,6 +112,7 @@ def _factor_words(word, r2):
     return w1, w2
 
 
+@cached("ptree_map")
 def product_tree_map(prod: FusionRing, ring1: FusionRing, ring2: FusionRing,
                      word):
     """Per root, the factor-tree indices of each product tree.
@@ -120,9 +121,6 @@ def product_tree_map(prod: FusionRing, ring1: FusionRing, ring2: FusionRing,
     the factor roots are divmod(root, ring2.rank).  Cached on ``prod``, the
     ring built from ``ring1`` and ``ring2``.
     """
-    cache = prod._cache.setdefault("ptree_map", {})
-    if word in cache:
-        return cache[word]
     r2 = ring2.rank
     w1, w2 = _factor_words(word, r2)
     t1pos = ring1.tree_positions(w1)
@@ -140,7 +138,6 @@ def product_tree_map(prod: FusionRing, ring1: FusionRing, ring2: FusionRing,
             M2 = tuple(m2 for _, m2 in ms)
             pairs.append((t1pos[c1][(L1, M1)], t2pos[c2][(L2, M2)]))
         out[root] = pairs
-    cache[word] = out
     return out
 
 

@@ -1,9 +1,9 @@
 """Fusion-tree diagram calculus.
 
 A word is a tuple of Python ints in [0, rank).  Nothing here converts or
-checks words: ``FusionRing.tree_basis`` checks each word the first time
-its basis is built and raises ``InvalidWord`` (or ``WordTooLong``), and
-every word reaches it before a basis is used.
+checks words: ``FusionRing.tree_basis`` checks each word and raises
+``InvalidWord`` (or ``WordTooLong``), and every word reaches it before a
+basis is used.
 
 A morphism between tensor words w -> w' is stored per simple root c as a
 matrix over the left-nested fusion-tree bases of Hom(w, c) and Hom(w', c).
@@ -13,8 +13,10 @@ multiplicities; A_1 = w_1 and A_0 = 0 are implicit.  Trees with a common
 root are ordered lexicographically by (labels, mults).  The engine reads
 every basis and its positions from their one owner, the spec's
 ``FusionRing`` in ``mtc.category``: ``tree_basis``, ``split_basis`` and
-``f_basis``.  What depends on F and R (split transforms, whiskering
-plans, braid generators) is cached on the spec.
+``f_basis``.  What depends on F and R is memoised on the spec by
+``category.cached``, one section per table: ``finv``, ``split``,
+``whisker_right``, ``whisker_left``, ``braid_gen``, ``block_crossing``,
+``double_braiding`` and ``cap_scale``.
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
@@ -35,13 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category import MAX_WORD_LENGTH, CategorySpec  # noqa: F401 (re-exported)
+from .category import MAX_WORD_LENGTH, CategorySpec, cached  # noqa: F401 (re-exported)
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
-
-
-def _cache(spec: CategorySpec, section: str) -> dict:
-    return spec._cache.setdefault(section, {})
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +56,9 @@ def tree_positions(spec: CategorySpec, word):
     return spec.ring.tree_positions(word)
 
 
+@cached("finv")
 def _finv(spec, a, b, c, d):
-    cache = _cache(spec, "finv")
-    key = (a, b, c, d)
-    if key not in cache:
-        cache[key] = np.linalg.inv(spec.f_block(a, b, c, d))
-    return cache[key]
+    return np.linalg.inv(spec.f_block(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -183,49 +178,35 @@ def _check_cut(word, k):
         raise PositionOutOfRange(f"cut {k} invalid for word of length {len(word)}")
 
 
+@cached("split")
 def split_transform(spec: CategorySpec, word, k: int):
     """Change of basis between trees of the word and split pairs at cut k.
 
     Returns {root: (M, cols, colpos)} where column (a, si, b, ti, mu) is the
     vector f^{ab->c}_mu o (tree_si(u) (x) tree_ti(v)), u = word[:k],
     v = word[k:], expanded as M[:, col] over the trees of the full word.
+    An empty u or v makes the split pairs the trees of the word, so M is
+    the identity; any other cut peels the last letter z of v off by an
+    F-move from the transform of word[:-1] at the same cut.
     """
-    cache = _cache(spec, "split")
-    key = (word, k)
-    if key in cache:
-        return cache[key]
     _check_cut(word, k)
     u, v = word[:k], word[k:]
-    tu = trees(spec, u)
+    if not u or not v:
+        return {c: (np.eye(len(ts), dtype=np.complex128),)
+                + spec.ring.split_basis(u, v, c)
+                for c, ts in trees(spec, word).items()}
+    z = v[-1]
     tv = trees(spec, v)
     tpos = tree_positions(spec, word)
-    if len(v) > 1:
-        z = v[-1]
-        sub = split_transform(spec, word[:-1], k)
-        tprev = trees(spec, word[:-1])
-        tv2_pos = tree_positions(spec, v[:-1])
+    sub = split_transform(spec, word[:-1], k)
+    tprev = trees(spec, word[:-1])
+    tv2_pos = tree_positions(spec, v[:-1])
     out = {}
     for c, ts in trees(spec, word).items():
         cols, colpos = spec.ring.split_basis(u, v, c)
-        if not v:
-            # the split basis of (word, ()) at root c is (c, i, 0, 0, 0)
-            out[c] = (np.eye(len(ts), dtype=np.complex128), cols, colpos)
-            continue
         M = np.zeros((len(ts), len(cols)), dtype=np.complex128)
         for j, (a, si, b, ti, mu) in enumerate(cols):
-            if len(v) == 1:
-                s = tu[a][si]
-                tree = ((), ()) if k == 0 else (s[0] + (c,), s[1] + (mu,))
-                M[tpos[c][tree], j] = 1.0
-                continue
-            t = tv[b][ti]
-            if len(v) == 2:
-                b2 = v[0]
-                t2 = ((), ())
-            else:
-                b2 = t[0][-2]
-                t2 = (t[0][:-1], t[1][:-1])
-            beta = t[1][-1]
+            b2, t2, (_, (beta,)) = _cut(tv[b][ti], len(v) - 1, v)
             t2i = tv2_pos[b2][t2]
             Finv = _finv(spec, a, b2, z, c)
             frows, _, _, fcol_pos = spec.ring.f_basis(a, b2, z, c)
@@ -246,7 +227,6 @@ def split_transform(spec: CategorySpec, word, k: int):
                     new_tree = (rtree[0] + (c,), rtree[1] + (beta2,))
                     M[tpos[c][new_tree], j] += coeff * vec[ri]
         out[c] = (M, cols, colpos)
-    cache[key] = out
     return out
 
 
@@ -292,15 +272,11 @@ def _gather(m: Morphism, plan: _Plan) -> np.ndarray:
     return flat
 
 
+@cached("whisker_right")
 def _right_plan(spec, src, dst, v):
     """Plan of f (x) id_v for f : src -> dst.  An output entry is f's entry
     between the subtrees of the first letters when both trees have the same
     root there and the same tail after it, and 0 otherwise."""
-    cache = _cache(spec, "whisker_right")
-    key = (src, dst, v)
-    plan = cache.get(key)
-    if plan is not None:
-        return plan
     sword, dword = src + v, dst + v
     tsrc, tdst = trees(spec, sword), trees(spec, dword)
     tf_src = trees(spec, src)
@@ -325,23 +301,17 @@ def _right_plan(spec, src, dst, v):
                 out_idx.append(row + j)
                 in_idx.append(frow + jf)
         layout.append((c, out_off[c]) + shape)
-    plan = cache[key] = _Plan(tuple(roots), size,
-                              np.array([out_idx, in_idx], dtype=np.intp),
-                              tuple(layout))
-    return plan
+    return _Plan(tuple(roots), size,
+                 np.array([out_idx, in_idx], dtype=np.intp), tuple(layout))
 
 
+@cached("whisker_left")
 def _left_plan(spec, u, src, dst):
     """Plan of id_u (x) g for g : src -> dst.  The gather fills, root by
     root, the matrix in the split bases of the cut that equals
     kron(id, g_b) on the columns (a, si, b, ti, mu) of each (a, b, mu); the
     layout adds the cached split transforms Md and Ms of the target and
     source words."""
-    cache = _cache(spec, "whisker_left")
-    key = (u, src, dst)
-    plan = cache.get(key)
-    if plan is not None:
-        return plan
     sword, dword = u + src, u + dst
     ssrc = split_transform(spec, sword, len(u))
     sdst = split_transform(spec, dword, len(u))
@@ -362,10 +332,8 @@ def _left_plan(spec, u, src, dst):
                                * len(cols_s) + j)
                 in_idx.append(g_off[b] + td * width + ti)
         layout.append((c, out_off[c], len(cols_d), len(cols_s), Md, Ms))
-    plan = cache[key] = _Plan(tuple(roots), size,
-                              np.array([out_idx, in_idx], dtype=np.intp),
-                              tuple(layout))
-    return plan
+    return _Plan(tuple(roots), size,
+                 np.array([out_idx, in_idx], dtype=np.intp), tuple(layout))
 
 
 def _whisker_right(f: Morphism, v) -> Morphism:
@@ -396,7 +364,7 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     return _whisker_right(f, g.dst) @ _whisker_left(f.src, g)
 
 
-def embed(spec: CategorySpec, f: Morphism, left=(), right=()) -> Morphism:
+def embed(f: Morphism, *, left=(), right=()) -> Morphism:
     """id_left (x) f (x) id_right."""
     return _whisker_right(_whisker_left(left, f), right)
 
@@ -416,6 +384,7 @@ def _crossing(spec, a, b, over):
     return Morphism(spec, (a, b), (b, a), blocks)
 
 
+@cached("braid_gen")
 def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
                     ) -> Morphism:
     """Elementary braiding of strands p and p+1 (1-based).
@@ -429,20 +398,14 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
     if not 1 <= p <= n - 1:
         raise PositionOutOfRange(
             f"braid position {p} invalid for word of length {n}")
-    cache = _cache(spec, "braid_gen")
-    key = (word, p, bool(over))
-    if key in cache:
-        return cache[key]
     if p + 1 < n:
-        out = _whisker_right(braid_generator(spec, word[:p + 1], p, over),
-                             word[p + 1:])
-    else:
-        out = _whisker_left(word[:p - 1],
-                            _crossing(spec, word[p - 1], word[p], over))
-    cache[key] = out
-    return out
+        return _whisker_right(braid_generator(spec, word[:p + 1], p, over),
+                              word[p + 1:])
+    return _whisker_left(word[:p - 1],
+                         _crossing(spec, word[p - 1], word[p], over))
 
 
+@cached("block_crossing")
 def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
                    ) -> Morphism:
     """Braid the first k strands past the rest: U (x) V -> V (x) U.
@@ -451,10 +414,6 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
     strand); with ``over=False`` it is c_{V,U}^-1.
     """
     _check_cut(word, k)
-    cache = _cache(spec, "block_crossing")
-    key = (word, k, bool(over))
-    if key in cache:
-        return cache[key]
     m = len(word) - k
     cur = identity(spec, word)
     cur_word = word
@@ -463,31 +422,23 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
             gen = braid_generator(spec, cur_word, p, over)
             cur = gen @ cur
             cur_word = gen.dst
-    cache[key] = cur
     return cur
 
 
+@cached("double_braiding")
 def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
     """n-th power of the monodromy c_{V,U} o c_{U,V} with U = word[:k]."""
     _check_cut(word, k)
-    n = int(n)
-    cache = _cache(spec, "double_braiding")
-    key = (word, k, n)
-    if key in cache:
-        return cache[key]
     if n == 0:
-        out = identity(spec, word)
-    elif n == 1:
+        return identity(spec, word)
+    if n == 1:
         c1 = block_crossing(spec, word, k, True)
         c2 = block_crossing(spec, c1.dst, len(word) - k, True)
-        out = c2 @ c1
-    else:
-        base = double_braiding(spec, word, k, 1)
-        out = Morphism(spec, word, word,
-                       {c: np.linalg.matrix_power(blk, n)
-                        for c, blk in base.blocks.items()})
-    cache[key] = out
-    return out
+        return c2 @ c1
+    base = double_braiding(spec, word, k, 1)
+    return Morphism(spec, word, word,
+                    {c: np.linalg.matrix_power(blk, int(n))
+                     for c, blk in base.blocks.items()})
 
 
 def twist_endo(spec: CategorySpec, word, power: int = 1) -> Morphism:
@@ -513,17 +464,13 @@ def cup(spec: CategorySpec, i: int) -> Morphism:
     return Morphism(spec, (), (i, ib), {0: np.array([[1.0]])})
 
 
+@cached("cap_scale")
 def _cap_scale(spec, i):
-    cache = _cache(spec, "cap_scale")
-    if i in cache:
-        return cache[i]
     ib = _dual(spec, i)
     raw = Morphism(spec, (ib, i), (), {0: np.array([[1.0]])})
     zig = tensor(identity(spec, (i,)), raw) @ tensor(cup(spec, i),
                                                      identity(spec, (i,)))
-    s = zig.blocks[int(i)][0, 0]
-    cache[i] = 1.0 / s
-    return cache[i]
+    return 1.0 / zig.blocks[i][0, 0]
 
 
 def cap(spec: CategorySpec, i: int) -> Morphism:
@@ -557,7 +504,7 @@ def nested_cup(spec: CategorySpec, word) -> Morphism:
     x = word[0]
     xb = _dual(spec, x)
     inner = nested_cup(spec, word[1:])
-    return embed(spec, inner, (x,), (xb,)) @ cup(spec, x)
+    return embed(inner, left=(x,), right=(xb,)) @ cup(spec, x)
 
 
 def nested_cap(spec: CategorySpec, word) -> Morphism:
@@ -567,7 +514,7 @@ def nested_cap(spec: CategorySpec, word) -> Morphism:
     x = word[0]
     xb = _dual(spec, x)
     inner = nested_cap(spec, word[1:])
-    return cap_twisted(spec, x) @ embed(spec, inner, (x,), (xb,))
+    return cap_twisted(spec, x) @ embed(inner, left=(x,), right=(xb,))
 
 
 def trace_diagrammatic(f: Morphism) -> complex:

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .category import CategorySpec
+from .category import CategorySpec, cached
 from .deligne import deligne_power, pair_morphism
 from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
                      cup_twisted, double_braiding, embed, identity, tensor,
@@ -183,14 +183,14 @@ class PermutationAlgebra:
         base = self.base
         dual = base.dual
         ib, jb, kb = int(dual[i]), int(dual[j]), int(dual[k])
-        s1 = embed(base, fusion_cobasis(base, i, j, k, alpha), left=(ib, jb))
-        s2 = embed(base, double_braiding(base, (ib, jb), 1, n), right=(i, j))
-        s3 = embed(base, braid_generator(base, (jb, i), 1, True),
+        s1 = embed(fusion_cobasis(base, i, j, k, alpha), left=(ib, jb))
+        s2 = embed(double_braiding(base, (ib, jb), 1, n), right=(i, j))
+        s3 = embed(braid_generator(base, (jb, i), 1, True),
                    left=(ib,), right=(j,))
         s4 = tensor(cap(base, i), cap(base, j))
         bracket = s4 @ s3 @ s2 @ s1
-        return embed(base, bracket, right=(kb,)) \
-            @ embed(base, cup(base, k), left=(ib, jb))
+        return embed(bracket, right=(kb,)) \
+            @ embed(cup(base, k), left=(ib, jb))
 
     def _delta_first(self, i, j, k, alpha, n) -> Morphism:
         """(dual(k)) -> (dual(i), dual(j)), the vertical flip of _m_first."""
@@ -198,13 +198,13 @@ class PermutationAlgebra:
         dual = base.dual
         ib, jb, kb = int(dual[i]), int(dual[j]), int(dual[k])
         s1 = tensor(cup_twisted(base, i), cup_twisted(base, j))
-        s2 = embed(base, braid_generator(base, (i, jb), 1, False),
+        s2 = embed(braid_generator(base, (i, jb), 1, False),
                    left=(ib,), right=(j,))
-        s3 = embed(base, double_braiding(base, (ib, jb), 1, -n), right=(i, j))
-        s4 = embed(base, fusion_basis(base, i, j, k, alpha), left=(ib, jb))
+        s3 = embed(double_braiding(base, (ib, jb), 1, -n), right=(i, j))
+        s4 = embed(fusion_basis(base, i, j, k, alpha), left=(ib, jb))
         bracket = s4 @ s3 @ s2 @ s1
-        return embed(base, cap_twisted(base, k), left=(ib, jb)) \
-            @ embed(base, bracket, right=(kb,))
+        return embed(cap_twisted(base, k), left=(ib, jb)) \
+            @ embed(bracket, right=(kb,))
 
     def _channel_sums(self, first, second, n) -> dict:
         """{(i, j, k): the sum over alpha of pair_morphism(first(i, j, k,
@@ -222,32 +222,26 @@ class PermutationAlgebra:
                 out[i, j, k] = acc
         return out
 
+    @cached("m")
     def multiplication(self, n: int = 0) -> SumMorphism:
         """m^(n) : A (x) A -> A."""
-        key = ("m", n)
-        if key in self._cache:
-            return self._cache[key]
         r = self.rank
         src = tuple(a + b for a in self.words for b in self.words)
         comps = {(k, i * r + j): m for (i, j, k), m in self._channel_sums(
             self._m_first, fusion_basis, n).items()}
-        out = self._cache[key] = SumMorphism(self.prod, src, self.words, comps)
-        return out
+        return SumMorphism(self.prod, src, self.words, comps)
 
+    @cached("delta")
     def comultiplication(self, n: int = 0) -> SumMorphism:
         """Delta^(n) : A -> A (x) A with components weighted by
         d_i d_j / (Dim d_k)."""
-        key = ("delta", n)
-        if key in self._cache:
-            return self._cache[key]
         d = self.base.dims
         r = self.rank
         dst = tuple(a + b for a in self.words for b in self.words)
         comps = {(i * r + j, k): m * (d[i] * d[j] / (self.dim * d[k]))
                  for (i, j, k), m in self._channel_sums(
                      self._delta_first, fusion_cobasis, n).items()}
-        out = self._cache[key] = SumMorphism(self.prod, self.words, dst, comps)
-        return out
+        return SumMorphism(self.prod, self.words, dst, comps)
 
     # -- duality and pairing -------------------------------------------------
 
@@ -275,14 +269,12 @@ class PermutationAlgebra:
                  for i in range(r)}
         return SumMorphism(self.prod, src, self.unit_words, comps)
 
+    @cached("phi")
     def pairing_iso(self, n: int = 0) -> SumMorphism:
         """Phi^(n) : A -> A^v built from two multiplications and the duality:
 
           (d_A (x) id) o (id (x) m (x) id) o (bt_A (x) m (x) id) o (id_A (x) b_A)
         """
-        key = ("phi", n)
-        if key in self._cache:
-            return self._cache[key]
         m = self.multiplication(n)
         idA = self.identity()
         idAv = self.identity_dual()
@@ -290,9 +282,7 @@ class PermutationAlgebra:
         layer2 = sum_tensor(sum_tensor(self.cup_A_twisted(), m), idAv)
         layer3 = sum_tensor(sum_tensor(idAv, m), idAv)
         layer4 = sum_tensor(self.cap_A(), idAv)
-        out = layer4 @ layer3 @ layer2 @ layer1
-        self._cache[key] = out
-        return out
+        return layer4 @ layer3 @ layer2 @ layer1
 
     def pairing_scalars(self, n: int = 0) -> np.ndarray:
         """The diagonal scalar of Phi^(n) on each summand."""
@@ -330,6 +320,7 @@ class PermutationAlgebra:
 
     # -- left center ----------------------------------------------------------
 
+    @cached("proj")
     def left_center_idempotent(self, n: int = 0) -> SumMorphism:
         """The idempotent m^(n+1) o (sigma^2 (x) id) o Delta^(n) cutting out
         the left center; its diagonal weights are the xi vector.
@@ -340,14 +331,9 @@ class PermutationAlgebra:
         times the double twist of the first leg.  A single braiding,
         m o c o Delta, gives pure R-matrix phases per channel instead.
         """
-        key = ("proj", n)
-        if key in self._cache:
-            return self._cache[key]
         sig2 = self.sigma() @ self.sigma()
-        out = self.multiplication(n + 1) \
+        return self.multiplication(n + 1) \
             @ sum_tensor(sig2, self.identity()) @ self.comultiplication(n)
-        self._cache[key] = out
-        return out
 
     def xi(self, n: int = 0, atol: float = 1e-9) -> np.ndarray:
         """Diagonal weights of the left-center idempotent."""

@@ -13,16 +13,13 @@ objects like X (x) Y or M (x) X enter by concatenating words.
 
 from __future__ import annotations
 
-from .category import CategorySpec
+from .category import CategorySpec, cached
 from .engine import (Morphism, block_crossing, double_braiding, embed,
                      identity, twist_endo)
 from .report import max_dev
 
 
-def _key_cache(spec, name):
-    return spec._cache.setdefault(name, {})
-
-
+@cached("psi")
 def psi(spec: CategorySpec, M_word, X, Y, n: int = 0) -> Morphism:
     """Right module associator psi^(n)_{M,X,Y} : (M . X) . Y -> M . (X (x) Y).
 
@@ -34,52 +31,38 @@ def psi(spec: CategorySpec, M_word, X, Y, n: int = 0) -> Morphism:
     with D the monodromy of the indicated split.
     """
     (U, V), (Up, Vp) = X, Y
-    n = int(n)
-    cache = _key_cache(spec, "psi")
-    key = (M_word, U, V, Up, Vp, n)
-    if key in cache:
-        return cache[key]
-    s1 = embed(spec, double_braiding(spec, M_word + U + Up,
-                                     len(M_word) + len(U), n),
+    s1 = embed(double_braiding(spec, M_word + U + Up, len(M_word) + len(U), n),
                right=V + Vp)
-    s2 = embed(spec, block_crossing(spec, Up + V, len(Up), True),
+    s2 = embed(block_crossing(spec, Up + V, len(Up), True),
                left=M_word + U, right=Vp)
-    s3 = embed(spec, double_braiding(spec, M_word + U + V + Up,
-                                     len(M_word) + len(U) + len(V), -n),
+    s3 = embed(double_braiding(spec, M_word + U + V + Up,
+                               len(M_word) + len(U) + len(V), -n),
                right=Vp)
-    out = s3 @ s2 @ s1
-    cache[key] = out
-    return out
+    return s3 @ s2 @ s1
 
 
+@cached("psi_hat")
 def psi_hat(spec: CategorySpec, X, Y, M_word, n: int = 0) -> Morphism:
     """Left module associator: (U, U', V, V', M) -> (U, V, U', V', M).
 
       id_U (x) [D^n_{V,U'V'M} o (c^-1_{V,U'} (x) id_V'M) o (id_U' (x) D^-n_{V,V'M})]
     """
     (U, V), (Up, Vp) = X, Y
-    n = int(n)
-    cache = _key_cache(spec, "psi_hat")
-    key = (U, V, Up, Vp, M_word, n)
-    if key in cache:
-        return cache[key]
-    s1 = embed(spec, double_braiding(spec, V + Vp + M_word, len(V), -n),
+    s1 = embed(double_braiding(spec, V + Vp + M_word, len(V), -n),
                left=U + Up)
-    s2 = embed(spec, block_crossing(spec, Up + V, len(Up), False),
+    s2 = embed(block_crossing(spec, Up + V, len(Up), False),
                left=U, right=Vp + M_word)
-    s3 = embed(spec, double_braiding(spec, V + Up + Vp + M_word, len(V), n),
+    s3 = embed(double_braiding(spec, V + Up + Vp + M_word, len(V), n),
                left=U)
-    out = s3 @ s2 @ s1
-    cache[key] = out
-    return out
+    return s3 @ s2 @ s1
 
 
 def gamma(spec: CategorySpec, M_word, X) -> Morphism:
     """Twist mismatch gamma_{M,X} = [theta^-1_{M(x)U} o (theta_M (x) id_U)] (x) id_V."""
     U, V = X
-    g = twist_endo(spec, M_word + U, -1) @ embed(
-        spec, twist_endo(spec, M_word, 1), right=U)
-    return embed(spec, g, right=V)
+    g = twist_endo(spec, M_word + U, -1) \
+        @ embed(twist_endo(spec, M_word, 1), right=U)
+    return embed(g, right=V)
 
 
 def extract_twist(spec: CategorySpec, U_word) -> Morphism:
@@ -93,15 +76,15 @@ def extract_twist(spec: CategorySpec, U_word) -> Morphism:
 def module_commutor(spec: CategorySpec, M_word, U_word, V_word) -> Morphism:
     """Gamma_M = [(c_{V,M} o c_{M,V}) (x) id_U] o (id_M (x) c_{U,V})
     from (M, U, V) to (M, V, U)."""
-    s1 = embed(spec, block_crossing(spec, U_word + V_word, len(U_word), True),
+    s1 = embed(block_crossing(spec, U_word + V_word, len(U_word), True),
                left=M_word)
-    s2 = embed(spec, double_braiding(spec, M_word + V_word, len(M_word), 1),
+    s2 = embed(double_braiding(spec, M_word + V_word, len(M_word), 1),
                right=U_word)
     return s2 @ s1
 
 
-def alpha_induction(spec: CategorySpec, M_word, X, Y, sign: str = "+",
-                    n: int = 0) -> Morphism:
+def alpha_induction(spec: CategorySpec, M_word, X, Y, sign: str = "+"
+                    ) -> Morphism:
     """Structure morphism of the functor (- . X): for Y = U' x V',
 
       gamma^{X,+}_{M,Y} = psi_{M,X,Y} o (id_M . c_{Y,X}) o psi_{M,Y,X}^-1
@@ -113,12 +96,12 @@ def alpha_induction(spec: CategorySpec, M_word, X, Y, sign: str = "+",
     over = sign == "+"
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    back = psi(spec, M_word, Y, X, n).inverse()
+    back = psi(spec, M_word, Y, X, 0).inverse()
     cu = block_crossing(spec, U2 + U1, len(U2), over)
     cv = block_crossing(spec, V2 + V1, len(V2), over)
-    mid = embed(spec, cv, left=M_word + U1 + U2) \
-        @ embed(spec, cu, left=M_word, right=V2 + V1)
-    return psi(spec, M_word, X, Y, n) @ mid @ back
+    mid = embed(cv, left=M_word + U1 + U2) \
+        @ embed(cu, left=M_word, right=V2 + V1)
+    return psi(spec, M_word, X, Y, 0) @ mid @ back
 
 
 def mixed_associator(spec: CategorySpec, X, M_word, Y, n: int = 0,
@@ -133,10 +116,10 @@ def mixed_associator(spec: CategorySpec, X, M_word, Y, n: int = 0,
     """
     (U, V), (Up, Vp) = X, Y
     xm = U + V + M_word
-    right_part = embed(spec, double_braiding(spec, xm + Up, len(xm), -n),
+    right_part = embed(double_braiding(spec, xm + Up, len(xm), -n),
                        right=Vp)
     myv = M_word + Up + Vp
-    left_part = embed(spec, double_braiding(spec, V + myv, len(V), nhat),
+    left_part = embed(double_braiding(spec, V + myv, len(V), nhat),
                       left=U)
     return left_part @ right_part
 
@@ -151,7 +134,7 @@ def module_pentagon_deviation(spec, M_word, X, Y, Z, n: int = 0) -> float:
     (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
     lhs = psi(spec, M_word + U1 + V1, Y, Z, n) \
         @ psi(spec, M_word, X, (U2 + U3, V2 + V3), n)
-    rhs = embed(spec, psi(spec, M_word, X, Y, n), right=U3 + V3) \
+    rhs = embed(psi(spec, M_word, X, Y, n), right=U3 + V3) \
         @ psi(spec, M_word, (U1 + U2, V1 + V2), Z, n)
     return lhs.deviation(rhs)
 
@@ -161,7 +144,7 @@ def left_module_pentagon_deviation(spec, X, Y, Z, M_word, n: int = 0) -> float:
     (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
     lhs = psi_hat(spec, X, Y, U3 + V3 + M_word, n) \
         @ psi_hat(spec, (U1 + U2, V1 + V2), Z, M_word, n)
-    rhs = embed(spec, psi_hat(spec, Y, Z, M_word, n), left=U1 + V1) \
+    rhs = embed(psi_hat(spec, Y, Z, M_word, n), left=U1 + V1) \
         @ psi_hat(spec, X, (U2 + U3, V2 + V3), M_word, n)
     return lhs.deviation(rhs)
 
@@ -181,7 +164,7 @@ def gamma_functor_deviation(spec, M_word, X, Y, n: int = 0) -> float:
       (gamma_{M,X} . id_Y) o gamma_{M.X,Y} o psi^(n) = psi^(n+1) o gamma_{M,X(x)Y}
     """
     (U1, V1), (U2, V2) = X, Y
-    lhs = embed(spec, gamma(spec, M_word, X), right=U2 + V2) \
+    lhs = embed(gamma(spec, M_word, X), right=U2 + V2) \
         @ gamma(spec, M_word + U1 + V1, Y) \
         @ psi(spec, M_word, X, Y, n)
     rhs = psi(spec, M_word, X, Y, n + 1) \
@@ -194,7 +177,7 @@ def psi_from_gamma(spec, M_word, X, Y, n: int) -> Morphism:
     (U1, V1), (U2, V2) = X, Y
     cur = psi(spec, M_word, X, Y, 0)
     for _ in range(n):
-        cur = embed(spec, gamma(spec, M_word, X), right=U2 + V2) \
+        cur = embed(gamma(spec, M_word, X), right=U2 + V2) \
             @ gamma(spec, M_word + U1 + V1, Y) \
             @ cur \
             @ gamma(spec, M_word, (U1 + U2, V1 + V2)).inverse()
@@ -204,9 +187,9 @@ def psi_from_gamma(spec, M_word, X, Y, n: int) -> Morphism:
 def psi_shortcut_deviation(spec, M_word, X, Y) -> float:
     """psi^(0) must be a bare crossing and psi^(1) the inverse crossing."""
     (U, V), (Up, Vp) = X, Y
-    short0 = embed(spec, block_crossing(spec, Up + V, len(Up), True),
+    short0 = embed(block_crossing(spec, Up + V, len(Up), True),
                    left=M_word + U, right=Vp)
-    short1 = embed(spec, block_crossing(spec, Up + V, len(Up), False),
+    short1 = embed(block_crossing(spec, Up + V, len(Up), False),
                    left=M_word + U, right=Vp)
     return max_dev(psi(spec, M_word, X, Y, 0).deviation(short0),
                    psi(spec, M_word, X, Y, 1).deviation(short1))
@@ -219,12 +202,12 @@ def alpha_functor_deviation(spec, M_word, X, Y, Z, sign: str = "+") -> float:
         = psi^(0)_{M.X,Y,Z} o gamma^X_{M,Y(x)Z} o (psi^(0)_{M,Y,Z}^-1 . id_X)
     """
     (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
-    lhs = embed(spec, alpha_induction(spec, M_word, X, Y, sign),
+    lhs = embed(alpha_induction(spec, M_word, X, Y, sign),
                 right=U3 + V3) \
         @ alpha_induction(spec, M_word + U2 + V2, X, Z, sign)
     rhs = psi(spec, M_word + U1 + V1, Y, Z, 0) \
         @ alpha_induction(spec, M_word, X, (U2 + U3, V2 + V3), sign) \
-        @ embed(spec, psi(spec, M_word, Y, Z, 0).inverse(), right=U1 + V1)
+        @ embed(psi(spec, M_word, Y, Z, 0).inverse(), right=U1 + V1)
     return lhs.deviation(rhs)
 
 
@@ -236,7 +219,7 @@ def commutor_witness_deviation(spec, M_word, U_word, V_word, Up, Vp) -> float:
     """
     lhs = alpha_induction(spec, M_word, (V_word, U_word), (Up, Vp), "-") \
         @ module_commutor(spec, M_word + Up + Vp, U_word, V_word)
-    rhs = embed(spec, module_commutor(spec, M_word, U_word, V_word),
+    rhs = embed(module_commutor(spec, M_word, U_word, V_word),
                 right=Up + Vp) \
         @ alpha_induction(spec, M_word, (U_word, V_word), (Up, Vp), "+")
     return lhs.deviation(rhs)

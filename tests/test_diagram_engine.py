@@ -83,8 +83,8 @@ def test_labels_outside_the_rank_are_refused(spec_of, label):
     for call in (lambda: trees(spec, (label,)),
                  lambda: trees(spec, (1, label)),
                  lambda: identity(spec, (label,)),
-                 lambda: embed(spec, f, left=(label,)),
-                 lambda: embed(spec, f, right=(label,))):
+                 lambda: embed(f, left=(label,)),
+                 lambda: embed(f, right=(label,))):
         with pytest.raises(InvalidWord):
             call()
 
@@ -113,6 +113,24 @@ def test_words_other_than_int_tuples_are_refused(word):
     sees each of these before an equal int tuple is cached."""
     with pytest.raises(InvalidWord):
         trees(get_category("ising"), word)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: cup(spec, 1.0),
+    lambda spec: cup(spec, True),
+    lambda spec: trees(spec, (1.0, 1.0, 1.0)),
+    lambda spec: identity(spec, (True, 1, 1)),
+    lambda spec: trees(spec, (np.int64(1), 1, 1))],
+    ids=["cup_float", "cup_bool", "trees_float", "identity_bool",
+         "trees_numpy_int"])
+def test_words_equal_to_cached_int_tuples_are_refused(call):
+    """(1.0,), (True,) and (np.int64(1),) equal (1,) and hash like it, so
+    they find its cached basis; the types are checked on that hit too."""
+    spec = get_category("ising")
+    identity(spec, (1,))
+    identity(spec, (1, 1, 1))
+    with pytest.raises(InvalidWord):
+        call(spec)
 
 
 def test_composition_shape_guard(spec_of):
@@ -232,10 +250,10 @@ def test_whiskering_matches_reference_tensor(spec_of, name):
         id_u, id_v = identity(spec, u), identity(spec, v)
         left = _reference_tensor(id_u, f)
         # left whiskering keeps the reference's arithmetic exactly
-        assert _relative_error(embed(spec, f, left=u), left) == 0.0
-        assert _relative_error(embed(spec, f, right=v),
+        assert _relative_error(embed(f, left=u), left) == 0.0
+        assert _relative_error(embed(f, right=v),
                                _reference_tensor(f, id_v)) < 1e-12
-        assert _relative_error(embed(spec, f, left=u, right=v),
+        assert _relative_error(embed(f, left=u, right=v),
                                _reference_tensor(left, id_v)) < 1e-12
 
 
@@ -245,15 +263,15 @@ def test_embed_past_word_cap(spec_of):
     f = identity(spec, (1,) * 5)
     pad = (1,) * (MAX_WORD_LENGTH - 4)
     with pytest.raises(WordTooLong):
-        embed(spec, f, left=pad)
+        embed(f, left=pad)
     with pytest.raises(WordTooLong):
-        embed(spec, f, right=pad)
+        embed(f, right=pad)
 
 
 def test_embed_is_tensor_with_identities(spec_of, rng):
     spec = spec_of("ising")
     f = random_endo(spec, (1,), rng)
-    lhs = embed(spec, f, left=(2,), right=(1,))
+    lhs = embed(f, left=(2,), right=(1,))
     rhs = tensor(tensor(identity(spec, (2,)), f), identity(spec, (1,)))
     assert lhs.deviation(rhs) < 1e-12
 
@@ -429,6 +447,37 @@ def test_braid_position_guard(spec_of):
         double_braiding(spec, (1, 1), 5)
 
 
+def test_failed_calls_store_nothing():
+    """A call that raises leaves no entry in its cache section."""
+    spec = get_category("ising")
+    with pytest.raises(PositionOutOfRange):
+        block_crossing(spec, (1, 1), 3)
+    with pytest.raises(PositionOutOfRange):
+        braid_generator(spec, (1, 1), 2)
+    assert not spec._cache.get("block_crossing")
+    assert not spec._cache.get("braid_gen")
+
+
+def test_list_words_are_refused_by_a_warm_cache():
+    """An unhashable word misses the cache, so the word check refuses it
+    also once the section holds entries."""
+    spec = get_category("ising")
+    block_crossing(spec, (1, 1), 1)
+    with pytest.raises(InvalidWord):
+        block_crossing(spec, [1, 1], 1)
+
+
+def test_spellings_of_one_call_share_a_cache_entry():
+    """Defaults are filled in and keywords put in their positions, so the
+    short, full and keyword calls are one entry and one object."""
+    spec = get_category("ising")
+    word = (1, 2)
+    short = braid_generator(spec, word, 1)
+    assert braid_generator(spec, word, 1, True) is short
+    assert braid_generator(spec, word, 1, over=True) is short
+    assert list(spec._cache["braid_gen"]) == [(word, 1, True)]
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -440,18 +489,18 @@ def test_snake_identities(spec_of, name):
     for i in range(spec.rank):
         ibar = int(spec.dual[i])
         ident = identity(spec, (i,))
-        z1 = embed(spec, cap(spec, i), left=(i,)) \
-            @ embed(spec, cup(spec, i), right=(i,))
+        z1 = embed(cap(spec, i), left=(i,)) \
+            @ embed(cup(spec, i), right=(i,))
         assert z1.deviation(ident) < 1e-12
-        z2 = embed(spec, cap_twisted(spec, i), right=(i,)) \
-            @ embed(spec, cup_twisted(spec, i), left=(i,))
+        z2 = embed(cap_twisted(spec, i), right=(i,)) \
+            @ embed(cup_twisted(spec, i), left=(i,))
         assert z2.deviation(ident) < 1e-12
         identbar = identity(spec, (ibar,))
-        z3 = embed(spec, cap(spec, i), right=(ibar,)) \
-            @ embed(spec, cup(spec, i), left=(ibar,))
+        z3 = embed(cap(spec, i), right=(ibar,)) \
+            @ embed(cup(spec, i), left=(ibar,))
         assert z3.deviation(identbar) < 1e-12
-        z4 = embed(spec, cap_twisted(spec, i), left=(ibar,)) \
-            @ embed(spec, cup_twisted(spec, i), right=(ibar,))
+        z4 = embed(cap_twisted(spec, i), left=(ibar,)) \
+            @ embed(cup_twisted(spec, i), right=(ibar,))
         assert z4.deviation(identbar) < 1e-12
 
 

@@ -80,6 +80,11 @@ def test_algebra_axioms(spec_of, name, n):
     assert (m @ de).deviation(idA) < 1e-12
 
 
+def test_structure_morphisms_are_built_once(spec_of):
+    alg = algebra_of(spec_of, "semion")
+    assert alg.multiplication(1) is alg.multiplication(1)
+
+
 def test_counit_of_unit_is_global_dimension(spec_of):
     for name in ("semion", "ising"):
         alg = algebra_of(spec_of, name)

@@ -112,7 +112,7 @@ def test_psi_zero_has_single_chirality(spec_of):
     spec = spec_of("semion")
     M, X, Y = (1,), ((1,), (1,)), ((1,), (1,))
     (U, V), (Up, Vp) = (((1,), (1,))), (((1,), (1,)))
-    wrong = embed(spec, block_crossing(spec, (1, 1), 1, False),
+    wrong = embed(block_crossing(spec, (1, 1), 1, False),
                   left=(1, 1), right=(1,))
     dev = psi(spec, M, X, Y, 0).deviation(wrong)
     assert dev > 0.5

@@ -1,9 +1,12 @@
 """The benchmark's traced run still finds every layer function it wraps.
 
 ``perfbench/tracing.py`` looks the package's public functions up by module
-and name; a renamed or deleted one breaks ``run.py --trace 1``.  The trace
-runs in a fresh interpreter, because the tracer refuses to start while any
-loaded module (a test module here) still holds an unwrapped function.
+and name; a renamed or deleted one breaks ``run.py --trace 1``.  It reads
+the sizes of ``spec._cache`` by section name, so a renamed section reads 0
+rather than failing; the sections the semion run fills must not read 0.
+The trace runs in a fresh interpreter, because the tracer refuses to start
+while any loaded module (a test module here) still holds an unwrapped
+function.
 """
 
 import json
@@ -26,7 +29,9 @@ finally:
     tracer.stop()
 metrics = tracer.pass_metrics(1.0)
 print(json.dumps({{"passed": report.passed, "metrics": sorted(metrics),
-                  "trees_calls": metrics["engine.trees_calls"]}}))
+                  "trees_calls": metrics["engine.trees_calls"],
+                  "entries": {{k: v for k, v in metrics.items()
+                              if ".cache_entries." in k}}}}))
 """
 
 
@@ -38,6 +43,12 @@ def test_traced_suite_runs():
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["passed"]
     assert out["trees_calls"] > 0
+    # a renamed cache section would read 0 here instead of failing
+    for section in ("finv", "split", "braid_gen", "block_crossing",
+                    "double_braiding"):
+        assert out["entries"][f"engine.cache_entries.{section}"] > 0, section
+    for section in ("psi", "psi_hat"):
+        assert out["entries"][f"modcat.cache_entries.{section}"] > 0, section
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     # run.py adds the traced/untraced pass comparison itself
     from_run = {"trace.pass_s", "trace.untraced_pass_s", "trace.overhead_s"}
