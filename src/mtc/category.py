@@ -28,24 +28,35 @@ shared by every spec on it; the split bases are kept by
 looks positions up there.  ``CategorySpec`` holds what F and R decide:
 ``f_block``, ``r_block`` and ``f_tensor``, which reads the part of an
 F-block between one row channel e and one column channel f as an array
-[alpha, beta, gamma, delta]; the pentagon and the hexagons are contractions
-of these arrays.
+[alpha, beta, gamma, delta].
+
+The pentagon and the hexagons are contractions of these arrays, checked as
+batched block algebra.  Their label tuples are enumerated as arrays by
+channel expansion over N > 0, one first label at a time.  Every
+``f_tensor`` block sits in one flat F store per spec, keyed by
+(a, b, c, d, e, f), and every R-action in an R store keyed by (x, y, z);
+the blocks of a set of tuples are gathered from the stores by key, a
+missing one reading as zeros.  The tuples whose blocks have equal shapes,
+their multiplicity signature, are contracted by one einsum with a batch
+axis.  ``f_completeness`` takes the singular values of one stack of
+F-blocks per block shape.
 
 Every derived table is memoised on its owner by ``cached``, one section of
-the owner's ``_cache`` per table: the ring's ``tree_pos`` and ``f_basis``,
-a product ring's ``ptree_map``, a spec's ``f_tensor`` and the engine and
-module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi``
-and ``proj``.  Only ``tree_basis`` keeps its ``trees`` section by hand,
-since it checks the word on every call.
+the owner's ``_cache`` per table: the ring's ``tree_pos``, ``f_basis``,
+``channel_csr`` and ``f_keys``, a product ring's ``ptree_map``, a spec's
+``f_tensor``, ``f_blocks``, ``f_store`` and ``r_store`` and the engine and
+module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and
+``proj``.  Only ``tree_basis`` keeps its ``trees`` section by hand, since it
+checks the word on every call.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +144,23 @@ class FusionRing:
     def channels(self, a, b):
         """The labels c with N[a,b,c] > 0, ascending."""
         return self._channels[a][b]
+
+    @cached("channel_csr")
+    def _channel_csr(self):
+        """(start, channels): the channels of the pair (a, b) are
+        ``channels[start[a * rank + b]:start[a * rank + b + 1]]``."""
+        pairs, chans = np.nonzero(self.N.reshape(self.rank ** 2, self.rank))
+        return np.searchsorted(pairs, np.arange(self.rank ** 2 + 1)), chans
+
+    def fusion_channels(self, x, y):
+        """Every channel of every pair of the label arrays x, y: (i, z) with
+        z in x[i] (x) y[i], ascending in i and then in z."""
+        start, chans = self._channel_csr()
+        pair = x * self.rank + y
+        count = start[pair + 1] - start[pair]
+        i = np.repeat(np.arange(len(pair)), count)
+        within = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+        return i, chans[start[pair][i] + within]
 
     def check_axioms(self):
         """Raise RingAxiomError unless unit, duality, associativity and the
@@ -302,22 +330,29 @@ class CategorySpec:
 
     # -- F/R lookup --------------------------------------------------------
     def f_block(self, a, b, c, d) -> np.ndarray:
-        rows, _, cols, _ = self.ring.f_basis(a, b, c, d)
+        if not (type(a) is type(b) is type(c) is type(d) is int
+                and 0 <= min(a, b, c, d) and max(a, b, c, d) < self.rank):
+            raise InvalidWord(f"F-block labels {(a, b, c, d)} are not "
+                              f"Python ints in [0, {self.rank})")
+        # the lengths of the bases of ``FusionRing.f_basis``
+        N = self.ring.N
+        rows = int(N[a, b].dot(N[:, c, d]))
+        cols = int(N[b, c].dot(N[a, :, d]))
         if not rows or not cols:
-            return np.zeros((len(rows), len(cols)), dtype=np.complex128)
+            return np.zeros((rows, cols), dtype=np.complex128)
         if 0 in (a, b, c):
             # unit strand: both nestings coincide up to the canonical
             # relabelling, which is a bijection of basis vectors
-            if len(rows) != len(cols):
+            if rows != cols:
                 raise NotPremodular(f"unit F-block ({a},{b},{c};{d}) not square")
-            return np.eye(len(rows), dtype=np.complex128)
+            return np.eye(rows, dtype=np.complex128)
         key = (a, b, c, d)
         if key not in self.F:
             raise NotPremodular(f"missing F-symbols for {key}")
         blk = self.F[key]
-        if blk.shape != (len(rows), len(cols)):
+        if blk.shape != (rows, cols):
             raise NotPremodular(f"F-block {key} has shape {blk.shape}, "
-                                f"expected {(len(rows), len(cols))}")
+                                f"expected {(rows, cols)}")
         return blk
 
     @cached("f_tensor")
@@ -360,6 +395,227 @@ class CategorySpec:
 # validation
 
 
+def _encode(labels, rank) -> np.ndarray:
+    """Label columns as one int64 key per row, in base-rank notation."""
+    key = np.zeros(len(labels[0]), dtype=np.int64)
+    for x in labels:
+        key = key * rank + x
+    return key
+
+
+def _changes(values) -> np.ndarray:
+    """Mask of the entries that differ from their predecessor; the first
+    entry does."""
+    out = np.ones(len(values), dtype=bool)
+    out[1:] = values[1:] != values[:-1]
+    return out
+
+
+def _mult(N, x, y, z) -> np.ndarray:
+    """N[x, y, z] for label arrays, read by flat index."""
+    r = len(N)
+    return N.ravel()[(x * r + y) * r + z]
+
+
+def _free(cols, rank):
+    """Every row of the label columns once per label, appended."""
+    return [np.repeat(x, rank) for x in cols] + \
+        [np.tile(np.arange(rank), len(cols[0]))]
+
+
+def _fuse(ring, cols, x, y):
+    """Every row of the label columns once per channel of its labels
+    x (x) y, appended."""
+    i, z = ring.fusion_channels(cols[x], cols[y])
+    return [col[i] for col in cols] + [z]
+
+
+def _stacks(blocks):
+    """(indices, stacked blocks) for each block shape among ``blocks``."""
+    by_shape = {}
+    for i, blk in enumerate(blocks):
+        by_shape.setdefault(blk.shape, []).append(i)
+    for idx in by_shape.values():
+        yield idx, np.stack([blocks[i] for i in idx])
+
+
+def _channel_starts(block, channel, width):
+    """Offset of each row's channel within its block: the total width of
+    the block's lower channels, each distinct channel counted once."""
+    order = np.lexsort((channel, block))
+    b, c, w = block[order], channel[order], width[order]
+    new_block = _changes(b)
+    new = new_block | _changes(c)
+    below = np.cumsum(np.where(new, w, 0)) - w
+    first = np.maximum.accumulate(np.where(new_block, np.arange(len(b)), 0))
+    out = np.empty_like(below)
+    out[order] = below - below[first]
+    return out
+
+
+class _Store(NamedTuple):
+    """Blocks keyed by label tuples, concatenated row-major in one flat
+    array from ``offsets[i]`` on for the i-th key and followed by zeros
+    from ``blank`` on, as many as the largest block has entries.  ``keys``
+    are the label tuples in base-rank notation, ascending; ``dims`` gives,
+    per block axis, the label triple (as positions in the tuple) whose
+    multiplicity is the axis's length."""
+
+    rank: int
+    dims: tuple
+    keys: np.ndarray
+    offsets: np.ndarray
+    blank: int
+    flat: np.ndarray
+
+    def take(self, labels, shape) -> np.ndarray:
+        """The blocks of the label columns, stacked as (n, *shape).  A label
+        tuple without a block reads as zeros and keeps its row."""
+        key = _encode(labels, self.rank)
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        start = np.where(self.keys[pos] == key, self.offsets[pos], self.blank)
+        return self.flat[start[:, None] + np.arange(math.prod(shape))
+                         ].reshape((len(key),) + shape)
+
+
+def _store(rank, dims, keys, sizes, flat) -> _Store:
+    """The store of the blocks concatenated in ``flat`` in key order, with
+    its zeros appended."""
+    pad = np.zeros(int(sizes.max(initial=0)), dtype=np.complex128)
+    return _Store(rank, dims, keys, np.cumsum(sizes) - sizes, len(flat),
+                  np.concatenate([flat, pad]))
+
+
+@cached("f_keys")
+def _f_block_keys(ring: FusionRing):
+    """Label columns (a, b, e, c, d) of the trees of every word (a, b, c) at
+    every root d; and the keys (a, b, c, d) of the F-blocks, ascending, as
+    int codes and as tuples."""
+    r = ring.rank
+    cols = _fuse(ring, _free(_fuse(ring, _free([np.arange(r)], r), 0, 1), r),
+                 2, 3)
+    a, b, _, c, d = cols
+    codes = np.sort(_encode((a, b, c, d), r))
+    codes = codes[_changes(codes)]
+    keys = zip(*(x.tolist() for x in np.unravel_index(codes, (r,) * 4)))
+    return cols, codes, list(keys)
+
+
+@cached("f_blocks")
+def _f_blocks(spec: CategorySpec):
+    """``f_block`` of every F-block key in order up to the first key it
+    refuses, and the refusal's message, or None if it refuses none."""
+    blocks = []
+    for key in _f_block_keys(spec.ring)[2]:
+        try:
+            blocks.append(spec.f_block(*key))
+        except NotPremodular as exc:
+            return blocks, str(exc)
+    return blocks, None
+
+
+@cached("f_store")
+def _f_store(spec: CategorySpec) -> _Store:
+    """Every ``f_tensor`` block, keyed by (a, b, c, d, e, f).
+
+    The F-blocks are concatenated in key order, and each tensor entry
+    [alpha, beta, gamma, delta] is gathered from row (e, alpha, beta) and
+    column (f, gamma, delta) of its block, where channel e starts after the
+    rows of the lower channels and f after their columns.
+    """
+    ring, N, r = spec.ring, spec.ring.N, spec.rank
+    cols, codes, _ = _f_block_keys(ring)
+    blocks, refused = _f_blocks(spec)
+    if refused is not None:
+        raise NotPremodular(refused)
+    block_start = np.cumsum([0] + [blk.size for blk in blocks])
+    block_cols = np.array([blk.shape[1] for blk in blocks], dtype=np.int64)
+    # every tree (a, b, e, c, d) with every column channel f of its block
+    a, b, e, c, d, f = _fuse(ring, cols, 1, 3)
+    keep = _mult(N, a, f, d) > 0
+    labels = [x[keep] for x in (a, b, c, d, e, f)]
+    key = _encode(labels, r)
+    order = np.argsort(key)
+    a, b, c, d, e, f = (x[order] for x in labels)
+    block = np.searchsorted(codes, _encode((a, b, c, d), r))
+    height = _mult(N, a, b, e) * _mult(N, e, c, d)
+    width = _mult(N, b, c, f) * _mult(N, a, f, d)
+    start = (block_start[block]
+             + _channel_starts(block, e, height) * block_cols[block]
+             + _channel_starts(block, f, width))
+    sizes = height * width
+    entry = np.repeat(np.arange(len(sizes)), sizes)
+    within = np.arange(len(entry)) - (np.cumsum(sizes) - sizes)[entry]
+    row, col = np.divmod(within, width[entry])
+    full = np.concatenate([blk.ravel() for blk in blocks])
+    return _store(r, ((0, 1, 4), (4, 2, 3), (1, 2, 5), (0, 5, 3)),
+                  key[order], sizes,
+                  full[start[entry] + row * block_cols[block[entry]] + col])
+
+
+@cached("r_store")
+def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
+    """The braiding c_{x,y}, or with ``inverse`` the inverse braiding
+    c_{y,x}^-1, on every channel z, keyed by (x, y, z).  The inverses are
+    taken on one stack per block shape."""
+    N = spec.ring.N
+    x, y, z = np.nonzero(N)
+    labels = (y, x, z) if inverse else (x, y, z)
+    blocks = [spec.r_block(*key)
+              for key in zip(*(v.tolist() for v in labels))]
+    if inverse:
+        for idx, stack in _stacks(blocks):
+            for i, blk in zip(idx, np.linalg.inv(stack)):
+                blocks[i] = blk
+    return _store(spec.rank, ((1, 0, 2), (0, 1, 2)),
+                  _encode((x, y, z), spec.rank), N[x, y, z] * N[y, x, z],
+                  np.concatenate([blk.ravel() for blk in blocks]))
+
+
+def _groups(columns, base):
+    """(row indices, row) for each distinct row of the columns, whose
+    values lie in [0, base); the indices of a group ascend.
+
+    Rows are sorted by their values packed into one int64 code, in base
+    ``base``; when the next column would overflow the code, the codes so far
+    are first renumbered by rank.
+    """
+    code, span = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for col in columns:
+        if span * base >= 2 ** 63:
+            distinct, code = np.unique(code, return_inverse=True)
+            span = len(distinct)
+        code, span = code * base + col, span * base
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(_changes(code[order])).tolist() + [len(order)]
+    for lo, hi in zip(starts, starts[1:]):
+        yield order[lo:hi], tuple(int(col[order[lo]]) for col in columns)
+
+
+def _accumulate(N, out, offsets, subscripts, factors):
+    """Add np.einsum(subscripts, *blocks) for every row into its slot, the
+    entries of ``out`` from ``offsets[row]`` on.
+
+    ``factors`` holds one (store, label columns) pair per operand.  The
+    rows are grouped by their multiplicity signature, the shapes of their
+    blocks; each group is gathered and contracted at once along a batch
+    axis.  Rows that share a slot are added in row order.
+    """
+    if not len(offsets):
+        return
+    ins, result = subscripts.split("->")
+    batched = ",".join("z" + x for x in ins.split(",")) + "->z" + result
+    ends = np.cumsum([0] + [len(store.dims) for store, _ in factors]).tolist()
+    sig = [_mult(N, labels[i], labels[j], labels[k])
+           for store, labels in factors for i, j, k in store.dims]
+    for idx, shape in _groups(sig, int(N.max()) + 1):
+        blocks = [store.take([x[idx] for x in labels], shape[lo:hi])
+                  for (store, labels), lo, hi
+                  in zip(factors, ends, ends[1:])]
+        prod = np.einsum(batched, *blocks).reshape(len(idx), -1)
+        np.add.at(out, offsets[idx, None] + np.arange(prod.shape[1]), prod)
+
+
 def _pentagon_deviation(spec: CategorySpec) -> float:
     """Max deviation of the pentagon identity over all admissible labels.
 
@@ -371,30 +627,36 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
         = sum_{h,sg,ps,rh} T(a,b,c,g,f,h)[al,bt,sg,ps]
                            T(a,h,d,e,g,k)[ps,gm,rh,mu]
                            T(b,c,d,k,h,l)[sg,rh,nu,lm]
+
+    N[f,l,e] is not required: where it is 0, the 2-move side is an empty
+    sum, so the 3-move side must vanish.
     """
-    ring = spec.ring
-    N = ring.N
-    T = spec.f_tensor
+    ring, N, r = spec.ring, spec.ring.N, spec.rank
+    F = _f_store(spec)
     worst = 0.0
-    for a, b, c, d in itertools.product(range(spec.rank), repeat=4):
-        for f in ring.channels(a, b):
-            for g in ring.channels(f, c):
-                for e in ring.channels(g, d):
-                    for l in ring.channels(c, d):
-                        for k in ring.channels(b, l):
-                            if not N[a, k, e]:
-                                continue
-                            lhs = np.einsum("BGND,ADLM->ABGNLM",
-                                            T(f, c, d, e, g, l),
-                                            T(a, b, l, e, f, k))
-                            rhs = sum(np.einsum("ABSP,PGRM,SRNL->ABGNLM",
-                                                T(a, b, c, g, f, h),
-                                                T(a, h, d, e, g, k),
-                                                T(b, c, d, k, h, l))
-                                      for h in ring.channels(b, c)
-                                      if N[a, h, g] and N[h, d, k])
-                            worst = max_dev(worst, float(np.max(
-                                np.abs(lhs - rhs))))
+    for first in range(r):
+        # f in a (x) b, g in f (x) c, e in g (x) d, l in c (x) d and
+        # k in b (x) l, with e in a (x) k
+        t = _fuse(ring, _free([np.array([first])], r), 0, 1)
+        t = _fuse(ring, _free(_fuse(ring, _free(t, r), 2, 3), r), 4, 5)
+        t = _fuse(ring, _fuse(ring, t, 3, 5), 1, 7)
+        keep = _mult(N, t[0], t[8], t[6]) > 0
+        a, b, f, c, g, d, e, l, k = (x[keep] for x in t)
+        sizes = (_mult(N, a, b, f) * _mult(N, f, c, g) * _mult(N, g, d, e)
+                 * _mult(N, c, d, l) * _mult(N, b, l, k) * _mult(N, a, k, e))
+        offsets = np.cumsum(sizes) - sizes
+        lhs = np.zeros(sizes.sum(), dtype=np.complex128)
+        rhs = np.zeros_like(lhs)
+        _accumulate(N, lhs, offsets, "BGND,ADLM->ABGNLM",
+                    [(F, (f, c, d, e, g, l)), (F, (a, b, l, e, f, k))])
+        i, h = ring.fusion_channels(b, c)
+        keep = (_mult(N, a[i], h, g[i]) > 0) & (_mult(N, h, d[i], k[i]) > 0)
+        i, h = i[keep], h[keep]
+        a, b, c, d, e, f, g, k, l = (x[i] for x in (a, b, c, d, e, f, g, k, l))
+        _accumulate(N, rhs, offsets[i], "ABSP,PGRM,SRNL->ABGNLM",
+                    [(F, (a, b, c, g, f, h)), (F, (a, h, d, e, g, k)),
+                     (F, (b, c, d, k, h, l))])
+        worst = max_dev(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -410,33 +672,59 @@ def _hexagon_deviation(spec: CategorySpec, inverse: bool) -> float:
     multiplicities each R acts on the corresponding multiplicity slot of
     the F-tensor.
     """
-    ring = spec.ring
-    N = ring.N
-    T = spec.f_tensor
-    actions = {}
-
-    def R(x, y, z):
-        """The braiding c_{x,y}, or its inverse, on channel z."""
-        if (x, y, z) not in actions:
-            actions[x, y, z] = np.linalg.inv(spec.r_block(y, x, z)) \
-                if inverse else spec.r_block(x, y, z)
-        return actions[x, y, z]
-
+    ring, N, r = spec.ring, spec.ring.N, spec.rank
+    F = _f_store(spec)
+    R = _r_store(spec, inverse)
     worst = 0.0
-    for a, b, c in itertools.product(range(spec.rank), repeat=3):
-        for e in ring.channels(a, c):
-            for d in ring.channels(e, b):
-                for g in ring.channels(c, b):
-                    if not N[a, g, d]:
-                        continue
-                    lhs = np.einsum("Xa,aBgD,Yg->XBYD", R(c, a, e),
-                                    T(a, c, b, d, e, g), R(c, b, g))
-                    rhs = sum(np.einsum("XBmF,EF,mEYD->XBYD",
-                                        T(c, a, b, d, e, f), R(c, f, d),
-                                        T(a, b, c, d, f, g))
-                              for f in ring.channels(a, b) if N[c, f, d])
-                    worst = max_dev(worst, float(np.max(np.abs(lhs - rhs))))
+    for first in range(r):
+        # e in a (x) c, d in e (x) b and g in c (x) b, with d in a (x) g
+        t = _free(_free([np.array([first])], r), r)
+        t = _fuse(ring, _fuse(ring, _fuse(ring, t, 0, 2), 3, 1), 2, 1)
+        keep = _mult(N, t[0], t[5], t[4]) > 0
+        a, b, c, e, d, g = (x[keep] for x in t)
+        sizes = (_mult(N, a, c, e) * _mult(N, e, b, d) * _mult(N, b, c, g)
+                 * _mult(N, a, g, d))
+        offsets = np.cumsum(sizes) - sizes
+        lhs = np.zeros(sizes.sum(), dtype=np.complex128)
+        rhs = np.zeros_like(lhs)
+        _accumulate(N, lhs, offsets, "Xa,aBgD,Yg->XBYD",
+                    [(R, (c, a, e)), (F, (a, c, b, d, e, g)), (R, (c, b, g))])
+        i, f = ring.fusion_channels(a, b)
+        keep = _mult(N, c[i], f, d[i]) > 0
+        i, f = i[keep], f[keep]
+        a, b, c, d, e, g = (x[i] for x in (a, b, c, d, e, g))
+        _accumulate(N, rhs, offsets[i], "XBmF,EF,mEYD->XBYD",
+                    [(F, (c, a, b, d, e, f)), (R, (c, f, d)),
+                     (F, (a, b, c, d, f, g))])
+        worst = max_dev(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def _f_block_failure(spec: CategorySpec, atol: float):
+    """Why the first F-block in (a, b, c, d) order that is missing,
+    misshapen, not square, not finite or singular fails, or None.  The
+    smallest singular values come from one stacked SVD per block shape."""
+    blocks, refused = _f_blocks(spec)
+    failures = [] if refused is None else [(len(blocks), refused)]
+    for idx, stack in _stacks(blocks):
+        if stack.shape[1] != stack.shape[2]:
+            failures.append((idx[0], "is not square"))
+            continue
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        singular = np.zeros_like(finite)
+        if stack.shape[1] and finite.any():
+            singular[finite] = np.linalg.svd(
+                stack[finite], compute_uv=False)[:, -1] < atol
+        for bad, why in ((~finite, "is not finite"), (singular, "is singular")):
+            if bad.any():
+                failures.append((idx[int(np.argmax(bad))], why))
+    if not failures:
+        return None
+    i, why = min(failures)
+    if i == len(blocks):
+        return why
+    a, b, c, d = _f_block_keys(spec.ring)[2][i]
+    return f"F-block ({a},{b},{c};{d}) {why}"
 
 
 def _ribbon_deviation(spec: CategorySpec) -> float:
@@ -483,26 +771,11 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
                       float(np.max(np.abs(prod - fused))), tol.atol)
 
     # F-block presence / invertibility
-    try:
-        for a, b, c in itertools.product(range(spec.rank), repeat=3):
-            for d in sorted(ring.tree_basis((a, b, c))):
-                blk = spec.f_block(a, b, c, d)
-                if blk.shape[0] != blk.shape[1]:
-                    raise NotPremodular(
-                        f"F-block ({a},{b},{c};{d}) is not square")
-                if not np.isfinite(blk).all():
-                    raise NotPremodular(
-                        f"F-block ({a},{b},{c};{d}) is not finite")
-                if blk.size:
-                    s = np.linalg.svd(blk, compute_uv=False)
-                    if s[-1] < tol.atol:
-                        raise NotPremodular(
-                            f"F-block ({a},{b},{c};{d}) is singular")
-        rep.add_deviation("f_completeness", "F-symbols present and invertible",
-                          0.0, tol.atol)
-    except NotPremodular as exc:
-        rep.add_deviation("f_completeness", "F-symbols present and invertible",
-                          1.0, tol.atol, detail=str(exc))
+    failure = _f_block_failure(spec, tol.atol)
+    rep.add_deviation("f_completeness", "F-symbols present and invertible",
+                      0.0 if failure is None else 1.0, tol.atol,
+                      detail=failure or "")
+    if failure is not None:
         return rep
 
     rep.add_deviation("pentagon", "pentagon identity",

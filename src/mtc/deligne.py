@@ -29,7 +29,7 @@ def _pair_block(B1, B2, rows, cols):
     factor-index pairs (i1, i2): entry (i, j) is B1[r1, c1] * B2[r2, c2]
     with rows[i] = (r1, r2) and cols[j] = (c1, c2)."""
     (r1, r2), (c1, c2) = zip(*rows), zip(*cols)
-    return B1[np.ix_(r1, c1)] * B2[np.ix_(r2, c2)]
+    return B1.take(r1, 0).take(c1, 1) * B2.take(r2, 0).take(c2, 1)
 
 
 def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):

@@ -394,6 +394,7 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
     the letters before it; the letters after it re-index the cached
     generator of the prefix ending at strand p+1.
     """
+    trees(spec, word)  # the word check, before the word is sliced
     n = len(word)
     if not 1 <= p <= n - 1:
         raise PositionOutOfRange(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .category import CategorySpec, cached
 from .engine import (Morphism, block_crossing, double_braiding, embed,
-                     identity, twist_endo)
+                     identity, trees, twist_endo)
 from .report import max_dev
 
 
@@ -31,6 +31,8 @@ def psi(spec: CategorySpec, M_word, X, Y, n: int = 0) -> Morphism:
     with D the monodromy of the indicated split.
     """
     (U, V), (Up, Vp) = X, Y
+    for word in (M_word, U, V, Up, Vp):
+        trees(spec, word)  # the word check, before words are concatenated
     s1 = embed(double_braiding(spec, M_word + U + Up, len(M_word) + len(U), n),
                right=V + Vp)
     s2 = embed(block_crossing(spec, Up + V, len(Up), True),
@@ -48,6 +50,8 @@ def psi_hat(spec: CategorySpec, X, Y, M_word, n: int = 0) -> Morphism:
       id_U (x) [D^n_{V,U'V'M} o (c^-1_{V,U'} (x) id_V'M) o (id_U' (x) D^-n_{V,V'M})]
     """
     (U, V), (Up, Vp) = X, Y
+    for word in (U, V, Up, Vp, M_word):
+        trees(spec, word)  # the word check, before words are concatenated
     s1 = embed(double_braiding(spec, V + Vp + M_word, len(V), -n),
                left=U + Up)
     s2 = embed(block_crossing(spec, Up + V, len(Up), False),

@@ -11,7 +11,7 @@ import pytest
 from mtc.category import CategorySpec
 from mtc.deligne import deligne_power
 from mtc.engine import tree_positions, trees
-from mtc.errors import NotPremodular
+from mtc.errors import InvalidWord, NotPremodular
 
 from conftest import BUILTINS, random_rep_a4
 
@@ -106,3 +106,12 @@ def test_wrong_block_shape_is_refused(spec_of):
                        F, dict(fib.R))
     with pytest.raises(NotPremodular, match="shape"):
         bad.f_block(1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("labels", [(-1, 1, 1, 1), (1, 1, 1, 3),
+                                    (np.int64(1), 1, 1, 1)])
+def test_f_block_refuses_labels_outside_the_rank(spec_of, labels):
+    """A negative label is not read from the end, nor a label past the
+    rank as an IndexError; labels are Python ints, as in words."""
+    with pytest.raises(InvalidWord):
+        spec_of("ising").f_block(*labels)

@@ -1,6 +1,7 @@
 """Skeletal category layer: ring axioms, coherence validation, modular data,
 and the JSON interchange format."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from mtc import get_category, modular_datum, validate_category, verlinde_fusion
 from mtc.builtins import BUILTIN_NAMES
 from mtc.category import (CategorySpec, FusionRing, ToleranceConfig,
-                          _hexagon_deviation, _pentagon_deviation,
+                          _f_store, _groups, _hexagon_deviation,
+                          _pentagon_deviation,
                           dump_category, load_category, modular_group_relations,
                           spec_from_dict, spec_to_dict)
+from mtc.deligne import deligne_power
 from mtc.errors import (CategoryFileError, NotModular, NotPremodular,
                         RingAxiomError, SnapFailure)
 from mtc.report import max_dev
@@ -98,6 +101,91 @@ def test_detuned_symbol_fails_coherence(spec_of, table, intact, broken):
     assert 1e-4 < by_name[broken].max_deviation < 1e-2
 
 
+def _reference_pentagon(spec):
+    """The pentagon as one scalar-loop iteration and one einsum per
+    admissible label tuple, the check's earlier form."""
+    ring = spec.ring
+    N = ring.N
+    T = spec.f_tensor
+    worst = 0.0
+    for a, b, c, d in itertools.product(range(spec.rank), repeat=4):
+        for f in ring.channels(a, b):
+            for g in ring.channels(f, c):
+                for e in ring.channels(g, d):
+                    for l in ring.channels(c, d):
+                        for k in ring.channels(b, l):
+                            if not N[a, k, e]:
+                                continue
+                            lhs = np.einsum("BGND,ADLM->ABGNLM",
+                                            T(f, c, d, e, g, l),
+                                            T(a, b, l, e, f, k))
+                            rhs = sum(np.einsum("ABSP,PGRM,SRNL->ABGNLM",
+                                                T(a, b, c, g, f, h),
+                                                T(a, h, d, e, g, k),
+                                                T(b, c, d, k, h, l))
+                                      for h in ring.channels(b, c)
+                                      if N[a, h, g] and N[h, d, k])
+                            worst = max_dev(worst, float(np.max(
+                                np.abs(lhs - rhs))))
+    return worst
+
+
+def _reference_hexagon(spec, inverse):
+    """A hexagon as one loop iteration per admissible label tuple, the
+    check's earlier form."""
+    ring = spec.ring
+    N = ring.N
+    T = spec.f_tensor
+
+    def R(x, y, z):
+        return np.linalg.inv(spec.r_block(y, x, z)) if inverse \
+            else spec.r_block(x, y, z)
+
+    worst = 0.0
+    for a, b, c in itertools.product(range(spec.rank), repeat=3):
+        for e in ring.channels(a, c):
+            for d in ring.channels(e, b):
+                for g in ring.channels(c, b):
+                    if not N[a, g, d]:
+                        continue
+                    lhs = np.einsum("Xa,aBgD,Yg->XBYD", R(c, a, e),
+                                    T(a, c, b, d, e, g), R(c, b, g))
+                    rhs = sum(np.einsum("XBmF,EF,mEYD->XBYD",
+                                        T(c, a, b, d, e, f), R(c, f, d),
+                                        T(a, b, c, d, f, g))
+                              for f in ring.channels(a, b) if N[c, f, d])
+                    worst = max_dev(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def squares(spec_of):
+    return {name: deligne_power(spec_of(name), 2)
+            for name in ("semion", "fibonacci", "ising", "z_3(1)")}
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "semion^2", "fibonacci^2",
+                                  "ising^2", "z_3(1)^2"])
+def test_batched_coherence_equals_the_loops(spec_of, squares, name):
+    """The batched pentagon and hexagons give the loops' deviations bit
+    for bit on every builtin and on four squares."""
+    spec = squares[name[:-2]] if name.endswith("^2") else spec_of(name)
+    assert _pentagon_deviation(spec) == _reference_pentagon(spec)
+    for inverse in (False, True):
+        assert _hexagon_deviation(spec, inverse) == \
+            _reference_hexagon(spec, inverse)
+
+
+def test_batched_coherence_matches_the_loops_with_multiplicity():
+    """On random data with a fusion multiplicity of 2, where the groups
+    have many multiplicity signatures, the deviations are the loops'."""
+    spec = random_rep_a4()
+    assert _pentagon_deviation(spec) == _reference_pentagon(spec)
+    for inverse in (False, True):
+        assert _hexagon_deviation(spec, inverse) == \
+            _reference_hexagon(spec, inverse)
+
+
 def test_multiplicity_deviations_are_pinned():
     """On random data with a fusion multiplicity of 2, the coherence
     deviations equal those of the scalar loops that summed every
@@ -128,6 +216,76 @@ def test_nan_braiding_fails(spec_of):
     assert by_name["pentagon"].status == "pass"
     assert not rep.passed
     assert np.isnan(rep.max_deviation)
+
+
+def test_store_reads_a_missing_block_as_zeros(spec_of):
+    """A gather keeps every row: a label tuple without a block reads as
+    zeros instead of borrowing the next key's entries.  On fibonacci,
+    (1,1,1,1; 0,1) has a block and (1,1,1,0; 0,1), with N[0,1,0] = 0, has
+    none."""
+    fib = spec_of("fibonacci")
+    store = _f_store(fib)
+    labels = [np.array(x) for x in zip((1, 1, 1, 1, 0, 1),
+                                       (1, 1, 1, 0, 0, 1),
+                                       (1, 1, 1, 1, 0, 1))]
+    got = store.take(labels, (1, 1, 1, 1))
+    want = fib.f_tensor(1, 1, 1, 1, 0, 1)
+    assert got.shape == (3, 1, 1, 1, 1)
+    assert np.array_equal(got[[0, 2]], np.stack([want, want]))
+    assert np.array_equal(got[1], np.zeros((1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+def test_nan_symbol_propagates_through_coherence(spec_of, table):
+    """A NaN symbol read by the pentagon or a hexagon makes its deviation
+    NaN, not the maximum of the finite ones (no completeness check runs
+    first)."""
+    fib = spec_of("fibonacci")
+    F, R = dict(fib.F), dict(fib.R)
+    if table == "F":
+        F[(1, 1, 1, 1)] = F[(1, 1, 1, 1)].copy()
+        F[(1, 1, 1, 1)][1, 0] = np.nan
+    else:
+        R[(1, 1, 1)] = np.array([[np.nan]], dtype=np.complex128)
+    bad = CategorySpec("fibonacci-nan", fib.ring, fib.dims, fib.theta, F, R)
+    if table == "F":
+        assert np.isnan(_pentagon_deviation(bad))
+    for inverse in (False, True):
+        assert np.isnan(_hexagon_deviation(bad, inverse))
+
+
+def test_rank_25_square_is_coherent(spec_of):
+    """validate_category on the z_5(2) square: 390,625 pentagon tuples,
+    enumerated one first label at a time."""
+    rep = validate_category(deligne_power(spec_of("z_5(2)"), 2))
+    assert rep.passed, rep.summary()
+    assert rep.max_deviation < 1e-9
+
+
+def test_groups_renumber_codes_that_would_overflow():
+    """Rows are grouped by their values packed into one int64; a column
+    that would overflow the packed code first has the codes renumbered."""
+    cols = [np.array([5, 2 ** 40, 5, 7]), np.array([1, 1, 1, 0]),
+            np.array([3, 3, 3, 3])]
+    got = [(idx.tolist(), row) for idx, row in _groups(cols, 2 ** 41)]
+    assert got == [([0, 2], (5, 1, 3)), ([3], (7, 0, 3)),
+                   ([1], (2 ** 40, 1, 3))]
+
+
+def test_f_store_holds_every_f_tensor():
+    """Every block of the F store is the ``f_tensor`` of its labels, on data
+    with a fusion multiplicity of 2, and no other label tuple has one."""
+    spec = random_rep_a4()
+    store = _f_store(spec)
+    r = spec.rank
+    labels = [key for key in itertools.product(range(r), repeat=6)
+              if spec.f_tensor(*key).size]
+    codes = [int(np.ravel_multi_index(key, (r,) * 6)) for key in labels]
+    assert store.keys.tolist() == codes
+    for key in labels:
+        want = spec.f_tensor(*key)
+        got = store.take([np.array([x]) for x in key], want.shape)[0]
+        assert np.array_equal(got, want)
 
 
 def test_nan_f_symbol_fails_completeness(spec_of):

@@ -467,6 +467,14 @@ def test_list_words_are_refused_by_a_warm_cache():
         block_crossing(spec, [1, 1], 1)
 
 
+def test_list_words_are_refused_by_braid_generator():
+    """A list word raises InvalidWord on a fresh spec, where no cached
+    generator holds its crossing."""
+    spec = get_category("ising")
+    with pytest.raises(InvalidWord):
+        braid_generator(spec, [1, 1], 1)
+
+
 def test_spellings_of_one_call_share_a_cache_entry():
     """Defaults are filled in and keywords put in their positions, so the
     short, full and keyword calls are one entry and one object."""

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mtc import get_category
 from mtc.engine import block_crossing, embed, identity
 from mtc.errors import InvalidWord
 from mtc.modcat import (alpha_functor_deviation, alpha_induction,
@@ -31,6 +32,14 @@ def test_module_words_outside_the_rank_are_refused(spec_of, label):
         psi(spec, (label,), X, Y)
     with pytest.raises(InvalidWord):
         module_pentagon_deviation(spec, (label,), X, Y, Z, 0)
+
+
+def test_list_words_are_refused_by_psi():
+    """A list word raises InvalidWord before it is concatenated, on a
+    fresh spec."""
+    spec = get_category("ising")
+    with pytest.raises(InvalidWord):
+        psi(spec, [1], ([1], [1]), ((), ()), 0)
 
 
 # ---------------------------------------------------------------------------
