@@ -19,7 +19,8 @@ the canonical identity and is not stored.
 
 The bases depend on the fusion rules alone, so each has one order, owned
 by ``FusionRing``: ``tree_basis`` lists the left-nested trees of a word per
-root, ``split_basis`` the tree pairs of u (x) v fused to a root, and
+root, ``sum_basis`` concatenates them over the summands of a direct sum
+of words, ``split_basis`` the tree pairs of u (x) v fused to a root, and
 ``f_basis`` takes the F-rows from the trees of (a, b, c) and the F-columns
 from the pairs of (a) (x) (b, c).  Each list comes with its label ->
 position map (``tree_positions`` for trees) and is built once per ring and
@@ -46,13 +47,14 @@ the owner's ``_cache`` per table: the ring's ``tree_pos``, ``f_basis``,
 ``channel_csr`` and ``f_keys``, a product ring's ``ptree_map``, a spec's
 ``f_tensor``, ``f_blocks``, ``f_store`` and ``r_store`` and the engine and
 module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and
-``proj``.  Only ``tree_basis`` keeps its ``trees`` section by hand, since it
-checks the word on every call.
+``proj``.  Only ``tree_basis`` and ``sum_basis`` keep their ``trees`` and
+``sums`` sections by hand, since they check every word on every call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -136,7 +138,7 @@ class FusionRing:
         self.dual.setflags(write=False)
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
-        self._cache = {"trees": {}}
+        self._cache = {"trees": {}, "sums": {}}
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
@@ -181,11 +183,12 @@ class FusionRing:
                 if self.N[i, j, 0] != (1 if j == self.dual[i] else 0):
                     raise RingAxiomError(
                         f"duality fails: N[{i},{j},0] != delta(j, dual({i}))")
-        # associativity: sum_e N_ab^e N_ec^d == sum_f N_bc^f N_af^d
-        lhs = np.einsum("abe,ecd->abcd", self.N, self.N)
-        rhs = np.einsum("bcf,afd->abcd", self.N, self.N)
-        if not np.array_equal(lhs, rhs):
-            raise RingAxiomError("fusion associativity fails")
+        # associativity: sum_e N_ab^e N_ec^d == sum_f N_bc^f N_af^d, one
+        # first label a at a time, so that memory stays at rank^3
+        for Na in self.N:
+            if not np.array_equal((Na @ self.N.reshape(r, r * r)).reshape(
+                    r, r, r), self.N @ Na):
+                raise RingAxiomError("fusion associativity fails")
         # braided data requires a commutative ring
         if not np.array_equal(self.N, self.N.transpose(1, 0, 2)):
             raise RingAxiomError("fusion ring is not commutative")
@@ -249,6 +252,22 @@ class FusionRing:
             for root in hit:
                 hit[root].sort()
         cache[word] = hit
+        return hit
+
+    def sum_basis(self, words):
+        """Basis of the direct sum of a tuple of words, {root: offsets}: at
+        root c, the summands' trees at c concatenated in summand order, with
+        summand s at positions offsets[s] to offsets[s + 1].  Every summand
+        goes through the word check of ``tree_basis`` on every call."""
+        for word in words:
+            self.tree_basis(word)
+        hit = self._cache["sums"].get(words)
+        if hit is None:
+            bases = [self.tree_basis(w) for w in words]
+            hit = self._cache["sums"][words] = {
+                c: tuple(itertools.accumulate(
+                    (len(b.get(c, ())) for b in bases), initial=0))
+                for c in sorted(set().union(*bases))}
         return hit
 
     @cached("tree_pos")

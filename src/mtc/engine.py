@@ -5,26 +5,30 @@ checks words: ``FusionRing.tree_basis`` checks each word and raises
 ``InvalidWord`` (or ``WordTooLong``), and every word reaches it before a
 basis is used.
 
-A morphism between tensor words w -> w' is stored per simple root c as a
-matrix over the left-nested fusion-tree bases of Hom(w, c) and Hom(w', c).
+A morphism src -> dst is stored per simple root c as a matrix over the
+bases of Hom(src, c) and Hom(dst, c).  An endpoint is a word, with the
+left-nested fusion-tree basis, or a direct sum of words given as a tuple of
+words, with its summands' trees concatenated in summand order;
+``_summands`` reads a word as a sum of one, so both share every code path.
 A tree for a word of length n is a pair (labels, mults) with labels the
 intermediate charges (A_2, ..., A_n) and mults the fusion-vertex
-multiplicities; A_1 = w_1 and A_0 = 0 are implicit.  Trees with a common
-root are ordered lexicographically by (labels, mults).  The engine reads
-every basis and its positions from their one owner, the spec's
-``FusionRing`` in ``mtc.category``: ``tree_basis``, ``split_basis`` and
-``f_basis``.  What depends on F and R is memoised on the spec by
-``category.cached``, one section per table: ``finv``, ``split``,
-``whisker_right``, ``whisker_left``, ``braid_gen``, ``block_crossing``,
-``double_braiding`` and ``cap_scale``.
+multiplicities; A_1 = w_1 and A_0 = 0 are implicit, and trees with a common
+root are ordered by (labels, mults).  Every basis and its positions come
+from their one owner, the spec's ``FusionRing`` in ``mtc.category``:
+``tree_basis``, ``sum_basis``, ``split_basis`` and ``f_basis``.  What
+depends on F and R is memoised on the spec by ``category.cached``, one
+section per table: ``finv``, ``split``, ``whisker_right``,
+``whisker_left``, ``braid_gen``, ``block_crossing``, ``double_braiding``
+and ``cap_scale``.
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
-multiplication.  Right whiskering f (x) id_v leaves the tail of every
-left-nested tree untouched, so it is a re-indexing of f's blocks by a
-cached gather.  Left whiskering id_u (x) g places g's blocks in the split
-basis of the cut by a cached gather and conjugates by the cached split
-transforms.  ``tensor`` is their composite (f (x) id) o (id (x) g), and
+multiplication, which also sums over the summands in between.  Right
+whiskering f (x) id_v leaves the tail of every left-nested tree untouched,
+so it is a re-indexing of f's blocks by a cached gather.  Left whiskering
+id_u (x) g places g's blocks in the split bases of the cuts by a cached
+gather and conjugates by the cached split transforms of the summands,
+block-diagonally.  ``tensor`` is their composite (f (x) id) o (id (x) g), and
 ``embed`` applies them directly.  An elementary braiding is the R-blocks
 of its two letters whiskered into the word, so ``split_transform`` is the
 one place that applies F-moves.  Duality morphisms go through a calibrated
@@ -56,6 +60,21 @@ def tree_positions(spec: CategorySpec, word):
     return spec.ring.tree_positions(word)
 
 
+def _summands(obj):
+    """The summand words of a morphism endpoint; a word is a sum of one."""
+    return obj if type(obj) is tuple and obj and type(obj[0]) is tuple \
+        else (obj,)
+
+
+def _juxtapose(x, y):
+    """The endpoint x (x) y: two words concatenated, otherwise the sum of
+    every summand of x followed by every summand of y, x's index major."""
+    xs, ys = _summands(x), _summands(y)
+    if xs is not x and ys is not y:  # two words
+        return x + y
+    return tuple([a + b for a in xs for b in ys])
+
+
 @cached("finv")
 def _finv(spec, a, b, c, d):
     return np.linalg.inv(spec.f_block(a, b, c, d))
@@ -66,7 +85,8 @@ def _finv(spec, a, b, c, d):
 
 
 class Morphism:
-    """Linear map between the tensor products of two words."""
+    """Linear map between two endpoints, each a word or a direct sum of
+    words given as a tuple of words."""
 
     __slots__ = ("spec", "src", "dst", "blocks")
 
@@ -74,16 +94,16 @@ class Morphism:
         self.spec = spec
         self.src = src
         self.dst = dst
-        tsrc = trees(spec, src)
-        tdst = trees(spec, dst)
-        roots = set(tsrc) & set(tdst)
+        bsrc = spec.ring.sum_basis(_summands(src))
+        bdst = spec.ring.sum_basis(_summands(dst))
+        roots = bsrc.keys() & bdst.keys()
         stray = set(blocks) - roots
         if stray:
             raise ShapeMismatch(f"blocks at roots {sorted(stray)} that "
                                 f"{src} and {dst} do not share")
         full = {}
         for c in roots:
-            shape = (len(tdst[c]), len(tsrc[c]))
+            shape = (bdst[c][-1], bsrc[c][-1])
             blk = blocks.get(c)
             if blk is None:
                 blk = np.zeros(shape, dtype=np.complex128)
@@ -109,7 +129,7 @@ class Morphism:
             return NotImplemented
         if other.dst != self.src:
             raise ShapeMismatch(
-                f"cannot compose: inner words {other.dst} != {self.src}")
+                f"cannot compose: inner endpoints {other.dst} != {self.src}")
         blocks = {c: self.blocks[c] @ other.blocks[c]
                   for c in set(self.blocks) & set(other.blocks)}
         return Morphism(self.spec, other.src, self.dst, blocks)
@@ -156,10 +176,29 @@ class Morphism:
         return f"Morphism({self.src} -> {self.dst})"
 
 
-def identity(spec: CategorySpec, word) -> Morphism:
-    return Morphism(spec, word, word,
-                    {c: np.eye(len(ts), dtype=np.complex128)
-                     for c, ts in trees(spec, word).items()})
+def identity(spec: CategorySpec, obj) -> Morphism:
+    basis = spec.ring.sum_basis(_summands(obj))
+    return Morphism.trusted(spec, obj, obj,
+                            {c: np.eye(off[-1], dtype=np.complex128)
+                             for c, off in basis.items()})
+
+
+def direct_sum(spec: CategorySpec, src, dst, comps) -> Morphism:
+    """The morphism src -> dst whose component from summand s of src to
+    summand d of dst is the word morphism comps[d, s], and 0 where comps
+    has none."""
+    out = Morphism(spec, src, dst, {})
+    S, D = _summands(src), _summands(dst)
+    bsrc, bdst = spec.ring.sum_basis(S), spec.ring.sum_basis(D)
+    for (d, s), m in comps.items():
+        if not (0 <= d < len(D) and 0 <= s < len(S)) \
+                or (m.src, m.dst) != (S[s], D[d]):
+            raise ShapeMismatch(f"component ({d}, {s}) maps {m.src} -> "
+                                f"{m.dst}, not a summand of {src} -> {dst}")
+        for c, blk in m.blocks.items():
+            out.blocks[c][bdst[c][d]:bdst[c][d + 1],
+                          bsrc[c][s]:bsrc[c][s + 1]] = blk
+    return out
 
 
 def as_scalar(m: Morphism) -> complex:
@@ -234,30 +273,44 @@ def _cut(tree, k, word):
     """Split a tree of the word after its first k letters into (root of
     those letters, their subtree, tail).  The tail is the rest of the tree,
     which a map on the first k letters never touches; for k = 0 the empty
-    prefix has root 0 and the first letter enters the tail as
+    prefix has root 0 and the first letter, if any, enters the tail as
     0 (x) w_1 -> w_1."""
     L, M = tree
     if k == 0:
-        return 0, ((), ()), ((word[0],) + L, (0,) + M)
+        return 0, ((), ()), (word[:1] + L, (0,)[:len(word)] + M)
     a = word[0] if k == 1 else L[k - 2]
     return a, (L[:k - 1], M[:k - 1]), (L[k - 1:], M[k - 1:])
 
 
-def _block_offsets(tsrc, tdst):
-    """Sorted common roots of two tree bases and each root block's offset
-    in the row-major concatenation of the blocks in that order."""
-    roots = sorted(set(tsrc) & set(tdst))
+def _layout(spec: CategorySpec, S, D):
+    """(bases of the sums S and D, their sorted common roots, each root
+    block's offset in the blocks' row-major concatenation, total size)."""
+    bsrc, bdst = spec.ring.sum_basis(S), spec.ring.sum_basis(D)
+    roots = sorted(bsrc.keys() & bdst.keys())
     offsets, n = {}, 0
     for c in roots:
         offsets[c] = n
-        n += len(tdst[c]) * len(tsrc[c])
-    return roots, offsets, n
+        n += bdst[c][-1] * bsrc[c][-1]
+    return bsrc, bdst, roots, offsets, n
+
+
+def _block_diag(mats):
+    """The block-diagonal matrix of square matrices; one is itself."""
+    if len(mats) == 1:
+        return mats[0]
+    ends = np.cumsum([len(m) for m in mats])
+    out = np.zeros((ends[-1], ends[-1]), dtype=np.complex128)
+    for m, end in zip(mats, ends):
+        out[end - len(m):end, end - len(m):end] = m
+    return out
 
 
 class _Plan(NamedTuple):
-    """A cached whiskering: a gather from the input's blocks, concatenated
-    row-major in the order of ``roots``, into one flat output array."""
+    """A cached whiskering into src -> dst: a gather from the input's blocks,
+    concatenated row-major in the order of ``roots``, into one flat array."""
 
+    src: tuple
+    dst: tuple
     roots: tuple
     size: int
     idx: np.ndarray  # [output offsets, input offsets], one pair per entry
@@ -274,66 +327,81 @@ def _gather(m: Morphism, plan: _Plan) -> np.ndarray:
 
 @cached("whisker_right")
 def _right_plan(spec, src, dst, v):
-    """Plan of f (x) id_v for f : src -> dst.  An output entry is f's entry
-    between the subtrees of the first letters when both trees have the same
-    root there and the same tail after it, and 0 otherwise."""
-    sword, dword = src + v, dst + v
-    tsrc, tdst = trees(spec, sword), trees(spec, dword)
-    tf_src = trees(spec, src)
-    psrc, pdst = tree_positions(spec, src), tree_positions(spec, dst)
-    roots, f_off, _ = _block_offsets(tf_src, trees(spec, dst))
-    out_roots, out_off, size = _block_offsets(tsrc, tdst)
-    out_idx, in_idx, layout = [], [], []
-    for c in out_roots:
-        shape = (len(tdst[c]), len(tsrc[c]))
-        by_tail = {}
-        for j, tree in enumerate(tsrc[c]):
-            a, sub, tail = _cut(tree, len(src), sword)
-            by_tail.setdefault((a, tail), []).append((j, psrc[a][sub]))
-        for i, tree in enumerate(tdst[c]):
-            a, sub, tail = _cut(tree, len(dst), dword)
-            cols = by_tail.get((a, tail))
-            if cols is None:
-                continue
-            row = out_off[c] + i * shape[1]
-            frow = f_off[a] + pdst[a][sub] * len(tf_src[a])
-            for j, jf in cols:
-                out_idx.append(row + j)
-                in_idx.append(frow + jf)
-        layout.append((c, out_off[c]) + shape)
-    return _Plan(tuple(roots), size,
-                 np.array([out_idx, in_idx], dtype=np.intp), tuple(layout))
+    """Plan of f (x) id_v for f : src -> dst.  The output's component from
+    summand (s, t) to (d, t) is f's from s to d whiskered by summand t of v,
+    and 0 between different t: an entry is f's entry between the subtrees
+    of the first letters when both have the same root and the same tail."""
+    S, D, V = _summands(src), _summands(dst), _summands(v)
+    out_src, out_dst = _juxtapose(src, v), _juxtapose(dst, v)
+    out_S, out_D = _summands(out_src), _summands(out_dst)
+    fsrc, fdst, roots, f_off, _ = _layout(spec, S, D)
+    osrc, odst, out_roots, out_off, size = _layout(spec, out_S, out_D)
+    by_tail = {}  # (root, t, subtree root, tail) -> [(output column, f's)]
+    for k, word in enumerate(out_S):
+        s, t = divmod(k, len(V))
+        pos = tree_positions(spec, S[s])
+        for c, ts in trees(spec, word).items():
+            for j, tree in enumerate(ts, osrc[c][k]):
+                a, sub, tail = _cut(tree, len(S[s]), word)
+                by_tail.setdefault((c, t, a, tail), []).append(
+                    (j, fsrc[a][s] + pos[a][sub]))
+    out_idx, in_idx = [], []
+    for k, word in enumerate(out_D):
+        d, t = divmod(k, len(V))
+        pos = tree_positions(spec, D[d])
+        for c, ts in trees(spec, word).items():
+            for i, tree in enumerate(ts, odst[c][k]):
+                a, sub, tail = _cut(tree, len(D[d]), word)
+                cols = by_tail.get((c, t, a, tail))
+                if cols is None:
+                    continue
+                row = out_off[c] + i * osrc[c][-1]
+                frow = f_off[a] + (fdst[a][d] + pos[a][sub]) * fsrc[a][-1]
+                for j, jf in cols:
+                    out_idx.append(row + j)
+                    in_idx.append(frow + jf)
+    return _Plan(out_src, out_dst, tuple(roots), size,
+                 np.array([out_idx, in_idx], dtype=np.intp),
+                 tuple((c, out_off[c], odst[c][-1], osrc[c][-1])
+                       for c in out_roots))
 
 
 @cached("whisker_left")
 def _left_plan(spec, u, src, dst):
-    """Plan of id_u (x) g for g : src -> dst.  The gather fills, root by
-    root, the matrix in the split bases of the cut that equals
-    kron(id, g_b) on the columns (a, si, b, ti, mu) of each (a, b, mu); the
-    layout adds the cached split transforms Md and Ms of the target and
-    source words."""
-    sword, dword = u + src, u + dst
-    ssrc = split_transform(spec, sword, len(u))
-    sdst = split_transform(spec, dword, len(u))
-    tg_src, tg_dst = trees(spec, src), trees(spec, dst)
-    roots, g_off, _ = _block_offsets(tg_src, tg_dst)
-    out_roots, out_off, size = _block_offsets(trees(spec, sword),
-                                              trees(spec, dword))
-    out_idx, in_idx, layout = [], [], []
-    for c in out_roots:
-        Ms, cols_s, _ = ssrc[c]
-        Md, cols_d, colpos_d = sdst[c]
-        for j, (a, si, b, ti, mu) in enumerate(cols_s):
-            if b not in g_off:
-                continue
-            width = len(tg_src[b])
-            for td in range(len(tg_dst[b])):
-                out_idx.append(out_off[c] + colpos_d[(a, si, b, td, mu)]
-                               * len(cols_s) + j)
-                in_idx.append(g_off[b] + td * width + ti)
-        layout.append((c, out_off[c], len(cols_d), len(cols_s), Md, Ms))
-    return _Plan(tuple(roots), size,
-                 np.array([out_idx, in_idx], dtype=np.intp), tuple(layout))
+    """Plan of id_u (x) g for g : src -> dst.  The output's component from
+    summand (q, e) to (q, d) is g's from e to d whiskered by summand q of u,
+    and 0 between different q.  The gather fills, root by root, the matrix
+    in the split bases of the cuts that equals kron(id, g_b) on the columns
+    (a, si, b, ti, mu) of each (a, b, mu); the layout adds the cached split
+    transforms Md and Ms of the output's summands, block-diagonally."""
+    U, S, D = _summands(u), _summands(src), _summands(dst)
+    out_src, out_dst = _juxtapose(u, src), _juxtapose(u, dst)
+    gsrc, gdst, roots, g_off, _ = _layout(spec, S, D)
+    osrc, odst, out_roots, out_off, size = _layout(
+        spec, _summands(out_src), _summands(out_dst))
+    ssrc = [split_transform(spec, w + x, len(w)) for w in U for x in S]
+    sdst = [split_transform(spec, w + y, len(w)) for w in U for y in D]
+    out_idx, in_idx = [], []
+    for k, split in enumerate(ssrc):
+        q, e = divmod(k, len(S))
+        for c, (_, cols_s, _) in split.items():
+            for j, (a, si, b, ti, mu) in enumerate(cols_s):
+                if b not in g_off:
+                    continue
+                for d in range(len(D)):
+                    kd, n0 = q * len(D) + d, gdst[b][d]
+                    for td in range(gdst[b][d + 1] - n0):
+                        row = odst[c][kd] + sdst[kd][c][2][(a, si, b, td, mu)]
+                        out_idx.append(out_off[c] + row * osrc[c][-1]
+                                       + osrc[c][k] + j)
+                        in_idx.append(g_off[b] + (n0 + td) * gsrc[b][-1]
+                                      + gsrc[b][e] + ti)
+    return _Plan(out_src, out_dst, tuple(roots), size,
+                 np.array([out_idx, in_idx], dtype=np.intp),
+                 tuple((c, out_off[c], odst[c][-1], osrc[c][-1],
+                        _block_diag([t[c][0] for t in sdst if c in t]),
+                        _block_diag([t[c][0] for t in ssrc if c in t]))
+                       for c in out_roots))
 
 
 def _whisker_right(f: Morphism, v) -> Morphism:
@@ -342,7 +410,7 @@ def _whisker_right(f: Morphism, v) -> Morphism:
         return f
     plan = _right_plan(f.spec, f.src, f.dst, v)
     flat = _gather(f, plan)
-    return Morphism.trusted(f.spec, f.src + v, f.dst + v,
+    return Morphism.trusted(f.spec, plan.src, plan.dst,
                             {c: flat[o:o + r * k].reshape(r, k)
                              for c, o, r, k in plan.layout})
 
@@ -354,7 +422,7 @@ def _whisker_left(u, g: Morphism) -> Morphism:
     plan = _left_plan(g.spec, u, g.src, g.dst)
     flat = _gather(g, plan)
     return Morphism.trusted(
-        g.spec, u + g.src, u + g.dst,
+        g.spec, plan.src, plan.dst,
         {c: np.linalg.solve(Md.T, flat[o:o + r * k].reshape(r, k) @ Ms.T)
          for c, o, r, k, Md, Ms in plan.layout})
 

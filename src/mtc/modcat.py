@@ -15,8 +15,18 @@ from __future__ import annotations
 
 from .category import CategorySpec, cached
 from .engine import (Morphism, block_crossing, double_braiding, embed,
-                     identity, trees, twist_endo)
+                     identity, twist_endo)
 from .report import max_dev
+
+
+def _checked(spec, M_word, *pairs):
+    """The pairs (U, V) of words, after the word check of M_word and of each
+    of their words, which comes before any of them is concatenated."""
+    spec.ring.tree_basis(M_word)
+    for U, V in pairs:
+        spec.ring.tree_basis(U)
+        spec.ring.tree_basis(V)
+    return pairs
 
 
 @cached("psi")
@@ -30,9 +40,7 @@ def psi(spec: CategorySpec, M_word, X, Y, n: int = 0) -> Morphism:
 
     with D the monodromy of the indicated split.
     """
-    (U, V), (Up, Vp) = X, Y
-    for word in (M_word, U, V, Up, Vp):
-        trees(spec, word)  # the word check, before words are concatenated
+    (U, V), (Up, Vp) = _checked(spec, M_word, X, Y)
     s1 = embed(double_braiding(spec, M_word + U + Up, len(M_word) + len(U), n),
                right=V + Vp)
     s2 = embed(block_crossing(spec, Up + V, len(Up), True),
@@ -49,9 +57,7 @@ def psi_hat(spec: CategorySpec, X, Y, M_word, n: int = 0) -> Morphism:
 
       id_U (x) [D^n_{V,U'V'M} o (c^-1_{V,U'} (x) id_V'M) o (id_U' (x) D^-n_{V,V'M})]
     """
-    (U, V), (Up, Vp) = X, Y
-    for word in (U, V, Up, Vp, M_word):
-        trees(spec, word)  # the word check, before words are concatenated
+    (U, V), (Up, Vp) = _checked(spec, M_word, X, Y)
     s1 = embed(double_braiding(spec, V + Vp + M_word, len(V), -n),
                left=U + Up)
     s2 = embed(block_crossing(spec, Up + V, len(Up), False),
@@ -63,7 +69,7 @@ def psi_hat(spec: CategorySpec, X, Y, M_word, n: int = 0) -> Morphism:
 
 def gamma(spec: CategorySpec, M_word, X) -> Morphism:
     """Twist mismatch gamma_{M,X} = [theta^-1_{M(x)U} o (theta_M (x) id_U)] (x) id_V."""
-    U, V = X
+    [(U, V)] = _checked(spec, M_word, X)
     g = twist_endo(spec, M_word + U, -1) \
         @ embed(twist_endo(spec, M_word, 1), right=U)
     return embed(g, right=V)
@@ -80,6 +86,7 @@ def extract_twist(spec: CategorySpec, U_word) -> Morphism:
 def module_commutor(spec: CategorySpec, M_word, U_word, V_word) -> Morphism:
     """Gamma_M = [(c_{V,M} o c_{M,V}) (x) id_U] o (id_M (x) c_{U,V})
     from (M, U, V) to (M, V, U)."""
+    _checked(spec, M_word, (U_word, V_word))
     s1 = embed(block_crossing(spec, U_word + V_word, len(U_word), True),
                left=M_word)
     s2 = embed(double_braiding(spec, M_word + V_word, len(M_word), 1),
@@ -108,26 +115,6 @@ def alpha_induction(spec: CategorySpec, M_word, X, Y, sign: str = "+"
     return psi(spec, M_word, X, Y, 0) @ mid @ back
 
 
-def mixed_associator(spec: CategorySpec, X, M_word, Y, n: int = 0,
-                     nhat: int = 0) -> Morphism:
-    """Bimodule mixed associator (X . M) . Y -> X . (M . Y) on the word
-    (U, V, M, U', V'), as an endomorphism.
-
-    Built from the two generator families: the right-action twist
-    D^-n_{XM,U'} (x) id_V' and the left-action twist id_U (x)
-    D^nhat_{V,MU'V'}, composed left family after right family.  Both
-    exponents zero give the identity.
-    """
-    (U, V), (Up, Vp) = X, Y
-    xm = U + V + M_word
-    right_part = embed(double_braiding(spec, xm + Up, len(xm), -n),
-                       right=Vp)
-    myv = M_word + Up + Vp
-    left_part = embed(double_braiding(spec, V + myv, len(V), nhat),
-                      left=U)
-    return left_part @ right_part
-
-
 # ---------------------------------------------------------------------------
 # coherence deviations
 
@@ -135,7 +122,7 @@ def mixed_associator(spec: CategorySpec, X, M_word, Y, n: int = 0,
 def module_pentagon_deviation(spec, M_word, X, Y, Z, n: int = 0) -> float:
     """Right pentagon: psi_{M.X,Y,Z} o psi_{M,X,Y(x)Z} against
     (psi_{M,X,Y} . id_Z) o psi_{M,X(x)Y,Z}."""
-    (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
+    (U1, V1), (U2, V2), (U3, V3) = _checked(spec, M_word, X, Y, Z)
     lhs = psi(spec, M_word + U1 + V1, Y, Z, n) \
         @ psi(spec, M_word, X, (U2 + U3, V2 + V3), n)
     rhs = embed(psi(spec, M_word, X, Y, n), right=U3 + V3) \
@@ -145,7 +132,7 @@ def module_pentagon_deviation(spec, M_word, X, Y, Z, n: int = 0) -> float:
 
 def left_module_pentagon_deviation(spec, X, Y, Z, M_word, n: int = 0) -> float:
     """Left pentagon for psi_hat."""
-    (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
+    (U1, V1), (U2, V2), (U3, V3) = _checked(spec, M_word, X, Y, Z)
     lhs = psi_hat(spec, X, Y, U3 + V3 + M_word, n) \
         @ psi_hat(spec, (U1 + U2, V1 + V2), Z, M_word, n)
     rhs = embed(psi_hat(spec, Y, Z, M_word, n), left=U1 + V1) \
@@ -155,7 +142,7 @@ def left_module_pentagon_deviation(spec, X, Y, Z, M_word, n: int = 0) -> float:
 
 def module_triangle_deviation(spec, M_word, X, n: int = 0) -> float:
     """psi_{M,1,X} and psi_{M,X,1} must both be identities."""
-    U, V = X
+    [(U, V)] = _checked(spec, M_word, X)
     unit = ((), ())
     ident = identity(spec, M_word + U + V)
     return max_dev(psi(spec, M_word, unit, X, n).deviation(ident),
@@ -167,7 +154,7 @@ def gamma_functor_deviation(spec, M_word, X, Y, n: int = 0) -> float:
 
       (gamma_{M,X} . id_Y) o gamma_{M.X,Y} o psi^(n) = psi^(n+1) o gamma_{M,X(x)Y}
     """
-    (U1, V1), (U2, V2) = X, Y
+    (U1, V1), (U2, V2) = _checked(spec, M_word, X, Y)
     lhs = embed(gamma(spec, M_word, X), right=U2 + V2) \
         @ gamma(spec, M_word + U1 + V1, Y) \
         @ psi(spec, M_word, X, Y, n)
@@ -190,7 +177,7 @@ def psi_from_gamma(spec, M_word, X, Y, n: int) -> Morphism:
 
 def psi_shortcut_deviation(spec, M_word, X, Y) -> float:
     """psi^(0) must be a bare crossing and psi^(1) the inverse crossing."""
-    (U, V), (Up, Vp) = X, Y
+    (U, V), (Up, Vp) = _checked(spec, M_word, X, Y)
     short0 = embed(block_crossing(spec, Up + V, len(Up), True),
                    left=M_word + U, right=Vp)
     short1 = embed(block_crossing(spec, Up + V, len(Up), False),
@@ -205,7 +192,7 @@ def alpha_functor_deviation(spec, M_word, X, Y, Z, sign: str = "+") -> float:
       (gamma^X_{M,Y} . id_Z) o gamma^X_{M.Y,Z}
         = psi^(0)_{M.X,Y,Z} o gamma^X_{M,Y(x)Z} o (psi^(0)_{M,Y,Z}^-1 . id_X)
     """
-    (U1, V1), (U2, V2), (U3, V3) = X, Y, Z
+    (U1, V1), (U2, V2), (U3, V3) = _checked(spec, M_word, X, Y, Z)
     lhs = embed(alpha_induction(spec, M_word, X, Y, sign),
                 right=U3 + V3) \
         @ alpha_induction(spec, M_word + U2 + V2, X, Z, sign)

@@ -68,6 +68,20 @@ def test_bad_dual_rejected():
         FusionRing(N, [1, 0]).check_axioms()
 
 
+def test_non_associative_ring_rejected():
+    """Unit and duality hold, but (1 x 2) x 2 = 0 + 1 + 2 while
+    1 x (2 x 2) = 1."""
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    eye = np.eye(3, dtype=np.int64)
+    N[0] = eye
+    N[:, 0, :] = eye
+    N[1, 1] = [1, 0, 1]
+    N[1, 2] = N[2, 1] = [0, 1, 1]
+    N[2, 2] = [1, 0, 0]
+    with pytest.raises(RingAxiomError, match="fusion associativity fails"):
+        FusionRing(N, [0, 1, 2]).check_axioms()
+
+
 # ---------------------------------------------------------------------------
 # coherence validation
 

@@ -9,12 +9,13 @@ import pytest
 from mtc import get_category, modular_datum
 from mtc.engine import (MAX_WORD_LENGTH, Morphism, as_scalar, block_crossing,
                         braid_generator, cap, cap_twisted, cup,
-                        cup_twisted, double_braiding, dual_word, embed,
-                        identity, nested_cap, nested_cup, split_transform,
-                        tensor, trace_diagrammatic, trace_formula,
-                        tree_positions, trees, twist_endo)
+                        cup_twisted, direct_sum, double_braiding, dual_word,
+                        embed, identity, nested_cap, nested_cup,
+                        split_transform, tensor, trace_diagrammatic,
+                        trace_formula, tree_positions, trees, twist_endo)
 from mtc.errors import (InvalidWord, PositionOutOfRange, ShapeMismatch,
                         TraceOnNonEndomorphism, WordTooLong)
+from mtc.frobenius import PermutationAlgebra
 
 from conftest import BUILTINS, random_rep_a4
 
@@ -255,6 +256,121 @@ def test_whiskering_matches_reference_tensor(spec_of, name):
                                _reference_tensor(f, id_v)) < 1e-12
         assert _relative_error(embed(f, left=u, right=v),
                                _reference_tensor(left, id_v)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# direct sums of words
+
+
+def _sum_spec(spec_of, name):
+    return random_rep_a4() if name == "rep_a4_random" else spec_of(name)
+
+
+def component(m, d, s):
+    """The word morphism from summand s of m's source sum to summand d of
+    its target sum, sliced out of m's blocks."""
+    ring = m.spec.ring
+    bs, bd = ring.sum_basis(m.src), ring.sum_basis(m.dst)
+    src, dst = m.src[s], m.dst[d]
+    roots = trees(m.spec, src).keys() & trees(m.spec, dst).keys()
+    return Morphism(m.spec, src, dst,
+                    {c: m.blocks[c][bd[c][d]:bd[c][d + 1],
+                                    bs[c][s]:bs[c][s + 1]] for c in roots})
+
+
+def random_sum_map(spec, src, dst, rng):
+    """Sum morphism src -> dst with random components, each present with
+    probability 3/4, and the components themselves."""
+    comps = {(d, s): random_map(spec, x, y, rng)
+             for d, y in enumerate(dst) for s, x in enumerate(src)
+             if rng.random() < 0.75}
+    return direct_sum(spec, src, dst, comps), comps
+
+
+@pytest.mark.parametrize("name", ["ising", "rep_a4_random"])
+def test_tensor_of_sums_is_the_tensor_of_components(spec_of, name):
+    """Component ((d, d'), (s, s')) of f (x) g is f_ds (x) g_d's' to a
+    relative 1e-12, and the summands of the result are the pairs, f's index
+    major.  The sums hold words of length 0-2, the empty word included; on
+    Rep(A4) the top label fused with itself has multiplicity 2."""
+    spec = _sum_spec(spec_of, name)
+    rng = np.random.default_rng(11)
+    top = spec.rank - 1
+    for trial in range(4):
+        ends = [tuple(random_words(spec, rng, int(rng.integers(2, 4)), 0, 2))
+                for _ in range(4)]
+        if trial == 0:
+            ends = [((top,), ()), ((top, top), (1,)), ((top,), (top, 1)),
+                    ((top, top), (), (top,))]
+        (f, fc), (g, gc) = (random_sum_map(spec, ends[0], ends[1], rng),
+                            random_sum_map(spec, ends[2], ends[3], rng))
+        fg = tensor(f, g)
+        assert fg.src == tuple(a + b for a in f.src for b in g.src)
+        assert fg.dst == tuple(a + b for a in f.dst for b in g.dst)
+        for (d, s), (d2, s2) in itertools.product(
+                itertools.product(range(len(f.dst)), range(len(f.src))),
+                itertools.product(range(len(g.dst)), range(len(g.src)))):
+            want = tensor(
+                fc.get((d, s), Morphism(spec, f.src[s], f.dst[d], {})),
+                gc.get((d2, s2), Morphism(spec, g.src[s2], g.dst[d2], {})))
+            got = component(fg, d * len(g.dst) + d2, s * len(g.src) + s2)
+            assert _relative_error(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ising", "rep_a4_random"])
+def test_whiskering_a_sum_of_one_is_the_word_result(spec_of, name):
+    """A sum of one word runs the summand plans with one summand, which
+    give the word's blocks bit for bit."""
+    spec = _sum_spec(spec_of, name)
+    rng = np.random.default_rng(12)
+    top = (spec.rank - 1,)
+    for trial in range(8):
+        src, dst = random_words(spec, rng, 2, 0, 3)
+        u, v = random_words(spec, rng, 2, 0, 2)
+        if trial == 0:
+            src, dst, u, v = top, top * 3, top * 2, top
+        f = random_map(spec, src, dst, rng)
+        one = direct_sum(spec, (src,), (dst,), {(0, 0): f})
+        for left, right in ((u, ()), ((), v), (u, v)):
+            want = embed(f, left=left, right=right)
+            got = embed(one, left=left, right=right)
+            assert (got.src, got.dst) == ((want.src,), (want.dst,))
+            assert got.blocks.keys() == want.blocks.keys()
+            for c, blk in want.blocks.items():
+                assert np.array_equal(got.blocks[c], blk)
+
+
+def _rotation(spec, words, p, q, x, angle=0.3):
+    """The sum morphism that is the identity on every summand but p and q
+    and rotates those two into each other through x : words[p] -> words[q]
+    and its dagger; it is invertible, though it maps summand p to two."""
+    c, s = np.cos(angle), np.sin(angle)
+    comps = {(i, i): identity(spec, w) * (c if i in (p, q) else 1.0)
+             for i, w in enumerate(words)}
+    comps[q, p] = x * s
+    comps[p, q] = x.dagger() * (-s)
+    return direct_sum(spec, words, words, comps)
+
+
+@pytest.mark.parametrize("name", ["ising", "rep_a4_random"])
+def test_inverse_of_a_sum_that_mixes_summands(spec_of, name):
+    """On ising, two summands of A (x) A of the Frobenius algebra that share
+    a root are mixed by a 2 x 2 rotation through the braiding; on Rep(A4)
+    two words with a multiplicity-2 root, through a block crossing."""
+    if name == "ising":
+        alg = PermutationAlgebra(spec_of("ising"))
+        spec, words, r = alg.prod, alg.pairs, alg.rank
+        p, q = 1 * r + 2, 2 * r + 1
+        x = braid_generator(spec, words[p], 1)
+    else:
+        spec = random_rep_a4()
+        words, p, q = ((3, 3, 1), (1, 3, 3), (3,)), 0, 1
+        x = block_crossing(spec, words[p], 2)
+    rot = _rotation(spec, words, p, q, x)
+    inv = rot.inverse()
+    assert (inv.src, inv.dst) == (words, words)
+    assert (rot @ inv).deviation(identity(spec, words)) < 1e-12
+    assert (inv @ rot).deviation(identity(spec, words)) < 1e-12
 
 
 def test_embed_past_word_cap(spec_of):

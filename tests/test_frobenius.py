@@ -7,12 +7,11 @@ import pytest
 
 from mtc.category import CategorySpec
 from mtc.deligne import pair_morphism
-from mtc.engine import identity, trace_formula
+from mtc.engine import direct_sum, identity, tensor, trace_formula
 from mtc.errors import ShapeMismatch, XiNotZeroOne
-from mtc.frobenius import (PermutationAlgebra, SumMorphism, azumaya_defect,
+from mtc.frobenius import (PermutationAlgebra, azumaya_defect,
                            frobenius_report, fusion_basis, fusion_cobasis,
-                           left_center_labels, sum_identity, sum_tensor,
-                           xi_formula)
+                           left_center_labels, xi_formula)
 
 _ALGEBRAS = {}
 
@@ -46,11 +45,18 @@ def test_quantum_dimension(spec_of):
 
 
 def test_sum_morphism_guards(spec_of):
+    """A and its dual are different sums, and a component must map a
+    summand of the source to a summand of the target."""
     alg = algebra_of(spec_of, "z_3(1)")
     ident = alg.identity()
     assert alg.words != alg.dual_words
     with pytest.raises(ShapeMismatch):
-        ident @ sum_identity(alg.prod, alg.dual_words)
+        ident @ identity(alg.prod, alg.dual_words)
+    for key, word in (((0, 0), alg.dual_words[1]), ((3, 0), alg.words[0]),
+                      ((-1, 0), alg.words[2])):
+        with pytest.raises(ShapeMismatch):
+            direct_sum(alg.prod, alg.words, alg.words,
+                       {key: identity(alg.prod, word)})
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +74,14 @@ def test_algebra_axioms(spec_of, name, n):
     eta, eps = alg.unit(), alg.counit()
     m = alg.multiplication(n)
     de = alg.comultiplication(n)
-    assert (m @ sum_tensor(m, idA)).deviation(m @ sum_tensor(idA, m)) < 1e-12
-    assert (m @ sum_tensor(eta, idA)).deviation(idA) < 1e-12
-    assert (m @ sum_tensor(idA, eta)).deviation(idA) < 1e-12
-    assert (sum_tensor(de, idA) @ de).deviation(
-        sum_tensor(idA, de) @ de) < 1e-12
-    assert (sum_tensor(eps, idA) @ de).deviation(idA) < 1e-12
+    assert (m @ tensor(m, idA)).deviation(m @ tensor(idA, m)) < 1e-12
+    assert (m @ tensor(eta, idA)).deviation(idA) < 1e-12
+    assert (m @ tensor(idA, eta)).deviation(idA) < 1e-12
+    assert (tensor(de, idA) @ de).deviation(tensor(idA, de) @ de) < 1e-12
+    assert (tensor(eps, idA) @ de).deviation(idA) < 1e-12
     mid = de @ m
-    assert (sum_tensor(idA, m) @ sum_tensor(de, idA)).deviation(mid) < 1e-12
-    assert (sum_tensor(m, idA) @ sum_tensor(idA, de)).deviation(mid) < 1e-12
+    assert (tensor(idA, m) @ tensor(de, idA)).deviation(mid) < 1e-12
+    assert (tensor(m, idA) @ tensor(idA, de)).deviation(mid) < 1e-12
     assert (m @ de).deviation(idA) < 1e-12
 
 
@@ -88,7 +93,7 @@ def test_structure_morphisms_are_built_once(spec_of):
 def test_counit_of_unit_is_global_dimension(spec_of):
     for name in ("semion", "ising"):
         alg = algebra_of(spec_of, name)
-        val = (alg.counit() @ alg.unit()).comps[(0, 0)].blocks[0][0, 0]
+        val = (alg.counit() @ alg.unit()).blocks[0][0, 0]
         assert abs(val - spec_of(name).global_dim()) < 1e-12
 
 
@@ -114,8 +119,8 @@ def test_pairing_symmetry(spec_of):
     alg = algebra_of(spec_of, "fibonacci")
     em = alg.counit() @ alg.multiplication(0)
     idA, idAv = alg.identity(), alg.identity_dual()
-    p1 = sum_tensor(em, idAv) @ sum_tensor(idA, alg.cup_A())
-    p2 = sum_tensor(idAv, em) @ sum_tensor(alg.cup_A_twisted(), idA)
+    p1 = tensor(em, idAv) @ tensor(idA, alg.cup_A())
+    p2 = tensor(idAv, em) @ tensor(alg.cup_A_twisted(), idA)
     assert p1.deviation(p2) < 1e-12
 
 
@@ -124,9 +129,9 @@ def test_coproduct_recovered_from_pairing(spec_of):
     alg = algebra_of(spec_of, "ising")
     for n in (0, 1):
         de = alg.comultiplication(n)
-        rebuilt = sum_tensor(alg.multiplication(n),
-                             alg.pairing_iso(n).inverse()) \
-            @ sum_tensor(alg.identity(), alg.cup_A())
+        rebuilt = tensor(alg.multiplication(n),
+                         alg.pairing_iso(n).inverse()) \
+            @ tensor(alg.identity(), alg.cup_A())
         assert de.deviation(rebuilt) < 1e-12
 
 
@@ -156,8 +161,8 @@ def test_gauge_independence(spec_of, rng):
                 m_comps[(k, i * r + j)] = sum(m_terms[1:], m_terms[0])
                 de_comps[(i * r + j, k)] = \
                     sum(de_terms[1:], de_terms[0]) * weight
-    assert SumMorphism(prod, m.src, m.dst, m_comps).deviation(m) < 1e-12
-    assert SumMorphism(prod, de.src, de.dst, de_comps).deviation(de) < 1e-12
+    assert direct_sum(prod, m.src, m.dst, m_comps).deviation(m) < 1e-12
+    assert direct_sum(prod, de.src, de.dst, de_comps).deviation(de) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +176,9 @@ def test_sigma_intertwines_adjacent_exponents(spec_of, name, n):
     alg = algebra_of(spec_of, name)
     sig = alg.sigma()
     sig_inv = sig.inverse()
-    lhs_m = sig @ alg.multiplication(n) @ sum_tensor(sig_inv, sig_inv)
+    lhs_m = sig @ alg.multiplication(n) @ tensor(sig_inv, sig_inv)
     assert alg.multiplication(n + 1).deviation(lhs_m) < 1e-12
-    lhs_d = sum_tensor(sig, sig) @ alg.comultiplication(n) @ sig_inv
+    lhs_d = tensor(sig, sig) @ alg.comultiplication(n) @ sig_inv
     assert alg.comultiplication(n + 1).deviation(lhs_d) < 1e-12
 
 
@@ -202,10 +207,7 @@ def test_braiding_only_projectors_fail(spec_of):
     for over in (True, False):
         proj = alg.multiplication(0) @ alg.braiding(over) \
             @ alg.comultiplication(0)
-        diag = np.zeros(base.rank, dtype=np.complex128)
-        for (di, si), comp in proj.comps.items():
-            if di == si:
-                diag[di] = comp.blocks[alg.labels[di]][0, 0]
+        diag = np.array([proj.blocks[x][0, 0] for x in alg.labels])
         assert np.max(np.abs(diag - want)) > 0.5
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from mtc import get_category
-from mtc.engine import block_crossing, embed, identity
+from mtc.engine import block_crossing, embed
 from mtc.errors import InvalidWord
 from mtc.modcat import (alpha_functor_deviation, alpha_induction,
                         commutor_witness_deviation, extract_twist, gamma,
                         gamma_functor_deviation, left_module_pentagon_deviation,
-                        mixed_associator, module_commutor,
+                        module_commutor,
                         module_pentagon_deviation, module_triangle_deviation,
                         psi, psi_from_gamma, psi_shortcut_deviation)
 
@@ -34,12 +34,24 @@ def test_module_words_outside_the_rank_are_refused(spec_of, label):
         module_pentagon_deviation(spec, (label,), X, Y, Z, 0)
 
 
-def test_list_words_are_refused_by_psi():
-    """A list word raises InvalidWord before it is concatenated, on a
-    fresh spec."""
-    spec = get_category("ising")
+@pytest.mark.parametrize("call", [
+    lambda s: psi(s, [1], ([1], [1]), ((), ()), 0),
+    lambda s: gamma(s, [1], ((1,), ())),
+    lambda s: module_commutor(s, [1], (1,), (1,)),
+    lambda s: module_pentagon_deviation(s, [1], ((1,), (1,)), ((), ()),
+                                        ((), ()), 0),
+    lambda s: module_triangle_deviation(s, [1], ((1,), ())),
+    lambda s: psi_shortcut_deviation(s, (1,), ([1], ()), ((1,), ())),
+    lambda s: alpha_functor_deviation(s, (1,), ((1,), ()), ((), ()),
+                                      ([1], ()))],
+    ids=["psi", "gamma", "module_commutor", "module_pentagon_deviation",
+         "module_triangle_deviation", "psi_shortcut_deviation",
+         "alpha_functor_deviation"])
+def test_list_words_are_refused_before_concatenation(call):
+    """A list word raises InvalidWord, not the TypeError of adding a list
+    to a tuple, on a fresh spec."""
     with pytest.raises(InvalidWord):
-        psi(spec, [1], ([1], [1]), ((), ()), 0)
+        call(get_category("ising"))
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +231,3 @@ def test_commutor_word_map(spec_of):
     assert g.src == (1, 2, 1)
     assert g.dst == (1, 1, 2)
 
-
-def test_mixed_associator_unit_exponents(spec_of):
-    """Both exponents zero give the identity on the five-letter word."""
-    spec = spec_of("semion")
-    X, Y = ((1,), (1,)), ((1,), (0,))
-    f = mixed_associator(spec, X, (1,), Y, 0, 0)
-    assert f.deviation(identity(spec, (1, 1, 1, 1, 0))) < 1e-12
-    g = mixed_associator(spec, X, (1,), Y, 1, 1)
-    assert g.src == g.dst == (1, 1, 1, 1, 0)
