@@ -26,10 +26,11 @@ from the pairs of (a) (x) (b, c).  Each list comes with its label ->
 position map (``tree_positions`` for trees) and is built once per ring and
 shared by every spec on it; the split bases are kept by
 ``engine.split_transform`` with their change of basis.  Every other module
-looks positions up there.  ``CategorySpec`` holds what F and R decide:
-``f_block``, ``r_block`` and ``f_tensor``, which reads the part of an
-F-block between one row channel e and one column channel f as an array
-[alpha, beta, gamma, delta].
+looks positions up there.  ``layout`` places the root blocks of a morphism
+src -> dst in one flat array, once per (src, dst).  ``CategorySpec`` holds
+what F and R decide: ``f_block``, ``r_block`` and ``f_tensor``, which
+reads the part of an F-block between one row channel e and one column
+channel f as an array [alpha, beta, gamma, delta].
 
 The pentagon and the hexagons are contractions of these arrays, checked as
 batched block algebra.  Their label tuples are enumerated as arrays by
@@ -44,11 +45,13 @@ F-blocks per block shape.
 
 Every derived table is memoised on its owner by ``cached``, one section of
 the owner's ``_cache`` per table: the ring's ``tree_pos``, ``f_basis``,
-``channel_csr`` and ``f_keys``, a product ring's ``ptree_map``, a spec's
-``f_tensor``, ``f_blocks``, ``f_store`` and ``r_store`` and the engine and
-module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and
-``proj``.  Only ``tree_basis`` and ``sum_basis`` keep their ``trees`` and
-``sums`` sections by hand, since they check every word on every call.
+``channel_csr``, ``f_keys`` and the engine's ``compose`` and
+``whisker_right`` plans, a product ring's ``ptree_map``, a spec's
+``f_tensor``, ``f_blocks``, ``f_store`` and ``r_store`` and the other
+engine and module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``,
+``phi`` and ``proj``.  Only ``tree_basis``, ``sum_basis`` and ``layout``
+keep their ``trees``, ``sums`` and ``layouts`` sections by hand, since they
+check every word on every call.
 """
 
 from __future__ import annotations
@@ -85,6 +88,36 @@ DEFAULT_TOL = ToleranceConfig()
 def _positions(labels) -> dict:
     """label -> position map of a basis list."""
     return {lab: i for i, lab in enumerate(labels)}
+
+
+def _summands(obj):
+    """The summand words of a morphism endpoint; a word is a sum of one."""
+    return obj if type(obj) is tuple and obj and type(obj[0]) is tuple \
+        else (obj,)
+
+
+class Layout:
+    """Where a morphism src -> dst keeps its root blocks in one flat array.
+
+    ``roots`` maps each root that the ``sum_basis`` of both endpoints have,
+    ascending, to (offset, rows, cols): the block at that root, rows over
+    dst's basis and columns over src's, is ``flat[offset:offset + rows *
+    cols]`` read row-major.  ``bsrc`` and ``bdst`` are the two bases'
+    summand offsets, and ``size`` is the length of the flat array.  A ring
+    builds one layout per (src, dst), so plans key on it by identity, and
+    layouts with equal ``roots`` share one dict from ``shared``.
+    """
+
+    __slots__ = ("src", "dst", "bsrc", "bdst", "roots", "size")
+
+    def __init__(self, src, dst, bsrc, bdst, shared):
+        self.src, self.dst, self.bsrc, self.bdst = src, dst, bsrc, bdst
+        roots, self.size = {}, 0
+        for c in sorted(bsrc.keys() & bdst.keys()):
+            rows, cols = bdst[c][-1], bsrc[c][-1]
+            roots[c] = (self.size, rows, cols)
+            self.size += rows * cols
+        self.roots = shared.setdefault(tuple(roots.items()), roots)
 
 
 def cached(section: str):
@@ -138,7 +171,7 @@ class FusionRing:
         self.dual.setflags(write=False)
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
-        self._cache = {"trees": {}, "sums": {}}
+        self._cache = {"trees": {}, "sums": {}, "layouts": {}, "roots": {}}
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
@@ -268,6 +301,18 @@ class FusionRing:
                 c: tuple(itertools.accumulate(
                     (len(b.get(c, ())) for b in bases), initial=0))
                 for c in sorted(set().union(*bases))}
+        return hit
+
+    def layout(self, src, dst) -> Layout:
+        """The ``Layout`` of morphisms src -> dst, each endpoint a word or a
+        tuple of words.  Every summand of both goes through the word check
+        of ``tree_basis`` on every call."""
+        bsrc = self.sum_basis(_summands(src))
+        bdst = self.sum_basis(_summands(dst))
+        hit = self._cache["layouts"].get((src, dst))
+        if hit is None:
+            hit = self._cache["layouts"][src, dst] = Layout(
+                src, dst, bsrc, bdst, self._cache["roots"])
         return hit
 
     @cached("tree_pos")

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .category import CategorySpec, FusionRing, cached
+from .category import CategorySpec, FusionRing, _summands, cached
 from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
@@ -152,8 +152,12 @@ def pair_morphism(prod: CategorySpec, f1: Morphism, f2: Morphism) -> Morphism:
 
     Source and target words pair the factor letters positionally, so both
     factors must have source words of one common length and likewise for
-    targets.
+    targets.  Direct sums of words are refused.
     """
+    if any(_summands(end) is end
+           for f in (f1, f2) for end in (f.src, f.dst)):
+        raise ShapeMismatch("paired morphisms must map words, not direct "
+                            "sums of words")
     s1, s2 = f1.spec, f2.spec
     r2 = s2.rank
     if prod.rank != s1.rank * r2:

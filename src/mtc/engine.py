@@ -5,43 +5,48 @@ checks words: ``FusionRing.tree_basis`` checks each word and raises
 ``InvalidWord`` (or ``WordTooLong``), and every word reaches it before a
 basis is used.
 
-A morphism src -> dst is stored per simple root c as a matrix over the
-bases of Hom(src, c) and Hom(dst, c).  An endpoint is a word, with the
-left-nested fusion-tree basis, or a direct sum of words given as a tuple of
-words, with its summands' trees concatenated in summand order;
+A morphism src -> dst is one complex array ``flat`` on the ``Layout`` of
+(src, dst): for each root c common to both endpoints, the matrix over the
+bases of Hom(src, c) (columns) and Hom(dst, c) (rows) lies row-major at
+c's offset.  ``blocks`` reads them as views.  An endpoint is a word, with
+the left-nested fusion-tree basis, or a direct sum of words given as a
+tuple of words, with its summands' trees concatenated in summand order;
 ``_summands`` reads a word as a sum of one, so both share every code path.
 A tree for a word of length n is a pair (labels, mults) with labels the
 intermediate charges (A_2, ..., A_n) and mults the fusion-vertex
 multiplicities; A_1 = w_1 and A_0 = 0 are implicit, and trees with a common
-root are ordered by (labels, mults).  Every basis and its positions come
-from their one owner, the spec's ``FusionRing`` in ``mtc.category``:
-``tree_basis``, ``sum_basis``, ``split_basis`` and ``f_basis``.  What
-depends on F and R is memoised on the spec by ``category.cached``, one
-section per table: ``finv``, ``split``, ``whisker_right``,
-``whisker_left``, ``braid_gen``, ``block_crossing``, ``double_braiding``
-and ``cap_scale``.
+root are ordered by (labels, mults).  Every basis, its positions and every
+layout come from their one owner, the spec's ``FusionRing`` in
+``mtc.category``: ``tree_basis``, ``sum_basis``, ``split_basis``,
+``f_basis`` and ``layout``.  Tables that depend on N alone are memoised on
+the ring by ``category.cached`` (``compose`` and ``whisker_right``), those
+that depend on F and R on the spec: ``finv``, ``split``, ``whisker_left``,
+``braid_gen``, ``block_crossing``, ``double_braiding`` and ``cap_scale``.
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
-multiplication, which also sums over the summands in between.  Right
-whiskering f (x) id_v leaves the tail of every left-nested tree untouched,
-so it is a re-indexing of f's blocks by a cached gather.  Left whiskering
-id_u (x) g places g's blocks in the split bases of the cuts by a cached
-gather and conjugates by the cached split transforms of the summands,
-block-diagonally.  ``tensor`` is their composite (f (x) id) o (id (x) g), and
-``embed`` applies them directly.  An elementary braiding is the R-blocks
-of its two letters whiskered into the word, so ``split_transform`` is the
-one place that applies F-moves.  Duality morphisms go through a calibrated
-cup/cap gauge.
+multiplication, which also sums over the summands in between; a cached
+plan per (src, mid, dst) writes every product into one new flat array.
+Sums, scalar multiples and deviations are one vector operation on ``flat``.
+Right whiskering f (x) id_v leaves the tail of every left-nested tree
+untouched, so it is a cached gather from f's flat array.  Left whiskering
+id_u (x) g gathers g's entries into the split bases of the cuts and
+conjugates by the split transforms of the summands, block-diagonally, with
+the inverse of the target's cached on its plan.  ``tensor`` is their
+composite (f (x) id) o (id (x) g), and ``embed`` applies them directly.
+An elementary braiding is the R-blocks of its two letters whiskered into
+the word, so ``split_transform`` is the one place that applies F-moves.
+Duality morphisms go through a calibrated cup/cap gauge.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
-from .category import MAX_WORD_LENGTH, CategorySpec, cached  # noqa: F401 (re-exported)
+from .category import MAX_WORD_LENGTH  # noqa: F401 (re-exported)
+from .category import CategorySpec, Layout, _summands, cached
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
 
@@ -58,12 +63,6 @@ def trees(spec: CategorySpec, word):
 def tree_positions(spec: CategorySpec, word):
     """{root: {tree: position}} for the trees of the word."""
     return spec.ring.tree_positions(word)
-
-
-def _summands(obj):
-    """The summand words of a morphism endpoint; a word is a sum of one."""
-    return obj if type(obj) is tuple and obj and type(obj[0]) is tuple \
-        else (obj,)
 
 
 def _juxtapose(x, y):
@@ -84,128 +83,193 @@ def _finv(spec, a, b, c, d):
 # morphisms
 
 
+def _views(layout: Layout, flat):
+    """(root, block) for every root of the layout, the blocks views into
+    flat."""
+    for c, (o, r, k) in layout.roots.items():
+        yield c, flat[o:o + r * k].reshape(r, k)
+
+
 class Morphism:
     """Linear map between two endpoints, each a word or a direct sum of
-    words given as a tuple of words."""
+    words given as a tuple of words: one complex array ``flat`` on the
+    ``Layout`` of (src, dst).
 
-    __slots__ = ("spec", "src", "dst", "blocks")
+    The constructor checks the words, the roots and the shape of every
+    block it is given; a root without a block is 0.
+    """
+
+    __slots__ = ("spec", "layout", "flat")
 
     def __init__(self, spec, src, dst, blocks):
-        self.spec = spec
-        self.src = src
-        self.dst = dst
-        bsrc = spec.ring.sum_basis(_summands(src))
-        bdst = spec.ring.sum_basis(_summands(dst))
-        roots = bsrc.keys() & bdst.keys()
-        stray = set(blocks) - roots
+        layout = spec.ring.layout(src, dst)
+        stray = set(blocks) - layout.roots.keys()
         if stray:
             raise ShapeMismatch(f"blocks at roots {sorted(stray)} that "
                                 f"{src} and {dst} do not share")
-        full = {}
-        for c in roots:
-            shape = (bdst[c][-1], bsrc[c][-1])
+        flat = np.zeros(layout.size, dtype=np.complex128)
+        for c, (o, r, k) in layout.roots.items():
             blk = blocks.get(c)
-            if blk is None:
-                blk = np.zeros(shape, dtype=np.complex128)
-            else:
+            if blk is not None:
                 blk = np.asarray(blk, dtype=np.complex128)
-                if blk.shape != shape:
+                if blk.shape != (r, k):
                     raise ShapeMismatch(
                         f"block at root {c} has shape {blk.shape}, "
-                        f"expected {shape}")
-            full[c] = blk
-        self.blocks = full
+                        f"expected {(r, k)}")
+                flat[o:o + r * k] = blk.ravel()
+        self.spec, self.layout, self.flat = spec, layout, flat
 
-    @classmethod
-    def trusted(cls, spec, src, dst, blocks) -> "Morphism":
-        """Morphism from blocks already complete and of the right shapes;
-        nothing is checked."""
-        out = cls.__new__(cls)
-        out.spec, out.src, out.dst, out.blocks = spec, src, dst, blocks
-        return out
+    @property
+    def src(self):
+        return self.layout.src
+
+    @property
+    def dst(self):
+        return self.layout.dst
+
+    @property
+    def blocks(self):
+        """{root: block}, read-only views into ``flat`` built on each read."""
+        flat = self.flat.view()
+        flat.flags.writeable = False
+        return MappingProxyType(dict(_views(self.layout, flat)))
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         if not isinstance(other, Morphism):
             return NotImplemented
-        if other.dst != self.src:
-            raise ShapeMismatch(
-                f"cannot compose: inner endpoints {other.dst} != {self.src}")
-        blocks = {c: self.blocks[c] @ other.blocks[c]
-                  for c in set(self.blocks) & set(other.blocks)}
-        return Morphism(self.spec, other.src, self.dst, blocks)
+        layout, steps, partial = _compose_plan(self.spec.ring, self.layout,
+                                               other.layout)
+        flat = (np.zeros if partial else np.empty)(layout.size,
+                                                   dtype=np.complex128)
+        F, G = self.flat, other.flat
+        for o, oe, r, k, fo, fe, m, go, ge in steps:
+            np.matmul(F[fo:fe].reshape(r, m), G[go:ge].reshape(m, k),
+                      out=flat[o:oe].reshape(r, k))
+        return _built(self.spec, layout, flat)
 
     def __add__(self, other):
-        if self.src != other.src or self.dst != other.dst:
-            raise ShapeMismatch("sum of morphisms with different words")
-        return Morphism(self.spec, self.src, self.dst,
-                        {c: self.blocks[c] + other.blocks[c]
-                         for c in self.blocks})
+        _check_same(self, other, "sum")
+        return _built(self.spec, self.layout, self.flat + other.flat)
 
     def __sub__(self, other):
-        return self + (other * (-1.0))
+        _check_same(self, other, "difference")
+        return _built(self.spec, self.layout, self.flat - other.flat)
 
     def __mul__(self, scalar):
-        return Morphism(self.spec, self.src, self.dst,
-                        {c: blk * scalar for c, blk in self.blocks.items()})
+        return _built(self.spec, self.layout, self.flat * scalar)
 
     __rmul__ = __mul__
 
     def dagger(self) -> "Morphism":
-        return Morphism(self.spec, self.dst, self.src,
-                        {c: blk.conj().T for c, blk in self.blocks.items()})
+        return _blockwise(self, self.spec.ring.layout(self.dst, self.src),
+                          lambda c, blk: blk.conj().T)
 
     def inverse(self) -> "Morphism":
-        blocks = {}
-        for c, blk in self.blocks.items():
+        def inv(c, blk):
             if blk.shape[0] != blk.shape[1]:
                 raise ShapeMismatch(f"block at root {c} is not square")
-            blocks[c] = np.linalg.inv(blk)
-        return Morphism(self.spec, self.dst, self.src, blocks)
+            return np.linalg.inv(blk)
+        return _blockwise(self, self.spec.ring.layout(self.dst, self.src),
+                          inv)
 
     def deviation(self, other: "Morphism") -> float:
-        if self.src != other.src or self.dst != other.dst:
-            raise ShapeMismatch("comparing morphisms with different words")
-        return max_dev(*(float(np.max(np.abs(blk - other.blocks[c])))
-                         for c, blk in self.blocks.items() if blk.size))
+        """The largest entry of |self - other|; NaN if an entry is NaN.  A
+        zero deviation is ``max_dev``'s own 0.0, one float object for every
+        caller that keeps its deviations."""
+        _check_same(self, other, "comparison")
+        if not self.flat.size:
+            return 0.0
+        return max_dev(float(np.abs(self.flat - other.flat).max()))
 
     def max_abs(self) -> float:
-        return max_dev(*(float(np.max(np.abs(blk)))
-                         for blk in self.blocks.values() if blk.size))
+        if not self.flat.size:
+            return 0.0
+        return max_dev(float(np.abs(self.flat).max()))
 
     def __repr__(self):
         return f"Morphism({self.src} -> {self.dst})"
 
 
+def _check_same(f, g, what):
+    """Refuse two morphisms whose endpoints differ."""
+    if f.layout is not g.layout and (f.src != g.src or f.dst != g.dst):
+        raise ShapeMismatch(f"{what} of morphisms with different words")
+
+
+def _blockwise(f: Morphism, layout: Layout, fn) -> Morphism:
+    """The morphism on the layout whose block at each root c of f is
+    fn(c, f's block); the layout has f's roots, in f's order."""
+    flat = np.empty(layout.size, dtype=np.complex128)
+    for (c, blk), (_, out) in zip(_views(f.layout, f.flat),
+                                  _views(layout, flat)):
+        out[...] = fn(c, blk)
+    return _built(f.spec, layout, flat)
+
+
+def _built(spec, layout: Layout, flat) -> Morphism:
+    """The morphism whose flat array on the layout is ``flat``, for results
+    whose layout comes from a plan or an operand: nothing is checked."""
+    out = Morphism.__new__(Morphism)
+    out.spec, out.layout, out.flat = spec, layout, flat
+    return out
+
+
+@cached("compose")
+def _compose_plan(ring, outer: Layout, inner: Layout):
+    """(layout, steps, partial) of outer o inner.  For each root that all
+    three endpoints have, the step (offset, end, rows, cols, outer's offset,
+    end, mid, inner's offset, end) multiplies outer's rows x mid block by
+    inner's mid x cols block into the result's; ``partial`` when some root
+    of the result has no step and stays 0.  Plans with equal steps share
+    one tuple."""
+    if inner.dst != outer.src:
+        raise ShapeMismatch(
+            f"cannot compose: inner endpoints {inner.dst} != {outer.src}")
+    layout = ring.layout(inner.src, outer.dst)
+    steps = []
+    for c, (o, r, k) in layout.roots.items():
+        if c in outer.roots and c in inner.roots:
+            fo, _, m = outer.roots[c]
+            go = inner.roots[c][0]
+            steps.append((o, o + r * k, r, k, fo, fo + r * m, m,
+                          go, go + m * k))
+    steps = tuple(steps)
+    steps = ring._cache.setdefault("steps", {}).setdefault(steps, steps)
+    return layout, steps, len(steps) < len(layout.roots)
+
+
 def identity(spec: CategorySpec, obj) -> Morphism:
-    basis = spec.ring.sum_basis(_summands(obj))
-    return Morphism.trusted(spec, obj, obj,
-                            {c: np.eye(off[-1], dtype=np.complex128)
-                             for c, off in basis.items()})
+    layout = spec.ring.layout(obj, obj)
+    flat = np.zeros(layout.size, dtype=np.complex128)
+    for o, n, _ in layout.roots.values():
+        flat[o:o + n * n:n + 1] = 1.0
+    return _built(spec, layout, flat)
 
 
 def direct_sum(spec: CategorySpec, src, dst, comps) -> Morphism:
     """The morphism src -> dst whose component from summand s of src to
     summand d of dst is the word morphism comps[d, s], and 0 where comps
     has none."""
-    out = Morphism(spec, src, dst, {})
+    layout = spec.ring.layout(src, dst)
     S, D = _summands(src), _summands(dst)
-    bsrc, bdst = spec.ring.sum_basis(S), spec.ring.sum_basis(D)
+    bsrc, bdst = layout.bsrc, layout.bdst
+    flat = np.zeros(layout.size, dtype=np.complex128)
+    out = dict(_views(layout, flat))
     for (d, s), m in comps.items():
         if not (0 <= d < len(D) and 0 <= s < len(S)) \
                 or (m.src, m.dst) != (S[s], D[d]):
             raise ShapeMismatch(f"component ({d}, {s}) maps {m.src} -> "
                                 f"{m.dst}, not a summand of {src} -> {dst}")
-        for c, blk in m.blocks.items():
-            out.blocks[c][bdst[c][d]:bdst[c][d + 1],
-                          bsrc[c][s]:bsrc[c][s + 1]] = blk
-    return out
+        for c, blk in _views(m.layout, m.flat):
+            out[c][bdst[c][d]:bdst[c][d + 1], bsrc[c][s]:bsrc[c][s + 1]] = blk
+    return _built(spec, layout, flat)
 
 
 def as_scalar(m: Morphism) -> complex:
     if m.src != () or m.dst != ():
         raise ShapeMismatch("scalar extraction needs an endomorphism of the "
                             "empty word")
-    return complex(m.blocks[0][0, 0])
+    return complex(m.flat[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +346,6 @@ def _cut(tree, k, word):
     return a, (L[:k - 1], M[:k - 1]), (L[k - 1:], M[k - 1:])
 
 
-def _layout(spec: CategorySpec, S, D):
-    """(bases of the sums S and D, their sorted common roots, each root
-    block's offset in the blocks' row-major concatenation, total size)."""
-    bsrc, bdst = spec.ring.sum_basis(S), spec.ring.sum_basis(D)
-    roots = sorted(bsrc.keys() & bdst.keys())
-    offsets, n = {}, 0
-    for c in roots:
-        offsets[c] = n
-        n += bdst[c][-1] * bsrc[c][-1]
-    return bsrc, bdst, roots, offsets, n
-
-
 def _block_diag(mats):
     """The block-diagonal matrix of square matrices; one is itself."""
     if len(mats) == 1:
@@ -305,126 +357,110 @@ def _block_diag(mats):
     return out
 
 
-class _Plan(NamedTuple):
-    """A cached whiskering into src -> dst: a gather from the input's blocks,
-    concatenated row-major in the order of ``roots``, into one flat array."""
-
-    src: tuple
-    dst: tuple
-    roots: tuple
-    size: int
-    idx: np.ndarray  # [output offsets, input offsets], one pair per entry
-    layout: tuple  # per output root: (root, offset, rows, columns, ...)
-
-
-def _gather(m: Morphism, plan: _Plan) -> np.ndarray:
-    flat = np.zeros(plan.size, dtype=np.complex128)
-    if plan.roots:
-        flat[plan.idx[0]] = np.concatenate(
-            [m.blocks[c].ravel() for c in plan.roots])[plan.idx[1]]
-    return flat
-
-
 @cached("whisker_right")
-def _right_plan(spec, src, dst, v):
-    """Plan of f (x) id_v for f : src -> dst.  The output's component from
-    summand (s, t) to (d, t) is f's from s to d whiskered by summand t of v,
-    and 0 between different t: an entry is f's entry between the subtrees
-    of the first letters when both have the same root and the same tail."""
-    S, D, V = _summands(src), _summands(dst), _summands(v)
-    out_src, out_dst = _juxtapose(src, v), _juxtapose(dst, v)
-    out_S, out_D = _summands(out_src), _summands(out_dst)
-    fsrc, fdst, roots, f_off, _ = _layout(spec, S, D)
-    osrc, odst, out_roots, out_off, size = _layout(spec, out_S, out_D)
+def _right_plan(ring, f: Layout, v):
+    """(layout, [output positions, input positions]) of f (x) id_v for f
+    on the layout f: the gather from f's flat array into the output's.  The
+    output's component from summand (s, t) to (d, t) is f's from s to d
+    whiskered by summand t of v, and 0 between different t: an entry is
+    f's entry between the subtrees of the first letters when both have the
+    same root and the same tail."""
+    S, D, V = _summands(f.src), _summands(f.dst), _summands(v)
+    out = ring.layout(_juxtapose(f.src, v), _juxtapose(f.dst, v))
+    osrc, odst = out.bsrc, out.bdst
     by_tail = {}  # (root, t, subtree root, tail) -> [(output column, f's)]
-    for k, word in enumerate(out_S):
+    for k, word in enumerate(_summands(out.src)):
         s, t = divmod(k, len(V))
-        pos = tree_positions(spec, S[s])
-        for c, ts in trees(spec, word).items():
+        pos = ring.tree_positions(S[s])
+        for c, ts in ring.tree_basis(word).items():
             for j, tree in enumerate(ts, osrc[c][k]):
                 a, sub, tail = _cut(tree, len(S[s]), word)
                 by_tail.setdefault((c, t, a, tail), []).append(
-                    (j, fsrc[a][s] + pos[a][sub]))
+                    (j, f.bsrc[a][s] + pos[a][sub]))
     out_idx, in_idx = [], []
-    for k, word in enumerate(out_D):
+    for k, word in enumerate(_summands(out.dst)):
         d, t = divmod(k, len(V))
-        pos = tree_positions(spec, D[d])
-        for c, ts in trees(spec, word).items():
+        pos = ring.tree_positions(D[d])
+        for c, ts in ring.tree_basis(word).items():
             for i, tree in enumerate(ts, odst[c][k]):
                 a, sub, tail = _cut(tree, len(D[d]), word)
                 cols = by_tail.get((c, t, a, tail))
                 if cols is None:
                     continue
-                row = out_off[c] + i * osrc[c][-1]
-                frow = f_off[a] + (fdst[a][d] + pos[a][sub]) * fsrc[a][-1]
+                row = out.roots[c][0] + i * osrc[c][-1]
+                fo, _, fk = f.roots[a]
+                frow = fo + (f.bdst[a][d] + pos[a][sub]) * fk
                 for j, jf in cols:
                     out_idx.append(row + j)
                     in_idx.append(frow + jf)
-    return _Plan(out_src, out_dst, tuple(roots), size,
-                 np.array([out_idx, in_idx], dtype=np.intp),
-                 tuple((c, out_off[c], odst[c][-1], osrc[c][-1])
-                       for c in out_roots))
+    return out, np.array([out_idx, in_idx], dtype=np.intp)
 
 
 @cached("whisker_left")
-def _left_plan(spec, u, src, dst):
-    """Plan of id_u (x) g for g : src -> dst.  The output's component from
-    summand (q, e) to (q, d) is g's from e to d whiskered by summand q of u,
-    and 0 between different q.  The gather fills, root by root, the matrix
-    in the split bases of the cuts that equals kron(id, g_b) on the columns
-    (a, si, b, ti, mu) of each (a, b, mu); the layout adds the cached split
-    transforms Md and Ms of the output's summands, block-diagonally."""
-    U, S, D = _summands(u), _summands(src), _summands(dst)
-    out_src, out_dst = _juxtapose(u, src), _juxtapose(u, dst)
-    gsrc, gdst, roots, g_off, _ = _layout(spec, S, D)
-    osrc, odst, out_roots, out_off, size = _layout(
-        spec, _summands(out_src), _summands(out_dst))
+def _left_plan(spec, u, g: Layout):
+    """(layout, [output positions, input positions], steps) of id_u (x) g
+    for g on the layout g.  The output's component from summand (q, e) to
+    (q, d) is g's from e to d whiskered by summand q of u, and 0 between
+    different q.  The gather fills, root by root, the matrix X in the split
+    bases of the cuts that equals kron(id, g_b) on the columns (a, si, b,
+    ti, mu) of each (a, b, mu).  A step (offset, end, rows, cols, A, B) of
+    a root of the output gives its block A X B: B is the transpose of the
+    split transforms Ms of the output's source summands and A the inverse
+    of that of Md of its target summands, each block-diagonal.  A root
+    where both are the identity has no step: its block is X."""
+    U, S, D = _summands(u), _summands(g.src), _summands(g.dst)
+    out = spec.ring.layout(_juxtapose(u, g.src), _juxtapose(u, g.dst))
+    osrc, odst = out.bsrc, out.bdst
     ssrc = [split_transform(spec, w + x, len(w)) for w in U for x in S]
     sdst = [split_transform(spec, w + y, len(w)) for w in U for y in D]
     out_idx, in_idx = [], []
     for k, split in enumerate(ssrc):
         q, e = divmod(k, len(S))
         for c, (_, cols_s, _) in split.items():
+            if c not in out.roots:  # no tree of the target at c
+                continue
+            o, _, ok = out.roots[c]
             for j, (a, si, b, ti, mu) in enumerate(cols_s):
-                if b not in g_off:
+                if b not in g.roots:
                     continue
+                go, _, gk = g.roots[b]
                 for d in range(len(D)):
-                    kd, n0 = q * len(D) + d, gdst[b][d]
-                    for td in range(gdst[b][d + 1] - n0):
+                    kd, n0 = q * len(D) + d, g.bdst[b][d]
+                    for td in range(g.bdst[b][d + 1] - n0):
                         row = odst[c][kd] + sdst[kd][c][2][(a, si, b, td, mu)]
-                        out_idx.append(out_off[c] + row * osrc[c][-1]
-                                       + osrc[c][k] + j)
-                        in_idx.append(g_off[b] + (n0 + td) * gsrc[b][-1]
-                                      + gsrc[b][e] + ti)
-    return _Plan(out_src, out_dst, tuple(roots), size,
-                 np.array([out_idx, in_idx], dtype=np.intp),
-                 tuple((c, out_off[c], odst[c][-1], osrc[c][-1],
-                        _block_diag([t[c][0] for t in sdst if c in t]),
-                        _block_diag([t[c][0] for t in ssrc if c in t]))
-                       for c in out_roots))
+                        out_idx.append(o + row * ok + osrc[c][k] + j)
+                        in_idx.append(go + (n0 + td) * gk + g.bsrc[b][e] + ti)
+    steps = []
+    for c, (o, r, k) in out.roots.items():
+        Md = _block_diag([t[c][0] for t in sdst if c in t])
+        Ms = _block_diag([t[c][0] for t in ssrc if c in t])
+        if not (np.array_equal(Md, np.eye(r))
+                and np.array_equal(Ms, np.eye(k))):
+            steps.append((o, o + r * k, r, k, np.linalg.inv(Md.T), Ms.T))
+    return out, np.array([out_idx, in_idx], dtype=np.intp), tuple(steps)
 
 
 def _whisker_right(f: Morphism, v) -> Morphism:
-    """f (x) id_v, a re-indexing of f's blocks."""
+    """f (x) id_v, a re-indexing of f's flat array."""
     if not v:
         return f
-    plan = _right_plan(f.spec, f.src, f.dst, v)
-    flat = _gather(f, plan)
-    return Morphism.trusted(f.spec, plan.src, plan.dst,
-                            {c: flat[o:o + r * k].reshape(r, k)
-                             for c, o, r, k in plan.layout})
+    layout, idx = _right_plan(f.spec.ring, f.layout, v)
+    flat = np.zeros(layout.size, dtype=np.complex128)
+    flat[idx[0]] = f.flat[idx[1]]
+    return _built(f.spec, layout, flat)
 
 
 def _whisker_left(u, g: Morphism) -> Morphism:
     """id_u (x) g, conjugating g's blocks by the cached split transforms."""
     if not u:
         return g
-    plan = _left_plan(g.spec, u, g.src, g.dst)
-    flat = _gather(g, plan)
-    return Morphism.trusted(
-        g.spec, plan.src, plan.dst,
-        {c: np.linalg.solve(Md.T, flat[o:o + r * k].reshape(r, k) @ Ms.T)
-         for c, o, r, k, Md, Ms in plan.layout})
+    layout, idx, steps = _left_plan(g.spec, u, g.layout)
+    flat = np.zeros(layout.size, dtype=np.complex128)
+    flat[idx[0]] = g.flat[idx[1]]
+    for o, oe, r, k, A, B in steps:
+        blk = flat[o:oe].reshape(r, k)
+        np.matmul(A, blk @ B, out=blk)
+    return _built(g.spec, layout, flat)
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
@@ -433,7 +469,10 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 
 def embed(f: Morphism, *, left=(), right=()) -> Morphism:
-    """id_left (x) f (x) id_right."""
+    """id_left (x) f (x) id_right; left and right are words or sums of
+    words, checked before they are concatenated."""
+    for word in _summands(left) + _summands(right):
+        f.spec.ring.tree_basis(word)
     return _whisker_right(_whisker_left(left, f), right)
 
 
@@ -505,9 +544,8 @@ def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
         c2 = block_crossing(spec, c1.dst, len(word) - k, True)
         return c2 @ c1
     base = double_braiding(spec, word, k, 1)
-    return Morphism(spec, word, word,
-                    {c: np.linalg.matrix_power(blk, int(n))
-                     for c, blk in base.blocks.items()})
+    return _blockwise(base, base.layout,
+                      lambda c, blk: np.linalg.matrix_power(blk, int(n)))
 
 
 def twist_endo(spec: CategorySpec, word, power: int = 1) -> Morphism:
@@ -603,4 +641,4 @@ def trace_formula(f: Morphism) -> complex:
     if f.src != f.dst:
         raise TraceOnNonEndomorphism(f"trace of {f.src} -> {f.dst}")
     return complex(sum(f.spec.dims[c] * np.trace(blk)
-                       for c, blk in f.blocks.items()))
+                       for c, blk in _views(f.layout, f.flat)))

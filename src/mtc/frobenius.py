@@ -184,8 +184,8 @@ class PermutationAlgebra:
     def pairing_scalars(self, n: int = 0) -> np.ndarray:
         """The scalar of Phi^(n) from summand i of A to summand dual(i) of
         A^v, both the label labels[i]."""
-        phi = self.pairing_iso(n)
-        return np.array([phi.blocks[x][0, 0] for x in self.labels])
+        blocks = self.pairing_iso(n).blocks
+        return np.array([blocks[x][0, 0] for x in self.labels])
 
     def sigma(self) -> Morphism:
         """The diagonal twist sigma = (+)_i theta_{dual(i)} id."""
@@ -223,8 +223,8 @@ class PermutationAlgebra:
     def xi(self, n: int = 0) -> np.ndarray:
         """Diagonal weights of the left-center idempotent: its 1 x 1 block
         at labels[i], as the summands of A are distinct simple labels."""
-        proj = self.left_center_idempotent(n)
-        return np.array([proj.blocks[x][0, 0] for x in self.labels])
+        blocks = self.left_center_idempotent(n).blocks
+        return np.array([blocks[x][0, 0] for x in self.labels])
 
 
 def xi_formula(base: CategorySpec) -> np.ndarray:

@@ -8,7 +8,8 @@ from mtc import deligne, get_category, modular_datum, validate_category
 from mtc.category import CategorySpec
 from mtc.deligne import (MAX_PRODUCT_RANK, deligne_pair, deligne_power,
                          pair_morphism)
-from mtc.engine import braid_generator, double_braiding, identity, trees
+from mtc.engine import (braid_generator, direct_sum, double_braiding,
+                        identity, trees)
 from mtc.errors import RankOverflow, ShapeMismatch
 
 from conftest import BUILTINS, random_rep_a4
@@ -225,6 +226,20 @@ def test_pair_morphism_word_guard(spec_of, squares):
     with pytest.raises(ShapeMismatch):
         pair_morphism(squares["semion"], identity(spec, (1,)),
                       identity(spec, (1, 1)))
+
+
+def test_pair_morphism_refuses_sum_endpoints(spec_of, squares):
+    """pair_morphism pairs word morphisms: a direct sum of words, even of
+    one word, as the source or target of either factor is refused."""
+    spec = spec_of("ising")
+    word = identity(spec, (1,))
+    pair = identity(spec, ((1,), (2,)))
+    for f1, f2 in ((pair, identity(spec, ((0,), (1,)))),
+                   (pair, word), (word, pair),
+                   (identity(spec, ((1,),)), word),
+                   (word, direct_sum(spec, (1,), ((1,),), {(0, 0): word}))):
+        with pytest.raises(ShapeMismatch):
+            pair_morphism(squares["ising"], f1, f2)
 
 
 def test_product_tree_counts(spec_of, squares):
