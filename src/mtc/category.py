@@ -366,9 +366,9 @@ class CategorySpec:
         self.rank = ring.rank
         self.dims = np.asarray(dims, dtype=np.float64)
         self.theta = np.asarray(theta, dtype=np.complex128)
-        self.F = {tuple(int(x) for x in k): np.asarray(v, dtype=np.complex128)
+        self.F = {tuple(map(int, k)): np.asarray(v, dtype=np.complex128)
                   for k, v in F.items()}
-        self.R = {tuple(int(x) for x in k): np.asarray(v, dtype=np.complex128)
+        self.R = {tuple(map(int, k)): np.asarray(v, dtype=np.complex128)
                   for k, v in R.items()}
         self.label_names = list(label_names) if label_names else None
         self.product_of = product_of  # (base name, factor count) for products

@@ -3,23 +3,29 @@
 Labels of a product are flattened row-major: the pair (a1, a2) becomes
 a1 * rank2 + a2, so iterated products of one base category have labels in
 base-rank positional notation.  A multiplicity index pairs the same way,
-(m1, m2) -> m1 * n2 + m2.  Every product block, of the F- and R-tables and
-of a paired morphism, is its two factor blocks paired over the product's
-trees, and ``product_tree_map`` is the one decoder of a product tree into
-its factor trees.  Trees are decoded on the rings, so the maps built while
-pairing the tables are cached on the product ring and reused by
-``pair_morphism``.
+(m1, m2) -> m1 * n2 + m2.
+
+The product's F- and R-blocks are Kronecker products of factor blocks.
+Every pair of factor keys gives one product key; the pairs are stacked by
+their two block shapes, and each stack is one broadcast elementwise
+product, so every entry is exactly the product of its two factor entries.
+Kronecker order lists the rows of an F-block as (e1, alpha1, beta1, e2,
+alpha2, beta2) but the product basis sorts them as (e1, e2, alpha1,
+alpha2, beta1, beta2), and likewise the columns, so each stack is then
+sorted into the product's order; the two orders agree when both factors
+are multiplicity-free, and always on the two-letter words of R.
+``product_tree_map`` decodes each tree of a product word into its factor
+trees for ``pair_morphism`` and is cached on the product ring.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .category import CategorySpec, FusionRing, _summands, cached
+from .category import (CategorySpec, FusionRing, _encode, _f_block_keys,
+                       _f_blocks, _groups, _stacks, _summands, cached)
 from .engine import Morphism
-from .errors import RankOverflow, ShapeMismatch
+from .errors import NotPremodular, RankOverflow, ShapeMismatch
 
 MAX_PRODUCT_RANK = 128
 
@@ -32,37 +38,125 @@ def _pair_block(B1, B2, rows, cols):
     return B1.take(r1, 0).take(c1, 1) * B2.take(r2, 0).take(c2, 1)
 
 
-def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
-    """F and R of the product on ``ring``, each block paired from the factor
-    blocks.
+def _factor(keys, blocks, *labels):
+    """A factor's table for pairing: its keys as an int array, each block's
+    shape group and position there, and per group the stack of its blocks
+    and of each list of ``labels`` (one entry per block)."""
+    group = np.zeros(len(blocks), dtype=np.int64)
+    pos = np.zeros(len(blocks), dtype=np.int64)
+    stacks = []
+    for g, (idx, stack) in enumerate(_stacks(blocks)):
+        group[idx] = g
+        pos[idx] = np.arange(len(idx))
+        stacks.append([stack] + [np.stack([x[i] for i in idx])
+                                 for x in labels])
+    return np.array(keys, dtype=np.int64), group, pos, stacks
 
-    The rows of F[A,B,C,D] are the trees of (A, B, C) at D.  Its columns
-    (f, gamma, delta) are, in the same order, the trees of (B, C, A) at D:
-    they agree on (f, gamma), and the delta counts N[A,f,D] = N[f,A,D]
-    agree because the fusion ring of braided data commutes.  Both factor
-    F-blocks are indexed the same way, so ``product_tree_map`` of the two
-    words gives the factor rows and columns of every product entry.  R[A,B,C]
-    maps the trees of (A, B) at C to those of (B, A).
+
+def _f_factor(spec: CategorySpec):
+    """Every F-block of a factor, from its cached ``_f_blocks``, labelled
+    by the rows (e, alpha, beta) and columns (f, gamma, delta) of
+    ``FusionRing.f_basis``.  A missing or misshapen block raises
+    NotPremodular."""
+    blocks, refused = _f_blocks(spec)
+    if refused is not None:
+        raise NotPremodular(refused)
+    keys = _f_block_keys(spec.ring)[2]
+    bases = [spec.ring.f_basis(*key) for key in keys]
+    rows, cols = ([np.array(b[i], dtype=np.int64).reshape(-1, 3)
+                   for b in bases] for i in (0, 2))
+    return _factor(keys, blocks, rows, cols)
+
+
+def _r_factor(spec: CategorySpec):
+    """Every R-block of a factor, one per (a, b, c) with N[a,b,c] > 0."""
+    keys = np.argwhere(spec.ring.N)
+    return _factor(keys, [spec.r_block(*key) for key in keys.tolist()])
+
+
+def _kron(x, y):
+    """The Kronecker products of two stacks of matrices, pair by pair."""
+    n, r1, c1 = x.shape
+    _, r2, c2 = y.shape
+    return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(
+        n, r1 * r2, c1 * c2)
+
+
+def _product_order(lab1, lab2, r2, m):
+    """Per pair of factor bases, labelled (channel, mult, mult) as the rows
+    or columns of F-blocks, the Kronecker positions of the product basis in
+    its own order.  A product label (e1 r2 + e2, alpha1 n2 + alpha2, beta1
+    n2' + beta2) sorts as (e1, e2, alpha1, alpha2, beta1, beta2); ``m``
+    bounds every multiplicity index."""
+    x, y = lab1[:, :, None], lab2[:, None, :]
+    key = x[..., 0] * r2 + y[..., 0]
+    for i in (1, 2):
+        key = (key * m + x[..., i]) * m + y[..., i]
+    return np.argsort(key.reshape(len(key), -1), axis=1)
+
+
+def _pair_table(fac1, fac2, r2, rank, strands, block):
+    """{product key: block} over every pair of factor keys whose product
+    key has no unit among its first ``strands`` labels, keys ascending.
+    ``block(stacks1, stacks2)`` pairs one stack of each factor's blocks
+    and labels, all pairs of one pair of block shapes at once."""
+    (keys1, group1, pos1, st1), (keys2, group2, pos2, st2) = fac1, fac2
+    i1, i2 = np.divmod(np.arange(len(keys1) * len(keys2)), len(keys2))
+    keys = keys1[i1] * r2 + keys2[i2]
+    keep = np.flatnonzero((keys[:, :strands] > 0).all(axis=1))
+    keep = keep[np.argsort(_encode(keys[keep].T, rank))]
+    i1, i2, keys = i1[keep], i2[keep], keys[keep]
+    out = [None] * len(keys)
+    for p, (g1, g2) in _groups([group1[i1], group2[i2]],
+                               max(len(st1), len(st2))):
+        stack = block([x[pos1[i1[p]]] for x in st1[g1]],
+                      [x[pos2[i2[p]]] for x in st2[g2]])
+        for j, blk in zip(p.tolist(), stack):
+            out[j] = blk
+    return dict(zip(map(tuple, keys.tolist()), out))
+
+
+def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
+    """F and R of the product on ``ring``, paired from the factor blocks.
+
+    Every factor block is read once, F from the factor's cached
+    ``_f_blocks``, and a defective one raises NotPremodular before any
+    product block is built.  The product key (A, B, C, D) of a pair of
+    factor F-keys pairs them label by label; keys with a unit among A, B, C
+    are not stored, and the others are inserted words (A, B, C) ascending,
+    then D ascending.  The pairs are stacked by their two block shapes and
+    each stack is one broadcast product, the Kronecker product of its
+    factor blocks, whose rows and columns are then sorted into the product
+    basis.  R[A,B,C] maps the trees of (A, B) at C to those of (B, A);
+    there Kronecker order is the product's order.
     """
     r2 = s2.rank
-    labels = range(1, ring.rank)
-    F = {}
-    for word in itertools.product(labels, repeat=3):
-        rows = product_tree_map(ring, s1.ring, s2.ring, word)
-        cols = product_tree_map(ring, s1.ring, s2.ring, word[1:] + word[:1])
-        for D in sorted(rows):
-            k1, k2 = _factor_words(word + (D,), r2)
-            F[word + (D,)] = _pair_block(s1.f_block(*k1), s2.f_block(*k2),
-                                         rows[D], cols[D])
-    R = {}
-    for A, B in itertools.product(labels, repeat=2):
-        rows = product_tree_map(ring, s1.ring, s2.ring, (B, A))
-        cols = product_tree_map(ring, s1.ring, s2.ring, (A, B))
-        for C in sorted(cols):
-            k1, k2 = _factor_words((A, B, C), r2)
-            R[(A, B, C)] = _pair_block(s1.r_block(*k1), s2.r_block(*k2),
-                                       rows[C], cols[C])
+    m = max(int(s1.ring.N.max()), int(s2.ring.N.max()))
+    f1, f2 = _f_factor(s1), _f_factor(s2)
+    rf1, rf2 = _r_factor(s1), _r_factor(s2)
+
+    def f_stack(x, y):
+        (b1, rows1, cols1), (b2, rows2, cols2) = x, y
+        rows = _product_order(rows1, rows2, r2, m)
+        cols = _product_order(cols1, cols2, r2, m)
+        return np.take_along_axis(np.take_along_axis(
+            _kron(b1, b2), rows[:, :, None], 1), cols[:, None, :], 2)
+
+    F = _pair_table(f1, f2, r2, ring.rank, 3, f_stack)
+    R = _pair_table(rf1, rf2, r2, ring.rank, 2,
+                    lambda x, y: _kron(x[0], y[0]))
     return F, R
+
+
+def _product_rules(ring1: FusionRing, ring2: FusionRing):
+    """N and dual of the product of two fusion rings, labels row-major.
+
+    Its slices at the unit of either factor are the other factor's N, so
+    a ring equal to this one has exactly these factors, in this order."""
+    rank = ring1.rank * ring2.rank
+    N = np.einsum("ijk,lmn->iljmkn", ring1.N, ring2.N).reshape(
+        rank, rank, rank)
+    return N, (ring1.dual[:, None] * ring2.rank + ring2.dual).ravel()
 
 
 def deligne_pair(s1: CategorySpec, s2: CategorySpec) -> CategorySpec:
@@ -72,11 +166,7 @@ def deligne_pair(s1: CategorySpec, s2: CategorySpec) -> CategorySpec:
     if rank > MAX_PRODUCT_RANK:
         raise RankOverflow(
             f"product rank {rank} exceeds the cap {MAX_PRODUCT_RANK}")
-    N = np.einsum("ijk,lmn->iljmkn", s1.ring.N, s2.ring.N).reshape(
-        rank, rank, rank)
-    dual = [int(s1.dual[a1]) * r2 + int(s2.dual[a2])
-            for a1 in range(r1) for a2 in range(r2)]
-    ring = FusionRing(N, dual)
+    ring = FusionRing(*_product_rules(s1.ring, s2.ring))
     F, R = _pair_tables(ring, s1, s2)
     names = None
     if s1.label_names and s2.label_names:
@@ -88,8 +178,9 @@ def deligne_pair(s1: CategorySpec, s2: CategorySpec) -> CategorySpec:
 
 def deligne_power(spec: CategorySpec, n: int) -> CategorySpec:
     """n-fold product of one category with itself, folded pairwise."""
-    if n < 1:
-        raise ValueError("power must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"power must be a Python int of at least 1, "
+                         f"not {n!r}")
     if spec.rank ** n > MAX_PRODUCT_RANK:
         raise RankOverflow(
             f"rank {spec.rank}^{n} exceeds the cap {MAX_PRODUCT_RANK}")
@@ -152,16 +243,21 @@ def pair_morphism(prod: CategorySpec, f1: Morphism, f2: Morphism) -> Morphism:
 
     Source and target words pair the factor letters positionally, so both
     factors must have source words of one common length and likewise for
-    targets.  Direct sums of words are refused.
+    targets.  f1 and f2 must lie on categories with the fusion rules of
+    the product's first and second factor; direct sums of words are
+    refused.
     """
     if any(_summands(end) is end
            for f in (f1, f2) for end in (f.src, f.dst)):
         raise ShapeMismatch("paired morphisms must map words, not direct "
                             "sums of words")
     s1, s2 = f1.spec, f2.spec
+    N, dual = _product_rules(s1.ring, s2.ring)
+    if not (np.array_equal(N, prod.ring.N)
+            and np.array_equal(dual, prod.ring.dual)):
+        raise ShapeMismatch("the product's fusion rules are not those of "
+                            "the morphisms' categories, in order")
     r2 = s2.rank
-    if prod.rank != s1.rank * r2:
-        raise ShapeMismatch("product category does not match the factors")
     src = _interleave(f1.src, f2.src, r2)
     dst = _interleave(f1.dst, f2.dst, r2)
     smap = product_tree_map(prod.ring, s1.ring, s2.ring, src)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from mtc import deligne, get_category, modular_datum, validate_category
-from mtc.category import CategorySpec
+from mtc.category import CategorySpec, spec_from_dict, spec_to_dict
 from mtc.deligne import (MAX_PRODUCT_RANK, deligne_pair, deligne_power,
                          pair_morphism)
 from mtc.engine import (braid_generator, direct_sum, double_braiding,
                         identity, trees)
-from mtc.errors import RankOverflow, ShapeMismatch
+from mtc.errors import NotPremodular, RankOverflow, ShapeMismatch
 
 from conftest import BUILTINS, random_rep_a4
 from test_diagram_engine import random_endo
@@ -138,6 +138,50 @@ def test_square_tables_match_reference_with_multiplicity(rep_a4_square):
             assert dev <= 1e-12 * np.max(np.abs(blk)), key
 
 
+@pytest.mark.parametrize("first, second", [
+    ("ising", "fibonacci"), ("fibonacci", "ising"),
+    ("rep_a4", "semion"), ("semion", "rep_a4")])
+def test_mixed_pair_tables_match_reference(spec_of, rep_a4_square, first,
+                                           second):
+    """Products of two different factors.  Ising and Fibonacci have unequal
+    ranks, so a pairing that splits labels by the wrong rank fails; with
+    Rep(A4) only one factor has multiplicities.  Builtin entries are exact,
+    Rep(A4) ones within the rounding of numpy's array product."""
+    s1, s2 = (rep_a4_square[0] if x == "rep_a4" else spec_of(x)
+              for x in (first, second))
+    prod = deligne_pair(s1, s2)
+    F, R = _reference_pair_tables(prod, s1, s2)
+    assert list(prod.F) == list(F) and list(prod.R) == list(R)
+    for table, ref in ((prod.F, F), (prod.R, R)):
+        for key, blk in ref.items():
+            if "rep_a4" in (first, second):
+                dev = np.max(np.abs(table[key] - blk))
+                assert dev <= 1e-12 * np.max(np.abs(blk)), key
+            else:
+                assert np.array_equal(table[key], blk), key
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+@pytest.mark.parametrize("defective_first", [True, False])
+def test_defective_factor_refused_before_pairing(spec_of, monkeypatch,
+                                                 table, defective_first):
+    """A factor missing one F- or R-block raises NotPremodular, and no
+    product block is built first."""
+    spec = spec_of("ising")
+    tables = {"F": dict(spec.F), "R": dict(spec.R)}
+    del tables[table][(1, 1, 1, 1) if table == "F" else (1, 1, 0)]
+    bad = CategorySpec("ising_defective", spec.ring, spec.dims, spec.theta,
+                       tables["F"], tables["R"])
+    built = []
+    monkeypatch.setattr(deligne, "_kron",
+                        lambda *args: built.append(args))
+    factors = (bad, spec_of("semion")) if defective_first \
+        else (spec_of("semion"), bad)
+    with pytest.raises(NotPremodular, match="missing"):
+        deligne_pair(*factors)
+    assert not built
+
+
 def test_pairing_builds_one_spec(spec_of, monkeypatch):
     """The product's tables are paired on its fusion ring, so the only spec
     built is the product itself."""
@@ -160,6 +204,14 @@ def test_power_metadata(spec_of):
     with pytest.raises(RankOverflow):
         deligne_power(spec_of("ising"), 5)
     assert 3 ** 5 > MAX_PRODUCT_RANK
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, np.int64(2), "2", None, 0])
+def test_power_must_be_a_positive_int(spec_of, n):
+    """Only a Python int of at least 1 is a power: a bool, a float or a
+    numpy integer is refused before any product is built."""
+    with pytest.raises(ValueError, match="power"):
+        deligne_power(spec_of("semion"), n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +278,44 @@ def test_pair_morphism_word_guard(spec_of, squares):
     with pytest.raises(ShapeMismatch):
         pair_morphism(squares["semion"], identity(spec, (1,)),
                       identity(spec, (1, 1)))
+
+
+def test_pair_morphism_checks_the_factors(spec_of):
+    """The product's fusion rules must be those of the morphisms'
+    categories, in order: morphisms on the factors swapped, or on another
+    category of the same rank, are refused, even though the ranks multiply
+    to the product's."""
+    ising, semion = spec_of("ising"), spec_of("semion")
+    prod = deligne_pair(ising, semion)
+    paired = pair_morphism(prod, identity(ising, (1,)), identity(semion, (1,)))
+    assert paired.deviation(identity(prod, (3,))) == 0
+    with pytest.raises(ShapeMismatch):
+        pair_morphism(prod, identity(semion, (1,)), identity(ising, (1,)))
+    with pytest.raises(ShapeMismatch):
+        pair_morphism(prod, braid_generator(semion, (1, 1), 1, True),
+                      braid_generator(ising, (1, 1), 1, True))
+    fib = deligne_pair(spec_of("fibonacci"), semion)
+    with pytest.raises(ShapeMismatch):
+        pair_morphism(fib, identity(semion, (1,)), identity(semion, (1,)))
+    # a category with the factor's fusion rules pairs like the factor
+    z2 = spec_of("rep_z2_symmetric")
+    sq = deligne_power(semion, 2)
+    assert pair_morphism(sq, identity(z2, (1,)), identity(semion, (1,))
+                         ).deviation(identity(sq, (3,))) == 0
+
+
+def test_pair_morphism_on_a_loaded_product(spec_of):
+    """A product saved and loaded back pairs morphisms like the one built
+    by deligne_pair, and still refuses factors in the wrong order."""
+    ising, semion = spec_of("ising"), spec_of("semion")
+    sq = deligne_power(semion, 2)
+    loaded = spec_from_dict(spec_to_dict(sq))
+    f = braid_generator(semion, (1, 1), 1, True)
+    assert pair_morphism(loaded, f, f).deviation(pair_morphism(sq, f, f)) == 0
+    mixed = spec_from_dict(spec_to_dict(deligne_pair(ising, semion)))
+    pair_morphism(mixed, identity(ising, (1,)), identity(semion, (1,)))
+    with pytest.raises(ShapeMismatch):
+        pair_morphism(mixed, identity(semion, (1,)), identity(ising, (1,)))
 
 
 def test_pair_morphism_refuses_sum_endpoints(spec_of, squares):
