@@ -103,15 +103,17 @@ class Layout:
     ascending, to (offset, rows, cols): the block at that root, rows over
     dst's basis and columns over src's, is ``flat[offset:offset + rows *
     cols]`` read row-major.  ``bsrc`` and ``bdst`` are the two bases'
-    summand offsets, and ``size`` is the length of the flat array.  A ring
-    builds one layout per (src, dst), so plans key on it by identity, and
-    layouts with equal ``roots`` share one dict from ``shared``.
+    summand offsets, ``size`` is the length of the flat array, and
+    ``rules`` the ring's (N, dual).  A ring builds one layout per (src,
+    dst), so plans key on it by identity, and layouts with equal ``roots``
+    share one dict from ``shared``.
     """
 
-    __slots__ = ("src", "dst", "bsrc", "bdst", "roots", "size")
+    __slots__ = ("src", "dst", "bsrc", "bdst", "roots", "size", "rules")
 
-    def __init__(self, src, dst, bsrc, bdst, shared):
+    def __init__(self, src, dst, bsrc, bdst, shared, rules):
         self.src, self.dst, self.bsrc, self.bdst = src, dst, bsrc, bdst
+        self.rules = rules
         roots, self.size = {}, 0
         for c in sorted(bsrc.keys() & bdst.keys()):
             rows, cols = bdst[c][-1], bsrc[c][-1]
@@ -169,6 +171,7 @@ class FusionRing:
             raise RingAxiomError("dual involution has wrong length")
         self.N.setflags(write=False)
         self.dual.setflags(write=False)
+        self._rules = (self.N, self.dual)  # one pair shared by every layout
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
         self._cache = {"trees": {}, "sums": {}, "layouts": {}, "roots": {}}
@@ -312,7 +315,8 @@ class FusionRing:
         hit = self._cache["layouts"].get((src, dst))
         if hit is None:
             hit = self._cache["layouts"][src, dst] = Layout(
-                src, dst, bsrc, bdst, self._cache["roots"])
+                src, dst, bsrc, bdst, self._cache["roots"],
+                self._rules)
         return hit
 
     @cached("tree_pos")

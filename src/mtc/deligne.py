@@ -5,17 +5,14 @@ a1 * rank2 + a2, so iterated products of one base category have labels in
 base-rank positional notation.  A multiplicity index pairs the same way,
 (m1, m2) -> m1 * n2 + m2.
 
-The product's F- and R-blocks are Kronecker products of factor blocks.
-Every pair of factor keys gives one product key; the pairs are stacked by
-their two block shapes, and each stack is one broadcast elementwise
-product, so every entry is exactly the product of its two factor entries.
-Kronecker order lists the rows of an F-block as (e1, alpha1, beta1, e2,
-alpha2, beta2) but the product basis sorts them as (e1, e2, alpha1,
-alpha2, beta1, beta2), and likewise the columns, so each stack is then
-sorted into the product's order; the two orders agree when both factors
-are multiplicity-free, and always on the two-letter words of R.
-``product_tree_map`` decodes each tree of a product word into its factor
-trees for ``pair_morphism`` and is cached on the product ring.
+Every product block, of F, of R or of a paired morphism, is the Kronecker
+product of two factor blocks, so every entry is exactly the product of its
+two factor entries, with its rows and columns sorted by ``_product_order``
+into the product basis.  A basis element is a row of labels: (e, alpha,
+beta) for an F row, (f, gamma, delta) for an F column, L + M for a tree
+(L, M).  As m2 < n2, product rows sort as the two factor rows interleaved,
+(x1, y1, x2, y2, ...), where Kronecker order is (x1, x2, ..., y1, y2, ...);
+the two agree on rows of one label, as on the two-letter words of R.
 """
 
 from __future__ import annotations
@@ -28,14 +25,6 @@ from .engine import Morphism
 from .errors import NotPremodular, RankOverflow, ShapeMismatch
 
 MAX_PRODUCT_RANK = 128
-
-
-def _pair_block(B1, B2, rows, cols):
-    """The block of B1 x B2 between product bases given as lists of
-    factor-index pairs (i1, i2): entry (i, j) is B1[r1, c1] * B2[r2, c2]
-    with rows[i] = (r1, r2) and cols[j] = (c1, c2)."""
-    (r1, r2), (c1, c2) = zip(*rows), zip(*cols)
-    return B1.take(r1, 0).take(c1, 1) * B2.take(r2, 0).take(c2, 1)
 
 
 def _factor(keys, blocks, *labels):
@@ -82,17 +71,19 @@ def _kron(x, y):
         n, r1 * r2, c1 * c2)
 
 
-def _product_order(lab1, lab2, r2, m):
-    """Per pair of factor bases, labelled (channel, mult, mult) as the rows
-    or columns of F-blocks, the Kronecker positions of the product basis in
-    its own order.  A product label (e1 r2 + e2, alpha1 n2 + alpha2, beta1
-    n2' + beta2) sorts as (e1, e2, alpha1, alpha2, beta1, beta2); ``m``
-    bounds every multiplicity index."""
-    x, y = lab1[:, :, None], lab2[:, None, :]
-    key = x[..., 0] * r2 + y[..., 0]
-    for i in (1, 2):
-        key = (key * m + x[..., i]) * m + y[..., i]
-    return np.argsort(key.reshape(len(key), -1), axis=1)
+def _product_order(lab1, lab2):
+    """Per pair of factor bases, given as stacks of label rows (n, k1, w)
+    and (n, k2, w), the Kronecker positions of the product basis in its own
+    order: the interleaved rows (x1, y1, ..., xw, yw) sorted ascending.
+    Rows without labels keep Kronecker order."""
+    n, k1, w = lab1.shape
+    k2 = lab2.shape[1]
+    if not w:
+        return np.broadcast_to(np.arange(k1 * k2), (n, k1 * k2))
+    keys = np.empty((w, 2, n, k1, k2), dtype=np.int64)
+    keys[:, 0] = lab1.transpose(2, 0, 1)[..., None]
+    keys[:, 1] = lab2.transpose(2, 0, 1)[:, :, None, :]
+    return np.lexsort(keys.reshape(2 * w, n, k1 * k2)[::-1])
 
 
 def _pair_table(fac1, fac2, r2, rank, strands, block):
@@ -131,14 +122,13 @@ def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
     there Kronecker order is the product's order.
     """
     r2 = s2.rank
-    m = max(int(s1.ring.N.max()), int(s2.ring.N.max()))
     f1, f2 = _f_factor(s1), _f_factor(s2)
     rf1, rf2 = _r_factor(s1), _r_factor(s2)
 
     def f_stack(x, y):
         (b1, rows1, cols1), (b2, rows2, cols2) = x, y
-        rows = _product_order(rows1, rows2, r2, m)
-        cols = _product_order(cols1, cols2, r2, m)
+        rows = _product_order(rows1, rows2)
+        cols = _product_order(cols1, cols2)
         return np.take_along_axis(np.take_along_axis(
             _kron(b1, b2), rows[:, :, None], 1), cols[:, None, :], 2)
 
@@ -197,38 +187,24 @@ def deligne_power(spec: CategorySpec, n: int) -> CategorySpec:
 # morphism pairing
 
 
-def _factor_words(word, r2):
-    w1 = tuple(x // r2 for x in word)
-    w2 = tuple(x % r2 for x in word)
-    return w1, w2
-
-
 @cached("ptree_map")
 def product_tree_map(prod: FusionRing, ring1: FusionRing, ring2: FusionRing,
                      word):
-    """Per root, the factor-tree indices of each product tree.
-
-    Returns {root: list of (i1, i2)} aligned with the product tree order;
-    the factor roots are divmod(root, ring2.rank).  Cached on ``prod``, the
-    ring built from ``ring1`` and ``ring2``.
-    """
+    """Per root, the product order of the Kronecker grid of factor trees:
+    {root: perm}, the product tree at position p pairing factor trees i1
+    and i2 with perm[p] = i1 * k2 + i2, k2 the second factor's tree count
+    at root % ring2.rank.  Cached on ``prod``, the ring built from
+    ``ring1`` and ``ring2``."""
+    roots = prod.tree_basis(word)
     r2 = ring2.rank
-    w1, w2 = _factor_words(word, r2)
-    t1pos = ring1.tree_positions(w1)
-    t2pos = ring2.tree_positions(w2)
+    t1 = ring1.tree_basis(tuple(x // r2 for x in word))
+    t2 = ring2.tree_basis(tuple(x % r2 for x in word))
     out = {}
-    for root, ts in prod.tree_basis(word).items():
+    for root in roots:
         c1, c2 = divmod(root, r2)
-        pairs = []
-        for (L, M) in ts:
-            L1, L2 = _factor_words(L, r2)
-            # vertex j fuses ((w2[0],) + L2)[j] and w2[j + 1] into L2[j]
-            ms = [divmod(m, ring2.n(x, y, z))
-                  for m, x, y, z in zip(M, w2[:1] + L2, w2[1:], L2)]
-            M1 = tuple(m1 for m1, _ in ms)
-            M2 = tuple(m2 for _, m2 in ms)
-            pairs.append((t1pos[c1][(L1, M1)], t2pos[c2][(L2, M2)]))
-        out[root] = pairs
+        lab1, lab2 = (np.array([L + M for L, M in ts], dtype=np.int64)
+                      for ts in (t1[c1], t2[c2]))
+        out[root] = _product_order(lab1[None], lab2[None])[0]
     return out
 
 
@@ -245,7 +221,9 @@ def pair_morphism(prod: CategorySpec, f1: Morphism, f2: Morphism) -> Morphism:
     factors must have source words of one common length and likewise for
     targets.  f1 and f2 must lie on categories with the fusion rules of
     the product's first and second factor; direct sums of words are
-    refused.
+    refused.  The block at each root is the Kronecker product of the
+    factor blocks, its rows in the product order of the target's trees and
+    its columns in that of the source's.
     """
     if any(_summands(end) is end
            for f in (f1, f2) for end in (f.src, f.dst)):
@@ -262,11 +240,11 @@ def pair_morphism(prod: CategorySpec, f1: Morphism, f2: Morphism) -> Morphism:
     dst = _interleave(f1.dst, f2.dst, r2)
     smap = product_tree_map(prod.ring, s1.ring, s2.ring, src)
     dmap = product_tree_map(prod.ring, s1.ring, s2.ring, dst)
+    b1, b2 = f1.blocks, f2.blocks
     blocks = {}
-    for root in set(smap) & set(dmap):
+    for root in smap.keys() & dmap.keys():
         c1, c2 = divmod(root, r2)
-        B1 = f1.blocks.get(c1)
-        B2 = f2.blocks.get(c2)
-        if B1 is not None and B2 is not None:
-            blocks[root] = _pair_block(B1, B2, dmap[root], smap[root])
+        if c1 in b1 and c2 in b2:
+            blk = _kron(b1[c1][None], b2[c2][None])[0]
+            blocks[root] = blk[np.ix_(dmap[root], smap[root])]
     return Morphism(prod, src, dst, blocks)

@@ -191,9 +191,19 @@ class Morphism:
 
 
 def _check_same(f, g, what):
-    """Refuse two morphisms whose endpoints differ."""
-    if f.layout is not g.layout and (f.src != g.src or f.dst != g.dst):
-        raise ShapeMismatch(f"{what} of morphisms with different words")
+    """Refuse two morphisms whose endpoints or fusion rules differ."""
+    if f.layout is not g.layout:
+        if f.src != g.src or f.dst != g.dst:
+            raise ShapeMismatch(f"{what} of morphisms with different words")
+        _check_rules(f.layout, g.layout, what)
+
+
+def _check_rules(x: Layout, y: Layout, what):
+    """Refuse layouts of two rings whose N or dual differ."""
+    if x.rules is not y.rules and not all(map(np.array_equal, x.rules,
+                                              y.rules)):
+        raise ShapeMismatch(f"{what} of morphisms of categories with "
+                            f"different fusion rules")
 
 
 def _blockwise(f: Morphism, layout: Layout, fn) -> Morphism:
@@ -225,6 +235,7 @@ def _compose_plan(ring, outer: Layout, inner: Layout):
     if inner.dst != outer.src:
         raise ShapeMismatch(
             f"cannot compose: inner endpoints {inner.dst} != {outer.src}")
+    _check_rules(outer, inner, "composition")
     layout = ring.layout(inner.src, outer.dst)
     steps = []
     for c, (o, r, k) in layout.roots.items():
@@ -260,6 +271,7 @@ def direct_sum(spec: CategorySpec, src, dst, comps) -> Morphism:
                 or (m.src, m.dst) != (S[s], D[d]):
             raise ShapeMismatch(f"component ({d}, {s}) maps {m.src} -> "
                                 f"{m.dst}, not a summand of {src} -> {dst}")
+        _check_rules(layout, m.layout, "direct sum")
         for c, blk in _views(m.layout, m.flat):
             out[c][bdst[c][d]:bdst[c][d + 1], bsrc[c][s]:bsrc[c][s + 1]] = blk
     return _built(spec, layout, flat)
@@ -465,6 +477,7 @@ def _whisker_left(u, g: Morphism) -> Morphism:
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """Horizontal juxtaposition f (x) g = (f (x) id) o (id (x) g)."""
+    _check_rules(f.layout, g.layout, "tensor")
     return _whisker_right(f, g.dst) @ _whisker_left(f.src, g)
 
 

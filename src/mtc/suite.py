@@ -161,20 +161,20 @@ def _invariants_section(spec, report, tol_config, md):
                         "requires a nondegenerate S-matrix")
         return
     atol = tol_config.atol
-    sub = invariant_report(spec, md, (1, 0), atol)
-    report.add_deviation("transposition_invariant", "permutation-invariants",
-                         sub.max_deviation, atol)
+    for name, perm, product in (
+            ("transposition_invariant", (1, 0), "square"),
+            ("three_cycle_invariant", (1, 2, 0), "triple product")):
+        if spec.rank ** len(perm) > MAX_PRODUCT_RANK:
+            report.add_skip(name, "permutation-invariants",
+                            f"{product} exceeds the rank bound")
+            continue
+        sub = invariant_report(spec, md, perm, atol)
+        report.add_deviation(name, "permutation-invariants",
+                             sub.max_deviation, atol)
     if spec.rank ** 3 <= MAX_PRODUCT_RANK:
-        sub3 = invariant_report(spec, md, (1, 2, 0), atol)
-        report.add_deviation("three_cycle_invariant",
-                             "permutation-invariants", sub3.max_deviation,
-                             atol)
         hom = symmetric_group_check(spec.rank, 3)
         report.add_deviation("symmetric_group_action",
                              "permutation-homomorphism", float(hom), 0.5)
-    else:
-        report.add_skip("three_cycle_invariant", "permutation-invariants",
-                        "triple product exceeds the rank bound")
 
     worst = 0
     for i, j, k, l in itertools.product(range(spec.rank), repeat=4):
@@ -195,8 +195,10 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; "
                          f"choose from {SUITE_NAMES}")
-    spec = resolve_target(target)
     n_values = tuple(int(n) for n in n_values)
+    if not n_values:
+        raise ValueError("n_values must name at least one module level n")
+    spec = resolve_target(target)
     rng = np.random.default_rng(seed)
 
     report = VerificationReport(

@@ -1,6 +1,8 @@
 """Product categories: coherence of the paired data, multiplicativity of the
 modular data, and the paired-morphism functor."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from mtc import deligne, get_category, modular_datum, validate_category
 from mtc.category import CategorySpec, spec_from_dict, spec_to_dict
 from mtc.deligne import (MAX_PRODUCT_RANK, deligne_pair, deligne_power,
                          pair_morphism)
-from mtc.engine import (braid_generator, direct_sum, double_braiding,
-                        identity, trees)
+from mtc.deligne import product_tree_map
+from mtc.engine import (Morphism, braid_generator, cup, direct_sum,
+                        double_braiding, identity, trees)
 from mtc.errors import NotPremodular, RankOverflow, ShapeMismatch
+from mtc.frobenius import fusion_basis
 
 from conftest import BUILTINS, random_rep_a4
-from test_diagram_engine import random_endo
+from test_diagram_engine import random_endo, random_map
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,49 @@ def _reference_pair_tables(prod, s1, s2):
                 R[(A, B, Cc)] = np.kron(s1.r_block(a1, b1, c1),
                                         s2.r_block(a2, b2, c2))
     return F, R
+
+
+def _reference_pair_morphism(prod, f1, f2):
+    """f1 x f2 tree by tree: each product tree is decoded into its two
+    factor trees, each product multiplicity index m split as divmod(m, n2)
+    with n2 the second factor's multiplicity at that vertex, and each entry
+    is the product of the two factor entries."""
+    ring1, ring2 = f1.spec.ring, f2.spec.ring
+    r2 = ring2.rank
+
+    def split(word):
+        return tuple(x // r2 for x in word), tuple(x % r2 for x in word)
+
+    def decode(word):
+        w1, w2 = split(word)
+        pos1, pos2 = ring1.tree_positions(w1), ring2.tree_positions(w2)
+        out = {}
+        for root, ts in prod.ring.tree_basis(word).items():
+            c1, c2 = divmod(root, r2)
+            pairs = []
+            for L, M in ts:
+                L1, L2 = split(L)
+                # vertex j fuses ((w2[0],) + L2)[j] and w2[j + 1] into L2[j]
+                ms = [divmod(m, ring2.n(x, y, z))
+                      for m, x, y, z in zip(M, w2[:1] + L2, w2[1:], L2)]
+                M1 = tuple(m1 for m1, _ in ms)
+                M2 = tuple(m2 for _, m2 in ms)
+                pairs.append((pos1[c1][(L1, M1)], pos2[c2][(L2, M2)]))
+            out[root] = pairs
+        return out
+
+    src = tuple(a * r2 + b for a, b in zip(f1.src, f2.src))
+    dst = tuple(a * r2 + b for a, b in zip(f1.dst, f2.dst))
+    smap, dmap = decode(src), decode(dst)
+    blocks = {}
+    for root in set(smap) & set(dmap):
+        c1, c2 = divmod(root, r2)
+        B1, B2 = f1.blocks.get(c1), f2.blocks.get(c2)
+        if B1 is not None and B2 is not None:
+            (i1, i2), (j1, j2) = zip(*dmap[root]), zip(*smap[root])
+            blocks[root] = (B1.take(i1, 0).take(j1, 1)
+                            * B2.take(i2, 0).take(j2, 1))
+    return Morphism(prod, src, dst, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +377,83 @@ def test_pair_morphism_refuses_sum_endpoints(spec_of, squares):
                    (word, direct_sum(spec, (1,), ((1,),), {(0, 0): word}))):
         with pytest.raises(ShapeMismatch):
             pair_morphism(squares["ising"], f1, f2)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("ising", "ising"), ("ising", "fibonacci"), ("fibonacci", "ising"),
+    ("z_3(1)", "ising"), ("rep_a4", "ising"), ("rep_a4", "rep_a4"),
+    ("semion", "rep_a4")])
+def test_pair_morphism_matches_reference(spec_of, rep_a4_square, rng,
+                                         first, second):
+    """Every paired morphism equals the tree-by-tree decoding bit for bit,
+    with the same endpoints: random endomorphisms on random words of
+    length 1 to 3 and on the powers of each factor's label with the most
+    channels, and every two-letter braid generator.  Kronecker order
+    differs from the product's once two labels of a tree vary, as on the
+    ising and fibonacci powers of length 5 and the Rep(A4) ones of length
+    3, whose multiplicities reach 2 on one factor or on both; Rep(A4)
+    stops at length 4, where a root of its square has 400 trees."""
+    s1, s2 = (rep_a4_square[0] if x == "rep_a4" else spec_of(x)
+              for x in (first, second))
+    prod = rep_a4_square[1] if first == second == "rep_a4" \
+        else deligne_pair(s1, s2)
+    words = []
+    for n in (1, 2, 3):
+        for _ in range(4):
+            words.append([tuple(int(x) for x in rng.integers(0, s.rank, n))
+                          for s in (s1, s2)])
+    tops = [int(np.argmax(s.ring.N.sum(axis=(1, 2)))) for s in (s1, s2)]
+    longest = 4 if "rep_a4" in (first, second) else 5
+    words += [[(top,) * n for top in tops] for n in range(1, longest + 1)]
+    pairs = [(random_endo(s1, w1, rng), random_endo(s2, w2, rng))
+             for w1, w2 in words]
+    for a1, b1, a2, b2 in itertools.product(range(s1.rank), range(s1.rank),
+                                            range(s2.rank), range(s2.rank)):
+        over = bool((a1 + b2) % 2)
+        pairs.append((braid_generator(s1, (a1, b1), 1, over),
+                      braid_generator(s2, (a2, b2), 1, over)))
+    for f1, f2 in pairs:
+        got = pair_morphism(prod, f1, f2)
+        ref = _reference_pair_morphism(prod, f1, f2)
+        assert (got.src, got.dst) == (ref.src, ref.dst)
+        assert np.array_equal(got.flat, ref.flat), (f1, f2)
+
+
+def test_pair_morphism_matches_reference_across_lengths(spec_of, squares,
+                                                        rng):
+    """On the ising square, morphisms of the empty word, cups, fusion
+    vertices and random maps between words of different lengths pair as
+    the reference does."""
+    spec, prod = spec_of("ising"), squares["ising"]
+    pairs = [(identity(spec, ()), identity(spec, ())),
+             (cup(spec, 1), cup(spec, 2)),
+             (fusion_basis(spec, 1, 1, 2, 0), fusion_basis(spec, 2, 1, 1, 0)),
+             (random_map(spec, (1, 1), (2,), rng),
+              random_map(spec, (1, 2), (1,), rng)),
+             (random_map(spec, (1,), (1, 1, 1), rng),
+              random_map(spec, (2,), (1, 2, 2), rng))]
+    for f1, f2 in pairs:
+        got = pair_morphism(prod, f1, f2)
+        ref = _reference_pair_morphism(prod, f1, f2)
+        assert (got.src, got.dst) == (ref.src, ref.dst)
+        assert np.array_equal(got.flat, ref.flat), (f1, f2)
+
+
+def test_product_tree_map_is_a_permutation(spec_of, rep_a4_square):
+    """At every root, the map orders the whole Kronecker grid of the two
+    factor tree bases."""
+    spec, prod = rep_a4_square
+    r = spec.rank
+    for w1, w2 in (((3,), (2,)), ((3, 3), (3, 1)), ((3, 3, 3), (3, 2, 3)),
+                   ((), ())):
+        word = tuple(a * r + b for a, b in zip(w1, w2))
+        t1, t2 = trees(spec, w1), trees(spec, w2)
+        got = product_tree_map(prod.ring, spec.ring, spec.ring, word)
+        assert got.keys() == trees(prod, word).keys()
+        for root, perm in got.items():
+            c1, c2 = divmod(root, r)
+            n = len(t1[c1]) * len(t2[c2])
+            assert sorted(perm.tolist()) == list(range(n)), root
 
 
 def test_product_tree_counts(spec_of, squares):

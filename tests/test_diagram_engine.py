@@ -146,6 +146,27 @@ def test_composition_shape_guard(spec_of):
         identity(spec, (1, 1)) @ identity(spec, (1, 2))
 
 
+def test_morphisms_of_different_fusion_rules_do_not_combine(spec_of):
+    """Ising and Fibonacci both have the words (1, 1), but not one ring:
+    composing, adding, comparing, tensoring or summing their morphisms is
+    refused.  Semion and rep_z2_symmetric have the same N and dual on two
+    rings, so theirs combine."""
+    ising, fib = spec_of("ising"), spec_of("fibonacci")
+    f = braid_generator(ising, (1, 1), 1)
+    g = braid_generator(fib, (1, 1), 1)
+    for call in (lambda: f @ g, lambda: g @ f, lambda: f + g, lambda: f - g,
+                 lambda: f.deviation(g), lambda: tensor(f, g),
+                 lambda: tensor(identity(ising, (2,)), g),
+                 lambda: direct_sum(ising, (1, 1), (1, 1), {(0, 0): g})):
+        with pytest.raises(ShapeMismatch, match="fusion rules"):
+            call()
+    semion, z2 = spec_of("semion"), spec_of("rep_z2_symmetric")
+    assert semion.ring is not z2.ring
+    h, k = identity(semion, (1, 1)), identity(z2, (1, 1))
+    assert (h @ k).deviation(h - k + k) == 0
+    assert tensor(h, k).deviation(identity(semion, (1, 1, 1, 1))) == 0
+
+
 def test_blocks_at_roots_outside_both_words_are_refused(spec_of):
     """sigma has root 1 only, so a block at root 0 is an error, not dropped."""
     spec = spec_of("ising")

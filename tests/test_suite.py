@@ -104,3 +104,24 @@ def test_report_matches_golden(target):
              zip(got["checks"], want_devs, got_devs)
              if not abs(g - w) <= GOLDEN_DEVIATION_ATOL}
     assert not moved, f"golden -> now: {moved}"
+
+
+def test_invariants_above_the_product_bound_skip_the_transposition():
+    """z_13(1) has rank 13 and 13^2 > 128: the transposition invariant,
+    which needs the square, is skipped with its reason like the three-cycle
+    one, and the annulus and induced-module checks still run."""
+    report = run_suite("z_13(1)", suites=["invariants"])
+    checks = {c.name: c for c in report.checks}
+    assert checks["transposition_invariant"].status == "skipped"
+    assert checks["transposition_invariant"].detail == \
+        "square exceeds the rank bound"
+    assert checks["three_cycle_invariant"].status == "skipped"
+    assert checks["annulus_counts"].status == "pass"
+    assert checks["induced_modules"].status == "pass"
+
+
+def test_empty_n_values_are_refused(monkeypatch):
+    """An empty n_values is refused before the target is even resolved."""
+    monkeypatch.setattr(suite, "resolve_target", None)
+    with pytest.raises(ValueError, match="n_values"):
+        run_suite("semion", n_values=())

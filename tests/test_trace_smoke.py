@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` looks the package's public functions up by module
 and name; a renamed or deleted one breaks ``run.py --trace 1``.  It reads
 the sizes of ``spec._cache`` by section name, so a renamed section reads 0
-rather than failing; the sections the semion run fills must not read 0.
+rather than failing; the sections the semion run fills must not read 0,
+and neither may the calls of the layer functions it runs.
 The trace runs in a fresh interpreter, because the tracer refuses to start
 while any loaded module (a test module here) still holds an unwrapped
 function.
@@ -24,12 +25,14 @@ from tracing import Tracer
 tracer = Tracer()
 tracer.start([])
 try:
-    report = mtc.run_suite("semion", suites=["category", "product", "module"])
+    report = mtc.run_suite("semion", suites=["category", "product", "module",
+                                             "frobenius"])
 finally:
     tracer.stop()
 metrics = tracer.pass_metrics(1.0)
 print(json.dumps({{"passed": report.passed, "metrics": sorted(metrics),
-                  "trees_calls": metrics["engine.trees_calls"],
+                  "calls": {{k: v for k, v in metrics.items()
+                            if k.endswith("_calls")}},
                   "entries": {{k: v for k, v in metrics.items()
                               if ".cache_entries." in k}}}}))
 """
@@ -42,7 +45,11 @@ def test_traced_suite_runs():
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["passed"]
-    assert out["trees_calls"] > 0
+    # a layer function that stopped going through its traced name would
+    # read 0 calls here instead of failing
+    for name in ("engine.trees_calls", "deligne.pair_morphism_calls",
+                 "deligne.product_tree_map_calls"):
+        assert out["calls"][name] > 0, name
     # a renamed cache section would read 0 here instead of failing
     for section in ("finv", "split", "braid_gen", "block_crossing",
                     "double_braiding"):
