@@ -44,14 +44,14 @@ axis.  ``f_completeness`` takes the singular values of one stack of
 F-blocks per block shape.
 
 Every derived table is memoised on its owner by ``cached``, one section of
-the owner's ``_cache`` per table: the ring's ``tree_pos``, ``f_basis``,
-``channel_csr``, ``f_keys`` and the engine's ``compose`` and
-``whisker_right`` plans, a product ring's ``ptree_map``, a spec's
-``f_tensor``, ``f_blocks``, ``f_store`` and ``r_store`` and the other
-engine and module tables, and a ``PermutationAlgebra``'s ``m``, ``delta``,
-``phi`` and ``proj``.  Only ``tree_basis``, ``sum_basis`` and ``layout``
-keep their ``trees``, ``sums`` and ``layouts`` sections by hand, since they
-check every word on every call.
+the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
+``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``, ``f_keys`` and the
+engine's ``compose`` and ``whisker_right`` plans, a product ring's
+``ptree_map``, a spec's ``f_tensor``, ``f_blocks``, ``f_store`` and
+``r_store`` and the other engine and module tables, and a
+``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and ``proj``.  A word
+is checked where it enters: public tables refuse look-alike keys such as
+(1.0,) on every call, and ``tree_basis`` checks range and length once.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,6 +123,39 @@ class Layout:
         self.roots = shared.setdefault(tuple(roots.items()), roots)
 
 
+def _lookalike(args, words=False) -> bool:
+    """An argument equals or hashes like a memo key without being one: a
+    number other than a Python int, a list, a str, or a tuple with a leaf
+    other than a Python int; with ``words``, anything but a tuple."""
+    for x in args:  # loops, not calls, down to the letters of a pair
+        if type(x) is not tuple:
+            if words or type(x) is not int and isinstance(
+                    x, (numbers.Number, np.generic, list, str, tuple)):
+                return True
+            continue
+        for y in x:
+            if type(y) is tuple:
+                for z in y:
+                    if type(z) is not int and (type(z) is not tuple
+                                               or _lookalike((z,))):
+                        return True
+            elif type(y) is not int:
+                return True
+    return False
+
+
+def _refuse(args):
+    raise InvalidWord(f"{args!r} are not Python ints, nor tuples of them")
+
+
+def _check_words(*objs):
+    """The words, pairs or sums of words ``objs``, once each is a tuple and
+    none is a look-alike: checked before they are concatenated."""
+    if _lookalike(objs, True):
+        _refuse(objs)
+    return objs
+
+
 def cached(section: str):
     """Memoise a derived table: ``fn(owner, *args)`` in
     ``owner._cache[section]``, keyed by the tuple ``args``.
@@ -130,22 +164,33 @@ def cached(section: str):
     defaults are filled in and keyword arguments land in their positions:
     every spelling of one call shares an entry, and a positional call binds
     its arguments once, as a call of fn would.  A call that raises stores
-    nothing, so checks in fn run on a miss only.  An unhashable argument
-    misses too, so fn's checks refuse it however full the section is.
+    nothing, so checks in fn run on a miss only.  A public table (no
+    leading underscore) first refuses ``_lookalike`` arguments, which could
+    find the entry of an int key; a parameter with a bool default takes a
+    bool.  Private tables trust their library callers.
     """
     def decorate(fn):
         code = fn.__code__
         owner, *args = code.co_varnames[:code.co_argcount]
         params = ", ".join([owner, *args])
-        key = f"({''.join(a + ', ' for a in args)})"
-        namespace = {"fn": fn}
+        defaults = fn.__defaults__ or ()
+        flags = [a for a, v in zip(args[len(args) - len(defaults):], defaults)
+                 if type(v) is bool]
+        rest = "".join(a + ", " for a in args if a not in flags)
+        tests = [f"_lookalike(({rest}))" if flags else "_lookalike(key)"] + [
+            f"type({a}) is not bool and _lookalike(({a},))" for a in flags]
+        guard = "" if fn.__name__.startswith("_") else \
+            f"    if {' or '.join(tests)}:\n        _refuse(key)\n"
+        namespace = {"fn": fn, "_lookalike": _lookalike, "_refuse": _refuse}
         exec(f"def memo({params}):\n"
+             f"    key = ({''.join(a + ', ' for a in args)})\n"
+             f"{guard}"
              f"    try:\n"
-             f"        return {owner}._cache[{section!r}][{key}]\n"
+             f"        return {owner}._cache[{section!r}][key]\n"
              f"    except (KeyError, TypeError):\n"
              f"        pass\n"
              f"    out = fn({params})\n"
-             f"    {owner}._cache.setdefault({section!r}, {{}})[{key}] = out\n"
+             f"    {owner}._cache.setdefault({section!r}, {{}})[key] = out\n"
              f"    return out\n", namespace)
         memo = functools.wraps(fn)(namespace["memo"])
         memo.__defaults__ = fn.__defaults__
@@ -174,7 +219,7 @@ class FusionRing:
         self._rules = (self.N, self.dual)  # one pair shared by every layout
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
-        self._cache = {"trees": {}, "sums": {}, "layouts": {}, "roots": {}}
+        self._cache = {"roots": {}}
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
@@ -242,6 +287,7 @@ class FusionRing:
         return vec
 
     # -- bases -----------------------------------------------------------
+    @cached("trees")
     def tree_basis(self, word):
         """Left-nested fusion trees of a word, {root: trees}.
 
@@ -251,19 +297,10 @@ class FusionRing:
         lexicographically by (labels, mults).
 
         A word is a tuple of Python ints in [0, rank), at most
-        MAX_WORD_LENGTH long.  It is checked here: its types on every call,
-        its range and length the first time its basis is built; anything
-        else raises InvalidWord or WordTooLong.
+        MAX_WORD_LENGTH long; anything else raises InvalidWord or
+        WordTooLong.  ``cached`` refuses look-alikes on every call, and the
+        range and length are checked here, when the basis is first built.
         """
-        cache = self._cache["trees"]
-        if type(word) is tuple:
-            for x in word:  # a loop: a generator would double a hit's cost
-                if type(x) is not int:
-                    break
-            else:
-                hit = cache.get(word)
-                if hit is not None:  # equal to a word that passed below
-                    return hit
         if type(word) is not tuple or not all(
                 type(x) is int and 0 <= x < self.rank for x in word):
             raise InvalidWord(f"word {word!r} is not a tuple of Python ints "
@@ -271,53 +308,38 @@ class FusionRing:
         if len(word) > MAX_WORD_LENGTH:
             raise WordTooLong(
                 f"word of length {len(word)} exceeds the cap {MAX_WORD_LENGTH}")
-        if not word:
-            hit = {0: [((), ())]}
-        else:
-            partial = [((), (), word[0])]
-            for letter in word[1:]:
-                nxt = []
-                for labels, mults, a in partial:
-                    for c in self.channels(a, letter):
-                        for alpha in range(self.n(a, letter, c)):
-                            nxt.append((labels + (c,), mults + (alpha,), c))
-                partial = nxt
-            hit = {}
-            for labels, mults, root in partial:
-                hit.setdefault(root, []).append((labels, mults))
-            for root in hit:
-                hit[root].sort()
-        cache[word] = hit
-        return hit
+        partial = [((), (), 0)]  # A_0 = 0 and A_1 = w_1, dropped below
+        for letter in word:
+            nxt = []
+            for labels, mults, a in partial:
+                for c in self.channels(a, letter):
+                    for alpha in range(self.n(a, letter, c)):
+                        nxt.append((labels + (c,), mults + (alpha,), c))
+            partial = nxt
+        out = {}
+        for labels, mults, root in partial:
+            out.setdefault(root, []).append((labels[1:], mults[1:]))
+        for root in out:
+            out[root].sort()
+        return out
 
+    @cached("sums")
     def sum_basis(self, words):
         """Basis of the direct sum of a tuple of words, {root: offsets}: at
         root c, the summands' trees at c concatenated in summand order, with
-        summand s at positions offsets[s] to offsets[s + 1].  Every summand
-        goes through the word check of ``tree_basis`` on every call."""
-        for word in words:
-            self.tree_basis(word)
-        hit = self._cache["sums"].get(words)
-        if hit is None:
-            bases = [self.tree_basis(w) for w in words]
-            hit = self._cache["sums"][words] = {
-                c: tuple(itertools.accumulate(
+        summand s at positions offsets[s] to offsets[s + 1]."""
+        bases = [self.tree_basis(w) for w in words]
+        return {c: tuple(itertools.accumulate(
                     (len(b.get(c, ())) for b in bases), initial=0))
                 for c in sorted(set().union(*bases))}
-        return hit
 
+    @cached("layouts")
     def layout(self, src, dst) -> Layout:
         """The ``Layout`` of morphisms src -> dst, each endpoint a word or a
-        tuple of words.  Every summand of both goes through the word check
-        of ``tree_basis`` on every call."""
-        bsrc = self.sum_basis(_summands(src))
-        bdst = self.sum_basis(_summands(dst))
-        hit = self._cache["layouts"].get((src, dst))
-        if hit is None:
-            hit = self._cache["layouts"][src, dst] = Layout(
-                src, dst, bsrc, bdst, self._cache["roots"],
-                self._rules)
-        return hit
+        tuple of words."""
+        return Layout(src, dst, self.sum_basis(_summands(src)),
+                      self.sum_basis(_summands(dst)), self._cache["roots"],
+                      self._rules)
 
     @cached("tree_pos")
     def tree_positions(self, word):
@@ -913,9 +935,7 @@ def modular_datum(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     if not np.isfinite(S).all():
         raise NotPremodular(f"S-matrix of {spec.name} is not finite")
     T = np.diag(theta)
-    C = np.zeros((r, r), dtype=np.float64)
-    for k in range(r):
-        C[k, spec.dual[k]] = 1.0
+    C = np.eye(r)[spec.dual]  # C[k, dual(k)] = 1
     svals = np.linalg.svd(S, compute_uv=False)
     is_modular = bool(svals[-1] > np.sqrt(tol.atol))
     return ModularDatum(S=S, T=T, global_dim=dim, charge_conjugation=C,
@@ -983,12 +1003,8 @@ def modular_group_relations(md: ModularDatum, tol: ToleranceConfig = DEFAULT_TOL
 
 def spec_to_dict(spec: CategorySpec) -> dict:
     ring = spec.ring
-    fusion = []
-    for i in range(spec.rank):
-        for j in range(spec.rank):
-            for k in range(spec.rank):
-                if ring.N[i, j, k]:
-                    fusion.append([i, j, k, int(ring.N[i, j, k])])
+    fusion = [[i, j, k, int(m)] for (i, j, k), m in np.ndenumerate(ring.N)
+              if m]
     f_entries = []
     for key in sorted(spec.F):
         a, b, c, d = key
@@ -1000,15 +1016,9 @@ def spec_to_dict(spec: CategorySpec) -> dict:
                 if z != 0:
                     f_entries.append([a, b, c, d, e, al + 1, bt + 1,
                                       f, gm + 1, dl + 1, z.real, z.imag])
-    r_entries = []
-    for key in sorted(spec.R):
-        a, b, c = key
-        blk = spec.R[key]
-        for ir in range(blk.shape[0]):
-            for jc in range(blk.shape[1]):
-                z = blk[ir, jc]
-                if z != 0:
-                    r_entries.append([a, b, c, jc + 1, ir + 1, z.real, z.imag])
+    r_entries = [[a, b, c, jc + 1, ir + 1, z.real, z.imag]
+                 for (a, b, c), blk in sorted(spec.R.items())
+                 for (ir, jc), z in np.ndenumerate(blk) if z != 0]
     data = {
         "name": spec.name,
         "rank": spec.rank,
@@ -1164,19 +1174,19 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         R_blocks[a, b, c][bt - 1, al - 1] = z
 
     if dims is None:
-        # d_a = 1 / |F[a,a*,a;a] at the vacuum channels|
+        # d_a = 1 / |F[a,a*,a;a] at the vacuum channels|, which come first
         dims = np.ones(rank)
         for a in range(1, rank):
-            abar = int(ring.dual[a])
-            _, row_pos, _, col_pos = ring.f_basis(a, abar, a, a)
-            blk = F_blocks.get((a, abar, a, a))
-            entry = 0.0 if blk is None else \
-                blk[row_pos[(0, 0, 0)], col_pos[(0, 0, 0)]]
+            blk = F_blocks.get((a, int(ring.dual[a]), a, a))
+            entry = 0.0 if blk is None else blk[0, 0]
             _require(abs(entry) > 0, f"cannot derive dim of label {a} from F-data",
                      origin)
             dims[a] = dim = 1.0 / float(abs(entry))
             _require(math.isfinite(dim), f"derived dim of label {a} is not finite",
                      origin)
+        dev = float(np.max(np.abs(np.outer(dims, dims) - ring.N @ dims)))
+        _require(dev <= DEFAULT_TOL.atol, "derived positive dims fail d_a d_b"
+                 f" = sum_c N_ab^c d_c by {dev:.3g}; list signed dims", origin)
 
     return CategorySpec(data["name"], ring, dims, theta, F_blocks, R_blocks,
                         product_of=product_of)

@@ -1,9 +1,10 @@
 """Fusion-tree diagram calculus.
 
-A word is a tuple of Python ints in [0, rank).  Nothing here converts or
-checks words: ``FusionRing.tree_basis`` checks each word and raises
-``InvalidWord`` (or ``WordTooLong``), and every word reaches it before a
-basis is used.
+A word is a tuple of Python ints in [0, rank).  Nothing here converts
+words: the public memoised tables refuse look-alike arguments on every
+call, ``embed`` checks its words before it concatenates them, and
+``FusionRing.tree_basis`` raises ``InvalidWord`` (or ``WordTooLong``) for a
+label out of range when it first builds a word's basis.
 
 A morphism src -> dst is one complex array ``flat`` on the ``Layout`` of
 (src, dst): for each root c common to both endpoints, the matrix over the
@@ -46,7 +47,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .category import MAX_WORD_LENGTH  # noqa: F401 (re-exported)
-from .category import CategorySpec, Layout, _summands, cached
+from .category import CategorySpec, Layout, _check_words, _summands, cached
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
 
@@ -484,8 +485,7 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 def embed(f: Morphism, *, left=(), right=()) -> Morphism:
     """id_left (x) f (x) id_right; left and right are words or sums of
     words, checked before they are concatenated."""
-    for word in _summands(left) + _summands(right):
-        f.spec.ring.tree_basis(word)
+    _check_words(left, right)
     return _whisker_right(_whisker_left(left, f), right)
 
 
@@ -514,7 +514,6 @@ def braid_generator(spec: CategorySpec, word, p: int, over: bool = True
     the letters before it; the letters after it re-index the cached
     generator of the prefix ending at strand p+1.
     """
-    trees(spec, word)  # the word check, before the word is sliced
     n = len(word)
     if not 1 <= p <= n - 1:
         raise PositionOutOfRange(
@@ -558,7 +557,7 @@ def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
         return c2 @ c1
     base = double_braiding(spec, word, k, 1)
     return _blockwise(base, base.layout,
-                      lambda c, blk: np.linalg.matrix_power(blk, int(n)))
+                      lambda c, blk: np.linalg.matrix_power(blk, n))
 
 
 def twist_endo(spec: CategorySpec, word, power: int = 1) -> Morphism:

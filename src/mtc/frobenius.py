@@ -333,7 +333,8 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
         phi = alg.pairing_scalars(n)
         report.add_deviation(
             f"pairing_modulus{sfx}", "pairing-closed-form",
-            float(np.max(np.abs(np.abs(phi) * base.dims / alg.dim - 1.0))),
+            float(np.max(np.abs(np.abs(phi) * np.abs(base.dims) / alg.dim
+                                - 1.0))),
             tol)
         if n != 0:
             ratio = phi / alg.pairing_scalars(0)
