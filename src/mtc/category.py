@@ -49,9 +49,12 @@ the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
 engine's ``compose`` and ``whisker_right`` plans, a product ring's
 ``ptree_map``, a spec's ``f_tensor``, ``f_blocks``, ``f_store`` and
 ``r_store`` and the other engine and module tables, and a
-``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and ``proj``.  A word
-is checked where it enters: public tables refuse look-alike keys such as
-(1.0,) on every call, and ``tree_basis`` checks range and length once.
+``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and ``proj``.
+
+Input is checked where it enters, and its readers trust it.  Public tables
+refuse look-alike words such as (1.0,) on every call, ``tree_basis`` checks
+range and length once, and ``CategorySpec`` refuses a missing or misshapen
+F- or R-block, or one on a unit strand, when it is built.
 """
 
 from __future__ import annotations
@@ -378,11 +381,36 @@ class FusionRing:
         return rows, _positions(rows), cols, _positions(cols)
 
 
-class CategorySpec:
-    """Validated-on-demand container for all skeletal data of one category.
+def _symbol_table(kind, given, shapes) -> dict:
+    """``given`` as frozen complex blocks, at the keys of ``shapes`` in their
+    order and of their shapes there, or NotPremodular naming a bad key."""
+    table = {}
+    for key, shape in shapes.items():
+        blk = given.get(key)
+        if blk is None:
+            raise NotPremodular(f"missing {kind}-symbols for {key}")
+        table[key] = blk = np.asarray(blk, dtype=np.complex128)
+        if blk.shape != shape:
+            raise NotPremodular(f"{kind}-block {key} has shape {blk.shape}, "
+                                f"expected {shape}")
+        blk.setflags(write=False)
+    if len(table) < len(given):
+        key = next(k for k in given if k not in table)
+        raise NotPremodular(f"{kind}-symbols for {key!r}, which are not "
+                            "stored: a unit strand or no fusion channel")
+    return table
 
-    Instances are treated as immutable; engines cache per-instance data that
-    depends on F and R on the ``_cache`` attribute.
+
+class CategorySpec:
+    """All skeletal data of one category, checked where it enters.
+
+    ``dims`` and ``theta`` hold one value per label.  ``F`` holds a block for
+    each F-block key without a unit among a, b, c, ``R`` one for each (a, b,
+    c) with a, b != 0 and N_abc N_bac > 0, in the shapes ``f_block`` and
+    ``r_block`` read, and nothing else; any other table raises NotPremodular
+    naming its key, so readers trust the tables.  Values may be non-finite:
+    the checks report them.  Instances are treated as immutable; engines
+    cache per-instance data that depends on F and R on ``_cache``.
     """
 
     def __init__(self, name, ring, dims, theta, F, R, label_names=None,
@@ -392,17 +420,22 @@ class CategorySpec:
         self.rank = ring.rank
         self.dims = np.asarray(dims, dtype=np.float64)
         self.theta = np.asarray(theta, dtype=np.complex128)
-        self.F = {tuple(map(int, k)): np.asarray(v, dtype=np.complex128)
-                  for k, v in F.items()}
-        self.R = {tuple(map(int, k)): np.asarray(v, dtype=np.complex128)
-                  for k, v in R.items()}
+        for what, arr in (("dims", self.dims), ("theta", self.theta)):
+            if arr.shape != (self.rank,):
+                raise NotPremodular(f"{what} has shape {arr.shape}, expected "
+                                    f"{(self.rank,)}")
+            arr.setflags(write=False)
+        N = ring.N
+        self.F = _symbol_table("F", F, {
+            (a, b, c, d): (int(N[a, b].dot(N[:, c, d])),
+                           int(N[b, c].dot(N[a, :, d])))
+            for a, b, c, d in _f_block_keys(ring)[2] if a and b and c})
+        self.R = _symbol_table("R", R, {
+            (a, b, c): (ring.n(b, a, c), ring.n(a, b, c))
+            for a, b, c in np.argwhere(N * N.transpose(1, 0, 2)).tolist()
+            if a and b})
         self.label_names = list(label_names) if label_names else None
         self.product_of = product_of  # (base name, factor count) for products
-        for arr in (self.dims, self.theta):
-            arr.setflags(write=False)
-        for table in (self.F, self.R):
-            for v in table.values():
-                v.setflags(write=False)
         self._cache = {}
 
     # -- label helpers ----------------------------------------------------
@@ -424,26 +457,17 @@ class CategorySpec:
                 and 0 <= min(a, b, c, d) and max(a, b, c, d) < self.rank):
             raise InvalidWord(f"F-block labels {(a, b, c, d)} are not "
                               f"Python ints in [0, {self.rank})")
+        blk = self.F.get((a, b, c, d))
+        if blk is not None:
+            return blk
         # the lengths of the bases of ``FusionRing.f_basis``
         N = self.ring.N
         rows = int(N[a, b].dot(N[:, c, d]))
         cols = int(N[b, c].dot(N[a, :, d]))
-        if not rows or not cols:
-            return np.zeros((rows, cols), dtype=np.complex128)
-        if 0 in (a, b, c):
-            # unit strand: both nestings coincide up to the canonical
-            # relabelling, which is a bijection of basis vectors
-            if rows != cols:
-                raise NotPremodular(f"unit F-block ({a},{b},{c};{d}) not square")
-            return np.eye(rows, dtype=np.complex128)
-        key = (a, b, c, d)
-        if key not in self.F:
-            raise NotPremodular(f"missing F-symbols for {key}")
-        blk = self.F[key]
-        if blk.shape != (rows, cols):
-            raise NotPremodular(f"F-block {key} has shape {blk.shape}, "
-                                f"expected {(rows, cols)}")
-        return blk
+        # empty, or a unit strand: the nestings agree up to a relabelling
+        if rows and cols and rows != cols:
+            raise NotPremodular(f"unit F-block ({a},{b},{c};{d}) not square")
+        return np.eye(rows, cols, dtype=np.complex128)
 
     @cached("f_tensor")
     def f_tensor(self, a, b, c, d, e, f) -> np.ndarray:
@@ -463,19 +487,12 @@ class CategorySpec:
 
     def r_block(self, a, b, c) -> np.ndarray:
         """Matrix of c_{a,b} on channel c; rows index (b a -> c), columns (a b -> c)."""
-        n_ab = self.ring.n(a, b, c)
-        n_ba = self.ring.n(b, a, c)
-        if n_ab == 0 or n_ba == 0:
-            return np.zeros((n_ba, n_ab), dtype=np.complex128)
-        if a == 0 or b == 0:
-            return np.eye(n_ab, dtype=np.complex128)
-        key = (a, b, c)
-        if key not in self.R:
-            raise NotPremodular(f"missing R-symbols for {key}")
-        blk = self.R[key]
-        if blk.shape != (n_ba, n_ab):
-            raise NotPremodular(f"R-block {key} has shape {blk.shape}")
-        return blk
+        blk = self.R.get((a, b, c))
+        if blk is not None:
+            return blk
+        # a unit strand, or empty if c is not a channel of both a b and b a
+        return np.eye(self.ring.n(b, a, c), self.ring.n(a, b, c),
+                      dtype=np.complex128)
 
     def __repr__(self):
         return f"CategorySpec({self.name!r}, rank={self.rank})"
@@ -592,16 +609,9 @@ def _f_block_keys(ring: FusionRing):
 
 
 @cached("f_blocks")
-def _f_blocks(spec: CategorySpec):
-    """``f_block`` of every F-block key in order up to the first key it
-    refuses, and the refusal's message, or None if it refuses none."""
-    blocks = []
-    for key in _f_block_keys(spec.ring)[2]:
-        try:
-            blocks.append(spec.f_block(*key))
-        except NotPremodular as exc:
-            return blocks, str(exc)
-    return blocks, None
+def _f_blocks(spec: CategorySpec) -> list:
+    """``f_block`` of every F-block key, in key order."""
+    return [spec.f_block(*key) for key in _f_block_keys(spec.ring)[2]]
 
 
 @cached("f_store")
@@ -615,9 +625,7 @@ def _f_store(spec: CategorySpec) -> _Store:
     """
     ring, N, r = spec.ring, spec.ring.N, spec.rank
     cols, codes, _ = _f_block_keys(ring)
-    blocks, refused = _f_blocks(spec)
-    if refused is not None:
-        raise NotPremodular(refused)
+    blocks = _f_blocks(spec)
     block_start = np.cumsum([0] + [blk.size for blk in blocks])
     block_cols = np.array([blk.shape[1] for blk in blocks], dtype=np.int64)
     # every tree (a, b, e, c, d) with every column channel f of its block
@@ -791,15 +799,11 @@ def _hexagon_deviation(spec: CategorySpec, inverse: bool) -> float:
 
 
 def _f_block_failure(spec: CategorySpec, atol: float):
-    """Why the first F-block in (a, b, c, d) order that is missing,
-    misshapen, not square, not finite or singular fails, or None.  The
-    smallest singular values come from one stacked SVD per block shape."""
-    blocks, refused = _f_blocks(spec)
-    failures = [] if refused is None else [(len(blocks), refused)]
-    for idx, stack in _stacks(blocks):
-        if stack.shape[1] != stack.shape[2]:
-            failures.append((idx[0], "is not square"))
-            continue
+    """Why the first F-block in (a, b, c, d) order that is not finite or
+    singular fails, or None.  The smallest singular values come from one
+    stacked SVD per block shape."""
+    failures = []
+    for idx, stack in _stacks(_f_blocks(spec)):
         finite = np.isfinite(stack).all(axis=(1, 2))
         singular = np.zeros_like(finite)
         if stack.shape[1] and finite.any():
@@ -811,8 +815,6 @@ def _f_block_failure(spec: CategorySpec, atol: float):
     if not failures:
         return None
     i, why = min(failures)
-    if i == len(blocks):
-        return why
     a, b, c, d = _f_block_keys(spec.ring)[2][i]
     return f"F-block ({a},{b},{c};{d}) {why}"
 
@@ -1188,8 +1190,11 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         _require(dev <= DEFAULT_TOL.atol, "derived positive dims fail d_a d_b"
                  f" = sum_c N_ab^c d_c by {dev:.3g}; list signed dims", origin)
 
-    return CategorySpec(data["name"], ring, dims, theta, F_blocks, R_blocks,
-                        product_of=product_of)
+    try:
+        return CategorySpec(data["name"], ring, dims, theta, F_blocks,
+                            R_blocks, product_of=product_of)
+    except NotPremodular as exc:
+        raise CategoryFileError(str(exc), origin) from exc
 
 
 def load_category(path) -> CategorySpec:

@@ -22,7 +22,7 @@ import numpy as np
 from .category import (CategorySpec, FusionRing, _encode, _f_block_keys,
                        _f_blocks, _groups, _stacks, _summands, cached)
 from .engine import Morphism
-from .errors import NotPremodular, RankOverflow, ShapeMismatch
+from .errors import RankOverflow, ShapeMismatch
 
 MAX_PRODUCT_RANK = 128
 
@@ -45,16 +45,12 @@ def _factor(keys, blocks, *labels):
 def _f_factor(spec: CategorySpec):
     """Every F-block of a factor, from its cached ``_f_blocks``, labelled
     by the rows (e, alpha, beta) and columns (f, gamma, delta) of
-    ``FusionRing.f_basis``.  A missing or misshapen block raises
-    NotPremodular."""
-    blocks, refused = _f_blocks(spec)
-    if refused is not None:
-        raise NotPremodular(refused)
+    ``FusionRing.f_basis``."""
     keys = _f_block_keys(spec.ring)[2]
     bases = [spec.ring.f_basis(*key) for key in keys]
     rows, cols = ([np.array(b[i], dtype=np.int64).reshape(-1, 3)
                    for b in bases] for i in (0, 2))
-    return _factor(keys, blocks, rows, cols)
+    return _factor(keys, _f_blocks(spec), rows, cols)
 
 
 def _r_factor(spec: CategorySpec):
@@ -111,8 +107,7 @@ def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
     """F and R of the product on ``ring``, paired from the factor blocks.
 
     Every factor block is read once, F from the factor's cached
-    ``_f_blocks``, and a defective one raises NotPremodular before any
-    product block is built.  The product key (A, B, C, D) of a pair of
+    ``_f_blocks``.  The product key (A, B, C, D) of a pair of
     factor F-keys pairs them label by label; keys with a unit among A, B, C
     are not stored, and the others are inserted words (A, B, C) ascending,
     then D ascending.  The pairs are stacked by their two block shapes and

@@ -195,9 +195,9 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; "
                          f"choose from {SUITE_NAMES}")
-    n_values = tuple(int(n) for n in n_values)
-    if not n_values:
-        raise ValueError("n_values must name at least one module level n")
+    n_values = tuple(n_values)
+    if not n_values or any(type(n) is not int for n in n_values):
+        raise ValueError(f"n_values must list Python ints, not {n_values!r}")
     spec = resolve_target(target)
     rng = np.random.default_rng(seed)
 

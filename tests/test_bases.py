@@ -102,10 +102,9 @@ def test_wrong_block_shape_is_refused(spec_of):
     fib = spec_of("fibonacci")
     F = dict(fib.F)
     F[(1, 1, 1, 1)] = np.eye(3)
-    bad = CategorySpec("fibonacci-misshapen", fib.ring, fib.dims, fib.theta,
-                       F, dict(fib.R))
     with pytest.raises(NotPremodular, match="shape"):
-        bad.f_block(1, 1, 1, 1)
+        CategorySpec("fibonacci-misshapen", fib.ring, fib.dims, fib.theta,
+                     F, dict(fib.R))
 
 
 @pytest.mark.parametrize("labels", [(-1, 1, 1, 1), (1, 1, 1, 3),

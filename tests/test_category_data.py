@@ -3,6 +3,7 @@ and the JSON interchange format."""
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -606,6 +607,70 @@ def test_fusion_violation_carries_entry_location():
     with pytest.raises(CategoryFileError,
                        match=rf"F\[{idx}\]: .*violates fusion"):
         spec_from_dict(data, origin="unit")
+
+
+# (base, table, key, block, entry): in the spec the key's block is
+# replaced, or deleted if None; in the file one entry is added, or the
+# key's entries are dropped if None.  A misshapen block can only be
+# written as an entry past its end.
+DEFECTS = {
+    "missing-F": ("ising", "F", (1, 1, 1, 1), None, None),
+    "missing-R": ("ising", "R", (1, 1, 0), None, None),
+    "misshapen-F": ("ising", "F", (1, 1, 1, 1), np.eye(3),
+                    [1, 1, 1, 1, 0, 1, 1, 0, 1, 2, 1.0, 0.0]),
+    "misshapen-R": ("ising", "R", (1, 1, 0), np.eye(2),
+                    [1, 1, 0, 2, 1, 1.0, 0.0]),
+    "unit-F": ("semion", "F", (0, 1, 1, 0), -np.eye(1),
+               [0, 1, 1, 0, 1, 1, 1, 0, 1, 1, -1.0, 0.0]),
+    "unit-R": ("semion", "R", (0, 1, 1), -np.eye(1),
+               [0, 1, 1, 1, 1, -1.0, 0.0]),
+}
+
+
+def defective_file(defect, path):
+    """Write the file of DEFECTS[defect] to path; return the block key."""
+    base, table, key, _, entry = DEFECTS[defect]
+    data = spec_to_dict(get_category(base))
+    if entry is None:
+        data[table] = [e for e in data[table] if tuple(e[:len(key)]) != key]
+    else:
+        data[table].append(entry)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return key
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_defective_tables_are_refused_where_they_enter(spec_of, defect,
+                                                       tmp_path):
+    """A missing or misshapen block, or a block on a unit strand, is refused
+    when the spec is built, naming its key, and in a file at the file."""
+    base, table, key, block, _ = DEFECTS[defect]
+    spec = spec_of(base)
+    tables = {"F": dict(spec.F), "R": dict(spec.R)}
+    if block is None:
+        del tables[table][key]
+    else:
+        tables[table][key] = block
+    with pytest.raises(NotPremodular, match=re.escape(str(key))):
+        CategorySpec(defect, spec.ring, spec.dims, spec.theta, tables["F"],
+                     tables["R"])
+    path = tmp_path / f"{defect}.json"
+    defective_file(defect, path)
+    with pytest.raises(CategoryFileError,
+                       match=rf"^{re.escape(str(path))}\S*: .*"
+                             rf"{re.escape(str(key))}"):
+        load_category(path)
+
+
+@pytest.mark.parametrize("field", ["dims", "theta"])
+def test_ribbon_data_of_the_wrong_shape_is_refused(spec_of, field):
+    """Two dims on a rank-3 ring are refused when the spec is built, not
+    met later as an IndexError."""
+    ising = spec_of("ising")
+    data = {"dims": ising.dims, "theta": ising.theta, field: [1.0, 1.4]}
+    with pytest.raises(NotPremodular, match=rf"{field} has shape \(2,\)"):
+        CategorySpec("x", ising.ring, data["dims"], data["theta"], ising.F,
+                     ising.R)
 
 
 def test_label_resolution(spec_of):

@@ -12,6 +12,7 @@ import pytest
 from mtc.builtins import BUILTIN_NAMES
 from mtc.cli import main
 
+from test_category_data import DEFECTS, defective_file
 from test_suite import GOLDEN_DEVIATION_ATOL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -108,6 +109,20 @@ def test_check_malformed_file_is_a_usage_error(tmp_path):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert f"{path}:theta: theta must be a list" in done.stderr
+
+
+@pytest.mark.parametrize("suite", [[], ["--suite", "category"]],
+                         ids=["all", "category"])
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_check_defective_tables_is_a_usage_error(capsys, tmp_path, defect,
+                                                 suite):
+    """A missing, misshapen or unit-strand block exits 2 at load, with the
+    file and the block key, whichever sections were asked for."""
+    path = tmp_path / f"{defect}.json"
+    key = defective_file(defect, path)
+    code, _, err = run(capsys, "check", str(path), *suite)
+    assert code == 2
+    assert err.startswith(f"error: {path}") and str(key) in err
 
 
 # ---------------------------------------------------------------------------

@@ -212,19 +212,19 @@ def test_mixed_pair_tables_match_reference(spec_of, rep_a4_square, first,
 @pytest.mark.parametrize("defective_first", [True, False])
 def test_defective_factor_refused_before_pairing(spec_of, monkeypatch,
                                                  table, defective_first):
-    """A factor missing one F- or R-block raises NotPremodular, and no
-    product block is built first."""
+    """A factor missing one F- or R-block is refused when it is built, so
+    no product block is ever built from it."""
     spec = spec_of("ising")
     tables = {"F": dict(spec.F), "R": dict(spec.R)}
     del tables[table][(1, 1, 1, 1) if table == "F" else (1, 1, 0)]
-    bad = CategorySpec("ising_defective", spec.ring, spec.dims, spec.theta,
-                       tables["F"], tables["R"])
     built = []
     monkeypatch.setattr(deligne, "_kron",
                         lambda *args: built.append(args))
-    factors = (bad, spec_of("semion")) if defective_first \
-        else (spec_of("semion"), bad)
     with pytest.raises(NotPremodular, match="missing"):
+        bad = CategorySpec("ising_defective", spec.ring, spec.dims,
+                           spec.theta, tables["F"], tables["R"])
+        factors = (bad, spec_of("semion")) if defective_first \
+            else (spec_of("semion"), bad)
         deligne_pair(*factors)
     assert not built
 

@@ -5,6 +5,7 @@ import json
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 import mtc.suite as suite
@@ -125,3 +126,13 @@ def test_empty_n_values_are_refused(monkeypatch):
     monkeypatch.setattr(suite, "resolve_target", None)
     with pytest.raises(ValueError, match="n_values"):
         run_suite("semion", n_values=())
+
+
+@pytest.mark.parametrize("n_values", [(1.7,), (True,), (np.int64(2),)],
+                         ids=["float", "bool", "int64"])
+def test_non_integer_n_values_are_refused(monkeypatch, n_values):
+    """A module level that is not a Python int is refused before the target
+    is resolved, rather than run as int(n) (1.7 as 1) and recorded so."""
+    monkeypatch.setattr(suite, "resolve_target", None)
+    with pytest.raises(ValueError, match="n_values"):
+        run_suite("semion", n_values=n_values, suites=["module"])
