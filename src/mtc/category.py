@@ -14,8 +14,8 @@ combination of right-nested ones; rows are labelled (e, alpha, beta), columns
 (f, gamma, delta), enumerated in ascending label order and row-major
 multiplicity order.  ``R[a,b,c]`` is the matrix of the braiding c_{a,b}
 restricted to fusion channel c: c_{a,b} = sum_c fbar^{ba->c}_beta
-R[a,b,c][beta,alpha] f^{ab->c}_alpha.  Any symbol involving the unit label is
-the canonical identity and is not stored.
+R[a,b,c][beta,alpha] f^{ab->c}_alpha.  Any symbol on a unit strand is the
+canonical identity, which the spec makes itself; it is not given.
 
 The bases depend on the fusion rules alone, so each has one order, owned
 by ``FusionRing``: ``tree_basis`` lists the left-nested trees of a word per
@@ -47,14 +47,16 @@ Every derived table is memoised on its owner by ``cached``, one section of
 the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
 ``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``, ``f_keys`` and the
 engine's ``compose`` and ``whisker_right`` plans, a product ring's
-``ptree_map``, a spec's ``f_tensor``, ``f_blocks``, ``f_store`` and
-``r_store`` and the other engine and module tables, and a
-``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and ``proj``.
+``ptree_map``, a spec's ``f_tensor``, ``f_store`` and ``r_store`` and the
+other engine and module tables, and a ``PermutationAlgebra``'s ``m``,
+``delta``, ``phi`` and ``proj``.
 
-Input is checked where it enters, and its readers trust it.  Public tables
-refuse look-alike words such as (1.0,) on every call, ``tree_basis`` checks
-range and length once, and ``CategorySpec`` refuses a missing or misshapen
-F- or R-block, or one on a unit strand, when it is built.
+Input is checked where it enters, and its readers trust it.  A
+``FusionRing`` checks its axioms when it is built, so every F- and R-block
+is square.  Public tables refuse look-alike words such as (1.0,) on every
+call, ``tree_basis`` checks range and length once, and ``CategorySpec``
+refuses a missing or misshapen F- or R-block, or one on a unit strand,
+when it is built, and holds every block of both symbols.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ class FusionRing:
     """Fusion multiplicities with a unit and a dual involution, and the
     fusion-tree bases they determine.
 
+    The constructor raises RingAxiomError unless ``check_axioms`` passes.
     ``N`` and ``dual`` are read-only, so the bases are built once per ring,
     cached on the ``_cache`` attribute, and shared by every spec on it.
     """
@@ -223,6 +226,7 @@ class FusionRing:
         self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
                            for row in plane] for plane in self.N]
         self._cache = {"roots": {}}
+        self.check_axioms()
 
     def n(self, a, b, c) -> int:
         return int(self.N[a, b, c])
@@ -381,36 +385,49 @@ class FusionRing:
         return rows, _positions(rows), cols, _positions(cols)
 
 
-def _symbol_table(kind, given, shapes) -> dict:
-    """``given`` as frozen complex blocks, at the keys of ``shapes`` in their
-    order and of their shapes there, or NotPremodular naming a bad key."""
-    table = {}
-    for key, shape in shapes.items():
-        blk = given.get(key)
-        if blk is None:
-            raise NotPremodular(f"missing {kind}-symbols for {key}")
-        table[key] = blk = np.asarray(blk, dtype=np.complex128)
-        if blk.shape != shape:
-            raise NotPremodular(f"{kind}-block {key} has shape {blk.shape}, "
-                                f"expected {shape}")
+def _symbol_table(kind, given, sizes, strands) -> tuple:
+    """(complete, stored): for every pair (key, n) of ``sizes``, in order,
+    a frozen complex block of shape (n, n); and the keys without a unit
+    among their first ``strands`` labels.  Their blocks come from
+    ``given``; the others are the identity.  A missing or misshapen block,
+    or one given at no stored key, raises NotPremodular naming the key."""
+    complete, stored = {}, {}
+    for key, n in sizes:
+        if all(key[:strands]):
+            blk = given.get(key)
+            if blk is None:
+                raise NotPremodular(f"missing {kind}-symbols for {key}")
+            stored[key] = blk = np.asarray(blk, dtype=np.complex128)
+            if blk.shape != (n, n):
+                raise NotPremodular(f"{kind}-block {key} has shape "
+                                    f"{blk.shape}, expected {(n, n)}")
+        else:
+            blk = np.eye(n, dtype=np.complex128)
         blk.setflags(write=False)
-    if len(table) < len(given):
-        key = next(k for k in given if k not in table)
+        complete[key] = blk
+    if len(stored) < len(given):
+        key = next(k for k in given if k not in stored)
         raise NotPremodular(f"{kind}-symbols for {key!r}, which are not "
                             "stored: a unit strand or no fusion channel")
-    return table
+    return complete, stored
+
+
+_EMPTY = np.zeros((0, 0), dtype=np.complex128)
+_EMPTY.setflags(write=False)
 
 
 class CategorySpec:
     """All skeletal data of one category, checked where it enters.
 
-    ``dims`` and ``theta`` hold one value per label.  ``F`` holds a block for
-    each F-block key without a unit among a, b, c, ``R`` one for each (a, b,
-    c) with a, b != 0 and N_abc N_bac > 0, in the shapes ``f_block`` and
+    ``dims`` and ``theta`` hold one value per label.  ``F`` holds a block
+    for each F-block key without a unit among a, b, c, ``R`` one for each
+    (a, b, c) with a, b != 0 and N_abc > 0, in the shapes ``f_block`` and
     ``r_block`` read, and nothing else; any other table raises NotPremodular
-    naming its key, so readers trust the tables.  Values may be non-finite:
-    the checks report them.  Instances are treated as immutable; engines
-    cache per-instance data that depends on F and R on ``_cache``.
+    naming its key.  The spec adds the identity blocks of the unit strands
+    itself, so it holds every F- and R-block and readers trust the tables.
+    Values may be non-finite: the checks report them.  Instances are
+    treated as immutable; engines cache per-instance data that depends on F
+    and R on ``_cache``.
     """
 
     def __init__(self, name, ring, dims, theta, F, R, label_names=None,
@@ -426,14 +443,13 @@ class CategorySpec:
                                     f"{(self.rank,)}")
             arr.setflags(write=False)
         N = ring.N
-        self.F = _symbol_table("F", F, {
-            (a, b, c, d): (int(N[a, b].dot(N[:, c, d])),
-                           int(N[b, c].dot(N[a, :, d])))
-            for a, b, c, d in _f_block_keys(ring)[2] if a and b and c})
-        self.R = _symbol_table("R", R, {
-            (a, b, c): (ring.n(b, a, c), ring.n(a, b, c))
-            for a, b, c in np.argwhere(N * N.transpose(1, 0, 2)).tolist()
-            if a and b})
+        # every block is square, as the ring is associative and commutative
+        self._f_all, self.F = _symbol_table("F", F, (
+            ((a, b, c, d), int(N[a, b].dot(N[:, c, d])))
+            for a, b, c, d in _f_block_keys(ring)[2]), 3)
+        self._r_all, self.R = _symbol_table("R", R, (
+            ((a, b, c), ring.n(a, b, c)) for a, b, c in np.argwhere(N).tolist()),
+            2)
         self.label_names = list(label_names) if label_names else None
         self.product_of = product_of  # (base name, factor count) for products
         self._cache = {}
@@ -452,22 +468,15 @@ class CategorySpec:
         return str(i)
 
     # -- F/R lookup --------------------------------------------------------
+    def _block(self, table, kind, key) -> np.ndarray:
+        """The block of ``table`` at ``key``, empty if it has no trees."""
+        if not all(type(x) is int and 0 <= x < self.rank for x in key):
+            raise InvalidWord(f"{kind}-block labels {key} are not Python "
+                              f"ints in [0, {self.rank})")
+        return table.get(key, _EMPTY)
+
     def f_block(self, a, b, c, d) -> np.ndarray:
-        if not (type(a) is type(b) is type(c) is type(d) is int
-                and 0 <= min(a, b, c, d) and max(a, b, c, d) < self.rank):
-            raise InvalidWord(f"F-block labels {(a, b, c, d)} are not "
-                              f"Python ints in [0, {self.rank})")
-        blk = self.F.get((a, b, c, d))
-        if blk is not None:
-            return blk
-        # the lengths of the bases of ``FusionRing.f_basis``
-        N = self.ring.N
-        rows = int(N[a, b].dot(N[:, c, d]))
-        cols = int(N[b, c].dot(N[a, :, d]))
-        # empty, or a unit strand: the nestings agree up to a relabelling
-        if rows and cols and rows != cols:
-            raise NotPremodular(f"unit F-block ({a},{b},{c};{d}) not square")
-        return np.eye(rows, cols, dtype=np.complex128)
+        return self._block(self._f_all, "F", (a, b, c, d))
 
     @cached("f_tensor")
     def f_tensor(self, a, b, c, d, e, f) -> np.ndarray:
@@ -487,12 +496,7 @@ class CategorySpec:
 
     def r_block(self, a, b, c) -> np.ndarray:
         """Matrix of c_{a,b} on channel c; rows index (b a -> c), columns (a b -> c)."""
-        blk = self.R.get((a, b, c))
-        if blk is not None:
-            return blk
-        # a unit strand, or empty if c is not a channel of both a b and b a
-        return np.eye(self.ring.n(b, a, c), self.ring.n(a, b, c),
-                      dtype=np.complex128)
+        return self._block(self._r_all, "R", (a, b, c))
 
     def __repr__(self):
         return f"CategorySpec({self.name!r}, rank={self.rank})"
@@ -608,12 +612,6 @@ def _f_block_keys(ring: FusionRing):
     return cols, codes, list(keys)
 
 
-@cached("f_blocks")
-def _f_blocks(spec: CategorySpec) -> list:
-    """``f_block`` of every F-block key, in key order."""
-    return [spec.f_block(*key) for key in _f_block_keys(spec.ring)[2]]
-
-
 @cached("f_store")
 def _f_store(spec: CategorySpec) -> _Store:
     """Every ``f_tensor`` block, keyed by (a, b, c, d, e, f).
@@ -625,7 +623,7 @@ def _f_store(spec: CategorySpec) -> _Store:
     """
     ring, N, r = spec.ring, spec.ring.N, spec.rank
     cols, codes, _ = _f_block_keys(ring)
-    blocks = _f_blocks(spec)
+    blocks = list(spec._f_all.values())
     block_start = np.cumsum([0] + [blk.size for blk in blocks])
     block_cols = np.array([blk.shape[1] for blk in blocks], dtype=np.int64)
     # every tree (a, b, e, c, d) with every column channel f of its block
@@ -656,17 +654,15 @@ def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
     """The braiding c_{x,y}, or with ``inverse`` the inverse braiding
     c_{y,x}^-1, on every channel z, keyed by (x, y, z).  The inverses are
     taken on one stack per block shape."""
-    N = spec.ring.N
+    N, R = spec.ring.N, spec._r_all
     x, y, z = np.nonzero(N)
-    labels = (y, x, z) if inverse else (x, y, z)
-    blocks = [spec.r_block(*key)
-              for key in zip(*(v.tolist() for v in labels))]
+    blocks = [R[b, a, c] for a, b, c in R] if inverse else list(R.values())
     if inverse:
         for idx, stack in _stacks(blocks):
             for i, blk in zip(idx, np.linalg.inv(stack)):
                 blocks[i] = blk
     return _store(spec.rank, ((1, 0, 2), (0, 1, 2)),
-                  _encode((x, y, z), spec.rank), N[x, y, z] * N[y, x, z],
+                  _encode((x, y, z), spec.rank), N[x, y, z] ** 2,
                   np.concatenate([blk.ravel() for blk in blocks]))
 
 
@@ -803,7 +799,7 @@ def _f_block_failure(spec: CategorySpec, atol: float):
     singular fails, or None.  The smallest singular values come from one
     stacked SVD per block shape."""
     failures = []
-    for idx, stack in _stacks(_f_blocks(spec)):
+    for idx, stack in _stacks(list(spec._f_all.values())):
         finite = np.isfinite(stack).all(axis=(1, 2))
         singular = np.zeros_like(finite)
         if stack.shape[1] and finite.any():
@@ -840,13 +836,8 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     rep = VerificationReport(target=spec.name,
                              options={"atol": tol.atol})
     ring = spec.ring
-    try:
-        ring.check_axioms()
-        rep.add_deviation("ring_axioms", "fusion ring axioms", 0.0, tol.atol)
-    except RingAxiomError as exc:
-        rep.add_deviation("ring_axioms", "fusion ring axioms", 1.0, tol.atol,
-                          detail=str(exc))
-        return rep
+    # a FusionRing checks its axioms when it is built
+    rep.add_deviation("ring_axioms", "fusion ring axioms", 0.0, tol.atol)
 
     # structural ribbon data
     dev = max_dev(abs(spec.theta[0] - 1.0), abs(spec.dims[0] - 1.0),
@@ -1127,7 +1118,6 @@ def spec_from_dict(data: dict, origin="<dict>") -> CategorySpec:
         N[i, j, k] = m
     try:
         ring = FusionRing(N, dual)
-        ring.check_axioms()
     except RingAxiomError as exc:
         raise CategoryFileError(str(exc), origin) from exc
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import (CategorySpec, FusionRing, _encode, _f_block_keys,
-                       _f_blocks, _groups, _stacks, _summands, cached)
+from .category import (CategorySpec, FusionRing, _encode, _groups, _stacks,
+                       _summands, cached)
 from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
@@ -43,20 +43,18 @@ def _factor(keys, blocks, *labels):
 
 
 def _f_factor(spec: CategorySpec):
-    """Every F-block of a factor, from its cached ``_f_blocks``, labelled
-    by the rows (e, alpha, beta) and columns (f, gamma, delta) of
-    ``FusionRing.f_basis``."""
-    keys = _f_block_keys(spec.ring)[2]
+    """Every F-block of a factor, labelled by the rows (e, alpha, beta) and
+    columns (f, gamma, delta) of ``FusionRing.f_basis``."""
+    keys = list(spec._f_all)
     bases = [spec.ring.f_basis(*key) for key in keys]
     rows, cols = ([np.array(b[i], dtype=np.int64).reshape(-1, 3)
                    for b in bases] for i in (0, 2))
-    return _factor(keys, _f_blocks(spec), rows, cols)
+    return _factor(keys, list(spec._f_all.values()), rows, cols)
 
 
 def _r_factor(spec: CategorySpec):
     """Every R-block of a factor, one per (a, b, c) with N[a,b,c] > 0."""
-    keys = np.argwhere(spec.ring.N)
-    return _factor(keys, [spec.r_block(*key) for key in keys.tolist()])
+    return _factor(list(spec._r_all), list(spec._r_all.values()))
 
 
 def _kron(x, y):
@@ -106,14 +104,13 @@ def _pair_table(fac1, fac2, r2, rank, strands, block):
 def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
     """F and R of the product on ``ring``, paired from the factor blocks.
 
-    Every factor block is read once, F from the factor's cached
-    ``_f_blocks``.  The product key (A, B, C, D) of a pair of
-    factor F-keys pairs them label by label; keys with a unit among A, B, C
-    are not stored, and the others are inserted words (A, B, C) ascending,
-    then D ascending.  The pairs are stacked by their two block shapes and
-    each stack is one broadcast product, the Kronecker product of its
-    factor blocks, whose rows and columns are then sorted into the product
-    basis.  R[A,B,C] maps the trees of (A, B) at C to those of (B, A);
+    Every factor block is read once, from the factor's complete tables.
+    The product key (A, B, C, D) of a pair of factor F-keys pairs them
+    label by label; keys with a unit among A, B, C are not stored, and the
+    others are inserted words (A, B, C) ascending, then D ascending.  The
+    pairs are stacked by their two block shapes and each stack is one
+    broadcast product, the Kronecker product of its factor blocks, whose
+    rows and columns are then sorted into the product basis.  R[A,B,C] maps the trees of (A, B) at C to those of (B, A);
     there Kronecker order is the product's order.
     """
     r2 = s2.rank

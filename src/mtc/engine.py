@@ -37,7 +37,9 @@ the inverse of the target's cached on its plan.  ``tensor`` is their
 composite (f (x) id) o (id (x) g), and ``embed`` applies them directly.
 An elementary braiding is the R-blocks of its two letters whiskered into
 the word, so ``split_transform`` is the one place that applies F-moves.
-Duality morphisms go through a calibrated cup/cap gauge.
+The cup is the fusion tree 1 -> i (x) dual(i) itself, and the cap is
+scaled by ``_cap_scale``, 1 / F^-1[i, dual(i), i; i]_00 with no absolute
+value taken, so that the first snake identity is exact.
 """
 
 from __future__ import annotations
@@ -331,13 +333,10 @@ def split_transform(spec: CategorySpec, word, k: int):
                 coeff = Finv[row_of, idx]
                 if coeff == 0:
                     continue
-                if e not in sub:
-                    continue
+                # e in a (x) b2 is a root of word[:-1], and the column
+                # (a, si, b2, t2i, alpha2) is a split pair there
                 Msub, _, colpos_sub = sub[e]
-                col_sub = colpos_sub.get((a, si, b2, t2i, alpha2))
-                if col_sub is None:
-                    continue
-                vec = Msub[:, col_sub]
+                vec = Msub[:, colpos_sub[(a, si, b2, t2i, alpha2)]]
                 for ri in np.nonzero(vec)[0]:
                     rtree = tprev[e][ri]
                     new_tree = (rtree[0] + (c,), rtree[1] + (beta2,))
@@ -585,11 +584,9 @@ def cup(spec: CategorySpec, i: int) -> Morphism:
 
 @cached("cap_scale")
 def _cap_scale(spec, i):
-    ib = _dual(spec, i)
-    raw = Morphism(spec, (ib, i), (), {0: np.array([[1.0]])})
-    zig = tensor(identity(spec, (i,)), raw) @ tensor(cup(spec, i),
-                                                     identity(spec, (i,)))
-    return 1.0 / zig.blocks[i][0, 0]
+    """1 / F^-1[i, dual(i), i; i] at the vacuum channels: the inverse of the
+    zigzag (id_i (x) raw cap) o (cup (x) id_i) of the unscaled cap."""
+    return 1 / _finv(spec, i, _dual(spec, i), i, i)[0, 0]
 
 
 def cap(spec: CategorySpec, i: int) -> Morphism:

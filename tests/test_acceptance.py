@@ -20,6 +20,7 @@ from mtc.modcat import (commutor_witness_deviation, extract_twist,
                         gamma_functor_deviation,
                         left_module_pentagon_deviation,
                         module_pentagon_deviation)
+from mtc.report import max_dev
 from mtc.suite import run_suite
 
 from conftest import MODULAR
@@ -81,7 +82,7 @@ def test_criterion_04_module_pentagon(spec_of):
             M = (m,)
             X, Y, Z = ((x1,), (x2,)), ((y1,), (y2,)), ((z1,), (z2,))
             for n in (-2, -1, 0, 1, 2):
-                worst = max(
+                worst = max_dev(
                     worst,
                     module_pentagon_deviation(s, M, X, Y, Z, n),
                     left_module_pentagon_deviation(s, X, Y, Z, M, n))
@@ -97,7 +98,7 @@ def test_criterion_05_twist_module_functor(spec_of):
         r = s.rank
         for m, x1, x2, y1, y2 in pair_tuples(r, 5):
             for n in (-2, -1, 0, 1):
-                worst = max(worst, gamma_functor_deviation(
+                worst = max_dev(worst, gamma_functor_deviation(
                     s, (m,), ((x1,), (x2,)), ((y1,), (y2,)), n))
     ok = worst < 1e-9
     round_trip = 0.0
@@ -105,10 +106,10 @@ def test_criterion_05_twist_module_functor(spec_of):
         s = spec_of(name)
         for u in range(s.rank):
             ext = extract_twist(s, (u,))
-            round_trip = max(round_trip,
-                             abs(ext.blocks[u][0, 0] - s.theta[u]))
+            round_trip = max_dev(round_trip,
+                                 abs(ext.blocks[u][0, 0] - s.theta[u]))
     ok = ok and round_trip < 1e-12
-    emit(5, "twist-module functor", max(worst, round_trip), 1e-9, ok)
+    emit(5, "twist-module functor", max_dev(worst, round_trip), 1e-9, ok)
 
 
 def test_criterion_06_commutor_witness(spec_of):
@@ -119,7 +120,7 @@ def test_criterion_06_commutor_witness(spec_of):
         s = spec_of(name)
         r = s.rank
         for u, v, m, up, vp in pair_tuples(r, 5):
-            worst = max(worst, commutor_witness_deviation(
+            worst = max_dev(worst, commutor_witness_deviation(
                 s, (m,), (u,), (v,), (up,), (vp,)))
     emit(6, "commutor witness", worst, 1e-9, worst < 1e-9)
 
@@ -165,12 +166,12 @@ def test_criterion_08_azumaya(spec_of):
         xi = xi_formula(s)
         want = np.zeros(s.rank, dtype=np.complex128)
         want[0] = 1.0
-        worst = max(worst, float(np.max(np.abs(xi - want))))
+        worst = max_dev(worst, float(np.max(np.abs(xi - want))))
         alg = PermutationAlgebra(s)
         proj = alg.left_center_idempotent(0)
         eta_eps = alg.unit() @ alg.counit()
-        proj_dev = max(proj_dev,
-                       proj.deviation(eta_eps * (1.0 / alg.dim)))
+        proj_dev = max_dev(proj_dev,
+                           proj.deviation(eta_eps * (1.0 / alg.dim)))
     ok = worst < 1e-9 and proj_dev < 1e-8
 
     ctrl = spec_of("rep_z2_symmetric")
@@ -185,7 +186,7 @@ def test_criterion_08_azumaya(spec_of):
     # and the Azumaya form of P genuinely fails there
     ok = ok and proj.deviation(alg.unit() @ alg.counit()
                                * (1.0 / alg.dim)) > 0.1
-    emit(8, "azumaya obstruction", max(worst, proj_dev), 1e-8, ok)
+    emit(8, "azumaya obstruction", max_dev(worst, proj_dev), 1e-8, ok)
 
 
 def test_criterion_09_permutation_invariant(spec_of):
@@ -198,9 +199,9 @@ def test_criterion_09_permutation_invariant(spec_of):
         z = transposition_invariant(s.rank).astype(np.complex128)
         ss = np.kron(md.S, md.S)
         tt = np.kron(md.T, md.T)
-        worst = max(worst,
-                    float(np.max(np.abs(ss @ z - z @ ss))),
-                    float(np.max(np.abs(tt @ z - z @ tt))))
+        worst = max_dev(worst,
+                        float(np.max(np.abs(ss @ z - z @ ss))),
+                        float(np.max(np.abs(tt @ z - z @ tt))))
     hom_defect = symmetric_group_check(spec_of("fibonacci").rank, 3)
     ok = worst < 1e-9 and hom_defect == 0
     emit(9, "permutation invariant", worst, 1e-9, ok)

@@ -108,9 +108,12 @@ def test_wrong_block_shape_is_refused(spec_of):
 
 
 @pytest.mark.parametrize("labels", [(-1, 1, 1, 1), (1, 1, 1, 3),
-                                    (np.int64(1), 1, 1, 1)])
+                                    (np.int64(1), 1, 1, 1), (-1, 1, 1),
+                                    (3, 1, 1)])
 def test_f_block_refuses_labels_outside_the_rank(spec_of, labels):
     """A negative label is not read from the end, nor a label past the
-    rank as an IndexError; labels are Python ints, as in words."""
+    rank as an IndexError; labels are Python ints, as in words.  Three
+    labels are an R-block's."""
+    spec = spec_of("ising")
     with pytest.raises(InvalidWord):
-        spec_of("ising").f_block(*labels)
+        (spec.f_block if len(labels) == 4 else spec.r_block)(*labels)

@@ -48,25 +48,27 @@ def test_word_dims_matches_tree_enumeration(spec_of):
 
 
 def test_broken_unit_rejected():
-    """A fusion tensor whose unit row is not the identity is refused."""
+    """A fusion tensor whose unit row is not the identity is refused when
+    the ring is built."""
     N = np.zeros((2, 2, 2), dtype=np.int64)
     N[0, 0, 0] = 1
     N[0, 1, 1] = 1
     N[1, 0, 0] = 1  # wrong: 1 x 0 should be 1
     N[1, 1, 0] = 1
     with pytest.raises(RingAxiomError):
-        FusionRing(N, [0, 1]).check_axioms()
+        FusionRing(N, [0, 1])
 
 
 def test_bad_dual_rejected():
-    """The dual map must be an involutive permutation fixing the unit."""
+    """The dual map must be an involutive permutation fixing the unit; the
+    ring refuses one that is not when it is built."""
     N = np.zeros((2, 2, 2), dtype=np.int64)
     eye = np.eye(2, dtype=np.int64)
     N[0] = eye
     N[:, 0, :] = eye
     N[1, 1, 0] = 1
     with pytest.raises(RingAxiomError):
-        FusionRing(N, [1, 0]).check_axioms()
+        FusionRing(N, [1, 0])
 
 
 def test_non_associative_ring_rejected():
@@ -80,7 +82,7 @@ def test_non_associative_ring_rejected():
     N[1, 2] = N[2, 1] = [0, 1, 1]
     N[2, 2] = [1, 0, 0]
     with pytest.raises(RingAxiomError, match="fusion associativity fails"):
-        FusionRing(N, [0, 1, 2]).check_axioms()
+        FusionRing(N, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, JSON determinism, and the compute
 subcommands."""
 
+import cmath
 import json
 import os
 import pathlib
@@ -91,6 +92,26 @@ def test_check_file_target(capsys, tmp_path):
     save_category(get_category("semion"), path)
     code, out, _ = run(capsys, "check", str(path), "--suite", "category")
     assert code == 0
+
+
+def test_check_non_integral_verlinde_fails(capsys, tmp_path):
+    """A fibonacci file with theta_tau off by e^{0.3i} loads, and its
+    Verlinde coefficients fail to snap: the check fails with the reason,
+    and the exit status is 1."""
+    from mtc import get_category
+    from mtc.category import spec_to_dict
+    data = spec_to_dict(get_category("fibonacci"))
+    theta = complex(*data["theta"][1]) * cmath.exp(0.3j)
+    data["theta"][1] = [theta.real, theta.imag]
+    path = tmp_path / "fibonacci-twisted.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path), "--suite", "modular",
+                       "--json")
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "verlinde_fusion")
+    assert check["status"] == "fail"
+    assert "not integral" in check["detail"]
 
 
 def test_check_malformed_file_is_a_usage_error(tmp_path):

@@ -121,6 +121,15 @@ def test_invariants_above_the_product_bound_skip_the_transposition():
     assert checks["induced_modules"].status == "pass"
 
 
+def test_squares_above_the_product_bound_skip_their_sections():
+    """z_13(1) has rank 13 and 13^2 > 128: the product and frobenius
+    sections, which need the square, are skipped with their reason."""
+    report = run_suite("z_13(1)", suites=["product", "frobenius"])
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        (f"{name}_section", "skipped", "square exceeds the rank bound")
+        for name in ("product", "frobenius")]
+
+
 def test_empty_n_values_are_refused(monkeypatch):
     """An empty n_values is refused before the target is even resolved."""
     monkeypatch.setattr(suite, "resolve_target", None)
