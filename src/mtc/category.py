@@ -272,10 +272,15 @@ class FusionRing:
                     raise RingAxiomError(
                         f"duality fails: N[{i},{j},0] != delta(j, dual({i}))")
         # associativity: sum_e N_ab^e N_ec^d == sum_f N_bc^f N_af^d, one
-        # first label a at a time, so that memory stays at rank^3
-        for Na in self.N:
-            if not np.array_equal((Na @ self.N.reshape(r, r * r)).reshape(
-                    r, r, r), self.N @ Na):
+        # first label a at a time, so that memory stays at rank^3.  numpy
+        # multiplies int64 matrices without BLAS; float64 products are
+        # exact while every sum of r products stays below 2^53
+        N = self.N
+        if r * int(N.max()) ** 2 < 2 ** 53:
+            N = N.astype(np.float64)
+        for Na in N:
+            if not np.array_equal((Na @ N.reshape(r, r * r)).reshape(
+                    r, r, r), N @ Na):
                 raise RingAxiomError("fusion associativity fails")
         # braided data requires a commutative ring
         if not np.array_equal(self.N, self.N.transpose(1, 0, 2)):

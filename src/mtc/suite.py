@@ -6,8 +6,11 @@ the square, the canonical algebra, and the permutation invariants.
 Sections can be selected individually; everything downstream of a failed
 load is reported, not swallowed.  The module section is one table of
 sweeps, each over the label tuples of one length: all of them while they
-fit the sweep's budget, a seeded sample of that size otherwise.  Check
-times are measured by the report, not here.
+fit the sweep's budget, a seeded sample of that size otherwise.  The right
+and left module pentagons take the whole list at once and evaluate it as
+one braid-group representation on fusion paths (``mtc.fusion_paths``);
+the other sweeps call ``modcat`` once per tuple.  Check times are measured
+by the report, not here.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from .category import (DEFAULT_TOL, CategorySpec, load_category,
 from .deligne import MAX_PRODUCT_RANK, deligne_power
 from .errors import SnapFailure
 from .frobenius import frobenius_report
+from .fusion_paths import (left_module_pentagon_deviations,
+                           module_pentagon_deviations)
 from .invariants import (annulus_coefficient, annulus_tree_count,
                          induced_decomposition_defect, invariant_report,
                          symmetric_group_check)
 from .modcat import (alpha_functor_deviation, commutor_witness_deviation,
                      extract_twist, gamma_functor_deviation,
-                     left_module_pentagon_deviation,
-                     module_pentagon_deviation, module_triangle_deviation,
-                     psi, psi_from_gamma, psi_shortcut_deviation)
+                     module_triangle_deviation, psi, psi_from_gamma,
+                     psi_shortcut_deviation)
 from .report import VerificationReport, max_dev
 
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
@@ -110,23 +114,25 @@ def _module_section(spec, report, tol_config, n_values, rng):
     # category
     n0, n_top = n_values[0], max(n_values)
 
-    def on_square(dev):
-        return lambda t: dev((t[0],), *_square_objects(t[1:]))
+    def each(dev):
+        return lambda ts: [dev(t) for t in ts]
 
+    def on_square(dev):
+        return each(lambda t: dev((t[0],), *_square_objects(t[1:])))
+
+    @each
     def twist(t):
         blk = extract_twist(spec, t).blocks.get(t[0])
         return (abs(blk[0, 0] - complex(spec.theta[t[0]]))
                 if blk is not None else 1.0)
 
-    # name, statement, tuple length, sample budget, deviation of one tuple
+    # name, statement, tuple length, sample budget, deviations of a list of
+    # tuples; both pentagons run on the whole list at once
     sweeps = [
         ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
-         on_square(lambda m, X, Y, Z: max_dev(*(
-             module_pentagon_deviation(spec, m, X, Y, Z, n)
-             for n in n_values)))),
+         lambda ts: module_pentagon_deviations(spec, ts, n_values)),
         ("left_module_pentagon", "left-module-pentagon", 7, 64,
-         on_square(lambda m, X, Y, Z: left_module_pentagon_deviation(
-             spec, X, Y, Z, m, n0))),
+         lambda ts: left_module_pentagon_deviations(spec, ts, n0)),
         ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
          on_square(lambda m, X: max_dev(*(
              module_triangle_deviation(spec, m, X, n) for n in n_values)))),
@@ -144,11 +150,11 @@ def _module_section(spec, report, tol_config, n_values, rng):
              alpha_functor_deviation(spec, m, X, Y, Z, "+"),
              alpha_functor_deviation(spec, m, X, Y, Z, "-")))),
         ("commutor_witness", "commutor-intertwiner", 5, 32,
-         lambda t: commutor_witness_deviation(spec, *((x,) for x in t))),
+         each(lambda t: commutor_witness_deviation(
+             spec, *((x,) for x in t)))),
     ]
-    for name, tag, k, budget, deviation in sweeps:
-        worst = max_dev(*(deviation(t) for t in
-                          _label_tuples(spec.rank, k, budget, rng)))
+    for name, tag, k, budget, deviations in sweeps:
+        worst = max_dev(*deviations(_label_tuples(spec.rank, k, budget, rng)))
         report.add_deviation(
             name, tag, worst, tol_config.atol,
             detail=f"n in {list(n_values)}" if name == "module_pentagon"

@@ -71,7 +71,7 @@ def test_bad_dual_rejected():
         FusionRing(N, [1, 0])
 
 
-def test_non_associative_ring_rejected():
+def _non_associative():
     """Unit and duality hold, but (1 x 2) x 2 = 0 + 1 + 2 while
     1 x (2 x 2) = 1."""
     N = np.zeros((3, 3, 3), dtype=np.int64)
@@ -81,8 +81,47 @@ def test_non_associative_ring_rejected():
     N[1, 1] = [1, 0, 1]
     N[1, 2] = N[2, 1] = [0, 1, 1]
     N[2, 2] = [1, 0, 0]
+    return N, [0, 1, 2]
+
+
+def test_non_associative_ring_rejected():
     with pytest.raises(RingAxiomError, match="fusion associativity fails"):
-        FusionRing(N, [0, 1, 2])
+        FusionRing(*_non_associative())
+
+
+def _z7_square():
+    """The fusion ring of the square of z_7(k), rank 49, labels row-major."""
+    N1 = np.zeros((7, 7, 7), dtype=np.int64)
+    for a, b in itertools.product(range(7), repeat=2):
+        N1[a, b, (a + b) % 7] = 1
+    N = np.einsum("ace,bdf->abcdef", N1, N1).reshape(49, 49, 49)
+    return N, [(-a) % 7 * 7 + (-b) % 7 for a in range(7) for b in range(7)]
+
+
+def _huge_multiplicity():
+    """x (x) x = 1 + 2^27 x: rank * max(N)^2 = 2^55 is past float64's exact
+    integers, so associativity is checked in int64."""
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(2, dtype=np.int64)
+    N[1, 1] = [1, 2 ** 27]
+    return N, [0, 1]
+
+
+@pytest.mark.parametrize("ring", [_z7_square, _non_associative,
+                                  _huge_multiplicity])
+def test_associativity_verdict_equals_the_int64_products(ring):
+    """``check_axioms`` multiplies in float64 while that is exact; its
+    verdict is that of the int64 products on every first label."""
+    N, dual = ring()
+    r = len(N)
+    associative = all(np.array_equal(
+        (Na @ N.reshape(r, r * r)).reshape(r, r, r), N @ Na) for Na in N)
+    try:
+        FusionRing(N, dual)
+    except RingAxiomError as exc:
+        assert not associative and "associativity" in str(exc)
+    else:
+        assert associative
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,13 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
             return result
         return dev
 
-    monkeypatch.setattr(suite, "left_module_pentagon_deviation",
-                        record("left_module_pentagon", 4))
+    def left_pentagons(spec, tuples, n):
+        seen.setdefault("left_module_pentagon", set()).update(
+            (t[0],) for t in tuples)
+        return [0.0] * len(tuples)
+
+    monkeypatch.setattr(suite, "left_module_pentagon_deviations",
+                        left_pentagons)
     monkeypatch.setattr(suite, "psi",
                         record("associator_from_chain", 1, _Zero()))
     monkeypatch.setattr(suite, "psi_from_gamma", lambda *args: None)

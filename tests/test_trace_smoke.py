@@ -27,6 +27,10 @@ tracer.start([])
 try:
     report = mtc.run_suite("semion", suites=["category", "product", "module",
                                              "frobenius"])
+    # the suite's pentagons run on fusion paths and build no psi_hat
+    mtc.modcat.left_module_pentagon_deviation(
+        mtc.get_category("semion"), ((1,), (1,)), ((1,), ()), ((), (1,)),
+        (1,))
 finally:
     tracer.stop()
 metrics = tracer.pass_metrics(1.0)
