@@ -10,6 +10,7 @@ from .errors import (CategoryFileError, MtcError, NotModular, NotPremodular,
                      RingAxiomError, SnapFailure)
 from .frobenius import (PermutationAlgebra, frobenius_report,
                         left_center_labels, xi_formula)
+from . import modcat  # noqa: F401 (the single-tuple module API, mtc.modcat)
 from .invariants import (annulus_coefficient, annulus_tree_count,
                          check_invariant, parse_cycles, permutation_invariant,
                          transposition_invariant)

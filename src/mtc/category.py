@@ -654,17 +654,33 @@ def _f_store(spec: CategorySpec) -> _Store:
                   full[start[entry] + row * block_cols[block[entry]] + col])
 
 
+def _inverse(block, what: str) -> np.ndarray:
+    """``np.linalg.inv`` of a block of the data; a singular block raises
+    NotPremodular naming ``what``."""
+    try:
+        return np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        raise NotPremodular(f"{what} is singular") from None
+
+
 @cached("r_store")
 def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
     """The braiding c_{x,y}, or with ``inverse`` the inverse braiding
     c_{y,x}^-1, on every channel z, keyed by (x, y, z).  The inverses are
-    taken on one stack per block shape."""
+    taken on one stack per block shape; if one is singular, block by block
+    until the first singular block is named."""
     N, R = spec.ring.N, spec._r_all
     x, y, z = np.nonzero(N)
     blocks = [R[b, a, c] for a, b, c in R] if inverse else list(R.values())
     if inverse:
+        keys = [(b, a, c) for a, b, c in R]
         for idx, stack in _stacks(blocks):
-            for i, blk in zip(idx, np.linalg.inv(stack)):
+            try:
+                inverses = np.linalg.inv(stack)
+            except np.linalg.LinAlgError:
+                inverses = [_inverse(blocks[i], f"R-block {keys[i]}")
+                            for i in idx]
+            for i, blk in zip(idx, inverses):
                 blocks[i] = blk
     return _store(spec.rank, ((1, 0, 2), (0, 1, 2)),
                   _encode((x, y, z), spec.rank), N[x, y, z] ** 2,

@@ -49,7 +49,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .category import MAX_WORD_LENGTH  # noqa: F401 (re-exported)
-from .category import CategorySpec, Layout, _check_words, _summands, cached
+from .category import (CategorySpec, Layout, _check_words, _inverse,
+                       _summands, cached)
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
 
@@ -79,7 +80,7 @@ def _juxtapose(x, y):
 
 @cached("finv")
 def _finv(spec, a, b, c, d):
-    return np.linalg.inv(spec.f_block(a, b, c, d))
+    return _inverse(spec.f_block(a, b, c, d), f"F-block ({a},{b},{c};{d})")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +500,8 @@ def _crossing(spec, a, b, over):
     if over:
         blocks = {c: spec.r_block(a, b, c) for c in roots}
     else:
-        blocks = {c: np.linalg.inv(spec.r_block(b, a, c)) for c in roots}
+        blocks = {c: _inverse(spec.r_block(b, a, c), f"R-block {(b, a, c)}")
+                  for c in roots}
     return Morphism(spec, (a, b), (b, a), blocks)
 
 

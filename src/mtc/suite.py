@@ -6,11 +6,11 @@ the square, the canonical algebra, and the permutation invariants.
 Sections can be selected individually; everything downstream of a failed
 load is reported, not swallowed.  The module section is one table of
 sweeps, each over the label tuples of one length: all of them while they
-fit the sweep's budget, a seeded sample of that size otherwise.  The right
-and left module pentagons take the whole list at once and evaluate it as
-one braid-group representation on fusion paths (``mtc.fusion_paths``);
-the other sweeps call ``modcat`` once per tuple.  Check times are measured
-by the report, not here.
+fit the sweep's budget, a seeded sample of that size otherwise.  Every
+sweep takes its whole list at once and evaluates it as one braid-group
+representation on fusion paths (``mtc.fusion_paths``); the per-tuple
+functions of ``modcat`` are the single-tuple API and the tests' reference.
+Check times are measured by the report, not here.
 """
 
 from __future__ import annotations
@@ -27,15 +27,17 @@ from .category import (DEFAULT_TOL, CategorySpec, load_category,
 from .deligne import MAX_PRODUCT_RANK, deligne_power
 from .errors import SnapFailure
 from .frobenius import frobenius_report
-from .fusion_paths import (left_module_pentagon_deviations,
-                           module_pentagon_deviations)
+from .fusion_paths import (alpha_functor_deviations,
+                           associator_chain_deviations,
+                           commutor_witness_deviations,
+                           left_module_pentagon_deviations,
+                           module_pentagon_deviations,
+                           module_triangle_deviations,
+                           twist_extraction_deviations,
+                           twist_mismatch_deviations)
 from .invariants import (annulus_coefficient, annulus_tree_count,
                          induced_decomposition_defect, invariant_report,
                          symmetric_group_check)
-from .modcat import (alpha_functor_deviation, commutor_witness_deviation,
-                     extract_twist, gamma_functor_deviation,
-                     module_triangle_deviation, psi, psi_from_gamma,
-                     psi_shortcut_deviation)
 from .report import VerificationReport, max_dev
 
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
@@ -102,59 +104,33 @@ def _product_section(spec, report, tol_config, md):
     return prod
 
 
-def _square_objects(labels):
-    """Objects of the square, one per consecutive pair of base labels."""
-    it = iter(labels)
-    return [((x1,), (x2,)) for x1, x2 in zip(it, it)]
-
-
 def _module_section(spec, report, tol_config, n_values, rng):
     # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
-    # (x1, x2), ... of the square; every word below lives in the base
-    # category
+    # (x1, x2), ... of the square; every sweep takes its whole list at once
     n0, n_top = n_values[0], max(n_values)
-
-    def each(dev):
-        return lambda ts: [dev(t) for t in ts]
-
-    def on_square(dev):
-        return each(lambda t: dev((t[0],), *_square_objects(t[1:])))
-
-    @each
-    def twist(t):
-        blk = extract_twist(spec, t).blocks.get(t[0])
-        return (abs(blk[0, 0] - complex(spec.theta[t[0]]))
-                if blk is not None else 1.0)
-
     # name, statement, tuple length, sample budget, deviations of a list of
-    # tuples; both pentagons run on the whole list at once
+    # tuples and their arguments after it
     sweeps = [
         ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
-         lambda ts: module_pentagon_deviations(spec, ts, n_values)),
+         module_pentagon_deviations, n_values),
         ("left_module_pentagon", "left-module-pentagon", 7, 64,
-         lambda ts: left_module_pentagon_deviations(spec, ts, n0)),
+         left_module_pentagon_deviations, n0),
         ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
-         on_square(lambda m, X: max_dev(*(
-             module_triangle_deviation(spec, m, X, n) for n in n_values)))),
+         module_triangle_deviations, n_values),
         ("twist_mismatch_functor", "twist-mismatch-equation", 5,
-         _SWEEP_BUDGET,
-         on_square(lambda m, X, Y: max_dev(
-             gamma_functor_deviation(spec, m, X, Y, n0),
-             psi_shortcut_deviation(spec, m, X, Y)))),
+         _SWEEP_BUDGET, twist_mismatch_deviations, n0),
         ("associator_from_chain", "associator-chain", 5, 64,
-         on_square(lambda m, X, Y: psi(spec, m, X, Y, n_top).deviation(
-             psi_from_gamma(spec, m, X, Y, n_top)))),
-        ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET, twist),
+         associator_chain_deviations, n_top),
+        ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET,
+         twist_extraction_deviations),
         ("alpha_module_functor", "alpha-induction-functor", 7, 32,
-         on_square(lambda m, X, Y, Z: max_dev(
-             alpha_functor_deviation(spec, m, X, Y, Z, "+"),
-             alpha_functor_deviation(spec, m, X, Y, Z, "-")))),
+         alpha_functor_deviations),
         ("commutor_witness", "commutor-intertwiner", 5, 32,
-         each(lambda t: commutor_witness_deviation(
-             spec, *((x,) for x in t)))),
+         commutor_witness_deviations),
     ]
-    for name, tag, k, budget, deviations in sweeps:
-        worst = max_dev(*deviations(_label_tuples(spec.rank, k, budget, rng)))
+    for name, tag, k, budget, deviations, *args in sweeps:
+        tuples = _label_tuples(spec.rank, k, budget, rng)
+        worst = max_dev(*deviations(spec, tuples, *args))
         report.add_deviation(
             name, tag, worst, tol_config.atol,
             detail=f"n in {list(n_values)}" if name == "module_pentagon"

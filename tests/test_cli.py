@@ -146,6 +146,27 @@ def test_check_defective_tables_is_a_usage_error(capsys, tmp_path, defect,
     assert err.startswith(f"error: {path}") and str(key) in err
 
 
+@pytest.mark.parametrize("table, key, block", [
+    ("R", (1, 1, 0), "R-block (1, 1, 0)"),
+    ("F", (1, 1, 1, 1), "F-block (1,1,1;1)")])
+def test_check_singular_block_is_a_usage_error(capsys, tmp_path, table, key,
+                                               block):
+    """A fibonacci file with R^{tau tau}_1 or F[tau, tau, tau; tau] set to 0
+    loads, and the full check exits 2 naming the block where its inverse is
+    first taken, not with numpy's unlocated "Singular matrix"."""
+    from mtc import get_category
+    from mtc.category import spec_to_dict
+    data = spec_to_dict(get_category("fibonacci"))
+    for entry in data[table]:
+        if tuple(entry[:len(key)]) == key:
+            entry[-2:] = [0.0, 0.0]
+    path = tmp_path / f"fibonacci-singular-{table}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err == f"error: {block} is singular\n"
+
+
 # ---------------------------------------------------------------------------
 # compute
 

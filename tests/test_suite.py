@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc.builtins import BUILTIN_NAMES
 from mtc.report import VerificationReport
@@ -52,9 +53,12 @@ def test_suite_check_times_are_measured():
     assert len(set(frob)) > 1
 
 
-class _Zero:
-    def deviation(self, _other):
-        return 0.0
+# the capped sweeps of the module section, by check name and the batched
+# function that ``suite`` calls
+CAPPED = {"left_module_pentagon": "left_module_pentagon_deviations",
+          "associator_from_chain": "associator_chain_deviations",
+          "alpha_module_functor": "alpha_functor_deviations",
+          "commutor_witness": "commutor_witness_deviations"}
 
 
 def test_capped_sweeps_reach_every_module(monkeypatch):
@@ -62,31 +66,38 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
     sweep include both modules M = 0 and M = 1."""
     seen = {}
 
-    def record(name, module_slot, result=0.0):
-        def dev(*args):
-            seen.setdefault(name, set()).add(args[module_slot])
-            return result
-        return dev
+    def record(name):
+        def deviations(spec, tuples, *args):
+            seen.setdefault(name, set()).update((t[0],) for t in tuples)
+            return [0.0] * len(tuples)
+        return deviations
 
-    def left_pentagons(spec, tuples, n):
-        seen.setdefault("left_module_pentagon", set()).update(
-            (t[0],) for t in tuples)
-        return [0.0] * len(tuples)
-
-    monkeypatch.setattr(suite, "left_module_pentagon_deviations",
-                        left_pentagons)
-    monkeypatch.setattr(suite, "psi",
-                        record("associator_from_chain", 1, _Zero()))
-    monkeypatch.setattr(suite, "psi_from_gamma", lambda *args: None)
-    monkeypatch.setattr(suite, "alpha_functor_deviation",
-                        record("alpha_module_functor", 1))
-    monkeypatch.setattr(suite, "commutor_witness_deviation",
-                        record("commutor_witness", 1))
+    for name, function in CAPPED.items():
+        monkeypatch.setattr(suite, function, record(name))
     report = run_suite("fibonacci", suites=["module"])
     assert report.passed
-    assert seen == {name: {(0,), (1,)} for name in
-                    ("left_module_pentagon", "associator_from_chain",
-                     "alpha_module_functor", "commutor_witness")}
+    assert seen == {name: {(0,), (1,)} for name in CAPPED}
+
+
+MODULE_CHECKS = ["module_pentagon", "left_module_pentagon", "module_triangle",
+                 "twist_mismatch_functor", "associator_from_chain",
+                 "twist_extraction", "alpha_module_functor",
+                 "commutor_witness"]
+
+
+@pytest.mark.parametrize("target", BUILTIN_NAMES)
+def test_module_sweeps_make_no_per_tuple_call(monkeypatch, target):
+    """Every module sweep runs on fusion paths: with the per-tuple
+    structures of ``modcat``, which its deviation functions all build on,
+    made to raise, the module section still runs and passes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module sweep called modcat per tuple")
+
+    for name in ("psi", "psi_hat", "gamma", "alpha_induction"):
+        monkeypatch.setattr(modcat, name, refuse)
+    report = run_suite(target, suites=["module"])
+    assert [c.name for c in report.checks] == MODULE_CHECKS
+    assert report.passed
 
 
 @pytest.mark.parametrize("target", BUILTIN_NAMES)

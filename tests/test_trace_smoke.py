@@ -27,10 +27,13 @@ tracer.start([])
 try:
     report = mtc.run_suite("semion", suites=["category", "product", "module",
                                              "frobenius"])
-    # the suite's pentagons run on fusion paths and build no psi_hat
+    # the suite's module sweeps run on fusion paths and build no psi or
+    # psi_hat
+    semion = mtc.get_category("semion")
+    mtc.modcat.module_pentagon_deviation(
+        semion, (1,), ((1,), (1,)), ((1,), ()), ((), (1,)))
     mtc.modcat.left_module_pentagon_deviation(
-        mtc.get_category("semion"), ((1,), (1,)), ((1,), ()), ((), (1,)),
-        (1,))
+        semion, ((1,), (1,)), ((1,), ()), ((), (1,)), (1,))
 finally:
     tracer.stop()
 metrics = tracer.pass_metrics(1.0)
