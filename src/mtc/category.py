@@ -45,11 +45,12 @@ F-blocks per block shape.
 
 Every derived table is memoised on its owner by ``cached``, one section of
 the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
-``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``, ``f_keys`` and the
-engine's ``compose`` and ``whisker_right`` plans, a product ring's
-``ptree_map``, a spec's ``f_tensor``, ``f_store`` and ``r_store`` and the
-other engine and module tables, and a ``PermutationAlgebra``'s ``m``,
-``delta``, ``phi`` and ``proj``.
+``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``,
+``fusion_vertices``, ``f_keys`` and the engine's ``compose`` and
+``whisker_right`` plans, a product ring's ``ptree_map``, a spec's
+``f_tensor``, ``f_store`` and ``r_store`` and the other engine and module
+tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and
+``proj``.
 
 Input is checked where it enters, and its readers trust it.  A
 ``FusionRing`` checks its axioms when it is built, so every F- and R-block
@@ -241,6 +242,19 @@ class FusionRing:
         ``channels[start[a * rank + b]:start[a * rank + b + 1]]``."""
         pairs, chans = np.nonzero(self.N.reshape(self.rank ** 2, self.rank))
         return np.searchsorted(pairs, np.arange(self.rank ** 2 + 1)), chans
+
+    @cached("fusion_vertices")
+    def _fusion_vertices(self):
+        """(start, channel, alpha): the fusion vertices of the pair (a, b),
+        each channel c of it N[a, b, c] times with alpha = 0, 1, ..., are
+        entries ``start[a * rank + b]:start[a * rank + b + 1]``, ascending
+        in (c, alpha)."""
+        N = self.N.reshape(self.rank ** 2, self.rank)
+        mult = N[np.nonzero(N)]
+        channel = np.repeat(np.nonzero(N)[1], mult)
+        alpha = np.arange(len(channel)) \
+            - np.repeat(np.cumsum(mult) - mult, mult)
+        return np.r_[0, np.cumsum(N.sum(axis=1))], channel, alpha
 
     def fusion_channels(self, x, y):
         """Every channel of every pair of the label arrays x, y: (i, z) with

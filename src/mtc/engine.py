@@ -169,10 +169,13 @@ class Morphism:
                           lambda c, blk: blk.conj().T)
 
     def inverse(self) -> "Morphism":
+        """The inverse map; a singular block raises NotPremodular naming
+        the word and root."""
         def inv(c, blk):
             if blk.shape[0] != blk.shape[1]:
                 raise ShapeMismatch(f"block at root {c} is not square")
-            return np.linalg.inv(blk)
+            return _inverse(blk, f"morphism on the word {self.src} at root "
+                                 f"{c}")
         return _blockwise(self, self.spec.ring.layout(self.dst, self.src),
                           inv)
 
@@ -557,8 +560,13 @@ def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
         c2 = block_crossing(spec, c1.dst, len(word) - k, True)
         return c2 @ c1
     base = double_braiding(spec, word, k, 1)
-    return _blockwise(base, base.layout,
-                      lambda c, blk: np.linalg.matrix_power(blk, n))
+
+    def power(c, blk):
+        # a negative power inverts first, as np.linalg.matrix_power does
+        if n < 0:
+            blk = _inverse(blk, f"monodromy on the word {word} at root {c}")
+        return np.linalg.matrix_power(blk, abs(n))
+    return _blockwise(base, base.layout, power)
 
 
 def twist_endo(spec: CategorySpec, word, power: int = 1) -> Morphism:

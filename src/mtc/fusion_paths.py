@@ -17,14 +17,29 @@ other label of a path is its context.  On the paths of one context it is
 the block of ``engine.braid_generator`` on the word (A_{p-1}, w_p, w_{p+1})
 at p = 2 and root A_{p+1} (for p = 1 that of (w_1, w_2) at root A_2, the
 R-block), and a path's position in that block is its rank in the context
-sorted by (A_p, mu_p, mu_{p+1}).  So sigma_p on a whole stack is one gather
-of cached local blocks into dense generator blocks and one batched
-``np.matmul`` per block size, and no F-move is computed here.  A block
-crossing and a monodromy are the generator sequences of
-``engine.block_crossing`` and ``engine.double_braiding``; an inverse is one
-stacked ``np.linalg.inv`` per block size, and D^n is
-``np.linalg.matrix_power`` of the stacked D.  The twist of the first k
-letters, whiskered on the right, is diagonal: theta_{A_k} on each path.
+sorted by (A_p, mu_p, mu_{p+1}).  A block crossing and a monodromy are the
+generator sequences of ``engine.block_crossing`` and
+``engine.double_braiding``; an inverse is one stacked ``np.linalg.inv`` per
+block size, and D^n is ``np.linalg.matrix_power`` of the stacked D.  The
+twist of the first k letters, whiskered on the right, is diagonal:
+theta_{A_k} on each path.
+
+Braids are built when first used.  ``PathStack.braid`` only queues the
+generator steps (source order, p, over) that it needs, and a braid's
+products, inverses and powers wait for it.  The first braid whose blocks
+are read, by ``PathStack.deviations`` or ``PathStack.blocks``, flushes the
+queue in a few rounds: the paths of every new word order are enumerated
+together, one row gather per fusion step over the ring's
+multiplicity-expanded fusion vertices; the generators are sorted by
+context, every (order, p) of a round in one ``np.lexsort``, and written by
+one gather from the spec's table of local blocks, which reads each
+(A_{p-1}, w_p, w_{p+1}, A_{p+1}) from ``engine.braid_generator`` the first
+time it is met.  No F-move is computed here.  A round enumerates or sorts
+at most ``_ROUND_ROWS`` paths, unless one word order or step alone needs
+more, which bounds the memory of a flush.  Each sweep names all its
+braids before it compares the first, so that one flush builds them.  An
+error of the data, such as a singular block, is therefore raised where a
+braid is first read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
@@ -45,10 +60,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import CategorySpec, _check_words
+from .category import CategorySpec, _check_words, cached
 from .engine import braid_generator
 from .errors import (InvalidWord, NotPremodular, PositionOutOfRange,
                      ShapeMismatch)
+
+# The most paths that one round of a flush enumerates or sorts, unless one
+# word order or step alone needs more: a bound on a round's index arrays.
+_ROUND_ROWS = 1 << 13
 
 
 def _crossing(start: int, k: int, m: int) -> tuple:
@@ -64,6 +83,11 @@ def _monodromy(start: int, k: int, m: int) -> tuple:
     k strands from ``start`` cross over the next m, then those m cross
     back over them."""
     return _crossing(start, k, m) + _crossing(start, m, k)
+
+
+def _swapped(order, p: int) -> tuple:
+    """The word order after sigma_p."""
+    return order[:p - 1] + (order[p], order[p - 1]) + order[p + 1:]
 
 
 def _packed(digits, radices) -> list:
@@ -82,51 +106,87 @@ def _packed(digits, radices) -> list:
     return keys
 
 
-class _Where:
-    """The word and root of each block of a ``PathStack``, to name a block
-    in an error.  A braid holds this rather than its stack, so that the
-    stack's memo of braids makes no reference cycle and is freed with the
-    stack."""
+def _ranges(first, count) -> np.ndarray:
+    """The concatenated ranges first[i] .. first[i] + count[i] - 1."""
+    return np.arange(count.sum()) \
+        + np.repeat(first - (np.cumsum(count) - count), count)
 
-    __slots__ = ("labels", "members", "tuple_of", "root_of")
 
-    def __init__(self, labels, members, tuple_of, root_of):
-        self.labels, self.members = labels, members
-        self.tuple_of, self.root_of = tuple_of, root_of
+class _LocalBlocks:
+    """The local blocks of sigma_p on one spec, read as their codes are
+    first met.  Code (((s * (rank + 1) + A_{p-1} + 1) * rank + w_p) * rank
+    + w_{p+1}) * rank + A_{p+1}, with A_{p-1} + 1 = 0 for the two-letter
+    word of p = 1 and s = 0 over, 1 under, has its block, read row-major,
+    at ``values[offset[code]:]``; an offset of -1 is not read yet.  The
+    offsets are dense, 2 (rank + 1) rank^3 of them."""
 
-    def singular(self, order, n: int, bad) -> str:
-        """Where a braid from ``order`` is singular, given the positions
-        ``bad`` of its singular blocks of size n: the first one's word and
-        root."""
-        if not len(bad):
-            return f"a braid on the word order {order} is singular"
-        b = self.members[n][bad[0]]
-        word = tuple(self.labels[self.tuple_of[b], list(order)].tolist())
-        return (f"braid on the word {word} is singular at root "
-                f"{int(self.root_of[b])}: an F- or R-block is not invertible")
+    __slots__ = ("offset", "values")
+
+    def __init__(self, rank: int):
+        self.offset = np.full(2 * (rank + 1) * rank ** 3, -1, dtype=np.int32)
+        self.values = np.zeros(0, dtype=np.complex128)
+
+    def find(self, spec: CategorySpec, code) -> np.ndarray:
+        """The offsets of the codes, reading every new one from
+        ``engine.braid_generator``."""
+        at = self.offset[code]
+        if (at >= 0).all():
+            return at
+        r, flat, end = spec.rank, [self.values], len(self.values)
+        for key in np.unique(code[at < 0]).tolist():
+            rest, y = divmod(key, r)
+            rest, b = divmod(rest, r)
+            rest, a = divmod(rest, r)
+            under, x = divmod(rest, r + 1)
+            word = (a, b) if x == 0 else (x - 1, a, b)
+            gen = braid_generator(spec, word, len(word) - 1, not under)
+            o, rows, cols = gen.layout.roots[y]
+            flat.append(gen.flat[o:o + rows * cols])
+            self.offset[key], end = end, end + rows * cols
+        self.values = np.concatenate(flat)
+        return self.offset[code]
+
+
+@cached("path_blocks")
+def _local_blocks(spec: CategorySpec) -> _LocalBlocks:
+    return _LocalBlocks(spec.rank)
 
 
 class Braid:
     """A morphism between two word orders of one ``PathStack``: ``blocks``
-    maps each block size n to the stacked blocks (B_n, n, n)."""
+    maps each block size n to the stacked blocks (B_n, n, n).  They are
+    computed when first read, after the stack has built every generator
+    queued so far.  A braid holds its stack and the stack holds no braid,
+    only arrays, so both are freed by reference counting."""
 
-    __slots__ = ("where", "src", "dst", "blocks")
+    __slots__ = ("stack", "src", "dst", "_make", "_blocks", "__weakref__")
 
-    def __init__(self, where: _Where, src, dst, blocks):
-        self.where, self.src, self.dst = where, src, dst
-        self.blocks = blocks
+    def __init__(self, stack: "PathStack", src, dst, make):
+        self.stack, self.src, self.dst = stack, src, dst
+        self._make, self._blocks = make, None
+
+    @property
+    def blocks(self) -> dict:
+        if self._blocks is None:
+            self.stack._flush()
+            self._blocks, self._make = self._make(), None
+        return self._blocks
 
     def __matmul__(self, other: "Braid") -> "Braid":
         if other.dst != self.src:
             raise ShapeMismatch(f"cannot compose: inner word order "
                                 f"{other.dst} != {self.src}")
-        return Braid(self.where, other.src, self.dst,
-                     {n: x @ other.blocks[n] for n, x in self.blocks.items()})
+        return Braid(self.stack, other.src, self.dst, lambda: {
+            n: x @ other.blocks[n] for n, x in self.blocks.items()})
 
     def inverse(self) -> "Braid":
         """The inverse map, one stacked ``np.linalg.inv`` per block size.  A
         block that is not finite inverts to NaN, so that its tuple fails; a
-        singular one raises NotPremodular naming its word and root."""
+        singular one raises NotPremodular naming its word and root when the
+        inverse is read."""
+        return Braid(self.stack, self.dst, self.src, self._inverted)
+
+    def _inverted(self) -> dict:
         blocks = {}
         for n, x in self.blocks.items():
             finite = np.isfinite(x).all(axis=(1, 2))
@@ -135,9 +195,9 @@ class Braid:
                 blocks[n][finite] = np.linalg.inv(x[finite])
             except np.linalg.LinAlgError:
                 zero = np.linalg.det(x[finite]) == 0
-                raise NotPremodular(self.where.singular(
+                raise NotPremodular(self.stack._singular(
                     self.src, n, np.flatnonzero(finite)[zero])) from None
-        return Braid(self.where, self.dst, self.src, blocks)
+        return blocks
 
     def power(self, e: int) -> "Braid":
         """The e-th power of an endomorphism, block by block; a negative
@@ -147,25 +207,22 @@ class Braid:
             raise ShapeMismatch(f"power of a map {self.src} -> {self.dst}")
         if e < 0:
             return self.inverse().power(-e)
-        return Braid(self.where, self.src, self.dst,
-                     {n: np.linalg.matrix_power(x, e)
-                      for n, x in self.blocks.items()})
+        return Braid(self.stack, self.src, self.dst, lambda: {
+            n: np.linalg.matrix_power(x, e) for n, x in self.blocks.items()})
 
 
-class _Paths:
-    """The fusion paths of one word order, sorted by (tuple, root, tree):
-    labels ``A`` (paths, L + 1), multiplicities ``mu`` (paths, L + 1,
-    column 0 unused), the tuple ``t``, the (tuple, root) ``block`` and the
-    position ``pos`` within it."""
-
-    __slots__ = ("A", "mu", "t", "block", "pos")
+def _mu(L: int, k: int) -> int:
+    """The column of mu_k in the paths of words of length L."""
+    return L + k
 
 
 class PathStack:
     """The label tuples of a sweep, each a tuple of L Python ints in
     [0, rank), with their fusion paths for every word order that a braid
-    reaches.  Braids built from generator sequences are memoised per
-    (source order, positions, over)."""
+    reaches: one array per order, rows in tree order, columns A_0 .. A_L,
+    mu_1 .. mu_L, then the tuple, the (tuple, root) block and the position
+    within it.  The generators built from them and the braids they compose
+    are memoised per (source order, positions, over), as arrays."""
 
     def __init__(self, spec: CategorySpec, tuples):
         tuples = list(tuples)
@@ -177,19 +234,27 @@ class PathStack:
         if not 0 <= labels.min() <= labels.max() < spec.rank:
             raise InvalidWord(f"labels must lie in [0, {spec.rank})")
         self.spec, self.labels = spec, labels
-        self._paths, self._contexts, self._braids = {}, {}, {}
-        ident = self.paths(tuple(range(labels.shape[1])))
-        starts = np.flatnonzero(np.r_[True, np.diff(ident.block) != 0])
-        sizes = np.diff(np.r_[starts, len(ident.block)])
-        self.tuple_of = ident.t[starts]  # the tuple of each block
+        L = labels.shape[1]
+        self._tuple, self._block, self._pos = 2 * L + 1, 2 * L + 2, 2 * L + 3
+        self._paths, self._steps, self._orders, self._braids = {}, {}, {}, {}
+        # the columns that sigma_p changes: A_p, mu_p and mu_{p + 1}
+        self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
+                                for p in range(1, L)],
+                               dtype=np.intp).reshape(L - 1, 3)
+        ident = tuple(range(L))
+        self._enumerate([ident])
+        paths = self._paths[ident]
+        self._count = len(paths)  # paths per word order
+        starts = np.flatnonzero(np.r_[True, np.diff(paths[:, self._block])
+                                      != 0])
+        sizes = np.diff(np.r_[starts, len(paths)])
+        self.tuple_of = paths[starts, self._tuple]  # of each block
         self.first_block = np.searchsorted(self.tuple_of,
                                            np.arange(len(labels)))
-        self.root_of = ident.A[starts, -1]
+        self.root_of = paths[starts, L]
         self.size_of = sizes
         self.members = {int(n): np.flatnonzero(sizes == n)
                         for n in np.unique(sizes)}
-        self.where = _Where(labels, self.members, self.tuple_of,
-                            self.root_of)
         # a generator is built in one flat buffer: the blocks of size n
         # from base[n] on, block b at offset[b]
         self.offset = np.zeros(len(sizes), dtype=np.intp)
@@ -203,82 +268,175 @@ class PathStack:
     def __len__(self):
         return len(self.labels)
 
-    # -- paths -------------------------------------------------------------
+    def _singular(self, order, n: int, bad) -> str:
+        """Where a braid from ``order`` is singular, given the positions
+        ``bad`` of its singular blocks of size n: the first one's word and
+        root."""
+        if not len(bad):
+            return f"a braid on the word order {order} is singular"
+        b = self.members[n][bad[0]]
+        word = tuple(self.labels[self.tuple_of[b], list(order)].tolist())
+        return (f"braid on the word {word} is singular at root "
+                f"{int(self.root_of[b])}: an F- or R-block is not invertible")
 
-    def paths(self, order) -> _Paths:
-        """The sorted fusion paths of the words ``labels[:, order]``."""
-        if order in self._paths:
-            return self._paths[order]
+    # -- the deferred rounds -----------------------------------------------
+
+    def _flush(self):
+        """Build every queued generator, after the paths of every word order
+        they or a queued twist read."""
+        if not self._steps and not self._orders:
+            return
+        steps, orders = list(self._steps), dict(self._orders)
+        for order, p, _ in steps:
+            orders[order] = orders[_swapped(order, p)] = None
+        new = [order for order in orders if order not in self._paths]
+        per = max(1, _ROUND_ROWS // self._count)
+        for i in range(0, len(new), per):
+            self._enumerate(new[i:i + per])
+        per = max(1, _ROUND_ROWS // (2 * self._count))
+        for i in range(0, len(steps), per):
+            self._generators(steps[i:i + per])
+        self._steps, self._orders = {}, {}
+
+    def _enumerate(self, orders):
+        """The fusion paths of the words ``labels[:, order]`` of every
+        order, in one round: one row gather per fusion step over the ring's
+        fusion vertices and one sort into tree order."""
         ring = self.spec.ring
-        words = self.labels[:, list(order)]
-        T, L = words.shape
-        t = np.arange(T)
-        A = [np.zeros(T, dtype=np.intp), words[:, 0]]
-        mu = [np.zeros(T, dtype=np.intp), np.zeros(T, dtype=np.intp)]
-        for k in range(1, L):
-            x, y = A[-1], words[t, k]
-            i, z = ring.fusion_channels(x, y)
-            mult = ring.N[x[i], y[i], z]
-            parent = np.repeat(i, mult)
-            within = np.arange(len(parent)) \
-                - np.repeat(np.cumsum(mult) - mult, mult)
-            t = t[parent]
-            A = [a[parent] for a in A] + [np.repeat(z, mult)]
-            mu = [m[parent] for m in mu] + [within]
-        # tree order within (tuple, root): labels A_2..A_L, then mu_2..mu_L
         r, m = ring.rank, int(ring.N.max())
-        keys = _packed([t, A[-1]] + A[2:] + mu[2:],
-                       [T, r] + [r] * (L - 1) + [m] * (L - 1))
-        tree_order = np.lexsort(keys[::-1])
-        out = _Paths()
-        out.A = np.stack(A, axis=1)[tree_order]
-        out.mu = np.stack(mu, axis=1)[tree_order]
-        out.t = t[tree_order]
-        key = out.t * ring.rank + out.A[:, -1]
+        T, L = self.labels.shape
+        width = 2 * L + 4
+        start, channel, alpha = ring._fusion_vertices()
+        # while paths grow: the columns of the table, with the word order
+        # and tuple as one index in the tuple column, then the letters
+        grow = np.zeros((len(orders) * T, width + L), dtype=np.int32)
+        grow[:, self._tuple] = np.arange(len(grow))
+        grow[:, width:] = self.labels[:, np.array(orders)].swapaxes(
+            0, 1).reshape(-1, L)
+        grow[:, 1] = grow[:, width]
+        for k in range(1, L):
+            pair = grow[:, k] * r + grow[:, width + k]
+            count = start[pair + 1] - start[pair]
+            vertex = _ranges(start[pair], count)
+            grow = grow[np.repeat(np.arange(len(pair)), count)]
+            grow[:, k + 1], grow[:, _mu(L, k + 1)] = \
+                channel[vertex], alpha[vertex]
+        # tree order within (tuple, root): labels A_2..A_L, then mu_2..mu_L
+        g = grow[:, self._tuple]
+        keys = _packed([g, grow[:, L]] + [grow[:, k] for k in range(2, L + 1)]
+                       + [grow[:, _mu(L, k)] for k in range(2, L + 1)],
+                       [len(orders) * T, r] + [r] * (L - 1) + [m] * (L - 1))
+        paths = grow[np.lexsort(keys[::-1]), :width]
+        g = paths[:, self._tuple].copy()
+        key = g * r + paths[:, L]
         first = np.r_[True, key[1:] != key[:-1]]
-        out.block = np.cumsum(first) - 1
-        out.pos = np.arange(len(key)) - np.flatnonzero(first)[out.block]
-        self._paths[order] = out
-        return out
+        block = np.cumsum(first) - 1
+        per_order = (block[-1] + 1) // len(orders)
+        paths[:, self._pos] = np.arange(len(key)) \
+            - np.flatnonzero(first)[block]
+        paths[:, self._block] = block - g // T * per_order
+        paths[:, self._tuple] = g % T
+        for order, rows in zip(orders, np.split(paths, len(orders))):
+            self._paths[order] = rows
 
-    def _by_context(self, order, p: int):
-        """(sorted, starts): the indices of the paths of ``order`` sorted
-        by their context at sigma_p, every label but A_p, mu_p and
-        mu_{p+1}, with each context in local order (A_p, mu_p, mu_{p+1});
-        and where each context begins.  Memoised."""
-        if (order, p) in self._contexts:
-            return self._contexts[order, p]
-        paths = self.paths(order)
-        L = paths.A.shape[1] - 1
-        r, m = self.spec.rank, int(self.spec.ring.N.max())
-        others = [k for k in range(1, L + 1) if k != p]
-        tails = [k for k in range(2, L + 1) if k not in (p, p + 1)]
-        context = _packed(
-            [paths.t] + [paths.A[:, k] for k in others]
-            + [paths.mu[:, k] for k in tails],
-            [len(self)] + [r] * len(others) + [m] * len(tails))
-        local = _packed([paths.A[:, p], paths.mu[:, p], paths.mu[:, p + 1]],
-                        [r, m, m])
-        ranked = np.lexsort(local[::-1] + context[::-1])
+    def _generators(self, steps):
+        """Build the generators of ``steps``, each (order, p, over), in one
+        round: one context sort of every (order, p) they read, one gather
+        of their local blocks and one write of their entries."""
+        spec, n_rows = self.spec, self._count
+        r, m = spec.rank, int(spec.ring.N.max())
+        L = self.labels.shape[1]
+        # each step reads its source and its target at p: both words have
+        # the same contexts, each with as many paths as its local block has
+        # trees, so the two sorts align
+        pairs = {}
+        for order, p, _ in steps:
+            pairs.setdefault((order, p), len(pairs))
+            pairs.setdefault((_swapped(order, p), p), len(pairs))
+        ps = np.array([p for _, p in pairs])
+        table = np.stack([self._paths[order] for order, _ in pairs])
+        pair, cols = np.arange(len(pairs))[:, None], self._local[ps - 1]
+        # a path's context is its pair, labels and tuple with the local
+        # labels zeroed
+        context = table[:, :, 1:self._block].copy()
+        context[pair, :, cols - 1] = 0
+        context = [key.ravel() for key in _packed(
+            [pair] + list(context.transpose(2, 0, 1)),
+            [len(pairs)] + [r] * L + [m] * L + [len(self)])]
+        local = table[pair, :, cols]
+        ranked = np.lexsort([key.ravel() for key in _packed(
+            [local[:, 0], local[:, 1], local[:, 2]], [r, m, m])][::-1]
+            + context[::-1])
+        table = table.reshape(len(ranked), -1)
         change = np.zeros(len(ranked), dtype=bool)
         change[0] = True
         for key in context:
             key = key[ranked]
             change[1:] |= key[1:] != key[:-1]
-        self._contexts[order, p] = ranked, np.flatnonzero(change)
-        return self._contexts[order, p]
+        starts = np.flatnonzero(change)
+        size = np.diff(np.r_[starts, len(ranked)])
+        first = np.searchsorted(ranked[starts] // n_rows,
+                                np.arange(len(pairs) + 1))
+        # the contexts of every step, source and target aligned, and the
+        # code of each one's local block
+        src = np.array([pairs[order, p] for order, p, _ in steps])
+        dst = np.array([pairs[_swapped(order, p), p]
+                        for order, p, _ in steps])
+        count = first[src + 1] - first[src]
+        cs = _ranges(first[src], count)
+        cd = _ranges(first[dst], count)
+        step = np.repeat(np.arange(len(steps)), count)
+        p = ps[src][step]
+        lead = ranked[starts[cs]]
+        t = table[lead, self._tuple]
+        slots = np.array([order for order, _, _ in steps])
+        under = np.array([not over for _, _, over in steps])[step]
+        x = np.where(p > 1, table[lead, p - 1] + 1, 0)
+        code = (((under * (r + 1) + x) * r
+                 + self.labels[t, slots[step, p - 1]]) * r
+                + self.labels[t, slots[step, p]]) * r + table[lead, p + 1]
+        blocks = _local_blocks(spec)
+        at = blocks.find(spec, code)
+        # every (row, column) pair of every context
+        size = size[cs]
+        count = size * size
+        g = np.repeat(np.arange(len(cs)), count)
+        li, lj = np.divmod(_ranges(np.zeros_like(count), count), size[g])
+        i = ranked[starts[cd[g]] + li]
+        j = ranked[starts[cs[g]] + lj]
+        block = table[j, self._block]
+        n = self.size_of[block]
+        out = np.zeros((len(steps), self.flat_size), dtype=np.complex128)
+        out.reshape(-1)[step[g] * self.flat_size + self.offset[block]
+                        + table[i, self._pos] * n + table[j, self._pos]] = \
+            blocks.values[at[g] + li * size[g] + lj]
+        for (order, p, over), flat in zip(steps, out):
+            self._braids[order, (p,), over] = self._split(flat)
+
+    def _split(self, flat) -> dict:
+        """The blocks that lie in one flat buffer as ``offset`` places
+        them."""
+        return {n: flat[self.base[n]:self.base[n] + len(bs) * n * n].reshape(
+                    len(bs), n, n) for n, bs in self.members.items()}
+
+    def _product(self, key) -> dict:
+        """The blocks of the braid ``key`` = (order, positions, over), from
+        its built generators; memoised."""
+        if key not in self._braids:
+            order, positions, over = key
+            cur = None
+            for p in positions:
+                gen = self._braids[order, (p,), over]
+                cur = gen if cur is None else {
+                    n: x @ cur[n] for n, x in gen.items()}
+                order = _swapped(order, p)
+            self._braids[key] = cur
+        return self._braids[key]
 
     # -- braids ------------------------------------------------------------
 
-    def _from_flat(self, src, dst, flat) -> Braid:
-        """The braid whose blocks lie in one flat buffer as ``offset``
-        places them."""
-        return Braid(self.where, src, dst, {
-            n: flat[self.base[n]:self.base[n] + len(bs) * n * n].reshape(
-                len(bs), n, n) for n, bs in self.members.items()})
-
     def identity(self, order) -> Braid:
-        return Braid(self.where, order, order, {
+        return Braid(self, order, order, lambda: {
             n: np.broadcast_to(np.eye(n, dtype=np.complex128),
                                (len(bs), n, n)).copy()
             for n, bs in self.members.items()})
@@ -287,83 +445,44 @@ class PathStack:
         """theta_{A_k}^power on each path of the words of ``order``: the
         twist of their first k letters whiskered on the right, as
         ``engine.twist_endo`` of word[:k] embedded with right=word[k:]."""
-        paths = self.paths(order)
-        if not 0 <= k < paths.A.shape[1]:
+        if not 0 <= k <= len(order):
             raise PositionOutOfRange(f"prefix {k} invalid for words of "
                                      f"length {len(order)}")
-        n = self.size_of[paths.block]
-        out = np.zeros(self.flat_size, dtype=np.complex128)
-        out[self.offset[paths.block] + paths.pos * (n + 1)] = \
-            (self.spec.theta ** power)[paths.A[:, k]]
-        return self._from_flat(order, order, out)
+        self._orders[order] = None
+
+        def make():
+            paths = self._paths[order]
+            block = paths[:, self._block]
+            n = self.size_of[block]
+            out = np.zeros(self.flat_size, dtype=np.complex128)
+            out[self.offset[block] + paths[:, self._pos] * (n + 1)] = \
+                (self.spec.theta ** power)[paths[:, k]]
+            return self._split(out)
+        return Braid(self, order, order, make)
 
     def generator(self, order, p: int, over: bool = True) -> Braid:
         """sigma_p (1-based) on the words of ``order``, as
-        ``engine.braid_generator`` with the same ``over``; memoised with
-        the braids."""
-        key = (order, (p,), over)
-        if key in self._braids:
-            return self._braids[key]
-        L = len(order)
-        if not 1 <= p < L:
-            raise PositionOutOfRange(f"braid position {p} invalid for words "
-                                     f"of length {L}")
-        dst = order[:p - 1] + (order[p], order[p - 1]) + order[p + 1:]
-        src_paths, dst_paths = self.paths(order), self.paths(dst)
-        # both words have the same contexts, each with as many paths as its
-        # local block has trees, so the two sorts align
-        js, starts = self._by_context(order, p)
-        is_, _ = self._by_context(dst, p)
-        size = np.diff(np.r_[starts, len(js)])
-        # one local block per (A_{p-1}, w_p, w_{p+1}, A_{p+1}), coded with
-        # A_{p-1} + 1 = 0 for the two-letter word of p = 1
-        r = self.spec.rank
-        first = js[starts]
-        t0, A0 = src_paths.t[first], src_paths.A[first]
-        a = self.labels[t0, order[p - 1]]
-        b = self.labels[t0, order[p]]
-        x = A0[:, p - 1] if p > 1 else np.full(len(starts), -1)
-        code = (((x + 1) * r + a) * r + b) * r + A0[:, p + 1]
-        keys, local = np.unique(code, return_inverse=True)
-        flat, at = [], [0]
-        for key in keys.tolist():
-            rest, y = divmod(key, r)
-            rest, b_ = divmod(rest, r)
-            x_, a_ = divmod(rest, r)
-            word = (a_, b_) if x_ == 0 else (x_ - 1, a_, b_)
-            gen = braid_generator(self.spec, word, len(word) - 1, over)
-            o, rows, cols = gen.layout.roots[y]
-            flat.append(gen.flat[o:o + rows * cols])
-            at.append(at[-1] + rows * cols)
-        values, at = np.concatenate(flat), np.array(at)
-        # every (row, column) pair of every context group
-        count = size * size
-        g = np.repeat(np.arange(len(starts)), count)
-        q = np.arange(len(g)) - np.repeat(np.cumsum(count) - count, count)
-        li, lj = np.divmod(q, size[g])
-        i = is_[starts[g] + li]
-        j = js[starts[g] + lj]
-        blocks = src_paths.block[j]
-        n = self.size_of[blocks]
-        out = np.zeros(self.flat_size, dtype=np.complex128)
-        out[self.offset[blocks] + dst_paths.pos[i] * n + src_paths.pos[j]] = \
-            values[at[local[g]] + li * size[g] + lj]
-        self._braids[key] = self._from_flat(order, dst, out)
-        return self._braids[key]
+        ``engine.braid_generator`` with the same ``over``."""
+        return self.braid(order, (p,), over)
 
     def braid(self, order, positions, over: bool = True) -> Braid:
         """The product of the generators at ``positions``, applied in
-        turn to the words of ``order``; memoised."""
-        key = (order, positions, over)
-        if key in self._braids:
-            return self._braids[key]
+        turn to the words of ``order``.  Its generators are queued here;
+        they are built, and the product memoised, when a braid of the
+        stack is first read."""
         if not positions:
             return self.identity(order)
-        cur = self.generator(order, positions[0], over)
-        for p in positions[1:]:
-            cur = self.generator(cur.dst, p, over) @ cur
-        self._braids[key] = cur
-        return cur
+        for p in positions:
+            if not 1 <= p < len(order):
+                raise PositionOutOfRange(f"braid position {p} invalid for "
+                                         f"words of length {len(order)}")
+        dst = order
+        for p in positions:
+            if (dst, (p,), over) not in self._braids:
+                self._steps[dst, p, over] = None
+            dst = _swapped(dst, p)
+        key = (order, positions, over)
+        return Braid(self, order, dst, lambda: self._product(key))
 
     # -- results -----------------------------------------------------------
 
@@ -479,6 +598,17 @@ def alpha_induction(stack: PathStack, order, m: int, x, y,
     return psi(stack, cv.dst, m + u, up, v) @ (cv @ cu) @ back
 
 
+def _worst(stack: PathStack, pairs) -> list:
+    """Per tuple, the largest deviation over the (lhs, rhs) pairs, NaN
+    propagating.  Every pair is named before the first is compared, so
+    that one flush builds all their generators."""
+    pairs = list(pairs)
+    worst = np.zeros(len(stack))
+    for lhs, rhs in pairs:
+        worst = np.maximum(worst, stack.deviations(lhs, rhs))
+    return worst.tolist()
+
+
 # A pentagon tuple is (m, x1, x2, y1, y2, z1, z2): the module M = (m,) and
 # the objects X = (x1,) x (x2,), Y and Z of the square, at slots
 # M, U1, V1, U2, V2, U3, V3 = 0, ..., 6.
@@ -493,14 +623,12 @@ def module_pentagon_deviations(spec: CategorySpec, tuples, n_values=(0,)
       (psi_{M,X,Y} . id_Z) o psi_{M,X(x)Y,Z}
     """
     stack = PathStack(spec, tuples)
-    worst = np.zeros(len(stack))
-    for n in n_values:
-        lhs = psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n) \
-            @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 2, 2, 1, n)
-        rhs = psi(stack, (0, 1, 3, 2, 4, 5, 6), 2, 1, 1, n) \
-            @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 3, 1, 2, n)
-        worst = np.maximum(worst, stack.deviations(lhs, rhs))
-    return worst.tolist()
+    return _worst(stack, (
+        (psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n)
+         @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 2, 2, 1, n),
+         psi(stack, (0, 1, 3, 2, 4, 5, 6), 2, 1, 1, n)
+         @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 3, 1, 2, n))
+        for n in n_values))
 
 
 def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
@@ -531,12 +659,9 @@ def module_triangle_deviations(spec: CategorySpec, tuples, n_values=(0,)
     stack = PathStack(spec, tuples)
     order = (0, 1, 2)
     ident = stack.identity(order)
-    worst = np.zeros(len(stack))
-    for n in n_values:
-        for mu, up, v in ((1, 1, 0), (2, 0, 1)):
-            worst = np.maximum(worst, stack.deviations(
-                psi(stack, order, mu, up, v, n), ident))
-    return worst.tolist()
+    return _worst(stack, ((psi(stack, order, mu, up, v, n), ident)
+                          for n in n_values
+                          for mu, up, v in ((1, 1, 0), (2, 0, 1))))
 
 
 def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
@@ -553,12 +678,10 @@ def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
     lhs = gamma(stack, dst, 1, 1) @ gamma(stack, dst, 3, 1) \
         @ psi(stack, src, 2, 1, 1, n)
     rhs = psi(stack, src, 2, 1, 1, n + 1) @ gamma(stack, src, 1, 2)
-    worst = stack.deviations(lhs, rhs)
-    for k, over in ((0, True), (1, False)):
-        worst = np.maximum(worst, stack.deviations(
-            psi(stack, src, 2, 1, 1, k),
-            stack.braid(src, _crossing(3, 1, 1), over)))
-    return worst.tolist()
+    return _worst(stack, [(lhs, rhs)] + [
+        (psi(stack, src, 2, 1, 1, k),
+         stack.braid(src, _crossing(3, 1, 1), over))
+        for k, over in ((0, True), (1, False))])
 
 
 def associator_chain_deviations(spec: CategorySpec, tuples, n: int
@@ -582,18 +705,14 @@ def alpha_functor_deviations(spec: CategorySpec, tuples) -> list:
     stack = PathStack(spec, tuples)
     one = (1, 1)
     back = psi(stack, (0, 3, 5, 4, 6, 1, 2), 2, 1, 1).inverse()
-    worst = np.zeros(len(stack))
-    for over in (True, False):
-        lhs = alpha_induction(stack, (0, 3, 4, 1, 2, 5, 6), 1, one, one,
-                              over) \
-            @ alpha_induction(stack, (0, 3, 4, 5, 6, 1, 2), 3, one, one,
-                              over)
-        rhs = psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1) \
-            @ alpha_induction(stack, (0, 3, 5, 4, 6, 1, 2), 1, one, (2, 2),
-                              over) \
-            @ back
-        worst = np.maximum(worst, stack.deviations(lhs, rhs))
-    return worst.tolist()
+    return _worst(stack, (
+        (alpha_induction(stack, (0, 3, 4, 1, 2, 5, 6), 1, one, one, over)
+         @ alpha_induction(stack, (0, 3, 4, 5, 6, 1, 2), 3, one, one, over),
+         psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1)
+         @ alpha_induction(stack, (0, 3, 5, 4, 6, 1, 2), 1, one, (2, 2),
+                           over)
+         @ back)
+        for over in (True, False)))
 
 
 def commutor_witness_deviations(spec: CategorySpec, tuples) -> list:

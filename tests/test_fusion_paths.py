@@ -5,15 +5,19 @@ must equal block by block the ``modcat`` morphism that the per-tuple
 pentagon builds, at n = 0, 1 and 2, and every sweep of the suite must give
 each tuple the deviation that ``modcat`` gives it; single generators, their
 inverses and the twists of prefixes must equal the engine's on Rep(A4)
-words, whose local blocks have fusion multiplicity 2.  The batched sides
-are products of local generators, so on an F that fails the pentagon they
-can agree where the engine's whiskered composites do not: the last tests
-pin what the report still sees then, and which module checks hold by
-construction.
+words, whose local blocks have fusion multiplicity 2, also when one
+deferred flush enumerates several word orders at once.  Guards pin the
+number of batched rounds of a module pass and that stacks and braids are
+freed by reference counting.  The batched sides are products of local
+generators, so on an F that fails the pentagon they can agree where the
+engine's whiskered composites do not: the last tests pin what the report
+still sees then, and which module checks hold by construction.
 """
 
+import gc
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +138,98 @@ def test_generators_equal_the_engine_with_multiplicity_two():
                                      braid_generator(spec, word, p, over))
 
 
+def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
+    """alpha_induction of both signs and psi^(1) on Rep(A4) words of
+    length 5 queue generators on several word orders, among them one that
+    only ``_moved`` reaches; the first read enumerates all of them in one
+    round.  Per (tuple, root) the paths must be those of
+    ``FusionRing.tree_basis``, labels and multiplicities in its order, and
+    every generator built must equal ``engine.braid_generator``."""
+    spec = random_rep_a4()
+    rng = np.random.default_rng(11)
+    words = [(3,) * 5] + sorted({tuple(int(x) for x in row) for row in
+                                 rng.integers(0, 4, size=(10, 5))})
+    stack = PathStack(spec, words)
+    rounds = []
+    enumerate_ = PathStack._enumerate
+    monkeypatch.setattr(PathStack, "_enumerate", lambda self, orders: (
+        rounds.append(list(orders)), enumerate_(self, orders)))
+    order = (0, 1, 2, 3, 4)
+    f = fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1))
+    fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1), False)
+    fusion_paths.psi(stack, order, 2, 1, 2, 1)
+    stack.blocks(f, 0)
+    moved = fusion_paths._moved(order, 2, 1, 1)
+    assert len(rounds) == 1 and moved in rounds[0] and len(rounds[0]) > 2
+    L = len(order)
+    for order, paths in stack._paths.items():
+        for k, labels in enumerate(stack.labels.tolist()):
+            word = tuple(labels[i] for i in order)
+            mine = paths[paths[:, 2 * L + 1] == k]
+            got = {}
+            for row in mine.tolist():
+                got.setdefault(row[L], []).append(
+                    (tuple(row[2:L + 1]), tuple(row[L + 2:2 * L + 1])))
+            assert got == spec.ring.tree_basis(word), (word, order)
+    built = [key for key in stack._braids if len(key[1]) == 1]
+    assert len(built) > 10 and {over for *_, over in built} == {True, False}
+    # relative: the generators of this random data reach entries of 170
+    for order, (p,), over in built:
+        g = stack.generator(order, p, over)
+        for k, labels in enumerate(stack.labels.tolist()):
+            word = tuple(labels[i] for i in order)
+            _assert_equal_blocks(stack, g, k,
+                                 braid_generator(spec, word, p, over), AGREE)
+
+
+def test_module_sweeps_build_in_few_rounds(monkeypatch):
+    """A cold ``--suite module`` pass on ising makes at most one
+    enumeration round per stack and per comparison, and at most one
+    generator round per comparison, where a round per word order and per
+    generator made 68 enumerations and 140 generator builds."""
+    calls = dict.fromkeys(("__init__", "_enumerate", "_generators",
+                           "deviations"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(PathStack, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(PathStack, name, counted)
+    run_suite("ising", suites=["module"])
+    assert calls["deviations"] >= 8
+    assert calls["_enumerate"] <= calls["__init__"] + calls["deviations"]
+    assert calls["_generators"] <= calls["deviations"], calls
+
+
+def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
+                                                           spec_of):
+    """Under gc.disable(), every stack and braid of an alpha-functor sweep
+    dies by reference counting once the sweep returns."""
+    refs = []
+    init, braid = PathStack.__init__, PathStack.braid
+
+    def tracked_init(self, *args):
+        refs.append(weakref.ref(self))
+        init(self, *args)
+
+    def tracked_braid(self, *args):
+        out = braid(self, *args)
+        refs.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(PathStack, "__init__", tracked_init)
+    monkeypatch.setattr(PathStack, "braid", tracked_braid)
+    gc.collect()
+    gc.disable()
+    try:
+        fusion_paths.alpha_functor_deviations(
+            spec_of("fibonacci"), [(1, 1, 0, 1, 1, 1, 1),
+                                   (0, 1, 1, 1, 0, 1, 1)])
+        assert len(refs) > 10
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
 def _square(t):
     """The objects of the square in a tuple (m, x1, x2, ...)."""
     it = iter(t[1:])
@@ -247,11 +343,14 @@ def _with_r(spec, key, block):
 
 
 def test_singular_braids_are_refused_with_their_word(spec_of):
+    """A braid is built when it is first read, so the error comes from
+    ``stack.blocks``, not from ``inverse``."""
     spec = _with_r(spec_of("fibonacci"), (1, 1, 0), np.zeros((1, 1)))
     stack = PathStack(spec, [(0, 1), (1, 1)])
+    inv = stack.generator((0, 1), 1).inverse()
     with pytest.raises(NotPremodular, match=re.escape(
             "braid on the word (1, 1) is singular at root 0")):
-        stack.generator((0, 1), 1).inverse()
+        stack.blocks(inv, 1)
 
 
 def test_non_finite_blocks_invert_to_nan(spec_of):

@@ -2,13 +2,15 @@
 triangle coherence, twist mismatches, and the two braided inductions."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from mtc import get_category
-from mtc.engine import block_crossing, embed
-from mtc.errors import InvalidWord
+from mtc.category import CategorySpec
+from mtc.engine import block_crossing, braid_generator, embed
+from mtc.errors import InvalidWord, NotPremodular
 from mtc.modcat import (alpha_functor_deviation, alpha_induction,
                         commutor_witness_deviation, extract_twist, gamma,
                         gamma_functor_deviation, left_module_pentagon_deviation,
@@ -231,3 +233,19 @@ def test_commutor_word_map(spec_of):
     assert g.src == (1, 2, 1)
     assert g.dst == (1, 1, 2)
 
+
+def test_singular_r_block_is_named_by_the_single_tuple_api(spec_of):
+    """Fibonacci with R^{tau tau}_1 = 0: the inverse of its generator and
+    the D^-1 inside psi^(1) raise NotPremodular with the word and root,
+    not numpy's unlocated LinAlgError."""
+    spec = spec_of("fibonacci")
+    R = dict(spec.R)
+    R[1, 1, 0] = np.zeros((1, 1))
+    bad = CategorySpec("fibonacci-edited", spec.ring, spec.dims, spec.theta,
+                       spec.F, R)
+    with pytest.raises(NotPremodular, match=re.escape(
+            "morphism on the word (1, 1) at root 0 is singular")):
+        braid_generator(bad, (1, 1), 1).inverse()
+    with pytest.raises(NotPremodular, match=re.escape(
+            "monodromy on the word (1, 1, 1, 1) at root 0 is singular")):
+        psi(bad, (1,), ((1,), (1,)), ((1,), (1,)), 1)
