@@ -36,21 +36,26 @@ The pentagon and the hexagons are contractions of these arrays, checked as
 batched block algebra.  Their label tuples are enumerated as arrays by
 channel expansion over N > 0, one first label at a time.  Every
 ``f_tensor`` block sits in one flat F store per spec, keyed by
-(a, b, c, d, e, f), and every R-action in an R store keyed by (x, y, z);
-the blocks of a set of tuples are gathered from the stores by key, a
-missing one reading as zeros.  The tuples whose blocks have equal shapes,
-their multiplicity signature, are contracted by one einsum with a batch
-axis.  ``f_completeness`` takes the singular values of one stack of
-F-blocks per block shape.
+(a, b, c, d, e, f), the inverse F-moves in a store of the same layout, and
+every R-action in an R store keyed by (x, y, z); the blocks of a set of
+tuples are gathered from the stores by key, a missing one reading as
+zeros.  The tuples whose blocks have equal shapes, their multiplicity
+signature, are contracted by one einsum with a batch axis; the gather
+positions form a plan that can be contracted again with other stores of
+the same keys, as ``mtc.frobenius`` does once per exponent.
+``f_completeness`` takes the singular values of one stack of F-blocks per
+block shape.
 
 Every derived table is memoised on its owner by ``cached``, one section of
 the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
 ``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``,
-``fusion_vertices``, ``f_keys`` and the engine's ``compose`` and
-``whisker_right`` plans, a product ring's ``ptree_map``, a spec's
-``f_tensor``, ``f_store`` and ``r_store`` and the other engine and module
-tables, and a ``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and
-``proj``.
+``fusion_vertices``, ``f_keys``, ``frobenius_channels`` and the
+engine's ``compose`` and ``whisker_right`` plans, a product ring's
+``ptree_map``, a spec's ``f_tensor``, ``f_store``, ``finv_store`` and
+``r_store``, the engine and module tables and the Frobenius channel
+tables ``monodromy``, ``m_channels``, ``delta_channels`` and
+``frobenius_terms``, and a ``PermutationAlgebra``'s ``m``, ``delta``,
+``phi`` and ``proj``.
 
 Input is checked where it enters, and its readers trust it.  A
 ``FusionRing`` checks its axioms when it is built, so every F- and R-block
@@ -598,14 +603,20 @@ class _Store(NamedTuple):
     blank: int
     flat: np.ndarray
 
-    def take(self, labels, shape) -> np.ndarray:
-        """The blocks of the label columns, stacked as (n, *shape).  A label
-        tuple without a block reads as zeros and keeps its row."""
+    def positions(self, labels, shape) -> np.ndarray:
+        """Where the entries of the label columns' blocks of ``shape`` lie
+        in ``flat``, one row per label tuple; a tuple without a block
+        points at the zeros."""
         key = _encode(labels, self.rank)
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
         start = np.where(self.keys[pos] == key, self.offsets[pos], self.blank)
-        return self.flat[start[:, None] + np.arange(math.prod(shape))
-                         ].reshape((len(key),) + shape)
+        return start[:, None] + np.arange(math.prod(shape))
+
+    def take(self, labels, shape) -> np.ndarray:
+        """The blocks of the label columns, stacked as (n, *shape).  A label
+        tuple without a block reads as zeros and keeps its row."""
+        return self.flat[self.positions(labels, shape)].reshape(
+            (len(labels[0]),) + shape)
 
 
 def _store(rank, dims, keys, sizes, flat) -> _Store:
@@ -631,18 +642,18 @@ def _f_block_keys(ring: FusionRing):
     return cols, codes, list(keys)
 
 
-@cached("f_store")
-def _f_store(spec: CategorySpec) -> _Store:
-    """Every ``f_tensor`` block, keyed by (a, b, c, d, e, f).
+def _f_layout_store(spec: CategorySpec, blocks) -> _Store:
+    """The store of ``blocks``, one square block per F-block key in
+    ``_f_block_keys`` order, laid out as the ``f_tensor`` blocks and keyed
+    by (a, b, c, d, e, f).
 
-    The F-blocks are concatenated in key order, and each tensor entry
+    The blocks are concatenated in key order, and each tensor entry
     [alpha, beta, gamma, delta] is gathered from row (e, alpha, beta) and
     column (f, gamma, delta) of its block, where channel e starts after the
     rows of the lower channels and f after their columns.
     """
     ring, N, r = spec.ring, spec.ring.N, spec.rank
     cols, codes, _ = _f_block_keys(ring)
-    blocks = list(spec._f_all.values())
     block_start = np.cumsum([0] + [blk.size for blk in blocks])
     block_cols = np.array([blk.shape[1] for blk in blocks], dtype=np.int64)
     # every tree (a, b, e, c, d) with every column channel f of its block
@@ -666,6 +677,32 @@ def _f_store(spec: CategorySpec) -> _Store:
     return _store(r, ((0, 1, 4), (4, 2, 3), (1, 2, 5), (0, 5, 3)),
                   key[order], sizes,
                   full[start[entry] + row * block_cols[block[entry]] + col])
+
+
+@cached("f_store")
+def _f_store(spec: CategorySpec) -> _Store:
+    """Every ``f_tensor`` block, keyed by (a, b, c, d, e, f)."""
+    return _f_layout_store(spec, list(spec._f_all.values()))
+
+
+@cached("finv_store")
+def _finv_store(spec: CategorySpec) -> _Store:
+    """The inverse F-moves, keyed and indexed as ``_f_store``: entry
+    [alpha, beta, gamma, delta] of (a, b, c, d, e, f) is the entry of
+    F[a,b,c,d]^-1 from column (e, alpha, beta) to row (f, gamma, delta).
+    The inverses are taken on one stack per block shape; if one is
+    singular, block by block until the first singular block is named."""
+    keys = _f_block_keys(spec.ring)[2]
+    blocks = list(spec._f_all.values())
+    for idx, stack in _stacks(blocks):
+        try:
+            inverses = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:
+            inverses = [_inverse(blocks[i], "F-block ({},{},{};{})".format(
+                *keys[i])) for i in idx]
+        for i, inv in zip(idx, inverses):
+            blocks[i] = inv.T
+    return _f_layout_store(spec, blocks)
 
 
 def _inverse(block, what: str) -> np.ndarray:
@@ -721,6 +758,36 @@ def _groups(columns, base):
         yield order[lo:hi], tuple(int(col[order[lo]]) for col in columns)
 
 
+def _gather_plan(N, factors) -> list:
+    """Per multiplicity signature of the rows, the shapes of their blocks:
+    (row indices, one (positions, shape) per operand), the positions those
+    of ``_Store.positions``.  ``factors`` holds one (store, label columns)
+    pair per operand."""
+    ends = np.cumsum([0] + [len(store.dims) for store, _ in factors]).tolist()
+    sig = [_mult(N, labels[i], labels[j], labels[k])
+           for store, labels in factors for i, j, k in store.dims]
+    return [(idx, [(store.positions([x[idx] for x in labels], shape[lo:hi]),
+                    shape[lo:hi])
+                   for (store, labels), lo, hi
+                   in zip(factors, ends, ends[1:])])
+            for idx, shape in _groups(sig, int(N.max()) + 1)]
+
+
+def _contract(out, offsets, subscripts, flats, plan):
+    """Add np.einsum(subscripts, *blocks) for every row of the plan into
+    its slot, the entries of ``out`` from ``offsets[row]`` on; operand i's
+    blocks are gathered from ``flats[i]``.  Each group of the plan is
+    contracted at once along a batch axis, and rows that share a slot are
+    added in row order."""
+    ins, result = subscripts.split("->")
+    batched = ",".join("z" + x for x in ins.split(",")) + "->z" + result
+    for idx, gathers in plan:
+        blocks = [flat[pos].reshape((len(idx),) + shape)
+                  for flat, (pos, shape) in zip(flats, gathers)]
+        prod = np.einsum(batched, *blocks).reshape(len(idx), -1)
+        np.add.at(out, offsets[idx, None] + np.arange(prod.shape[1]), prod)
+
+
 def _accumulate(N, out, offsets, subscripts, factors):
     """Add np.einsum(subscripts, *blocks) for every row into its slot, the
     entries of ``out`` from ``offsets[row]`` on.
@@ -730,19 +797,10 @@ def _accumulate(N, out, offsets, subscripts, factors):
     blocks; each group is gathered and contracted at once along a batch
     axis.  Rows that share a slot are added in row order.
     """
-    if not len(offsets):
-        return
-    ins, result = subscripts.split("->")
-    batched = ",".join("z" + x for x in ins.split(",")) + "->z" + result
-    ends = np.cumsum([0] + [len(store.dims) for store, _ in factors]).tolist()
-    sig = [_mult(N, labels[i], labels[j], labels[k])
-           for store, labels in factors for i, j, k in store.dims]
-    for idx, shape in _groups(sig, int(N.max()) + 1):
-        blocks = [store.take([x[idx] for x in labels], shape[lo:hi])
-                  for (store, labels), lo, hi
-                  in zip(factors, ends, ends[1:])]
-        prod = np.einsum(batched, *blocks).reshape(len(idx), -1)
-        np.add.at(out, offsets[idx, None] + np.arange(prod.shape[1]), prod)
+    if len(offsets):
+        _contract(out, offsets, subscripts,
+                  [store.flat for store, _ in factors],
+                  _gather_plan(N, factors))
 
 
 def _pentagon_deviation(spec: CategorySpec) -> float:

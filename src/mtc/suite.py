@@ -101,7 +101,6 @@ def _product_section(spec, report, tol_config, md):
         dev = float(np.max(np.abs(md2.S - np.kron(md.S, md.S))))
         report.add_deviation("square_s_matrix", "product-s-factorization",
                              dev, tol_config.atol)
-    return prod
 
 
 def _module_section(spec, report, tol_config, n_values, rng):
@@ -197,7 +196,6 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if "modular" in chosen:
         _modular_section(spec, report, tol_config, md)
 
-    prod = None
     if "product" in chosen or "frobenius" in chosen:
         if spec.rank ** 2 > MAX_PRODUCT_RANK:
             for name in ("product", "frobenius"):
@@ -205,9 +203,8 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
                     report.add_skip(f"{name}_section", "product-coherence",
                                     "square exceeds the rank bound")
             chosen = [s for s in chosen if s not in ("product", "frobenius")]
-        else:
-            prod = _product_section(spec, report, tol_config, md) \
-                if "product" in chosen else deligne_power(spec, 2)
+        elif "product" in chosen:
+            _product_section(spec, report, tol_config, md)
 
     if "module" in chosen:
         _module_section(spec, report, tol_config, n_values, rng)
@@ -215,7 +212,6 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if "frobenius" in chosen:
         report.extend(frobenius_report(
             spec, n_values=n_values, tol=max(tol_config.atol, 1e-8),
-            prod=prod,
             expect_azumaya=(md.is_modular if md is not None else True)))
 
     if "invariants" in chosen:

@@ -1,17 +1,34 @@
 """The diagonal algebra in the square of a category: algebra and coalgebra
 axioms, the duality pairing, the left-center idempotent, and the Azumaya
-classification."""
+classification; and the report's channel path against the whiskered maps
+of ``PermutationAlgebra``."""
+
+import json
+import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import mtc.deligne as deligne
+import mtc.engine as engine
+import mtc.frobenius as frobenius
+from conftest import random_rep_a4
+from mtc import get_category
+from mtc.builtins import BUILTIN_NAMES
 from mtc.category import CategorySpec
 from mtc.deligne import pair_morphism
 from mtc.engine import direct_sum, identity, tensor, trace_formula
-from mtc.errors import ShapeMismatch, XiNotZeroOne
-from mtc.frobenius import (PermutationAlgebra, azumaya_defect,
-                           frobenius_report, fusion_basis, fusion_cobasis,
-                           left_center_labels, xi_formula)
+from mtc.errors import NotPremodular, ShapeMismatch, XiNotZeroOne
+from mtc.frobenius import (PermutationAlgebra, _delta_first, _m_first,
+                           azumaya_defect, frobenius_report, fusion_basis,
+                           fusion_cobasis, left_center_labels, xi_formula)
+from mtc.report import FAIL, PASS, max_dev
+from mtc.suite import run_suite
+from test_gauge import TARGETS, gauge
+from test_nonunitary import FIXTURES
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 _ALGEBRAS = {}
 
@@ -151,10 +168,10 @@ def test_gauge_independence(spec_of, rng):
                 for alpha in range(base.ring.n(i, j, k)):
                     lam = np.exp(2j * np.pi * rng.random())
                     m_terms.append(pair_morphism(
-                        prod, alg._m_first(i, j, k, alpha, 1) * (1.0 / lam),
+                        prod, _m_first(base, i, j, k, alpha, 1) * (1.0 / lam),
                         fusion_basis(base, i, j, k, alpha) * lam))
                     de_terms.append(pair_morphism(
-                        prod, alg._delta_first(i, j, k, alpha, 1) * lam,
+                        prod, _delta_first(base, i, j, k, alpha, 1) * lam,
                         fusion_cobasis(base, i, j, k, alpha) * (1.0 / lam)))
                 weight = base.dims[i] * base.dims[j] / (alg.dim
                                                         * base.dims[k])
@@ -255,3 +272,153 @@ def test_frobenius_report_control_mode(spec_of):
     control = [c for c in rep.checks if c.name == "azumaya_control"]
     assert len(control) == 1
     assert "defect" in control[0].detail
+
+
+# ---------------------------------------------------------------------------
+# the channel path against the whiskered maps
+
+
+def reference_deviations(base, n_values) -> dict:
+    """{check name: deviation} of every check of ``frobenius_report`` but
+    the Azumaya one, each computed on the direct sums of
+    ``PermutationAlgebra`` as the report computed it before it ran on
+    channel coefficients."""
+    alg = PermutationAlgebra(base)
+    idA, idAv = alg.identity(), alg.identity_dual()
+    eta, eps = alg.unit(), alg.counit()
+    qdim = sum(trace_formula(identity(alg.prod, w)) for w in alg.words)
+    out = {"algebra_dimension": abs(qdim - alg.dim)}
+    for n in n_values:
+        m, de = alg.multiplication(n), alg.comultiplication(n)
+        sfx = f"[n={n}]"
+        out[f"associativity{sfx}"] = \
+            (m @ tensor(m, idA)).deviation(m @ tensor(idA, m))
+        out[f"unit{sfx}"] = max_dev((m @ tensor(eta, idA)).deviation(idA),
+                                    (m @ tensor(idA, eta)).deviation(idA))
+        out[f"coassociativity{sfx}"] = \
+            (tensor(de, idA) @ de).deviation(tensor(idA, de) @ de)
+        out[f"counit{sfx}"] = max_dev(
+            (tensor(eps, idA) @ de).deviation(idA),
+            (tensor(idA, eps) @ de).deviation(idA))
+        mid = de @ m
+        out[f"frobenius{sfx}"] = max_dev(
+            (tensor(idA, m) @ tensor(de, idA)).deviation(mid),
+            (tensor(m, idA) @ tensor(idA, de)).deviation(mid))
+        out[f"specialness{sfx}"] = max_dev(
+            (m @ de).deviation(idA),
+            abs((eps @ eta).blocks[0][0, 0] - alg.dim))
+        em = eps @ m
+        out[f"symmetry{sfx}"] = \
+            (tensor(em, idAv) @ tensor(idA, alg.cup_A())).deviation(
+                tensor(idAv, em) @ tensor(alg.cup_A_twisted(), idA))
+        phi = alg.pairing_scalars(n)
+        out[f"pairing_modulus{sfx}"] = float(np.max(np.abs(
+            np.abs(phi) * np.abs(base.dims) / alg.dim - 1.0)))
+        if n != 0:
+            out[f"pairing_twist_ratio{sfx}"] = float(np.max(np.abs(
+                phi / alg.pairing_scalars(0) - base.theta ** (-2 * n))))
+        out[f"coproduct_from_pairing{sfx}"] = de.deviation(
+            tensor(m, alg.pairing_iso(n).inverse())
+            @ tensor(idA, alg.cup_A()))
+        proj = alg.left_center_idempotent(n)
+        out[f"center_idempotent{sfx}"] = (proj @ proj).deviation(proj)
+        out[f"center_weights{sfx}"] = float(np.max(np.abs(
+            alg.xi(n) - xi_formula(base))))
+    sig = alg.sigma()
+    sig_inv = sig.inverse()
+    n0 = n_values[0]
+    out["twist_intertwiner"] = max_dev(
+        alg.multiplication(n0 + 1).deviation(
+            sig @ alg.multiplication(n0) @ tensor(sig_inv, sig_inv)),
+        alg.comultiplication(n0 + 1).deviation(
+            tensor(sig, sig) @ alg.comultiplication(n0) @ sig_inv))
+    return out
+
+
+# fixture -> (spec builder, exponents).  The builtins and both non-unitary
+# fixtures sit in a real gauge, where F, its inverse and its transpose
+# agree to rounding; only the gauged and the random data would catch an
+# F-move in the wrong convention.
+REFERENCE_CASES = {
+    **{name: (lambda name=name: get_category(name), (-2, -1, 0, 1, 2))
+       for name in BUILTIN_NAMES},
+    **{name: (build, (-2, -1, 0, 1, 2)) for name, build in FIXTURES.items()},
+    **{f"{name}-gauged": (lambda name=name: gauge(TARGETS[name](), seed=7),
+                          (-2, -1, 0, 1, 2)) for name in TARGETS},
+    # multiplicity 2 and incoherent data, so deviations from 1 to 1e5
+    "rep_a4_random": (random_rep_a4, (-1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_channel_checks_match_the_whiskered_reference(case):
+    """Every check's deviation from the channel coefficients equals the one
+    the direct sums give, check by check and in order: to 1e-13 where the
+    identity holds, and to 1e-10 relative where the data break it."""
+    build, n_values = REFERENCE_CASES[case]
+    base = build()
+    want = reference_deviations(base, n_values)
+    got = {c.name: c.max_deviation for c in frobenius_report(
+        base, n_values=n_values).checks[:-1]}
+    assert list(got) == list(want)
+    far = {name: (want[name], dev) for name, dev in got.items()
+           if not abs(dev - want[name]) <= 1e-13 + 1e-10 * want[name]}
+    assert not far, f"reference -> channels: {far}"
+
+
+@pytest.mark.parametrize("target", BUILTIN_NAMES)
+def test_frobenius_section_builds_no_direct_sum(monkeypatch, target):
+    """The report runs on channel coefficients: with every method of
+    ``PermutationAlgebra``, ``pair_morphism`` and ``direct_sum`` made to
+    raise, the frobenius section still passes with its golden checks."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frobenius section built a direct sum")
+
+    for name, value in vars(PermutationAlgebra).items():
+        if callable(value):
+            monkeypatch.setattr(PermutationAlgebra, name, refuse)
+    for module in (deligne, frobenius):
+        monkeypatch.setattr(module, "pair_morphism", refuse)
+    for module in (engine, frobenius):
+        monkeypatch.setattr(module, "direct_sum", refuse)
+    report = run_suite(target, suites=["frobenius"])
+    golden = json.loads((GOLDEN / f"{target}.json").read_text("utf-8"))
+    names = [c["name"] for c in golden["checks"]]
+    first = names.index("algebra_dimension")
+    last = next(i for i, x in enumerate(names) if x.startswith("azumaya"))
+    assert [c.name for c in report.checks] == names[first:last + 1]
+    assert report.passed
+
+
+def test_a_nan_braiding_fails_every_check_that_reads_it(spec_of):
+    """fibonacci with R[tau, tau; tau] = NaN: every channel of m and Delta
+    on two taus reads it, through the braiding of its diagram or its
+    monodromy, so every check of them fails with a NaN deviation.  Only the
+    unit and counit checks, which read the unit channels, and the checks of
+    dims and twists alone pass."""
+    fib = spec_of("fibonacci")
+    R = dict(fib.R)
+    R[1, 1, 1] = np.array([[np.nan]])
+    spec = CategorySpec("fibonacci-nan", fib.ring, fib.dims, fib.theta,
+                        dict(fib.F), R)
+    for check in frobenius_report(spec, n_values=(0, 1, 2)).checks:
+        if check.name.split("[")[0] in ("algebra_dimension", "unit",
+                                        "counit", "azumaya"):
+            assert check.status == PASS, check.name
+        else:
+            assert check.status == FAIL, check.name
+            assert math.isnan(check.max_deviation), check.name
+
+
+def test_a_zero_pairing_is_a_located_error(spec_of):
+    """With theta_1 = 1 on semion's F and R the twisted loop of A closes to
+    1 - 1 = 0, so Phi^(0) vanishes on every summand.  Inverting it for
+    ``coproduct_from_pairing`` raises NotPremodular naming the first label,
+    with no division by zero before it."""
+    semion = spec_of("semion")
+    spec = CategorySpec("semion-untwisted", semion.ring, semion.dims,
+                        [1.0, 1.0], dict(semion.F), dict(semion.R))
+    with pytest.raises(NotPremodular,
+                       match=r"Phi\^\(0\) is zero on the summand \(0, 0\) "
+                             r"of A, label 0$"):
+        frobenius_report(spec, n_values=(0, 1))

@@ -34,6 +34,9 @@ try:
         semion, (1,), ((1,), (1,)), ((1,), ()), ((), (1,)))
     mtc.modcat.left_module_pentagon_deviation(
         semion, ((1,), (1,)), ((1,), ()), ((), (1,)), (1,))
+    # the suite's frobenius section runs on channel coefficients and pairs
+    # no morphisms
+    mtc.frobenius.PermutationAlgebra(semion).multiplication(0)
 finally:
     tracer.stop()
 metrics = tracer.pass_metrics(1.0)
