@@ -22,7 +22,8 @@ layout come from their one owner, the spec's ``FusionRing`` in
 ``f_basis`` and ``layout``.  Tables that depend on N alone are memoised on
 the ring by ``category.cached`` (``compose`` and ``whisker_right``), those
 that depend on F and R on the spec: ``finv``, ``split``, ``whisker_left``,
-``braid_gen``, ``block_crossing``, ``double_braiding`` and ``cap_scale``.
+``braid_gen``, ``block_crossing``, ``double_braiding``, ``cap_scale``,
+``cup_twisted`` and ``cap_twisted``.
 
 Because the tree bases and their duals are normalized to f_i o fbar_j =
 delta_ij id_c, composition of morphisms is plain per-root matrix
@@ -605,6 +606,7 @@ def cap(spec: CategorySpec, i: int) -> Morphism:
     return Morphism(spec, (ib, i), (), {0: np.array([[_cap_scale(spec, i)]])})
 
 
+@cached("cup_twisted")
 def cup_twisted(spec: CategorySpec, i: int) -> Morphism:
     """bt_i = (id (x) theta_i) o c_{i, dual(i)} o b_i : 1 -> dual(i) (x) i."""
     ib = _dual(spec, i)
@@ -612,6 +614,7 @@ def cup_twisted(spec: CategorySpec, i: int) -> Morphism:
     return tw @ braid_generator(spec, (i, ib), 1, True) @ cup(spec, i)
 
 
+@cached("cap_twisted")
 def cap_twisted(spec: CategorySpec, i: int) -> Morphism:
     """dt_i = d_i o c_{i, dual(i)} o (theta_i (x) id) : i (x) dual(i) -> 1."""
     ib = _dual(spec, i)

@@ -280,9 +280,8 @@ def test_frobenius_report_control_mode(spec_of):
 
 def reference_deviations(base, n_values) -> dict:
     """{check name: deviation} of every check of ``frobenius_report`` but
-    the Azumaya one, each computed on the direct sums of
-    ``PermutationAlgebra`` as the report computed it before it ran on
-    channel coefficients."""
+    the Azumaya one, each identity composed, tensored and compared on the
+    direct sums of ``PermutationAlgebra`` by the engine."""
     alg = PermutationAlgebra(base)
     idA, idAv = alg.identity(), alg.identity_dual()
     eta, eps = alg.unit(), alg.counit()

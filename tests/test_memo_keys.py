@@ -13,8 +13,8 @@ import pytest
 
 from mtc import get_category
 from mtc.deligne import product_tree_map
-from mtc.engine import (block_crossing, braid_generator, double_braiding,
-                        split_transform)
+from mtc.engine import (block_crossing, braid_generator, cap_twisted,
+                        cup_twisted, double_braiding, split_transform)
 from mtc.errors import InvalidWord
 from mtc.frobenius import PermutationAlgebra
 from mtc.modcat import psi, psi_hat
@@ -48,6 +48,8 @@ TABLES = {
     "braid_generator": lambda s, w: braid_generator(s, w * 2, 1),
     "block_crossing": lambda s, w: block_crossing(s, w * 3, 1),
     "double_braiding": lambda s, w: double_braiding(s, w * 2, 1, 2),
+    "cup_twisted": lambda s, w: cup_twisted(s, _letter(w)),
+    "cap_twisted": lambda s, w: cap_twisted(s, _letter(w)),
     "psi": lambda s, w: psi(s, w, (w, w), (w, ()), 1),
     "psi_hat": lambda s, w: psi_hat(s, (w, w), (w, ()), w, 1),
     "product_tree_map": lambda s, w: product_tree_map(
