@@ -51,11 +51,11 @@ the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
 ``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``,
 ``fusion_vertices``, ``f_keys``, ``frobenius_channels`` and the
 engine's ``compose`` and ``whisker_right`` plans, a product ring's
-``ptree_map``, a spec's ``f_tensor``, ``f_store``, ``finv_store`` and
-``r_store``, the engine and module tables and the Frobenius channel
-tables ``monodromy``, ``m_channels``, ``delta_channels`` and
-``frobenius_terms``, and a ``PermutationAlgebra``'s ``m``, ``delta``,
-``phi`` and ``proj``.
+``ptree_map``, a spec's ``f_tensor``, ``f_store``, ``f_inverses``,
+``finv_store``, ``r_inverses`` and ``r_store``, the engine and module
+tables and the Frobenius channel tables ``monodromy``, ``m_channels``,
+``delta_channels`` and ``frobenius_terms``, and a
+``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and ``proj``.
 
 Input is checked where it enters, and its readers trust it.  A
 ``FusionRing`` checks its axioms when it is built, so every F- and R-block
@@ -449,9 +449,9 @@ class CategorySpec:
     ``r_block`` read, and nothing else; any other table raises NotPremodular
     naming its key.  The spec adds the identity blocks of the unit strands
     itself, so it holds every F- and R-block and readers trust the tables.
-    Values may be non-finite: the checks report them.  Instances are
-    treated as immutable; engines cache per-instance data that depends on F
-    and R on ``_cache``.
+    Values may be non-finite: the checks report them, as a non-finite block
+    inverts to NaN (``_inverses``).  Instances are treated as immutable;
+    engines cache per-instance data that depends on F and R on ``_cache``.
     """
 
     def __init__(self, name, ring, dims, theta, F, R, label_names=None,
@@ -467,10 +467,14 @@ class CategorySpec:
                                     f"{(self.rank,)}")
             arr.setflags(write=False)
         N = ring.N
-        # every block is square, as the ring is associative and commutative
-        self._f_all, self.F = _symbol_table("F", F, (
-            ((a, b, c, d), int(N[a, b].dot(N[:, c, d])))
-            for a, b, c, d in _f_block_keys(ring)[2]), 3)
+        # every block is square, as the ring is associative and commutative;
+        # its size counts its trees (a, b, e, c, d) with multiplicity
+        (a, b, e, c, d), codes, keys = _f_block_keys(ring)
+        sizes = np.bincount(
+            np.searchsorted(codes, _encode((a, b, c, d), self.rank)),
+            _mult(N, a, b, e) * _mult(N, e, c, d), len(codes))
+        self._f_all, self.F = _symbol_table(
+            "F", F, zip(keys, sizes.astype(np.int64).tolist()), 3)
         self._r_all, self.R = _symbol_table("R", R, (
             ((a, b, c), ring.n(a, b, c)) for a, b, c in np.argwhere(N).tolist()),
             2)
@@ -689,50 +693,65 @@ def _f_store(spec: CategorySpec) -> _Store:
 def _finv_store(spec: CategorySpec) -> _Store:
     """The inverse F-moves, keyed and indexed as ``_f_store``: entry
     [alpha, beta, gamma, delta] of (a, b, c, d, e, f) is the entry of
-    F[a,b,c,d]^-1 from column (e, alpha, beta) to row (f, gamma, delta).
-    The inverses are taken on one stack per block shape; if one is
-    singular, block by block until the first singular block is named."""
-    keys = _f_block_keys(spec.ring)[2]
-    blocks = list(spec._f_all.values())
-    for idx, stack in _stacks(blocks):
-        try:
-            inverses = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:
-            inverses = [_inverse(blocks[i], "F-block ({},{},{};{})".format(
-                *keys[i])) for i in idx]
-        for i, inv in zip(idx, inverses):
-            blocks[i] = inv.T
-    return _f_layout_store(spec, blocks)
+    F[a,b,c,d]^-1 from column (e, alpha, beta) to row (f, gamma, delta)."""
+    return _f_layout_store(spec, [v.T for v in _f_inverses(spec).values()])
 
 
-def _inverse(block, what: str) -> np.ndarray:
-    """``np.linalg.inv`` of a block of the data; a singular block raises
-    NotPremodular naming ``what``."""
+def _inverses(stack, message) -> np.ndarray:
+    """``np.linalg.inv`` of a stack (count, n, n) of blocks of the data.  A
+    block with a non-finite entry inverts to NaN, so that every check that
+    reads it fails; the first singular block raises
+    NotPremodular(message(i)), i its index in the stack."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    out = np.full_like(stack, np.nan)
     try:
-        return np.linalg.inv(block)
+        out[finite] = np.linalg.inv(stack[finite])
     except np.linalg.LinAlgError:
-        raise NotPremodular(f"{what} is singular") from None
+        for i in np.flatnonzero(finite).tolist():
+            try:
+                np.linalg.inv(stack[i])
+            except np.linalg.LinAlgError:
+                raise NotPremodular(message(i)) from None
+        raise
+    return out
+
+
+def _inverse_table(blocks: dict, what) -> dict:
+    """The read-only inverse of every block, keyed and ordered as
+    ``blocks`` and taken on one stack per block shape; the first singular
+    block raises NotPremodular naming what(key)."""
+    keys, out = list(blocks), {}
+    for idx, stack in _stacks(list(blocks.values())):
+        inverses = _inverses(stack, lambda i: f"{what(keys[idx[i]])} is "
+                                              "singular")
+        inverses.setflags(write=False)
+        out.update(zip([keys[i] for i in idx], inverses))
+    return {key: out[key] for key in keys}
+
+
+@cached("f_inverses")
+def _f_inverses(spec: CategorySpec) -> dict:
+    """F[a,b,c,d]^-1 for every F-block key (a, b, c, d), in key order."""
+    return _inverse_table(spec._f_all,
+                          lambda k: "F-block ({},{},{};{})".format(*k))
+
+
+@cached("r_inverses")
+def _r_inverses(spec: CategorySpec) -> dict:
+    """The inverse braiding c_{b,a}^-1 on channel c, the inverse of the
+    R-block (b, a, c), for every R key (a, b, c), in key order."""
+    R = spec._r_all
+    return _inverse_table({(a, b, c): R[b, a, c] for a, b, c in R},
+                          lambda k: f"R-block {(k[1], k[0], k[2])}")
 
 
 @cached("r_store")
 def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
     """The braiding c_{x,y}, or with ``inverse`` the inverse braiding
-    c_{y,x}^-1, on every channel z, keyed by (x, y, z).  The inverses are
-    taken on one stack per block shape; if one is singular, block by block
-    until the first singular block is named."""
-    N, R = spec.ring.N, spec._r_all
+    c_{y,x}^-1, on every channel z, keyed by (x, y, z)."""
+    N = spec.ring.N
     x, y, z = np.nonzero(N)
-    blocks = [R[b, a, c] for a, b, c in R] if inverse else list(R.values())
-    if inverse:
-        keys = [(b, a, c) for a, b, c in R]
-        for idx, stack in _stacks(blocks):
-            try:
-                inverses = np.linalg.inv(stack)
-            except np.linalg.LinAlgError:
-                inverses = [_inverse(blocks[i], f"R-block {keys[i]}")
-                            for i in idx]
-            for i, blk in zip(idx, inverses):
-                blocks[i] = blk
+    blocks = (_r_inverses(spec) if inverse else spec._r_all).values()
     return _store(spec.rank, ((1, 0, 2), (0, 1, 2)),
                   _encode((x, y, z), spec.rank), N[x, y, z] ** 2,
                   np.concatenate([blk.ravel() for blk in blocks]))

@@ -50,8 +50,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .category import MAX_WORD_LENGTH  # noqa: F401 (re-exported)
-from .category import (CategorySpec, Layout, _check_words, _inverse,
-                       _summands, cached)
+from .category import (CategorySpec, Layout, _check_words, _f_inverses,
+                       _inverses, _r_inverses, _summands, cached)
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
 
@@ -81,7 +81,8 @@ def _juxtapose(x, y):
 
 @cached("finv")
 def _finv(spec, a, b, c, d):
-    return _inverse(spec.f_block(a, b, c, d), f"F-block ({a},{b},{c};{d})")
+    """F[a,b,c,d]^-1, read from the spec's table of inverse F-blocks."""
+    return _f_inverses(spec)[a, b, c, d]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,8 @@ class Morphism:
         def inv(c, blk):
             if blk.shape[0] != blk.shape[1]:
                 raise ShapeMismatch(f"block at root {c} is not square")
-            return _inverse(blk, f"morphism on the word {self.src} at root "
-                                 f"{c}")
+            return _inverses(blk[None], lambda _: f"morphism on the word "
+                             f"{self.src} at root {c} is singular")[0]
         return _blockwise(self, self.spec.ring.layout(self.dst, self.src),
                           inv)
 
@@ -453,7 +454,9 @@ def _left_plan(spec, u, g: Layout):
         Ms = _block_diag([t[c][0] for t in ssrc if c in t])
         if not (np.array_equal(Md, np.eye(r))
                 and np.array_equal(Ms, np.eye(k))):
-            steps.append((o, o + r * k, r, k, np.linalg.inv(Md.T), Ms.T))
+            A = _inverses(Md.T[None], lambda _: f"split transform of "
+                          f"{out.dst} at root {c} is singular")[0]
+            steps.append((o, o + r * k, r, k, A, Ms.T))
     return out, np.array([out_idx, in_idx], dtype=np.intp), tuple(steps)
 
 
@@ -499,14 +502,10 @@ def embed(f: Morphism, *, left=(), right=()) -> Morphism:
 
 def _crossing(spec, a, b, over):
     """c_{a,b} (over) or c_{b,a}^-1 (under) on the two-letter word (a, b):
-    the R-block itself at every root."""
-    roots = trees(spec, (a, b))
-    if over:
-        blocks = {c: spec.r_block(a, b, c) for c in roots}
-    else:
-        blocks = {c: _inverse(spec.r_block(b, a, c), f"R-block {(b, a, c)}")
-                  for c in roots}
-    return Morphism(spec, (a, b), (b, a), blocks)
+    the R-block or the inverse R-block at every root."""
+    table = spec._r_all if over else _r_inverses(spec)
+    return Morphism(spec, (a, b), (b, a),
+                    {c: table[a, b, c] for c in trees(spec, (a, b))})
 
 
 @cached("braid_gen")
@@ -565,7 +564,8 @@ def double_braiding(spec: CategorySpec, word, k: int, n: int = 1) -> Morphism:
     def power(c, blk):
         # a negative power inverts first, as np.linalg.matrix_power does
         if n < 0:
-            blk = _inverse(blk, f"monodromy on the word {word} at root {c}")
+            blk = _inverses(blk[None], lambda _: f"monodromy on the word "
+                            f"{word} at root {c} is singular")[0]
         return np.linalg.matrix_power(blk, abs(n))
     return _blockwise(base, base.layout, power)
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .category import (CategorySpec, _contract, _encode, _f_store,
-                       _finv_store, _free, _fuse, _gather_plan, _inverse,
+                       _finv_store, _free, _fuse, _gather_plan, _inverses,
                        _mult, _r_store, _store, cached)
 from .deligne import deligne_power, pair_morphism
 from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
@@ -364,12 +364,8 @@ def _monodromy(base: CategorySpec, n: int):
         a, b, c = dual[i[idx]], dual[j[idx]], dual[k[idx]]
         D = R.take((b, a, c), (mult, mult)) @ R.take((a, b, c), (mult, mult))
         if n < 0:
-            try:
-                D = np.linalg.inv(D)
-            except np.linalg.LinAlgError:
-                D = np.stack([_inverse(blk, f"monodromy on the word "
-                                            f"({x}, {y}) at root {z}")
-                              for blk, x, y, z in zip(D, a, b, c)])
+            D = _inverses(D, lambda t: f"monodromy on the word ({a[t]}, "
+                                       f"{b[t]}) at root {c[t]} is singular")
         out[pos] = np.linalg.matrix_power(D, abs(n)).reshape(len(idx), -1)
     return out
 
@@ -572,13 +568,11 @@ def _axiom_terms(base: CategorySpec) -> dict:
 
 
 def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
-                     prod: CategorySpec | None = None,
                      expect_azumaya: bool = True):
     """Check the algebra axioms and the derived structure for each exponent.
 
     Every check runs on the channel coefficients of m^(n) and Delta^(n)
-    and on the base's F-moves, whose Kronecker products are the square's;
-    a ``prod`` given is only checked to have the square's rank.
+    and on the base's F-moves, whose Kronecker products are the square's.
 
     With ``expect_azumaya=False`` the obstruction check inverts into a
     control: it passes only when the obstruction is actually present.
@@ -586,8 +580,6 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     report = VerificationReport(target=base.name,
                                 options={"n_values": list(n_values),
                                          "tolerance": tol})
-    if prod is not None and prod.rank != base.rank ** 2:
-        raise ShapeMismatch("product category rank does not match base")
     ring = base.ring
     r, dual, theta, d = base.rank, ring.dual, base.theta, base.dims
     dim = base.global_dim()

@@ -19,8 +19,8 @@ at p = 2 and root A_{p+1} (for p = 1 that of (w_1, w_2) at root A_2, the
 R-block), and a path's position in that block is its rank in the context
 sorted by (A_p, mu_p, mu_{p+1}).  A block crossing and a monodromy are the
 generator sequences of ``engine.block_crossing`` and
-``engine.double_braiding``; an inverse is one stacked ``np.linalg.inv`` per
-block size, and D^n is ``np.linalg.matrix_power`` of the stacked D.  The
+``engine.double_braiding``; an inverse is one stacked ``category._inverses``
+per block size, and D^n is ``np.linalg.matrix_power`` of the stacked D.  The
 twist of the first k letters, whiskered on the right, is diagonal:
 theta_{A_k} on each path.
 
@@ -60,10 +60,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import CategorySpec, _check_words, cached
+from .category import CategorySpec, _check_words, _inverses, cached
 from .engine import braid_generator
-from .errors import (InvalidWord, NotPremodular, PositionOutOfRange,
-                     ShapeMismatch)
+from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
 
 # The most paths that one round of a flush enumerates or sorts, unless one
 # word order or step alone needs more: a bound on a round's index arrays.
@@ -180,24 +179,15 @@ class Braid:
             n: x @ other.blocks[n] for n, x in self.blocks.items()})
 
     def inverse(self) -> "Braid":
-        """The inverse map, one stacked ``np.linalg.inv`` per block size.  A
-        block that is not finite inverts to NaN, so that its tuple fails; a
-        singular one raises NotPremodular naming its word and root when the
-        inverse is read."""
+        """The inverse map, one stacked ``category._inverses`` per block size.
+        A block that is not finite inverts to NaN, so that its tuple fails;
+        a singular one raises NotPremodular naming its word and root when
+        the inverse is read."""
         return Braid(self.stack, self.dst, self.src, self._inverted)
 
     def _inverted(self) -> dict:
-        blocks = {}
-        for n, x in self.blocks.items():
-            finite = np.isfinite(x).all(axis=(1, 2))
-            blocks[n] = np.full_like(x, np.nan)
-            try:
-                blocks[n][finite] = np.linalg.inv(x[finite])
-            except np.linalg.LinAlgError:
-                zero = np.linalg.det(x[finite]) == 0
-                raise NotPremodular(self.stack._singular(
-                    self.src, n, np.flatnonzero(finite)[zero])) from None
-        return blocks
+        return {n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
+                for n, x in self.blocks.items()}
 
     def power(self, e: int) -> "Braid":
         """The e-th power of an endomorphism, block by block; a negative
@@ -268,13 +258,11 @@ class PathStack:
     def __len__(self):
         return len(self.labels)
 
-    def _singular(self, order, n: int, bad) -> str:
-        """Where a braid from ``order`` is singular, given the positions
-        ``bad`` of its singular blocks of size n: the first one's word and
+    def _singular(self, order, n: int, i: int) -> str:
+        """Where a braid from ``order`` is singular, given the position i
+        of its first singular block among those of size n: its word and
         root."""
-        if not len(bad):
-            return f"a braid on the word order {order} is singular"
-        b = self.members[n][bad[0]]
+        b = self.members[n][i]
         word = tuple(self.labels[self.tuple_of[b], list(order)].tolist())
         return (f"braid on the word {word} is singular at root "
                 f"{int(self.root_of[b])}: an F- or R-block is not invertible")

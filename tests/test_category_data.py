@@ -1,13 +1,16 @@
 """Skeletal category layer: ring axioms, coherence validation, modular data,
 and the JSON interchange format."""
 
+import ast
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtc
 from mtc import get_category, modular_datum, validate_category, verlinde_fusion
 from mtc.builtins import BUILTIN_NAMES
 from mtc.category import (CategorySpec, FusionRing, ToleranceConfig,
@@ -257,21 +260,27 @@ def test_multiplicity_deviations_are_pinned():
 
 
 def test_nan_braiding_fails(spec_of):
-    """A NaN R-symbol fails every check that reads it instead of being
-    dropped by the running maximum."""
+    """A NaN or infinite R-symbol fails every check that reads it with a
+    non-finite deviation instead of being dropped by the running maximum;
+    the inverse braiding of an infinite block is NaN, not a finite wrong
+    inverse."""
     ising = spec_of("ising")
-    R = dict(ising.R)
-    R[(1, 1, 0)] = np.array([[np.nan]], dtype=np.complex128)
-    bad = CategorySpec("ising-nan", ising.ring, ising.dims, ising.theta,
-                       dict(ising.F), R)
-    rep = validate_category(bad)
-    by_name = {c.name: c for c in rep.checks}
-    for name in ("hexagon_braiding", "hexagon_inverse",
-                 "ribbon_compatibility"):
-        assert by_name[name].status == "fail", name
-    assert by_name["pentagon"].status == "pass"
-    assert not rep.passed
-    assert np.isnan(rep.max_deviation)
+    for value in (np.nan, np.inf):
+        R = dict(ising.R)
+        R[(1, 1, 0)] = np.array([[value]], dtype=np.complex128)
+        bad = CategorySpec("ising-non-finite", ising.ring, ising.dims,
+                           ising.theta, dict(ising.F), R)
+        with np.errstate(invalid="ignore"):
+            rep = validate_category(bad)
+        by_name = {c.name: c for c in rep.checks}
+        for name in ("hexagon_braiding", "hexagon_inverse",
+                     "ribbon_compatibility"):
+            assert by_name[name].status == "fail", (value, name)
+            assert not np.isfinite(by_name[name].max_deviation), (value, name)
+        assert np.isnan(by_name["hexagon_inverse"].max_deviation), value
+        assert by_name["pentagon"].status == "pass"
+        assert not rep.passed
+        assert np.isnan(rep.max_deviation)
 
 
 def test_store_reads_a_missing_block_as_zeros(spec_of):
@@ -295,19 +304,22 @@ def test_store_reads_a_missing_block_as_zeros(spec_of):
 def test_nan_symbol_propagates_through_coherence(spec_of, table):
     """A NaN symbol read by the pentagon or a hexagon makes its deviation
     NaN, not the maximum of the finite ones (no completeness check runs
-    first)."""
+    first).  So does an infinite R-symbol, whose inverse braiding is NaN;
+    the pentagon and the hexagons invert no F-block."""
     fib = spec_of("fibonacci")
-    F, R = dict(fib.F), dict(fib.R)
-    if table == "F":
-        F[(1, 1, 1, 1)] = F[(1, 1, 1, 1)].copy()
-        F[(1, 1, 1, 1)][1, 0] = np.nan
-    else:
-        R[(1, 1, 1)] = np.array([[np.nan]], dtype=np.complex128)
-    bad = CategorySpec("fibonacci-nan", fib.ring, fib.dims, fib.theta, F, R)
-    if table == "F":
-        assert np.isnan(_pentagon_deviation(bad))
-    for inverse in (False, True):
-        assert np.isnan(_hexagon_deviation(bad, inverse))
+    for value in ((np.nan,) if table == "F" else (np.nan, np.inf)):
+        F, R = dict(fib.F), dict(fib.R)
+        if table == "F":
+            F[(1, 1, 1, 1)] = F[(1, 1, 1, 1)].copy()
+            F[(1, 1, 1, 1)][1, 0] = value
+        else:
+            R[(1, 1, 1)] = np.array([[value]], dtype=np.complex128)
+        bad = CategorySpec("fibonacci-non-finite", fib.ring, fib.dims,
+                           fib.theta, F, R)
+        if table == "F":
+            assert np.isnan(_pentagon_deviation(bad))
+        for inverse in (False, True):
+            assert np.isnan(_hexagon_deviation(bad, inverse)), (value, inverse)
 
 
 def test_rank_25_square_is_coherent(spec_of):
@@ -358,6 +370,34 @@ def test_nan_f_symbol_fails_completeness(spec_of):
     assert check.status == "fail"
     assert "(1,1,1;1)" in check.detail
     assert not rep.passed
+
+
+def _linalg_inv_sites(node, owner=""):
+    """(owner, line) of every reference to a ``linalg.inv`` under the
+    node, its owner the dotted name of the enclosing definitions."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owner = f"{owner}.{node.name}" if owner else node.name
+    if (isinstance(node, ast.Attribute) and node.attr == "inv"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg") or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("linalg")
+            and any(alias.name == "inv" for alias in node.names)):
+        yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _linalg_inv_sites(child, owner)
+
+
+def test_only_inverses_calls_np_linalg_inv():
+    """Inverting a block of the data is one decision: every
+    ``np.linalg.inv`` of the package is in ``category._inverses``, which
+    maps a non-finite block to NaN and names a singular one."""
+    sites = {(path.name, owner, line)
+             for path in sorted(Path(mtc.__file__).parent.glob("*.py"))
+             for owner, line in _linalg_inv_sites(
+                 ast.parse(path.read_text("utf-8")))}
+    assert {(name, owner) for name, owner, _ in sites} == \
+        {("category.py", "_inverses")}, sorted(sites)
 
 
 def test_max_dev_propagates_nan():

@@ -390,23 +390,33 @@ def test_frobenius_section_builds_no_direct_sum(monkeypatch, target):
 
 
 def test_a_nan_braiding_fails_every_check_that_reads_it(spec_of):
-    """fibonacci with R[tau, tau; tau] = NaN: every channel of m and Delta
-    on two taus reads it, through the braiding of its diagram or its
+    """fibonacci with R[tau, tau; tau] = NaN or inf: every channel of m and
+    Delta on two taus reads it, through the braiding of its diagram or its
     monodromy, so every check of them fails with a NaN deviation.  Only the
     unit and counit checks, which read the unit channels, and the checks of
-    dims and twists alone pass."""
+    dims and twists alone pass.  An infinite entry of F[tau, tau, tau; tau]
+    also reaches the unit channels, through the scale of tau's cap, so
+    only the checks of dims and twists pass."""
     fib = spec_of("fibonacci")
-    R = dict(fib.R)
-    R[1, 1, 1] = np.array([[np.nan]])
-    spec = CategorySpec("fibonacci-nan", fib.ring, fib.dims, fib.theta,
-                        dict(fib.F), R)
-    for check in frobenius_report(spec, n_values=(0, 1, 2)).checks:
-        if check.name.split("[")[0] in ("algebra_dimension", "unit",
-                                        "counit", "azumaya"):
-            assert check.status == PASS, check.name
-        else:
-            assert check.status == FAIL, check.name
-            assert math.isnan(check.max_deviation), check.name
+    alone = ("algebra_dimension", "azumaya")
+    for table, key, block, passing in (
+            ("R", (1, 1, 1), [[np.nan]], alone + ("unit", "counit")),
+            ("R", (1, 1, 1), [[np.inf]], alone + ("unit", "counit")),
+            ("F", (1, 1, 1, 1), fib.F[1, 1, 1, 1] + [[np.inf, 0], [0, 0]],
+             alone)):
+        F, R = dict(fib.F), dict(fib.R)
+        (F if table == "F" else R)[key] = np.array(block)
+        spec = CategorySpec("fibonacci-non-finite", fib.ring, fib.dims,
+                            fib.theta, F, R)
+        with np.errstate(invalid="ignore"):
+            checks = frobenius_report(spec, n_values=(0, 1, 2)).checks
+        for check in checks:
+            if check.name.split("[")[0] in passing:
+                assert check.status == PASS, (table, block, check.name)
+            else:
+                assert check.status == FAIL, (table, block, check.name)
+                assert math.isnan(check.max_deviation), (table, block,
+                                                          check.name)
 
 
 def test_a_zero_pairing_is_a_located_error(spec_of):

@@ -354,17 +354,22 @@ def test_singular_braids_are_refused_with_their_word(spec_of):
 
 
 def test_non_finite_blocks_invert_to_nan(spec_of):
-    """A NaN block inverts to NaN, so that its tuple fails; the other
-    blocks invert as the engine's."""
-    spec = _with_r(spec_of("fibonacci"), (1, 1, 0), np.full((1, 1), np.nan))
-    stack = PathStack(spec, [(0, 1), (1, 1)])
-    inv = stack.generator((0, 1), 1).inverse()
-    got = stack.blocks(inv, 1)
-    assert np.isnan(got[0]).all()
-    want = np.linalg.inv(braid_generator(spec, (1, 1), 1).blocks[1])
-    assert np.abs(got[1] - want).max() <= AGREE
-    _assert_equal_blocks(stack, inv, 0,
-                         braid_generator(spec, (0, 1), 1).inverse())
+    """A NaN or infinite block inverts to NaN, so that its tuple fails, and
+    so does the engine's inverse of it; the other blocks invert as the
+    engine's."""
+    for value in (np.nan, np.inf):
+        spec = _with_r(spec_of("fibonacci"), (1, 1, 0),
+                       np.full((1, 1), value))
+        stack = PathStack(spec, [(0, 1), (1, 1)])
+        inv = stack.generator((0, 1), 1).inverse()
+        got = stack.blocks(inv, 1)
+        assert np.isnan(got[0]).all()
+        engine = braid_generator(spec, (1, 1), 1)
+        assert np.isnan(engine.inverse().blocks[0]).all()
+        want = np.linalg.inv(engine.blocks[1])
+        assert np.abs(got[1] - want).max() <= AGREE
+        _assert_equal_blocks(stack, inv, 0,
+                             braid_generator(spec, (0, 1), 1).inverse())
 
 
 def test_empty_blocks_cross_as_identities(spec_of):
@@ -455,12 +460,26 @@ def test_f_failing_the_pentagon_fails_the_module_pentagon(monkeypatch):
 
 
 def test_nan_braiding_fails_the_module_pentagon(monkeypatch):
-    def change(F, R):
-        R[1, 1, 1] = np.full((1, 1), np.nan)
-    checks, _ = _report(monkeypatch, "fibonacci", change, ["module"])
-    for name in ("module_pentagon", "left_module_pentagon"):
-        assert checks[name].status == "fail"
-        assert np.isnan(checks[name].max_deviation)
+    """A NaN or infinite R[tau, tau; tau], or an infinite entry of
+    F[tau, tau, tau; tau], fails both batched module pentagons and the
+    single-tuple one with NaN."""
+    def r_block(value):
+        def change(F, R):
+            R[1, 1, 1] = np.full((1, 1), value)
+        return change
+
+    def inf_f(F, R):
+        F[1, 1, 1, 1] = F[1, 1, 1, 1] + np.array([[np.inf, 0], [0, 0]])
+    for change in (r_block(np.nan), r_block(np.inf), inf_f):
+        with np.errstate(invalid="ignore"):
+            checks, _ = _report(monkeypatch, "fibonacci", change, ["module"])
+            single = modcat.module_pentagon_deviation(
+                suite.resolve_target("fibonacci-edited"), (1,), ((1,), (1,)),
+                ((1,), (1,)), ((1,), (1,)), 1)
+        for name in ("module_pentagon", "left_module_pentagon"):
+            assert checks[name].status == "fail"
+            assert np.isnan(checks[name].max_deviation)
+        assert np.isnan(single)
 
 
 # Module checks that hold by construction on the fusion-path representation:
