@@ -24,7 +24,7 @@ at n = 0; every other exponent follows from the interchange law
 with D the monodromy of (dual(i), dual(j)) at dual(k).  Every block of the
 square at a word of summands of A is the Kronecker product of two blocks of
 the base, so each axiom is a contraction of the coefficients with the
-base's F-moves, batched as ``category._accumulate`` batches the pentagon.
+base's F-moves, batched as ``category._contract`` batches the pentagon.
 Its deviation is the largest entry over every summand and root, as
 ``engine.Morphism.deviation`` takes it on the direct sums.
 """

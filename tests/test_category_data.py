@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import mtc
-from mtc import get_category, modular_datum, validate_category, verlinde_fusion
+from mtc import (category, get_category, modular_datum, validate_category,
+                 verlinde_fusion)
 from mtc.builtins import BUILTIN_NAMES
 from mtc.category import (CategorySpec, FusionRing, ToleranceConfig,
-                          _f_store, _groups, _hexagon_deviation,
-                          _pentagon_deviation,
+                          _f_store, _groups, _hexagon_deviations,
+                          _pentagon_deviation, _ribbon_deviation,
                           dump_category, load_category, modular_group_relations,
                           spec_from_dict, spec_to_dict)
 from mtc.deligne import deligne_power
@@ -230,9 +231,98 @@ def test_batched_coherence_equals_the_loops(spec_of, squares, name):
     for bit on every builtin and on four squares."""
     spec = squares[name[:-2]] if name.endswith("^2") else spec_of(name)
     assert _pentagon_deviation(spec) == _reference_pentagon(spec)
-    for inverse in (False, True):
-        assert _hexagon_deviation(spec, inverse) == \
-            _reference_hexagon(spec, inverse)
+    assert _hexagon_deviations(spec) == (_reference_hexagon(spec, False),
+                                         _reference_hexagon(spec, True))
+
+
+def _reference_ribbon(spec):
+    """The ribbon identity as one loop iteration per (a, b, c), the check's
+    earlier form."""
+    worst = 0.0
+    for a in range(spec.rank):
+        for b in range(spec.rank):
+            for c in spec.ring.channels(a, b):
+                mat = spec.r_block(b, a, c) @ spec.r_block(a, b, c)
+                want = spec.theta[c] / (spec.theta[a] * spec.theta[b])
+                dev = np.max(np.abs(mat - want * np.eye(mat.shape[0])))
+                worst = max_dev(worst, float(dev))
+    return worst
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "semion^2", "fibonacci^2",
+                                  "ising^2", "z_3(1)^2", "rep_a4_random"])
+def test_batched_ribbon_equals_the_loop(spec_of, squares, name):
+    """The ribbon deviation from stacks of R-blocks is the loop's, bit for
+    bit, on every builtin, four squares and random data with a fusion
+    multiplicity of 2."""
+    spec = squares[name[:-2]] if name.endswith("^2") else \
+        random_rep_a4() if name == "rep_a4_random" else spec_of(name)
+    assert _ribbon_deviation(spec) == _reference_ribbon(spec)
+
+
+def _enumerated_rows(spec):
+    """Per first label, the label tuples that the pentagon and the hexagons
+    enumerate before their last filter, counted by loops: (pentagon,
+    hexagons)."""
+    r, ch = spec.rank, spec.ring.channels
+    pentagon = [sum(len(ch(b, l)) for b in range(r) for f in ch(a, b)
+                    for c in range(r) for g in ch(f, c)
+                    for d in range(r) for e in ch(g, d) for l in ch(c, d))
+                for a in range(r)]
+    hexagons = [sum(len(ch(c, b)) for b in range(r) for c in range(r)
+                    for e in ch(a, c) for d in ch(e, b))
+                for a in range(r)]
+    return pentagon, hexagons
+
+
+@pytest.mark.parametrize("name", ["ising^2", "z_3(1)^2", "rep_a4_random"])
+def test_rounds_do_not_change_coherence(monkeypatch, squares, name):
+    """The pentagon, both hexagons and the ribbon identity read the same
+    deviations, bit for bit, when every first label has a round of its
+    own.  At the default cap no round enumerates more than ``_ROUND_ROWS``
+    label tuples unless its one first label does, and the counts the
+    rounds are cut by are the tuples the checks enumerate."""
+    spec = random_rep_a4() if name == "rep_a4_random" else squares[name[:-2]]
+    rounds, cut = [], category._rounds
+
+    def recording(rows):
+        for run in cut(rows):
+            rounds.append((int(rows[run].sum()), len(run)))
+            yield run
+
+    def deviations():
+        rounds.clear()
+        return (_pentagon_deviation(spec), *_hexagon_deviations(spec),
+                _ribbon_deviation(spec))
+
+    monkeypatch.setattr(category, "_rounds", recording)
+    default = deviations()
+    assert all(total <= category._ROUND_ROWS or labels == 1
+               for total, labels in rounds), rounds
+    assert len(rounds) < 2 * spec.rank  # first labels shared rounds
+    pentagon, hexagons = _enumerated_rows(spec)
+    assert category._pentagon_rows(spec.ring.N).tolist() == pentagon
+    assert category._hexagon_rows(spec.ring.N).tolist() == hexagons
+    monkeypatch.setattr(category, "_ROUND_ROWS", 1)
+    alone = deviations()
+    assert rounds == [(n, 1) for n in pentagon + hexagons]
+    assert alone == default
+
+
+def test_validation_plans_each_round_once(monkeypatch, squares):
+    """``validate_category`` of the ising square builds ten gather plans:
+    one per side in each of the pentagon's four rounds and in the one round
+    that both hexagons share.  With a round per first label and plans per
+    hexagon it built 54."""
+    built, plan = [], category._gather_plan
+
+    def counting(*args):
+        built.append(1)
+        return plan(*args)
+
+    monkeypatch.setattr(category, "_gather_plan", counting)
+    assert validate_category(squares["ising"]).passed
+    assert len(built) == 10
 
 
 def test_batched_coherence_matches_the_loops_with_multiplicity():
@@ -240,9 +330,8 @@ def test_batched_coherence_matches_the_loops_with_multiplicity():
     have many multiplicity signatures, the deviations are the loops'."""
     spec = random_rep_a4()
     assert _pentagon_deviation(spec) == _reference_pentagon(spec)
-    for inverse in (False, True):
-        assert _hexagon_deviation(spec, inverse) == \
-            _reference_hexagon(spec, inverse)
+    assert _hexagon_deviations(spec) == (_reference_hexagon(spec, False),
+                                         _reference_hexagon(spec, True))
 
 
 def test_multiplicity_deviations_are_pinned():
@@ -253,10 +342,8 @@ def test_multiplicity_deviations_are_pinned():
     spec.ring.check_axioms()
     assert _pentagon_deviation(spec) == \
         pytest.approx(52.811151219724614, rel=1e-12)
-    assert _hexagon_deviation(spec, inverse=False) == \
-        pytest.approx(21.927861018782412, rel=1e-12)
-    assert _hexagon_deviation(spec, inverse=True) == \
-        pytest.approx(271.07264024483294, rel=1e-12)
+    assert _hexagon_deviations(spec) == pytest.approx(
+        (21.927861018782412, 271.07264024483294), rel=1e-12)
 
 
 def test_nan_braiding_fails(spec_of):
@@ -318,13 +405,15 @@ def test_nan_symbol_propagates_through_coherence(spec_of, table):
                            fib.theta, F, R)
         if table == "F":
             assert np.isnan(_pentagon_deviation(bad))
-        for inverse in (False, True):
-            assert np.isnan(_hexagon_deviation(bad, inverse)), (value, inverse)
+        braiding, inverse = _hexagon_deviations(bad)
+        assert np.isnan(braiding) and np.isnan(inverse), value
 
 
 def test_rank_25_square_is_coherent(spec_of):
-    """validate_category on the z_5(2) square: 390,625 pentagon tuples,
-    enumerated one first label at a time."""
+    """validate_category on the z_5(2) square: 390,625 pentagon tuples.
+    Each first label enumerates 15,625, more than ``_ROUND_ROWS``, so the
+    pentagon takes one round per first label and the hexagons, 625 tuples
+    per label, thirteen labels per round."""
     rep = validate_category(deligne_power(spec_of("z_5(2)"), 2))
     assert rep.passed, rep.summary()
     assert rep.max_deviation < 1e-9
