@@ -262,9 +262,7 @@ class FusionRing:
         N = self.N.reshape(self.rank ** 2, self.rank)
         mult = N[np.nonzero(N)]
         channel = np.repeat(np.nonzero(N)[1], mult)
-        alpha = np.arange(len(channel)) \
-            - np.repeat(np.cumsum(mult) - mult, mult)
-        return np.r_[0, np.cumsum(N.sum(axis=1))], channel, alpha
+        return np.r_[0, np.cumsum(N.sum(axis=1))], channel, _ranges(0, mult)
 
     def fusion_channels(self, x, y):
         """Every channel of every pair of the label arrays x, y: (i, z) with
@@ -272,9 +270,8 @@ class FusionRing:
         start, chans = self._channel_csr()
         pair = x * self.rank + y
         count = start[pair + 1] - start[pair]
-        i = np.repeat(np.arange(len(pair)), count)
-        within = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
-        return i, chans[start[pair][i] + within]
+        return (np.repeat(np.arange(len(pair)), count),
+                chans[_ranges(start[pair], count)])
 
     def check_axioms(self):
         """Raise RingAxiomError unless unit, duality, associativity and the
@@ -547,6 +544,12 @@ def _encode(labels, rank) -> np.ndarray:
     return key
 
 
+def _ranges(first, count) -> np.ndarray:
+    """The concatenated ranges first[i] .. first[i] + count[i] - 1."""
+    return np.arange(count.sum()) \
+        + np.repeat(first - (np.cumsum(count) - count), count)
+
+
 def _changes(values) -> np.ndarray:
     """Mask of the entries that differ from their predecessor; the first
     entry does."""
@@ -684,8 +687,7 @@ def _f_layout_store(spec: CategorySpec, blocks) -> _Store:
              + _channel_starts(block, f, width))
     sizes = height * width
     entry = np.repeat(np.arange(len(sizes)), sizes)
-    within = np.arange(len(entry)) - (np.cumsum(sizes) - sizes)[entry]
-    row, col = np.divmod(within, width[entry])
+    row, col = np.divmod(_ranges(0, sizes), width[entry])
     full = np.concatenate([blk.ravel() for blk in blocks])
     return _store(r, ((0, 1, 4), (4, 2, 3), (1, 2, 5), (0, 5, 3)),
                   key[order], sizes,
@@ -880,7 +882,9 @@ class _LabelTable:
 
 # The most label tuples that one round of the pentagon or the hexagons
 # enumerates before the last filter of its left side, unless one first
-# label alone needs more: a bound on a round's tables and gathers.
+# label alone needs more, and the most fusion paths that one round of a
+# ``fusion_paths`` flush enumerates or sorts, unless one word order or step
+# alone needs more: a bound on a round's tables, gathers and index arrays.
 _ROUND_ROWS = 1 << 13
 
 

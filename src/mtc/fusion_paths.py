@@ -14,15 +14,18 @@ of equal size are stacked into one array (B, n, n), never padded.
 
 The braid generator sigma_p changes only A_p, mu_p and mu_{p+1}; every
 other label of a path is its context.  On the paths of one context it is
-the block of ``engine.braid_generator`` on the word (A_{p-1}, w_p, w_{p+1})
-at p = 2 and root A_{p+1} (for p = 1 that of (w_1, w_2) at root A_2, the
-R-block), and a path's position in that block is its rank in the context
-sorted by (A_p, mu_p, mu_{p+1}).  A block crossing and a monodromy are the
-generator sequences of ``engine.block_crossing`` and
-``engine.double_braiding``; an inverse is one stacked ``category._inverses``
-per block size, and D^n is ``np.linalg.matrix_power`` of the stacked D.  The
-twist of the first k letters, whiskered on the right, is diagonal:
-theta_{A_k} on each path.
+the local block of sigma_2 on the word (x, a, b) = (A_{p-1}, w_p, w_{p+1})
+at root y = A_{p+1}: one F-move, the R-block and one F-move back,
+F[x,b,a,y] (R_{ab} on each channel) F[x,a,b,y]^-1, as
+``engine.braid_generator`` whiskers it.  For p = 1, x = A_0 = 0 and the
+F-blocks are identities, so that is the R-block of (w_1, w_2) at root A_2.
+A path's position in that block is its rank in the context sorted by
+(A_p, mu_p, mu_{p+1}), the row order of the F-blocks.  A block crossing
+and a monodromy are the generator sequences of ``engine.block_crossing``
+and ``engine.double_braiding``; an inverse is one stacked
+``category._inverses`` per block size, and D^n is ``np.linalg.matrix_power``
+of the stacked D.  The twist of the first k letters, whiskered on the
+right, is diagonal: theta_{A_k} on each path.
 
 Braids are built when first used.  ``PathStack.braid`` only queues the
 generator steps (source order, p, over) that it needs, and a braid's
@@ -32,14 +35,14 @@ queue in a few rounds: the paths of every new word order are enumerated
 together, one row gather per fusion step over the ring's
 multiplicity-expanded fusion vertices; the generators are sorted by
 context, every (order, p) of a round in one ``np.lexsort``, and written by
-one gather from the spec's table of local blocks, which reads each
-(A_{p-1}, w_p, w_{p+1}, A_{p+1}) from ``engine.braid_generator`` the first
-time it is met.  No F-move is computed here.  A round enumerates or sorts
-at most ``_ROUND_ROWS`` paths, unless one word order or step alone needs
-more, which bounds the memory of a flush.  Each sweep names all its
-braids before it compares the first, so that one flush builds them.  An
-error of the data, such as a singular block, is therefore raised where a
-braid is first read, not where it is named.
+one gather from the spec's store of local blocks of their sense.  That
+store holds the block of every F-block key (x, a, b, y), built in one
+batched product per block size from the F-, inverse F- and R-tables.  A
+round enumerates or sorts at most ``_ROUND_ROWS`` paths, unless one word
+order or step alone needs more, which bounds the memory of a flush.  Each
+sweep names all its braids before it compares the first, so that one flush
+builds them.  An error of the data, such as a singular block, is therefore
+raised where a braid is first read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
@@ -60,13 +63,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import CategorySpec, _check_words, _inverses, cached
-from .engine import braid_generator
+from .category import (_ROUND_ROWS, CategorySpec, _changes, _check_words,
+                       _encode, _f_block_keys, _f_inverses, _inverses, _mult,
+                       _r_store, _ranges, _stacks, _store, _Store, cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
-
-# The most paths that one round of a flush enumerates or sorts, unless one
-# word order or step alone needs more: a bound on a round's index arrays.
-_ROUND_ROWS = 1 << 13
 
 
 def _crossing(start: int, k: int, m: int) -> tuple:
@@ -105,50 +105,46 @@ def _packed(digits, radices) -> list:
     return keys
 
 
-def _ranges(first, count) -> np.ndarray:
-    """The concatenated ranges first[i] .. first[i] + count[i] - 1."""
-    return np.arange(count.sum()) \
-        + np.repeat(first - (np.cumsum(count) - count), count)
-
-
-class _LocalBlocks:
-    """The local blocks of sigma_p on one spec, read as their codes are
-    first met.  Code (((s * (rank + 1) + A_{p-1} + 1) * rank + w_p) * rank
-    + w_{p+1}) * rank + A_{p+1}, with A_{p-1} + 1 = 0 for the two-letter
-    word of p = 1 and s = 0 over, 1 under, has its block, read row-major,
-    at ``values[offset[code]:]``; an offset of -1 is not read yet.  The
-    offsets are dense, 2 (rank + 1) rank^3 of them."""
-
-    __slots__ = ("offset", "values")
-
-    def __init__(self, rank: int):
-        self.offset = np.full(2 * (rank + 1) * rank ** 3, -1, dtype=np.int32)
-        self.values = np.zeros(0, dtype=np.complex128)
-
-    def find(self, spec: CategorySpec, code) -> np.ndarray:
-        """The offsets of the codes, reading every new one from
-        ``engine.braid_generator``."""
-        at = self.offset[code]
-        if (at >= 0).all():
-            return at
-        r, flat, end = spec.rank, [self.values], len(self.values)
-        for key in np.unique(code[at < 0]).tolist():
-            rest, y = divmod(key, r)
-            rest, b = divmod(rest, r)
-            rest, a = divmod(rest, r)
-            under, x = divmod(rest, r + 1)
-            word = (a, b) if x == 0 else (x - 1, a, b)
-            gen = braid_generator(spec, word, len(word) - 1, not under)
-            o, rows, cols = gen.layout.roots[y]
-            flat.append(gen.flat[o:o + rows * cols])
-            self.offset[key], end = end, end + rows * cols
-        self.values = np.concatenate(flat)
-        return self.offset[code]
-
-
-@cached("path_blocks")
-def _local_blocks(spec: CategorySpec) -> _LocalBlocks:
-    return _LocalBlocks(spec.rank)
+@cached("braid_blocks")
+def _braid_blocks(spec: CategorySpec, over: bool) -> _Store:
+    """The local block of sigma_2 on (x, a, b) at root y for every F-block
+    key (x, a, b, y), row-major: c_{a,b} (``over``) or c_{b,a}^-1
+    whiskered by x, F[x,b,a,y] R F[x,a,b,y]^-1, where R acts on the
+    F-block columns (f, gamma, delta) as the R-block of channel f on gamma
+    and as the identity on delta."""
+    ring, r = spec.ring, spec.rank
+    _, codes, _ = _f_block_keys(ring)
+    x, a, b, y = np.unravel_index(codes, (r,) * 4)
+    F = list(spec._f_all.values())
+    n = np.array([blk.shape[0] for blk in F])
+    start = np.cumsum(n * n) - n * n
+    # each channel f of a (x) b in each block k, from its column ``first``
+    # on, and entry (i, j) of its R-block at every delta < N[x, f, y]
+    k, f = ring.fusion_channels(a, b)
+    m = _mult(ring.N, x[k], f, y[k])
+    k, f, m = k[m > 0], f[m > 0], m[m > 0]
+    g = _mult(ring.N, a[k], b[k], f)
+    first = np.cumsum(g * m) - g * m
+    first -= first[np.searchsorted(k, k)]
+    e = np.repeat(np.arange(len(k)), g * g * m)
+    i, rest = np.divmod(_ranges(0, g * g * m), (g * m)[e])
+    j, d = np.divmod(rest, m[e])
+    R = _r_store(spec, not over)
+    middle = np.zeros(n @ n, dtype=np.complex128)
+    middle[start[k[e]] + (first[e] + i * m[e] + d) * n[k[e]] + first[e]
+           + j * m[e] + d] = R.flat[R.starts((a[k], b[k], f))[e]
+                                    + i * g[e] + j]
+    # one product per block size; a non-finite entry spreads NaN through
+    # its block
+    swap = np.searchsorted(codes, _encode((x, b, a, y), r)).tolist()
+    out = np.empty_like(middle)
+    with np.errstate(invalid="ignore"):
+        for (idx, fs), (_, fi) in zip(_stacks([F[i] for i in swap]), _stacks(
+                list(_f_inverses(spec).values()))):
+            at = start[idx, None] + np.arange(fs[0].size)
+            out[at] = (fs @ (middle[at].reshape(fs.shape) @ fi)).reshape(
+                at.shape)
+    return _store(r, (), codes, n * n, out)
 
 
 class Braid:
@@ -235,8 +231,7 @@ class PathStack:
         self._enumerate([ident])
         paths = self._paths[ident]
         self._count = len(paths)  # paths per word order
-        starts = np.flatnonzero(np.r_[True, np.diff(paths[:, self._block])
-                                      != 0])
+        starts = np.flatnonzero(_changes(paths[:, self._block]))
         sizes = np.diff(np.r_[starts, len(paths)])
         self.tuple_of = paths[starts, self._tuple]  # of each block
         self.first_block = np.searchsorted(self.tuple_of,
@@ -317,7 +312,7 @@ class PathStack:
         paths = grow[np.lexsort(keys[::-1]), :width]
         g = paths[:, self._tuple].copy()
         key = g * r + paths[:, L]
-        first = np.r_[True, key[1:] != key[:-1]]
+        first = _changes(key)
         block = np.cumsum(first) - 1
         per_order = (block[-1] + 1) // len(orders)
         paths[:, self._pos] = np.arange(len(key)) \
@@ -356,17 +351,13 @@ class PathStack:
             [local[:, 0], local[:, 1], local[:, 2]], [r, m, m])][::-1]
             + context[::-1])
         table = table.reshape(len(ranked), -1)
-        change = np.zeros(len(ranked), dtype=bool)
-        change[0] = True
-        for key in context:
-            key = key[ranked]
-            change[1:] |= key[1:] != key[:-1]
-        starts = np.flatnonzero(change)
+        starts = np.flatnonzero(np.logical_or.reduce(
+            [_changes(key[ranked]) for key in context]))
         size = np.diff(np.r_[starts, len(ranked)])
         first = np.searchsorted(ranked[starts] // n_rows,
                                 np.arange(len(pairs) + 1))
         # the contexts of every step, source and target aligned, and the
-        # code of each one's local block
+        # key (A_{p-1}, w_p, w_{p+1}, A_{p+1}) of each one's local block
         src = np.array([pairs[order, p] for order, p, _ in steps])
         dst = np.array([pairs[_swapped(order, p), p]
                         for order, p, _ in steps])
@@ -378,26 +369,29 @@ class PathStack:
         lead = ranked[starts[cs]]
         t = table[lead, self._tuple]
         slots = np.array([order for order, _, _ in steps])
-        under = np.array([not over for _, _, over in steps])[step]
-        x = np.where(p > 1, table[lead, p - 1] + 1, 0)
-        code = (((under * (r + 1) + x) * r
-                 + self.labels[t, slots[step, p - 1]]) * r
-                + self.labels[t, slots[step, p]]) * r + table[lead, p + 1]
-        blocks = _local_blocks(spec)
-        at = blocks.find(spec, code)
+        sense = np.array([over for _, _, over in steps])[step]
+        # the stores of both senses share their keys and offsets
+        at = _braid_blocks(spec, bool(sense[0])).starts((
+            table[lead, p - 1], self.labels[t, slots[step, p - 1]],
+            self.labels[t, slots[step, p]], table[lead, p + 1]))
         # every (row, column) pair of every context
         size = size[cs]
         count = size * size
         g = np.repeat(np.arange(len(cs)), count)
-        li, lj = np.divmod(_ranges(np.zeros_like(count), count), size[g])
+        li, lj = np.divmod(_ranges(0, count), size[g])
+        at = at[g] + li * size[g] + lj
+        value = np.empty(len(g), dtype=np.complex128)
+        for over in np.unique(sense).tolist():
+            pick = sense[g] == over
+            value[pick] = _braid_blocks(spec, over).flat[at[pick]]
         i = ranked[starts[cd[g]] + li]
         j = ranked[starts[cs[g]] + lj]
         block = table[j, self._block]
         n = self.size_of[block]
         out = np.zeros((len(steps), self.flat_size), dtype=np.complex128)
         out.reshape(-1)[step[g] * self.flat_size + self.offset[block]
-                        + table[i, self._pos] * n + table[j, self._pos]] = \
-            blocks.values[at[g] + li * size[g] + lj]
+                        + table[i, self._pos] * n
+                        + table[j, self._pos]] = value
         for (order, p, over), flat in zip(steps, out):
             self._braids[order, (p,), over] = self._split(flat)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .category import CategorySpec, ModularDatum
 from .deligne import MAX_PRODUCT_RANK
-from .engine import trees
 from .errors import RankOverflow, ShapeMismatch
 from .report import VerificationReport, max_dev
 
@@ -178,7 +177,7 @@ def annulus_coefficient(base: CategorySpec, i: int, j: int, k: int,
 def annulus_tree_count(base: CategorySpec, i: int, j: int, k: int,
                        l: int) -> int:
     """The same dimension counted by fusion trees."""
-    return len(trees(base, (i, j, k)).get(l, []))
+    return len(base.ring.tree_basis((i, j, k)).get(l, []))
 
 
 def induced_multiplicities(base: CategorySpec, i: int, j: int) -> np.ndarray:

@@ -7,8 +7,8 @@ each tuple the deviation that ``modcat`` gives it; single generators, their
 inverses and the twists of prefixes must equal the engine's on Rep(A4)
 words, whose local blocks have fusion multiplicity 2, also when one
 deferred flush enumerates several word orders at once.  Guards pin the
-number of batched rounds of a module pass and that stacks and braids are
-freed by reference counting.  The batched sides are products of local
+number of batched rounds of a module pass and that stacks, braids and a
+spec that ran the module section are freed by reference counting.  The batched sides are products of local
 generators, so on an F that fails the pentagon they can agree where the
 engine's whiskered composites do not: the last tests pin what the report
 still sees then, and which module checks hold by construction.
@@ -204,7 +204,9 @@ def test_module_sweeps_build_in_few_rounds(monkeypatch):
 def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
                                                            spec_of):
     """Under gc.disable(), every stack and braid of an alpha-functor sweep
-    dies by reference counting once the sweep returns."""
+    dies by reference counting once the sweep returns, and so does a spec
+    once the module section has run on it: its cache holds arrays, not
+    objects that point back at it."""
     refs = []
     init, braid = PathStack.__init__, PathStack.braid
 
@@ -224,6 +226,13 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
         fusion_paths.alpha_functor_deviations(
             spec_of("fibonacci"), [(1, 1, 0, 1, 1, 1, 1),
                                    (0, 1, 1, 1, 0, 1, 1)])
+        for name in ("fibonacci", "ising"):
+            # the resolver hands its one reference to run_suite
+            specs = [suite.get_category(name)]
+            refs.append(weakref.ref(specs[0]))
+            monkeypatch.setattr(suite, "resolve_target",
+                                lambda target: specs.pop())
+            assert run_suite(name, suites=["module"]).passed
         assert len(refs) > 10
         assert all(ref() is None for ref in refs)
     finally:

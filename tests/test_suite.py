@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import mtc.engine as engine
 import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc.builtins import BUILTIN_NAMES
@@ -87,14 +88,19 @@ MODULE_CHECKS = ["module_pentagon", "left_module_pentagon", "module_triangle",
 
 @pytest.mark.parametrize("target", BUILTIN_NAMES)
 def test_module_sweeps_make_no_per_tuple_call(monkeypatch, target):
-    """Every module sweep runs on fusion paths: with the per-tuple
-    structures of ``modcat``, which its deviation functions all build on,
-    made to raise, the module section still runs and passes."""
+    """Every module sweep runs on fusion paths, and their local blocks come
+    from the F- and R-tables: with the per-tuple structures of ``modcat``,
+    which its deviation functions all build on, and the engine's split
+    transforms and left whiskering made to raise, the module section still
+    runs and passes."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a module sweep called modcat per tuple")
+        raise AssertionError("a module sweep called modcat per tuple or "
+                             "whiskered through the engine")
 
     for name in ("psi", "psi_hat", "gamma", "alpha_induction"):
         monkeypatch.setattr(modcat, name, refuse)
+    for name in ("split_transform", "_whisker_left"):
+        monkeypatch.setattr(engine, name, refuse)
     report = run_suite(target, suites=["module"])
     assert [c.name for c in report.checks] == MODULE_CHECKS
     assert report.passed
