@@ -27,47 +27,39 @@ position map (``tree_positions`` for trees) and is built once per ring and
 shared by every spec on it; the split bases are kept by
 ``engine.split_transform`` with their change of basis.  Every other module
 looks positions up there.  ``layout`` places the root blocks of a morphism
-src -> dst in one flat array, once per (src, dst).  ``CategorySpec`` holds
-what F and R decide: ``f_block``, ``r_block`` and ``f_tensor``, which
-reads the part of an F-block between one row channel e and one column
-channel f as an array [alpha, beta, gamma, delta].
+src -> dst in one flat array, once per (src, dst).  ``f_tensor`` reads the
+part of an F-block between one row channel e and one column channel f as
+an array [alpha, beta, gamma, delta].
 
-The pentagon and the hexagons are contractions of these arrays, checked as
-batched block algebra.  Their label tuples are enumerated as a table of
-named label columns by channel expansion over N > 0, for many first
-labels at once: a round takes consecutive first labels while the tuples
-they enumerate, counted from N beforehand, stay within ``_ROUND_ROWS``,
-which bounds a round's memory.  Every ``f_tensor`` block sits in one flat
-F store per spec, keyed by (a, b, c, d, e, f), the inverse F-moves in a
-store of the same layout, and every R-action in an R store keyed by
-(x, y, z); the blocks of a set of tuples are gathered from the stores by
-key, a missing one reading as zeros.  The tuples whose blocks have equal
-shapes, their multiplicity signature read from the vertex multiplicities
-that the table gathers once, are contracted by one einsum with a batch
-axis; the gather positions form a plan that can be contracted again with
-other stores of the same keys, as both hexagons do with the braiding and
-its inverse and ``mtc.frobenius`` does once per exponent.  The ribbon
-identity multiplies stacks of R-blocks, one per multiplicity, and
-``f_completeness`` takes the singular values of one stack of F-blocks per
-block shape.
+A spec holds each symbol once, in the ``blocks`` section of its cache:
+every block, the unit strands' identities included, in one flat array,
+the blocks of one size stacked in key order (``_Keys``, ``_Blocks``).
+``f_block``, ``r_block``, ``F`` and ``R`` read views of them; the F-
+and R-inverses, ``f_completeness`` and the stores read whole stacks.  A
+product spec takes its blocks laid out so from ``deligne_pair``.
 
-Every derived table is memoised on its owner by ``cached``, one section of
-the owner's ``_cache`` per table: the ring's ``trees``, ``sums``,
-``layouts``, ``tree_pos``, ``f_basis``, ``channel_csr``,
-``fusion_vertices``, ``f_keys``, ``frobenius_channels`` and the
-engine's ``compose`` and ``whisker_right`` plans, a product ring's
-``ptree_map``, a spec's ``f_tensor``, ``f_store``, ``f_inverses``,
-``finv_store``, ``r_inverses`` and ``r_store``, the engine and module
-tables and the Frobenius channel tables ``monodromy``, ``m_channels``,
-``delta_channels`` and ``frobenius_terms``, and a
-``PermutationAlgebra``'s ``m``, ``delta``, ``phi`` and ``proj``.
+The pentagon and the hexagons are contractions of ``f_tensor`` blocks,
+checked as batched block algebra over label tables of named columns,
+enumerated by channel expansion over N > 0 for runs of first labels that
+stay within ``_ROUND_ROWS`` tuples, which bounds a round's memory.  A
+store reads its blocks in place by arithmetic on the codes of the
+tuple's fusion vertices (``FusionRing._vertices``): an R-block by its
+vertex, an ``f_tensor`` block by the two-vertex paths of its row and its
+column channel, which give its place in the F-block and the F-block's
+place; a missing block reads as zeros.  Tuples whose blocks have equal
+shapes are contracted by one einsum with a batch axis, from a gather plan
+that other stores of the same keys can reuse, as the two hexagons and
+``mtc.frobenius`` do.
+
+Every derived table is memoised on its owner by ``cached``, one section
+of the owner's ``_cache`` per table; README lists them.
 
 Input is checked where it enters, and its readers trust it.  A
 ``FusionRing`` checks its axioms when it is built, so every F- and R-block
 is square.  Public tables refuse look-alike words such as (1.0,) on every
 call, ``tree_basis`` checks range and length once, and ``CategorySpec``
 refuses a missing or misshapen F- or R-block, or one on a unit strand,
-when it is built, and holds every block of both symbols.
+when it is built.
 """
 
 from __future__ import annotations
@@ -234,8 +226,7 @@ class FusionRing:
         self.N.setflags(write=False)
         self.dual.setflags(write=False)
         self._rules = (self.N, self.dual)  # one pair shared by every layout
-        self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
-                           for row in plane] for plane in self.N]
+        self._channels = None  # built by the first ``channels`` call
         self._cache = {"roots": {}}
         self.check_axioms()
 
@@ -244,14 +235,29 @@ class FusionRing:
 
     def channels(self, a, b):
         """The labels c with N[a,b,c] > 0, ascending."""
+        if self._channels is None:
+            self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
+                               for row in plane] for plane in self.N]
         return self._channels[a][b]
 
-    @cached("channel_csr")
-    def _channel_csr(self):
-        """(start, channels): the channels of the pair (a, b) are
-        ``channels[start[a * rank + b]:start[a * rank + b + 1]]``."""
-        pairs, chans = np.nonzero(self.N.reshape(self.rank ** 2, self.rank))
-        return np.searchsorted(pairs, np.arange(self.rank ** 2 + 1)), chans
+    @cached("vertices")
+    def _vertices(self):
+        """(number, head, tail, start, codes) of the fusion vertices (x, y,
+        z) with N > 0: ``codes`` (x * rank + y) * rank + z ascending, those
+        of the pair x * rank + y from start[pair] on.  By code, ``number``
+        numbers them and path (x y -> z)(z w -> v) (``_f_paths``) is number
+        head[code(x, y, z)] + tail[code(z, w, v)]; -1 or negative where N
+        is 0."""
+        r = self.rank
+        codes = np.flatnonzero(self.N)
+        start = np.searchsorted(codes, np.arange(r * r + 1) * r)
+        first = start[::r]  # of the vertices with first label x
+        number, head, tail = np.full((3, r ** 3), -(1 << 40), dtype=np.int64)
+        number[:] = -1
+        number[codes] = np.arange(len(codes))
+        head[codes] = np.r_[0, np.cumsum(np.diff(first)[codes % r])][:-1]
+        tail[codes] = number[codes] - first[codes // (r * r)]
+        return number, head, tail, start, codes
 
     @cached("fusion_vertices")
     def _fusion_vertices(self):
@@ -267,11 +273,11 @@ class FusionRing:
     def fusion_channels(self, x, y):
         """Every channel of every pair of the label arrays x, y: (i, z) with
         z in x[i] (x) y[i], ascending in i and then in z."""
-        start, chans = self._channel_csr()
+        _, _, _, start, codes = self._vertices()
         pair = x * self.rank + y
         count = start[pair + 1] - start[pair]
         return (np.repeat(np.arange(len(pair)), count),
-                chans[_ranges(start[pair], count)])
+                codes[_ranges(start[pair], count)] % self.rank)
 
     def check_axioms(self):
         """Raise RingAxiomError unless unit, duality, associativity and the
@@ -411,31 +417,108 @@ class FusionRing:
         return rows, _positions(rows), cols, _positions(cols)
 
 
-def _symbol_table(kind, given, sizes, strands) -> tuple:
-    """(complete, stored): for every pair (key, n) of ``sizes``, in order,
-    a frozen complex block of shape (n, n); and the keys without a unit
-    among their first ``strands`` labels.  Their blocks come from
-    ``given``; the others are the identity.  A missing or misshapen block,
-    or one given at no stored key, raises NotPremodular naming the key."""
-    complete, stored = {}, {}
-    for key, n in sizes:
-        if all(key[:strands]):
+class _Keys:
+    """Where a spec holds one symbol's blocks, a square one per key: keys
+    of ``arity`` labels, ascending as base-rank ``codes``, blocks of one
+    ``size`` stacked in key order, the stacks in one flat array by size.
+    groups[n] = (keys of size n, entry where their stack starts); key i is
+    at pos[i] of its stack, from entry start[i] on, and ``total`` entries
+    hold blocks.  A layout whose keys are never read (a ``PathStack``'s)
+    has no ``rank``, ``arity`` or ``codes``."""
+
+    def __init__(self, rank, arity, codes, size):
+        self.rank, self.arity, self.codes, self.size = rank, arity, codes, size
+        self.pos, self.start = np.empty_like(size), np.empty_like(size)
+        self.groups, self.total = {}, 0
+        for n in np.flatnonzero(np.bincount(size)).tolist():
+            idx = np.flatnonzero(size == n)
+            self.pos[idx] = np.arange(len(idx))
+            self.start[idx] = self.total + self.pos[idx] * n * n
+            self.groups[n] = (idx, self.total)
+            self.total += len(idx) * n * n
+
+
+class _Blocks:
+    """A spec's blocks of one symbol, laid out by ``keys`` in the read-only
+    array ``flat``, which ends in a zero block of the largest size;
+    ``table`` reads them per key, ``stack`` per size."""
+
+    __slots__ = ("keys", "flat", "_tables")
+
+    def __init__(self, keys: _Keys, flat):
+        flat.setflags(write=False)
+        self.keys, self.flat, self._tables = keys, flat, {}
+
+    def stack(self, n) -> np.ndarray:
+        idx, lo = self.keys.groups[n]
+        return self.flat[lo:lo + len(idx) * n * n].reshape(len(idx), n, n)
+
+    def apply(self, fn) -> np.ndarray:
+        """A writable array laid out as ``flat``, with fn(keys, stack) for
+        every stack, the keys as positions in ``keys.codes``."""
+        out = np.zeros_like(self.flat)
+        for n, (idx, lo) in self.keys.groups.items():
+            out[lo:lo + len(idx) * n * n] = fn(idx, self.stack(n)).ravel()
+        return out
+
+    def table(self, strands=0) -> dict:
+        """{key: view} of the keys without a unit among their first
+        ``strands`` labels, in key order; made on first call."""
+        if strands not in self._tables:
+            k = self.keys
+            labels = np.unravel_index(k.codes, (k.rank,) * k.arity)
+            self._tables[strands] = {
+                key: self.flat[at:at + n * n].reshape(n, n)
+                for key, at, n in zip(zip(*(x.tolist() for x in labels)),
+                                      k.start.tolist(), k.size.tolist())
+                if all(key[:strands])}
+        return self._tables[strands]
+
+
+def _blocks(spec, kind) -> _Blocks:
+    """The spec's F- or R-blocks, the one copy that every reader reads."""
+    return spec._cache["blocks"][kind]
+
+
+class _Laid(NamedTuple):
+    """Blocks laid out as the spec lays its own, from ``deligne_pair``."""
+    flat: np.ndarray
+
+
+def _symbol(kind, given, keys: _Keys, strands) -> _Blocks:
+    """Every block: the ``given`` ones at the keys without a unit among
+    their first ``strands`` labels, and the identity, made once per block
+    size, at the others.  ``_Laid`` blocks are trusted; a dict {key: block}
+    is checked, and a missing or misshapen block, or one given at no such
+    key, raises NotPremodular naming the key."""
+    labels = np.unravel_index(keys.codes, (keys.rank,) * keys.arity)
+    stored = np.logical_and.reduce(labels[:strands])
+    if isinstance(given, _Laid):
+        flat = given.flat
+    else:
+        flat = np.empty(keys.total + int(keys.size.max()) ** 2,
+                        dtype=np.complex128)
+        want = dict(zip(zip(*(x[stored].tolist() for x in labels)),
+                        zip(keys.start[stored].tolist(),
+                            keys.size[stored].tolist())))
+        for key, (at, n) in want.items():
             blk = given.get(key)
             if blk is None:
                 raise NotPremodular(f"missing {kind}-symbols for {key}")
-            stored[key] = blk = np.asarray(blk, dtype=np.complex128)
+            blk = np.asarray(blk, dtype=np.complex128)
             if blk.shape != (n, n):
                 raise NotPremodular(f"{kind}-block {key} has shape "
                                     f"{blk.shape}, expected {(n, n)}")
-        else:
-            blk = np.eye(n, dtype=np.complex128)
-        blk.setflags(write=False)
-        complete[key] = blk
-    if len(stored) < len(given):
-        key = next(k for k in given if k not in stored)
-        raise NotPremodular(f"{kind}-symbols for {key!r}, which are not "
-                            "stored: a unit strand or no fusion channel")
-    return complete, stored
+            flat[at:at + n * n] = blk.ravel()
+        if len(want) < len(given):
+            key = next(k for k in given if k not in want)
+            raise NotPremodular(f"{kind}-symbols for {key!r}, which are not "
+                                "stored: a unit strand or no fusion channel")
+    for n, (idx, lo) in keys.groups.items():
+        flat[lo:lo + len(idx) * n * n].reshape(-1, n, n)[~stored[idx]] = \
+            np.eye(n)
+    flat[keys.total:] = 0
+    return _Blocks(keys, flat)
 
 
 _EMPTY = np.zeros((0, 0), dtype=np.complex128)
@@ -468,21 +551,11 @@ class CategorySpec:
                 raise NotPremodular(f"{what} has shape {arr.shape}, expected "
                                     f"{(self.rank,)}")
             arr.setflags(write=False)
-        N = ring.N
-        # every block is square, as the ring is associative and commutative;
-        # its size counts its trees (a, b, e, c, d) with multiplicity
-        (a, b, e, c, d), codes, keys = _f_block_keys(ring)
-        sizes = np.bincount(
-            np.searchsorted(codes, _encode((a, b, c, d), self.rank)),
-            _mult(N, a, b, e) * _mult(N, e, c, d), len(codes))
-        self._f_all, self.F = _symbol_table(
-            "F", F, zip(keys, sizes.astype(np.int64).tolist()), 3)
-        self._r_all, self.R = _symbol_table("R", R, (
-            ((a, b, c), ring.n(a, b, c)) for a, b, c in np.argwhere(N).tolist()),
-            2)
+        # every block is square, as the ring is associative and commutative
+        self._cache = {"blocks": {"F": _symbol("F", F, _f_keys(ring), 3),
+                                  "R": _symbol("R", R, _r_keys(ring), 2)}}
         self.label_names = list(label_names) if label_names else None
         self.product_of = product_of  # (base name, factor count) for products
-        self._cache = {}
 
     # -- label helpers ----------------------------------------------------
     @property
@@ -498,15 +571,26 @@ class CategorySpec:
         return str(i)
 
     # -- F/R lookup --------------------------------------------------------
-    def _block(self, table, kind, key) -> np.ndarray:
-        """The block of ``table`` at ``key``, empty if it has no trees."""
+    @property
+    def F(self) -> dict:
+        """The F-blocks without a unit among a, b, c, as given, by key."""
+        return _blocks(self, "F").table(3)
+
+    @property
+    def R(self) -> dict:
+        """The R-blocks without a unit among a, b, as given, by key."""
+        return _blocks(self, "R").table(2)
+
+    def _block(self, kind, key) -> np.ndarray:
+        """The block of the symbol ``kind`` at ``key``, empty if it has no
+        trees."""
         if not all(type(x) is int and 0 <= x < self.rank for x in key):
             raise InvalidWord(f"{kind}-block labels {key} are not Python "
                               f"ints in [0, {self.rank})")
-        return table.get(key, _EMPTY)
+        return _blocks(self, kind).table().get(key, _EMPTY)
 
     def f_block(self, a, b, c, d) -> np.ndarray:
-        return self._block(self._f_all, "F", (a, b, c, d))
+        return self._block("F", (a, b, c, d))
 
     @cached("f_tensor")
     def f_tensor(self, a, b, c, d, e, f) -> np.ndarray:
@@ -526,7 +610,7 @@ class CategorySpec:
 
     def r_block(self, a, b, c) -> np.ndarray:
         """Matrix of c_{a,b} on channel c; rows index (b a -> c), columns (a b -> c)."""
-        return self._block(self._r_all, "R", (a, b, c))
+        return self._block("R", (a, b, c))
 
     def __repr__(self):
         return f"CategorySpec({self.name!r}, rank={self.rank})"
@@ -564,148 +648,120 @@ def _mult(N, x, y, z) -> np.ndarray:
     return N.ravel()[(x * r + y) * r + z]
 
 
-def _free(cols, rank):
-    """Every row of the label columns once per label, appended."""
-    return [np.repeat(x, rank) for x in cols] + \
-        [np.tile(np.arange(rank), len(cols[0]))]
-
-
-def _fuse(ring, cols, x, y):
-    """Every row of the label columns once per channel of its labels
-    x (x) y, appended."""
-    i, z = ring.fusion_channels(cols[x], cols[y])
-    return [col[i] for col in cols] + [z]
-
-
-def _stacks(blocks):
-    """(indices, stacked blocks) for each block shape among ``blocks``."""
-    by_shape = {}
-    for i, blk in enumerate(blocks):
-        by_shape.setdefault(blk.shape, []).append(i)
-    for idx in by_shape.values():
-        yield idx, np.stack([blocks[i] for i in idx])
-
-
-def _channel_starts(block, channel, width):
-    """Offset of each row's channel within its block: the total width of
-    the block's lower channels, each distinct channel counted once."""
+def _below(block, channel, h) -> np.ndarray:
+    """Per entry, the sum of h over its block's entries of lower channel."""
     order = np.lexsort((channel, block))
-    b, c, w = block[order], channel[order], width[order]
-    new_block = _changes(b)
-    new = new_block | _changes(c)
-    below = np.cumsum(np.where(new, w, 0)) - w
-    first = np.maximum.accumulate(np.where(new_block, np.arange(len(b)), 0))
-    out = np.empty_like(below)
-    out[order] = below - below[first]
+    total = np.cumsum(h[order]) - h[order]
+    first = np.searchsorted(block[order], block[order])
+    out = np.empty_like(total)
+    out[order] = total - total[first]
     return out
 
 
+def _f_paths(ring: FusionRing) -> list:
+    """Label columns (x, y, z, w, v) of every two-vertex path (x y -> z)(z
+    w -> v), in the order of their numbers (``FusionRing._vertices``): the
+    trees (a, b, e, c, d) of every word (a, b, c) at every root d."""
+    cols = _LabelTable(ring, {"x": np.arange(ring.rank)}).grow(
+        "x", "y", "z").grow("z", "w", "v").cols
+    return [cols[x] for x in "xyzwv"]
+
+
+@cached("f_keys")
+def _f_keys(ring: FusionRing) -> _Keys:
+    """The ``_Keys`` of the F-blocks, a key (a, b, c, d) for every word (a,
+    b, c) and root d, and their channels.  The path t = (x y -> z)(z w ->
+    v) (``_f_paths``) is the channel z of the rows of the block row[t] =
+    F[x,y,w,v] and of the columns of the block col[t] = F[w,x,y,v],
+    N[x,y,z] N[z,w,v] of each, from row rowoff[t] and column coloff[t] on.
+    The channel's rows start at entry rowbase[t], stride[t] apart."""
+    r, N = ring.rank, ring.N
+    x, y, z, w, v = _f_paths(ring)
+    h = _mult(N, x, y, z) * _mult(N, z, w, v)
+    codes, row = np.unique(_encode((x, y, w, v), r), return_inverse=True)
+    K = _Keys(r, 4, codes, np.bincount(row, h, len(codes)).astype(np.int64))
+    K.row, K.col = row, np.searchsorted(codes, _encode((w, x, y, v), r))
+    K.rowoff, K.coloff = _below(row, z, h), _below(K.col, z, h)
+    K.stride = K.size[row]
+    K.rowbase = K.start[row] + K.rowoff * K.stride
+    return K
+
+
+@cached("r_keys")
+def _r_keys(ring: FusionRing) -> _Keys:
+    """The R-keys, one per fusion vertex, as ``FusionRing._vertices``."""
+    codes = np.flatnonzero(ring.N)
+    return _Keys(ring.rank, 3, codes, ring.N.ravel()[codes])
+
+
 class _Store(NamedTuple):
-    """Blocks keyed by label tuples, concatenated row-major in one flat
-    array from ``offsets[i]`` on for the i-th key and followed by zeros
-    from ``blank`` on, as many as the largest block has entries.  ``keys``
-    are the label tuples in base-rank notation, ascending; ``dims`` gives,
-    per block axis, the label triple (as positions in the tuple) whose
-    multiplicity is the axis's length."""
+    """Blocks keyed by label tuples in ``flat``, zeros from ``blank`` on.
+    ``dims`` gives, per block axis, the label triple (as positions in the
+    tuple) whose N is its length.  A fusion vertex's block starts at
+    index[its number] (index[-1] = blank); with ``index`` None, that of (a,
+    b, c, d, e, f) is F[a,b,c,d] from row channel e to column channel f,
+    found by its row path (a b -> e)(e c -> d) and column path (b c -> f)(f
+    a -> d) (``_f_keys``)."""
 
-    rank: int
+    ring: FusionRing
     dims: tuple
-    keys: np.ndarray
-    offsets: np.ndarray
-    blank: int
     flat: np.ndarray
+    blank: int
+    index: np.ndarray | None
 
-    def starts(self, labels) -> np.ndarray:
-        """Where the block of each tuple of the label columns starts in
-        ``flat``; a tuple without a block starts at the zeros."""
-        key = _encode(labels, self.rank)
-        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        return np.where(self.keys[pos] == key, self.offsets[pos], self.blank)
+    def codes(self, labels) -> list:
+        """The codes (x * rank + y) * rank + z of the label triples (x, y,
+        z) of ``dims`` in the label columns, one array per block axis."""
+        r = self.ring.rank
+        return [(labels[i] * r + labels[j]) * r + labels[k]
+                for i, j, k in self.dims]
 
-    def positions(self, labels, shape) -> np.ndarray:
-        """Where the entries of the label columns' blocks of ``shape`` lie
-        in ``flat``, one row per label tuple; a tuple without a block
-        points at the zeros."""
-        return self.starts(labels)[:, None] + np.arange(math.prod(shape))
+    def find(self, codes) -> tuple:
+        """(start, stride) from the ``codes`` of label tuples: where the
+        block of each starts in ``flat``, a tuple without a block at the
+        zeros; and the entries between the rows of an F-block, or None."""
+        number, head, tail, _, _ = self.ring._vertices()
+        if self.index is not None:
+            return self.index[number[codes[-1]]], None
+        F = _f_keys(self.ring)
+        row = head[codes[0]] + tail[codes[1]]
+        col = head[codes[2]] + tail[codes[3]]
+        return (np.where((row | col) < 0, self.blank,
+                         F.rowbase.take(row, mode="clip")
+                         + F.coloff.take(col, mode="clip")),
+                F.stride.take(row, mode="clip"))
 
     def take(self, labels, shape) -> np.ndarray:
         """The blocks of the label columns, stacked as (n, *shape).  A label
         tuple without a block reads as zeros and keeps its row."""
-        return self.flat[self.positions(labels, shape)].reshape(
-            (len(labels[0]),) + shape)
+        return self.flat[_spans(*self.find(self.codes(labels)), shape)
+                         ].reshape((len(labels[0]),) + shape)
 
 
-def _store(rank, dims, keys, sizes, flat) -> _Store:
-    """The store of the blocks concatenated in ``flat`` in key order, with
-    its zeros appended."""
-    pad = np.zeros(int(sizes.max(initial=0)), dtype=np.complex128)
-    return _Store(rank, dims, keys, np.cumsum(sizes) - sizes, len(flat),
-                  np.concatenate([flat, pad]))
+def _spans(start, stride, shape) -> np.ndarray:
+    """Where the entries of blocks of ``shape`` from each ``start`` on lie:
+    contiguous, or ``stride`` apart between the rows (first two axes) of an
+    F-tensor block."""
+    if stride is None:
+        return start[:, None] + np.arange(math.prod(shape))
+    rows = np.arange(shape[0] * shape[1])[:, None]
+    return (start[:, None, None] + stride[:, None, None] * rows
+            + np.arange(shape[2] * shape[3])).reshape(len(start), -1)
 
 
-@cached("f_keys")
-def _f_block_keys(ring: FusionRing):
-    """Label columns (a, b, e, c, d) of the trees of every word (a, b, c) at
-    every root d; and the keys (a, b, c, d) of the F-blocks, ascending, as
-    int codes and as tuples."""
-    r = ring.rank
-    cols = _fuse(ring, _free(_fuse(ring, _free([np.arange(r)], r), 0, 1), r),
-                 2, 3)
-    a, b, _, c, d = cols
-    codes = np.sort(_encode((a, b, c, d), r))
-    codes = codes[_changes(codes)]
-    keys = zip(*(x.tolist() for x in np.unravel_index(codes, (r,) * 4)))
-    return cols, codes, list(keys)
-
-
-def _f_layout_store(spec: CategorySpec, blocks) -> _Store:
-    """The store of ``blocks``, one square block per F-block key in
-    ``_f_block_keys`` order, laid out as the ``f_tensor`` blocks and keyed
-    by (a, b, c, d, e, f).
-
-    The blocks are concatenated in key order, and each tensor entry
-    [alpha, beta, gamma, delta] is gathered from row (e, alpha, beta) and
-    column (f, gamma, delta) of its block, where channel e starts after the
-    rows of the lower channels and f after their columns.
-    """
-    ring, N, r = spec.ring, spec.ring.N, spec.rank
-    cols, codes, _ = _f_block_keys(ring)
-    block_start = np.cumsum([0] + [blk.size for blk in blocks])
-    block_cols = np.array([blk.shape[1] for blk in blocks], dtype=np.int64)
-    # every tree (a, b, e, c, d) with every column channel f of its block
-    a, b, e, c, d, f = _fuse(ring, cols, 1, 3)
-    keep = _mult(N, a, f, d) > 0
-    labels = [x[keep] for x in (a, b, c, d, e, f)]
-    key = _encode(labels, r)
-    order = np.argsort(key)
-    a, b, c, d, e, f = (x[order] for x in labels)
-    block = np.searchsorted(codes, _encode((a, b, c, d), r))
-    height = _mult(N, a, b, e) * _mult(N, e, c, d)
-    width = _mult(N, b, c, f) * _mult(N, a, f, d)
-    start = (block_start[block]
-             + _channel_starts(block, e, height) * block_cols[block]
-             + _channel_starts(block, f, width))
-    sizes = height * width
-    entry = np.repeat(np.arange(len(sizes)), sizes)
-    row, col = np.divmod(_ranges(0, sizes), width[entry])
-    full = np.concatenate([blk.ravel() for blk in blocks])
-    return _store(r, ((0, 1, 4), (4, 2, 3), (1, 2, 5), (0, 5, 3)),
-                  key[order], sizes,
-                  full[start[entry] + row * block_cols[block[entry]] + col])
+_F_DIMS = ((0, 1, 4), (4, 2, 3), (1, 2, 5), (5, 0, 3))
 
 
 @cached("f_store")
-def _f_store(spec: CategorySpec) -> _Store:
-    """Every ``f_tensor`` block, keyed by (a, b, c, d, e, f)."""
-    return _f_layout_store(spec, list(spec._f_all.values()))
-
-
-@cached("finv_store")
-def _finv_store(spec: CategorySpec) -> _Store:
-    """The inverse F-moves, keyed and indexed as ``_f_store``: entry
-    [alpha, beta, gamma, delta] of (a, b, c, d, e, f) is the entry of
-    F[a,b,c,d]^-1 from column (e, alpha, beta) to row (f, gamma, delta)."""
-    return _f_layout_store(spec, [v.T for v in _f_inverses(spec).values()])
+def _f_store(spec: CategorySpec, inverse: bool = False) -> _Store:
+    """Every ``f_tensor`` block, keyed by (a, b, c, d, e, f); or with
+    ``inverse`` the inverse F-moves alike, entry [alpha, beta, gamma,
+    delta] that of F[a,b,c,d]^-1 from column (e, alpha, beta) to row (f,
+    gamma, delta)."""
+    F = _blocks(spec, "F")
+    flat = _f_inverses(spec).apply(lambda _, stack: stack.transpose(
+        0, 2, 1)) if inverse else F.flat
+    return _Store(spec.ring, _F_DIMS, flat, F.keys.total, None)
 
 
 def _inverses(stack, message) -> np.ndarray:
@@ -727,45 +783,43 @@ def _inverses(stack, message) -> np.ndarray:
     return out
 
 
-def _inverse_table(blocks: dict, what) -> dict:
-    """The read-only inverse of every block, keyed and ordered as
-    ``blocks`` and taken on one stack per block shape; the first singular
-    block raises NotPremodular naming what(key)."""
-    keys, out = list(blocks), {}
-    for idx, stack in _stacks(list(blocks.values())):
-        inverses = _inverses(stack, lambda i: f"{what(keys[idx[i]])} is "
-                                              "singular")
-        inverses.setflags(write=False)
-        out.update(zip([keys[i] for i in idx], inverses))
-    return {key: out[key] for key in keys}
+def _inverse_blocks(blocks: _Blocks, name, swap=None) -> _Blocks:
+    """The inverse of every block, or with ``swap`` of key swap[i]'s at key
+    i, one stack per block size; the first singular block raises
+    NotPremodular naming name(its key)."""
+    def invert(idx, stack):
+        if swap is not None:
+            idx = swap[idx]
+            stack = stack[blocks.keys.pos[idx]]
+        return _inverses(stack, lambda i: "{} is singular".format(
+            name(list(blocks.table())[idx[i]])))
+    return _Blocks(blocks.keys, blocks.apply(invert))
 
 
 @cached("f_inverses")
-def _f_inverses(spec: CategorySpec) -> dict:
-    """F[a,b,c,d]^-1 for every F-block key (a, b, c, d), in key order."""
-    return _inverse_table(spec._f_all,
-                          lambda k: "F-block ({},{},{};{})".format(*k))
+def _f_inverses(spec: CategorySpec) -> _Blocks:
+    """F[a,b,c,d]^-1 for every F-block key (a, b, c, d)."""
+    return _inverse_blocks(_blocks(spec, "F"),
+                           lambda k: "F-block ({},{},{};{})".format(*k))
 
 
 @cached("r_inverses")
-def _r_inverses(spec: CategorySpec) -> dict:
+def _r_inverses(spec: CategorySpec) -> _Blocks:
     """The inverse braiding c_{b,a}^-1 on channel c, the inverse of the
-    R-block (b, a, c), for every R key (a, b, c), in key order."""
-    R = spec._r_all
-    return _inverse_table({(a, b, c): R[b, a, c] for a, b, c in R},
-                          lambda k: f"R-block {(k[1], k[0], k[2])}")
+    R-block (b, a, c), for every R key (a, b, c)."""
+    R, r = _blocks(spec, "R"), spec.rank
+    a, b, c = np.unravel_index(R.keys.codes, (r,) * 3)
+    return _inverse_blocks(R, lambda k: f"R-block {k}",
+                           spec.ring._vertices()[0][(b * r + a) * r + c])
 
 
 @cached("r_store")
 def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
     """The braiding c_{x,y}, or with ``inverse`` the inverse braiding
     c_{y,x}^-1, on every channel z, keyed by (x, y, z)."""
-    N = spec.ring.N
-    x, y, z = np.nonzero(N)
-    blocks = (_r_inverses(spec) if inverse else spec._r_all).values()
-    return _store(spec.rank, ((1, 0, 2), (0, 1, 2)),
-                  _encode((x, y, z), spec.rank), N[x, y, z] ** 2,
-                  np.concatenate([blk.ravel() for blk in blocks]))
+    R = _r_inverses(spec) if inverse else _blocks(spec, "R")
+    return _Store(spec.ring, ((1, 0, 2), (0, 1, 2)), R.flat, R.keys.total,
+                  np.r_[R.keys.start, R.keys.total])
 
 
 def _groups(columns, base):
@@ -790,71 +844,72 @@ def _groups(columns, base):
 
 def _gather_plan(N, factors, sig=None) -> list:
     """Per multiplicity signature of the rows, the shapes of their blocks:
-    (row indices, one (positions, shape) per operand), the positions those
-    of ``_Store.positions``.  ``factors`` holds one (store, label columns)
-    pair per operand, and ``sig`` the length of every block axis of every
-    operand in turn, N at the axis's label triple; it is read from N when
-    it is not given."""
+    (row indices, one (positions, shape) per operand).  ``factors`` holds
+    one (store, codes of ``_Store.find``) pair per operand, and ``sig``,
+    read from N unless given, the length of every block axis in turn."""
     if sig is None:
-        sig = [_mult(N, labels[i], labels[j], labels[k])
-               for store, labels in factors for i, j, k in store.dims]
-    starts = [store.starts(labels) for store, labels in factors]
-    ends = np.cumsum([0] + [len(store.dims) for store, _ in factors]).tolist()
-    return [(idx, [(start[idx, None] + np.arange(math.prod(shape[lo:hi])),
-                    shape[lo:hi])
-                   for start, lo, hi in zip(starts, ends, ends[1:])])
+        sig = [N.ravel()[code] for _, codes in factors for code in codes]
+    found = [store.find(codes) for store, codes in factors]
+    ends = np.cumsum([0] + [len(codes) for _, codes in factors]).tolist()
+    return [(idx, [(_spans(start[idx], None if stride is None else
+                           stride[idx], shape[lo:hi]), shape[lo:hi])
+                   for (start, stride), lo, hi in zip(found, ends, ends[1:])])
             for idx, shape in _groups(sig, int(N.max()) + 1)]
 
 
-def _contract(out, offsets, subscripts, flats, plan):
-    """Add np.einsum(subscripts, *blocks) for every row of the plan into
-    its slot, the entries of ``out`` from ``offsets[row]`` on; operand i's
-    blocks are gathered from ``flats[i]``.  Each group of the plan is
-    contracted at once along a batch axis, and rows that share a slot are
-    added in row order."""
+def _contract(out, offsets, subscripts, flats, plan, put=np.add.at):
+    """Put np.einsum(subscripts, *blocks) of every row of the plan into its
+    slot, the entries of ``out`` from ``offsets[row]`` on, operand i's
+    blocks gathered from ``flats[i]``, one einsum per group of the plan.
+    Rows that share a slot are added in row order, unless ``put=np.put``
+    stores the products of rows that each have a slot of their own."""
     ins, result = subscripts.split("->")
     batched = ",".join("z" + x for x in ins.split(",")) + "->z" + result
     for idx, gathers in plan:
         blocks = [flat[pos].reshape((len(idx),) + shape)
                   for flat, (pos, shape) in zip(flats, gathers)]
         prod = np.einsum(batched, *blocks).reshape(len(idx), -1)
-        np.add.at(out, offsets[idx, None] + np.arange(prod.shape[1]), prod)
+        put(out, offsets[idx, None] + np.arange(prod.shape[1]), prod)
 
 
 class _LabelTable:
-    """Label tuples as named columns, ``cols[x]`` the label x of every row,
-    and N at their vertices: ``mult("abf")`` is N[a, b, f] of every row,
-    gathered once per table.  ``origin`` is each row's row in the table
-    it was made from."""
+    """Label tuples as named columns, ``cols[x]`` the label x of every row;
+    ``code("xyz")`` and ``mult("xyz")`` give the code (x * rank + y) * rank
+    + z and N of a vertex, made once per table when first asked for.
+    ``origin`` is each row's row in the table it was made from."""
 
-    __slots__ = ("ring", "cols", "origin", "_mults")
+    __slots__ = ("ring", "cols", "origin", "_codes", "_mults")
 
-    def __init__(self, ring, cols: dict, mults=None, origin=None):
+    def __init__(self, ring, cols: dict, origin=None):
         self.ring, self.cols, self.origin = ring, cols, origin
-        self._mults = {} if mults is None else mults
+        self._codes, self._mults = {}, {}
 
-    def __len__(self):
-        return len(next(iter(self.cols.values())))
+    def code(self, vertex: str) -> np.ndarray:
+        if vertex not in self._codes:
+            r = self.ring.rank
+            x, y, z = (self.cols[w] for w in vertex)
+            self._codes[vertex] = (x * r + y) * r + z
+        return self._codes[vertex]
 
     def mult(self, vertex: str) -> np.ndarray:
-        out = self._mults.get(vertex)
-        if out is None:
-            out = self._mults[vertex] = _mult(
-                self.ring.N, *(self.cols[x] for x in vertex))
-        return out
+        if vertex not in self._mults:
+            self._mults[vertex] = self.ring.N.ravel()[self.code(vertex)]
+        return self._mults[vertex]
 
     def rows(self, idx, **new) -> "_LabelTable":
-        """The rows ``idx``, in that order, with the columns ``new`` added;
-        the vertex multiplicities gathered so far are kept."""
-        return _LabelTable(
-            self.ring, {**{x: v[idx] for x, v in self.cols.items()}, **new},
-            {vertex: m[idx] for vertex, m in self._mults.items()}, idx)
+        """The rows ``idx``, in that order, with the columns ``new`` added."""
+        return _LabelTable(self.ring, {**{x: v[idx] for x, v in
+                                          self.cols.items()}, **new}, idx)
 
-    def free(self, x) -> "_LabelTable":
-        """Every row once per label x, appended."""
-        r = self.ring.rank
-        return self.rows(np.repeat(np.arange(len(self)), r),
-                         **{x: np.tile(np.arange(r), len(self))})
+    def grow(self, x, y, z) -> "_LabelTable":
+        """Every row once per fusion vertex (x, y, z) of its label x, with
+        the columns y and z appended, ascending in row and then in (y, z)."""
+        _, _, _, start, codes = self.ring._vertices()
+        r, first = self.ring.rank, start[::self.ring.rank]
+        lo, count = first[self.cols[x]], np.diff(first)[self.cols[x]]
+        at = codes[_ranges(lo, count)]
+        return self.rows(np.repeat(np.arange(len(lo)), count),
+                         **{y: at // r % r, z: at % r})
 
     def fuse(self, x, y, z, *need) -> "_LabelTable":
         """Every row once per channel z of its labels x (x) y, ascending in
@@ -862,22 +917,19 @@ class _LabelTable:
         i, new = self.ring.fusion_channels(self.cols[x], self.cols[y])
         if not need:
             return self.rows(i, **{z: new})
-        cols = {w: self.cols[w][i] for w in set("".join(need)) - {z}}
-        cols[z] = new
-        mults = {v: _mult(self.ring.N, *(cols[w] for w in v)) for v in need}
-        keep = np.logical_and.reduce([m > 0 for m in mults.values()])
-        out = self.rows(i[keep], **{z: new[keep]})
-        out._mults.update((v, m[keep]) for v, m in mults.items())
-        return out
+        wide = _LabelTable(self.ring, {w: new if w == z else self.cols[w][i]
+                                       for w in set("".join(need))})
+        keep = np.logical_and.reduce([wide.mult(v) > 0 for v in need])
+        return self.rows(i[keep], **{z: new[keep]})
 
     def plan(self, factors) -> list:
         """``_gather_plan`` of the operands, one (store, column names) pair
-        each, its signature read from the table's vertex multiplicities."""
-        return _gather_plan(
-            self.ring.N, [(store, [self.cols[x] for x in names])
-                          for store, names in factors],
-            [self.mult("".join(names[i] for i in axis))
-             for store, names in factors for axis in store.dims])
+        each, from the table's vertex codes and multiplicities."""
+        axes = [(store, ["".join(names[i] for i in axis)
+                         for axis in store.dims]) for store, names in factors]
+        return _gather_plan(self.ring.N, [
+            (store, [self.code(v) for v in vs]) for store, vs in axes],
+            [self.mult(v) for _, vs in axes for v in vs])
 
 
 # The most label tuples that one round of the pentagon or the hexagons
@@ -951,16 +1003,16 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
     for firsts in _rounds(_pentagon_rows(ring.N)):
         # f in a (x) b, g in f (x) c, e in g (x) d, l in c (x) d and
         # k in b (x) l, with e in a (x) k
-        t = (_LabelTable(ring, {"a": firsts}).free("b").fuse("a", "b", "f")
-             .free("c").fuse("f", "c", "g").free("d").fuse("g", "d", "e")
-             .fuse("c", "d", "l").fuse("b", "l", "k", "ake"))
+        t = (_LabelTable(ring, {"a": firsts}).grow("a", "b", "f")
+             .grow("f", "c", "g").grow("g", "d", "e").fuse("c", "d", "l")
+             .fuse("b", "l", "k", "ake"))
         sizes = (t.mult("abf") * t.mult("fcg") * t.mult("gde")
                  * t.mult("cdl") * t.mult("blk") * t.mult("ake"))
         offsets = np.cumsum(sizes) - sizes
-        lhs = np.zeros(sizes.sum(), dtype=np.complex128)
+        lhs = np.empty(sizes.sum(), dtype=np.complex128)
         rhs = np.zeros_like(lhs)
         _contract(lhs, offsets, "BGND,ADLM->ABGNLM", [F.flat] * 2,
-                  t.plan([(F, "fcdegl"), (F, "ablefk")]))
+                  t.plan([(F, "fcdegl"), (F, "ablefk")]), np.put)
         t = t.fuse("b", "c", "h", "ahg", "hdk")
         _contract(rhs, offsets[t.origin], "ABSP,PGRM,SRNL->ABGNLM",
                   [F.flat] * 3,
@@ -990,19 +1042,18 @@ def _hexagon_deviations(spec: CategorySpec) -> tuple:
     worst = [0.0, 0.0]
     for firsts in _rounds(_hexagon_rows(ring.N)):
         # e in a (x) c, d in e (x) b and g in c (x) b, with d in a (x) g
-        t = (_LabelTable(ring, {"a": firsts}).free("b").free("c")
-             .fuse("a", "c", "e").fuse("e", "b", "d").fuse("c", "b", "g",
-                                                            "agd"))
+        t = (_LabelTable(ring, {"a": firsts}).grow("a", "c", "e")
+             .grow("e", "b", "d").fuse("c", "b", "g", "agd"))
         sizes = t.mult("ace") * t.mult("ebd") * t.mult("bcg") * t.mult("agd")
         offsets = np.cumsum(sizes) - sizes
         left = t.plan([(R, "cae"), (F, "acbdeg"), (R, "cbg")])
         t = t.fuse("a", "b", "f", "cfd")
         right = t.plan([(F, "cabdef"), (R, "cfd"), (F, "abcdfg")])
         for n, store in enumerate(stores):
-            lhs = np.zeros(sizes.sum(), dtype=np.complex128)
+            lhs = np.empty(sizes.sum(), dtype=np.complex128)
             rhs = np.zeros_like(lhs)
             _contract(lhs, offsets, "Xa,aBgD,Yg->XBYD",
-                      [store.flat, F.flat, store.flat], left)
+                      [store.flat, F.flat, store.flat], left, np.put)
             _contract(rhs, offsets[t.origin], "XBmF,EF,mEYD->XBYD",
                       [F.flat, store.flat, F.flat], right)
             worst[n] = max_dev(worst[n], float(np.max(np.abs(lhs - rhs))))
@@ -1013,11 +1064,12 @@ def _f_block_failure(spec: CategorySpec, atol: float):
     """Why the first F-block in (a, b, c, d) order that is not finite or
     singular fails, or None.  The smallest singular values come from one
     stacked SVD per block shape."""
-    failures = []
-    for idx, stack in _stacks(list(spec._f_all.values())):
+    F, failures = _blocks(spec, "F"), []
+    for n, (idx, _) in F.keys.groups.items():
+        stack = F.stack(n)
         finite = np.isfinite(stack).all(axis=(1, 2))
         singular = np.zeros_like(finite)
-        if stack.shape[1] and finite.any():
+        if finite.any():
             singular[finite] = np.linalg.svd(
                 stack[finite], compute_uv=False)[:, -1] < atol
         for bad, why in ((~finite, "is not finite"), (singular, "is singular")):
@@ -1026,7 +1078,7 @@ def _f_block_failure(spec: CategorySpec, atol: float):
     if not failures:
         return None
     i, why = min(failures)
-    a, b, c, d = _f_block_keys(spec.ring)[2][i]
+    a, b, c, d = list(F.table())[i]
     return f"F-block ({a},{b},{c};{d}) {why}"
 
 

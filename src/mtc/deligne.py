@@ -13,48 +13,47 @@ beta) for an F row, (f, gamma, delta) for an F column, L + M for a tree
 (L, M).  As m2 < n2, product rows sort as the two factor rows interleaved,
 (x1, y1, x2, y2, ...), where Kronecker order is (x1, x2, ..., y1, y2, ...);
 the two agree on rows of one label, as on the two-letter words of R.
+
+``deligne_pair`` reads the factors' block stacks and pairs every two
+stacks of given sizes in one broadcast product, written straight into
+the flat array that the product spec holds, laid out by the product
+ring's keys; the spec adds the identities of the unit strands.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .category import (CategorySpec, FusionRing, _encode, _groups, _stacks,
-                       _summands, cached)
+from .category import (CategorySpec, FusionRing, _Blocks, _blocks, _encode,
+                       _f_keys, _f_paths, _groups, _Laid, _mult, _r_keys,
+                       _ranges, _summands, cached)
 from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
 MAX_PRODUCT_RANK = 128
 
 
-def _factor(keys, blocks, *labels):
-    """A factor's table for pairing: its keys as an int array, each block's
-    shape group and position there, and per group the stack of its blocks
-    and of each list of ``labels`` (one entry per block)."""
-    group = np.zeros(len(blocks), dtype=np.int64)
-    pos = np.zeros(len(blocks), dtype=np.int64)
-    stacks = []
-    for g, (idx, stack) in enumerate(_stacks(blocks)):
-        group[idx] = g
-        pos[idx] = np.arange(len(idx))
-        stacks.append([stack] + [np.stack([x[i] for i in idx])
-                                 for x in labels])
-    return np.array(keys, dtype=np.int64), group, pos, stacks
-
-
-def _f_factor(spec: CategorySpec):
-    """Every F-block of a factor, labelled by the rows (e, alpha, beta) and
-    columns (f, gamma, delta) of ``FusionRing.f_basis``."""
-    keys = list(spec._f_all)
-    bases = [spec.ring.f_basis(*key) for key in keys]
-    rows, cols = ([np.array(b[i], dtype=np.int64).reshape(-1, 3)
-                   for b in bases] for i in (0, 2))
-    return _factor(keys, list(spec._f_all.values()), rows, cols)
-
-
-def _r_factor(spec: CategorySpec):
-    """Every R-block of a factor, one per (a, b, c) with N[a,b,c] > 0."""
-    return _factor(list(spec._r_all), list(spec._r_all.values()))
+def _f_labels(ring: FusionRing) -> list:
+    """The labels of the rows (e, alpha, beta) and of the columns (f,
+    gamma, delta) of the ring's F-blocks, as ``FusionRing.f_basis`` orders
+    them: for each, {n: the labels of the blocks of size n, stacked (count,
+    n, 3) in key order}."""
+    K = _f_keys(ring)
+    x, y, z, w, v = _f_paths(ring)
+    m = _mult(ring.N, z, w, v)
+    h = _mult(ring.N, x, y, z) * m
+    # entry k of a path is row or column k of its channel, (z, k // m, k % m)
+    t = np.repeat(np.arange(len(h)), h)
+    k = _ranges(0, h)
+    labels = np.stack([z[t], *np.divmod(k, m[t])], axis=1)
+    first = np.cumsum(K.size) - K.size
+    out = []
+    for block, offset in ((K.row, K.rowoff), (K.col, K.coloff)):
+        lab = np.empty_like(labels)
+        lab[first[block[t]] + offset[t] + k] = labels
+        out.append({n: lab[first[idx, None] + np.arange(n)]
+                    for n, (idx, _) in K.groups.items()})
+    return out
 
 
 def _kron(x, y):
@@ -80,54 +79,56 @@ def _product_order(lab1, lab2):
     return np.lexsort(keys.reshape(2 * w, n, k1 * k2)[::-1])
 
 
-def _pair_table(fac1, fac2, r2, rank, strands, block):
-    """{product key: block} over every pair of factor keys whose product
-    key has no unit among its first ``strands`` labels, keys ascending.
-    ``block(stacks1, stacks2)`` pairs one stack of each factor's blocks
-    and labels, all pairs of one pair of block shapes at once."""
-    (keys1, group1, pos1, st1), (keys2, group2, pos2, st2) = fac1, fac2
-    i1, i2 = np.divmod(np.arange(len(keys1) * len(keys2)), len(keys2))
-    keys = keys1[i1] * r2 + keys2[i2]
-    keep = np.flatnonzero((keys[:, :strands] > 0).all(axis=1))
-    keep = keep[np.argsort(_encode(keys[keep].T, rank))]
-    i1, i2, keys = i1[keep], i2[keep], keys[keep]
-    out = [None] * len(keys)
-    for p, (g1, g2) in _groups([group1[i1], group2[i2]],
-                               max(len(st1), len(st2))):
-        stack = block([x[pos1[i1[p]]] for x in st1[g1]],
-                      [x[pos2[i2[p]]] for x in st2[g2]])
-        for j, blk in zip(p.tolist(), stack):
-            out[j] = blk
-    return dict(zip(map(tuple, keys.tolist()), out))
+def _paired(b1: _Blocks, b2: _Blocks, keys, r2, strands, block) -> _Laid:
+    """The product's blocks, laid out by its ``keys``, at every pair of
+    factor keys whose product key has no unit among its first ``strands``
+    labels.  ``block(n1, p1, n2, p2)`` pairs the blocks at positions p1 of
+    the first factor's stack of size n1 with those at p2 of the second's of
+    size n2, every pair of one pair of sizes at once."""
+    k1, k2 = b1.keys, b2.keys
+    lab1, lab2 = (np.stack(np.unravel_index(k.codes, (k.rank,) * k.arity),
+                           axis=1) for k in (k1, k2))
+    i1, i2 = np.divmod(np.arange(len(lab1) * len(lab2)), len(lab2))
+    prod = lab1[i1] * r2 + lab2[i2]
+    keep = np.flatnonzero((prod[:, :strands] > 0).all(axis=1))
+    i1, i2, n1, n2 = i1[keep], i2[keep], k1.size[i1[keep]], k2.size[i2[keep]]
+    at = keys.start[np.searchsorted(keys.codes,
+                                    _encode(prod[keep].T, keys.rank))]
+    flat = np.empty(keys.total + int(keys.size.max()) ** 2,
+                    dtype=np.complex128)
+    for p, (s1, s2) in _groups([n1, n2], int(max(k1.size.max(),
+                                                 k2.size.max())) + 1):
+        flat[at[p, None] + np.arange((s1 * s2) ** 2)] = block(
+            s1, k1.pos[i1[p]], s2, k2.pos[i2[p]]).reshape(len(p), -1)
+    return _Laid(flat)
 
 
 def _pair_tables(ring: FusionRing, s1: CategorySpec, s2: CategorySpec):
     """F and R of the product on ``ring``, paired from the factor blocks.
 
-    Every factor block is read once, from the factor's complete tables.
     The product key (A, B, C, D) of a pair of factor F-keys pairs them
-    label by label; keys with a unit among A, B, C are not stored, and the
-    others are inserted words (A, B, C) ascending, then D ascending.  The
-    pairs are stacked by their two block shapes and each stack is one
-    broadcast product, the Kronecker product of its factor blocks, whose
-    rows and columns are then sorted into the product basis.  R[A,B,C] maps the trees of (A, B) at C to those of (B, A);
-    there Kronecker order is the product's order.
+    label by label; keys with a unit among A, B, C are not paired, as the
+    spec makes their identities.  The pairs are grouped by their two block
+    sizes, and each group is one broadcast product, the Kronecker product
+    of its factor blocks, whose rows and columns are then sorted into the
+    product basis.  R[A,B,C] maps the trees of (A, B) at C to those of
+    (B, A); there Kronecker order is the product's order.
     """
     r2 = s2.rank
-    f1, f2 = _f_factor(s1), _f_factor(s2)
-    rf1, rf2 = _r_factor(s1), _r_factor(s2)
+    f1, f2 = _blocks(s1, "F"), _blocks(s2, "F")
+    (rows1, cols1), (rows2, cols2) = _f_labels(s1.ring), _f_labels(s2.ring)
 
-    def f_stack(x, y):
-        (b1, rows1, cols1), (b2, rows2, cols2) = x, y
-        rows = _product_order(rows1, rows2)
-        cols = _product_order(cols1, cols2)
+    def f_block(n1, p1, n2, p2):
+        rows = _product_order(rows1[n1][p1], rows2[n2][p2])
+        cols = _product_order(cols1[n1][p1], cols2[n2][p2])
         return np.take_along_axis(np.take_along_axis(
-            _kron(b1, b2), rows[:, :, None], 1), cols[:, None, :], 2)
+            _kron(f1.stack(n1)[p1], f2.stack(n2)[p2]), rows[:, :, None], 1),
+            cols[:, None, :], 2)
 
-    F = _pair_table(f1, f2, r2, ring.rank, 3, f_stack)
-    R = _pair_table(rf1, rf2, r2, ring.rank, 2,
-                    lambda x, y: _kron(x[0], y[0]))
-    return F, R
+    R1, R2 = _blocks(s1, "R"), _blocks(s2, "R")
+    return (_paired(f1, f2, _f_keys(ring), r2, 3, f_block),
+            _paired(R1, R2, _r_keys(ring), r2, 2, lambda n1, p1, n2, p2:
+                    _kron(R1.stack(n1)[p1], R2.stack(n2)[p2])))
 
 
 def _product_rules(ring1: FusionRing, ring2: FusionRing):

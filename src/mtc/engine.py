@@ -50,8 +50,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .category import MAX_WORD_LENGTH  # noqa: F401 (re-exported)
-from .category import (CategorySpec, Layout, _check_words, _f_inverses,
-                       _inverses, _r_inverses, _summands, cached)
+from .category import (CategorySpec, Layout, _blocks, _check_words,
+                       _f_inverses, _inverses, _r_inverses, _summands, cached)
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
 from .report import max_dev
 
@@ -82,7 +82,7 @@ def _juxtapose(x, y):
 @cached("finv")
 def _finv(spec, a, b, c, d):
     """F[a,b,c,d]^-1, read from the spec's table of inverse F-blocks."""
-    return _f_inverses(spec)[a, b, c, d]
+    return _f_inverses(spec).table()[a, b, c, d]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def embed(f: Morphism, *, left=(), right=()) -> Morphism:
 def _crossing(spec, a, b, over):
     """c_{a,b} (over) or c_{b,a}^-1 (under) on the two-letter word (a, b):
     the R-block or the inverse R-block at every root."""
-    table = spec._r_all if over else _r_inverses(spec)
+    table = (_blocks(spec, "R") if over else _r_inverses(spec)).table()
     return Morphism(spec, (a, b), (b, a),
                     {c: table[a, b, c] for c in trees(spec, (a, b))})
 

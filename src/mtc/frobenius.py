@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category import (CategorySpec, _contract, _encode, _f_store,
-                       _finv_store, _free, _fuse, _gather_plan, _inverses,
-                       _mult, _r_store, _store, cached)
+from .category import (CategorySpec, _contract, _f_paths, _f_store,
+                       _gather_plan, _inverses, _mult, _r_keys, _r_store,
+                       _Store, cached)
 from .deligne import deligne_power, pair_morphism
 from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
                      cup_twisted, direct_sum, double_braiding, embed,
@@ -309,24 +309,23 @@ def _channel_table(ring):
     ascending: their label columns, the entry count N_ijk^2 of each one's
     block, and per multiplicity n the triple (n, indices of the channels
     with N_ijk = n, positions of their blocks' entries in a flat array of
-    every block in channel order, shaped (count, n^2))."""
+    every block in channel order, shaped (count, n^2)).  The channels are
+    the R-keys, grouped as ``category._r_keys`` groups them."""
     labels = np.nonzero(ring.N)
-    mult = ring.N[labels]
-    sizes = mult * mult
+    sizes = ring.N[labels] ** 2
     offsets = np.cumsum(sizes) - sizes
-    groups = []
-    for n in sorted(set(mult.tolist())):
-        idx = np.flatnonzero(mult == n)
-        groups.append((n, idx, offsets[idx, None] + np.arange(n * n)))
-    return labels, sizes, groups
+    return labels, sizes, [(n, idx, offsets[idx, None] + np.arange(n * n))
+                           for n, (idx, _) in _r_keys(ring).groups.items()]
 
 
 def _coefficient_store(base: CategorySpec, flat):
-    """The channel blocks of the flat array as a store keyed by (i, j, k),
-    each N_ijk x N_ijk block indexed [dual-factor mult, base-factor mult]."""
-    labels, sizes, _ = _channel_table(base.ring)
-    return _store(base.rank, ((0, 1, 2), (0, 1, 2)),
-                  _encode(labels, base.rank), sizes, flat)
+    """The channel blocks of the flat array, in channel order, as a store
+    keyed by (i, j, k), each N_ijk x N_ijk block indexed [dual-factor mult,
+    base-factor mult]; the zeros of the largest are appended."""
+    sizes = _channel_table(base.ring)[1]
+    return _Store(base.ring, ((0, 1, 2), (0, 1, 2)),
+                  np.r_[flat, np.zeros(sizes.max())], len(flat),
+                  np.r_[np.cumsum(sizes) - sizes, len(flat)])
 
 
 def _entries(C):
@@ -410,7 +409,7 @@ def _delta_channels(base: CategorySpec, n: int):
 def _stores(base: CategorySpec, n: int) -> dict:
     """The stores a term's operands gather from, by role, at exponent n."""
     return {"m": _m_channels(base, n), "delta": _delta_channels(base, n),
-            "F": _f_store(base), "Finv": _finv_store(base)}
+            "F": _f_store(base), "Finv": _f_store(base, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +442,9 @@ def _term(base, sizes, rows, subscripts, factors) -> _Term:
     stores = _stores(base, 0)
     return _Term(int(sizes.sum()), (np.cumsum(sizes) - sizes)[rows],
                  subscripts, tuple(role for role, _ in factors),
-                 _gather_plan(base.ring.N, [(stores[role], labels)
-                                            for role, labels in factors]))
+                 _gather_plan(base.ring.N, [
+                     (stores[role], stores[role].codes(labels))
+                     for role, labels in factors]))
 
 
 def _gap(x, y) -> float:
@@ -456,9 +456,8 @@ def _three_summands(ring):
     """Label columns (i, j, l, q, e1, e2) of the left-nested trees of
     (A_i, A_j, A_l) at the root A_q through (e1, e2): e2 in i (x) j with q in
     e2 (x) l, and e1 in dual(i) (x) dual(j) with dual(q) in e1 (x) dual(l)."""
-    r, dual = ring.rank, ring.dual
-    i, j, e2, l, q = _fuse(ring, _free(_fuse(
-        ring, _free([np.arange(r)], r), 0, 1), r), 2, 3)
+    dual = ring.dual
+    i, j, e2, l, q = _f_paths(ring)
     t, e1 = ring.fusion_channels(dual[i], dual[j])
     i, j, l, q, e2 = (x[t] for x in (i, j, l, q, e2))
     keep = _mult(ring.N, e1, dual[l], dual[q]) > 0
@@ -501,8 +500,8 @@ def _frobenius_terms(base):
     the middle summand A_s."""
     ring = base.ring
     r, N, dual = ring.rank, ring.N, ring.dual
-    i, j, x2 = _fuse(ring, _free([np.arange(r)], r), 0, 1)
-    i, j, x2, k, l = _free(_free([i, j, x2], r), r)
+    v, k, l = np.indices((np.count_nonzero(N), r, r)).reshape(3, -1)
+    i, j, x2 = (x[v] for x in np.nonzero(N))
     i, j, x2, k, l = (x[_mult(N, k, l, x2) > 0] for x in (i, j, x2, k, l))
     t, x1 = ring.fusion_channels(dual[i], dual[j])
     i, j, k, l, x2 = (x[t] for x in (i, j, k, l, x2))
@@ -543,8 +542,8 @@ def _coproduct_terms(base):
     column of the F-move of (A_k, A_j, A_dual(j)) at A_k, and ``label``
     gives per entry the label dual(j) whose Phi divides it."""
     ring = base.ring
-    r, N, dual = ring.rank, ring.N, ring.dual
-    k, j, i = _fuse(ring, _free([np.arange(r)], r), 0, 1)
+    N, dual = ring.N, ring.dual
+    k, j, i = np.nonzero(N)
     ib, jb, kb = dual[i], dual[j], dual[k]
     vac = np.zeros_like(k)
     sizes = _mult(N, i, jb, k) ** 2
@@ -599,14 +598,15 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     def at(*columns):
         """Where the 1 x 1 blocks of the channels (i, j, k) of the label
         columns lie in the flat array of every coefficient store."""
-        return _m_channels(base, 0).positions(columns, (1, 1)).ravel()
+        C = _m_channels(base, 0)
+        return C.find(C.codes(columns))[0]
 
     unit_left, unit_right = at(vac, labels, labels), at(labels, vac, labels)
     closing = at(labels, dual, vac)  # the channel (i, dual(i) -> 0)
 
     # per label a: the vacuum entries of F[a, dual(a), a; a] and of its
     # inverse, and the twisted cup of the summand A_a of the square
-    F, Finv = _f_store(base), _finv_store(base)
+    F, Finv = _f_store(base), _f_store(base, True)
     vF = F.take((labels, dual, labels, labels, vac, vac), (1,) * 4).ravel()
     vU = Finv.take((labels, dual, labels, labels, vac, vac), (1,) * 4).ravel()
     R = _r_store(base, False)

@@ -35,11 +35,14 @@ queue in a few rounds: the paths of every new word order are enumerated
 together, one row gather per fusion step over the ring's
 multiplicity-expanded fusion vertices; the generators are sorted by
 context, every (order, p) of a round in one ``np.lexsort``, and written by
-one gather from the spec's store of local blocks of their sense.  That
-store holds the block of every F-block key (x, a, b, y), built in one
-batched product per block size from the F-, inverse F- and R-tables.  A
-round enumerates or sorts at most ``_ROUND_ROWS`` paths, unless one word
-order or step alone needs more, which bounds the memory of a flush.  Each
+one gather from the spec's table of local blocks of their sense.  That
+table holds the block of every F-block key (x, a, b, y), laid out as the
+F-blocks and built in one batched product per block size from their
+stacks and those of the inverse F-blocks and the R-blocks.  A stack's
+(tuple, root) blocks come from the tree counts of its words, so it
+enumerates no word order that no braid reads.  A round enumerates or
+sorts at most ``_ROUND_ROWS`` paths, unless one word order or step alone
+needs more, which bounds the memory of a flush.  Each
 sweep names all its braids before it compares the first, so that one flush
 builds them.  An error of the data, such as a singular block, is therefore
 raised where a braid is first read, not where it is named.
@@ -63,9 +66,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import (_ROUND_ROWS, CategorySpec, _changes, _check_words,
-                       _encode, _f_block_keys, _f_inverses, _inverses, _mult,
-                       _r_store, _ranges, _stacks, _store, _Store, cached)
+from .category import (_ROUND_ROWS, CategorySpec, _blocks, _changes,
+                       _check_words, _encode, _f_inverses, _f_keys, _f_paths,
+                       _inverses, _Keys, _mult, _r_store, _ranges, cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
 
 
@@ -106,45 +109,37 @@ def _packed(digits, radices) -> list:
 
 
 @cached("braid_blocks")
-def _braid_blocks(spec: CategorySpec, over: bool) -> _Store:
+def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     """The local block of sigma_2 on (x, a, b) at root y for every F-block
-    key (x, a, b, y), row-major: c_{a,b} (``over``) or c_{b,a}^-1
-    whiskered by x, F[x,b,a,y] R F[x,a,b,y]^-1, where R acts on the
-    F-block columns (f, gamma, delta) as the R-block of channel f on gamma
-    and as the identity on delta."""
+    key (x, a, b, y), laid out as the F-blocks (``category._f_keys``):
+    c_{a,b} (``over``) or c_{b,a}^-1 whiskered by x, F[x,b,a,y] R
+    F[x,a,b,y]^-1, where R acts on the F-block columns (f, gamma, delta) as
+    the R-block of channel f on gamma and as the identity on delta."""
     ring, r = spec.ring, spec.rank
-    _, codes, _ = _f_block_keys(ring)
-    x, a, b, y = np.unravel_index(codes, (r,) * 4)
-    F = list(spec._f_all.values())
-    n = np.array([blk.shape[0] for blk in F])
-    start = np.cumsum(n * n) - n * n
-    # each channel f of a (x) b in each block k, from its column ``first``
-    # on, and entry (i, j) of its R-block at every delta < N[x, f, y]
-    k, f = ring.fusion_channels(a, b)
-    m = _mult(ring.N, x[k], f, y[k])
-    k, f, m = k[m > 0], f[m > 0], m[m > 0]
-    g = _mult(ring.N, a[k], b[k], f)
-    first = np.cumsum(g * m) - g * m
-    first -= first[np.searchsorted(k, k)]
-    e = np.repeat(np.arange(len(k)), g * g * m)
+    K, F, Finv = _f_keys(ring), _blocks(spec, "F"), _f_inverses(spec)
+    # each path (a b -> f)(f x -> y) is the channel f of the columns of its
+    # block (x, a, b, y), from column ``first`` on: entry (i, j) of the
+    # R-block of (a, b, f) at every delta < m = N[f, x, y]
+    a, b, f, x, y = _f_paths(ring)
+    g, m = _mult(ring.N, a, b, f), _mult(ring.N, f, x, y)
+    e = np.repeat(np.arange(len(g)), g * g * m)
     i, rest = np.divmod(_ranges(0, g * g * m), (g * m)[e])
     j, d = np.divmod(rest, m[e])
+    n, first, m = K.size[K.col][e], K.coloff[e], m[e]
     R = _r_store(spec, not over)
-    middle = np.zeros(n @ n, dtype=np.complex128)
-    middle[start[k[e]] + (first[e] + i * m[e] + d) * n[k[e]] + first[e]
-           + j * m[e] + d] = R.flat[R.starts((a[k], b[k], f))[e]
-                                    + i * g[e] + j]
+    out = np.zeros_like(F.flat)
+    out[K.start[K.col][e] + (first + i * m + d) * n + first + j * m
+        + d] = R.flat[R.find(R.codes((a, b, f)))[0][e] + i * g[e] + j]
     # one product per block size; a non-finite entry spreads NaN through
     # its block
-    swap = np.searchsorted(codes, _encode((x, b, a, y), r)).tolist()
-    out = np.empty_like(middle)
+    x, a, b, y = np.unravel_index(K.codes, (r,) * 4)
+    swap = K.pos[np.searchsorted(K.codes, _encode((x, b, a, y), r))]
     with np.errstate(invalid="ignore"):
-        for (idx, fs), (_, fi) in zip(_stacks([F[i] for i in swap]), _stacks(
-                list(_f_inverses(spec).values()))):
-            at = start[idx, None] + np.arange(fs[0].size)
-            out[at] = (fs @ (middle[at].reshape(fs.shape) @ fi)).reshape(
-                at.shape)
-    return _store(r, (), codes, n * n, out)
+        for n, (idx, lo) in K.groups.items():
+            at = slice(lo, lo + len(idx) * n * n)
+            out[at] = (F.stack(n)[swap[idx]] @ (out[at].reshape(-1, n, n)
+                                                @ Finv.stack(n))).ravel()
+    return out
 
 
 class Braid:
@@ -227,28 +222,24 @@ class PathStack:
         self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
                                 for p in range(1, L)],
                                dtype=np.intp).reshape(L - 1, 3)
-        ident = tuple(range(L))
-        self._enumerate([ident])
-        paths = self._paths[ident]
-        self._count = len(paths)  # paths per word order
-        starts = np.flatnonzero(_changes(paths[:, self._block]))
-        sizes = np.diff(np.r_[starts, len(paths)])
-        self.tuple_of = paths[starts, self._tuple]  # of each block
+        # the (tuple, root) blocks, from the tree counts of each tuple's
+        # word by root, which do not depend on the order of its letters
+        dims = np.eye(spec.rank, dtype=np.int64)[labels[:, 0]]
+        for k in range(1, L):
+            for w in np.flatnonzero(np.bincount(labels[:, k])).tolist():
+                on = labels[:, k] == w
+                dims[on] = dims[on] @ spec.ring.N[:, w]
+        self.tuple_of, self.root_of = np.nonzero(dims)  # of each block
         self.first_block = np.searchsorted(self.tuple_of,
                                            np.arange(len(labels)))
-        self.root_of = paths[starts, L]
-        self.size_of = sizes
-        self.members = {int(n): np.flatnonzero(sizes == n)
-                        for n in np.unique(sizes)}
+        self.size_of = sizes = dims[self.tuple_of, self.root_of]
+        self._count = int(sizes.sum())  # paths per word order
         # a generator is built in one flat buffer: the blocks of size n
         # from base[n] on, block b at offset[b]
-        self.offset = np.zeros(len(sizes), dtype=np.intp)
-        self.base, end = {}, 0
-        for n, bs in self.members.items():
-            self.base[n] = end
-            self.offset[bs] = end + np.arange(len(bs)) * n * n
-            end += len(bs) * n * n
-        self.flat_size = end
+        lay = _Keys(None, None, None, sizes)
+        self.members = {n: bs for n, (bs, _) in lay.groups.items()}
+        self.base = {n: lo for n, (_, lo) in lay.groups.items()}
+        self.offset, self.flat_size = lay.start, lay.total
 
     def __len__(self):
         return len(self.labels)
@@ -370,10 +361,11 @@ class PathStack:
         t = table[lead, self._tuple]
         slots = np.array([order for order, _, _ in steps])
         sense = np.array([over for _, _, over in steps])[step]
-        # the stores of both senses share their keys and offsets
-        at = _braid_blocks(spec, bool(sense[0])).starts((
+        # the tables of both senses are laid out as the F-blocks
+        keys = _f_keys(spec.ring)
+        at = keys.start[np.searchsorted(keys.codes, _encode((
             table[lead, p - 1], self.labels[t, slots[step, p - 1]],
-            self.labels[t, slots[step, p]], table[lead, p + 1]))
+            self.labels[t, slots[step, p]], table[lead, p + 1]), r))]
         # every (row, column) pair of every context
         size = size[cs]
         count = size * size
@@ -383,7 +375,7 @@ class PathStack:
         value = np.empty(len(g), dtype=np.complex128)
         for over in np.unique(sense).tolist():
             pick = sense[g] == over
-            value[pick] = _braid_blocks(spec, over).flat[at[pick]]
+            value[pick] = _braid_blocks(spec, over)[at[pick]]
         i = ranked[starts[cd[g]] + li]
         j = ranked[starts[cs[g]] + lj]
         block = table[j, self._block]

@@ -19,7 +19,7 @@ from mtc.category import (CategorySpec, FusionRing, ToleranceConfig,
                           _pentagon_deviation, _ribbon_deviation,
                           dump_category, load_category, modular_group_relations,
                           spec_from_dict, spec_to_dict)
-from mtc.deligne import deligne_power
+from mtc.deligne import deligne_pair, deligne_power
 from mtc.errors import (CategoryFileError, NotModular, NotPremodular,
                         RingAxiomError, SnapFailure)
 from mtc.report import max_dev
@@ -435,14 +435,148 @@ def test_f_store_holds_every_f_tensor():
     spec = random_rep_a4()
     store = _f_store(spec)
     r = spec.rank
-    labels = [key for key in itertools.product(range(r), repeat=6)
-              if spec.f_tensor(*key).size]
-    codes = [int(np.ravel_multi_index(key, (r,) * 6)) for key in labels]
-    assert store.keys.tolist() == codes
+    every = list(itertools.product(range(r), repeat=6))
+    labels = [key for key in every if spec.f_tensor(*key).size]
+    start, _ = store.find(store.codes([np.array(x) for x in zip(*every)]))
+    assert [key for key, at in zip(every, start.tolist())
+            if at != store.blank] == labels
     for key in labels:
         want = spec.f_tensor(*key)
         got = store.take([np.array([x]) for x in key], want.shape)[0]
         assert np.array_equal(got, want)
+
+
+def _spec(spec_of, name):
+    """A builtin, a builtin's square ("name^2") or Rep(A4) random data."""
+    if name == "rep_a4_random":
+        return random_rep_a4()
+    if name.endswith("^2"):
+        return deligne_power(spec_of(name[:-2]), 2)
+    return spec_of(name)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "rep_a4_random",
+                                  *(f"{n}^2" for n in BUILTIN_NAMES)])
+def test_store_lookups_equal_the_key_search(spec_of, name):
+    """The stores find a block by arithmetic on the codes of its fusion
+    vertices.  That finds what a search of the sorted key codes finds:
+    each ``f_tensor`` block where ``_encode`` and ``searchsorted`` find
+    its F-block, moved by the rows and columns of the lower channels in
+    ``FusionRing.f_basis``, and each R-block, or inverse R-block, where the
+    search finds its key.  A label tuple with N = 0 at a vertex points at
+    the zeros, and every ``f_tensor`` read from the F store is the slice
+    of ``f_block``."""
+    spec = _spec(spec_of, name)
+    ring, r, N = spec.ring, spec.rank, spec.ring.N
+    keys, store = category._blocks(spec, "F").keys, category._f_store(spec)
+    tuples, starts = [], []
+    for key in zip(*(x.tolist() for x in np.unravel_index(keys.codes,
+                                                          (r,) * 4))):
+        rows, row_pos, cols, col_pos = ring.f_basis(*key)
+        at = keys.start[np.searchsorted(keys.codes, category._encode(
+            [np.array([x]) for x in key], r))][0]
+        for e, f in itertools.product({x[0] for x in rows},
+                                      {x[0] for x in cols}):
+            tuples.append(key + (e, f))
+            starts.append(at + row_pos[e, 0, 0] * len(rows)
+                          + col_pos[f, 0, 0])
+    labels = [np.array(x) for x in zip(*tuples)]
+    start, stride = store.find(store.codes(labels))
+    assert start.tolist() == starts
+    assert stride.tolist() == [len(spec.f_block(*t[:4])) for t in tuples]
+    for t in tuples:
+        want = spec.f_tensor(*t)
+        got = store.take([np.array([x]) for x in t], want.shape)[0]
+        assert np.array_equal(got, want), t
+    # every label tuple, or a seeded sample of them, against N
+    rng = np.random.default_rng(3)
+    labels = [x.ravel() for x in np.indices((r,) * 6)] if r ** 6 <= 5000 \
+        else list(rng.integers(0, r, size=(6, 5000)))
+    a, b, c, d, e, f = labels
+    present = (N[a, b, e] * N[e, c, d] * N[b, c, f] * N[a, f, d]) > 0
+    start, _ = store.find(store.codes(labels))
+    assert ((start != store.blank) == present).all()
+    # R and inverse R: every vertex found, every other triple at the zeros
+    x, y, z = (v.ravel() for v in np.indices((r,) * 3))
+    for inverse in (False, True):
+        R = category._r_store(spec, inverse)
+        rk = category._blocks(spec, "R").keys
+        want = np.where(N[x, y, z] > 0, rk.start[np.minimum(np.searchsorted(
+            rk.codes, category._encode((x, y, z), r)), len(rk.codes) - 1)],
+            R.blank)
+        assert np.array_equal(R.find(R.codes((x, y, z)))[0], want)
+
+
+class _Reads(dict):
+    """A spec's ``blocks`` section that logs every block table read."""
+
+    def __init__(self, blocks, log):
+        super().__init__(blocks)
+        self.log = log
+
+    def __getitem__(self, kind):
+        self.log.append((kind, super().__getitem__(kind)))
+        return self.log[-1][1]
+
+
+def test_every_reader_reads_the_one_copy_of_the_blocks(spec_of):
+    """f_completeness, the F, inverse-F and R stores, both inverse tables,
+    the fusion-path local blocks and the factor tables of
+    ``deligne_pair`` all read the spec's ``blocks`` section, the very
+    objects it holds; the F and R stores read them in place."""
+    from mtc.fusion_paths import _braid_blocks
+    readers = {
+        "f_completeness": lambda s: category._f_block_failure(s, 1e-9),
+        "f_store": category._f_store,
+        "finv_store": lambda s: category._f_store(s, True),
+        "f_inverses": category._f_inverses,
+        "r_inverses": category._r_inverses,
+        "r_store": lambda s: category._r_store(s, True),
+        "braid_blocks": lambda s: _braid_blocks(s, True),
+        "deligne_pair": lambda s: deligne_pair(s, spec_of("semion")),
+    }
+    ising = spec_of("ising")
+    for name, read in readers.items():
+        spec = CategorySpec("ising", ising.ring, ising.dims, ising.theta,
+                            dict(ising.F), dict(ising.R))
+        held, log = dict(spec._cache["blocks"]), []
+        spec._cache["blocks"] = _Reads(held, log)
+        read(spec)
+        assert log and all(got is held[kind] for kind, got in log), name
+    F, R = held["F"], held["R"]
+    assert category._f_store(spec).flat is F.flat
+    assert category._r_store(spec, False).flat is R.flat
+    assert category._f_inverses(spec).keys is F.keys
+    assert category._r_inverses(spec).keys is R.keys
+    assert category._r_store(spec, True).flat is \
+        category._r_inverses(spec).flat
+
+
+def test_a_spec_names_the_key_of_a_wrong_block(spec_of):
+    """Built from dicts, a spec still checks every block it is given and
+    names the key of a missing, a misshapen or an extra one; a non-finite
+    block fails ``f_completeness`` and inverts to NaN."""
+    ising = spec_of("ising")
+    for table, key, blk, message in (
+            ("F", (1, 1, 1, 1), None, "missing F-symbols for (1, 1, 1, 1)"),
+            ("F", (1, 1, 1, 1), np.eye(3), "F-block (1, 1, 1, 1) has shape "
+                                           "(3, 3), expected (2, 2)"),
+            ("R", (0, 1, 1), np.eye(1), "R-symbols for (0, 1, 1), which "
+                                        "are not stored")):
+        tables = {"F": dict(ising.F), "R": dict(ising.R)}
+        tables[table].pop(key, None)
+        if blk is not None:
+            tables[table][key] = blk
+        with pytest.raises(NotPremodular, match=re.escape(message)):
+            CategorySpec("bad", ising.ring, ising.dims, ising.theta,
+                         tables["F"], tables["R"])
+    F = dict(ising.F)
+    F[1, 1, 1, 1] = np.full((2, 2), np.inf)
+    bad = CategorySpec("inf", ising.ring, ising.dims, ising.theta, F,
+                       ising.R)
+    assert category._f_block_failure(bad, 1e-9) == \
+        "F-block (1,1,1;1) is not finite"
+    assert np.isnan(category._f_inverses(bad).table()[1, 1, 1, 1]).all()
 
 
 def test_nan_f_symbol_fails_completeness(spec_of):

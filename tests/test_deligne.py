@@ -467,3 +467,53 @@ def test_product_tree_counts(spec_of, squares):
     for c1 in range(r):
         for c2 in range(r):
             assert len(got.get(c1 * r + c2, ())) == d1[c1] * d1[c2]
+
+
+def _dict_route(s1, s2):
+    """The product's F and R as the pairing built them block by block, from
+    each factor's table of every block, unit strands included: each pair
+    of blocks one Kronecker product, its rows and columns sorted by their
+    interleaved factor labels into the product basis."""
+    r2, F, R = s2.rank, {}, {}
+
+    def order(basis1, basis2):
+        labels = [[v for xy in zip(x, y) for v in xy]
+                  for x in basis1 for y in basis2]
+        return sorted(range(len(labels)), key=labels.__getitem__)
+
+    keys = [[k for k in itertools.product(range(s.rank), repeat=4)
+             if s.f_block(*k).size] for s in (s1, s2)]
+    for k1, k2 in itertools.product(*keys):
+        (rows1, _, cols1, _), (rows2, _, cols2, _) = \
+            s1.ring.f_basis(*k1), s2.ring.f_basis(*k2)
+        F[tuple(x * r2 + y for x, y in zip(k1, k2))] = np.kron(
+            s1.f_block(*k1), s2.f_block(*k2))[np.ix_(order(rows1, rows2),
+                                                     order(cols1, cols2))]
+    for k1, k2 in itertools.product(*(map(tuple, np.argwhere(s.ring.N))
+                                      for s in (s1, s2))):
+        R[tuple(int(x * r2 + y) for x, y in zip(k1, k2))] = np.kron(
+            s1.r_block(*map(int, k1)), s2.r_block(*map(int, k2)))
+    return F, R
+
+
+@pytest.mark.parametrize("first, second", [
+    ("fibonacci", "ising"), ("ising", "ising"), ("z_3(1)", "semion"),
+    ("rep_a4", "semion")])
+def test_paired_blocks_equal_the_dict_route(spec_of, rep_a4_square, first,
+                                            second):
+    """``deligne_pair`` lays the paired blocks out as the product spec holds
+    them, and the spec makes the identities of the unit strands: every F-
+    and R-block, those included, is bit for bit the block the pairing
+    built one by one through a dict."""
+    s1, s2 = (rep_a4_square[0] if x == "rep_a4" else spec_of(x)
+              for x in (first, second))
+    prod = deligne_pair(s1, s2)
+    F, R = _dict_route(s1, s2)
+    r = prod.rank
+    assert sorted(F) == [k for k in itertools.product(range(r), repeat=4)
+                         if prod.f_block(*k).size]
+    assert sorted(R) == [tuple(k) for k in np.argwhere(prod.ring.N).tolist()]
+    for key, blk in F.items():
+        assert np.array_equal(prod.f_block(*key), blk), key
+    for key, blk in R.items():
+        assert np.array_equal(prod.r_block(*key), blk), key

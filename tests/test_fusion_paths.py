@@ -182,6 +182,35 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
                                  braid_generator(spec, word, p, over), AGREE)
 
 
+# The module deviations of ``run_suite("ising", suites=["module"])``, as
+# the sweeps gave them when every stack enumerated its own word order in
+# a round of its own, 16 rounds in all.
+ISING_MODULE = {
+    "module_pentagon": 7.773846168739456e-16,
+    "left_module_pentagon": 0.0,
+    "module_triangle": 1.1148499380694154e-16,
+    "twist_mismatch_functor": 2.482534153247273e-16,
+    "associator_from_chain": 4.577566798522237e-16,
+    "twist_extraction": 0.0,
+    "alpha_module_functor": 3.2368285245694683e-16,
+    "commutor_witness": 1.5700924586837752e-16,
+}
+
+
+def test_stacks_enumerate_no_order_of_their_own(monkeypatch):
+    """A stack takes its block layout from the tree counts of its words,
+    so it enumerates only the word orders its braids read, in its first
+    flush: a cold ising ``--suite module`` pass makes at most 9
+    enumeration rounds, with the same deviations bit for bit."""
+    rounds = []
+    enumerate_ = PathStack._enumerate
+    monkeypatch.setattr(PathStack, "_enumerate", lambda self, orders: (
+        rounds.append(orders), enumerate_(self, orders)))
+    report = run_suite("ising", suites=["module"])
+    assert len(rounds) <= 9
+    assert {c.name: c.max_deviation for c in report.checks} == ISING_MODULE
+
+
 def test_module_sweeps_build_in_few_rounds(monkeypatch):
     """A cold ``--suite module`` pass on ising makes at most one
     enumeration round per stack and per comparison, and at most one
