@@ -822,20 +822,25 @@ def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
                   np.r_[R.keys.start, R.keys.total])
 
 
-def _groups(columns, base):
-    """(row indices, row) for each distinct row of the columns, whose
-    values lie in [0, base); the indices of a group ascend.
-
-    Rows are sorted by their values packed into one int64 code, in base
-    ``base``; when the next column would overflow the code, the codes so far
-    are first renumbered by rank.
-    """
+def _codes(columns, base) -> np.ndarray:
+    """One int64 code per row of the columns, whose values lie in [0,
+    base), equal exactly where the rows are: the values packed in base
+    ``base``, the codes so far renumbered by rank whenever the next column
+    would overflow them."""
     code, span = np.zeros(len(columns[0]), dtype=np.int64), 1
     for col in columns:
         if span * base >= 2 ** 63:
             distinct, code = np.unique(code, return_inverse=True)
             span = len(distinct)
         code, span = code * base + col, span * base
+    return code
+
+
+def _groups(columns, base):
+    """(row indices, row) for each distinct row of the columns, whose
+    values lie in [0, base); the indices of a group ascend, and the groups
+    follow the order of their ``_codes``."""
+    code = _codes(columns, base)
     order = np.argsort(code, kind="stable")
     starts = np.flatnonzero(_changes(code[order])).tolist() + [len(order)]
     for lo, hi in zip(starts, starts[1:]):
@@ -935,22 +940,23 @@ class _LabelTable:
 # The most label tuples that one round of the pentagon or the hexagons
 # enumerates before the last filter of its left side, unless one first
 # label alone needs more, and the most fusion paths that one round of a
-# ``fusion_paths`` flush enumerates or sorts, unless one word order or step
-# alone needs more: a bound on a round's tables, gathers and index arrays.
+# ``fusion_paths`` flush enumerates, or that the generators one round
+# builds read, unless one word or generator alone needs more: a bound on a
+# round's tables, gathers and index arrays.
 _ROUND_ROWS = 1 << 13
 
 
 def _rounds(rows):
-    """The first labels in runs of consecutive labels, each run
-    enumerating at most ``_ROUND_ROWS`` label tuples unless its one label
-    alone needs more; ``rows[a]`` is the count of first label a."""
-    start, total = 0, 0
-    for a, n in enumerate(rows.tolist()):
-        if total + n > _ROUND_ROWS and a > start:
-            yield np.arange(start, a)
-            start, total = a, 0
-        total += n
-    yield np.arange(start, len(rows))
+    """Runs of consecutive items, each of at most ``_ROUND_ROWS`` rows in
+    all unless its one item alone has more; ``rows[i]`` is the count of
+    item i, a first label of the coherence rounds or a word or generator
+    of a ``fusion_paths`` flush."""
+    ends, lo = np.cumsum(rows), 0
+    while lo < len(ends):
+        cap = (ends[lo - 1] if lo else 0) + _ROUND_ROWS
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        yield np.arange(lo, hi)
+        lo = hi
 
 
 def _fans(N):
@@ -1097,7 +1103,7 @@ def _ribbon_deviation(spec: CategorySpec) -> float:
     want.imag = ta.real * tb.imag + ta.imag * tb.real
     want = theta[c] / want
     worst = 0.0
-    for m in np.unique(n).tolist():
+    for m in np.flatnonzero(np.bincount(n)).tolist():
         x, y, z, w = (v[n == m] for v in (a, b, c, want))
         mat = R.take((y, x, z), (m, m)) @ R.take((x, y, z), (m, m))
         dev = np.max(np.abs(mat - w[:, None, None] * np.eye(m)), axis=(1, 2))

@@ -3,14 +3,15 @@ fusion paths, batched over every label tuple of a sweep.
 
 The tuples of a sweep have one length L, and every word of its identities
 orders a tuple's letters: a word order is a permutation of 0..L-1, the same
-for every tuple.  ``PathStack`` holds the fusion paths of each word order
-for all tuples at once: 0 = A_0, A_1 = w_1, A_2, ..., A_L with vertex
-multiplicities mu_1 = 0, mu_2, ..., mu_L, sorted per (tuple, root) in the
-order of ``FusionRing.tree_basis``.  A ``Braid`` between two word orders is
-one square block per (tuple, root), rows over the target's trees and
-columns over the source's.  The size of a block, the number of trees of
-the tuple's letters at the root, does not depend on their order, so blocks
-of equal size are stacked into one array (B, n, n), never padded.
+for every tuple, and tuple t spells the word labels[t, order] in it.  The
+fusion paths of a word are 0 = A_0, A_1 = w_1, A_2, ..., A_L with vertex
+multiplicities mu_1 = 0, mu_2, ..., mu_L, sorted per root in the order of
+``FusionRing.tree_basis``.  A ``Braid`` between two word orders is one
+square block per (tuple, root), rows over the trees of the tuple's target
+word and columns over those of its source word.  The size of a block, the
+number of trees of the tuple's letters at the root, does not depend on
+their order, so blocks of equal size are stacked into one array (B, n, n),
+never padded.
 
 The braid generator sigma_p changes only A_p, mu_p and mu_{p+1}; every
 other label of a path is its context.  On the paths of one context it is
@@ -31,21 +32,29 @@ Braids are built when first used.  ``PathStack.braid`` only queues the
 generator steps (source order, p, over) that it needs, and a braid's
 products, inverses and powers wait for it.  The first braid whose blocks
 are read, by ``PathStack.deviations`` or ``PathStack.blocks``, flushes the
-queue in a few rounds: the paths of every new word order are enumerated
-together, one row gather per fusion step over the ring's
-multiplicity-expanded fusion vertices; the generators are sorted by
-context, every (order, p) of a round in one ``np.lexsort``, and written by
-one gather from the spec's table of local blocks of their sense.  That
+queue in a few rounds.  Paths and generators depend only on the word a
+tuple spells, and most words repeat over the orders and tuples of a sweep,
+so the flush numbers the words of every new word order, each distinct word
+once, and enumerates the paths of the words not seen before together: one
+row gather per fusion step over the ring's multiplicity-expanded fusion
+vertices.  It builds each distinct (word, p, over) generator once, laid
+out as the word's blocks in root order: the paths of a round's generators
+are sorted by context, every (word, p) in one ``np.lexsort``, and written
+by one gather from the spec's table of local blocks of their sense.  That
 table holds the block of every F-block key (x, a, b, y), laid out as the
 F-blocks and built in one batched product per block size from their
-stacks and those of the inverse F-blocks and the R-blocks.  A stack's
-(tuple, root) blocks come from the tree counts of its words, so it
-enumerates no word order that no braid reads.  A round enumerates or
-sorts at most ``_ROUND_ROWS`` paths, unless one word order or step alone
-needs more, which bounds the memory of a flush.  Each
-sweep names all its braids before it compares the first, so that one flush
-builds them.  An error of the data, such as a singular block, is therefore
-raised where a braid is first read, not where it is named.
+stacks and those of the inverse F-blocks and the R-blocks.  Each step's
+(tuple, root) blocks are then one gather from the generators of its
+tuples' words, whose roots and block sizes are those of the tuples.  A
+stack's blocks come from the tree counts of its tuples, so it enumerates
+no word that no braid reads.  A round enumerates at most ``_ROUND_ROWS``
+paths, or builds generators that read at most that many, unless one word
+or generator alone needs more, which bounds the memory of a flush.  The
+inverse of a product of generators is taken once per stack, so the psi^(n)
+of several n share their monodromies' inverses.  Each sweep names all its
+braids before it compares the first, so that one flush builds them.  An
+error of the data, such as a singular block, is therefore raised where a
+braid is first read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
@@ -66,9 +75,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import (_ROUND_ROWS, CategorySpec, _blocks, _changes,
-                       _check_words, _encode, _f_inverses, _f_keys, _f_paths,
-                       _inverses, _Keys, _mult, _r_store, _ranges, cached)
+from .category import (CategorySpec, _blocks, _changes, _check_words,
+                       _codes, _encode, _f_inverses, _f_keys, _f_paths,
+                       _inverses, _Keys, _mult, _r_store, _ranges, _rounds,
+                       cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
 
 
@@ -146,13 +156,16 @@ class Braid:
     """A morphism between two word orders of one ``PathStack``: ``blocks``
     maps each block size n to the stacked blocks (B_n, n, n).  They are
     computed when first read, after the stack has built every generator
-    queued so far.  A braid holds its stack and the stack holds no braid,
-    only arrays, so both are freed by reference counting."""
+    queued so far.  A product of generators (``PathStack.braid``) carries
+    its ``key``, under which the stack memoises its blocks and its inverse.
+    A braid holds its stack and the stack holds no braid, only arrays, so
+    both are freed by reference counting."""
 
-    __slots__ = ("stack", "src", "dst", "_make", "_blocks", "__weakref__")
+    __slots__ = ("stack", "src", "dst", "key", "_make", "_blocks",
+                 "__weakref__")
 
-    def __init__(self, stack: "PathStack", src, dst, make):
-        self.stack, self.src, self.dst = stack, src, dst
+    def __init__(self, stack: "PathStack", src, dst, make, key=None):
+        self.stack, self.src, self.dst, self.key = stack, src, dst, key
         self._make, self._blocks = make, None
 
     @property
@@ -170,15 +183,22 @@ class Braid:
             n: x @ other.blocks[n] for n, x in self.blocks.items()})
 
     def inverse(self) -> "Braid":
-        """The inverse map, one stacked ``category._inverses`` per block size.
-        A block that is not finite inverts to NaN, so that its tuple fails;
-        a singular one raises NotPremodular naming its word and root when
-        the inverse is read."""
+        """The inverse map, one stacked ``category._inverses`` per block size,
+        made once per stack for a braid with a ``key``.  A block that is not
+        finite inverts to NaN, so that its tuple fails; a singular one
+        raises NotPremodular naming its word and root when the inverse is
+        read."""
         return Braid(self.stack, self.dst, self.src, self._inverted)
 
     def _inverted(self) -> dict:
-        return {n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
-                for n, x in self.blocks.items()}
+        memo = self.stack._inverses
+        if self.key in memo:
+            return memo[self.key]
+        out = {n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
+               for n, x in self.blocks.items()}
+        if self.key is not None:
+            memo[self.key] = out
+        return out
 
     def power(self, e: int) -> "Braid":
         """The e-th power of an endomorphism, block by block; a negative
@@ -199,10 +219,15 @@ def _mu(L: int, k: int) -> int:
 
 class PathStack:
     """The label tuples of a sweep, each a tuple of L Python ints in
-    [0, rank), with their fusion paths for every word order that a braid
-    reaches: one array per order, rows in tree order, columns A_0 .. A_L,
-    mu_1 .. mu_L, then the tuple, the (tuple, root) block and the position
-    within it.  The generators built from them and the braids they compose
+    [0, rank), with the fusion paths of every word that a braid reaches.
+    A word is ``labels[t, order]``, the letters of tuple t in a word order;
+    each distinct word is numbered once, with a representative tuple that
+    spells it, and tuples and orders that spell one word share its paths
+    and generators.  ``_paths`` holds the paths of every word numbered so
+    far: one word's rows together, in tree order per root, from row
+    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word, the
+    (tuple, root) block of the same root in its representative tuple and
+    the position within it.  The generators and the braids they compose
     are memoised per (source order, positions, over), as arrays."""
 
     def __init__(self, spec: CategorySpec, tuples):
@@ -216,8 +241,16 @@ class PathStack:
             raise InvalidWord(f"labels must lie in [0, {spec.rank})")
         self.spec, self.labels = spec, labels
         L = labels.shape[1]
-        self._tuple, self._block, self._pos = 2 * L + 1, 2 * L + 2, 2 * L + 3
-        self._paths, self._steps, self._orders, self._braids = {}, {}, {}, {}
+        self._word, self._block, self._pos = 2 * L + 1, 2 * L + 2, 2 * L + 3
+        self._steps, self._orders, self._braids, self._inverses = \
+            {}, {}, {}, {}
+        # the words numbered so far, a tuple that spells each, the first
+        # row of each one's paths, and the word of every tuple in each
+        # word order read
+        self._words = np.empty((0, L), dtype=np.intp)
+        self._rep = np.empty(0, dtype=np.intp)
+        self._paths = np.empty((0, 2 * L + 4), dtype=np.int32)
+        self._row, self._word_of = np.zeros(1, dtype=np.intp), {}
         # the columns that sigma_p changes: A_p, mu_p and mu_{p + 1}
         self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
                                 for p in range(1, L)],
@@ -233,16 +266,37 @@ class PathStack:
         self.first_block = np.searchsorted(self.tuple_of,
                                            np.arange(len(labels)))
         self.size_of = sizes = dims[self.tuple_of, self.root_of]
-        self._count = int(sizes.sum())  # paths per word order
+        # paths and generator entries of each tuple's word
+        self._count = np.add.reduceat(sizes, self.first_block)
+        self._entries = np.add.reduceat(sizes * sizes, self.first_block)
         # a generator is built in one flat buffer: the blocks of size n
         # from base[n] on, block b at offset[b]
         lay = _Keys(None, None, None, sizes)
         self.members = {n: bs for n, (bs, _) in lay.groups.items()}
         self.base = {n: lo for n, (_, lo) in lay.groups.items()}
         self.offset, self.flat_size = lay.start, lay.total
+        # a word's generator is laid out as its blocks in root order: entry
+        # e of the flat buffer is entry gather[1, e] of the generator of the
+        # word of tuple gather[0, e], and block b starts at entry at[b] of
+        # the generator of its tuple's word
+        block, within, local = self._items(sizes * sizes)
+        self._at = local[within == 0]
+        self._gather = np.empty((2, self.flat_size), dtype=np.intp)
+        self._gather[:, self.offset[block] + within] = \
+            self.tuple_of[block], local
 
     def __len__(self):
         return len(self.labels)
+
+    def _items(self, per) -> tuple:
+        """Given per[b] items in each block b: the block of every item, in
+        block order, its index within the block, and its index among the
+        items of its tuple's blocks in root order."""
+        block = np.repeat(np.arange(len(per)), per)
+        before = np.cumsum(per) - per
+        index = np.arange(len(block))
+        return (block, index - before[block],
+                index - before[self.first_block[self.tuple_of[block]]])
 
     def _singular(self, order, n: int, i: int) -> str:
         """Where a braid from ``order`` is singular, given the position i
@@ -256,37 +310,58 @@ class PathStack:
     # -- the deferred rounds -----------------------------------------------
 
     def _flush(self):
-        """Build every queued generator, after the paths of every word order
-        they or a queued twist read."""
+        """Build every queued generator, after the paths of every word they
+        or a queued twist read."""
         if not self._steps and not self._orders:
             return
         steps, orders = list(self._steps), dict(self._orders)
         for order, p, _ in steps:
             orders[order] = orders[_swapped(order, p)] = None
-        new = [order for order in orders if order not in self._paths]
-        per = max(1, _ROUND_ROWS // self._count)
-        for i in range(0, len(new), per):
-            self._enumerate(new[i:i + per])
-        per = max(1, _ROUND_ROWS // (2 * self._count))
-        for i in range(0, len(steps), per):
-            self._generators(steps[i:i + per])
+        self._spell([order for order in orders if order not in self._word_of])
+        if steps:
+            self._build(steps)
         self._steps, self._orders = {}, {}
 
-    def _enumerate(self, orders):
-        """The fusion paths of the words ``labels[:, order]`` of every
-        order, in one round: one row gather per fusion step over the ring's
-        fusion vertices and one sort into tree order."""
+    def _spell(self, orders):
+        """Number the words of every tuple in each of ``orders``, and
+        enumerate the paths of those not numbered before, in rounds of at
+        most ``_ROUND_ROWS`` paths unless one word alone has more."""
+        if not orders:
+            return
+        T, L = self.labels.shape
+        seen = len(self._words)
+        # letter i of every numbered word, then of every tuple in each order
+        letters = np.concatenate([self._words.T, np.ascontiguousarray(
+            self.labels.T)[np.array(orders).T].reshape(L, -1)], axis=1)
+        _, first, inverse = np.unique(_codes(letters, self.spec.rank),
+                                      return_index=True, return_inverse=True)
+        new = first >= seen
+        number = np.where(new, seen + np.cumsum(new) - 1, first)
+        for order, ids in zip(orders, number[inverse[seen:]].reshape(
+                len(orders), T)):
+            self._word_of[order] = ids
+        if not new.any():
+            return
+        self._words = np.concatenate([self._words, letters[:, first[new]].T])
+        self._rep = np.concatenate([self._rep, (first[new] - seen) % T])
+        count = self._count[self._rep]
+        self._row = np.concatenate([[0], np.cumsum(count)])
+        self._paths = np.concatenate([self._paths] + [
+            self._enumerate(seen + ids) for ids in _rounds(count[seen:])])
+
+    def _enumerate(self, ids) -> np.ndarray:
+        """The fusion paths of the words ``ids``, in one round: one row
+        gather per fusion step over the ring's multiplicity-expanded fusion
+        vertices and one sort into tree order."""
         ring = self.spec.ring
         r, m = ring.rank, int(ring.N.max())
-        T, L = self.labels.shape
+        L = self.labels.shape[1]
         width = 2 * L + 4
         start, channel, alpha = ring._fusion_vertices()
-        # while paths grow: the columns of the table, with the word order
-        # and tuple as one index in the tuple column, then the letters
-        grow = np.zeros((len(orders) * T, width + L), dtype=np.int32)
-        grow[:, self._tuple] = np.arange(len(grow))
-        grow[:, width:] = self.labels[:, np.array(orders)].swapaxes(
-            0, 1).reshape(-1, L)
+        # while paths grow: the columns of the table, then the letters
+        grow = np.zeros((len(ids), width + L), dtype=np.int32)
+        grow[:, self._word] = ids
+        grow[:, width:] = self._words[ids]
         grow[:, 1] = grow[:, width]
         for k in range(1, L):
             pair = grow[:, k] * r + grow[:, width + k]
@@ -295,97 +370,115 @@ class PathStack:
             grow = grow[np.repeat(np.arange(len(pair)), count)]
             grow[:, k + 1], grow[:, _mu(L, k + 1)] = \
                 channel[vertex], alpha[vertex]
-        # tree order within (tuple, root): labels A_2..A_L, then mu_2..mu_L
-        g = grow[:, self._tuple]
-        keys = _packed([g, grow[:, L]] + [grow[:, k] for k in range(2, L + 1)]
+        # tree order within (word, root): labels A_2..A_L, then mu_2..mu_L
+        keys = _packed([grow[:, self._word], grow[:, L]]
+                       + [grow[:, k] for k in range(2, L + 1)]
                        + [grow[:, _mu(L, k)] for k in range(2, L + 1)],
-                       [len(orders) * T, r] + [r] * (L - 1) + [m] * (L - 1))
+                       [len(self._words), r] + [r] * (L - 1) + [m] * (L - 1))
         paths = grow[np.lexsort(keys[::-1]), :width]
-        g = paths[:, self._tuple].copy()
-        key = g * r + paths[:, L]
-        first = _changes(key)
+        first = _changes(paths[:, self._word].astype(np.int64) * r
+                         + paths[:, L])
+        starts = np.flatnonzero(first)
         block = np.cumsum(first) - 1
-        per_order = (block[-1] + 1) // len(orders)
-        paths[:, self._pos] = np.arange(len(key)) \
-            - np.flatnonzero(first)[block]
-        paths[:, self._block] = block - g // T * per_order
-        paths[:, self._tuple] = g % T
-        for order, rows in zip(orders, np.split(paths, len(orders))):
-            self._paths[order] = rows
+        paths[:, self._pos] = np.arange(len(paths)) - starts[block]
+        # a word has the roots and block sizes of its representative tuple
+        lead = paths[starts]
+        paths[:, self._block] = np.searchsorted(
+            self.tuple_of * r + self.root_of,
+            self._rep[lead[:, self._word]] * r + lead[:, L])[block]
+        return paths
 
-    def _generators(self, steps):
-        """Build the generators of ``steps``, each (order, p, over), in one
-        round: one context sort of every (order, p) they read, one gather
-        of their local blocks and one write of their entries."""
-        spec, n_rows = self.spec, self._count
+    def _build(self, steps):
+        """Build the generators of ``steps``, each (order, p, over): the
+        generator of each distinct (word, p, over) that their tuples spell
+        once, into one buffer, in rounds that read at most ``_ROUND_ROWS``
+        paths unless one generator alone reads more; then the blocks of
+        every step by one gather from that buffer."""
+        L = self.labels.shape[1]
+        src = np.array([self._word_of[order] for order, _, _ in steps])
+        dst = np.array([self._word_of[_swapped(order, p)]
+                        for order, p, _ in steps])
+        code = (src * L + np.array([[p] for _, p, _ in steps])) * 2 \
+            + np.array([[over] for _, _, over in steps])
+        code, which = np.unique(code.ravel(), return_inverse=True)
+        # the target word of each (word, p, over), from any step that reads it
+        v = np.empty(len(code), dtype=np.intp)
+        v[which] = dst.ravel()
+        u, p, over = code // (2 * L), code // 2 % L, code % 2 == 1
+        size = self._entries[self._rep[u]]
+        base = np.cumsum(size) - size
+        out = np.zeros(int(size.sum()), dtype=np.complex128)
+        for idx in _rounds(2 * self._count[self._rep[u]]):
+            self._generators(out, base[idx], u[idx], v[idx], p[idx],
+                             over[idx])
+        tuple_of, entry = self._gather
+        flats = out[base[which.reshape(src.shape)][:, tuple_of] + entry]
+        for (order, p, over), flat in zip(steps, flats):
+            self._braids[order, (p,), over] = self._split(flat)
+
+    def _generators(self, out, base, u, v, ps, over):
+        """Write the generators sigma_p (``over``) from the words u to the
+        words v into ``out``, each laid out as its word's blocks in root
+        order from ``base`` on, in one round: one context sort of every
+        (word, p) they read, one gather of their local blocks and one write
+        of their entries."""
+        spec = self.spec
         r, m = spec.rank, int(spec.ring.N.max())
         L = self.labels.shape[1]
-        # each step reads its source and its target at p: both words have
-        # the same contexts, each with as many paths as its local block has
-        # trees, so the two sorts align
-        pairs = {}
-        for order, p, _ in steps:
-            pairs.setdefault((order, p), len(pairs))
-            pairs.setdefault((_swapped(order, p), p), len(pairs))
-        ps = np.array([p for _, p in pairs])
-        table = np.stack([self._paths[order] for order, _ in pairs])
-        pair, cols = np.arange(len(pairs))[:, None], self._local[ps - 1]
-        # a path's context is its pair, labels and tuple with the local
-        # labels zeroed
-        context = table[:, :, 1:self._block].copy()
-        context[pair, :, cols - 1] = 0
-        context = [key.ravel() for key in _packed(
-            [pair] + list(context.transpose(2, 0, 1)),
-            [len(pairs)] + [r] * L + [m] * L + [len(self)])]
-        local = table[pair, :, cols]
-        ranked = np.lexsort([key.ravel() for key in _packed(
-            [local[:, 0], local[:, 1], local[:, 2]], [r, m, m])][::-1]
-            + context[::-1])
-        table = table.reshape(len(ranked), -1)
+        # each generator reads its source word and its target at p: both
+        # have the same contexts, each with as many paths as its local
+        # block has trees, so the two sorts align
+        pairs, where = np.unique(np.concatenate([u * L + ps, v * L + ps]),
+                                 return_inverse=True)
+        src, dst = where[:len(ps)], where[len(ps):]
+        words = pairs // L
+        count = self._row[words + 1] - self._row[words]
+        pair = np.repeat(np.arange(len(pairs)), count)
+        table = self._paths[_ranges(self._row[words], count)]
+        rows = np.arange(len(table))[:, None]
+        cols = self._local[pairs % L - 1][pair]
+        # a path's context is its pair and labels with the local labels
+        # zeroed
+        context = table[:, 1:self._word].copy()
+        context[rows, cols - 1] = 0
+        context = _packed([pair] + list(context.T),
+                          [len(pairs)] + [r] * L + [m] * L)
+        local = table[rows, cols]
+        ranked = np.lexsort(_packed(list(local.T), [r, m, m])[::-1]
+                            + context[::-1])
         starts = np.flatnonzero(np.logical_or.reduce(
             [_changes(key[ranked]) for key in context]))
-        size = np.diff(np.r_[starts, len(ranked)])
-        first = np.searchsorted(ranked[starts] // n_rows,
+        size = np.diff(starts, append=len(ranked))
+        first = np.searchsorted(pair[ranked[starts]],
                                 np.arange(len(pairs) + 1))
-        # the contexts of every step, source and target aligned, and the
-        # key (A_{p-1}, w_p, w_{p+1}, A_{p+1}) of each one's local block
-        src = np.array([pairs[order, p] for order, p, _ in steps])
-        dst = np.array([pairs[_swapped(order, p), p]
-                        for order, p, _ in steps])
+        # the contexts of every generator, source and target aligned, and
+        # the key (A_{p-1}, w_p, w_{p+1}, A_{p+1}) of each one's local block
         count = first[src + 1] - first[src]
         cs = _ranges(first[src], count)
         cd = _ranges(first[dst], count)
-        step = np.repeat(np.arange(len(steps)), count)
-        p = ps[src][step]
-        lead = ranked[starts[cs]]
-        t = table[lead, self._tuple]
-        slots = np.array([order for order, _, _ in steps])
-        sense = np.array([over for _, _, over in steps])[step]
-        # the tables of both senses are laid out as the F-blocks
+        gen = np.repeat(np.arange(len(ps)), count)
+        p, w, lead = ps[gen], u[gen], ranked[starts[cs]]
         keys = _f_keys(spec.ring)
         at = keys.start[np.searchsorted(keys.codes, _encode((
-            table[lead, p - 1], self.labels[t, slots[step, p - 1]],
-            self.labels[t, slots[step, p]], table[lead, p + 1]), r))]
+            table[lead, p - 1], self._words[w, p - 1], self._words[w, p],
+            table[lead, p + 1]), r))]
         # every (row, column) pair of every context
         size = size[cs]
         count = size * size
         g = np.repeat(np.arange(len(cs)), count)
         li, lj = np.divmod(_ranges(0, count), size[g])
         at = at[g] + li * size[g] + lj
+        sense = over[gen[g]]
         value = np.empty(len(g), dtype=np.complex128)
-        for over in np.unique(sense).tolist():
-            pick = sense[g] == over
-            value[pick] = _braid_blocks(spec, over)[at[pick]]
+        for sign in set(over.tolist()):
+            pick = sense == sign
+            value[pick] = _braid_blocks(spec, sign)[at[pick]]
         i = ranked[starts[cd[g]] + li]
         j = ranked[starts[cs[g]] + lj]
         block = table[j, self._block]
-        n = self.size_of[block]
-        out = np.zeros((len(steps), self.flat_size), dtype=np.complex128)
-        out.reshape(-1)[step[g] * self.flat_size + self.offset[block]
-                        + table[i, self._pos] * n
-                        + table[j, self._pos]] = value
-        for (order, p, over), flat in zip(steps, out):
-            self._braids[order, (p,), over] = self._split(flat)
+        out[base[gen[g]] + self._at[block]
+            + table[i, self._pos] * self.size_of[block]
+            + table[j, self._pos]] = value
 
     def _split(self, flat) -> dict:
         """The blocks that lie in one flat buffer as ``offset`` places
@@ -418,19 +511,20 @@ class PathStack:
     def twist(self, order, k: int, power: int = 1) -> Braid:
         """theta_{A_k}^power on each path of the words of ``order``: the
         twist of their first k letters whiskered on the right, as
-        ``engine.twist_endo`` of word[:k] embedded with right=word[k:]."""
+        ``engine.twist_endo`` of word[:k] embedded with right=word[k:].
+        A tuple's paths are those of its word, in the same order."""
         if not 0 <= k <= len(order):
             raise PositionOutOfRange(f"prefix {k} invalid for words of "
                                      f"length {len(order)}")
         self._orders[order] = None
 
         def make():
-            paths = self._paths[order]
-            block = paths[:, self._block]
-            n = self.size_of[block]
+            block, pos, path = self._items(self.size_of)
+            rows = self._row[self._word_of[order][self.tuple_of[block]]] \
+                + path
             out = np.zeros(self.flat_size, dtype=np.complex128)
-            out[self.offset[block] + paths[:, self._pos] * (n + 1)] = \
-                (self.spec.theta ** power)[paths[:, k]]
+            out[self.offset[block] + pos * (self.size_of[block] + 1)] = \
+                (self.spec.theta ** power)[self._paths[rows, k]]
             return self._split(out)
         return Braid(self, order, order, make)
 
@@ -456,7 +550,7 @@ class PathStack:
                 self._steps[dst, p, over] = None
             dst = _swapped(dst, p)
         key = (order, positions, over)
-        return Braid(self, order, dst, lambda: self._product(key))
+        return Braid(self, order, dst, lambda: self._product(key), key)
 
     # -- results -----------------------------------------------------------
 

@@ -141,10 +141,12 @@ def test_generators_equal_the_engine_with_multiplicity_two():
 def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
     """alpha_induction of both signs and psi^(1) on Rep(A4) words of
     length 5 queue generators on several word orders, among them one that
-    only ``_moved`` reaches; the first read enumerates all of them in one
-    round.  Per (tuple, root) the paths must be those of
-    ``FusionRing.tree_basis``, labels and multiplicities in its order, and
-    every generator built must equal ``engine.braid_generator``."""
+    only ``_moved`` reaches; the first read numbers the words that every
+    tuple spells in each of them, each distinct word once, and enumerates
+    them all in one round.  Per (word, root) the paths must be those of
+    ``FusionRing.tree_basis``, labels and multiplicities in its order, each
+    row naming its root's block and its position in it, and every
+    generator built must equal ``engine.braid_generator``."""
     spec = random_rep_a4()
     rng = np.random.default_rng(11)
     words = [(3,) * 5] + sorted({tuple(int(x) for x in row) for row in
@@ -152,25 +154,36 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
     stack = PathStack(spec, words)
     rounds = []
     enumerate_ = PathStack._enumerate
-    monkeypatch.setattr(PathStack, "_enumerate", lambda self, orders: (
-        rounds.append(list(orders)), enumerate_(self, orders)))
+    monkeypatch.setattr(PathStack, "_enumerate", lambda self, ids: (
+        rounds.append(ids.tolist()), enumerate_(self, ids))[1])
     order = (0, 1, 2, 3, 4)
     f = fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1))
     fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1), False)
     fusion_paths.psi(stack, order, 2, 1, 2, 1)
     stack.blocks(f, 0)
     moved = fusion_paths._moved(order, 2, 1, 1)
-    assert len(rounds) == 1 and moved in rounds[0] and len(rounds[0]) > 2
-    L = len(order)
-    for order, paths in stack._paths.items():
+    assert moved in stack._word_of and len(stack._word_of) > 2
+    numbered = [tuple(w) for w in stack._words.tolist()]
+    assert rounds == [list(range(len(numbered)))]
+    assert len(set(numbered)) == len(numbered) < len(stack._word_of) \
+        * len(words)
+    for order, ids in stack._word_of.items():
         for k, labels in enumerate(stack.labels.tolist()):
-            word = tuple(labels[i] for i in order)
-            mine = paths[paths[:, 2 * L + 1] == k]
-            got = {}
-            for row in mine.tolist():
-                got.setdefault(row[L], []).append(
-                    (tuple(row[2:L + 1]), tuple(row[L + 2:2 * L + 1])))
-            assert got == spec.ring.tree_basis(word), (word, order)
+            assert numbered[ids[k]] == tuple(labels[i] for i in order)
+    L = len(order)
+    for u, word in enumerate(numbered):
+        rows = stack._paths[stack._row[u]:stack._row[u + 1]].tolist()
+        got = {}
+        for row in rows:
+            assert row[2 * L + 1] == u
+            b = row[2 * L + 2]
+            assert stack.root_of[b] == row[L]
+            assert numbered[u] in {tuple(stack.labels[stack.tuple_of[b], list(
+                o)].tolist()) for o in stack._word_of}
+            assert row[2 * L + 3] == len(got.get(row[L], []))
+            got.setdefault(row[L], []).append(
+                (tuple(row[2:L + 1]), tuple(row[L + 2:2 * L + 1])))
+        assert got == spec.ring.tree_basis(word), word
     built = [key for key in stack._braids if len(key[1]) == 1]
     assert len(built) > 10 and {over for *_, over in built} == {True, False}
     # relative: the generators of this random data reach entries of 170
@@ -197,6 +210,26 @@ ISING_MODULE = {
 }
 
 
+# The same for fibonacci, whose tuples in every word order spell the same
+# 128 words, as the sweeps gave them when each (word order, tuple) had
+# paths and generators of its own.
+FIB_MODULE = {
+    "module_pentagon": 2.259547122722756e-15,
+    "left_module_pentagon": 1.2412670766236366e-16,
+    "module_triangle": 4.562243529806772e-16,
+    "twist_mismatch_functor": 5.551115123125783e-16,
+    "associator_from_chain": 1.0934428697813141e-15,
+    "twist_extraction": 1.5700924586837752e-16,
+    "alpha_module_functor": 7.216449660063518e-16,
+    "commutor_witness": 5.4672143489065705e-16,
+}
+
+
+def test_fibonacci_module_deviations_hold_bit_for_bit():
+    report = run_suite("fibonacci", suites=["module"])
+    assert {c.name: c.max_deviation for c in report.checks} == FIB_MODULE
+
+
 def test_stacks_enumerate_no_order_of_their_own(monkeypatch):
     """A stack takes its block layout from the tree counts of its words,
     so it enumerates only the word orders its braids read, in its first
@@ -204,8 +237,8 @@ def test_stacks_enumerate_no_order_of_their_own(monkeypatch):
     enumeration rounds, with the same deviations bit for bit."""
     rounds = []
     enumerate_ = PathStack._enumerate
-    monkeypatch.setattr(PathStack, "_enumerate", lambda self, orders: (
-        rounds.append(orders), enumerate_(self, orders)))
+    monkeypatch.setattr(PathStack, "_enumerate", lambda self, ids: (
+        rounds.append(ids), enumerate_(self, ids))[1])
     report = run_suite("ising", suites=["module"])
     assert len(rounds) <= 9
     assert {c.name: c.max_deviation for c in report.checks} == ISING_MODULE
@@ -228,6 +261,75 @@ def test_module_sweeps_build_in_few_rounds(monkeypatch):
     assert calls["deviations"] >= 8
     assert calls["_enumerate"] <= calls["__init__"] + calls["deviations"]
     assert calls["_generators"] <= calls["deviations"], calls
+
+
+def test_each_braid_is_inverted_once_per_stack(monkeypatch):
+    """psi^(1) and psi^(2) invert the same monodromies: a fibonacci
+    pentagon sweep at n = 1 and 2 makes as many stacked inversions as one
+    at n = 1 alone, four per block size, and gives each tuple the larger
+    of the deviations of the sweeps at n = 1 and at n = 2."""
+    calls = []
+    inverses = fusion_paths._inverses
+    monkeypatch.setattr(fusion_paths, "_inverses", lambda stack, message: (
+        calls.append(len(stack)), inverses(stack, message))[1])
+    spec = suite.get_category("fibonacci")
+    tuples = list(itertools.product(range(2), repeat=7))
+    sizes = len(PathStack(spec, tuples).members)
+    once = [fusion_paths.module_pentagon_deviations(spec, tuples, (n,))
+            for n in (1, 2)]
+    assert len(calls) == 2 * 4 * sizes
+    both = fusion_paths.module_pentagon_deviations(spec, tuples, (1, 2))
+    assert len(calls) == 3 * 4 * sizes
+    assert both == np.maximum(*once).tolist()
+
+
+def _spelt(rng, spec, L):
+    """Seeded tuples of length L that share words: two tuples, both twice,
+    and three that permute the letters of the first, which starts with
+    three letters of the most fusion channels."""
+    top = int(np.argmax(spec.ring.N.sum(axis=(1, 2))))
+    a = (top,) * 3 + tuple(int(x) for x in rng.integers(0, spec.rank,
+                                                         size=L - 3))
+    b = tuple(int(x) for x in rng.integers(0, spec.rank, size=L))
+    return [a, b, a, a[::-1], b, a[1:] + a[:1], tuple(sorted(a))]
+
+
+# Braids that read every kind of block the stacks build: generators of
+# both senses, their products, inverses and powers, and twists.
+SHARED = {
+    7: lambda s: [fusion_paths.psi(s, *args, n) for args, _ in RIGHT
+                  for n in N_VALUES]
+    + [fusion_paths.psi_hat(s, *args, n) for args, _ in LEFT
+       for n in N_VALUES]
+    + [fusion_paths.alpha_induction(s, (0, 3, 4, 1, 2, 5, 6), 1, (1, 1),
+                                    (1, 1), over) for over in (True, False)],
+    5: lambda s: [fusion_paths.psi_from_gamma(s, (0, 1, 3, 2, 4), 1, 1, 1,
+                                              1, 2),
+                  fusion_paths.module_commutor(s, (0, 3, 4, 1, 2), 3, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "random_rep_a4"])
+def test_tuples_that_share_words_equal_their_own_stacks(name, spec_of):
+    """Duplicated tuples and tuples that permute one another's letters
+    share words, so their paths and generators: each must still get
+    exactly the blocks and deviations of a stack of that one tuple."""
+    spec = random_rep_a4() if name == "random_rep_a4" else spec_of(name)
+    rng = np.random.default_rng(2)
+    for L, braids in SHARED.items():
+        tuples = _spelt(rng, spec, L)
+        stack = PathStack(spec, tuples)
+        assert max(stack.members) > 1
+        for k, t in enumerate(tuples):
+            alone = PathStack(spec, [t])
+            for f, g in zip(braids(stack), braids(alone)):
+                got, want = stack.blocks(f, k), alone.blocks(g, 0)
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[c], want[c]) for c in got)
+        for sweep, (k, batched, _) in SWEEPS.items():
+            if k == L:
+                assert batched(spec, tuples) == [batched(spec, [t])[0]
+                                                 for t in tuples], sweep
 
 
 def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,

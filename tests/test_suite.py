@@ -3,6 +3,8 @@ module sweeps."""
 
 import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,6 +18,7 @@ from mtc.report import VerificationReport
 from mtc.suite import run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # far below every check's tolerance, and above the last-bit differences
 # that BLAS builds on different machines can leave in a deviation
@@ -167,3 +170,18 @@ def test_non_integer_n_values_are_refused(monkeypatch, n_values):
     monkeypatch.setattr(suite, "resolve_target", None)
     with pytest.raises(ValueError, match="n_values"):
         run_suite("semion", n_values=n_values, suites=["module"])
+
+
+def test_suite_leaves_numpy_ma_unimported():
+    """A bare ``np.unique`` imports ``numpy.ma`` (about 10 ms and 0.9 MB
+    per process): the whole suite on every builtin runs without it.  A
+    fresh interpreter, since any test may have imported it here."""
+    script = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+              "from mtc.builtins import BUILTIN_NAMES\n"
+              "from mtc.suite import run_suite\n"
+              "for name in BUILTIN_NAMES:\n"
+              "    run_suite(name)\n"
+              "    assert 'numpy.ma' not in sys.modules, name\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
