@@ -35,8 +35,12 @@ A spec holds each symbol once, in the ``blocks`` section of its cache:
 every block, the unit strands' identities included, in one flat array,
 the blocks of one size stacked in key order (``_Keys``, ``_Blocks``).
 ``f_block``, ``r_block``, ``F`` and ``R`` read views of them; the F-
-and R-inverses, ``f_completeness`` and the stores read whole stacks.  A
-product spec takes its blocks laid out so from ``deligne_pair``.
+and R-inverses, the double braidings, ``f_completeness`` and the stores
+read whole stacks.  A product spec takes its blocks laid out so from
+``deligne_pair``.  The tables derived per key, the inverses, the double
+braidings and the channel blocks of ``mtc.frobenius``, are laid out so
+too, each made stack by stack with ``_Blocks.apply``.  ``_Keys.find`` is
+the one lookup from label columns to key positions.
 
 The pentagon and the hexagons are contractions of ``f_tensor`` blocks,
 checked as batched block algebra over label tables of named columns,
@@ -437,6 +441,15 @@ class _Keys:
             self.groups[n] = (idx, self.total)
             self.total += len(idx) * n * n
 
+    def labels(self) -> tuple:
+        """The label columns of the keys."""
+        return np.unravel_index(self.codes, (self.rank,) * self.arity)
+
+    def find(self, *columns) -> np.ndarray:
+        """The index of the key of each row of the label columns, each of
+        which must be a key."""
+        return np.searchsorted(self.codes, _encode(columns, self.rank))
+
 
 class _Blocks:
     """A spec's blocks of one symbol, laid out by ``keys`` in the read-only
@@ -453,23 +466,22 @@ class _Blocks:
         idx, lo = self.keys.groups[n]
         return self.flat[lo:lo + len(idx) * n * n].reshape(len(idx), n, n)
 
-    def apply(self, fn) -> np.ndarray:
-        """A writable array laid out as ``flat``, with fn(keys, stack) for
-        every stack, the keys as positions in ``keys.codes``."""
+    def apply(self, fn) -> "_Blocks":
+        """The blocks fn(keys, stack) of every stack, laid out as these, the
+        keys as positions in ``keys.codes``."""
         out = np.zeros_like(self.flat)
         for n, (idx, lo) in self.keys.groups.items():
             out[lo:lo + len(idx) * n * n] = fn(idx, self.stack(n)).ravel()
-        return out
+        return _Blocks(self.keys, out)
 
     def table(self, strands=0) -> dict:
         """{key: view} of the keys without a unit among their first
         ``strands`` labels, in key order; made on first call."""
         if strands not in self._tables:
             k = self.keys
-            labels = np.unravel_index(k.codes, (k.rank,) * k.arity)
             self._tables[strands] = {
                 key: self.flat[at:at + n * n].reshape(n, n)
-                for key, at, n in zip(zip(*(x.tolist() for x in labels)),
+                for key, at, n in zip(zip(*(x.tolist() for x in k.labels())),
                                       k.start.tolist(), k.size.tolist())
                 if all(key[:strands])}
         return self._tables[strands]
@@ -491,7 +503,7 @@ def _symbol(kind, given, keys: _Keys, strands) -> _Blocks:
     size, at the others.  ``_Laid`` blocks are trusted; a dict {key: block}
     is checked, and a missing or misshapen block, or one given at no such
     key, raises NotPremodular naming the key."""
-    labels = np.unravel_index(keys.codes, (keys.rank,) * keys.arity)
+    labels = keys.labels()
     stored = np.logical_and.reduce(labels[:strands])
     if isinstance(given, _Laid):
         flat = given.flat
@@ -680,7 +692,7 @@ def _f_keys(ring: FusionRing) -> _Keys:
     h = _mult(N, x, y, z) * _mult(N, z, w, v)
     codes, row = np.unique(_encode((x, y, w, v), r), return_inverse=True)
     K = _Keys(r, 4, codes, np.bincount(row, h, len(codes)).astype(np.int64))
-    K.row, K.col = row, np.searchsorted(codes, _encode((w, x, y, v), r))
+    K.row, K.col = row, K.find(w, x, y, v)
     K.rowoff, K.coloff = _below(row, z, h), _below(K.col, z, h)
     K.stride = K.size[row]
     K.rowbase = K.start[row] + K.rowoff * K.stride
@@ -760,7 +772,7 @@ def _f_store(spec: CategorySpec, inverse: bool = False) -> _Store:
     gamma, delta)."""
     F = _blocks(spec, "F")
     flat = _f_inverses(spec).apply(lambda _, stack: stack.transpose(
-        0, 2, 1)) if inverse else F.flat
+        0, 2, 1)).flat if inverse else F.flat
     return _Store(spec.ring, _F_DIMS, flat, F.keys.total, None)
 
 
@@ -793,7 +805,7 @@ def _inverse_blocks(blocks: _Blocks, name, swap=None) -> _Blocks:
             stack = stack[blocks.keys.pos[idx]]
         return _inverses(stack, lambda i: "{} is singular".format(
             name(list(blocks.table())[idx[i]])))
-    return _Blocks(blocks.keys, blocks.apply(invert))
+    return blocks.apply(invert)
 
 
 @cached("f_inverses")
@@ -807,19 +819,34 @@ def _f_inverses(spec: CategorySpec) -> _Blocks:
 def _r_inverses(spec: CategorySpec) -> _Blocks:
     """The inverse braiding c_{b,a}^-1 on channel c, the inverse of the
     R-block (b, a, c), for every R key (a, b, c)."""
-    R, r = _blocks(spec, "R"), spec.rank
-    a, b, c = np.unravel_index(R.keys.codes, (r,) * 3)
-    return _inverse_blocks(R, lambda k: f"R-block {k}",
-                           spec.ring._vertices()[0][(b * r + a) * r + c])
+    R = _blocks(spec, "R")
+    a, b, c = R.keys.labels()
+    return _inverse_blocks(R, lambda k: f"R-block {k}", R.keys.find(b, a, c))
+
+
+@cached("r_double")
+def _r_double(spec: CategorySpec) -> _Blocks:
+    """The double braiding c_{b,a} c_{a,b} on channel c, R[b,a,c] R[a,b,c],
+    for every R key (a, b, c), one product per block size."""
+    R = _blocks(spec, "R")
+    a, b, c = R.keys.labels()
+    swap = R.keys.pos[R.keys.find(b, a, c)]
+    return R.apply(lambda idx, stack: stack[swap[idx]] @ stack)
+
+
+def _vertex_store(ring: FusionRing, blocks: _Blocks, dims) -> _Store:
+    """The store of blocks laid out on the R keys, one per fusion vertex;
+    ``dims`` as ``_Store`` takes them."""
+    start, total = blocks.keys.start, blocks.keys.total
+    return _Store(ring, dims, blocks.flat, total, np.append(start, total))
 
 
 @cached("r_store")
 def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
     """The braiding c_{x,y}, or with ``inverse`` the inverse braiding
     c_{y,x}^-1, on every channel z, keyed by (x, y, z)."""
-    R = _r_inverses(spec) if inverse else _blocks(spec, "R")
-    return _Store(spec.ring, ((1, 0, 2), (0, 1, 2)), R.flat, R.keys.total,
-                  np.r_[R.keys.start, R.keys.total])
+    return _vertex_store(spec.ring, _r_inverses(spec) if inverse
+                         else _blocks(spec, "R"), ((1, 0, 2), (0, 1, 2)))
 
 
 def _codes(columns, base) -> np.ndarray:
@@ -890,16 +917,18 @@ class _LabelTable:
         self._codes, self._mults = {}, {}
 
     def code(self, vertex: str) -> np.ndarray:
-        if vertex not in self._codes:
+        out = self._codes.get(vertex)
+        if out is None:
             r = self.ring.rank
             x, y, z = (self.cols[w] for w in vertex)
-            self._codes[vertex] = (x * r + y) * r + z
-        return self._codes[vertex]
+            out = self._codes[vertex] = (x * r + y) * r + z
+        return out
 
     def mult(self, vertex: str) -> np.ndarray:
-        if vertex not in self._mults:
-            self._mults[vertex] = self.ring.N.ravel()[self.code(vertex)]
-        return self._mults[vertex]
+        out = self._mults.get(vertex)
+        if out is None:
+            out = self._mults[vertex] = self.ring.N.ravel()[self.code(vertex)]
+        return out
 
     def rows(self, idx, **new) -> "_LabelTable":
         """The rows ``idx``, in that order, with the columns ``new`` added."""
@@ -930,7 +959,7 @@ class _LabelTable:
     def plan(self, factors) -> list:
         """``_gather_plan`` of the operands, one (store, column names) pair
         each, from the table's vertex codes and multiplicities."""
-        axes = [(store, ["".join(names[i] for i in axis)
+        axes = [(store, ["".join(map(names.__getitem__, axis))
                          for axis in store.dims]) for store, names in factors]
         return _gather_plan(self.ring.N, [
             (store, [self.code(v) for v in vs]) for store, vs in axes],
@@ -1090,11 +1119,10 @@ def _f_block_failure(spec: CategorySpec, atol: float):
 
 def _ribbon_deviation(spec: CategorySpec) -> float:
     """Double braiding on channel c of a (x) b must equal theta_c/(theta_a
-    theta_b): every (a, b, c) at once, one stack of R-blocks per
-    multiplicity."""
-    N, R, theta = spec.ring.N, _r_store(spec, False), spec.theta
-    a, b, c = np.nonzero(N)
-    n = N[a, b, c]
+    theta_b): every (a, b, c) at once, one stack of ``_r_double`` blocks
+    per multiplicity."""
+    D, theta = _r_double(spec), spec.theta
+    a, b, c = D.keys.labels()
     # theta_a theta_b with each real product rounded on its own, as numpy
     # multiplies two complex scalars; its array product may fuse them
     ta, tb = theta[a], theta[b]
@@ -1103,10 +1131,9 @@ def _ribbon_deviation(spec: CategorySpec) -> float:
     want.imag = ta.real * tb.imag + ta.imag * tb.real
     want = theta[c] / want
     worst = 0.0
-    for m in np.flatnonzero(np.bincount(n)).tolist():
-        x, y, z, w = (v[n == m] for v in (a, b, c, want))
-        mat = R.take((y, x, z), (m, m)) @ R.take((x, y, z), (m, m))
-        dev = np.max(np.abs(mat - w[:, None, None] * np.eye(m)), axis=(1, 2))
+    for m, (idx, _) in D.keys.groups.items():
+        dev = np.max(np.abs(D.stack(m) - want[idx, None, None] * np.eye(m)),
+                     axis=(1, 2))
         worst = max_dev(worst, *dev.tolist())
     return worst
 

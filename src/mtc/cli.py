@@ -60,15 +60,10 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        n_values = _parse_n_range(args.n_range)
-        suites = args.suite.split(",") if args.suite else None
-        report = run_suite(args.target, n_values=n_values,
-                           tol_config=_tolerance(args), suites=suites,
-                           seed=args.seed)
-    except (MtcError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    suites = args.suite.split(",") if args.suite else None
+    report = run_suite(args.target, n_values=_parse_n_range(args.n_range),
+                       tol_config=_tolerance(args), suites=suites,
+                       seed=args.seed)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

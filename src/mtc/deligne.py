@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import (CategorySpec, FusionRing, _Blocks, _blocks, _encode,
-                       _f_keys, _f_paths, _groups, _Laid, _mult, _r_keys,
-                       _ranges, _summands, cached)
+from .category import (CategorySpec, FusionRing, _Blocks, _blocks, _f_keys,
+                       _f_paths, _groups, _Laid, _mult, _r_keys, _ranges,
+                       _summands, cached)
 from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
@@ -86,14 +86,12 @@ def _paired(b1: _Blocks, b2: _Blocks, keys, r2, strands, block) -> _Laid:
     the first factor's stack of size n1 with those at p2 of the second's of
     size n2, every pair of one pair of sizes at once."""
     k1, k2 = b1.keys, b2.keys
-    lab1, lab2 = (np.stack(np.unravel_index(k.codes, (k.rank,) * k.arity),
-                           axis=1) for k in (k1, k2))
+    lab1, lab2 = (np.stack(k.labels(), axis=1) for k in (k1, k2))
     i1, i2 = np.divmod(np.arange(len(lab1) * len(lab2)), len(lab2))
     prod = lab1[i1] * r2 + lab2[i2]
     keep = np.flatnonzero((prod[:, :strands] > 0).all(axis=1))
     i1, i2, n1, n2 = i1[keep], i2[keep], k1.size[i1[keep]], k2.size[i2[keep]]
-    at = keys.start[np.searchsorted(keys.codes,
-                                    _encode(prod[keep].T, keys.rank))]
+    at = keys.start[keys.find(*prod[keep].T)]
     flat = np.empty(keys.total + int(keys.size.max()) ** 2,
                     dtype=np.complex128)
     for p, (s1, s2) in _groups([n1, n2], int(max(k1.size.max(),

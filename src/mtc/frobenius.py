@@ -16,17 +16,22 @@ and the tests' reference.  ``frobenius_report`` runs on channel
 coefficients instead.  The summands of A are distinct simples, so the
 component (i, j) -> k of m^(n) is one block at the root A_k, an N x N matrix
 over Hom(dual(i) (x) dual(j), dual(k)) x Hom(i (x) j, k) with N = N_ij^k,
-and likewise for Delta^(n).  These blocks are read from the diagrams once,
-at n = 0; every other exponent follows from the interchange law
+and likewise for Delta^(n).  The channels are the R keys, so these blocks
+are ``category._Blocks`` laid out as the spec lays its R-blocks, and each
+table is one ``_Blocks.apply`` of another.  They are read from the
+diagrams once, at n = 0; every other exponent follows from the interchange
+law
 
   m^(n) = m^(0) o D^n,    Delta^(n) = D^-n o Delta^(0),
 
-with D the monodromy of (dual(i), dual(j)) at dual(k).  Every block of the
-square at a word of summands of A is the Kronecker product of two blocks of
-the base, so each axiom is a contraction of the coefficients with the
-base's F-moves, batched as ``category._contract`` batches the pentagon.
-Its deviation is the largest entry over every summand and root, as
-``engine.Morphism.deviation`` takes it on the direct sums.
+with D the monodromy of (dual(i), dual(j)) at dual(k), gathered from the
+spec's one table of double braidings (``category._r_double``), which the
+ribbon check reads too.  Every block of the square at a word of summands
+of A is the Kronecker product of two blocks of the base, so each axiom is
+a contraction of the coefficients with the base's F-moves, its label
+tuples enumerated and its gathers planned by ``category._LabelTable`` as
+the pentagon's are.  Its deviation is the largest entry over every summand
+and root, as ``engine.Morphism.deviation`` takes it on the direct sums.
 """
 
 from __future__ import annotations
@@ -36,15 +41,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category import (CategorySpec, _contract, _f_paths, _f_store,
-                       _gather_plan, _inverses, _mult, _r_keys, _r_store,
-                       _Store, cached)
+from .category import (CategorySpec, _Blocks, _blocks, _contract, _f_store,
+                       _inverses, _LabelTable, _r_double, _r_keys, _r_store,
+                       _vertex_store, cached)
 from .deligne import deligne_power, pair_morphism
 from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
                      cup_twisted, direct_sum, double_braiding, embed,
                      identity, tensor, trees)
 from .errors import NotPremodular, ShapeMismatch, XiNotZeroOne
-from .report import VerificationReport, max_dev
+from .report import VerificationReport, exponents, max_dev
 
 
 def sum_tensor(f: Morphism, g: Morphism) -> Morphism:
@@ -303,113 +308,91 @@ def left_center_labels(base: CategorySpec, atol: float = 1e-6):
 # channel coefficients
 
 
-@cached("frobenius_channels")
-def _channel_table(ring):
-    """(labels, sizes, groups) of the channels (i, j, k) with N_ijk > 0,
-    ascending: their label columns, the entry count N_ijk^2 of each one's
-    block, and per multiplicity n the triple (n, indices of the channels
-    with N_ijk = n, positions of their blocks' entries in a flat array of
-    every block in channel order, shaped (count, n^2)).  The channels are
-    the R-keys, grouped as ``category._r_keys`` groups them."""
-    labels = np.nonzero(ring.N)
-    sizes = ring.N[labels] ** 2
-    offsets = np.cumsum(sizes) - sizes
-    return labels, sizes, [(n, idx, offsets[idx, None] + np.arange(n * n))
-                           for n, (idx, _) in _r_keys(ring).groups.items()]
+def _diagram_blocks(base: CategorySpec, first) -> _Blocks:
+    """The channel blocks of the n = 0 diagrams, laid out on the R keys:
+    column alpha of the block at (i, j, k) is the block of first(base, i,
+    j, k, alpha, 0) at dual(k), raveled."""
+    R = _blocks(base, "R")
+    labels = R.keys.labels()
 
-
-def _coefficient_store(base: CategorySpec, flat):
-    """The channel blocks of the flat array, in channel order, as a store
-    keyed by (i, j, k), each N_ijk x N_ijk block indexed [dual-factor mult,
-    base-factor mult]; the zeros of the largest are appended."""
-    sizes = _channel_table(base.ring)[1]
-    return _Store(base.ring, ((0, 1, 2), (0, 1, 2)),
-                  np.r_[flat, np.zeros(sizes.max())], len(flat),
-                  np.r_[np.cumsum(sizes) - sizes, len(flat)])
-
-
-def _entries(C):
-    """The entries of a coefficient store's blocks, without its zeros."""
-    return C.flat[:C.blank]
-
-
-def _diagram_blocks(base: CategorySpec, first):
-    """The flat array of the channel blocks of the n = 0 diagrams: column
-    alpha of channel (i, j, k) is the block of first(base, i, j, k, alpha,
-    0) at dual(k)."""
-    (i, j, k), _, _ = _channel_table(base.ring)
-    out = []
-    for a, b, c in zip(i.tolist(), j.tolist(), k.tolist()):
-        n = base.ring.n(a, b, c)
-        blk = np.empty((n, n), dtype=np.complex128)
-        for alpha in range(n):
-            blk[:, alpha] = first(base, a, b, c, alpha, 0).blocks[
-                int(base.dual[c])].ravel()
-        out.append(blk.ravel())
-    return np.concatenate(out)
+    def diagrams(idx, stack):
+        out = np.empty_like(stack)
+        for t, (i, j, k) in enumerate(zip(*(x[idx].tolist()
+                                            for x in labels))):
+            for alpha in range(stack.shape[1]):
+                out[t, :, alpha] = first(base, i, j, k, alpha, 0).blocks[
+                    int(base.dual[k])].ravel()
+        return out
+    return R.apply(diagrams)
 
 
 @cached("monodromy")
-def _monodromy(base: CategorySpec, n: int):
-    """The flat array of the blocks D^n, D = c_{dual(j),dual(i)} o
-    c_{dual(i),dual(j)} at dual(k), in channel order (i, j, k).  A negative
-    power inverts each block first; a singular one raises NotPremodular
-    naming it."""
-    (i, j, k), sizes, groups = _channel_table(base.ring)
-    R = _r_store(base, False)
-    dual = base.dual
-    out = np.empty(sizes.sum(), dtype=np.complex128)
-    for mult, idx, pos in groups:
-        a, b, c = dual[i[idx]], dual[j[idx]], dual[k[idx]]
-        D = R.take((b, a, c), (mult, mult)) @ R.take((a, b, c), (mult, mult))
+def _monodromy(base: CategorySpec, n: int) -> _Blocks:
+    """D^n at every R key (i, j, k), D = c_{dual(j),dual(i)} o
+    c_{dual(i),dual(j)} at dual(k): the ``_r_double`` block at (dual(i),
+    dual(j), dual(k)).  A negative power inverts each block first; a
+    singular one raises NotPremodular naming it."""
+    D, dual = _r_double(base), base.dual
+    i, j, k = D.keys.labels()
+    bar = D.keys.find(dual[i], dual[j], dual[k])
+
+    def power(idx, stack):
+        at = bar[idx]
+        stack = stack[D.keys.pos[at]]
         if n < 0:
-            D = _inverses(D, lambda t: f"monodromy on the word ({a[t]}, "
-                                       f"{b[t]}) at root {c[t]} is singular")
-        out[pos] = np.linalg.matrix_power(D, abs(n)).reshape(len(idx), -1)
-    return out
-
-
-def _transformed(base: CategorySpec, C, D, transpose: bool):
-    """The store of the blocks D_c^T C_c (or D_c C_c) channel by channel."""
-    flat, C = np.empty_like(D), _entries(C)
-    for mult, idx, pos in _channel_table(base.ring)[2]:
-        shape = (len(idx), mult, mult)
-        Dc = D[pos].reshape(shape)
-        flat[pos] = ((Dc.transpose(0, 2, 1) if transpose else Dc)
-                     @ C[pos].reshape(shape)).reshape(len(idx), -1)
-    return _coefficient_store(base, flat)
+            stack = _inverses(stack, lambda t: "monodromy on the word ({}, {}"
+                              ") at root {} is singular".format(
+                                  i[at[t]], j[at[t]], k[at[t]]))
+        return np.linalg.matrix_power(stack, abs(n))
+    return D.apply(power)
 
 
 @cached("m_channels")
-def _m_channels(base: CategorySpec, n: int):
-    """The channel blocks of m^(n) as a store: from the diagrams at n = 0,
-    and as m^(0) o D^n otherwise, the monodromy acting on the dual factor's
-    source trees, the rows of a block."""
+def _m_channels(base: CategorySpec, n: int) -> _Blocks:
+    """The channel blocks of m^(n) on the R keys, indexed [dual-factor
+    mult, base-factor mult]: from the diagrams at n = 0, and as m^(0) o D^n
+    otherwise, the monodromy acting on the dual factor's source trees, the
+    rows of a block."""
     if n == 0:
-        return _coefficient_store(base, _diagram_blocks(base, _m_first))
-    return _transformed(base, _m_channels(base, 0), _monodromy(base, n),
-                        True)
+        return _diagram_blocks(base, _m_first)
+    D = _monodromy(base, n)
+    return _m_channels(base, 0).apply(
+        lambda _, C: D.stack(C.shape[1]).transpose(0, 2, 1) @ C)
 
 
 @cached("delta_channels")
-def _delta_channels(base: CategorySpec, n: int):
-    """The channel blocks of Delta^(n) as a store: from the diagrams at
+def _delta_channels(base: CategorySpec, n: int) -> _Blocks:
+    """The channel blocks of Delta^(n) on the R keys: from the diagrams at
     n = 0, weighted by d_i d_j / (Dim d_k), and as D^-n o Delta^(0)
     otherwise."""
     if n == 0:
-        (i, j, k), sizes, _ = _channel_table(base.ring)
         d = base.dims
+        i, j, k = _r_keys(base.ring).labels()
         weights = d[i] * d[j] / (base.global_dim() * d[k])
-        return _coefficient_store(base, _diagram_blocks(base, _delta_first)
-                                  * np.repeat(weights, sizes))
-    return _transformed(base, _delta_channels(base, 0), _monodromy(base, -n),
-                        False)
+        return _diagram_blocks(base, _delta_first).apply(
+            lambda idx, C: C * weights[idx, None, None])
+    D = _monodromy(base, -n)
+    return _delta_channels(base, 0).apply(lambda _, C: D.stack(C.shape[1])
+                                          @ C)
 
 
 def _stores(base: CategorySpec, n: int) -> dict:
     """The stores a term's operands gather from, by role, at exponent n."""
-    return {"m": _m_channels(base, n), "delta": _delta_channels(base, n),
+    ring, dims = base.ring, ((0, 1, 2), (0, 1, 2))
+    return {"m": _vertex_store(ring, _m_channels(base, n), dims),
+            "delta": _vertex_store(ring, _delta_channels(base, n), dims),
             "F": _f_store(base), "Finv": _f_store(base, True)}
+
+
+def _root_sums(C: _Blocks) -> np.ndarray:
+    """Per label k, the sum of every entry of the blocks at the keys (i, j,
+    k), added in key order."""
+    per_key = np.empty(len(C.keys.size), dtype=np.complex128)
+    for n, (idx, _) in C.keys.groups.items():
+        per_key[idx] = C.stack(n).sum(axis=(1, 2))
+    out = np.zeros(C.keys.rank, dtype=np.complex128)
+    np.add.at(out, C.keys.labels()[2], per_key)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +418,22 @@ class _Term(NamedTuple):
         return out
 
 
-def _term(base, sizes, rows, subscripts, factors) -> _Term:
-    """The term with one slot of each size whose row t adds into slot
-    rows[t]; ``factors`` holds one (role, label columns) pair per operand,
-    with the role "m", "delta", "F" or "Finv"."""
-    stores = _stores(base, 0)
-    return _Term(int(sizes.sum()), (np.cumsum(sizes) - sizes)[rows],
+def _term(stores, sizes, t: _LabelTable, subscripts, factors) -> _Term:
+    """The term with one slot of each size whose row r of the table t adds
+    into slot t.origin[r]; ``factors`` holds one (role, column names) pair
+    per operand, with the role "m", "delta", "F" or "Finv" of ``stores``
+    (``_stores``)."""
+    return _Term(int(sizes.sum()), (np.cumsum(sizes) - sizes)[t.origin],
                  subscripts, tuple(role for role, _ in factors),
-                 _gather_plan(base.ring.N, [
-                     (stores[role], stores[role].codes(labels))
-                     for role, labels in factors]))
+                 t.plan([(stores[role], names) for role, names in factors]))
+
+
+def _dualized(t: _LabelTable, **names) -> _LabelTable:
+    """The table with the column dual(t.cols[y]) added as x for each x=y
+    of ``names``."""
+    dual = t.ring.dual
+    return _LabelTable(t.ring, {**t.cols, **{x: dual[t.cols[y]] for x, y
+                                             in names.items()}}, t.origin)
 
 
 def _gap(x, y) -> float:
@@ -452,118 +441,95 @@ def _gap(x, y) -> float:
     return float(np.max(np.abs(x - y), initial=0.0))
 
 
-def _three_summands(ring):
-    """Label columns (i, j, l, q, e1, e2) of the left-nested trees of
-    (A_i, A_j, A_l) at the root A_q through (e1, e2): e2 in i (x) j with q in
-    e2 (x) l, and e1 in dual(i) (x) dual(j) with dual(q) in e1 (x) dual(l)."""
-    dual = ring.dual
-    i, j, e2, l, q = _f_paths(ring)
-    t, e1 = ring.fusion_channels(dual[i], dual[j])
-    i, j, l, q, e2 = (x[t] for x in (i, j, l, q, e2))
-    keep = _mult(ring.N, e1, dual[l], dual[q]) > 0
-    return [x[keep] for x in (i, j, l, q, e1, e2)]
+def _three_summands(ring) -> _LabelTable:
+    """The left-nested trees of (A_i, A_j, A_l) at the root A_q through
+    (E, e), with the duals I, J, L, Q of i, j, l, q: e in i (x) j with q in
+    e (x) l, and E in I (x) J with Q in E (x) L."""
+    t = _LabelTable(ring, {"i": np.arange(ring.rank)}).grow(
+        "i", "j", "e").grow("e", "l", "q")
+    return _dualized(t, I="i", J="j", L="l", Q="q").fuse("I", "J", "E",
+                                                         "ELQ")
 
 
-def _associativity_terms(base, words, coeff, move):
+def _associativity_terms(stores, t, coeff, move):
     """(left, right) of m o (m (x) id) = m o (id (x) m) on A (x) A (x) A ->
     A, with coeff "m" and move "Finv"; of (Delta (x) id) o Delta =
     (id (x) Delta) o Delta, with coeff "delta" and move "F".  A slot is the
-    block [alpha, beta] of each factor of the left-nested trees (e1, e2);
-    only e1 = dual(e2), a summand A_k of A, carries the left side, and the
-    right side sums over the summands A_p of the right-nested trees."""
-    ring = base.ring
-    N, dual = ring.N, ring.dual
-    i, j, l, q, e1, e2 = words
-    ib, jb, lb, qb = dual[i], dual[j], dual[l], dual[q]
-    sizes = (_mult(N, ib, jb, e1) * _mult(N, i, j, e2)
-             * _mult(N, e1, lb, qb) * _mult(N, e2, l, q))
-    on = np.flatnonzero(e1 == dual[e2])
-    i1, j1, l1, q1, k = (x[on] for x in (i, j, l, q, e2))
-    left = _term(base, sizes, on, "AX,BY->AXBY",
-                 [(coeff, (i1, j1, k)), (coeff, (k, l1, q1))])
-    t, p = ring.fusion_channels(j, l)
-    t, p = (x[_mult(N, i[t], p, q[t]) > 0] for x in (t, p))
-    i, j, l, q, e1, e2 = (x[t] for x in words)
-    ib, jb, lb, qb, pb = dual[i], dual[j], dual[l], dual[q], dual[p]
-    right = _term(base, sizes, t, "GH,DK,ABGD,XYHK->AXBY",
-                  [(coeff, (j, l, p)), (coeff, (i, p, q)),
-                   (move, (ib, jb, lb, qb, e1, pb)),
-                   (move, (i, j, l, q, e2, p))])
+    block [alpha, beta] of each factor of the left-nested trees (E, e) of
+    the table t; only E = dual(e), a summand A_e of A, carries the left
+    side, and the right side sums over the summands A_p of the
+    right-nested trees."""
+    sizes = t.mult("IJE") * t.mult("ije") * t.mult("ELQ") * t.mult("elq")
+    on = np.flatnonzero(t.cols["E"] == t.ring.dual[t.cols["e"]])
+    left = _term(stores, sizes, t.rows(on), "AX,BY->AXBY",
+                 [(coeff, "ije"), (coeff, "elq")])
+    right = _term(stores, sizes, _dualized(t.fuse("j", "l", "p", "ipq"),
+                                           P="p"),
+                  "GH,DK,ABGD,XYHK->AXBY", [(coeff, "jlp"), (coeff, "ipq"),
+                                            (move, "IJLQEP"),
+                                            (move, "ijlqep")])
     return left, right
 
 
-def _frobenius_terms(base):
+def _frobenius_terms(stores):
     """(middle, left, right) of Delta o m = (id (x) m) o (Delta (x) id) =
     (m (x) id) o (id (x) Delta) on A (x) A -> A (x) A.  A slot is the
     block [mu, nu] over the trees of (A_k, A_l) and (A_i, A_j) at a root
-    X = (x1, x2) of both, a summand of A or not; the two composites sum over
-    the middle summand A_s."""
-    ring = base.ring
-    r, N, dual = ring.rank, ring.N, ring.dual
-    v, k, l = np.indices((np.count_nonzero(N), r, r)).reshape(3, -1)
-    i, j, x2 = (x[v] for x in np.nonzero(N))
-    i, j, x2, k, l = (x[_mult(N, k, l, x2) > 0] for x in (i, j, x2, k, l))
-    t, x1 = ring.fusion_channels(dual[i], dual[j])
-    i, j, k, l, x2 = (x[t] for x in (i, j, k, l, x2))
-    keep = _mult(N, dual[k], dual[l], x1) > 0
-    words = [x[keep] for x in (i, j, k, l, x1, x2)]
-    i, j, k, l, x1, x2 = words
-    sizes = (_mult(N, dual[k], dual[l], x1) * _mult(N, k, l, x2)
-             * _mult(N, dual[i], dual[j], x1) * _mult(N, i, j, x2))
-    on = np.flatnonzero(x1 == dual[x2])
-    i1, j1, k1, l1, p = (x[on] for x in (i, j, k, l, x2))
-    middle = _term(base, sizes, on, "MP,VW->MPVW",
-                   [("delta", (k1, l1, p)), ("m", (i1, j1, p))])
-    # (id (x) m_{sj -> l}) o (Delta_{i -> ks} (x) id), s in dual(k) (x) i
-    t, s = ring.fusion_channels(dual[k], i)
-    t, s = (x[_mult(N, s, j[t], l[t]) > 0] for x in (t, s))
-    i, j, k, l, x1, x2 = (x[t] for x in words)
-    ib, jb, kb, lb, sb = dual[i], dual[j], dual[k], dual[l], dual[s]
-    left = _term(base, sizes, t, "GH,AB,AVGM,BWHP->MPVW",
-                 [("m", (s, j, l)), ("delta", (k, s, i)),
-                  ("Finv", (kb, sb, jb, x1, ib, lb)),
-                  ("Finv", (k, s, j, x2, i, l))])
-    # (m_{is -> k} (x) id) o (id (x) Delta_{j -> sl}), s in dual(i) (x) k
-    i, j, k, l, x1, x2 = words
-    t, s = ring.fusion_channels(dual[i], k)
-    t, s = (x[_mult(N, s, l[t], j[t]) > 0] for x in (t, s))
-    i, j, k, l, x1, x2 = (x[t] for x in words)
-    ib, jb, kb, lb, sb = dual[i], dual[j], dual[k], dual[l], dual[s]
-    right = _term(base, sizes, t, "AB,AMGV,BPHW,GH->MPVW",
-                  [("m", (i, s, k)), ("F", (ib, sb, lb, x1, kb, jb)),
-                   ("F", (i, s, l, x2, k, j)), ("delta", (s, l, j))])
+    (y, x) of both, a summand of A or not; the two composites sum over the
+    middle summand A_s."""
+    # x in i (x) j and in k (x) l, found as dual(l) in dual(x) (x) k; y in
+    # I (x) J and in K (x) L, capitals the duals
+    ring = stores["m"].ring
+    t = _dualized(_LabelTable(ring, {"i": np.arange(ring.rank)}).grow(
+        "i", "j", "x"), I="i", J="j", X="x").grow("X", "k", "L")
+    t = _dualized(t, K="k", l="L").fuse("I", "J", "y", "KLy")
+    sizes = t.mult("KLy") * t.mult("klx") * t.mult("IJy") * t.mult("ijx")
+    middle = _term(stores, sizes, t.rows(np.flatnonzero(
+        t.cols["y"] == t.cols["X"])), "MP,VW->MPVW",
+        [("delta", "klx"), ("m", "ijx")])
+    # (id (x) m_{sj -> l}) o (Delta_{i -> ks} (x) id), s in K (x) i
+    left = _term(stores, sizes, _dualized(t.fuse("K", "i", "s", "sjl"),
+                                          S="s"),
+                 "GH,AB,AVGM,BWHP->MPVW",
+                 [("m", "sjl"), ("delta", "ksi"), ("Finv", "KSJyIL"),
+                  ("Finv", "ksjxil")])
+    # (m_{is -> k} (x) id) o (id (x) Delta_{j -> sl}), s in I (x) k
+    right = _term(stores, sizes, _dualized(t.fuse("I", "k", "s", "slj"),
+                                           S="s"),
+                  "AB,AMGV,BPHW,GH->MPVW",
+                  [("m", "isk"), ("F", "ISLyKJ"), ("F", "islxkj"),
+                   ("delta", "slj")])
     return middle, left, right
 
 
-def _coproduct_terms(base):
+def _coproduct_terms(stores):
     """(Delta, right, label) of Delta = (m (x) Phi^-1) o (id_A (x) cup_A)
     on A -> A (x) A.  A slot is the block of the component A_k -> (A_i,
-    A_dual(j)); the right side before Phi^-1 is m_{kj -> i} on the vacuum
-    column of the F-move of (A_k, A_j, A_dual(j)) at A_k, and ``label``
-    gives per entry the label dual(j) whose Phi divides it."""
-    ring = base.ring
-    N, dual = ring.N, ring.dual
-    k, j, i = np.nonzero(N)
-    ib, jb, kb = dual[i], dual[j], dual[k]
-    vac = np.zeros_like(k)
-    sizes = _mult(N, i, jb, k) ** 2
-    rows = np.arange(len(k))
-    delta = _term(base, sizes, rows, "BY->BY", [("delta", (i, jb, k))])
-    right = _term(base, sizes, rows, "AX,ABGD,XYHK->BY",
-                  [("m", (k, j, i)), ("F", (kb, jb, j, kb, ib, vac)),
-                   ("F", (k, j, jb, k, i, vac))])
-    return delta, right, np.repeat(jb, sizes)
+    A_dual(j)), one per fusion vertex (k, j, i); the right side before
+    Phi^-1 is m_{kj -> i} on the vacuum column of the F-move of (A_k, A_j,
+    A_dual(j)) at A_k, and ``label`` gives per entry the label dual(j)
+    whose Phi divides it."""
+    ring = stores["m"].ring
+    dual = ring.dual
+    k, j, i = np.nonzero(ring.N)
+    t = _LabelTable(ring, {"k": k, "j": j, "i": i, "I": dual[i],
+                           "J": dual[j], "K": dual[k], "o": np.zeros_like(k)},
+                    np.arange(len(k)))
+    sizes = t.mult("iJk") ** 2
+    delta = _term(stores, sizes, t, "BY->BY", [("delta", "iJk")])
+    right = _term(stores, sizes, t, "AX,ABGD,XYHK->BY",
+                  [("m", "kji"), ("F", "KJjKIo"), ("F", "kjJkio")])
+    return delta, right, np.repeat(dual[j], sizes)
 
 
 @cached("frobenius_terms")
 def _axiom_terms(base: CategorySpec) -> dict:
     """The terms of the axioms checked by contraction, by check name."""
-    words = _three_summands(base.ring)
-    return {"associativity": _associativity_terms(base, words, "m", "Finv"),
-            "coassociativity": _associativity_terms(base, words, "delta",
-                                                    "F"),
-            "frobenius": _frobenius_terms(base),
-            "coproduct_from_pairing": _coproduct_terms(base)}
+    stores, t = _stores(base, 0), _three_summands(base.ring)
+    return {"associativity": _associativity_terms(stores, t, "m", "Finv"),
+            "coassociativity": _associativity_terms(stores, t, "delta", "F"),
+            "frobenius": _frobenius_terms(stores),
+            "coproduct_from_pairing": _coproduct_terms(stores)}
 
 
 def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
@@ -576,6 +542,7 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     With ``expect_azumaya=False`` the obstruction check inverts into a
     control: it passes only when the obstruction is actually present.
     """
+    n_values = exponents(n_values)
     report = VerificationReport(target=base.name,
                                 options={"n_values": list(n_values),
                                          "tolerance": tol})
@@ -591,18 +558,13 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     terms = _axiom_terms(base)
     labels = np.arange(r)
     vac = np.zeros_like(labels)
-    (ci, cj, ck), sizes, _ = _channel_table(ring)
-    root = np.repeat(ck, sizes)  # the label k of each coefficient entry
+    K = _r_keys(ring)
+    ci, cj, ck = K.labels()
     sigma = theta[dual]  # theta_dual(i) on the summand A_i
-
-    def at(*columns):
-        """Where the 1 x 1 blocks of the channels (i, j, k) of the label
-        columns lie in the flat array of every coefficient store."""
-        C = _m_channels(base, 0)
-        return C.find(C.codes(columns))[0]
-
-    unit_left, unit_right = at(vac, labels, labels), at(labels, vac, labels)
-    closing = at(labels, dual, vac)  # the channel (i, dual(i) -> 0)
+    # where the 1 x 1 blocks of the channels (0, i, i), (i, 0, i) and (i,
+    # dual(i), 0) lie in the flat array of every channel table
+    unit_left, unit_right, closing = (K.start[K.find(*c)] for c in (
+        (vac, labels, labels), (labels, vac, labels), (labels, dual, vac)))
 
     # per label a: the vacuum entries of F[a, dual(a), a; a] and of its
     # inverse, and the twisted cup of the summand A_a of the square
@@ -629,7 +591,7 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     xi_want = xi_formula(base)
     for n in n_values:
         stores = _stores(base, n)
-        m, de = stores["m"], stores["delta"]
+        m, de = _m_channels(base, n), _delta_channels(base, n)
         sfx = f"[n={n}]"
         report.add_deviation(f"associativity{sfx}", "algebra-associativity",
                              pair("associativity", stores), tol)
@@ -649,8 +611,7 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
                              max_dev(_gap(left, middle), _gap(right, middle)),
                              tol)
         # m o Delta on each summand, and eps o eta = Dim times 1
-        special = np.zeros(r, dtype=np.complex128)
-        np.add.at(special, root, _entries(m) * _entries(de))
+        special = _root_sums(de.apply(lambda _, C: m.stack(C.shape[1]) * C))
         report.add_deviation(
             f"specialness{sfx}", "specialness",
             max_dev(_gap(special, 1.0), abs(dim * 1.0 - dim)), tol)
@@ -687,9 +648,9 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
             _gap(delta.value(stores), right), tol)
 
         # m^(n+1) o (sigma^2 (x) id) o Delta^(n), diagonal in the summands
-        xi = np.zeros(r, dtype=np.complex128)
-        np.add.at(xi, root, np.repeat((sigma * sigma)[ci], sizes)
-                  * _entries(_m_channels(base, n + 1)) * _entries(de))
+        m1 = _m_channels(base, n + 1)
+        xi = _root_sums(de.apply(lambda idx, C: (sigma * sigma)[
+            ci[idx], None, None] * m1.stack(C.shape[1]) * C))
         report.add_deviation(f"center_idempotent{sfx}", "center-idempotent",
                              _gap(xi * xi, xi), tol)
         report.add_deviation(f"center_weights{sfx}", "center-weights",
@@ -698,13 +659,15 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     # m^(n0+1) = sigma m^(n0) (sigma^-1 (x) sigma^-1) and Delta^(n0+1) =
     # (sigma (x) sigma) Delta^(n0) sigma^-1, channel by channel
     n0 = n_values[0]
-    twist = np.repeat(sigma[ck] / (sigma[ci] * sigma[cj]), sizes)
+    twist = (sigma[ck] / (sigma[ci] * sigma[cj]))[:, None, None]
     report.add_deviation(
         "twist_intertwiner", "twist-intertwiner",
-        max_dev(_gap(_entries(_m_channels(base, n0 + 1)),
-                     twist * _entries(_m_channels(base, n0))),
-                _gap(_entries(_delta_channels(base, n0 + 1)),
-                     _entries(_delta_channels(base, n0)) / twist)), tol)
+        max_dev(_gap(_m_channels(base, n0 + 1).flat,
+                     _m_channels(base, n0).apply(
+                         lambda idx, C: twist[idx] * C).flat),
+                _gap(_delta_channels(base, n0 + 1).flat,
+                     _delta_channels(base, n0).apply(
+                         lambda idx, C: C / twist[idx]).flat)), tol)
 
     defect = azumaya_defect(base)
     if expect_azumaya:

@@ -76,9 +76,8 @@ from __future__ import annotations
 import numpy as np
 
 from .category import (CategorySpec, _blocks, _changes, _check_words,
-                       _codes, _encode, _f_inverses, _f_keys, _f_paths,
-                       _inverses, _Keys, _mult, _r_store, _ranges, _rounds,
-                       cached)
+                       _codes, _f_inverses, _f_keys, _f_paths, _inverses,
+                       _Keys, _mult, _r_store, _ranges, _rounds, cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
 
 
@@ -125,7 +124,7 @@ def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     c_{a,b} (``over``) or c_{b,a}^-1 whiskered by x, F[x,b,a,y] R
     F[x,a,b,y]^-1, where R acts on the F-block columns (f, gamma, delta) as
     the R-block of channel f on gamma and as the identity on delta."""
-    ring, r = spec.ring, spec.rank
+    ring = spec.ring
     K, F, Finv = _f_keys(ring), _blocks(spec, "F"), _f_inverses(spec)
     # each path (a b -> f)(f x -> y) is the channel f of the columns of its
     # block (x, a, b, y), from column ``first`` on: entry (i, j) of the
@@ -142,8 +141,8 @@ def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
         + d] = R.flat[R.find(R.codes((a, b, f)))[0][e] + i * g[e] + j]
     # one product per block size; a non-finite entry spreads NaN through
     # its block
-    x, a, b, y = np.unravel_index(K.codes, (r,) * 4)
-    swap = K.pos[np.searchsorted(K.codes, _encode((x, b, a, y), r))]
+    x, a, b, y = K.labels()
+    swap = K.pos[K.find(x, b, a, y)]
     with np.errstate(invalid="ignore"):
         for n, (idx, lo) in K.groups.items():
             at = slice(lo, lo + len(idx) * n * n)
@@ -459,9 +458,8 @@ class PathStack:
         gen = np.repeat(np.arange(len(ps)), count)
         p, w, lead = ps[gen], u[gen], ranked[starts[cs]]
         keys = _f_keys(spec.ring)
-        at = keys.start[np.searchsorted(keys.codes, _encode((
-            table[lead, p - 1], self._words[w, p - 1], self._words[w, p],
-            table[lead, p + 1]), r))]
+        at = keys.start[keys.find(table[lead, p - 1], self._words[w, p - 1],
+                                  self._words[w, p], table[lead, p + 1])]
         # every (row, column) pair of every context
         size = size[cs]
         count = size * size

@@ -37,6 +37,15 @@ def max_dev(*devs):
     return out
 
 
+def exponents(n_values) -> tuple:
+    """The exponents ``n_values`` as a tuple; ValueError unless they are
+    one or more Python ints."""
+    n_values = tuple(n_values)
+    if not n_values or any(type(n) is not int for n in n_values):
+        raise ValueError(f"n_values must list Python ints, not {n_values!r}")
+    return n_values
+
+
 def json_document(target: str, **fields) -> str:
     """Deterministic JSON about one target: sorted keys, a fixed indent and
     repr-roundtrip floats, with the tool version and the target included."""

@@ -38,7 +38,7 @@ from .fusion_paths import (alpha_functor_deviations,
 from .invariants import (annulus_coefficient, annulus_tree_count,
                          induced_decomposition_defect, invariant_report,
                          symmetric_group_check)
-from .report import VerificationReport, max_dev
+from .report import VerificationReport, exponents, max_dev
 
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
                "invariants"]
@@ -176,9 +176,7 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; "
                          f"choose from {SUITE_NAMES}")
-    n_values = tuple(n_values)
-    if not n_values or any(type(n) is not int for n in n_values):
-        raise ValueError(f"n_values must list Python ints, not {n_values!r}")
+    n_values = exponents(n_values)
     spec = resolve_target(target)
     rng = np.random.default_rng(seed)
 

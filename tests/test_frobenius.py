@@ -16,7 +16,7 @@ import mtc.frobenius as frobenius
 from conftest import random_rep_a4
 from mtc import get_category
 from mtc.builtins import BUILTIN_NAMES
-from mtc.category import CategorySpec
+from mtc.category import CategorySpec, _r_double, validate_category
 from mtc.deligne import pair_morphism
 from mtc.engine import direct_sum, identity, tensor, trace_formula
 from mtc.errors import NotPremodular, ShapeMismatch, XiNotZeroOne
@@ -274,6 +274,44 @@ def test_frobenius_report_control_mode(spec_of):
     assert "defect" in control[0].detail
 
 
+@pytest.mark.parametrize("target", BUILTIN_NAMES)
+def test_frobenius_section_holds_bit_for_bit(target):
+    """Every deviation of each builtin's frobenius section equals the one
+    pinned in ``golden/frobenius_section.json`` exactly, so a refactor of
+    the channel path cannot drift within the golden files' tolerance."""
+    pinned = json.loads((GOLDEN / "frobenius_section.json").read_text(
+        "utf-8"))[target]
+    report = run_suite(target, suites=["frobenius"])
+    assert {c.name: c.max_deviation for c in report.checks} == pinned
+
+
+@pytest.mark.parametrize("n_values", [(), (True,), (0.0,)],
+                         ids=["empty", "bool", "float"])
+def test_frobenius_report_refuses_non_integer_n_values(spec_of, n_values):
+    """No exponent, or one that is not a Python int, is refused as
+    ``run_suite`` refuses it, not run as the int it equals and recorded
+    as [n=True] or [n=0.0]."""
+    with pytest.raises(ValueError, match="n_values must list Python ints"):
+        frobenius_report(spec_of("fibonacci"), n_values=n_values)
+
+
+def test_monodromy_reads_the_shared_double_braiding_table():
+    """On z_3(1), whose labels 1 and 2 are each other's duals, the ribbon
+    check and the frobenius section read one table of double braidings:
+    after both, the spec holds it once, and D^1 at each channel (i, j, k)
+    is its block at (dual(i), dual(j), dual(k))."""
+    spec = get_category("z_3(1)")
+    validate_category(spec)
+    frobenius_report(spec)
+    assert len(spec._cache["r_double"]) == 1
+    D = _r_double(spec).table()
+    dual = spec.dual.tolist()
+    monodromy = frobenius._monodromy(spec, 1).table()
+    assert list(monodromy) == list(D)
+    for (i, j, k), block in monodromy.items():
+        assert np.array_equal(block, D[dual[i], dual[j], dual[k]])
+
+
 # ---------------------------------------------------------------------------
 # the channel path against the whiskered maps
 
@@ -363,6 +401,33 @@ def test_channel_checks_match_the_whiskered_reference(case):
     far = {name: (want[name], dev) for name, dev in got.items()
            if not abs(dev - want[name]) <= 1e-13 + 1e-10 * want[name]}
     assert not far, f"reference -> channels: {far}"
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_channel_tables_equal_the_diagrams(case):
+    """Column alpha of the block of m^(n) at each channel (i, j, k) is the
+    block of ``_m_first(i, j, k, alpha, n)`` at dual(k), and that of
+    Delta^(n) is the block of ``_delta_first`` weighted by d_i d_j / (Dim
+    d_k), for n = -1, 0, 1 and every channel: the tables follow from the
+    n = 0 diagrams by the interchange law, laid out on the R keys."""
+    base = REFERENCE_CASES[case][0]()
+    d, dim, dual = base.dims, base.global_dim(), base.dual
+    for n in (-1, 0, 1):
+        for table, first, weight in (
+                (frobenius._m_channels, _m_first, lambda i, j, k: 1.0),
+                (frobenius._delta_channels, _delta_first,
+                 lambda i, j, k: d[i] * d[j] / (dim * d[k]))):
+            blocks = table(base, n).table()
+            assert len(blocks) == np.count_nonzero(base.ring.N)
+            for (i, j, k), block in blocks.items():
+                want = np.stack([
+                    weight(i, j, k) * first(base, i, j, k, alpha, n).blocks[
+                        int(dual[k])].ravel()
+                    for alpha in range(base.ring.n(i, j, k))], axis=1)
+                np.testing.assert_allclose(
+                    block, want, rtol=1e-13,
+                    atol=1e-13 * max(1.0, np.abs(want).max()),
+                    err_msg=f"{table.__name__}({n}) at {(i, j, k)}")
 
 
 @pytest.mark.parametrize("target", BUILTIN_NAMES)
