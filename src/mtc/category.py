@@ -40,17 +40,18 @@ read whole stacks.  A product spec takes its blocks laid out so from
 ``deligne_pair``.  The tables derived per key, the inverses, the double
 braidings and the channel blocks of ``mtc.frobenius``, are laid out so
 too, each made stack by stack with ``_Blocks.apply``.  ``_Keys.find`` is
-the one lookup from label columns to key positions.
+the one lookup from label columns, or their codes, to key positions.
 
 The pentagon and the hexagons are contractions of ``f_tensor`` blocks,
 checked as batched block algebra over label tables of named columns,
 enumerated by channel expansion over N > 0 for runs of first labels that
 stay within ``_ROUND_ROWS`` tuples, which bounds a round's memory.  A
-store reads its blocks in place by arithmetic on the codes of the
-tuple's fusion vertices (``FusionRing._vertices``): an R-block by its
-vertex, an ``f_tensor`` block by the two-vertex paths of its row and its
-column channel, which give its place in the F-block and the F-block's
-place; a missing block reads as zeros.  Tuples whose blocks have equal
+store reads its blocks in place from the codes of the tuple's fusion
+vertices: a block on the R-keys by ``_Keys.find`` of its vertex, and an
+``f_tensor`` block, which is no key's but part of one, by arithmetic on
+the numbers of the two-vertex paths of its row and its column channel
+(``FusionRing._vertices``), which give its place in the F-block and the
+F-block's place; a missing block reads as zeros.  Tuples whose blocks have equal
 shapes are contracted by one einsum with a batch axis, from a gather plan
 that other stores of the same keys can reuse, as the two hexagons and
 ``mtc.frobenius`` do.
@@ -246,22 +247,19 @@ class FusionRing:
 
     @cached("vertices")
     def _vertices(self):
-        """(number, head, tail, start, codes) of the fusion vertices (x, y,
-        z) with N > 0: ``codes`` (x * rank + y) * rank + z ascending, those
-        of the pair x * rank + y from start[pair] on.  By code, ``number``
-        numbers them and path (x y -> z)(z w -> v) (``_f_paths``) is number
-        head[code(x, y, z)] + tail[code(z, w, v)]; -1 or negative where N
-        is 0."""
+        """(head, tail, start, codes) of the fusion vertices (x, y, z) with
+        N > 0: ``codes`` (x * rank + y) * rank + z ascending, those of the
+        pair x * rank + y from start[pair] on.  By code, path (x y -> z)(z
+        w -> v) (``_f_paths``) is number head[code(x, y, z)] + tail[code(z,
+        w, v)], negative where N is 0."""
         r = self.rank
         codes = np.flatnonzero(self.N)
         start = np.searchsorted(codes, np.arange(r * r + 1) * r)
         first = start[::r]  # of the vertices with first label x
-        number, head, tail = np.full((3, r ** 3), -(1 << 40), dtype=np.int64)
-        number[:] = -1
-        number[codes] = np.arange(len(codes))
+        head, tail = np.full((2, r ** 3), -(1 << 40), dtype=np.int64)
         head[codes] = np.r_[0, np.cumsum(np.diff(first)[codes % r])][:-1]
-        tail[codes] = number[codes] - first[codes // (r * r)]
-        return number, head, tail, start, codes
+        tail[codes] = np.arange(len(codes)) - first[codes // (r * r)]
+        return head, tail, start, codes
 
     @cached("fusion_vertices")
     def _fusion_vertices(self):
@@ -277,7 +275,7 @@ class FusionRing:
     def fusion_channels(self, x, y):
         """Every channel of every pair of the label arrays x, y: (i, z) with
         z in x[i] (x) y[i], ascending in i and then in z."""
-        _, _, _, start, codes = self._vertices()
+        _, _, start, codes = self._vertices()
         pair = x * self.rank + y
         count = start[pair + 1] - start[pair]
         return (np.repeat(np.arange(len(pair)), count),
@@ -446,8 +444,9 @@ class _Keys:
         return np.unravel_index(self.codes, (self.rank,) * self.arity)
 
     def find(self, *columns) -> np.ndarray:
-        """The index of the key of each row of the label columns, each of
-        which must be a key."""
+        """The index of the key of each row of the label columns, or of
+        each code given as one column; a row that is no key gets the index
+        of the next key up, or len(codes)."""
         return np.searchsorted(self.codes, _encode(columns, self.rank))
 
 
@@ -709,17 +708,18 @@ def _r_keys(ring: FusionRing) -> _Keys:
 class _Store(NamedTuple):
     """Blocks keyed by label tuples in ``flat``, zeros from ``blank`` on.
     ``dims`` gives, per block axis, the label triple (as positions in the
-    tuple) whose N is its length.  A fusion vertex's block starts at
-    index[its number] (index[-1] = blank); with ``index`` None, that of (a,
-    b, c, d, e, f) is F[a,b,c,d] from row channel e to column channel f,
-    found by its row path (a b -> e)(e c -> d) and column path (b c -> f)(f
-    a -> d) (``_f_keys``)."""
+    tuple) whose N is its length.  With ``keys``, the R-keys, the blocks
+    are laid out on them, one per fusion vertex, and the last triple's is
+    found by ``_Keys.find``; without, that of (a, b, c, d, e, f) is
+    F[a,b,c,d] from row channel e to column channel f, found by its row
+    path (a b -> e)(e c -> d) and column path (b c -> f)(f a -> d)
+    (``_f_keys``), the one block not found by key."""
 
     ring: FusionRing
     dims: tuple
     flat: np.ndarray
     blank: int
-    index: np.ndarray | None
+    keys: _Keys | None
 
     def codes(self, labels) -> list:
         """The codes (x * rank + y) * rank + z of the label triples (x, y,
@@ -732,9 +732,12 @@ class _Store(NamedTuple):
         """(start, stride) from the ``codes`` of label tuples: where the
         block of each starts in ``flat``, a tuple without a block at the
         zeros; and the entries between the rows of an F-block, or None."""
-        number, head, tail, _, _ = self.ring._vertices()
-        if self.index is not None:
-            return self.index[number[codes[-1]]], None
+        if self.keys is not None:
+            K = self.keys
+            at = K.find(codes[-1]).clip(max=len(K.codes) - 1)
+            return np.where(K.codes[at] == codes[-1], K.start[at],
+                            self.blank), None
+        head, tail, _, _ = self.ring._vertices()
         F = _f_keys(self.ring)
         row = head[codes[0]] + tail[codes[1]]
         col = head[codes[2]] + tail[codes[3]]
@@ -837,8 +840,7 @@ def _r_double(spec: CategorySpec) -> _Blocks:
 def _vertex_store(ring: FusionRing, blocks: _Blocks, dims) -> _Store:
     """The store of blocks laid out on the R keys, one per fusion vertex;
     ``dims`` as ``_Store`` takes them."""
-    start, total = blocks.keys.start, blocks.keys.total
-    return _Store(ring, dims, blocks.flat, total, np.append(start, total))
+    return _Store(ring, dims, blocks.flat, blocks.keys.total, blocks.keys)
 
 
 @cached("r_store")
@@ -917,18 +919,16 @@ class _LabelTable:
         self._codes, self._mults = {}, {}
 
     def code(self, vertex: str) -> np.ndarray:
-        out = self._codes.get(vertex)
-        if out is None:
+        if vertex not in self._codes:
             r = self.ring.rank
             x, y, z = (self.cols[w] for w in vertex)
-            out = self._codes[vertex] = (x * r + y) * r + z
-        return out
+            self._codes[vertex] = (x * r + y) * r + z
+        return self._codes[vertex]
 
     def mult(self, vertex: str) -> np.ndarray:
-        out = self._mults.get(vertex)
-        if out is None:
-            out = self._mults[vertex] = self.ring.N.ravel()[self.code(vertex)]
-        return out
+        if vertex not in self._mults:
+            self._mults[vertex] = self.ring.N.ravel()[self.code(vertex)]
+        return self._mults[vertex]
 
     def rows(self, idx, **new) -> "_LabelTable":
         """The rows ``idx``, in that order, with the columns ``new`` added."""
@@ -938,7 +938,7 @@ class _LabelTable:
     def grow(self, x, y, z) -> "_LabelTable":
         """Every row once per fusion vertex (x, y, z) of its label x, with
         the columns y and z appended, ascending in row and then in (y, z)."""
-        _, _, _, start, codes = self.ring._vertices()
+        _, _, start, codes = self.ring._vertices()
         r, first = self.ring.rank, start[::self.ring.rank]
         lo, count = first[self.cols[x]], np.diff(first)[self.cols[x]]
         at = codes[_ranges(lo, count)]
@@ -959,7 +959,7 @@ class _LabelTable:
     def plan(self, factors) -> list:
         """``_gather_plan`` of the operands, one (store, column names) pair
         each, from the table's vertex codes and multiplicities."""
-        axes = [(store, ["".join(map(names.__getitem__, axis))
+        axes = [(store, ["".join(names[i] for i in axis)
                          for axis in store.dims]) for store, names in factors]
         return _gather_plan(self.ring.N, [
             (store, [self.code(v) for v in vs]) for store, vs in axes],

@@ -138,7 +138,7 @@ def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     R = _r_store(spec, not over)
     out = np.zeros_like(F.flat)
     out[K.start[K.col][e] + (first + i * m + d) * n + first + j * m
-        + d] = R.flat[R.find(R.codes((a, b, f)))[0][e] + i * g[e] + j]
+        + d] = R.flat[R.keys.start[R.keys.find(a, b, f)][e] + i * g[e] + j]
     # one product per block size; a non-finite entry spreads NaN through
     # its block
     x, a, b, y = K.labels()

@@ -274,14 +274,20 @@ def test_frobenius_report_control_mode(spec_of):
     assert "defect" in control[0].detail
 
 
-@pytest.mark.parametrize("target", BUILTIN_NAMES)
+@pytest.mark.parametrize("target", [*BUILTIN_NAMES, "rep_a4_random"])
 def test_frobenius_section_holds_bit_for_bit(target):
-    """Every deviation of each builtin's frobenius section equals the one
-    pinned in ``golden/frobenius_section.json`` exactly, so a refactor of
-    the channel path cannot drift within the golden files' tolerance."""
+    """Every deviation of each builtin's frobenius section, and of
+    ``frobenius_report`` at n = -1, 0 on the random Rep(A4) data, equals
+    the one pinned in ``golden/frobenius_section.json`` exactly, so a
+    refactor of the channel path cannot drift within the golden files'
+    tolerance.  Rep(A4) has a channel of multiplicity 2, whose block
+    entries are summed per key before the keys are added per root, an
+    order the multiplicity-free builtins do not test."""
     pinned = json.loads((GOLDEN / "frobenius_section.json").read_text(
         "utf-8"))[target]
-    report = run_suite(target, suites=["frobenius"])
+    report = frobenius_report(random_rep_a4(), n_values=(-1, 0)) \
+        if target == "rep_a4_random" else run_suite(target,
+                                                    suites=["frobenius"])
     assert {c.name: c.max_deviation for c in report.checks} == pinned
 
 
