@@ -17,10 +17,11 @@ coefficients instead.  The summands of A are distinct simples, so the
 component (i, j) -> k of m^(n) is one block at the root A_k, an N x N matrix
 over Hom(dual(i) (x) dual(j), dual(k)) x Hom(i (x) j, k) with N = N_ij^k,
 and likewise for Delta^(n).  The channels are the R keys, so these blocks
-are ``category._Blocks`` laid out as the spec lays its R-blocks, and each
-table is one ``_Blocks.apply`` of another.  They are read from the
-diagrams once, at n = 0; every other exponent follows from the interchange
-law
+are ``category._Blocks`` laid out as the spec lays its R-blocks.  At n = 0
+each table is one contraction over the R keys of the base's F-moves, their
+inverses and its braidings (``_bent``): the composite of ``_m_first`` or
+``_delta_first`` written in F and R.  Every other exponent is one
+``_Blocks.apply`` of it, by the interchange law
 
   m^(n) = m^(0) o D^n,    Delta^(n) = D^-n o Delta^(0),
 
@@ -308,22 +309,59 @@ def left_center_labels(base: CategorySpec, atol: float = 1e-6):
 # channel coefficients
 
 
-def _diagram_blocks(base: CategorySpec, first) -> _Blocks:
-    """The channel blocks of the n = 0 diagrams, laid out on the R keys:
-    column alpha of the block at (i, j, k) is the block of first(base, i,
-    j, k, alpha, 0) at dual(k), raveled."""
-    R = _blocks(base, "R")
-    labels = R.keys.labels()
+@cached("vacuum")
+def _vacuum(base: CategorySpec) -> tuple:
+    """Per label a, read by the n = 0 channel tables and by
+    ``frobenius_report``: the vacuum entries F[a, dual(a), a; a]_00 and
+    F^-1[a, dual(a), a; a]_00, tau_a = theta_a R[a, dual(a); 0], and the
+    twisted cup of the summand A_a of the square, theta_dual(a) theta_a
+    times the double braiding R[dual(a), a; 0] R[a, dual(a); 0]."""
+    labels = np.arange(base.rank)
+    dual, theta, vac = base.dual, base.theta, np.zeros_like(labels)
+    f, finv = (_f_store(base, inverse).take(
+        (labels, dual, labels, labels, vac, vac), (1,) * 4).ravel()
+        for inverse in (False, True))
+    K = _r_keys(base.ring)
+    at = K.start[K.find(labels, dual, vac)]  # the 1 x 1 blocks (a, dual(a), 0)
+    return (f, finv, theta * _blocks(base, "R").flat[at],
+            theta[dual] * theta * _r_double(base).flat[at])
 
-    def diagrams(idx, stack):
-        out = np.empty_like(stack)
-        for t, (i, j, k) in enumerate(zip(*(x[idx].tolist()
-                                            for x in labels))):
-            for alpha in range(stack.shape[1]):
-                out[t, :, alpha] = first(base, i, j, k, alpha, 0).blocks[
-                    int(base.dual[k])].ravel()
-        return out
-    return R.apply(diagrams)
+
+def _bent(base: CategorySpec, mirror: bool, scale) -> _Blocks:
+    """Blocks on the R keys, scale[key] times one contraction of F-moves
+    and braidings over b in dual(j) (x) i; with the prefactors that
+    ``_m_channels`` and ``_delta_channels`` pass as scale, the blocks of
+    m^(0) and Delta^(0), the composites of ``_m_first`` and
+    ``_delta_first``:
+
+      [beta, alpha] = sum_b F[I,i,J;J]_{0,(b rho' mu)} R^{J i}_b[rho', rho]
+                            F^-1[I,J,i;J]_{(b rho mu),(K beta gamma)}
+                            F[K,i,j;0]_{(J gamma),(k alpha)}
+
+    at the key (i, j, k), capitals the duals, rows of F trees and columns
+    split pairs (``FusionRing.f_basis``), F^-1 indexed [split, tree]; with
+    ``mirror`` its mirror image, F and F^-1 swapped and the braiding
+    inverted, [beta, alpha] = sum_b F^-1[I,i,J;J]_{(b rho' mu),0}
+    (R^{J i}_b)^-1[rho, rho'] F[I,J,i;J]_{(K beta gamma),(b rho mu)}
+    F^-1[K,i,j;0]_{(k alpha),(J gamma)}.  Rows of a key sharing its slot
+    are added in ascending b."""
+    ring, dual = base.ring, base.dual
+    K = _r_keys(ring)
+    i, j, k = K.labels()
+    t = _LabelTable(ring, {"i": i, "j": j, "k": k, "I": dual[i],
+                           "J": dual[j], "K": dual[k], "o": np.zeros_like(i)},
+                    np.arange(len(i))).fuse("J", "i", "b")
+    F, Finv = _f_store(base), _f_store(base, True)
+    if mirror:
+        F, Finv = Finv, F
+    factors = [(F, "IiJJob"), (_r_store(base, mirror),
+                               "iJb" if mirror else "Jib"),
+               (Finv, "IJiJKb"), (F, "KijoJk")]
+    out = np.zeros(K.total + int(K.size.max()) ** 2, dtype=np.complex128)
+    _contract(out, K.start[t.origin],
+              "OQPM,{},BGRM,GHAL->BA".format("RP" if mirror else "PR"),
+              [store.flat for store, _ in factors], t.plan(factors))
+    return _Blocks(K, out).apply(lambda idx, C: C * scale[idx, None, None])
 
 
 @cached("monodromy")
@@ -350,11 +388,14 @@ def _monodromy(base: CategorySpec, n: int) -> _Blocks:
 @cached("m_channels")
 def _m_channels(base: CategorySpec, n: int) -> _Blocks:
     """The channel blocks of m^(n) on the R keys, indexed [dual-factor
-    mult, base-factor mult]: from the diagrams at n = 0, and as m^(0) o D^n
-    otherwise, the monodromy acting on the dual factor's source trees, the
-    rows of a block."""
+    mult, base-factor mult]: at n = 0 ``_bent`` scaled by F[K,k,K;K]_00 /
+    (F^-1[i,I,i;i]_00 F^-1[j,J,j;j]_00), and as m^(0) o D^n otherwise, the
+    monodromy acting on the dual factor's source trees, the rows of a
+    block."""
     if n == 0:
-        return _diagram_blocks(base, _m_first)
+        f, finv, _, _ = _vacuum(base)
+        i, j, k = _r_keys(base.ring).labels()
+        return _bent(base, False, f[base.dual[k]] / (finv[i] * finv[j]))
     D = _monodromy(base, n)
     return _m_channels(base, 0).apply(
         lambda _, C: D.stack(C.shape[1]).transpose(0, 2, 1) @ C)
@@ -362,15 +403,17 @@ def _m_channels(base: CategorySpec, n: int) -> _Blocks:
 
 @cached("delta_channels")
 def _delta_channels(base: CategorySpec, n: int) -> _Blocks:
-    """The channel blocks of Delta^(n) on the R keys: from the diagrams at
-    n = 0, weighted by d_i d_j / (Dim d_k), and as D^-n o Delta^(0)
-    otherwise."""
+    """The channel blocks of Delta^(n) on the R keys: at n = 0 the mirror
+    ``_bent`` scaled by tau_i tau_j tau_k F^-1[K,k,K;K]_00 /
+    F^-1[k,K,k;k]_00 and weighted by d_i d_j / (Dim d_k), and as
+    D^-n o Delta^(0) otherwise."""
     if n == 0:
+        _, finv, tau, _ = _vacuum(base)
         d = base.dims
         i, j, k = _r_keys(base.ring).labels()
-        weights = d[i] * d[j] / (base.global_dim() * d[k])
-        return _diagram_blocks(base, _delta_first).apply(
-            lambda idx, C: C * weights[idx, None, None])
+        scale = tau[i] * tau[j] * tau[k] * finv[base.dual[k]] / finv[k]
+        return _bent(base, True, scale * (
+            d[i] * d[j] / (base.global_dim() * d[k])))
     D = _monodromy(base, -n)
     return _delta_channels(base, 0).apply(lambda _, C: D.stack(C.shape[1])
                                           @ C)
@@ -565,22 +608,14 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
     # dual(i), 0) lie in the flat array of every channel table
     unit_left, unit_right, closing = (K.start[K.find(*c)] for c in (
         (vac, labels, labels), (labels, vac, labels), (labels, dual, vac)))
-
-    # per label a: the vacuum entries of F[a, dual(a), a; a] and of its
-    # inverse, and the twisted cup of the summand A_a of the square
-    F, Finv = _f_store(base), _f_store(base, True)
-    vF = F.take((labels, dual, labels, labels, vac, vac), (1,) * 4).ravel()
-    vU = Finv.take((labels, dual, labels, labels, vac, vac), (1,) * 4).ravel()
-    R = _r_store(base, False)
-    bt = sigma * theta * (R.take((dual, labels, vac), (1, 1))
-                          * R.take((labels, dual, vac), (1, 1))).ravel()
+    f, finv, _, cup = _vacuum(base)
 
     def pairing(m):
         """Phi at each summand A_i: the closed twisted loop of m, sum_s
-        m_{s0 -> s} bt_s / F^-1[A_s, A_s^v, A_s; A_s]_00, times m_{i dual(i)
-        -> 0} on the vacuum F-move of (A_i, A_dual(i), A_i)."""
-        loop = np.sum(m.flat[unit_right] * bt / (vU[dual] * vU))
-        return loop * m.flat[closing] * vF[dual] * vF
+        m_{s0 -> s} cup_s / F^-1[A_s, A_s^v, A_s; A_s]_00, times m_{i
+        dual(i) -> 0} on the vacuum F-move of (A_i, A_dual(i), A_i)."""
+        loop = np.sum(m.flat[unit_right] * cup / (finv[dual] * finv))
+        return loop * m.flat[closing] * f[dual] * f
 
     def pair(name, stores):
         """The gap between the two sides of a check by contraction."""
@@ -620,8 +655,8 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
         cap_m = m.flat[closing]
         report.add_deviation(
             f"symmetry{sfx}", "pairing-symmetry",
-            _gap(dim * cap_m * vF[dual] * vF,
-                 dim * cap_m[dual] * vU[dual] * vU * bt[dual]), tol)
+            _gap(dim * cap_m * f[dual] * f,
+                 dim * cap_m[dual] * finv[dual] * finv * cup[dual]), tol)
 
         phi = pairing(m)
         report.add_deviation(

@@ -79,6 +79,7 @@ from .category import (CategorySpec, _blocks, _changes, _check_words,
                        _codes, _f_inverses, _f_keys, _f_paths, _inverses,
                        _Keys, _mult, _r_store, _ranges, _rounds, cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
+from .report import exponents
 
 
 def _crossing(start: int, k: int, m: int) -> tuple:
@@ -683,11 +684,12 @@ def _worst(stack: PathStack, pairs) -> list:
 def module_pentagon_deviations(spec: CategorySpec, tuples, n_values=(0,)
                                ) -> list:
     """``modcat.module_pentagon_deviation`` of every tuple, its largest
-    over ``n_values``:
+    over ``n_values``, one or more Python ints (``report.exponents``):
 
       psi_{M.X,Y,Z} o psi_{M,X,Y(x)Z}  against
       (psi_{M,X,Y} . id_Z) o psi_{M,X(x)Y,Z}
     """
+    n_values = exponents(n_values)
     stack = PathStack(spec, tuples)
     return _worst(stack, (
         (psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n)
@@ -720,8 +722,10 @@ def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
 def module_triangle_deviations(spec: CategorySpec, tuples, n_values=(0,)
                                ) -> list:
     """``modcat.module_triangle_deviation`` of every (m, x1, x2), its
-    largest over ``n_values``: psi_{M,1,X} and psi_{M,X,1} against the
+    largest over ``n_values``, one or more Python ints
+    (``report.exponents``): psi_{M,1,X} and psi_{M,X,1} against the
     identity."""
+    n_values = exponents(n_values)
     stack = PathStack(spec, tuples)
     order = (0, 1, 2)
     ident = stack.identity(order)

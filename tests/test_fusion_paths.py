@@ -283,6 +283,20 @@ def test_each_braid_is_inverted_once_per_stack(monkeypatch):
     assert both == np.maximum(*once).tolist()
 
 
+@pytest.mark.parametrize("n_values", [(), (True,), (0.0,)],
+                         ids=["empty", "bool", "float"])
+@pytest.mark.parametrize("sweep, width", [
+    (fusion_paths.module_pentagon_deviations, 7),
+    (fusion_paths.module_triangle_deviations, 3)])
+def test_module_sweeps_refuse_non_integer_n_values(sweep, width, n_values):
+    """No exponent, or one that is not a Python int, is refused as
+    ``run_suite`` refuses it, not swept to a vacuous deviation of 0 per
+    tuple or run as the int it equals."""
+    spec = suite.get_category("fibonacci")
+    with pytest.raises(ValueError, match="n_values must list Python ints"):
+        sweep(spec, [(1,) * width], n_values)
+
+
 def _spelt(rng, spec, L):
     """Seeded tuples of length L that share words: two tuples, both twice,
     and three that permute the letters of the first, which starts with
@@ -336,8 +350,8 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
                                                            spec_of):
     """Under gc.disable(), every stack and braid of an alpha-functor sweep
     dies by reference counting once the sweep returns, and so does a spec
-    once the module section has run on it: its cache holds arrays, not
-    objects that point back at it."""
+    once every section has run on it: its cache holds arrays, not objects
+    that point back at it."""
     refs = []
     init, braid = PathStack.__init__, PathStack.braid
 
@@ -363,7 +377,7 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
             refs.append(weakref.ref(specs[0]))
             monkeypatch.setattr(suite, "resolve_target",
                                 lambda target: specs.pop())
-            assert run_suite(name, suites=["module"]).passed
+            assert run_suite(name).passed
         assert len(refs) > 10
         assert all(ref() is None for ref in refs)
     finally:
