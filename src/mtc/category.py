@@ -45,15 +45,18 @@ the one lookup from label columns, or their codes, to key positions.
 The pentagon and the hexagons are contractions of ``f_tensor`` blocks,
 checked as batched block algebra over label tables of named columns,
 enumerated by channel expansion over N > 0 for runs of first labels that
-stay within ``_ROUND_ROWS`` tuples, which bounds a round's memory.  A
-store reads its blocks in place from the codes of the tuple's fusion
-vertices: a block on the R-keys by ``_Keys.find`` of its vertex, and an
-``f_tensor`` block, which is no key's but part of one, by arithmetic on
-the numbers of the two-vertex paths of its row and its column channel
-(``FusionRing._vertices``), which give its place in the F-block and the
-F-block's place; a missing block reads as zeros.  Tuples whose blocks have equal
-shapes are contracted by one einsum with a batch axis, from a gather plan
-that other stores of the same keys can reuse, as the two hexagons and
+stay within ``_ROUND_ROWS`` tuples, which bounds a round's memory.  The
+fusion rules have one table of fusion vertices, the R-keys (``_r_keys``),
+by which every table of labels grows, and one of two-vertex paths, held
+with the F-keys (``_f_keys``), whose channels they are.  A store reads its
+blocks in place from the codes of the tuple's fusion vertices: a block on
+the R-keys by ``_Keys.find`` of its vertex, and an ``f_tensor`` block,
+which is no key's but part of one, by arithmetic on the numbers that
+``_f_keys`` gives the two-vertex paths of its row and its column channel,
+which give its place in the F-block and the F-block's place; a missing
+block reads as zeros.  Tuples whose blocks have equal shapes are
+contracted by one einsum with a batch axis, from a gather plan that other
+stores of the same keys can reuse, as the two hexagons and
 ``mtc.frobenius`` do.
 
 Every derived table is memoised on its owner by ``cached``, one section
@@ -245,41 +248,14 @@ class FusionRing:
                                for row in plane] for plane in self.N]
         return self._channels[a][b]
 
-    @cached("vertices")
-    def _vertices(self):
-        """(head, tail, start, codes) of the fusion vertices (x, y, z) with
-        N > 0: ``codes`` (x * rank + y) * rank + z ascending, those of the
-        pair x * rank + y from start[pair] on.  By code, path (x y -> z)(z
-        w -> v) (``_f_paths``) is number head[code(x, y, z)] + tail[code(z,
-        w, v)], negative where N is 0."""
-        r = self.rank
-        codes = np.flatnonzero(self.N)
-        start = np.searchsorted(codes, np.arange(r * r + 1) * r)
-        first = start[::r]  # of the vertices with first label x
-        head, tail = np.full((2, r ** 3), -(1 << 40), dtype=np.int64)
-        head[codes] = np.r_[0, np.cumsum(np.diff(first)[codes % r])][:-1]
-        tail[codes] = np.arange(len(codes)) - first[codes // (r * r)]
-        return head, tail, start, codes
-
-    @cached("fusion_vertices")
-    def _fusion_vertices(self):
-        """(start, channel, alpha): the fusion vertices of the pair (a, b),
-        each channel c of it N[a, b, c] times with alpha = 0, 1, ..., are
-        entries ``start[a * rank + b]:start[a * rank + b + 1]``, ascending
-        in (c, alpha)."""
-        N = self.N.reshape(self.rank ** 2, self.rank)
-        mult = N[np.nonzero(N)]
-        channel = np.repeat(np.nonzero(N)[1], mult)
-        return np.r_[0, np.cumsum(N.sum(axis=1))], channel, _ranges(0, mult)
-
     def fusion_channels(self, x, y):
         """Every channel of every pair of the label arrays x, y: (i, z) with
         z in x[i] (x) y[i], ascending in i and then in z."""
-        _, _, start, codes = self._vertices()
+        K = _r_keys(self)
         pair = x * self.rank + y
-        count = start[pair + 1] - start[pair]
+        count = K.first[pair + 1] - K.first[pair]
         return (np.repeat(np.arange(len(pair)), count),
-                codes[_ranges(start[pair], count)] % self.rank)
+                K.codes[_ranges(K.first[pair], count)] % self.rank)
 
     def check_axioms(self):
         """Raise RingAxiomError unless unit, duality, associativity and the
@@ -669,40 +645,49 @@ def _below(block, channel, h) -> np.ndarray:
     return out
 
 
-def _f_paths(ring: FusionRing) -> list:
-    """Label columns (x, y, z, w, v) of every two-vertex path (x y -> z)(z
-    w -> v), in the order of their numbers (``FusionRing._vertices``): the
-    trees (a, b, e, c, d) of every word (a, b, c) at every root d."""
-    cols = _LabelTable(ring, {"x": np.arange(ring.rank)}).grow(
-        "x", "y", "z").grow("z", "w", "v").cols
-    return [cols[x] for x in "xyzwv"]
-
-
 @cached("f_keys")
 def _f_keys(ring: FusionRing) -> _Keys:
     """The ``_Keys`` of the F-blocks, a key (a, b, c, d) for every word (a,
-    b, c) and root d, and their channels.  The path t = (x y -> z)(z w ->
-    v) (``_f_paths``) is the channel z of the rows of the block row[t] =
-    F[x,y,w,v] and of the columns of the block col[t] = F[w,x,y,v],
-    N[x,y,z] N[z,w,v] of each, from row rowoff[t] and column coloff[t] on.
-    The channel's rows start at entry rowbase[t], stride[t] apart."""
-    r, N = ring.rank, ring.N
-    x, y, z, w, v = _f_paths(ring)
+    b, c) and root d, and their channels, the two-vertex paths (x y ->
+    z)(z w -> v): ``paths`` holds their label columns (x, y, z, w, v), the
+    trees (a, b, e, c, d) of every word (a, b, c) at every root d, and by
+    the codes of its vertices (``_r_keys``) a path is number head[code(x,
+    y, z)] + tail[code(z, w, v)], negative where N is 0.  Path t is the
+    channel z of the rows of the block row[t] = F[x,y,w,v] and of the
+    columns of the block col[t] = F[w,x,y,v], N[x,y,z] N[z,w,v] of each,
+    from row rowoff[t] and column coloff[t] on.  The channel's rows start
+    at entry rowbase[t], stride[t] apart."""
+    r, N, V = ring.rank, ring.N, _r_keys(ring)
+    cols = _LabelTable(ring, {"x": np.arange(r)}).grow(
+        "x", "y", "z").grow("z", "w", "v").cols
+    x, y, z, w, v = paths = [cols[c] for c in "xyzwv"]
     h = _mult(N, x, y, z) * _mult(N, z, w, v)
     codes, row = np.unique(_encode((x, y, w, v), r), return_inverse=True)
     K = _Keys(r, 4, codes, np.bincount(row, h, len(codes)).astype(np.int64))
-    K.row, K.col = row, K.find(w, x, y, v)
+    K.paths, K.row, K.col = paths, row, K.find(w, x, y, v)
     K.rowoff, K.coloff = _below(row, z, h), _below(K.col, z, h)
     K.stride = K.size[row]
     K.rowbase = K.start[row] + K.rowoff * K.stride
+    # the paths of a vertex (x, y, z) follow those of the vertices before
+    # it, one per vertex of first label z
+    first = V.first[::r]
+    K.head, K.tail = np.full((2, r ** 3), -(1 << 40), dtype=np.int64)
+    count = np.diff(first)[V.codes % r]
+    K.head[V.codes] = np.cumsum(count) - count
+    K.tail[V.codes] = np.arange(len(V.codes)) - first[V.codes // (r * r)]
     return K
 
 
 @cached("r_keys")
 def _r_keys(ring: FusionRing) -> _Keys:
-    """The R-keys, one per fusion vertex, as ``FusionRing._vertices``."""
+    """The R-keys, the ring's one table of fusion vertices: a key (x, y, z)
+    for each with N > 0, ``codes`` (x * rank + y) * rank + z ascending and
+    ``size`` N, those of the pair x * rank + y from first[pair] on."""
+    r = ring.rank
     codes = np.flatnonzero(ring.N)
-    return _Keys(ring.rank, 3, codes, ring.N.ravel()[codes])
+    K = _Keys(r, 3, codes, ring.N.ravel()[codes])
+    K.first = np.searchsorted(codes, np.arange(r * r + 1) * r)
+    return K
 
 
 class _Store(NamedTuple):
@@ -737,10 +722,9 @@ class _Store(NamedTuple):
             at = K.find(codes[-1]).clip(max=len(K.codes) - 1)
             return np.where(K.codes[at] == codes[-1], K.start[at],
                             self.blank), None
-        head, tail, _, _ = self.ring._vertices()
         F = _f_keys(self.ring)
-        row = head[codes[0]] + tail[codes[1]]
-        col = head[codes[2]] + tail[codes[3]]
+        row = F.head[codes[0]] + F.tail[codes[1]]
+        col = F.head[codes[2]] + F.tail[codes[3]]
         return (np.where((row | col) < 0, self.blank,
                          F.rowbase.take(row, mode="clip")
                          + F.coloff.take(col, mode="clip")),
@@ -851,17 +835,18 @@ def _r_store(spec: CategorySpec, inverse: bool) -> _Store:
                          else _blocks(spec, "R"), ((1, 0, 2), (0, 1, 2)))
 
 
-def _codes(columns, base) -> np.ndarray:
-    """One int64 code per row of the columns, whose values lie in [0,
-    base), equal exactly where the rows are: the values packed in base
-    ``base``, the codes so far renumbered by rank whenever the next column
-    would overflow them."""
+def _codes(columns, radices) -> np.ndarray:
+    """One int64 code per row of the columns, the values of column i in
+    [0, radices[i]): equal exactly where the rows are, and ascending in
+    their lexicographic order.  The values are packed in mixed radix, the
+    codes so far renumbered by rank whenever the next column would overflow
+    them."""
     code, span = np.zeros(len(columns[0]), dtype=np.int64), 1
-    for col in columns:
-        if span * base >= 2 ** 63:
+    for col, radix in zip(columns, map(int, radices), strict=True):
+        if span * radix >= 2 ** 63:
             distinct, code = np.unique(code, return_inverse=True)
             span = len(distinct)
-        code, span = code * base + col, span * base
+        code, span = code * radix + col, span * radix
     return code
 
 
@@ -869,7 +854,7 @@ def _groups(columns, base):
     """(row indices, row) for each distinct row of the columns, whose
     values lie in [0, base); the indices of a group ascend, and the groups
     follow the order of their ``_codes``."""
-    code = _codes(columns, base)
+    code = _codes(columns, [base] * len(columns))
     order = np.argsort(code, kind="stable")
     starts = np.flatnonzero(_changes(code[order])).tolist() + [len(order)]
     for lo, hi in zip(starts, starts[1:]):
@@ -938,10 +923,10 @@ class _LabelTable:
     def grow(self, x, y, z) -> "_LabelTable":
         """Every row once per fusion vertex (x, y, z) of its label x, with
         the columns y and z appended, ascending in row and then in (y, z)."""
-        _, _, start, codes = self.ring._vertices()
-        r, first = self.ring.rank, start[::self.ring.rank]
+        K, r = _r_keys(self.ring), self.ring.rank
+        first = K.first[::r]  # of the vertices with first label x
         lo, count = first[self.cols[x]], np.diff(first)[self.cols[x]]
-        at = codes[_ranges(lo, count)]
+        at = K.codes[_ranges(lo, count)]
         return self.rows(np.repeat(np.arange(len(lo)), count),
                          **{y: at // r % r, z: at % r})
 

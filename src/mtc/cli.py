@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the verification suite")
     check.add_argument("target", help="built-in name or category file")
     check.add_argument("--n-range", default="0..2",
-                       help="associator exponents, e.g. 0..2 or 0,3")
+                       help="associator exponents, e.g. 0..2 or 0,3; a "
+                            "negative range as --n-range=-1..1")
     check.add_argument("--tol", type=float, default=None,
                        help="numeric tolerance (default 1e-9 or $MTC_TOL)")
     check.add_argument("--seed", type=int, default=0,

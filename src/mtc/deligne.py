@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .category import (CategorySpec, FusionRing, _Blocks, _blocks, _f_keys,
-                       _f_paths, _groups, _Laid, _mult, _r_keys, _ranges,
-                       _summands, cached)
+                       _groups, _Laid, _mult, _r_keys, _ranges, _summands,
+                       cached)
 from .engine import Morphism
 from .errors import RankOverflow, ShapeMismatch
 
@@ -39,7 +39,7 @@ def _f_labels(ring: FusionRing) -> list:
     them: for each, {n: the labels of the blocks of size n, stacked (count,
     n, 3) in key order}."""
     K = _f_keys(ring)
-    x, y, z, w, v = _f_paths(ring)
+    x, y, z, w, v = K.paths
     m = _mult(ring.N, z, w, v)
     h = _mult(ring.N, x, y, z) * m
     # entry k of a path is row or column k of its channel, (z, k // m, k % m)

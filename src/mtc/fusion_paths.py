@@ -36,14 +36,15 @@ queue in a few rounds.  Paths and generators depend only on the word a
 tuple spells, and most words repeat over the orders and tuples of a sweep,
 so the flush numbers the words of every new word order, each distinct word
 once, and enumerates the paths of the words not seen before together: one
-row gather per fusion step over the ring's multiplicity-expanded fusion
-vertices.  It builds each distinct (word, p, over) generator once, laid
-out as the word's blocks in root order: the paths of a round's generators
-are sorted by context, every (word, p) in one ``np.lexsort``, and written
-by one gather from the spec's table of local blocks of their sense.  That
-table holds the block of every F-block key (x, a, b, y), laid out as the
-F-blocks and built in one batched product per block size from their
-stacks and those of the inverse F-blocks and the R-blocks.  Each step's
+row gather per fusion step over the ring's fusion vertices (the R-keys),
+each once per multiplicity.  It builds each distinct (word, p, over)
+generator once, laid out as the word's blocks in root order: the paths of
+a round's generators are sorted by context, every (word, p) in one
+``np.lexsort``, and written by one gather from the spec's table of local
+blocks of their sense.  That table holds the block of every F-block key
+(x, a, b, y), laid out as the F-blocks and built in one batched product
+per block size from their stacks and those of the inverse F-blocks and
+the R-blocks.  Each step's
 (tuple, root) blocks are then one gather from the generators of its
 tuples' words, whose roots and block sizes are those of the tuples.  A
 stack's blocks come from the tree counts of its tuples, so it enumerates
@@ -76,8 +77,8 @@ from __future__ import annotations
 import numpy as np
 
 from .category import (CategorySpec, _blocks, _changes, _check_words,
-                       _codes, _f_inverses, _f_keys, _f_paths, _inverses,
-                       _Keys, _mult, _r_store, _ranges, _rounds, cached)
+                       _codes, _f_inverses, _f_keys, _inverses, _Keys, _mult,
+                       _r_keys, _r_store, _ranges, _rounds, cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
 from .report import exponents
 
@@ -102,22 +103,6 @@ def _swapped(order, p: int) -> tuple:
     return order[:p - 1] + (order[p], order[p - 1]) + order[p + 1:]
 
 
-def _packed(digits, radices) -> list:
-    """Sort keys for the rows of the digit columns, most significant first:
-    consecutive digits are packed into one int64 column while the product
-    of their radices stays below 2^62, so that ``np.lexsort`` of the
-    reversed list orders the rows lexicographically by the digits."""
-    keys, span = [], 1 << 62
-    for col, radix in zip(digits, radices):
-        if span * radix < 1 << 62:
-            keys[-1] = keys[-1] * radix + col
-            span *= radix
-        else:
-            keys.append(col.astype(np.int64))
-            span = radix
-    return keys
-
-
 @cached("braid_blocks")
 def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     """The local block of sigma_2 on (x, a, b) at root y for every F-block
@@ -130,7 +115,7 @@ def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     # each path (a b -> f)(f x -> y) is the channel f of the columns of its
     # block (x, a, b, y), from column ``first`` on: entry (i, j) of the
     # R-block of (a, b, f) at every delta < m = N[f, x, y]
-    a, b, f, x, y = _f_paths(ring)
+    a, b, f, x, y = K.paths
     g, m = _mult(ring.N, a, b, f), _mult(ring.N, f, x, y)
     e = np.repeat(np.arange(len(g)), g * g * m)
     i, rest = np.divmod(_ranges(0, g * g * m), (g * m)[e])
@@ -333,7 +318,7 @@ class PathStack:
         # letter i of every numbered word, then of every tuple in each order
         letters = np.concatenate([self._words.T, np.ascontiguousarray(
             self.labels.T)[np.array(orders).T].reshape(L, -1)], axis=1)
-        _, first, inverse = np.unique(_codes(letters, self.spec.rank),
+        _, first, inverse = np.unique(_codes(letters, [self.spec.rank] * L),
                                       return_index=True, return_inverse=True)
         new = first >= seen
         number = np.where(new, seen + np.cumsum(new) - 1, first)
@@ -351,13 +336,13 @@ class PathStack:
 
     def _enumerate(self, ids) -> np.ndarray:
         """The fusion paths of the words ``ids``, in one round: one row
-        gather per fusion step over the ring's multiplicity-expanded fusion
-        vertices and one sort into tree order."""
+        gather per fusion step over the ring's fusion vertices
+        (``category._r_keys``), each once per multiplicity, and one sort
+        into tree order."""
         ring = self.spec.ring
-        r, m = ring.rank, int(ring.N.max())
+        r, m, V = ring.rank, int(ring.N.max()), _r_keys(ring)
         L = self.labels.shape[1]
         width = 2 * L + 4
-        start, channel, alpha = ring._fusion_vertices()
         # while paths grow: the columns of the table, then the letters
         grow = np.zeros((len(ids), width + L), dtype=np.int32)
         grow[:, self._word] = ids
@@ -365,17 +350,19 @@ class PathStack:
         grow[:, 1] = grow[:, width]
         for k in range(1, L):
             pair = grow[:, k] * r + grow[:, width + k]
-            count = start[pair + 1] - start[pair]
-            vertex = _ranges(start[pair], count)
-            grow = grow[np.repeat(np.arange(len(pair)), count)]
-            grow[:, k + 1], grow[:, _mu(L, k + 1)] = \
-                channel[vertex], alpha[vertex]
+            count = V.first[pair + 1] - V.first[pair]
+            vertex = _ranges(V.first[pair], count)
+            size = V.size[vertex]
+            grow = grow[np.repeat(np.repeat(np.arange(len(pair)), count),
+                                  size)]
+            grow[:, k + 1] = np.repeat(V.codes[vertex] % r, size)
+            grow[:, _mu(L, k + 1)] = _ranges(0, size)
         # tree order within (word, root): labels A_2..A_L, then mu_2..mu_L
-        keys = _packed([grow[:, self._word], grow[:, L]]
-                       + [grow[:, k] for k in range(2, L + 1)]
-                       + [grow[:, _mu(L, k)] for k in range(2, L + 1)],
-                       [len(self._words), r] + [r] * (L - 1) + [m] * (L - 1))
-        paths = grow[np.lexsort(keys[::-1]), :width]
+        code = _codes([grow[:, self._word], grow[:, L]]
+                      + [grow[:, k] for k in range(2, L + 1)]
+                      + [grow[:, _mu(L, k)] for k in range(2, L + 1)],
+                      [len(self._words), r] + [r] * (L - 1) + [m] * (L - 1))
+        paths = grow[np.argsort(code, kind="stable"), :width]
         first = _changes(paths[:, self._word].astype(np.int64) * r
                          + paths[:, L])
         starts = np.flatnonzero(first)
@@ -441,13 +428,11 @@ class PathStack:
         # zeroed
         context = table[:, 1:self._word].copy()
         context[rows, cols - 1] = 0
-        context = _packed([pair] + list(context.T),
-                          [len(pairs)] + [r] * L + [m] * L)
+        context = _codes([pair] + list(context.T),
+                         [len(pairs)] + [r] * L + [m] * L)
         local = table[rows, cols]
-        ranked = np.lexsort(_packed(list(local.T), [r, m, m])[::-1]
-                            + context[::-1])
-        starts = np.flatnonzero(np.logical_or.reduce(
-            [_changes(key[ranked]) for key in context]))
+        ranked = np.lexsort((_codes(local.T, [r, m, m]), context))
+        starts = np.flatnonzero(_changes(context[ranked]))
         size = np.diff(starts, append=len(ranked))
         first = np.searchsorted(pair[ranked[starts]],
                                 np.arange(len(pairs) + 1))
@@ -626,14 +611,19 @@ def gamma(stack: PathStack, order, m: int, u: int) -> Braid:
 
 def psi_from_gamma(stack: PathStack, order, m: int, u: int, up: int,
                    v: int, n: int) -> Braid:
-    """``modcat.psi_from_gamma`` for every tuple: psi^(0) conjugated n
-    times by the gamma chain; ``order`` is the source word (M, U, U', V,
-    V', ...) with len(M) = m, len(U) = u, len(U') = up and len(V) = v."""
+    """``modcat.psi_from_gamma`` for every tuple: psi^(0) conjugated |n|
+    times by the gamma chain, or for n < 0 by its inverse; ``order`` is
+    the source word (M, U, U', V, V', ...) with len(M) = m, len(U) = u,
+    len(U') = up and len(V) = v."""
     cur = psi(stack, order, m + u, up, v)
     outer = gamma(stack, cur.dst, m, u) @ gamma(stack, cur.dst, m + u + v,
                                                 up)
-    inner = gamma(stack, order, m, u + up).inverse()
-    for _ in range(n):
+    inner = gamma(stack, order, m, u + up)
+    if n < 0:
+        outer = outer.inverse()
+    else:
+        inner = inner.inverse()
+    for _ in range(abs(n)):
         cur = outer @ cur @ inner
     return cur
 
@@ -701,11 +691,13 @@ def module_pentagon_deviations(spec: CategorySpec, tuples, n_values=(0,)
 
 def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
                                     ) -> list:
-    """``modcat.left_module_pentagon_deviation`` of every tuple:
+    """``modcat.left_module_pentagon_deviation`` of every tuple, n a
+    Python int (``report.exponents``):
 
       psi_hat_{X,Y,Z.M} o psi_hat_{X(x)Y,Z,M}  against
       (id_X (x) psi_hat_{Y,Z,M}) o psi_hat_{X,Y(x)Z,M}
     """
+    n, = exponents((n,))
     stack = PathStack(spec, tuples)
     lhs = psi_hat(stack, (1, 3, 2, 4, 5, 6, 0), 1, 1, 1, n) \
         @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 2, 1, 2, n)
@@ -737,12 +729,14 @@ def module_triangle_deviations(spec: CategorySpec, tuples, n_values=(0,)
 def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
                               ) -> list:
     """The larger of ``modcat.gamma_functor_deviation`` at n and
-    ``modcat.psi_shortcut_deviation`` for every (m, x1, x2, y1, y2):
+    ``modcat.psi_shortcut_deviation`` for every (m, x1, x2, y1, y2), n a
+    Python int (``report.exponents``):
 
       (gamma_{M,X} . id_Y) o gamma_{M.X,Y} o psi^(n)
         against psi^(n+1) o gamma_{M,X(x)Y},
       psi^(0) against c_{U',V} and psi^(1) against c^-1_{V,U'}.
     """
+    n, = exponents((n,))
     stack = PathStack(spec, tuples)
     src, dst = (0, 1, 3, 2, 4), (0, 1, 2, 3, 4)
     lhs = gamma(stack, dst, 1, 1) @ gamma(stack, dst, 3, 1) \
@@ -757,7 +751,9 @@ def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
 def associator_chain_deviations(spec: CategorySpec, tuples, n: int
                                 ) -> list:
     """psi^(n) against ``psi_from_gamma`` at n for every (m, x1, x2, y1,
-    y2), as the associator-chain check of the suite."""
+    y2), as the associator-chain check of the suite; n a Python int
+    (``report.exponents``)."""
+    n, = exponents((n,))
     stack = PathStack(spec, tuples)
     src = (0, 1, 3, 2, 4)
     return stack.deviations(psi(stack, src, 2, 1, 1, n),

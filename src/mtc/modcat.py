@@ -154,14 +154,25 @@ def gamma_functor_deviation(spec, M_word, X, Y, n: int = 0) -> float:
 
 
 def psi_from_gamma(spec, M_word, X, Y, n: int) -> Morphism:
-    """psi^(n) rebuilt by conjugating psi^(0) with the gamma chain n times."""
+    """psi^(n) rebuilt from psi^(0) by |n| steps of the gamma chain, with
+    outer = (gamma_{M,X} . id_Y) o gamma_{M.X,Y}:
+
+      psi^(k+1) = outer o psi^(k) o gamma_{M,X(x)Y}^-1      for n > 0,
+      psi^(k-1) = outer^-1 o psi^(k) o gamma_{M,X(x)Y}      for n < 0.
+    """
     (U1, V1), (U2, V2) = X, Y
     cur = psi(spec, M_word, X, Y, 0)
-    for _ in range(n):
-        cur = embed(gamma(spec, M_word, X), right=U2 + V2) \
-            @ gamma(spec, M_word + U1 + V1, Y) \
-            @ cur \
-            @ gamma(spec, M_word, (U1 + U2, V1 + V2)).inverse()
+    if not n:
+        return cur
+    outer = embed(gamma(spec, M_word, X), right=U2 + V2) \
+        @ gamma(spec, M_word + U1 + V1, Y)
+    inner = gamma(spec, M_word, (U1 + U2, V1 + V2))
+    if n < 0:
+        outer = outer.inverse()
+    else:
+        inner = inner.inverse()
+    for _ in range(abs(n)):
+        cur = outer @ cur @ inner
     return cur
 
 

@@ -294,3 +294,10 @@ def test_bad_n_range(capsys):
     code, _, err = run(capsys, "check", "semion", "--n-range", "x..y")
     assert code == 2
     assert "error" in err
+
+
+def test_check_negative_n_range(capsys):
+    """A negative range is written --n-range=-2..-1, as argparse reads a
+    separate -2..-1 as an option; every check passes there on semion."""
+    code, out, _ = run(capsys, "check", "semion", "--n-range=-2..-1")
+    assert code == 0, out

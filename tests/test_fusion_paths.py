@@ -283,16 +283,28 @@ def test_each_braid_is_inverted_once_per_stack(monkeypatch):
     assert both == np.maximum(*once).tolist()
 
 
+# The sweeps that take one exponent n rather than a list n_values.
+SINGLE_N = (fusion_paths.left_module_pentagon_deviations,
+            fusion_paths.twist_mismatch_deviations,
+            fusion_paths.associator_chain_deviations)
+
+
 @pytest.mark.parametrize("n_values", [(), (True,), (0.0,)],
                          ids=["empty", "bool", "float"])
 @pytest.mark.parametrize("sweep, width", [
     (fusion_paths.module_pentagon_deviations, 7),
-    (fusion_paths.module_triangle_deviations, 3)])
+    (fusion_paths.module_triangle_deviations, 3),
+    (fusion_paths.left_module_pentagon_deviations, 7),
+    (fusion_paths.twist_mismatch_deviations, 5),
+    (fusion_paths.associator_chain_deviations, 5)])
 def test_module_sweeps_refuse_non_integer_n_values(sweep, width, n_values):
     """No exponent, or one that is not a Python int, is refused as
     ``run_suite`` refuses it, not swept to a vacuous deviation of 0 per
-    tuple or run as the int it equals."""
+    tuple or run as the int it equals.  A sweep of one exponent is given
+    the list's one entry, or None for the empty list."""
     spec = suite.get_category("fibonacci")
+    if sweep in SINGLE_N:
+        n_values = n_values[0] if n_values else None
     with pytest.raises(ValueError, match="n_values must list Python ints"):
         sweep(spec, [(1,) * width], n_values)
 

@@ -165,6 +165,16 @@ def test_psi_rebuilt_from_gamma_chain(spec_of):
     assert rebuilt.deviation(psi(spec, M, X, Y, 2)) < 1e-11
 
 
+def test_psi_rebuilt_from_the_inverse_gamma_chain(spec_of):
+    """For n < 0 the chain runs backwards, psi^(k-1) = outer^-1 o psi^(k)
+    o gamma_{M,X(x)Y}: twice lands on psi^(-2), which is not psi^(0)."""
+    spec = spec_of("fibonacci")
+    M, X, Y = (1,), ((1,), (1,)), ((1,), (0,))
+    rebuilt = psi_from_gamma(spec, M, X, Y, -2)
+    assert rebuilt.deviation(psi(spec, M, X, Y, -2)) < 1e-11
+    assert rebuilt.deviation(psi(spec, M, X, Y, 0)) > 1
+
+
 @pytest.mark.parametrize("name", ["semion", "fibonacci", "ising", "z_3(1)"])
 def test_twist_extraction_round_trip(spec_of, name):
     """gamma data of the regular module recovers every simple twist."""

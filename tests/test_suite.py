@@ -17,6 +17,8 @@ from mtc.builtins import BUILTIN_NAMES
 from mtc.report import VerificationReport
 from mtc.suite import run_suite
 
+from conftest import MODULAR
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -185,3 +187,26 @@ def test_suite_leaves_numpy_ma_unimported():
     done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", MODULAR)
+def test_negative_exponents_pass_the_module_section(name):
+    """Coherent data passes every module check at n = -2 and -1.  The
+    associator chain runs at max(n_values) = -1, where the gamma chain
+    steps psi^(0) back once rather than leaving it at psi^(0)."""
+    report = run_suite(name, n_values=(-2, -1), suites=["module"])
+    assert report.passed, [(c.name, c.max_deviation) for c in report.checks
+                           if c.status == "fail"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_the_ring_caches_only_its_keys_and_bases(monkeypatch, name):
+    """After every section, the ring's cache holds one table of fusion
+    vertices (``r_keys``), one of two-vertex paths and F-keys
+    (``f_keys``) and the tree bases, and no second table of either."""
+    specs, resolve = [], suite.resolve_target
+    monkeypatch.setattr(suite, "resolve_target", lambda target: (
+        specs.append(resolve(target)), specs[-1])[1])
+    run_suite(name)
+    assert sorted(specs[0].ring._cache) == ["f_keys", "r_keys", "roots",
+                                            "trees"]
