@@ -25,6 +25,7 @@ from mtc.errors import (CategoryFileError, NotModular, NotPremodular,
 from mtc.report import max_dev
 
 from conftest import MODULAR, random_rep_a4
+from test_nonunitary import FIXTURES
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -447,12 +448,47 @@ def test_f_store_holds_every_f_tensor():
 
 
 def _spec(spec_of, name):
-    """A builtin, a builtin's square ("name^2") or Rep(A4) random data."""
+    """A builtin, a builtin's square ("name^2"), Rep(A4) random data or a
+    non-unitary fixture of ``test_nonunitary``."""
     if name == "rep_a4_random":
         return random_rep_a4()
+    if name in FIXTURES:
+        return FIXTURES[name]()
     if name.endswith("^2"):
         return deligne_power(spec_of(name[:-2]), 2)
     return spec_of(name)
+
+
+# the targets whose every ``validate_category`` deviation is pinned in
+# ``golden/coherence.json``, spelled as ``_spec`` reads them
+COHERENCE_TARGETS = [*BUILTIN_NAMES, *(f"{n}^2" for n in BUILTIN_NAMES),
+                     "z_5(2)", "rep_a4_random", *FIXTURES]
+
+
+@pytest.mark.parametrize("name", COHERENCE_TARGETS)
+def test_coherence_holds_bit_for_bit(spec_of, name):
+    """Every deviation of ``validate_category`` on each builtin, its square,
+    z_5(2), the random Rep(A4) data and the non-unitary fixtures equals the
+    one pinned in ``golden/coherence.json`` exactly, so a refactor of the
+    pentagon and hexagon rounds cannot drift within the golden reports'
+    tolerance.
+
+    After a change that is meant to move these deviations, regenerate the
+    file from the repository root with
+
+        PYTHONPATH=src:tests python3 -c '
+        import json
+        from mtc import get_category, validate_category
+        from test_category_data import COHERENCE_TARGETS, _spec
+        print(json.dumps({t: {c.name: c.max_deviation for c in
+                              validate_category(_spec(get_category, t)).checks}
+                          for t in COHERENCE_TARGETS}, indent=1))' \\
+            > tests/golden/coherence.json
+    """
+    pinned = json.loads((Path(__file__).parent / "golden" / "coherence.json"
+                         ).read_text("utf-8"))[name]
+    report = validate_category(_spec(spec_of, name))
+    assert {c.name: c.max_deviation for c in report.checks} == pinned
 
 
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "rep_a4_random",

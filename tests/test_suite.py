@@ -14,10 +14,12 @@ import mtc.engine as engine
 import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc.builtins import BUILTIN_NAMES
+from mtc.category import save_category
 from mtc.report import VerificationReport
 from mtc.suite import run_suite
 
 from conftest import MODULAR
+from test_nonunitary import FIXTURES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -123,8 +125,36 @@ def test_report_matches_golden(target):
         PYTHONPATH=src python3 -m mtc.cli check <target> --json \\
             > "tests/golden/<target>.json"
     """
-    want = json.loads((GOLDEN / f"{target}.json").read_text(encoding="utf-8"))
-    got = json.loads(run_suite(target).to_json())
+    _assert_matches_golden(run_suite(target), target)
+
+
+@pytest.mark.parametrize("build", FIXTURES.values(), ids=FIXTURES)
+def test_non_unitary_report_matches_golden(build, tmp_path):
+    """The JSON report of each non-unitary fixture's saved file equals its
+    committed golden file, compared as ``test_report_matches_golden``
+    compares the builtins'.
+
+    After a change that is meant to alter a report, regenerate its file
+    from the repository root with
+
+        PYTHONPATH=src:tests python3 -c '
+        from test_nonunitary import FIXTURES
+        from mtc.category import save_category
+        save_category(FIXTURES["<name>"](), "/tmp/<name>.json")'
+        PYTHONPATH=src python3 -m mtc.cli check /tmp/<name>.json --json \\
+            > "tests/golden/<name>.json"
+    """
+    spec = build()
+    path = tmp_path / f"{spec.name}.json"
+    save_category(spec, path)
+    _assert_matches_golden(run_suite(str(path)), spec.name)
+
+
+def _assert_matches_golden(report, name):
+    """The report equals ``golden/<name>.json``: every field exactly but
+    each max_deviation, which is held to GOLDEN_DEVIATION_ATOL."""
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    got = json.loads(report.to_json())
     want_devs = [c.pop("max_deviation") for c in want["checks"]]
     got_devs = [c.pop("max_deviation") for c in got["checks"]]
     assert got == want
