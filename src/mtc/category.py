@@ -54,10 +54,11 @@ the R-keys by ``_Keys.find`` of its vertex, and an ``f_tensor`` block,
 which is no key's but part of one, by arithmetic on the numbers that
 ``_f_keys`` gives the two-vertex paths of its row and its column channel,
 which give its place in the F-block and the F-block's place; a missing
-block reads as zeros.  Tuples whose blocks have equal shapes are
-contracted by one einsum with a batch axis, from a gather plan that other
-stores of the same keys can reuse, as the two hexagons and
-``mtc.frobenius`` do.
+block reads as zeros.  Each side of an identity is a ``_Term``, the one
+evaluator of every identity checked by contraction: tuples whose blocks
+have equal shapes are contracted by one einsum with a batch axis, the
+operands gathered from stores by role, so that stores of the same keys
+can stand in, as in the two hexagons and in ``mtc.frobenius``.
 
 Every derived table is memoised on its owner by ``cached``, one section
 of the owner's ``_cache`` per table; README lists them.
@@ -234,7 +235,6 @@ class FusionRing:
         self.N.setflags(write=False)
         self.dual.setflags(write=False)
         self._rules = (self.N, self.dual)  # one pair shared by every layout
-        self._channels = None  # built by the first ``channels`` call
         self._cache = {"roots": {}}
         self.check_axioms()
 
@@ -242,11 +242,10 @@ class FusionRing:
         return int(self.N[a, b, c])
 
     def channels(self, a, b):
-        """The labels c with N[a,b,c] > 0, ascending."""
-        if self._channels is None:
-            self._channels = [[tuple(int(c) for c in np.flatnonzero(row))
-                               for row in plane] for plane in self.N]
-        return self._channels[a][b]
+        """The labels c with N[a,b,c] > 0, ascending, read from the R-keys."""
+        K, pair = _r_keys(self), a * self.rank + b
+        return tuple((K.codes[K.first[pair]:K.first[pair + 1]]
+                      % self.rank).tolist())
 
     def fusion_channels(self, x, y):
         """Every channel of every pair of the label arrays x, y: (i, z) with
@@ -861,36 +860,6 @@ def _groups(columns, base):
         yield order[lo:hi], tuple(int(col[order[lo]]) for col in columns)
 
 
-def _gather_plan(N, factors, sig=None) -> list:
-    """Per multiplicity signature of the rows, the shapes of their blocks:
-    (row indices, one (positions, shape) per operand).  ``factors`` holds
-    one (store, codes of ``_Store.find``) pair per operand, and ``sig``,
-    read from N unless given, the length of every block axis in turn."""
-    if sig is None:
-        sig = [N.ravel()[code] for _, codes in factors for code in codes]
-    found = [store.find(codes) for store, codes in factors]
-    ends = np.cumsum([0] + [len(codes) for _, codes in factors]).tolist()
-    return [(idx, [(_spans(start[idx], None if stride is None else
-                           stride[idx], shape[lo:hi]), shape[lo:hi])
-                   for (start, stride), lo, hi in zip(found, ends, ends[1:])])
-            for idx, shape in _groups(sig, int(N.max()) + 1)]
-
-
-def _contract(out, offsets, subscripts, flats, plan, put=np.add.at):
-    """Put np.einsum(subscripts, *blocks) of every row of the plan into its
-    slot, the entries of ``out`` from ``offsets[row]`` on, operand i's
-    blocks gathered from ``flats[i]``, one einsum per group of the plan.
-    Rows that share a slot are added in row order, unless ``put=np.put``
-    stores the products of rows that each have a slot of their own."""
-    ins, result = subscripts.split("->")
-    batched = ",".join("z" + x for x in ins.split(",")) + "->z" + result
-    for idx, gathers in plan:
-        blocks = [flat[pos].reshape((len(idx),) + shape)
-                  for flat, (pos, shape) in zip(flats, gathers)]
-        prod = np.einsum(batched, *blocks).reshape(len(idx), -1)
-        put(out, offsets[idx, None] + np.arange(prod.shape[1]), prod)
-
-
 class _LabelTable:
     """Label tuples as named columns, ``cols[x]`` the label x of every row;
     ``code("xyz")`` and ``mult("xyz")`` give the code (x * rank + y) * rank
@@ -942,13 +911,75 @@ class _LabelTable:
         return self.rows(i[keep], **{z: new[keep]})
 
     def plan(self, factors) -> list:
-        """``_gather_plan`` of the operands, one (store, column names) pair
-        each, from the table's vertex codes and multiplicities."""
+        """Per multiplicity signature of the rows, the shapes of their
+        blocks: (row indices, one (positions, shape) per operand), the
+        operands one (store, column names) pair each, found from the
+        table's vertex codes and shaped by their multiplicities."""
         axes = [(store, ["".join(names[i] for i in axis)
                          for axis in store.dims]) for store, names in factors]
-        return _gather_plan(self.ring.N, [
-            (store, [self.code(v) for v in vs]) for store, vs in axes],
-            [self.mult(v) for _, vs in axes for v in vs])
+        found = [store.find([self.code(v) for v in vs]) for store, vs in axes]
+        ends = np.cumsum([0] + [len(vs) for _, vs in axes]).tolist()
+        sig = [self.mult(v) for _, vs in axes for v in vs]
+        return [(idx, [(_spans(start[idx], None if stride is None else
+                               stride[idx], shape[lo:hi]), shape[lo:hi])
+                       for (start, stride), lo, hi in zip(found, ends,
+                                                          ends[1:])])
+                for idx, shape in _groups(sig, int(self.ring.N.max()) + 1)]
+
+
+class _Term(NamedTuple):
+    """One side of an identity, as slots of entries: row t of ``plan``
+    writes the einsum of its operands' blocks into the slot from
+    ``offsets[t]`` on, operand i gathered from the store of role
+    ``roles[i]``.  Rows that share a slot add in row order, unless every
+    row ``owns`` its slot, and its product is stored."""
+
+    size: int
+    offsets: np.ndarray
+    subscripts: str
+    roles: tuple
+    plan: list
+    owns: bool
+
+    def value(self, stores: dict) -> np.ndarray:
+        """The slots, each operand read from ``stores`` by its role."""
+        flats = [stores[role].flat for role in self.roles]
+        out = (np.empty if self.owns else np.zeros)(self.size, np.complex128)
+        write = np.put if self.owns else np.add.at
+        for idx, gathers in self.plan:
+            blocks = [flat[pos].reshape((len(idx),) + shape)
+                      for flat, (pos, shape) in zip(flats, gathers)]
+            prod = np.einsum(self.subscripts, *blocks).reshape(len(idx), -1)
+            write(out, self.offsets[idx, None] + np.arange(prod.shape[1]),
+                  prod)
+        return out
+
+
+def _slots(t: _LabelTable, *vertices) -> tuple:
+    """(origin, offsets, size) of one identity's slots, one per row of t in
+    row order, of the product of N at ``vertices``; origin is t's, which no
+    table made from t by ``rows``, ``grow`` or ``fuse`` shares."""
+    sizes = math.prod(t.mult(v) for v in vertices)
+    return t.origin, np.cumsum(sizes) - sizes, int(sizes.sum())
+
+
+def _term(stores, slots, t: _LabelTable, subscripts, factors) -> _Term:
+    """The term whose row r of the table t writes into the slot of row
+    t.origin[r] of the table of ``slots``, or, with t that table, its own;
+    ``factors`` holds one (role, column names) pair per operand."""
+    origin, offsets, size = slots
+    ins, result = subscripts.split("->")
+    owns = t.origin is origin
+    return _Term(size, offsets if owns else offsets[t.origin],
+                 ",".join("z" + x for x in ins.split(",")) + "->z" + result,
+                 tuple(role for role, _ in factors),
+                 t.plan([(stores[role], names) for role, names in factors]),
+                 owns)
+
+
+def _gap(x, y) -> float:
+    """The largest entry of |x - y|; NaN if one is NaN, 0 if there is none."""
+    return float(np.max(np.abs(x - y), initial=0.0))
 
 
 # The most label tuples that one round of the pentagon or the hexagons
@@ -1015,10 +1046,9 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
 
     N[f,l,e] is not required: where it is 0, the 2-move side is an empty
     sum, so the 3-move side must vanish.  The first labels a are taken in
-    ``_rounds``, with one label table and one gather plan per side each.
+    ``_rounds``, with one label table and one ``_Term`` per side each.
     """
-    ring = spec.ring
-    F = _f_store(spec)
+    ring, stores = spec.ring, {"F": _f_store(spec)}
     worst = 0.0
     for firsts in _rounds(_pentagon_rows(ring.N)):
         # f in a (x) b, g in f (x) c, e in g (x) d, l in c (x) d and
@@ -1026,18 +1056,14 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
         t = (_LabelTable(ring, {"a": firsts}).grow("a", "b", "f")
              .grow("f", "c", "g").grow("g", "d", "e").fuse("c", "d", "l")
              .fuse("b", "l", "k", "ake"))
-        sizes = (t.mult("abf") * t.mult("fcg") * t.mult("gde")
-                 * t.mult("cdl") * t.mult("blk") * t.mult("ake"))
-        offsets = np.cumsum(sizes) - sizes
-        lhs = np.empty(sizes.sum(), dtype=np.complex128)
-        rhs = np.zeros_like(lhs)
-        _contract(lhs, offsets, "BGND,ADLM->ABGNLM", [F.flat] * 2,
-                  t.plan([(F, "fcdegl"), (F, "ablefk")]), np.put)
+        slots = _slots(t, "abf", "fcg", "gde", "cdl", "blk", "ake")
+        lhs = _term(stores, slots, t, "BGND,ADLM->ABGNLM",
+                    [("F", "fcdegl"), ("F", "ablefk")]).value(stores)
         t = t.fuse("b", "c", "h", "ahg", "hdk")
-        _contract(rhs, offsets[t.origin], "ABSP,PGRM,SRNL->ABGNLM",
-                  [F.flat] * 3,
-                  t.plan([(F, "abcgfh"), (F, "ahdegk"), (F, "bcdkhl")]))
-        worst = max_dev(worst, float(np.max(np.abs(lhs - rhs))))
+        rhs = _term(stores, slots, t, "ABSP,PGRM,SRNL->ABGNLM",
+                    [("F", "abcgfh"), ("F", "ahdegk"), ("F", "bcdkhl")]
+                    ).value(stores)
+        worst = max_dev(worst, _gap(lhs, rhs))
     return worst
 
 
@@ -1052,31 +1078,26 @@ def _hexagon_deviations(spec: CategorySpec) -> tuple:
     and the second hexagon replaces every R-matrix by its inverse.  With
     multiplicities each R acts on the corresponding multiplicity slot of
     the F-tensor.  The first labels a are taken in ``_rounds``, with one
-    label table and one gather plan per side each, contracted once with
-    each R store: the two stores share their keys and offsets.
+    label table and one ``_Term`` per side each, evaluated with the
+    braiding and with the inverse braiding as the role "R": the two
+    stores share their keys, so the terms serve both.
     """
-    ring = spec.ring
-    F = _f_store(spec)
-    stores = (_r_store(spec, False), _r_store(spec, True))
-    R = stores[0]
+    ring, F = spec.ring, _f_store(spec)
+    stores = [{"F": F, "R": _r_store(spec, inverse)}
+              for inverse in (False, True)]
     worst = [0.0, 0.0]
     for firsts in _rounds(_hexagon_rows(ring.N)):
         # e in a (x) c, d in e (x) b and g in c (x) b, with d in a (x) g
         t = (_LabelTable(ring, {"a": firsts}).grow("a", "c", "e")
              .grow("e", "b", "d").fuse("c", "b", "g", "agd"))
-        sizes = t.mult("ace") * t.mult("ebd") * t.mult("bcg") * t.mult("agd")
-        offsets = np.cumsum(sizes) - sizes
-        left = t.plan([(R, "cae"), (F, "acbdeg"), (R, "cbg")])
+        slots = _slots(t, "ace", "ebd", "bcg", "agd")
+        lhs = _term(stores[0], slots, t, "Xa,aBgD,Yg->XBYD",
+                    [("R", "cae"), ("F", "acbdeg"), ("R", "cbg")])
         t = t.fuse("a", "b", "f", "cfd")
-        right = t.plan([(F, "cabdef"), (R, "cfd"), (F, "abcdfg")])
-        for n, store in enumerate(stores):
-            lhs = np.empty(sizes.sum(), dtype=np.complex128)
-            rhs = np.zeros_like(lhs)
-            _contract(lhs, offsets, "Xa,aBgD,Yg->XBYD",
-                      [store.flat, F.flat, store.flat], left, np.put)
-            _contract(rhs, offsets[t.origin], "XBmF,EF,mEYD->XBYD",
-                      [F.flat, store.flat, F.flat], right)
-            worst[n] = max_dev(worst[n], float(np.max(np.abs(lhs - rhs))))
+        rhs = _term(stores[0], slots, t, "XBmF,EF,mEYD->XBYD",
+                    [("F", "cabdef"), ("R", "cfd"), ("F", "abcdfg")])
+        worst = [max_dev(w, _gap(lhs.value(roles), rhs.value(roles)))
+                 for w, roles in zip(worst, stores)]
     return tuple(worst)
 
 

@@ -18,10 +18,10 @@ component (i, j) -> k of m^(n) is one block at the root A_k, an N x N matrix
 over Hom(dual(i) (x) dual(j), dual(k)) x Hom(i (x) j, k) with N = N_ij^k,
 and likewise for Delta^(n).  The channels are the R keys, so these blocks
 are ``category._Blocks`` laid out as the spec lays its R-blocks.  At n = 0
-each table is one contraction over the R keys of the base's F-moves, their
-inverses and its braidings (``_bent``): the composite of ``_m_first`` or
-``_delta_first`` written in F and R.  Every other exponent is one
-``_Blocks.apply`` of it, by the interchange law
+each table is one ``category._Term`` over the R keys of the base's
+F-moves, their inverses and its braidings (``_bent``): the composite of
+``_m_first`` or ``_delta_first`` written in F and R.  Every other exponent
+is one ``_Blocks.apply`` of it, by the interchange law
 
   m^(n) = m^(0) o D^n,    Delta^(n) = D^-n o Delta^(0),
 
@@ -30,21 +30,21 @@ spec's one table of double braidings (``category._r_double``), which the
 ribbon check reads too.  Every block of the square at a word of summands
 of A is the Kronecker product of two blocks of the base, so each axiom is
 a contraction of the coefficients with the base's F-moves, its label
-tuples enumerated and its gathers planned by ``category._LabelTable`` as
-the pentagon's are.  Its deviation is the largest entry over every summand
+tuples enumerated by ``category._LabelTable`` and each side a
+``category._Term``, as the pentagon's are, evaluated under each
+exponent's stores.  Its deviation is the largest entry over every summand
 and root, as ``engine.Morphism.deviation`` takes it on the direct sums.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
-from .category import (CategorySpec, _Blocks, _blocks, _contract, _f_store,
+from .category import (CategorySpec, _Blocks, _blocks, _f_store, _gap,
                        _inverses, _LabelTable, _r_double, _r_keys, _r_store,
-                       _vertex_store, cached)
+                       _slots, _term, _vertex_store, cached)
 from .deligne import deligne_power, pair_morphism
 from .engine import (Morphism, braid_generator, cap, cap_twisted, cup,
                      cup_twisted, direct_sum, double_braiding, embed,
@@ -348,20 +348,19 @@ def _bent(base: CategorySpec, mirror: bool, scale) -> _Blocks:
     ring, dual = base.ring, base.dual
     K = _r_keys(ring)
     i, j, k = K.labels()
-    t = _LabelTable(ring, {"i": i, "j": j, "k": k, "I": dual[i],
-                           "J": dual[j], "K": dual[k], "o": np.zeros_like(i)},
-                    np.arange(len(i))).fuse("J", "i", "b")
-    F, Finv = _f_store(base), _f_store(base, True)
-    if mirror:
-        F, Finv = Finv, F
-    factors = [(F, "IiJJob"), (_r_store(base, mirror),
-                               "iJb" if mirror else "Jib"),
-               (Finv, "IJiJKb"), (F, "KijoJk")]
-    out = np.zeros(K.total + int(K.size.max()) ** 2, dtype=np.complex128)
-    _contract(out, K.start[t.origin],
-              "OQPM,{},BGRM,GHAL->BA".format("RP" if mirror else "PR"),
-              [store.flat for store, _ in factors], t.plan(factors))
-    return _Blocks(K, out).apply(lambda idx, C: C * scale[idx, None, None])
+    keys = _LabelTable(ring, {"i": i, "j": j, "k": k, "I": dual[i],
+                              "J": dual[j], "K": dual[k],
+                              "o": np.zeros_like(i)})
+    stores = {"F": _f_store(base, mirror), "Finv": _f_store(base, not mirror),
+              "R": _r_store(base, mirror)}
+    term = _term(stores, (keys.origin, K.start,
+                          K.total + int(K.size.max()) ** 2),
+                 keys.fuse("J", "i", "b"),
+                 "OQPM,{},BGRM,GHAL->BA".format("RP" if mirror else "PR"),
+                 [("F", "IiJJob"), ("R", "iJb" if mirror else "Jib"),
+                  ("Finv", "IJiJKb"), ("F", "KijoJk")])
+    return _Blocks(K, term.value(stores)).apply(
+        lambda idx, C: C * scale[idx, None, None])
 
 
 @cached("monodromy")
@@ -442,46 +441,12 @@ def _root_sums(C: _Blocks) -> np.ndarray:
 # the axioms as contractions
 
 
-class _Term(NamedTuple):
-    """One side of an axiom on the direct sums, as slots of entries: row t
-    of ``plan`` adds the einsum of its operands' blocks into the slot from
-    ``offsets[t]`` on.  Operand i gathers from the store of role
-    ``roles[i]``, the same positions at every exponent."""
-
-    size: int
-    offsets: np.ndarray
-    subscripts: str
-    roles: tuple
-    plan: list
-
-    def value(self, stores: dict) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.complex128)
-        _contract(out, self.offsets, self.subscripts,
-                  [stores[role].flat for role in self.roles], self.plan)
-        return out
-
-
-def _term(stores, sizes, t: _LabelTable, subscripts, factors) -> _Term:
-    """The term with one slot of each size whose row r of the table t adds
-    into slot t.origin[r]; ``factors`` holds one (role, column names) pair
-    per operand, with the role "m", "delta", "F" or "Finv" of ``stores``
-    (``_stores``)."""
-    return _Term(int(sizes.sum()), (np.cumsum(sizes) - sizes)[t.origin],
-                 subscripts, tuple(role for role, _ in factors),
-                 t.plan([(stores[role], names) for role, names in factors]))
-
-
 def _dualized(t: _LabelTable, **names) -> _LabelTable:
     """The table with the column dual(t.cols[y]) added as x for each x=y
     of ``names``."""
     dual = t.ring.dual
     return _LabelTable(t.ring, {**t.cols, **{x: dual[t.cols[y]] for x, y
                                              in names.items()}}, t.origin)
-
-
-def _gap(x, y) -> float:
-    """The largest entry of |x - y|; NaN if one is NaN, 0 if there is none."""
-    return float(np.max(np.abs(x - y), initial=0.0))
 
 
 def _three_summands(ring) -> _LabelTable:
@@ -502,11 +467,11 @@ def _associativity_terms(stores, t, coeff, move):
     the table t; only E = dual(e), a summand A_e of A, carries the left
     side, and the right side sums over the summands A_p of the
     right-nested trees."""
-    sizes = t.mult("IJE") * t.mult("ije") * t.mult("ELQ") * t.mult("elq")
+    slots = _slots(t, "IJE", "ije", "ELQ", "elq")
     on = np.flatnonzero(t.cols["E"] == t.ring.dual[t.cols["e"]])
-    left = _term(stores, sizes, t.rows(on), "AX,BY->AXBY",
+    left = _term(stores, slots, t.rows(on), "AX,BY->AXBY",
                  [(coeff, "ije"), (coeff, "elq")])
-    right = _term(stores, sizes, _dualized(t.fuse("j", "l", "p", "ipq"),
+    right = _term(stores, slots, _dualized(t.fuse("j", "l", "p", "ipq"),
                                            P="p"),
                   "GH,DK,ABGD,XYHK->AXBY", [(coeff, "jlp"), (coeff, "ipq"),
                                             (move, "IJLQEP"),
@@ -526,18 +491,18 @@ def _frobenius_terms(stores):
     t = _dualized(_LabelTable(ring, {"i": np.arange(ring.rank)}).grow(
         "i", "j", "x"), I="i", J="j", X="x").grow("X", "k", "L")
     t = _dualized(t, K="k", l="L").fuse("I", "J", "y", "KLy")
-    sizes = t.mult("KLy") * t.mult("klx") * t.mult("IJy") * t.mult("ijx")
-    middle = _term(stores, sizes, t.rows(np.flatnonzero(
+    slots = _slots(t, "KLy", "klx", "IJy", "ijx")
+    middle = _term(stores, slots, t.rows(np.flatnonzero(
         t.cols["y"] == t.cols["X"])), "MP,VW->MPVW",
         [("delta", "klx"), ("m", "ijx")])
     # (id (x) m_{sj -> l}) o (Delta_{i -> ks} (x) id), s in K (x) i
-    left = _term(stores, sizes, _dualized(t.fuse("K", "i", "s", "sjl"),
+    left = _term(stores, slots, _dualized(t.fuse("K", "i", "s", "sjl"),
                                           S="s"),
                  "GH,AB,AVGM,BWHP->MPVW",
                  [("m", "sjl"), ("delta", "ksi"), ("Finv", "KSJyIL"),
                   ("Finv", "ksjxil")])
     # (m_{is -> k} (x) id) o (id (x) Delta_{j -> sl}), s in I (x) k
-    right = _term(stores, sizes, _dualized(t.fuse("I", "k", "s", "slj"),
+    right = _term(stores, slots, _dualized(t.fuse("I", "k", "s", "slj"),
                                            S="s"),
                   "AB,AMGV,BPHW,GH->MPVW",
                   [("m", "isk"), ("F", "ISLyKJ"), ("F", "islxkj"),
@@ -556,13 +521,12 @@ def _coproduct_terms(stores):
     dual = ring.dual
     k, j, i = np.nonzero(ring.N)
     t = _LabelTable(ring, {"k": k, "j": j, "i": i, "I": dual[i],
-                           "J": dual[j], "K": dual[k], "o": np.zeros_like(k)},
-                    np.arange(len(k)))
-    sizes = t.mult("iJk") ** 2
-    delta = _term(stores, sizes, t, "BY->BY", [("delta", "iJk")])
-    right = _term(stores, sizes, t, "AX,ABGD,XYHK->BY",
+                           "J": dual[j], "K": dual[k], "o": np.zeros_like(k)})
+    slots = _slots(t, "iJk", "iJk")
+    delta = _term(stores, slots, t, "BY->BY", [("delta", "iJk")])
+    right = _term(stores, slots, t, "AX,ABGD,XYHK->BY",
                   [("m", "kji"), ("F", "KJjKIo"), ("F", "kjJkio")])
-    return delta, right, np.repeat(dual[j], sizes)
+    return delta, right, np.repeat(dual[j], t.mult("iJk") ** 2)
 
 
 @cached("frobenius_terms")
@@ -617,10 +581,10 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
         loop = np.sum(m.flat[unit_right] * cup / (finv[dual] * finv))
         return loop * m.flat[closing] * f[dual] * f
 
-    def pair(name, stores):
-        """The gap between the two sides of a check by contraction."""
-        left, right = terms[name]
-        return _gap(left.value(stores), right.value(stores))
+    def sides(name, stores):
+        """The largest gap between a check's first side and each other."""
+        first, *others = (x.value(stores) for x in terms[name])
+        return max_dev(*(_gap(x, first) for x in others))
 
     phi0 = pairing(_m_channels(base, 0))
     xi_want = xi_formula(base)
@@ -629,22 +593,20 @@ def frobenius_report(base: CategorySpec, n_values=(0, 1), tol: float = 1e-8,
         m, de = _m_channels(base, n), _delta_channels(base, n)
         sfx = f"[n={n}]"
         report.add_deviation(f"associativity{sfx}", "algebra-associativity",
-                             pair("associativity", stores), tol)
+                             sides("associativity", stores), tol)
         report.add_deviation(
             f"unit{sfx}", "algebra-unit",
             max_dev(_gap(m.flat[unit_left], 1.0),
                     _gap(m.flat[unit_right], 1.0)), tol)
         report.add_deviation(
             f"coassociativity{sfx}", "coalgebra-coassociativity",
-            pair("coassociativity", stores), tol)
+            sides("coassociativity", stores), tol)
         report.add_deviation(
             f"counit{sfx}", "coalgebra-counit",
             max_dev(_gap(dim * de.flat[unit_left], 1.0),
                     _gap(dim * de.flat[unit_right], 1.0)), tol)
-        middle, left, right = (x.value(stores) for x in terms["frobenius"])
         report.add_deviation(f"frobenius{sfx}", "frobenius-compatibility",
-                             max_dev(_gap(left, middle), _gap(right, middle)),
-                             tol)
+                             sides("frobenius", stores), tol)
         # m o Delta on each summand, and eps o eta = Dim times 1
         special = _root_sums(de.apply(lambda _, C: m.stack(C.shape[1]) * C))
         report.add_deviation(

@@ -24,8 +24,8 @@ from .builtins import BUILTIN_NAMES, get_category
 from .category import (DEFAULT_TOL, CategorySpec, load_category,
                        modular_datum, modular_group_relations,
                        validate_category, verlinde_fusion)
-from .deligne import MAX_PRODUCT_RANK, deligne_power
-from .errors import SnapFailure
+from .deligne import deligne_power
+from .errors import RankOverflow, SnapFailure
 from .frobenius import frobenius_report
 from .fusion_paths import (alpha_functor_deviations,
                            associator_chain_deviations,
@@ -91,7 +91,12 @@ def _modular_section(spec, report, tol_config, md):
 
 
 def _product_section(spec, report, tol_config, md):
-    prod = deligne_power(spec, 2)
+    try:
+        prod = deligne_power(spec, 2)
+    except RankOverflow:
+        report.add_skip("product_section", "product-coherence",
+                        "square exceeds the rank bound")
+        return
     sub = validate_category(prod, tol_config)
     report.add_deviation("square_axioms", "product-coherence",
                          sub.max_deviation, tol_config.atol,
@@ -145,15 +150,20 @@ def _invariants_section(spec, report, tol_config, md):
     for name, perm, product in (
             ("transposition_invariant", (1, 0), "square"),
             ("three_cycle_invariant", (1, 2, 0), "triple product")):
-        if spec.rank ** len(perm) > MAX_PRODUCT_RANK:
+        try:
+            sub = invariant_report(spec, md, perm, atol)
+        except RankOverflow:
             report.add_skip(name, "permutation-invariants",
                             f"{product} exceeds the rank bound")
             continue
-        sub = invariant_report(spec, md, perm, atol)
         report.add_deviation(name, "permutation-invariants",
                              sub.max_deviation, atol)
-    if spec.rank ** 3 <= MAX_PRODUCT_RANK:
+    try:
         hom = symmetric_group_check(spec.rank, 3)
+    except RankOverflow:
+        report.add_skip("symmetric_group_action", "permutation-homomorphism",
+                        "triple product exceeds the rank bound")
+    else:
         report.add_deviation("symmetric_group_action",
                              "permutation-homomorphism", float(hom), 0.5)
 
@@ -194,15 +204,8 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if "modular" in chosen:
         _modular_section(spec, report, tol_config, md)
 
-    if "product" in chosen or "frobenius" in chosen:
-        if spec.rank ** 2 > MAX_PRODUCT_RANK:
-            for name in ("product", "frobenius"):
-                if name in chosen:
-                    report.add_skip(f"{name}_section", "product-coherence",
-                                    "square exceeds the rank bound")
-            chosen = [s for s in chosen if s not in ("product", "frobenius")]
-        elif "product" in chosen:
-            _product_section(spec, report, tol_config, md)
+    if "product" in chosen:
+        _product_section(spec, report, tol_config, md)
 
     if "module" in chosen:
         _module_section(spec, report, tol_config, n_values, rng)

@@ -315,13 +315,13 @@ def test_validation_plans_each_round_once(monkeypatch, squares):
     one per side in each of the pentagon's four rounds and in the one round
     that both hexagons share.  With a round per first label and plans per
     hexagon it built 54."""
-    built, plan = [], category._gather_plan
+    built, plan = [], category._LabelTable.plan
 
     def counting(*args):
         built.append(1)
         return plan(*args)
 
-    monkeypatch.setattr(category, "_gather_plan", counting)
+    monkeypatch.setattr(category._LabelTable, "plan", counting)
     assert validate_category(squares["ising"]).passed
     assert len(built) == 10
 

@@ -178,13 +178,28 @@ def test_invariants_above_the_product_bound_skip_the_transposition():
     assert checks["induced_modules"].status == "pass"
 
 
-def test_squares_above_the_product_bound_skip_their_sections():
-    """z_13(1) has rank 13 and 13^2 > 128: the product and frobenius
-    sections, which need the square, are skipped with their reason."""
+def test_only_the_product_section_skips_above_the_product_bound():
+    """z_13(1) has rank 13 and 13^2 > 128: the product section, which needs
+    the square, is skipped with its reason, while the frobenius section,
+    which reads only the base, runs all 38 of its checks and passes."""
     report = run_suite("z_13(1)", suites=["product", "frobenius"])
-    assert [(c.name, c.status, c.detail) for c in report.checks] == [
-        (f"{name}_section", "skipped", "square exceeds the rank bound")
-        for name in ("product", "frobenius")]
+    product, *frobenius = report.checks
+    assert (product.name, product.status, product.detail) == (
+        "product_section", "skipped", "square exceeds the rank bound")
+    assert len(frobenius) == 38
+    assert all(c.status == "pass" for c in frobenius)
+
+
+def test_invariants_above_the_triple_bound_skip_the_homomorphism():
+    """z_7(1) has rank 7 and 7^3 > 128 >= 7^2: the transposition invariant
+    runs, and the three-cycle invariant and the homomorphism check, which
+    need the triple product, are each listed as skipped with the reason."""
+    checks = {c.name: c for c in run_suite(
+        "z_7(1)", suites=["invariants"]).checks}
+    assert checks["transposition_invariant"].status == "pass"
+    for name in ("three_cycle_invariant", "symmetric_group_action"):
+        assert (checks[name].status, checks[name].detail) == (
+            "skipped", "triple product exceeds the rank bound")
 
 
 def test_empty_n_values_are_refused(monkeypatch):
