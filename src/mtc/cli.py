@@ -60,7 +60,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suites = args.suite.split(",") if args.suite else None
+    suites = [name for text in args.suite or () if text
+              for name in text.split(",")] or None
     report = run_suite(args.target, n_values=_parse_n_range(args.n_range),
                        tol_config=_tolerance(args), suites=suites,
                        seed=args.seed)
@@ -168,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric tolerance (default 1e-9 or $MTC_TOL)")
     check.add_argument("--seed", type=int, default=0,
                        help="seed for sampled sweeps")
-    check.add_argument("--suite", default=None,
+    check.add_argument("--suite", action="append", default=None,
                        help="comma-separated subset of: "
-                            + ",".join(SUITE_NAMES))
+                            + ",".join(SUITE_NAMES)
+                            + "; repeated options add up")
     check.add_argument("--json", action="store_true",
                        help="machine-readable deterministic output")
     check.set_defaults(func=_cmd_check)

@@ -6,10 +6,15 @@ permuted column multi-index.  Z[pi] commutes with the product S and T
 matrices, has vacuum entry 1, and pi -> Z[pi] is a group homomorphism.
 Z[pi] is assembled from adjacent transpositions so that the homomorphism
 property is exercised rather than assumed.
+
+The annulus and induced-module counts read only N and the dual; each is
+checked over all labels at once as integer contractions, against fusion
+trees and the decomposition sum_k N_ij^k M_k respectively.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -23,26 +28,20 @@ from .report import VerificationReport, max_dev
 
 def transposition_invariant(rank: int) -> np.ndarray:
     """Z for the swap of two factors: Z[(i,j),(k,l)] = delta_il delta_jk."""
+    rows = np.arange(rank * rank)
     z = np.zeros((rank * rank, rank * rank), dtype=np.int64)
-    for i in range(rank):
-        for j in range(rank):
-            z[i * rank + j, j * rank + i] = 1
+    z[rows, rows % rank * rank + rows // rank] = 1
     return z
 
 
 def permutation_pattern(rank: int, perm) -> np.ndarray:
     """Direct route: Z[I,J] = prod_a delta(i_perm(a), j_a), so that
     Z[p] Z[q] = Z[p o q]."""
-    n = len(perm)
-    size = rank ** n
-    z = np.zeros((size, size), dtype=np.int64)
-    for row in range(size):
-        digits = np.base_repr(row, rank).zfill(n) if rank > 1 else "0" * n
-        idx = [int(c, rank) for c in digits] if rank > 1 else [0] * n
-        col = 0
-        for a in range(n):
-            col = col * rank + idx[perm[a]]
-        z[row, col] = 1
+    shape = (rank,) * len(perm)
+    rows = np.arange(rank ** len(perm))
+    digits = np.array(np.unravel_index(rows, shape))
+    z = np.zeros((rows.size, rows.size), dtype=np.int64)
+    z[rows, np.ravel_multi_index(tuple(digits[list(perm)]), shape)] = 1
     return z
 
 
@@ -64,9 +63,8 @@ def adjacent_decomposition(perm) -> list[int]:
 
 
 def _elementary(rank: int, n: int, p: int) -> np.ndarray:
-    left = np.eye(rank ** p, dtype=np.int64)
-    right = np.eye(rank ** (n - p - 2), dtype=np.int64)
-    return np.kron(np.kron(left, transposition_invariant(rank)), right)
+    return np.kron(np.kron(np.eye(rank ** p), transposition_invariant(rank)),
+                   np.eye(rank ** (n - p - 2)))
 
 
 def permutation_invariant(rank: int, perm) -> np.ndarray:
@@ -78,10 +76,11 @@ def permutation_invariant(rank: int, perm) -> np.ndarray:
     if rank ** n > MAX_PRODUCT_RANK:
         raise RankOverflow(
             f"rank {rank}^{n} exceeds the product bound {MAX_PRODUCT_RANK}")
-    z = np.eye(rank ** n, dtype=np.int64)
-    for p in adjacent_decomposition(perm):
-        z = z @ _elementary(rank, n, p)
-    return z
+    # entries stay 0 and 1: exact in float64, whose products run on BLAS
+    return functools.reduce(
+        np.matmul, (_elementary(rank, n, p)
+                    for p in adjacent_decomposition(perm)),
+        np.eye(rank ** n)).astype(np.int64)
 
 
 _CYCLE_PATTERN = re.compile(r"\(([^()]*)\)")
@@ -130,20 +129,16 @@ def check_invariant(z: np.ndarray, md: ModularDatum, n: int,
                                 options={"tolerance": tol})
 
     zc = z.astype(np.complex128)
-    sn = np.array([[1.0]], dtype=np.complex128)
-    for _ in range(n):
-        sn = np.kron(sn, md.S)
+    sn = functools.reduce(np.kron, [md.S] * n,
+                          np.ones((1, 1), dtype=np.complex128))
     report.add_deviation("s_commutation", "s-invariance",
                          float(np.max(np.abs(sn @ zc @ sn.conj() - zc))), tol)
 
-    tvec = np.array([1.0], dtype=np.complex128)
-    for _ in range(n):
-        tvec = np.kron(tvec, np.diag(md.T))
+    tvec = functools.reduce(np.kron, [np.diag(md.T)] * n,
+                            np.ones(1, dtype=np.complex128))
     rows, cols = np.nonzero(np.abs(zc) > tol)
-    t_dev = 0.0
-    for a, b in zip(rows, cols):
-        t_dev = max_dev(t_dev, abs(tvec[a] - tvec[b]))
-    report.add_deviation("t_matching", "t-invariance", t_dev, tol)
+    report.add_deviation("t_matching", "t-invariance",
+                         max_dev(*np.abs(tvec[rows] - tvec[cols])), tol)
 
     report.add_deviation("vacuum_entry", "vacuum-normalization",
                          abs(zc[0, 0] - 1.0), tol)
@@ -155,23 +150,25 @@ def check_invariant(z: np.ndarray, md: ModularDatum, n: int,
 
 def symmetric_group_check(rank: int, n: int = 3) -> int:
     """Largest deviation of Z[pi sigma] from Z[pi] Z[sigma] over the full
-    symmetric group on n letters; exact integer arithmetic."""
-    worst = 0
-    perms = list(itertools.permutations(range(n)))
-    cache = {p: permutation_invariant(rank, p) for p in perms}
-    for p in perms:
-        for q in perms:
-            pq = tuple(p[q[a]] for a in range(n))
-            worst = max(worst, int(np.max(np.abs(cache[pq]
-                                                 - cache[p] @ cache[q]))))
-    return worst
+    symmetric group on n letters; exact, as every product of permutation
+    matrices has entries 0 and 1."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    zs = np.stack([permutation_invariant(rank, p)
+                   for p in perms.tolist()]).astype(np.float64)
+    # perms[:, perms][p, q] is p o q, found in perms by its base-n digits
+    place = n ** np.arange(n - 1, -1, -1)
+    position = np.zeros(n ** n, dtype=np.int64)
+    position[perms @ place] = np.arange(len(perms))
+    pq = position[perms[:, perms] @ place]
+    # one batched product per pi keeps memory at that of the n! matrices
+    return int(max(np.max(np.abs(zs[row] - z @ zs))
+                   for z, row in zip(zs, pq)))
 
 
 def annulus_coefficient(base: CategorySpec, i: int, j: int, k: int,
                         l: int) -> int:
     """dim Hom(i (x) j (x) k, l) through the fusion ring."""
-    N = base.ring.N
-    return int(sum(N[i, j, m] * N[m, k, l] for m in range(base.rank)))
+    return int(base.ring.N[i, j] @ base.ring.N[:, k, l])
 
 
 def annulus_tree_count(base: CategorySpec, i: int, j: int, k: int,
@@ -180,30 +177,38 @@ def annulus_tree_count(base: CategorySpec, i: int, j: int, k: int,
     return len(base.ring.tree_basis((i, j, k)).get(l, []))
 
 
+def annulus_tables(base: CategorySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Both routes of ``annulus_coefficient`` and ``annulus_tree_count`` at
+    once, each an array A[i, j, k, l]: the ring route as one contraction of
+    N with itself, the tree route from one ``tree_basis`` per word (i, j, k)."""
+    N = base.ring.N
+    r = base.rank
+    ring = np.einsum("ijm,mkl->ijkl", N, N)
+    sizes = [(w, root, len(ts)) for w, word in
+             enumerate(itertools.product(range(r), repeat=3))
+             for root, ts in base.ring.tree_basis(word).items()]
+    w, root, size = np.array(sizes, dtype=np.int64).T
+    trees = np.zeros((r ** 3, r), dtype=np.int64)
+    trees[w, root] = size
+    return ring, trees.reshape(ring.shape)
+
+
+def annulus_defect(base: CategorySpec) -> int:
+    """Largest |ring route - tree route| over all quadruples (i, j, k, l);
+    zero when the two counts of dim Hom(i (x) j (x) k, l) agree."""
+    ring, trees = annulus_tables(base)
+    return int(np.max(np.abs(ring - trees)))
+
+
 def induced_multiplicities(base: CategorySpec, i: int, j: int) -> np.ndarray:
     """Decomposition of A (x) (i, j) over product labels (a, b)."""
-    N = base.ring.N
-    dual = base.dual
-    r = base.rank
-    out = np.zeros((r, r), dtype=np.int64)
-    for a in range(r):
-        for b in range(r):
-            out[a, b] = sum(int(N[int(dual[q]), i, a]) * int(N[q, j, b])
-                            for q in range(r))
-    return out
+    return base.ring.N[base.dual, i].T @ base.ring.N[:, j]
 
 
 def module_multiplicities(base: CategorySpec, k: int) -> np.ndarray:
     """Decomposition of the module with generator k over product labels:
     mult(a, b) = N[dual(a), k, b]."""
-    N = base.ring.N
-    dual = base.dual
-    r = base.rank
-    out = np.zeros((r, r), dtype=np.int64)
-    for a in range(r):
-        for b in range(r):
-            out[a, b] = int(N[int(dual[a]), k, b])
-    return out
+    return base.ring.N[base.dual, k]
 
 
 def induced_decomposition_defect(base: CategorySpec) -> int:
@@ -211,15 +216,10 @@ def induced_decomposition_defect(base: CategorySpec) -> int:
     pairs (i, j); zero when the induced modules decompose by the fusion
     rules."""
     N = base.ring.N
-    r = base.rank
-    worst = 0
-    mods = [module_multiplicities(base, k) for k in range(r)]
-    for i in range(r):
-        for j in range(r):
-            want = sum(int(N[i, j, k]) * mods[k] for k in range(r))
-            got = induced_multiplicities(base, i, j)
-            worst = max(worst, int(np.max(np.abs(want - got))))
-    return worst
+    modules = N[base.dual].transpose(1, 0, 2)  # M_k[a, b] = N[dual(a), k, b]
+    want = np.einsum("ijk,kab->ijab", N, modules)
+    got = np.einsum("qia,qjb->ijab", N[base.dual], N)
+    return int(np.max(np.abs(want - got)))
 
 
 def invariant_report(base: CategorySpec, md: ModularDatum, perm,

@@ -35,9 +35,8 @@ from .fusion_paths import (alpha_functor_deviations,
                            module_triangle_deviations,
                            twist_extraction_deviations,
                            twist_mismatch_deviations)
-from .invariants import (annulus_coefficient, annulus_tree_count,
-                         induced_decomposition_defect, invariant_report,
-                         symmetric_group_check)
+from .invariants import (annulus_defect, induced_decomposition_defect,
+                         invariant_report, symmetric_group_check)
 from .report import VerificationReport, exponents, max_dev
 
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
@@ -101,7 +100,7 @@ def _product_section(spec, report, tol_config, md):
     report.add_deviation("square_axioms", "product-coherence",
                          sub.max_deviation, tol_config.atol,
                          detail=f"{len(sub.checks)} checks on {prod.name}")
-    if md is not None and md.is_modular:
+    if md.is_modular:
         md2 = modular_datum(prod, tol_config)
         dev = float(np.max(np.abs(md2.S - np.kron(md.S, md.S))))
         report.add_deviation("square_s_matrix", "product-s-factorization",
@@ -142,7 +141,7 @@ def _module_section(spec, report, tol_config, n_values, rng):
 
 
 def _invariants_section(spec, report, tol_config, md):
-    if md is None or not md.is_modular:
+    if not md.is_modular:
         report.add_skip("permutation_invariants", "permutation-invariants",
                         "requires a nondegenerate S-matrix")
         return
@@ -166,13 +165,8 @@ def _invariants_section(spec, report, tol_config, md):
     else:
         report.add_deviation("symmetric_group_action",
                              "permutation-homomorphism", float(hom), 0.5)
-
-    worst = 0
-    for i, j, k, l in itertools.product(range(spec.rank), repeat=4):
-        worst = max(worst, abs(annulus_coefficient(spec, i, j, k, l)
-                               - annulus_tree_count(spec, i, j, k, l)))
     report.add_deviation("annulus_counts", "annulus-coefficients",
-                         float(worst), 0.5)
+                         float(annulus_defect(spec)), 0.5)
     report.add_deviation("induced_modules", "induced-module-decomposition",
                          float(induced_decomposition_defect(spec)), 0.5)
 
@@ -213,7 +207,7 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
     if "frobenius" in chosen:
         report.extend(frobenius_report(
             spec, n_values=n_values, tol=max(tol_config.atol, 1e-8),
-            expect_azumaya=(md.is_modular if md is not None else True)))
+            expect_azumaya=md.is_modular))
 
     if "invariants" in chosen:
         _invariants_section(spec, report, tol_config, md)

@@ -56,6 +56,18 @@ def test_check_json_is_deterministic(capsys):
     assert payload["tool_version"]
 
 
+def test_check_repeated_suites_add_up(capsys):
+    """Each --suite is comma-split and the options accumulate: the report
+    is the one of the joined list, not of the last option alone."""
+    code, out, _ = run(capsys, "check", "semion", "--suite", "modular",
+                       "--suite", "frobenius,invariants", "--json")
+    joined = run(capsys, "check", "semion", "--suite",
+                 "modular,frobenius,invariants", "--json")
+    assert (code, out) == joined[:2]
+    assert json.loads(out)["options"]["suites"] == [
+        "modular", "frobenius", "invariants"]
+
+
 def test_check_unknown_target(capsys):
     code, _, err = run(capsys, "check", "nosuch_category")
     assert code == 2

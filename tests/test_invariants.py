@@ -1,6 +1,7 @@
 """Permutation modular invariants on n-fold products, cycle parsing, and
 the annulus / induced-module integer counts."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from mtc import get_category, modular_datum
 from mtc.errors import RankOverflow, ShapeMismatch
 from mtc.invariants import (adjacent_decomposition, annulus_coefficient,
+                            annulus_defect, annulus_tables,
                             annulus_tree_count, check_invariant,
                             induced_decomposition_defect,
                             induced_multiplicities, invariant_report,
@@ -16,7 +18,14 @@ from mtc.invariants import (adjacent_decomposition, annulus_coefficient,
                             permutation_invariant, permutation_pattern,
                             symmetric_group_check, transposition_invariant)
 
-from conftest import BUILTINS, MODULAR
+from conftest import BUILTINS, MODULAR, random_rep_a4
+
+# the builtins and the Rep(A4) ring, whose 3 (x) 3 holds 3 twice
+RINGS = BUILTINS + ["rep_a4_random"]
+
+
+def _spec(spec_of, name):
+    return random_rep_a4() if name == "rep_a4_random" else spec_of(name)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +136,26 @@ def test_perturbed_matrix_fails_s_commutation(spec_of):
     assert not rep.passed
 
 
+def test_t_matching_reads_every_nonzero_entry(spec_of):
+    """An entry joining two labels of different twist fails t-invariance
+    by |T_a - T_b|, and a NaN twist fails it instead of passing."""
+    spec = spec_of("fibonacci")
+    md = modular_datum(spec)
+    z = np.eye(spec.rank ** 2, dtype=np.int64)
+    z[0, 1] = 1
+    t = np.diag(md.T)
+    by_name = {c.name: c for c in check_invariant(z, md, 2).checks}
+    assert by_name["t_matching"].status == "fail"
+    assert by_name["t_matching"].max_deviation == pytest.approx(
+        abs(t[0] - t[1]), abs=1e-12)
+    nan_t = md.T.copy()
+    nan_t[1, 1] = np.nan
+    rep = check_invariant(transposition_invariant(spec.rank),
+                          dataclasses.replace(md, T=nan_t), 2)
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["t_matching"].status == "fail"
+
+
 def test_identity_is_always_invariant(spec_of):
     for name in MODULAR:
         spec = spec_of(name)
@@ -145,15 +174,18 @@ def test_check_invariant_shape_guard(spec_of):
 # annulus and induction counts
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", RINGS)
 def test_annulus_routes_agree(spec_of, name):
     """Ring convolution and explicit tree enumeration give the same
-    integers for every index quadruple."""
-    spec = spec_of(name)
-    r = spec.rank
-    for quad in itertools.product(range(r), repeat=4):
-        assert annulus_coefficient(spec, *quad) == annulus_tree_count(
-            spec, *quad)
+    integers for every index quadruple, and the whole-array tables of
+    both routes hold the scalar values entry for entry."""
+    spec = _spec(spec_of, name)
+    ring, trees = annulus_tables(spec)
+    for quad in itertools.product(range(spec.rank), repeat=4):
+        assert ring[quad] == annulus_coefficient(spec, *quad)
+        assert trees[quad] == annulus_tree_count(spec, *quad)
+        assert ring[quad] == trees[quad]
+    assert annulus_defect(spec) == 0
 
 
 def test_annulus_known_values(spec_of):
@@ -166,9 +198,24 @@ def test_annulus_known_values(spec_of):
     assert annulus_coefficient(fib, 1, 1, 1, 0) == 1
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", RINGS)
 def test_induced_modules_decompose_by_fusion(spec_of, name):
-    assert induced_decomposition_defect(spec_of(name)) == 0
+    """Each per-(i, j) table equals its scalar sum over q and the fusion
+    decomposition sum_k N_ij^k M_k, and the whole-array defect is zero."""
+    spec = _spec(spec_of, name)
+    N, dual, r = spec.ring.N, spec.dual, spec.rank
+    labels = range(r)
+    for k in labels:
+        assert module_multiplicities(spec, k).tolist() == [
+            [int(N[dual[a], k, b]) for b in labels] for a in labels]
+    for i, j in itertools.product(labels, repeat=2):
+        got = induced_multiplicities(spec, i, j)
+        assert got.tolist() == [
+            [sum(int(N[dual[q], i, a]) * int(N[q, j, b]) for q in labels)
+             for b in labels] for a in labels]
+        assert np.array_equal(got, sum(
+            int(N[i, j, k]) * module_multiplicities(spec, k) for k in labels))
+    assert induced_decomposition_defect(spec) == 0
 
 
 def test_induced_multiplicities_unit_column(spec_of):

@@ -164,11 +164,13 @@ def _assert_matches_golden(report, name):
     assert not moved, f"golden -> now: {moved}"
 
 
-def test_invariants_above_the_product_bound_skip_the_transposition():
-    """z_13(1) has rank 13 and 13^2 > 128: the transposition invariant,
+@pytest.mark.parametrize("target", ["z_13(1)", "z_25(1)"])
+def test_invariants_above_the_product_bound_skip_the_transposition(target):
+    """z_13(1) and z_25(1) have rank^2 > 128: the transposition invariant,
     which needs the square, is skipped with its reason like the three-cycle
-    one, and the annulus and induced-module checks still run."""
-    report = run_suite("z_13(1)", suites=["invariants"])
+    one, and the annulus and induced-module checks still run, at rank 25
+    over 390,625 quadruples and 625 pairs (i, j)."""
+    report = run_suite(target, suites=["invariants"])
     checks = {c.name: c for c in report.checks}
     assert checks["transposition_invariant"].status == "skipped"
     assert checks["transposition_invariant"].detail == \
