@@ -23,39 +23,48 @@ F-blocks are identities, so that is the R-block of (w_1, w_2) at root A_2.
 A path's position in that block is its rank in the context sorted by
 (A_p, mu_p, mu_{p+1}), the row order of the F-blocks.  A block crossing
 and a monodromy are the generator sequences of ``engine.block_crossing``
-and ``engine.double_braiding``; an inverse is one stacked
-``category._inverses`` per block size, and D^n is ``np.linalg.matrix_power``
-of the stacked D.  The twist of the first k letters, whiskered on the
-right, is diagonal: theta_{A_k} on each path.
+and ``engine.double_braiding``.  The inverse of a product of generators
+is the product of the inverse generators in reverse order, itself such a
+product: sigma_p over on the word (a, b) is c_{a,b}, and sigma_p under on
+(b, a) is c_{a,b}^-1.  D^n is ``np.linalg.matrix_power`` of the stacked
+D.  The twist of the first k letters, whiskered on the right, is
+diagonal: theta_{A_k} on each path.
 
-Braids are built when first used.  ``PathStack.braid`` only queues the
-generator steps (source order, p, over) that it needs, and a braid's
-products, inverses and powers wait for it.  The first braid whose blocks
-are read, by ``PathStack.deviations`` or ``PathStack.blocks``, flushes the
-queue in a few rounds.  Paths and generators depend only on the word a
-tuple spells, and most words repeat over the orders and tuples of a sweep,
-so the flush numbers the words of every new word order, each distinct word
-once, and enumerates the paths of the words not seen before together: one
-row gather per fusion step over the ring's fusion vertices (the R-keys),
-each once per multiplicity.  It builds each distinct (word, p, over)
-generator once, laid out as the word's blocks in root order: the paths of
-a round's generators are sorted by context, every (word, p) in one
-``np.lexsort``, and written by one gather from the spec's table of local
+Braids are built when first used.  ``PathStack.braid`` only names a
+product of generators, and a braid's products, inverses and powers wait
+for it.  The first braid whose blocks are read, by
+``PathStack.deviations`` or ``PathStack.blocks``, flushes the stack: it
+builds the generator steps (source order, p, over) of every product named
+since the last flush that is still alive, in a few rounds, so a product
+named only to take its inverse builds none of its own steps.  Paths and
+generators depend only on the word a tuple spells, and most words repeat
+over the orders and tuples of a sweep, so the flush numbers the words of
+every new word order, each distinct word once, and enumerates the paths of
+the words not seen before together: one row gather per fusion step over
+the ring's fusion vertices (the R-keys), each once per multiplicity.  It
+builds each distinct (word, p, over) generator once, in local form: for
+every path of its target word, the positions of the paths of its context
+in the source word and the entries of its local block there.  The paths
+of a round's generators are sorted by context, every (word, p) in one
+``np.lexsort``, and the entries gathered from the spec's table of local
 blocks of their sense.  That table holds the block of every F-block key
 (x, a, b, y), laid out as the F-blocks and built in one batched product
 per block size from their stacks and those of the inverse F-blocks and
-the R-blocks.  Each step's
-(tuple, root) blocks are then one gather from the generators of its
-tuples' words, whose roots and block sizes are those of the tuples.  A
-stack's blocks come from the tree counts of its tuples, so it enumerates
-no word that no braid reads.  A round enumerates at most ``_ROUND_ROWS``
-paths, or builds generators that read at most that many, unless one word
-or generator alone needs more, which bounds the memory of a flush.  The
-inverse of a product of generators is taken once per stack, so the psi^(n)
-of several n share their monodromies' inverses.  Each sweep names all its
-braids before it compares the first, so that one flush builds them.  An
-error of the data, such as a singular block, is therefore raised where a
-braid is first read, not where it is named.
+the R-blocks.  Each step's rows are then one gather from the generators
+of its tuples' words, whose roots and block sizes are those of the
+tuples.  No generator is ever written out as dense blocks: a product of
+generators applies them in turn to the identity, each a fixed number of
+gathers and multiply-adds over the stack's flat buffer of blocks, however
+many block sizes it holds.  A stack's blocks come from the tree counts of
+its tuples, so it enumerates no word that no braid reads.  A round
+enumerates at most ``_ROUND_ROWS`` paths, or builds generators that read
+at most that many, unless one word or generator alone needs more, which
+bounds the memory of a flush.  Products, the inverse ones among them, are
+memoised per stack, so the psi^(n) of several n share their monodromies
+and the inverses of those.  Each sweep names all its braids before it
+compares the first, so that one flush builds them.  An error of the data,
+such as a singular block, is therefore raised where a braid is first
+read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
@@ -73,6 +82,8 @@ functions of ``modcat`` remain the single-tuple API and reference.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -137,14 +148,22 @@ def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     return out
 
 
+# A product of at most this many generators composed onto another braid is
+# applied to it step by step rather than written out and multiplied: on
+# the stack of fibonacci's pentagon, one step costs about a third of one
+# batched product over its six block sizes.
+_LOCAL_STEPS = 2
+
+
 class Braid:
     """A morphism between two word orders of one ``PathStack``: ``blocks``
     maps each block size n to the stacked blocks (B_n, n, n).  They are
-    computed when first read, after the stack has built every generator
-    queued so far.  A product of generators (``PathStack.braid``) carries
-    its ``key``, under which the stack memoises its blocks and its inverse.
-    A braid holds its stack and the stack holds no braid, only arrays, so
-    both are freed by reference counting."""
+    computed when first read, after the stack has built the generators of
+    every product named so far.  A product of generators
+    (``PathStack.braid``) carries its ``key``, under which the stack
+    memoises its blocks.  A braid holds its stack and the stack holds no
+    braid, only arrays and weak references to the products named since its
+    last flush, so both are freed by reference counting."""
 
     __slots__ = ("stack", "src", "dst", "key", "_make", "_blocks",
                  "__weakref__")
@@ -161,29 +180,33 @@ class Braid:
         return self._blocks
 
     def __matmul__(self, other: "Braid") -> "Braid":
+        """The composite, one batched product per block size, or, if self
+        is a product of at most ``_LOCAL_STEPS`` generators, its steps
+        applied in turn to other's blocks."""
         if other.dst != self.src:
             raise ShapeMismatch(f"cannot compose: inner word order "
                                 f"{other.dst} != {self.src}")
+        if self.key is not None and len(self.key[1]) <= _LOCAL_STEPS:
+            return Braid(self.stack, other.src, self.dst,
+                         lambda: self.stack._product(self.key, other.blocks))
         return Braid(self.stack, other.src, self.dst, lambda: {
             n: x @ other.blocks[n] for n, x in self.blocks.items()})
 
     def inverse(self) -> "Braid":
-        """The inverse map, one stacked ``category._inverses`` per block size,
-        made once per stack for a braid with a ``key``.  A block that is not
-        finite inverts to NaN, so that its tuple fails; a singular one
+        """The inverse map.  That of a product of generators is the product
+        of the inverse generators in reverse order, itself a product of
+        generators: sigma_p over on the word (a, b) is c_{a,b}, and sigma_p
+        under on (b, a) is c_{a,b}^-1.  Any other braid is inverted by one
+        stacked ``category._inverses`` per block size: a block that is not
+        finite inverts to NaN, so that its tuple fails, and a singular one
         raises NotPremodular naming its word and root when the inverse is
         read."""
-        return Braid(self.stack, self.dst, self.src, self._inverted)
-
-    def _inverted(self) -> dict:
-        memo = self.stack._inverses
-        if self.key in memo:
-            return memo[self.key]
-        out = {n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
-               for n, x in self.blocks.items()}
         if self.key is not None:
-            memo[self.key] = out
-        return out
+            _, positions, over = self.key
+            return self.stack.braid(self.dst, positions[::-1], not over)
+        return Braid(self.stack, self.dst, self.src, lambda: {
+            n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
+            for n, x in self.blocks.items()})
 
     def power(self, e: int) -> "Braid":
         """The e-th power of an endomorphism, block by block; a negative
@@ -195,6 +218,14 @@ class Braid:
             return self.inverse().power(-e)
         return Braid(self.stack, self.src, self.dst, lambda: {
             n: np.linalg.matrix_power(x, e) for n, x in self.blocks.items()})
+
+
+def _distinct(codes, space: int) -> tuple:
+    """``np.unique(codes, return_inverse=True)`` for codes in [0, space),
+    by marking them rather than sorting."""
+    seen = np.zeros(space, dtype=bool)
+    seen[codes] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
 
 
 def _mu(L: int, k: int) -> int:
@@ -210,10 +241,20 @@ class PathStack:
     spells it, and tuples and orders that spell one word share its paths
     and generators.  ``_paths`` holds the paths of every word numbered so
     far: one word's rows together, in tree order per root, from row
-    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word, the
-    (tuple, root) block of the same root in its representative tuple and
-    the position within it.  The generators and the braids they compose
-    are memoised per (source order, positions, over), as arrays."""
+    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word and
+    the position within the block of its root.  A braid's blocks lie in
+    one flat buffer, those of size n from base[n] on and block b from
+    offset[b] on; its rows are numbered in block order.  A built generator
+    step (order, p, over) is held in local form, in ``_built``, as (rows,
+    partner, coef): row r of the stack reads row rows[r] of the generator
+    of its tuple's word, and a generator's row holds, in each slot m, the
+    offset partner[m] = j * n of the row j of its context in the source
+    word's block of n rows and the entry coef[m] of its local block there.
+    A flush holds the rows of all its generators in one array (slots,
+    paths); the rows of a smaller local block are padded with row 0 and
+    coefficient 0, and a step keeps the slots of its generators' largest
+    local block.  The products of generators are memoised per (source
+    order, positions, over), as arrays."""
 
     def __init__(self, spec: CategorySpec, tuples):
         tuples = list(tuples)
@@ -226,15 +267,15 @@ class PathStack:
             raise InvalidWord(f"labels must lie in [0, {spec.rank})")
         self.spec, self.labels = spec, labels
         L = labels.shape[1]
-        self._word, self._block, self._pos = 2 * L + 1, 2 * L + 2, 2 * L + 3
-        self._steps, self._orders, self._braids, self._inverses = \
-            {}, {}, {}, {}
+        self._word, self._pos = 2 * L + 1, 2 * L + 2
+        self._pending, self._orders, self._built, self._braids = \
+            [], {}, {}, {}
         # the words numbered so far, a tuple that spells each, the first
         # row of each one's paths, and the word of every tuple in each
         # word order read
         self._words = np.empty((0, L), dtype=np.intp)
         self._rep = np.empty(0, dtype=np.intp)
-        self._paths = np.empty((0, 2 * L + 4), dtype=np.int32)
+        self._paths = np.empty((0, 2 * L + 3), dtype=np.int32)
         self._row, self._word_of = np.zeros(1, dtype=np.intp), {}
         # the columns that sigma_p changes: A_p, mu_p and mu_{p + 1}
         self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
@@ -251,24 +292,27 @@ class PathStack:
         self.first_block = np.searchsorted(self.tuple_of,
                                            np.arange(len(labels)))
         self.size_of = sizes = dims[self.tuple_of, self.root_of]
-        # paths and generator entries of each tuple's word
+        # the paths of each tuple's word
         self._count = np.add.reduceat(sizes, self.first_block)
-        self._entries = np.add.reduceat(sizes * sizes, self.first_block)
-        # a generator is built in one flat buffer: the blocks of size n
-        # from base[n] on, block b at offset[b]
         lay = _Keys(None, None, None, sizes)
         self.members = {n: bs for n, (bs, _) in lay.groups.items()}
         self.base = {n: lo for n, (_, lo) in lay.groups.items()}
         self.offset, self.flat_size = lay.start, lay.total
-        # a word's generator is laid out as its blocks in root order: entry
-        # e of the flat buffer is entry gather[1, e] of the generator of the
-        # word of tuple gather[0, e], and block b starts at entry at[b] of
-        # the generator of its tuple's word
-        block, within, local = self._items(sizes * sizes)
-        self._at = local[within == 0]
-        self._gather = np.empty((2, self.flat_size), dtype=np.intp)
-        self._gather[:, self.offset[block] + within] = \
-            self.tuple_of[block], local
+        # the rows of the blocks, in block order: row r is row i of block
+        # b, its diagonal entry at diagonal[r], and path[r] of its tuple's
+        # word, whose paths are its blocks' rows in root order
+        b, i, self._row_path = self._items(sizes)
+        self._row_tuple, self._row_n = self.tuple_of[b], sizes[b]
+        self._diagonal = self.offset[b] + i * (sizes[b] + 1)
+        # entry e lies in row entry_row[e], and the entry of its column in
+        # row j of its block of n rows is base[e] + j * n
+        block, within, _ = self._items(sizes * sizes)
+        e = self.offset[block] + within
+        i, j = np.divmod(within, sizes[block])
+        self._entry_row, self._entry_base = np.empty((2, self.flat_size),
+                                                     dtype=np.intp)
+        self._entry_row[e] = (np.cumsum(sizes) - sizes)[block] + i
+        self._entry_base[e] = self.offset[block] + j
 
     def __len__(self):
         return len(self.labels)
@@ -295,17 +339,25 @@ class PathStack:
     # -- the deferred rounds -----------------------------------------------
 
     def _flush(self):
-        """Build every queued generator, after the paths of every word they
-        or a queued twist read."""
-        if not self._steps and not self._orders:
+        """Build every generator step not built yet of the products named
+        since the last flush that are still alive, after the paths of every
+        word they or a queued twist read.  A product that died unread, such
+        as one named only to take its inverse, builds nothing."""
+        if not self._pending and not self._orders:
             return
-        steps, orders = list(self._steps), dict(self._orders)
-        for order, p, _ in steps:
-            orders[order] = orders[_swapped(order, p)] = None
+        steps, orders = {}, self._orders
+        for ref in self._pending:
+            if ref() is not None:
+                order, positions, over = ref().key
+                for p in positions:
+                    if (order, p, over) not in self._built:
+                        steps[order, p, over] = None
+                        orders[order] = orders[_swapped(order, p)] = None
+                    order = _swapped(order, p)
+        self._pending, self._orders = [], {}
         self._spell([order for order in orders if order not in self._word_of])
         if steps:
-            self._build(steps)
-        self._steps, self._orders = {}, {}
+            self._build(list(steps))
 
     def _spell(self, orders):
         """Number the words of every tuple in each of ``orders``, and
@@ -342,7 +394,7 @@ class PathStack:
         ring = self.spec.ring
         r, m, V = ring.rank, int(ring.N.max()), _r_keys(ring)
         L = self.labels.shape[1]
-        width = 2 * L + 4
+        width = 2 * L + 3
         # while paths grow: the columns of the table, then the letters
         grow = np.zeros((len(ids), width + L), dtype=np.int32)
         grow[:, self._word] = ids
@@ -366,62 +418,68 @@ class PathStack:
         first = _changes(paths[:, self._word].astype(np.int64) * r
                          + paths[:, L])
         starts = np.flatnonzero(first)
-        block = np.cumsum(first) - 1
-        paths[:, self._pos] = np.arange(len(paths)) - starts[block]
-        # a word has the roots and block sizes of its representative tuple
-        lead = paths[starts]
-        paths[:, self._block] = np.searchsorted(
-            self.tuple_of * r + self.root_of,
-            self._rep[lead[:, self._word]] * r + lead[:, L])[block]
+        paths[:, self._pos] = np.arange(len(paths)) - starts[
+            np.cumsum(first) - 1]
         return paths
 
     def _build(self, steps):
         """Build the generators of ``steps``, each (order, p, over): the
         generator of each distinct (word, p, over) that their tuples spell
-        once, into one buffer, in rounds that read at most ``_ROUND_ROWS``
-        paths unless one generator alone reads more; then the blocks of
-        every step by one gather from that buffer."""
+        once, in local form on the rows of its target word, in rounds that
+        read at most ``_ROUND_ROWS`` paths unless one generator alone reads
+        more; then the rows of every step by one gather from those."""
         L = self.labels.shape[1]
         src = np.array([self._word_of[order] for order, _, _ in steps])
         dst = np.array([self._word_of[_swapped(order, p)]
                         for order, p, _ in steps])
         code = (src * L + np.array([[p] for _, p, _ in steps])) * 2 \
             + np.array([[over] for _, _, over in steps])
-        code, which = np.unique(code.ravel(), return_inverse=True)
+        code, which = _distinct(code, len(self._words) * L * 2)
         # the target word of each (word, p, over), from any step that reads it
         v = np.empty(len(code), dtype=np.intp)
-        v[which] = dst.ravel()
+        v[which] = dst
         u, p, over = code // (2 * L), code // 2 % L, code % 2 == 1
-        size = self._entries[self._rep[u]]
-        base = np.cumsum(size) - size
-        out = np.zeros(int(size.sum()), dtype=np.complex128)
-        for idx in _rounds(2 * self._count[self._rep[u]]):
-            self._generators(out, base[idx], u[idx], v[idx], p[idx],
-                             over[idx])
-        tuple_of, entry = self._gather
-        flats = out[base[which.reshape(src.shape)][:, tuple_of] + entry]
-        for (order, p, over), flat in zip(steps, flats):
-            self._braids[order, (p,), over] = self._split(flat)
+        count = self._count[self._rep[u]]
+        base = np.cumsum(count) - count
+        M = max(_f_keys(self.spec.ring).groups)
+        partner = np.zeros((M, int(count.sum())), dtype=np.intp)
+        coef = np.zeros((M, int(count.sum())), dtype=np.complex128)
+        slots = np.empty(len(u), dtype=np.intp)
+        for idx in _rounds(2 * count):
+            slots[idx] = self._generators(partner, coef, base[idx], u[idx],
+                                          v[idx], p[idx], over[idx])
+        # a step's rows are those of the generators of its tuples' words,
+        # and its slots those of their largest local block; a partner is
+        # held as the offset j * n of its row j in its block of n rows
+        rows = base[which].take(self._row_tuple, axis=1) + self._row_path
+        n = np.empty(partner.shape[1], dtype=np.intp)
+        n[rows] = self._row_n
+        partner *= n
+        for k, (step, m) in enumerate(zip(steps, slots[which].max(axis=1))):
+            self._built[step] = rows[k], partner[:m], coef[:m]
 
-    def _generators(self, out, base, u, v, ps, over):
+    def _generators(self, partner, coef, base, u, v, ps, over
+                    ) -> np.ndarray:
         """Write the generators sigma_p (``over``) from the words u to the
-        words v into ``out``, each laid out as its word's blocks in root
-        order from ``base`` on, in one round: one context sort of every
-        (word, p) they read, one gather of their local blocks and one write
-        of their entries."""
+        words v into ``partner`` and ``coef``, each on the paths of its
+        target word from ``base`` on, in one round: one context sort of
+        every (word, p) they read, one gather of their local blocks and one
+        write of their entries.  Returns the size of each one's largest
+        local block."""
         spec = self.spec
         r, m = spec.rank, int(spec.ring.N.max())
         L = self.labels.shape[1]
         # each generator reads its source word and its target at p: both
         # have the same contexts, each with as many paths as its local
         # block has trees, so the two sorts align
-        pairs, where = np.unique(np.concatenate([u * L + ps, v * L + ps]),
-                                 return_inverse=True)
+        pairs, where = _distinct(np.concatenate([u * L + ps, v * L + ps]),
+                                 len(self._words) * L)
         src, dst = where[:len(ps)], where[len(ps):]
         words = pairs // L
         count = self._row[words + 1] - self._row[words]
         pair = np.repeat(np.arange(len(pairs)), count)
         table = self._paths[_ranges(self._row[words], count)]
+        path = _ranges(np.zeros_like(count), count)  # of its word
         rows = np.arange(len(table))[:, None]
         cols = self._local[pairs % L - 1][pair]
         # a path's context is its pair and labels with the local labels
@@ -438,10 +496,10 @@ class PathStack:
                                 np.arange(len(pairs) + 1))
         # the contexts of every generator, source and target aligned, and
         # the key (A_{p-1}, w_p, w_{p+1}, A_{p+1}) of each one's local block
-        count = first[src + 1] - first[src]
-        cs = _ranges(first[src], count)
-        cd = _ranges(first[dst], count)
-        gen = np.repeat(np.arange(len(ps)), count)
+        contexts = first[src + 1] - first[src]
+        cs = _ranges(first[src], contexts)
+        cd = _ranges(first[dst], contexts)
+        gen = np.repeat(np.arange(len(ps)), contexts)
         p, w, lead = ps[gen], u[gen], ranked[starts[cs]]
         keys = _f_keys(spec.ring)
         at = keys.start[keys.find(table[lead, p - 1], self._words[w, p - 1],
@@ -457,12 +515,10 @@ class PathStack:
         for sign in set(over.tolist()):
             pick = sense == sign
             value[pick] = _braid_blocks(spec, sign)[at[pick]]
-        i = ranked[starts[cd[g]] + li]
-        j = ranked[starts[cs[g]] + lj]
-        block = table[j, self._block]
-        out[base[gen[g]] + self._at[block]
-            + table[i, self._pos] * self.size_of[block]
-            + table[j, self._pos]] = value
+        i = base[gen[g]] + path[ranked[starts[cd[g]] + li]]
+        partner[lj, i] = table[ranked[starts[cs[g]] + lj], self._pos]
+        coef[lj, i] = value
+        return np.maximum.reduceat(size, np.cumsum(contexts) - contexts)
 
     def _split(self, flat) -> dict:
         """The blocks that lie in one flat buffer as ``offset`` places
@@ -470,27 +526,48 @@ class PathStack:
         return {n: flat[self.base[n]:self.base[n] + len(bs) * n * n].reshape(
                     len(bs), n, n) for n, bs in self.members.items()}
 
-    def _product(self, key) -> dict:
-        """The blocks of the braid ``key`` = (order, positions, over), from
-        its built generators; memoised."""
-        if key not in self._braids:
-            order, positions, over = key
-            cur = None
-            for p in positions:
-                gen = self._braids[order, (p,), over]
-                cur = gen if cur is None else {
-                    n: x @ cur[n] for n, x in gen.items()}
-                order = _swapped(order, p)
-            self._braids[key] = cur
-        return self._braids[key]
+    def _product(self, key, blocks=None) -> dict:
+        """The blocks of the braid ``key`` = (order, positions, over): its
+        built generators applied in turn (``_apply``) to the identity,
+        memoised, or to the braid of the given ``blocks``."""
+        if blocks is None and key in self._braids:
+            return self._braids[key]
+        order, positions, over = key
+        out = self._eye() if blocks is None else np.concatenate(
+            [x.ravel() for x in blocks.values()])
+        for p in positions:
+            out = self._apply(*self._built[order, p, over], out)
+            order = _swapped(order, p)
+        out = self._split(out)
+        if blocks is None:
+            self._braids[key] = out
+        return out
+
+    def _apply(self, rows, partner, coef, x) -> np.ndarray:
+        """The generator step in local form times the braid x, in the
+        stack's flat buffer: the entry (i, j) of a block of n rows is the
+        sum over the slots m, in order, of coef[m, w] times the entry
+        (partner[m, w] / n, j) of x, w = rows[i] the row of its generator
+        that row i reads."""
+        w = rows.take(self._entry_row)
+        at = partner.take(w, axis=1)
+        at += self._entry_base
+        coef = coef.take(w, axis=1)
+        out = coef[0] * x[at[0]]
+        for m in range(1, len(coef)):
+            out += coef[m] * x[at[m]]
+        return out
+
+    def _eye(self) -> np.ndarray:
+        """The identity in one flat buffer."""
+        out = np.zeros(self.flat_size, dtype=np.complex128)
+        out[self._diagonal] = 1
+        return out
 
     # -- braids ------------------------------------------------------------
 
     def identity(self, order) -> Braid:
-        return Braid(self, order, order, lambda: {
-            n: np.broadcast_to(np.eye(n, dtype=np.complex128),
-                               (len(bs), n, n)).copy()
-            for n, bs in self.members.items()})
+        return Braid(self, order, order, lambda: self._split(self._eye()))
 
     def twist(self, order, k: int, power: int = 1) -> Braid:
         """theta_{A_k}^power on each path of the words of ``order``: the
@@ -503,12 +580,11 @@ class PathStack:
         self._orders[order] = None
 
         def make():
-            block, pos, path = self._items(self.size_of)
-            rows = self._row[self._word_of[order][self.tuple_of[block]]] \
-                + path
+            rows = self._row[self._word_of[order][self._row_tuple]] \
+                + self._row_path
             out = np.zeros(self.flat_size, dtype=np.complex128)
-            out[self.offset[block] + pos * (self.size_of[block] + 1)] = \
-                (self.spec.theta ** power)[self._paths[rows, k]]
+            out[self._diagonal] = (self.spec.theta ** power)[
+                self._paths[rows, k]]
             return self._split(out)
         return Braid(self, order, order, make)
 
@@ -519,9 +595,9 @@ class PathStack:
 
     def braid(self, order, positions, over: bool = True) -> Braid:
         """The product of the generators at ``positions``, applied in
-        turn to the words of ``order``.  Its generators are queued here;
-        they are built, and the product memoised, when a braid of the
-        stack is first read."""
+        turn to the words of ``order``.  Its generators are built when a
+        braid of the stack is first read while it is alive, and the product
+        memoised when it is read."""
         if not positions:
             return self.identity(order)
         for p in positions:
@@ -530,11 +606,11 @@ class PathStack:
                                          f"words of length {len(order)}")
         dst = order
         for p in positions:
-            if (dst, (p,), over) not in self._braids:
-                self._steps[dst, p, over] = None
             dst = _swapped(dst, p)
         key = (order, positions, over)
-        return Braid(self, order, dst, lambda: self._product(key), key)
+        out = Braid(self, order, dst, lambda: self._product(key), key)
+        self._pending.append(weakref.ref(out))
+        return out
 
     # -- results -----------------------------------------------------------
 
@@ -552,7 +628,10 @@ class PathStack:
     def blocks(self, f: Braid, k: int) -> dict:
         """{root: block} of tuple k, rows over the trees of its word in
         ``f.dst`` and columns over those in ``f.src``, as ``Morphism.blocks``
-        of the same map."""
+        of the same map; IndexError unless k is a Python int in [0,
+        len(self))."""
+        if type(k) is not int or not 0 <= k < len(self):
+            raise IndexError(f"no tuple {k!r} in a stack of {len(self)}")
         out = {}
         for n, bs in self.members.items():
             for s in np.flatnonzero(self.tuple_of[bs] == k):
@@ -573,7 +652,7 @@ def psi(stack: PathStack, order, mu: int, up: int, v: int, n: int = 0
         return cross
     before = stack.braid(order, _monodromy(1, mu, up)).power(n)
     after = stack.braid(cross.dst, _monodromy(1, mu + v, up)).power(-n)
-    return after @ cross @ before
+    return after @ (cross @ before)
 
 
 def psi_hat(stack: PathStack, order, u: int, up: int, v: int, n: int = 0
@@ -590,7 +669,7 @@ def psi_hat(stack: PathStack, order, u: int, up: int, v: int, n: int = 0
         return cross
     before = stack.braid(order, _monodromy(u + up + 1, v, rest)).power(-n)
     after = stack.braid(cross.dst, _monodromy(u + 1, v, up + rest)).power(n)
-    return after @ cross @ before
+    return after @ (cross @ before)
 
 
 def _moved(order, start: int, k: int, m: int) -> tuple:

@@ -67,7 +67,7 @@ def _label_tuples(rank: int, k: int, budget: int, rng
     if rank ** k <= budget:
         return list(itertools.product(range(rank), repeat=k))
     picks = rng.integers(0, rank, size=(budget, k))
-    return [tuple(int(x) for x in row) for row in picks]
+    return [tuple(row) for row in picks.tolist()]
 
 
 def _modular_section(spec, report, tol_config, md):

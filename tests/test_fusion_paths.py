@@ -27,7 +27,7 @@ import mtc.suite as suite
 from mtc import fusion_paths
 from mtc.builtins import BUILTIN_NAMES
 from mtc.category import CategorySpec
-from mtc.engine import Morphism, braid_generator, embed, twist_endo
+from mtc.engine import braid_generator, embed, twist_endo
 from mtc.errors import (InvalidWord, NotPremodular, PositionOutOfRange,
                         ShapeMismatch)
 from mtc.fusion_paths import PathStack
@@ -145,7 +145,7 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
     tuple spells in each of them, each distinct word once, and enumerates
     them all in one round.  Per (word, root) the paths must be those of
     ``FusionRing.tree_basis``, labels and multiplicities in its order, each
-    row naming its root's block and its position in it, and every
+    row naming its word and its position in its root's block, and every
     generator built must equal ``engine.braid_generator``."""
     spec = random_rep_a4()
     rng = np.random.default_rng(11)
@@ -157,9 +157,10 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
     monkeypatch.setattr(PathStack, "_enumerate", lambda self, ids: (
         rounds.append(ids.tolist()), enumerate_(self, ids))[1])
     order = (0, 1, 2, 3, 4)
-    f = fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1))
-    fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1), False)
-    fusion_paths.psi(stack, order, 2, 1, 2, 1)
+    f, *named = [
+        fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1)),
+        fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1), False),
+        fusion_paths.psi(stack, order, 2, 1, 2, 1)]
     stack.blocks(f, 0)
     moved = fusion_paths._moved(order, 2, 1, 1)
     assert moved in stack._word_of and len(stack._word_of) > 2
@@ -176,18 +177,14 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
         got = {}
         for row in rows:
             assert row[2 * L + 1] == u
-            b = row[2 * L + 2]
-            assert stack.root_of[b] == row[L]
-            assert numbered[u] in {tuple(stack.labels[stack.tuple_of[b], list(
-                o)].tolist()) for o in stack._word_of}
-            assert row[2 * L + 3] == len(got.get(row[L], []))
+            assert row[2 * L + 2] == len(got.get(row[L], []))
             got.setdefault(row[L], []).append(
                 (tuple(row[2:L + 1]), tuple(row[L + 2:2 * L + 1])))
         assert got == spec.ring.tree_basis(word), word
-    built = [key for key in stack._braids if len(key[1]) == 1]
+    built = list(stack._built)
     assert len(built) > 10 and {over for *_, over in built} == {True, False}
     # relative: the generators of this random data reach entries of 170
-    for order, (p,), over in built:
+    for order, p, over in built:
         g = stack.generator(order, p, over)
         for k, labels in enumerate(stack.labels.tolist()):
             word = tuple(labels[i] for i in order)
@@ -195,33 +192,34 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
                                  braid_generator(spec, word, p, over), AGREE)
 
 
-# The module deviations of ``run_suite("ising", suites=["module"])``, as
-# the sweeps gave them when every stack enumerated its own word order in
-# a round of its own, 16 rounds in all.
+# The module deviations of ``run_suite("ising", suites=["module"])``, with
+# the generators held in local form and every inverse product of generators
+# built from the inverse generators.  They pin the sweeps' arithmetic bit
+# for bit: a change meant to move it re-pins them from a fresh
+# ``run_suite(<target>, suites=["module"])``.
 ISING_MODULE = {
-    "module_pentagon": 7.773846168739456e-16,
-    "left_module_pentagon": 0.0,
-    "module_triangle": 1.1148499380694154e-16,
-    "twist_mismatch_functor": 2.482534153247273e-16,
+    "module_pentagon": 1.3653937842860002e-15,
+    "left_module_pentagon": 1.1443916996305594e-16,
+    "module_triangle": 4.440892098500626e-16,
+    "twist_mismatch_functor": 2.7755575615628914e-16,
     "associator_from_chain": 4.577566798522237e-16,
     "twist_extraction": 0.0,
-    "alpha_module_functor": 3.2368285245694683e-16,
+    "alpha_module_functor": 2.7755575615628914e-16,
     "commutor_witness": 1.5700924586837752e-16,
 }
 
 
 # The same for fibonacci, whose tuples in every word order spell the same
-# 128 words, as the sweeps gave them when each (word order, tuple) had
-# paths and generators of its own.
+# 128 words.
 FIB_MODULE = {
-    "module_pentagon": 2.259547122722756e-15,
+    "module_pentagon": 2.7838542521111548e-15,
     "left_module_pentagon": 1.2412670766236366e-16,
-    "module_triangle": 4.562243529806772e-16,
-    "twist_mismatch_functor": 5.551115123125783e-16,
-    "associator_from_chain": 1.0934428697813141e-15,
+    "module_triangle": 8.082545620880531e-16,
+    "twist_mismatch_functor": 8.95090418262362e-16,
+    "associator_from_chain": 1.6946818973100074e-15,
     "twist_extraction": 1.5700924586837752e-16,
-    "alpha_module_functor": 7.216449660063518e-16,
-    "commutor_witness": 5.4672143489065705e-16,
+    "alpha_module_functor": 5.095246377785861e-16,
+    "commutor_witness": 5.185169430563076e-16,
 }
 
 
@@ -264,23 +262,59 @@ def test_module_sweeps_build_in_few_rounds(monkeypatch):
 
 
 def test_each_braid_is_inverted_once_per_stack(monkeypatch):
-    """psi^(1) and psi^(2) invert the same monodromies: a fibonacci
-    pentagon sweep at n = 1 and 2 makes as many stacked inversions as one
-    at n = 1 alone, four per block size, and gives each tuple the larger
-    of the deviations of the sweeps at n = 1 and at n = 2."""
-    calls = []
+    """psi^(1) and psi^(2) invert the same monodromies, and the inverse of
+    a product of generators is the product of the inverse generators: a
+    fibonacci pentagon sweep at n = 1, at n = 2 or at both makes no stacked
+    inversion, builds each product once per stack, the same four inverse
+    monodromies at each n, and gives each tuple the larger of the
+    deviations of the sweeps at n = 1 and at n = 2."""
+    inverted, built = [], []
     inverses = fusion_paths._inverses
     monkeypatch.setattr(fusion_paths, "_inverses", lambda stack, message: (
-        calls.append(len(stack)), inverses(stack, message))[1])
+        inverted.append(len(stack)), inverses(stack, message))[1])
+    product = PathStack._product
+
+    def counted(self, key, blocks=None):
+        if blocks is None and key not in self._braids:
+            built.append(key)
+        return product(self, key, blocks)
+    monkeypatch.setattr(PathStack, "_product", counted)
     spec = suite.get_category("fibonacci")
     tuples = list(itertools.product(range(2), repeat=7))
-    sizes = len(PathStack(spec, tuples).members)
-    once = [fusion_paths.module_pentagon_deviations(spec, tuples, (n,))
-            for n in (1, 2)]
-    assert len(calls) == 2 * 4 * sizes
-    both = fusion_paths.module_pentagon_deviations(spec, tuples, (1, 2))
-    assert len(calls) == 3 * 4 * sizes
-    assert both == np.maximum(*once).tolist()
+    once, inverse = [], []
+    for n_values in ((1,), (2,), (1, 2)):
+        built.clear()
+        once.append(fusion_paths.module_pentagon_deviations(spec, tuples,
+                                                            n_values))
+        assert len(set(built)) == len(built)
+        inverse.append(sorted(key for key in built if not key[2]))
+    assert not inverted
+    assert len(inverse[0]) == 4 and inverse[0] == inverse[1] == inverse[2]
+    assert once[2] == np.maximum(*once[:2]).tolist()
+
+
+def test_generators_are_held_in_local_form(spec_of):
+    """A built generator step is, for each row of the stack's blocks, the
+    row of its word's generator that it reads, and those generators' rows
+    in local form, arrays (slots, paths) with one slot per entry of their
+    largest local block, 2 on fibonacci, which every step of one flush
+    shares: never a buffer of the stack's dense blocks.
+    Reading one psi^(1) of a fibonacci pentagon builds the steps of all
+    four that are named, and writes out only two products: its monodromy
+    and the inverse of its other monodromy.  Its crossing, one generator,
+    is applied to the first of them step by step."""
+    stack = PathStack(spec_of("fibonacci"),
+                      list(itertools.product(range(2), repeat=7)))
+    factors = [fusion_paths.psi(stack, *args, 1) for args, _ in RIGHT]
+    stack.blocks(factors[0], 0)
+    rows = int(stack.size_of.sum())
+    assert len(stack._built) > 20 and rows < stack.flat_size
+    shared = next(iter(stack._built.values()))[2]
+    for reads, partner, coef in stack._built.values():
+        assert reads.shape == (rows,) and partner.shape == coef.shape
+        assert 1 <= len(coef) <= 2 and np.shares_memory(coef, shared)
+    assert sorted(len(positions) for _, positions, _ in stack._braids) \
+        == [8, 10]
 
 
 # The sweeps that take one exponent n rather than a list n_values.
@@ -467,12 +501,28 @@ def test_sweeps_equal_the_per_tuple_deviations(name):
             assert abs(dev - single(spec, t)) <= bound, (sweep, t)
 
 
+def _engine_braid(spec, word, positions, over):
+    """The product of ``engine.braid_generator`` at ``positions``, applied
+    in turn from ``word``."""
+    out = None
+    for p in positions:
+        g = braid_generator(spec, word, p, over)
+        out, word = g if out is None else g @ out, g.dst
+    return out
+
+
 def test_inverses_and_twists_equal_the_engine_with_multiplicity_two():
     """On Rep(A4) words of length 2 to 5 with seeded random twists: the
-    inverse of every generator and monodromy against ``Morphism.inverse``
-    of the same blocks (the generators themselves equal the engine's, see
-    above), and the twist of every prefix at powers -1, 1 and 2 against
-    ``twist_endo``."""
+    inverse of every generator and monodromy against the product of the
+    engine's inverse generators in reverse order (the generators themselves
+    equal the engine's, see above), and the twist of every prefix at powers
+    -1, 1 and 2 against ``twist_endo``.  The inverses are held relative to
+    the engine's block, as the generators of this random data are: its
+    monodromies reach entries of 3.7e8, and on the all-3 words condition
+    numbers of 8.6e12, where ``Morphism.inverse`` of the product's blocks
+    differs from the product of the inverse generators by 3.8e-5 of its
+    largest entry, while the product of the inverse generators agrees
+    with the engine's to 7e-15 of it."""
     base = random_rep_a4()
     rng = np.random.default_rng(5)
     theta = np.exp(2j * np.pi * rng.uniform(size=base.rank))
@@ -490,15 +540,50 @@ def test_inverses_and_twists_equal_the_engine_with_multiplicity_two():
             1, cut, L - cut)) for cut in range(1, L)]
         for f, k in itertools.product(braids, range(len(words))):
             labels = [int(x) for x in stack.labels[k]]
-            same = Morphism(spec, tuple(labels[i] for i in f.src),
-                            tuple(labels[i] for i in f.dst),
-                            stack.blocks(f, k))
-            _assert_equal_blocks(stack, f.inverse(), k, same.inverse())
+            inv = f.inverse()
+            _assert_equal_blocks(stack, inv, k, _engine_braid(
+                spec, tuple(labels[i] for i in inv.src), *inv.key[1:]),
+                AGREE)
         for cut, power in itertools.product(range(L + 1), (-1, 1, 2)):
             t = stack.twist(order, cut, power)
             for k, word in enumerate(words):
                 _assert_equal_blocks(stack, t, k, embed(
                     twist_endo(spec, word[:cut], power), right=word[cut:]))
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "random_rep_a4"])
+def test_every_product_and_its_inverse_equal_the_engine(name, spec_of):
+    """Every product of generators that the psi^(1) and psi_hat^(1)
+    pentagon factors write out and every generator they build, and the
+    inverse of each, on three seeded tuples: the product against the same
+    ``engine.braid_generator`` maps,
+    the inverse against those of the inverse generators in reverse order
+    and against ``Morphism.inverse`` of the engine's product, all to AGREE.
+    On Rep(A4) these tuples reach multiplicity 2 and local blocks of size
+    7, with condition numbers up to 5.3."""
+    spec = random_rep_a4() if name == "random_rep_a4" else spec_of(name)
+    rng = np.random.default_rng(3)
+    tuples = [tuple(int(x) for x in row)
+              for row in rng.integers(0, spec.rank, size=(3, 7))]
+    stack = PathStack(spec, tuples)
+    for args, _ in RIGHT:
+        stack.blocks(fusion_paths.psi(stack, *args, 1), 0)
+    for args, _ in LEFT:
+        stack.blocks(fusion_paths.psi_hat(stack, *args, 1), 0)
+    keys = list(stack._braids) + [(order, (p,), over)
+                                  for order, p, over in stack._built]
+    assert len(keys) > 40 and {over for *_, over in keys} == {True, False}
+    for key in keys:
+        f = stack.braid(*key)
+        inv = f.inverse()
+        assert inv.key == (f.dst, key[1][::-1], not key[2])
+        for k, labels in enumerate(tuples):
+            want = _engine_braid(spec, tuple(labels[i] for i in f.src),
+                                 *key[1:])
+            _assert_equal_blocks(stack, f, k, want)
+            _assert_equal_blocks(stack, inv, k, _engine_braid(
+                spec, tuple(labels[i] for i in inv.src), *inv.key[1:]))
+            _assert_equal_blocks(stack, inv, k, want.inverse())
 
 
 def _with_r(spec, key, block):
@@ -510,13 +595,18 @@ def _with_r(spec, key, block):
 
 def test_singular_braids_are_refused_with_their_word(spec_of):
     """A braid is built when it is first read, so the error comes from
-    ``stack.blocks``, not from ``inverse``."""
+    ``stack.blocks``, not from ``inverse``.  The inverse of a generator is
+    the inverse generator, built from the inverse R-blocks, so the error
+    names the singular R-block, as ``engine.braid_generator`` does."""
     spec = _with_r(spec_of("fibonacci"), (1, 1, 0), np.zeros((1, 1)))
     stack = PathStack(spec, [(0, 1), (1, 1)])
     inv = stack.generator((0, 1), 1).inverse()
     with pytest.raises(NotPremodular, match=re.escape(
-            "braid on the word (1, 1) is singular at root 0")):
+            "R-block (1, 1, 0) is singular")):
         stack.blocks(inv, 1)
+    with pytest.raises(NotPremodular, match=re.escape(
+            "R-block (1, 1, 0) is singular")):
+        braid_generator(spec, (1, 1), 1, False)
 
 
 def test_non_finite_blocks_invert_to_nan(spec_of):
@@ -536,6 +626,16 @@ def test_non_finite_blocks_invert_to_nan(spec_of):
         assert np.abs(got[1] - want).max() <= AGREE
         _assert_equal_blocks(stack, inv, 0,
                              braid_generator(spec, (0, 1), 1).inverse())
+
+
+@pytest.mark.parametrize("k", [-1, 2, 5, True, 1.0, np.int64(0)])
+def test_blocks_refuse_tuples_outside_the_stack(spec_of, k):
+    """A tuple that is not in the stack has no blocks to compare: it is
+    refused, not read as an empty dict."""
+    stack = PathStack(spec_of("ising"), [(1, 2), (1, 1)])
+    g = stack.generator((0, 1), 1)
+    with pytest.raises(IndexError, match="no tuple"):
+        stack.blocks(g, k)
 
 
 def test_empty_blocks_cross_as_identities(spec_of):

@@ -1,6 +1,7 @@
 """The suite runner: measured check times and the coverage of capped
 module sweeps."""
 
+import itertools
 import json
 import pathlib
 import subprocess
@@ -85,6 +86,22 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
     report = run_suite("fibonacci", suites=["module"])
     assert report.passed
     assert seen == {name: {(0,), (1,)} for name in CAPPED}
+
+
+@pytest.mark.parametrize("rank, k, budget", [(3, 7, 256), (4, 5, 64),
+                                              (2, 7, 200)])
+def test_sampled_label_tuples_are_tuples_of_python_ints(rank, k, budget):
+    """A sampled sweep's tuples are those the seeded picks give, entry by
+    entry, and each label is a Python int, as ``PathStack`` requires; a
+    budget that covers every tuple enumerates them in order."""
+    got = suite._label_tuples(rank, k, budget, np.random.default_rng(5))
+    if rank ** k <= budget:
+        assert got == list(itertools.product(range(rank), repeat=k))
+        return
+    picks = np.random.default_rng(5).integers(0, rank, size=(budget, k))
+    assert got == [tuple(int(x) for x in row) for row in picks]
+    assert all(type(x) is int for t in got for x in t)
+    assert all(type(t) is tuple and len(t) == k for t in got)
 
 
 MODULE_CHECKS = ["module_pentagon", "left_module_pentagon", "module_triangle",
