@@ -26,33 +26,34 @@ and a monodromy are the generator sequences of ``engine.block_crossing``
 and ``engine.double_braiding``.  The inverse of a product of generators
 is the product of the inverse generators in reverse order, itself such a
 product: sigma_p over on the word (a, b) is c_{a,b}, and sigma_p under on
-(b, a) is c_{a,b}^-1.  D^n is ``np.linalg.matrix_power`` of the stacked
-D.  The twist of the first k letters, whiskered on the right, is
-diagonal: theta_{A_k} on each path.
+(b, a) is c_{a,b}^-1.  So D^-n is named directly as the n-th power of
+that product, and D^n is ``np.linalg.matrix_power`` of the stacked D.
+The twist of the first k letters, whiskered on the right, is diagonal:
+theta_{A_k} on each path.
 
 Braids are built when first used.  ``PathStack.braid`` only names a
 product of generators, and a braid's products, inverses and powers wait
 for it.  The first braid whose blocks are read, by
 ``PathStack.deviations`` or ``PathStack.blocks``, flushes the stack: it
-builds the generator steps (source order, p, over) of every product named
-since the last flush that is still alive, in a few rounds, so a product
-named only to take its inverse builds none of its own steps.  Paths and
-generators depend only on the word a tuple spells, and most words repeat
-over the orders and tuples of a sweep, so the flush numbers the words of
-every new word order, each distinct word once, and enumerates the paths of
-the words not seen before together: one row gather per fusion step over
-the ring's fusion vertices (the R-keys), each once per multiplicity.  It
-builds each distinct (word, p, over) generator once, in local form: for
-every path of its target word, the positions of the paths of its context
-in the source word and the entries of its local block there.  The paths
-of a round's generators are sorted by context, every (word, p) in one
-``np.lexsort``, and the entries gathered from the spec's table of local
-blocks of their sense.  That table holds the block of every F-block key
-(x, a, b, y), laid out as the F-blocks and built in one batched product
-per block size from their stacks and those of the inverse F-blocks and
-the R-blocks.  Each step's rows are then one gather from the generators
-of its tuples' words, whose roots and block sizes are those of the
-tuples.  No generator is ever written out as dense blocks: a product of
+builds every generator step (source order, p, over) queued since the
+last flush, in a few rounds.  Paths and generators depend only on the
+word a tuple spells, and most words repeat over the orders and tuples of
+a sweep, so the flush numbers the words of every new word order, each
+distinct word once, and enumerates the paths of the words not seen before
+together: one row gather per fusion step over the ring's fusion vertices
+(the R-keys), each once per multiplicity.  It builds sigma_p from each
+distinct word once, in local form, in every sense a step reads: for every
+path of its target word, the positions of the paths of its context in the
+source word and the entries of its local block there, one array of
+entries per sense.  sigma_p from a word and sigma_p back from its target
+share their contexts, so a round sorts the paths of both by context once,
+every (word, p) in one ``np.lexsort``, and gathers the entries from the
+spec's table of local blocks of each sense.  That table holds the block
+of every F-block key (x, a, b, y), laid out as the F-blocks and built in
+one batched product per block size from their stacks and those of the
+inverse F-blocks and the R-blocks.  A step is then the generator row that
+each of its tuples reads first, since a tuple's blocks are those of its
+word.  No generator is ever written out as dense blocks: a product of
 generators applies them in turn to the identity, each a fixed number of
 gathers and multiply-adds over the stack's flat buffer of blocks, however
 many block sizes it holds.  A stack's blocks come from the tree counts of
@@ -82,8 +83,6 @@ functions of ``modcat`` remain the single-tuple API and reference.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -148,22 +147,14 @@ def _braid_blocks(spec: CategorySpec, over: bool) -> np.ndarray:
     return out
 
 
-# A product of at most this many generators composed onto another braid is
-# applied to it step by step rather than written out and multiplied: on
-# the stack of fibonacci's pentagon, one step costs about a third of one
-# batched product over its six block sizes.
-_LOCAL_STEPS = 2
-
-
 class Braid:
     """A morphism between two word orders of one ``PathStack``: ``blocks``
     maps each block size n to the stacked blocks (B_n, n, n).  They are
-    computed when first read, after the stack has built the generators of
-    every product named so far.  A product of generators
-    (``PathStack.braid``) carries its ``key``, under which the stack
-    memoises its blocks.  A braid holds its stack and the stack holds no
-    braid, only arrays and weak references to the products named since its
-    last flush, so both are freed by reference counting."""
+    computed when first read, after the stack has built every generator
+    queued so far.  A product of generators (``PathStack.braid``) carries
+    its ``key``, under which the stack memoises its blocks.  A braid holds
+    its stack and the stack holds no braid, only arrays, so both are freed
+    by reference counting."""
 
     __slots__ = ("stack", "src", "dst", "key", "_make", "_blocks",
                  "__weakref__")
@@ -180,30 +171,22 @@ class Braid:
         return self._blocks
 
     def __matmul__(self, other: "Braid") -> "Braid":
-        """The composite, one batched product per block size, or, if self
-        is a product of at most ``_LOCAL_STEPS`` generators, its steps
-        applied in turn to other's blocks."""
         if other.dst != self.src:
             raise ShapeMismatch(f"cannot compose: inner word order "
                                 f"{other.dst} != {self.src}")
-        if self.key is not None and len(self.key[1]) <= _LOCAL_STEPS:
-            return Braid(self.stack, other.src, self.dst,
-                         lambda: self.stack._product(self.key, other.blocks))
         return Braid(self.stack, other.src, self.dst, lambda: {
             n: x @ other.blocks[n] for n, x in self.blocks.items()})
 
     def inverse(self) -> "Braid":
         """The inverse map.  That of a product of generators is the product
-        of the inverse generators in reverse order, itself a product of
-        generators: sigma_p over on the word (a, b) is c_{a,b}, and sigma_p
-        under on (b, a) is c_{a,b}^-1.  Any other braid is inverted by one
+        of the inverse generators in reverse order
+        (``PathStack.braid_inverse``).  Any other braid is inverted by one
         stacked ``category._inverses`` per block size: a block that is not
         finite inverts to NaN, so that its tuple fails, and a singular one
         raises NotPremodular naming its word and root when the inverse is
         read."""
         if self.key is not None:
-            _, positions, over = self.key
-            return self.stack.braid(self.dst, positions[::-1], not over)
+            return self.stack.braid_inverse(*self.key)
         return Braid(self.stack, self.dst, self.src, lambda: {
             n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
             for n, x in self.blocks.items()})
@@ -220,14 +203,6 @@ class Braid:
             n: np.linalg.matrix_power(x, e) for n, x in self.blocks.items()})
 
 
-def _distinct(codes, space: int) -> tuple:
-    """``np.unique(codes, return_inverse=True)`` for codes in [0, space),
-    by marking them rather than sorting."""
-    seen = np.zeros(space, dtype=bool)
-    seen[codes] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
-
-
 def _mu(L: int, k: int) -> int:
     """The column of mu_k in the paths of words of length L."""
     return L + k
@@ -241,20 +216,21 @@ class PathStack:
     spells it, and tuples and orders that spell one word share its paths
     and generators.  ``_paths`` holds the paths of every word numbered so
     far: one word's rows together, in tree order per root, from row
-    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word and
-    the position within the block of its root.  A braid's blocks lie in
-    one flat buffer, those of size n from base[n] on and block b from
-    offset[b] on; its rows are numbered in block order.  A built generator
-    step (order, p, over) is held in local form, in ``_built``, as (rows,
-    partner, coef): row r of the stack reads row rows[r] of the generator
-    of its tuple's word, and a generator's row holds, in each slot m, the
-    offset partner[m] = j * n of the row j of its context in the source
-    word's block of n rows and the entry coef[m] of its local block there.
-    A flush holds the rows of all its generators in one array (slots,
-    paths); the rows of a smaller local block are padded with row 0 and
-    coefficient 0, and a step keeps the slots of its generators' largest
-    local block.  The products of generators are memoised per (source
-    order, positions, over), as arrays."""
+    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word,
+    the position within the block of its root and the size of that block.
+    A braid's blocks lie in one flat buffer, those of size n from base[n]
+    on and block b from offset[b] on; its rows are numbered in block
+    order.  A built generator step (order, p, over) is held in local form,
+    in ``_built``, as (first, partner, coef): the paths of tuple t's word
+    read the rows of its generator from row first[t] on, and a
+    generator's row holds, in each slot m, the offset partner[m] = j * n
+    of the row j of its context in the source word's block of n rows and
+    the entry coef[m] of its local block there.  A flush holds the rows of
+    all its generators in one array (slots, paths) of partners and one of
+    entries per sense; the rows of a smaller local block are padded with
+    row 0 and entry 0, and a step keeps the slots of its generators'
+    largest local block.  The products of generators are memoised per
+    (source order, positions, over), as arrays."""
 
     def __init__(self, spec: CategorySpec, tuples):
         tuples = list(tuples)
@@ -267,15 +243,15 @@ class PathStack:
             raise InvalidWord(f"labels must lie in [0, {spec.rank})")
         self.spec, self.labels = spec, labels
         L = labels.shape[1]
-        self._word, self._pos = 2 * L + 1, 2 * L + 2
-        self._pending, self._orders, self._built, self._braids = \
-            [], {}, {}, {}
+        self._word, self._pos, self._n = 2 * L + 1, 2 * L + 2, 2 * L + 3
+        self._steps, self._orders, self._built, self._braids = \
+            {}, {}, {}, {}
         # the words numbered so far, a tuple that spells each, the first
         # row of each one's paths, and the word of every tuple in each
         # word order read
         self._words = np.empty((0, L), dtype=np.intp)
         self._rep = np.empty(0, dtype=np.intp)
-        self._paths = np.empty((0, 2 * L + 3), dtype=np.int32)
+        self._paths = np.empty((0, 2 * L + 4), dtype=np.int32)
         self._row, self._word_of = np.zeros(1, dtype=np.intp), {}
         # the columns that sigma_p changes: A_p, mu_p and mu_{p + 1}
         self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
@@ -302,16 +278,19 @@ class PathStack:
         # b, its diagonal entry at diagonal[r], and path[r] of its tuple's
         # word, whose paths are its blocks' rows in root order
         b, i, self._row_path = self._items(sizes)
-        self._row_tuple, self._row_n = self.tuple_of[b], sizes[b]
+        self._row_tuple = self.tuple_of[b]
         self._diagonal = self.offset[b] + i * (sizes[b] + 1)
-        # entry e lies in row entry_row[e], and the entry of its column in
-        # row j of its block of n rows is base[e] + j * n
+        # entry e lies in a row of tuple entry_tuple[e], path
+        # entry_path[e] of its word, and the entry of its column in row j
+        # of its block of n rows is base[e] + j * n
         block, within, _ = self._items(sizes * sizes)
         e = self.offset[block] + within
         i, j = np.divmod(within, sizes[block])
-        self._entry_row, self._entry_base = np.empty((2, self.flat_size),
-                                                     dtype=np.intp)
-        self._entry_row[e] = (np.cumsum(sizes) - sizes)[block] + i
+        self._entry_tuple, self._entry_path, self._entry_base = np.empty(
+            (3, self.flat_size), dtype=np.intp)
+        self._entry_tuple[e] = self.tuple_of[block]
+        self._entry_path[e] = self._row_path[(np.cumsum(sizes) - sizes)[block]
+                                             + i]
         self._entry_base[e] = self.offset[block] + j
 
     def __len__(self):
@@ -339,25 +318,17 @@ class PathStack:
     # -- the deferred rounds -----------------------------------------------
 
     def _flush(self):
-        """Build every generator step not built yet of the products named
-        since the last flush that are still alive, after the paths of every
-        word they or a queued twist read.  A product that died unread, such
-        as one named only to take its inverse, builds nothing."""
-        if not self._pending and not self._orders:
+        """Build every queued generator step, after the paths of every word
+        they or a queued twist read."""
+        if not self._steps and not self._orders:
             return
-        steps, orders = {}, self._orders
-        for ref in self._pending:
-            if ref() is not None:
-                order, positions, over = ref().key
-                for p in positions:
-                    if (order, p, over) not in self._built:
-                        steps[order, p, over] = None
-                        orders[order] = orders[_swapped(order, p)] = None
-                    order = _swapped(order, p)
-        self._pending, self._orders = [], {}
+        steps, orders = list(self._steps), dict(self._orders)
+        for order, p, _ in steps:
+            orders[order] = orders[_swapped(order, p)] = None
         self._spell([order for order in orders if order not in self._word_of])
         if steps:
-            self._build(list(steps))
+            self._build(steps)
+        self._steps, self._orders = {}, {}
 
     def _spell(self, orders):
         """Number the words of every tuple in each of ``orders``, and
@@ -394,7 +365,7 @@ class PathStack:
         ring = self.spec.ring
         r, m, V = ring.rank, int(ring.N.max()), _r_keys(ring)
         L = self.labels.shape[1]
-        width = 2 * L + 3
+        width = 2 * L + 4
         # while paths grow: the columns of the table, then the letters
         grow = np.zeros((len(ids), width + L), dtype=np.int32)
         grow[:, self._word] = ids
@@ -418,62 +389,80 @@ class PathStack:
         first = _changes(paths[:, self._word].astype(np.int64) * r
                          + paths[:, L])
         starts = np.flatnonzero(first)
-        paths[:, self._pos] = np.arange(len(paths)) - starts[
-            np.cumsum(first) - 1]
+        block = np.cumsum(first) - 1
+        paths[:, self._pos] = np.arange(len(paths)) - starts[block]
+        paths[:, self._n] = np.diff(starts, append=len(paths))[block]
         return paths
 
-    def _build(self, steps):
-        """Build the generators of ``steps``, each (order, p, over): the
-        generator of each distinct (word, p, over) that their tuples spell
-        once, in local form on the rows of its target word, in rounds that
-        read at most ``_ROUND_ROWS`` paths unless one generator alone reads
-        more; then the rows of every step by one gather from those."""
-        L = self.labels.shape[1]
+    def _directions(self, steps) -> tuple:
+        """The directions of sigma_p that the tuples of ``steps``, each
+        (order, p, over), read, numbered in order.  sigma_p joins the words
+        s < t that it swaps, or a word s to itself, and its direction from
+        s to t is 2 ((p - 1) W + s) + 1, the other 2 ((p - 1) W + s), so
+        the two directions of (p, s) are numbered together.  Returns the
+        directions, the number of the one each step's tuples read, and the
+        word t of every (p, s)."""
+        W = len(self._words)
         src = np.array([self._word_of[order] for order, _, _ in steps])
         dst = np.array([self._word_of[_swapped(order, p)]
                         for order, p, _ in steps])
-        code = (src * L + np.array([[p] for _, p, _ in steps])) * 2 \
-            + np.array([[over] for _, _, over in steps])
-        code, which = _distinct(code, len(self._words) * L * 2)
-        # the target word of each (word, p, over), from any step that reads it
-        v = np.empty(len(code), dtype=np.intp)
-        v[which] = dst
-        u, p, over = code // (2 * L), code // 2 % L, code % 2 == 1
-        count = self._count[self._rep[u]]
+        code = (np.array([[p - 1] for _, p, _ in steps]) * W
+                + np.minimum(src, dst)) * 2 + (dst > src)
+        other = np.empty(len(self._local) * W, dtype=np.intp)
+        other[code // 2] = np.maximum(src, dst)
+        # marked in a table of every direction: cheaper than sorting the
+        # codes of every (step, tuple)
+        built = np.zeros(2 * len(other), dtype=bool)
+        built[code] = True
+        return np.flatnonzero(built), (np.cumsum(built) - 1)[code], other
+
+    def _build(self, steps):
+        """Build the generators of ``steps``, each (order, p, over): sigma_p
+        from each distinct word u that their tuples spell, in the senses
+        they read, once, in local form on the paths of its target word v,
+        in rounds that read at most ``_ROUND_ROWS`` paths unless the words
+        of one generator alone have more; then the generator rows that each
+        step's tuples read.  sigma_p from u and sigma_p back from v share
+        their contexts, so a round sorts them once."""
+        W = len(self._words)
+        code, which, other = self._directions(steps)
+        sense = np.zeros((len(code), 2), dtype=bool)
+        sense[which, np.array([[int(over)] for _, _, over in steps])] = True
+        edge, up = code // 2, code % 2 == 1
+        u = np.where(up, edge % W, other[edge])
+        v = np.where(up, other[edge], edge % W)
+        count = self._count[self._rep[v]]
         base = np.cumsum(count) - count
         M = max(_f_keys(self.spec.ring).groups)
         partner = np.zeros((M, int(count.sum())), dtype=np.intp)
-        coef = np.zeros((M, int(count.sum())), dtype=np.complex128)
+        coef = np.zeros((2, M, int(count.sum())), dtype=np.complex128)
         slots = np.empty(len(u), dtype=np.intp)
         for idx in _rounds(2 * count):
             slots[idx] = self._generators(partner, coef, base[idx], u[idx],
-                                          v[idx], p[idx], over[idx])
-        # a step's rows are those of the generators of its tuples' words,
-        # and its slots those of their largest local block; a partner is
-        # held as the offset j * n of its row j in its block of n rows
-        rows = base[which].take(self._row_tuple, axis=1) + self._row_path
-        n = np.empty(partner.shape[1], dtype=np.intp)
-        n[rows] = self._row_n
-        partner *= n
+                                          v[idx], edge[idx] // W + 1,
+                                          sense[idx])
+        # a step's tuples read the generators of their words in its sense,
+        # and its slots are those of their largest local block
         for k, (step, m) in enumerate(zip(steps, slots[which].max(axis=1))):
-            self._built[step] = rows[k], partner[:m], coef[:m]
+            self._built[step] = base[which[k]], partner[:m], coef[
+                int(step[2]), :m]
 
-    def _generators(self, partner, coef, base, u, v, ps, over
+    def _generators(self, partner, coef, base, u, v, ps, sense
                     ) -> np.ndarray:
-        """Write the generators sigma_p (``over``) from the words u to the
-        words v into ``partner`` and ``coef``, each on the paths of its
-        target word from ``base`` on, in one round: one context sort of
-        every (word, p) they read, one gather of their local blocks and one
-        write of their entries.  Returns the size of each one's largest
-        local block."""
+        """Write sigma_p from the words u to the words v into ``partner``
+        and, in each sense s where sense[:, s], into ``coef[s]``, each on
+        the paths of its target word from ``base`` on, in one round: one
+        context sort of every (word, p) they read, one gather of their
+        local blocks and one write of their entries.  Returns the size of
+        each one's largest local block."""
         spec = self.spec
         r, m = spec.rank, int(spec.ring.N.max())
         L = self.labels.shape[1]
         # each generator reads its source word and its target at p: both
         # have the same contexts, each with as many paths as its local
         # block has trees, so the two sorts align
-        pairs, where = _distinct(np.concatenate([u * L + ps, v * L + ps]),
-                                 len(self._words) * L)
+        pairs, where = np.unique(np.concatenate([u * L + ps, v * L + ps]),
+                                 return_inverse=True)
         src, dst = where[:len(ps)], where[len(ps):]
         words = pairs // L
         count = self._row[words + 1] - self._row[words]
@@ -504,20 +493,21 @@ class PathStack:
         keys = _f_keys(spec.ring)
         at = keys.start[keys.find(table[lead, p - 1], self._words[w, p - 1],
                                   self._words[w, p], table[lead, p + 1])]
-        # every (row, column) pair of every context
+        # every (row, column) pair of every context; a partner is held as
+        # the offset j * n of its row j in its block of n rows
         size = size[cs]
         count = size * size
         g = np.repeat(np.arange(len(cs)), count)
         li, lj = np.divmod(_ranges(0, count), size[g])
         at = at[g] + li * size[g] + lj
-        sense = over[gen[g]]
-        value = np.empty(len(g), dtype=np.complex128)
-        for sign in set(over.tolist()):
-            pick = sense == sign
-            value[pick] = _braid_blocks(spec, sign)[at[pick]]
         i = base[gen[g]] + path[ranked[starts[cd[g]] + li]]
-        partner[lj, i] = table[ranked[starts[cs[g]] + lj], self._pos]
-        coef[lj, i] = value
+        partner[lj, i] = (table[:, self._pos] * table[:, self._n])[
+            ranked[starts[cs[g]] + lj]]
+        for over in (0, 1):
+            pick = sense[gen[g], over]
+            if pick.any():
+                coef[over, lj[pick], i[pick]] = _braid_blocks(
+                    spec, bool(over))[at[pick]]
         return np.maximum.reduceat(size, np.cumsum(contexts) - contexts)
 
     def _split(self, flat) -> dict:
@@ -526,30 +516,27 @@ class PathStack:
         return {n: flat[self.base[n]:self.base[n] + len(bs) * n * n].reshape(
                     len(bs), n, n) for n, bs in self.members.items()}
 
-    def _product(self, key, blocks=None) -> dict:
+    def _product(self, key) -> dict:
         """The blocks of the braid ``key`` = (order, positions, over): its
-        built generators applied in turn (``_apply``) to the identity,
-        memoised, or to the braid of the given ``blocks``."""
-        if blocks is None and key in self._braids:
-            return self._braids[key]
-        order, positions, over = key
-        out = self._eye() if blocks is None else np.concatenate(
-            [x.ravel() for x in blocks.values()])
-        for p in positions:
-            out = self._apply(*self._built[order, p, over], out)
-            order = _swapped(order, p)
-        out = self._split(out)
-        if blocks is None:
-            self._braids[key] = out
-        return out
+        built generators applied in turn (``_apply``) to the identity;
+        memoised."""
+        if key not in self._braids:
+            order, positions, over = key
+            out = self._eye()
+            for p in positions:
+                out = self._apply(*self._built[order, p, over], out)
+                order = _swapped(order, p)
+            self._braids[key] = self._split(out)
+        return self._braids[key]
 
-    def _apply(self, rows, partner, coef, x) -> np.ndarray:
+    def _apply(self, first, partner, coef, x) -> np.ndarray:
         """The generator step in local form times the braid x, in the
         stack's flat buffer: the entry (i, j) of a block of n rows is the
         sum over the slots m, in order, of coef[m, w] times the entry
-        (partner[m, w] / n, j) of x, w = rows[i] the row of its generator
-        that row i reads."""
-        w = rows.take(self._entry_row)
+        (partner[m, w] / n, j) of x, w the row of its generator that row i
+        reads, first[t] + the path of row i in its tuple t's word."""
+        w = first.take(self._entry_tuple)
+        w += self._entry_path
         at = partner.take(w, axis=1)
         at += self._entry_base
         coef = coef.take(w, axis=1)
@@ -595,9 +582,9 @@ class PathStack:
 
     def braid(self, order, positions, over: bool = True) -> Braid:
         """The product of the generators at ``positions``, applied in
-        turn to the words of ``order``.  Its generators are built when a
-        braid of the stack is first read while it is alive, and the product
-        memoised when it is read."""
+        turn to the words of ``order``.  Its generators are queued here;
+        they are built, and the product memoised, when a braid of the
+        stack is first read."""
         if not positions:
             return self.identity(order)
         for p in positions:
@@ -606,11 +593,20 @@ class PathStack:
                                          f"words of length {len(order)}")
         dst = order
         for p in positions:
+            if (dst, p, over) not in self._built:
+                self._steps[dst, p, over] = None
             dst = _swapped(dst, p)
         key = (order, positions, over)
-        out = Braid(self, order, dst, lambda: self._product(key), key)
-        self._pending.append(weakref.ref(out))
-        return out
+        return Braid(self, order, dst, lambda: self._product(key), key)
+
+    def braid_inverse(self, order, positions, over: bool = True) -> Braid:
+        """The inverse of ``braid(order, positions, over)``, named without
+        queueing that braid's generators: the product of the inverse
+        generators in reverse order.  sigma_p over on the word (a, b) is
+        c_{a,b}, and sigma_p under on (b, a) is c_{a,b}^-1."""
+        for p in positions:
+            order = _swapped(order, p)
+        return self.braid(order, positions[::-1], not over)
 
     # -- results -----------------------------------------------------------
 
@@ -639,6 +635,15 @@ class PathStack:
         return dict(sorted(out.items()))
 
 
+def _power(stack: PathStack, order, positions, e: int) -> Braid:
+    """The e-th power of the monodromy ``stack.braid(order, positions)``,
+    for e < 0 that of its inverse, named without queueing the monodromy's
+    own generators (``PathStack.braid_inverse``)."""
+    if e < 0:
+        return stack.braid_inverse(order, positions).power(-e)
+    return stack.braid(order, positions).power(e)
+
+
 def psi(stack: PathStack, order, mu: int, up: int, v: int, n: int = 0
         ) -> Braid:
     """``modcat.psi`` for every tuple: ``order`` is the source word
@@ -650,9 +655,9 @@ def psi(stack: PathStack, order, mu: int, up: int, v: int, n: int = 0
     cross = stack.braid(order, _crossing(mu + 1, up, v))
     if not n:
         return cross
-    before = stack.braid(order, _monodromy(1, mu, up)).power(n)
-    after = stack.braid(cross.dst, _monodromy(1, mu + v, up)).power(-n)
-    return after @ (cross @ before)
+    before = _power(stack, order, _monodromy(1, mu, up), n)
+    after = _power(stack, cross.dst, _monodromy(1, mu + v, up), -n)
+    return after @ cross @ before
 
 
 def psi_hat(stack: PathStack, order, u: int, up: int, v: int, n: int = 0
@@ -667,9 +672,9 @@ def psi_hat(stack: PathStack, order, u: int, up: int, v: int, n: int = 0
     cross = stack.braid(order, _crossing(u + 1, up, v), False)
     if not n:
         return cross
-    before = stack.braid(order, _monodromy(u + up + 1, v, rest)).power(-n)
-    after = stack.braid(cross.dst, _monodromy(u + 1, v, up + rest)).power(n)
-    return after @ (cross @ before)
+    before = _power(stack, order, _monodromy(u + up + 1, v, rest), -n)
+    after = _power(stack, cross.dst, _monodromy(u + 1, v, up + rest), n)
+    return after @ cross @ before
 
 
 def _moved(order, start: int, k: int, m: int) -> tuple:
@@ -728,7 +733,9 @@ def alpha_induction(stack: PathStack, order, m: int, x, y,
       psi_{M,X,Y} o (id_M . c_{Y,X}) o psi_{M,Y,X}^-1
     """
     (u, v), (up, vp) = x, y
-    back = psi(stack, _moved(order, m + up, vp, u), m + up, u, vp).inverse()
+    # psi^(0)_{M,Y,X}^-1, the inverse of a crossing
+    back = stack.braid_inverse(_moved(order, m + up, vp, u),
+                               _crossing(m + up + 1, u, vp))
     cu = stack.braid(back.dst, _crossing(m + 1, up, u), over)
     cv = stack.braid(cu.dst, _crossing(m + u + up + 1, vp, v), over)
     return psi(stack, cv.dst, m + u, up, v) @ (cv @ cu) @ back
@@ -849,7 +856,8 @@ def alpha_functor_deviations(spec: CategorySpec, tuples) -> list:
     """
     stack = PathStack(spec, tuples)
     one = (1, 1)
-    back = psi(stack, (0, 3, 5, 4, 6, 1, 2), 2, 1, 1).inverse()
+    # psi^(0)_{M,Y,Z}^-1, the inverse of a crossing
+    back = stack.braid_inverse((0, 3, 5, 4, 6, 1, 2), _crossing(3, 1, 1))
     return _worst(stack, (
         (alpha_induction(stack, (0, 3, 4, 1, 2, 5, 6), 1, one, one, over)
          @ alpha_induction(stack, (0, 3, 4, 5, 6, 1, 2), 3, one, one, over),
