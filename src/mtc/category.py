@@ -58,7 +58,10 @@ block reads as zeros.  Each side of an identity is a ``_Term``, the one
 evaluator of every identity checked by contraction: tuples whose blocks
 have equal shapes are contracted by one einsum with a batch axis, the
 operands gathered from stores by role, so that stores of the same keys
-can stand in, as in the two hexagons and in ``mtc.frobenius``.
+can stand in, as in the two hexagons and in ``mtc.frobenius``.  The
+pentagon and hexagons of a Deligne square C (x) C follow from C's two
+sides, slot by slot (``_square_gap``), which the product section of the
+suite uses instead of enumerating the square's tuples (``_square_report``).
 
 Every derived table is memoised on its owner by ``cached``, one section
 of the owner's ``_cache`` per table; README lists them.
@@ -275,17 +278,13 @@ class FusionRing:
                 if self.N[i, j, 0] != (1 if j == self.dual[i] else 0):
                     raise RingAxiomError(
                         f"duality fails: N[{i},{j},0] != delta(j, dual({i}))")
-        # associativity: sum_e N_ab^e N_ec^d == sum_f N_bc^f N_af^d, one
-        # first label a at a time, so that memory stays at rank^3.  numpy
-        # multiplies int64 matrices without BLAS; float64 products are
-        # exact while every sum of r products stays below 2^53
+        # associativity: sum_e N_ab^e N_ec^d == sum_f N_bc^f N_af^d, each
+        # side summed in int64 over its two-vertex paths, (a b -> e)(e c ->
+        # d) and (b c -> f)(a f -> d), per (a, b, c, d) with a path
         N = self.N
-        if r * int(N.max()) ** 2 < 2 ** 53:
-            N = N.astype(np.float64)
-        for Na in N:
-            if not np.array_equal((Na @ N.reshape(r, r * r)).reshape(
-                    r, r, r), N @ Na):
-                raise RingAxiomError("fusion associativity fails")
+        if not all(map(np.array_equal, _path_sums(N, N, (0, 1, 2, 3)),
+                       _path_sums(N, N.transpose(1, 0, 2), (2, 0, 1, 3)))):
+            raise RingAxiomError("fusion associativity fails")
         # braided data requires a commutative ring
         if not np.array_equal(self.N, self.N.transpose(1, 0, 2)):
             raise RingAxiomError("fusion ring is not commutative")
@@ -618,6 +617,32 @@ def _ranges(first, count) -> np.ndarray:
     """The concatenated ranges first[i] .. first[i] + count[i] - 1."""
     return np.arange(count.sum()) \
         + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def _path_sums(first, second, order) -> tuple:
+    """(codes, sums) over the two-vertex paths (x y -> z)(z w -> v) with
+    first[x,y,z] > 0 and second[z,w,v] > 0: per row (x, y, w, v) with a
+    path, its labels taken in ``order``, the sum in int64 of first[x,y,z]
+    second[z,w,v] over its paths, the rows ascending by ``_encode``."""
+    r = len(first)
+    first, second = first.ravel(), second.ravel()
+    # the vertices by code (x * rank + y) * rank + z, those of ``second``
+    # with first label z from start[z] on
+    one, two = np.flatnonzero(first), np.flatnonzero(second)
+    start = np.searchsorted(two, np.arange(r + 1) * r * r)
+    z = one % r
+    count = np.diff(start)[z]
+    path = np.repeat(np.arange(len(one)), count)
+    at = _ranges(start[z], count)
+    x, y = np.divmod(one // r, r)
+    w, v = np.divmod(two % (r * r), r)
+    labels = (x[path], y[path], w[at], v[at])
+    code = _encode([labels[k] for k in order], r)
+    sort = np.argsort(code, kind="stable")
+    code = code[sort]
+    head = np.flatnonzero(_changes(code))
+    return code[head], np.add.reduceat(
+        (first[one][path] * second[two][at])[sort], head)
 
 
 def _changes(values) -> np.ndarray:
@@ -1032,8 +1057,8 @@ def _hexagon_rows(N) -> np.ndarray:
     return np.einsum("ace,ec->a", P, fan @ fan.T).astype(np.int64)
 
 
-def _pentagon_deviation(spec: CategorySpec) -> float:
-    """Max deviation of the pentagon identity over all admissible labels.
+def _pentagon_sides(spec: CategorySpec):
+    """Per round of the pentagon, the slots of its two sides, (lhs, rhs).
 
     With T = ``f_tensor`` indexed [alpha, beta, gamma, delta], the 2-move
     and the 3-move path between the left- and right-nested trees of
@@ -1049,7 +1074,6 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
     ``_rounds``, with one label table and one ``_Term`` per side each.
     """
     ring, stores = spec.ring, {"F": _f_store(spec)}
-    worst = 0.0
     for firsts in _rounds(_pentagon_rows(ring.N)):
         # f in a (x) b, g in f (x) c, e in g (x) d, l in c (x) d and
         # k in b (x) l, with e in a (x) k
@@ -1063,12 +1087,21 @@ def _pentagon_deviation(spec: CategorySpec) -> float:
         rhs = _term(stores, slots, t, "ABSP,PGRM,SRNL->ABGNLM",
                     [("F", "abcgfh"), ("F", "ahdegk"), ("F", "bcdkhl")]
                     ).value(stores)
+        yield lhs, rhs
+
+
+def _pentagon_deviation(spec: CategorySpec) -> float:
+    """Max deviation of the pentagon identity over all admissible labels."""
+    worst = 0.0
+    for lhs, rhs in _pentagon_sides(spec):
         worst = max_dev(worst, _gap(lhs, rhs))
     return worst
 
 
-def _hexagon_deviations(spec: CategorySpec) -> tuple:
-    """Max deviations of the two hexagon identities: (braiding, inverse).
+def _hexagon_sides(spec: CategorySpec):
+    """Per round of the hexagons, the slots of their two sides: (False,
+    lhs, rhs) under the braiding, then (True, lhs, rhs) under the inverse
+    braiding.
 
     Multiplicity-free form (matrices reduce to scalars):
 
@@ -1085,7 +1118,6 @@ def _hexagon_deviations(spec: CategorySpec) -> tuple:
     ring, F = spec.ring, _f_store(spec)
     stores = [{"F": F, "R": _r_store(spec, inverse)}
               for inverse in (False, True)]
-    worst = [0.0, 0.0]
     for firsts in _rounds(_hexagon_rows(ring.N)):
         # e in a (x) c, d in e (x) b and g in c (x) b, with d in a (x) g
         t = (_LabelTable(ring, {"a": firsts}).grow("a", "c", "e")
@@ -1096,23 +1128,75 @@ def _hexagon_deviations(spec: CategorySpec) -> tuple:
         t = t.fuse("a", "b", "f", "cfd")
         rhs = _term(stores[0], slots, t, "XBmF,EF,mEYD->XBYD",
                     [("F", "cabdef"), ("R", "cfd"), ("F", "abcdfg")])
-        worst = [max_dev(w, _gap(lhs.value(roles), rhs.value(roles)))
-                 for w, roles in zip(worst, stores)]
+        for inverse, roles in zip((False, True), stores):
+            yield inverse, lhs.value(roles), rhs.value(roles)
+
+
+def _hexagon_deviations(spec: CategorySpec) -> tuple:
+    """Max deviations of the two hexagon identities: (braiding, inverse)."""
+    worst = [0.0, 0.0]
+    for inverse, lhs, rhs in _hexagon_sides(spec):
+        worst[inverse] = max_dev(worst[inverse], _gap(lhs, rhs))
     return tuple(worst)
+
+
+# The most pairs of entries that one chunk of ``_square_gap`` multiplies
+# out: a bound on its products, each a complex array of that length.
+_PAIR_CHUNK = 1 << 20
+
+
+def _square_gap(sides) -> float:
+    """The deviation of an identity on the square C (x) C, from its
+    ``sides`` on C: the (lhs, rhs) slots of C's rounds.
+
+    The square's F and R are the Kronecker products of C's (``deligne``),
+    so each of its label tuples is a pair (s, t) of C's, and each sum over
+    its labels and multiplicities is the product of the sums over the two
+    factors'.  The square's sides at (s, t) are thus the products of C's,
+    l_s l_t and r_s r_t, entry by entry, and its deviation is the largest
+    |l_i l_j - r_i r_j| over every pair (i, j) of C's entries.  Entries
+    with equal (l, r) give equal pairs, so each distinct (l, r) is taken
+    once; and as the pair (j, i) gives the same as (i, j), rows i take
+    columns j >= their chunk's first row, in chunks of at most
+    ``_PAIR_CHUNK`` pairs."""
+    lhs, rhs = (np.concatenate(side) for side in zip(*sides))
+    parts = np.stack([lhs.real, lhs.imag, rhs.real, rhs.imag])
+    order = np.lexsort(parts)
+    parts = parts[:, order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (parts[:, 1:] != parts[:, :-1]).any(axis=0)
+    lhs, rhs = lhs[order[keep]], rhs[order[keep]]
+    worst, lo, n = 0.0, 0, len(lhs)
+    while lo < n:
+        hi = lo + max(1, _PAIR_CHUNK // (n - lo))
+        worst = max_dev(worst, _gap(np.outer(lhs[lo:hi], lhs[lo:]),
+                                    np.outer(rhs[lo:hi], rhs[lo:])))
+        lo = hi
+    return worst
+
+
+def _square_hexagons(base: CategorySpec) -> tuple:
+    """``_hexagon_deviations`` of the square of ``base``, by
+    ``_square_gap`` from the base's sides: (braiding, inverse)."""
+    sides = ([], [])
+    for inverse, lhs, rhs in _hexagon_sides(base):
+        sides[inverse].append((lhs, rhs))
+    return tuple(_square_gap(s) for s in sides)
 
 
 def _f_block_failure(spec: CategorySpec, atol: float):
     """Why the first F-block in (a, b, c, d) order that is not finite or
     singular fails, or None.  The smallest singular values come from one
-    stacked SVD per block shape."""
+    stacked SVD per block shape, that of a 1 x 1 block being its modulus."""
     F, failures = _blocks(spec, "F"), []
     for n, (idx, _) in F.keys.groups.items():
         stack = F.stack(n)
         finite = np.isfinite(stack).all(axis=(1, 2))
         singular = np.zeros_like(finite)
         if finite.any():
-            singular[finite] = np.linalg.svd(
-                stack[finite], compute_uv=False)[:, -1] < atol
+            singular[finite] = (np.abs(stack[finite, 0, 0]) if n == 1 else
+                                np.linalg.svd(stack[finite], compute_uv=False
+                                              )[:, -1]) < atol
         for bad, why in ((~finite, "is not finite"), (singular, "is singular")):
             if bad.any():
                 failures.append((idx[int(np.argmax(bad))], why))
@@ -1148,6 +1232,26 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
                       ) -> VerificationReport:
     """Full coherence validation: ring axioms, F-data completeness, pentagon,
     both hexagons, ribbon compatibility, and dimension consistency."""
+    return _validated(spec, tol, lambda: _pentagon_deviation(spec),
+                      lambda: _hexagon_deviations(spec))
+
+
+def _square_report(square: CategorySpec, base: CategorySpec,
+                   tol: ToleranceConfig) -> VerificationReport:
+    """``validate_category`` of ``square``, which is deligne_power(base,
+    2), with its pentagon and hexagons from the base's sides
+    (``_square_gap``): equal up to rounding, without enumerating the
+    square's label tuples."""
+    return _validated(square, tol,
+                      lambda: _square_gap(_pentagon_sides(base)),
+                      lambda: _square_hexagons(base))
+
+
+def _validated(spec: CategorySpec, tol: ToleranceConfig, pentagon,
+               hexagons) -> VerificationReport:
+    """The checks of ``validate_category``, the pentagon's deviation read
+    from pentagon() and the hexagons' from hexagons(), called only when
+    every F-block is finite and invertible."""
     rep = VerificationReport(target=spec.name,
                              options={"atol": tol.atol})
     ring = spec.ring
@@ -1176,9 +1280,8 @@ def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     if failure is not None:
         return rep
 
-    rep.add_deviation("pentagon", "pentagon identity",
-                      _pentagon_deviation(spec), tol.atol)
-    braiding, inverse = _hexagon_deviations(spec)
+    rep.add_deviation("pentagon", "pentagon identity", pentagon(), tol.atol)
+    braiding, inverse = hexagons()
     rep.add_deviation("hexagon_braiding", "hexagon identity for the braiding",
                       braiding, tol.atol)
     rep.add_deviation("hexagon_inverse", "hexagon identity for the inverse braiding",

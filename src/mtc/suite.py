@@ -21,8 +21,8 @@ import os
 import numpy as np
 
 from .builtins import BUILTIN_NAMES, get_category
-from .category import (DEFAULT_TOL, CategorySpec, load_category,
-                       modular_datum, modular_group_relations,
+from .category import (DEFAULT_TOL, CategorySpec, _square_report,
+                       load_category, modular_datum, modular_group_relations,
                        validate_category, verlinde_fusion)
 from .deligne import deligne_power
 from .errors import RankOverflow, SnapFailure
@@ -96,7 +96,7 @@ def _product_section(spec, report, tol_config, md):
         report.add_skip("product_section", "product-coherence",
                         "square exceeds the rank bound")
         return
-    sub = validate_category(prod, tol_config)
+    sub = _square_report(prod, spec, tol_config)
     report.add_deviation("square_axioms", "product-coherence",
                          sub.max_deviation, tol_config.atol,
                          detail=f"{len(sub.checks)} checks on {prod.name}")

@@ -94,6 +94,20 @@ def test_non_associative_ring_rejected():
         FusionRing(*_non_associative())
 
 
+def test_non_commutative_group_ring_is_associative():
+    """The group ring of S3 is associative but not commutative: the ring
+    is refused for commutativity, so associativity compared each (a, b, c,
+    d) of (a b -> e)(e c -> d) with the same of (b c -> f)(a f -> d)."""
+    group = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(group)}
+    N = np.zeros((6, 6, 6), dtype=np.int64)
+    for g, h in itertools.product(group, repeat=2):
+        N[index[g], index[h], index[tuple(g[i] for i in h)]] = 1
+    dual = [int(np.flatnonzero(N[i, :, 0])[0]) for i in range(6)]
+    with pytest.raises(RingAxiomError, match="not commutative"):
+        FusionRing(N, dual)
+
+
 def _z7_square():
     """The fusion ring of the square of z_7(k), rank 49, labels row-major."""
     N1 = np.zeros((7, 7, 7), dtype=np.int64)

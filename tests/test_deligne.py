@@ -6,8 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
+import mtc.suite as suite
 from mtc import deligne, get_category, modular_datum, validate_category
-from mtc.category import CategorySpec, spec_from_dict, spec_to_dict
+from mtc.category import (DEFAULT_TOL, CategorySpec, _hexagon_deviations,
+                          _pentagon_deviation, _square_report,
+                          spec_from_dict, spec_to_dict)
 from mtc.deligne import (MAX_PRODUCT_RANK, deligne_pair, deligne_power,
                          pair_morphism)
 from mtc.deligne import product_tree_map
@@ -18,6 +21,7 @@ from mtc.frobenius import fusion_basis
 
 from conftest import BUILTINS, random_rep_a4
 from test_diagram_engine import random_endo, random_map
+from test_nonunitary import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +137,80 @@ def test_square_coherence(spec_of, squares, name):
     rep = validate_category(prod)
     assert rep.passed, rep.summary()
     assert rep.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "z_5(2)", *FIXTURES,
+                                  "rep_a4_random"])
+def test_square_report_equals_the_full_validation(spec_of, name):
+    """The product section's report on the square, its pentagon and
+    hexagons from the base's sides, has the checks of ``validate_category``
+    on the square with their statuses and details, and deviations equal up
+    to rounding: to 1e-13, or relative to 1e-13 on the incoherent Rep(A4)
+    data, whose multiplicity-2 pairs have deviations far from 0."""
+    spec = random_rep_a4() if name == "rep_a4_random" else \
+        FIXTURES[name]() if name in FIXTURES else spec_of(name)
+    square = deligne_power(spec, 2)
+    full = validate_category(square).checks
+    fast = _square_report(square, spec, DEFAULT_TOL).checks
+    assert [(c.name, c.status, c.detail) for c in fast] == \
+        [(c.name, c.status, c.detail) for c in full]
+    rel = 1e-13 if name == "rep_a4_random" else 0
+    for got, want in zip(fast, full):
+        assert got.max_deviation == pytest.approx(
+            want.max_deviation, rel=rel, abs=0 if rel else 1e-13), got.name
+    if name == "rep_a4_random":
+        assert min(c.max_deviation for c in full
+                   if c.name.startswith(("pentagon", "hexagon"))) > 1
+
+
+def _detuned(spec, table, key, change):
+    """``spec`` with its ``table`` block at ``key`` changed by ``change``."""
+    F, R = dict(spec.F), dict(spec.R)
+    symbols = F if table == "F" else R
+    symbols[key] = change(symbols[key].copy())
+    return CategorySpec(f"{spec.name}-detuned", spec.ring, spec.dims,
+                        spec.theta, F, R)
+
+
+def _nan_entry(block):
+    block[1, 0] = np.nan
+    return block
+
+
+@pytest.mark.parametrize("table, change, broken", [
+    ("F", lambda block: block * 1.1, "pentagon"),
+    ("R", lambda block: block * np.exp(0.3j), "hexagon_braiding"),
+    ("F", _nan_entry, "f_completeness"),
+], ids=["F-scaled", "R-phase", "F-nan"])
+def test_product_section_detects_a_detuned_base(spec_of, monkeypatch, table,
+                                                change, broken):
+    """One base block detuned, an F-block with no unit among its first
+    three labels scaled by 1.1, an R-block turned by a phase of 0.3 or an
+    F-entry made NaN, fails ``square_axioms`` in the product section, which
+    returns its report.  The square's deviation is at least the base's: the
+    pair of a base slot with the all-unit slot, whose sides are 1, gives
+    the square exactly the base's sides."""
+    fib = spec_of("fibonacci")
+    key = (1, 1, 1, 1) if table == "F" else (1, 1, 0)
+    bad = _detuned(fib, table, key, change)
+    monkeypatch.setattr(suite, "resolve_target", lambda target: bad)
+    report = suite.run_suite("fibonacci-detuned", suites=["product"])
+    check = {c.name: c for c in report.checks}["square_axioms"]
+    assert check.status == "fail"
+    base = validate_category(bad)
+    by_name = {c.name: c for c in base.checks}
+    assert by_name[broken].status == "fail"
+    if broken == "f_completeness":
+        assert check.detail == "4 checks on fibonacci-detuned^2"
+        return
+    assert check.detail == "9 checks on fibonacci-detuned^2"
+    square = {c.name: c.max_deviation for c in _square_report(
+        deligne_power(bad, 2), bad, DEFAULT_TOL).checks}
+    assert square[broken] >= by_name[broken].max_deviation > 1e-2
+    braiding, inverse = _hexagon_deviations(bad)
+    assert square["pentagon"] >= _pentagon_deviation(bad)
+    assert square["hexagon_braiding"] >= braiding
+    assert square["hexagon_inverse"] >= inverse
 
 
 def test_square_scalar_data(spec_of, squares):
