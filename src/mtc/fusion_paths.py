@@ -33,24 +33,31 @@ theta_{A_k} on each path.
 
 Braids are built when first used.  ``PathStack.braid`` only names a
 product of generators, and a braid's products, inverses and powers wait
-for it.  The first braid whose blocks are read, by
-``PathStack.deviations`` or ``PathStack.blocks``, flushes the stack: it
-builds every generator step (source order, p, over) queued since the
-last flush, in a few rounds.  Paths and generators depend only on the
-word a tuple spells, and most words repeat over the orders and tuples of
-a sweep, so the flush numbers the words of every new word order, each
-distinct word once, and enumerates the paths of the words not seen before
-together: one row gather per fusion step over the ring's fusion vertices
-(the R-keys), each once per multiplicity.  It builds sigma_p from each
-distinct word once, in local form, in every sense a step reads: for every
-path of its target word, the positions of the paths of its context in the
-source word and the entries of its local block there, one array of
-entries per sense.  sigma_p from a word and sigma_p back from its target
-share their contexts, so a round sorts the paths of both by context once,
-every (word, p) in one ``np.lexsort``, and gathers the entries from the
-spec's table of local blocks of each sense.  That table holds the block
-of every F-block key (x, a, b, y), laid out as the F-blocks and built in
-one batched product per block size from their stacks and those of the
+for it.  Paths and generators depend only on the word a tuple spells, and
+most words repeat, over the orders and tuples of a sweep and over the
+sweeps of one tuple length, so they live in a ``WordTable`` of the spec
+and the length, which several stacks may share; a stack keeps its block
+layout, the word ids of its orders, its built steps and its products.  A
+stack queues on its table every generator step (source order, p, over)
+and twisted order that it names.  The first braid of any stack on the
+table whose blocks are read, by ``PathStack.deviations`` or
+``PathStack.blocks``, flushes the table: it numbers the words of every
+queued word order, each distinct word once, and enumerates the paths of
+the words not seen before together: one row gather per fusion step over
+the ring's fusion vertices (the R-keys), each once per multiplicity.  It
+builds sigma_p from each distinct word that the tuples of any queued step
+read once, in local form, in every sense a step reads: for every path of
+its target word, the positions of the paths of its context in the source
+word and the entries of its local block there, one array of entries per
+sense.  If the unit is letter p or p + 1 of the word, the local block is
+the identity, as the spec holds the identity on every unit strand, and
+its rows are written directly (``WordTable._identities``).  Otherwise
+sigma_p from a word and sigma_p back from its target share their
+contexts, so a round sorts the paths of both by context once, every
+(word, p) in one ``np.lexsort``, and gathers the entries from the spec's
+table of local blocks of each sense.  That table holds the block of every
+F-block key (x, a, b, y), laid out as the F-blocks and built in one
+batched product per block size from their stacks and those of the
 inverse F-blocks and the R-blocks.  A step is then the generator row that
 each of its tuples reads first, since a tuple's blocks are those of its
 word.  No generator is ever written out as dense blocks: a product of
@@ -62,10 +69,11 @@ enumerates at most ``_ROUND_ROWS`` paths, or builds generators that read
 at most that many, unless one word or generator alone needs more, which
 bounds the memory of a flush.  Products, the inverse ones among them, are
 memoised per stack, so the psi^(n) of several n share their monodromies
-and the inverses of those.  Each sweep names all its braids before it
-compares the first, so that one flush builds them.  An error of the data,
-such as a singular block, is therefore raised where a braid is first
-read, not where it is named.
+and the inverses of those.  Each sweep names all its pairs of braids
+before it compares the first, and the suite names those of every sweep
+before it compares any, so that one flush per tuple length builds them.
+An error of the data, such as a singular block, is therefore raised where
+a braid is first read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
@@ -208,154 +216,100 @@ def _mu(L: int, k: int) -> int:
     return L + k
 
 
-class PathStack:
-    """The label tuples of a sweep, each a tuple of L Python ints in
-    [0, rank), with the fusion paths of every word that a braid reaches.
-    A word is ``labels[t, order]``, the letters of tuple t in a word order;
-    each distinct word is numbered once, with a representative tuple that
-    spells it, and tuples and orders that spell one word share its paths
-    and generators.  ``_paths`` holds the paths of every word numbered so
-    far: one word's rows together, in tree order per root, from row
-    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word,
-    the position within the block of its root and the size of that block.
-    A braid's blocks lie in one flat buffer, those of size n from base[n]
-    on and block b from offset[b] on; its rows are numbered in block
-    order.  A built generator step (order, p, over) is held in local form,
-    in ``_built``, as (first, partner, coef): the paths of tuple t's word
-    read the rows of its generator from row first[t] on, and a
-    generator's row holds, in each slot m, the offset partner[m] = j * n
-    of the row j of its context in the source word's block of n rows and
-    the entry coef[m] of its local block there.  A flush holds the rows of
-    all its generators in one array (slots, paths) of partners and one of
-    entries per sense; the rows of a smaller local block are padded with
-    row 0 and entry 0, and a step keeps the slots of its generators'
-    largest local block.  The products of generators are memoised per
-    (source order, positions, over), as arrays."""
+def _tree_counts(ring, words) -> np.ndarray:
+    """The number of trees of each word (a row of ``words``) at each root,
+    (len(words), rank), from the fusion rules alone."""
+    dims = np.eye(ring.rank, dtype=np.int64)[words[:, 0]]
+    for k in range(1, words.shape[1]):
+        for w in np.flatnonzero(np.bincount(words[:, k])).tolist():
+            on = words[:, k] == w
+            dims[on] = dims[on] @ ring.N[:, w]
+    return dims
 
-    def __init__(self, spec: CategorySpec, tuples):
-        tuples = list(tuples)
-        _check_words(*tuples)
-        if len({len(t) for t in tuples}) != 1 or not tuples[0]:
-            raise InvalidWord("label tuples must be non-empty and share one "
-                              "length")
-        labels = np.array(tuples, dtype=np.intp)
-        if not 0 <= labels.min() <= labels.max() < spec.rank:
-            raise InvalidWord(f"labels must lie in [0, {spec.rank})")
-        self.spec, self.labels = spec, labels
-        L = labels.shape[1]
+
+class WordTable:
+    """The words of length L that the tuples of the ``PathStack``s on it
+    spell, over one spec, with their fusion paths, and the builder of their
+    generators.  Each distinct word is numbered once, whichever stack, tuple
+    and word order spell it.  ``_paths`` holds the paths of every word
+    numbered so far: one word's rows together, in tree order per root, from
+    row ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word,
+    the position within the block of its root and the size of that block.
+
+    A stack queues its generator steps and twists here as plain dicts (see
+    ``PathStack``); the first read of any stack on the table flushes the
+    queues of them all at once: it numbers their new words, enumerates the
+    paths of those not seen before and builds every direction of sigma_p
+    that the tuples of any queued step read, each once, in the senses read.
+    The table holds no stack, so a stack and its braids die by reference
+    counting while their table lives on in the other stacks."""
+
+    def __init__(self, spec: CategorySpec, L: int):
+        self.spec, self.L = spec, L
         self._word, self._pos, self._n = 2 * L + 1, 2 * L + 2, 2 * L + 3
-        self._steps, self._orders, self._built, self._braids = \
-            {}, {}, {}, {}
-        # the words numbered so far, a tuple that spells each, the first
-        # row of each one's paths, and the word of every tuple in each
-        # word order read
         self._words = np.empty((0, L), dtype=np.intp)
-        self._rep = np.empty(0, dtype=np.intp)
         self._paths = np.empty((0, 2 * L + 4), dtype=np.int32)
-        self._row, self._word_of = np.zeros(1, dtype=np.intp), {}
+        self._row = np.zeros(1, dtype=np.intp)
         # the columns that sigma_p changes: A_p, mu_p and mu_{p + 1}
         self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
                                 for p in range(1, L)],
                                dtype=np.intp).reshape(L - 1, 3)
-        # the (tuple, root) blocks, from the tree counts of each tuple's
-        # word by root, which do not depend on the order of its letters
-        dims = np.eye(spec.rank, dtype=np.int64)[labels[:, 0]]
-        for k in range(1, L):
-            for w in np.flatnonzero(np.bincount(labels[:, k])).tolist():
-                on = labels[:, k] == w
-                dims[on] = dims[on] @ spec.ring.N[:, w]
-        self.tuple_of, self.root_of = np.nonzero(dims)  # of each block
-        self.first_block = np.searchsorted(self.tuple_of,
-                                           np.arange(len(labels)))
-        self.size_of = sizes = dims[self.tuple_of, self.root_of]
-        # the paths of each tuple's word
-        self._count = np.add.reduceat(sizes, self.first_block)
-        lay = _Keys(None, None, None, sizes)
-        self.members = {n: bs for n, (bs, _) in lay.groups.items()}
-        self.base = {n: lo for n, (_, lo) in lay.groups.items()}
-        self.offset, self.flat_size = lay.start, lay.total
-        # the rows of the blocks, in block order: row r is row i of block
-        # b, its diagonal entry at diagonal[r], and path[r] of its tuple's
-        # word, whose paths are its blocks' rows in root order
-        b, i, self._row_path = self._items(sizes)
-        self._row_tuple = self.tuple_of[b]
-        self._diagonal = self.offset[b] + i * (sizes[b] + 1)
-        # entry e lies in a row of tuple entry_tuple[e], path
-        # entry_path[e] of its word, and the entry of its column in row j
-        # of its block of n rows is base[e] + j * n
-        block, within, _ = self._items(sizes * sizes)
-        e = self.offset[block] + within
-        i, j = np.divmod(within, sizes[block])
-        self._entry_tuple, self._entry_path, self._entry_base = np.empty(
-            (3, self.flat_size), dtype=np.intp)
-        self._entry_tuple[e] = self.tuple_of[block]
-        self._entry_path[e] = self._row_path[(np.cumsum(sizes) - sizes)[block]
-                                             + i]
-        self._entry_base[e] = self.offset[block] + j
-
-    def __len__(self):
-        return len(self.labels)
-
-    def _items(self, per) -> tuple:
-        """Given per[b] items in each block b: the block of every item, in
-        block order, its index within the block, and its index among the
-        items of its tuple's blocks in root order."""
-        block = np.repeat(np.arange(len(per)), per)
-        before = np.cumsum(per) - per
-        index = np.arange(len(block))
-        return (block, index - before[block],
-                index - before[self.first_block[self.tuple_of[block]]])
-
-    def _singular(self, order, n: int, i: int) -> str:
-        """Where a braid from ``order`` is singular, given the position i
-        of its first singular block among those of size n: its word and
-        root."""
-        b = self.members[n][i]
-        word = tuple(self.labels[self.tuple_of[b], list(order)].tolist())
-        return (f"braid on the word {word} is singular at root "
-                f"{int(self.root_of[b])}: an F- or R-block is not invertible")
-
-    # -- the deferred rounds -----------------------------------------------
+        # the queues named since the last flush, one per stack: (labels,
+        # orders, steps, word_of, built), the last four a stack's dicts
+        self._queued = []
 
     def _flush(self):
-        """Build every queued generator step, after the paths of every word
-        they or a queued twist read."""
-        if not self._steps and not self._orders:
-            return
-        steps, orders = list(self._steps), dict(self._orders)
-        for order, p, _ in steps:
-            orders[order] = orders[_swapped(order, p)] = None
-        self._spell([order for order in orders if order not in self._word_of])
+        """Number the words of every queued word order and twist, then
+        build every queued generator step, and empty the queues.  A queue
+        stays until its flush succeeds, so that an error of the data is
+        raised again by the next read."""
+        spell, steps = [], []
+        for labels, orders, queued, word_of, built in self._queued:
+            orders = dict(orders)
+            for order, p, _ in queued:
+                orders[order] = orders[_swapped(order, p)] = None
+            spell.append((labels, word_of,
+                          [order for order in orders if order not in word_of]))
+            steps += [(word_of, built, step) for step in queued]
+        self._spell(spell)
         if steps:
             self._build(steps)
-        self._steps, self._orders = {}, {}
+        for _, orders, queued, _, _ in self._queued:
+            orders.clear()
+            queued.clear()
+        self._queued = []
 
-    def _spell(self, orders):
-        """Number the words of every tuple in each of ``orders``, and
-        enumerate the paths of those not numbered before, in rounds of at
-        most ``_ROUND_ROWS`` paths unless one word alone has more."""
-        if not orders:
+    def _spell(self, spell):
+        """For each (labels, word_of, orders) of ``spell``, number the words
+        of every tuple in each of ``orders`` into ``word_of``; enumerate
+        the paths of those not numbered before, in rounds of at most
+        ``_ROUND_ROWS`` paths unless one word alone has more."""
+        spell = [item for item in spell if item[2]]
+        if not spell:
             return
-        T, L = self.labels.shape
-        seen = len(self._words)
+        L, seen = self.L, len(self._words)
         # letter i of every numbered word, then of every tuple in each order
-        letters = np.concatenate([self._words.T, np.ascontiguousarray(
-            self.labels.T)[np.array(orders).T].reshape(L, -1)], axis=1)
+        letters = np.concatenate([self._words.T] + [
+            np.ascontiguousarray(labels.T)[np.array(orders).T].reshape(L, -1)
+            for labels, _, orders in spell], axis=1)
         _, first, inverse = np.unique(_codes(letters, [self.spec.rank] * L),
                                       return_index=True, return_inverse=True)
         new = first >= seen
         number = np.where(new, seen + np.cumsum(new) - 1, first)
-        for order, ids in zip(orders, number[inverse[seen:]].reshape(
-                len(orders), T)):
-            self._word_of[order] = ids
+        ids, at = number[inverse[seen:]], 0
+        for labels, word_of, orders in spell:
+            for order in orders:
+                word_of[order] = ids[at:at + len(labels)]
+                at += len(labels)
         if not new.any():
             return
-        self._words = np.concatenate([self._words, letters[:, first[new]].T])
-        self._rep = np.concatenate([self._rep, (first[new] - seen) % T])
-        count = self._count[self._rep]
-        self._row = np.concatenate([[0], np.cumsum(count)])
+        words = letters[:, first[new]].T
+        self._words = np.concatenate([self._words, words])
+        count = _tree_counts(self.spec.ring, words).sum(axis=1)
+        self._row = np.concatenate([self._row,
+                                    self._row[-1] + np.cumsum(count)])
         self._paths = np.concatenate([self._paths] + [
-            self._enumerate(seen + ids) for ids in _rounds(count[seen:])])
+            self._enumerate(seen + ids) for ids in _rounds(count)])
 
     def _enumerate(self, ids) -> np.ndarray:
         """The fusion paths of the words ``ids``, in one round: one row
@@ -364,7 +318,7 @@ class PathStack:
         into tree order."""
         ring = self.spec.ring
         r, m, V = ring.rank, int(ring.N.max()), _r_keys(ring)
-        L = self.labels.shape[1]
+        L = self.L
         width = 2 * L + 4
         # while paths grow: the columns of the table, then the letters
         grow = np.zeros((len(ids), width + L), dtype=np.int32)
@@ -394,20 +348,16 @@ class PathStack:
         paths[:, self._n] = np.diff(starts, append=len(paths))[block]
         return paths
 
-    def _directions(self, steps) -> tuple:
-        """The directions of sigma_p that the tuples of ``steps``, each
-        (order, p, over), read, numbered in order.  sigma_p joins the words
+    def _directions(self, p, src, dst) -> tuple:
+        """The directions of sigma_p that tuples read, sigma_p[i] from the
+        word src[i] to dst[i], numbered in order.  sigma_p joins the words
         s < t that it swaps, or a word s to itself, and its direction from
         s to t is 2 ((p - 1) W + s) + 1, the other 2 ((p - 1) W + s), so
         the two directions of (p, s) are numbered together.  Returns the
-        directions, the number of the one each step's tuples read, and the
-        word t of every (p, s)."""
+        directions, the number of the one each tuple reads, and the word t
+        of every (p, s)."""
         W = len(self._words)
-        src = np.array([self._word_of[order] for order, _, _ in steps])
-        dst = np.array([self._word_of[_swapped(order, p)]
-                        for order, p, _ in steps])
-        code = (np.array([[p - 1] for _, p, _ in steps]) * W
-                + np.minimum(src, dst)) * 2 + (dst > src)
+        code = ((p - 1) * W + np.minimum(src, dst)) * 2 + (dst > src)
         other = np.empty(len(self._local) * W, dtype=np.intp)
         other[code // 2] = np.maximum(src, dst)
         # marked in a table of every direction: cheaper than sorting the
@@ -417,35 +367,83 @@ class PathStack:
         return np.flatnonzero(built), (np.cumsum(built) - 1)[code], other
 
     def _build(self, steps):
-        """Build the generators of ``steps``, each (order, p, over): sigma_p
-        from each distinct word u that their tuples spell, in the senses
-        they read, once, in local form on the paths of its target word v,
-        in rounds that read at most ``_ROUND_ROWS`` paths unless the words
-        of one generator alone have more; then the generator rows that each
+        """Build the generator steps of ``steps``, each (word_of, built,
+        (order, p, over)) of one stack: sigma_p from each distinct word u
+        that the tuples of any of them spell, in the senses they read, once,
+        in local form on the paths of its target word v, in rounds that
+        read at most ``_ROUND_ROWS`` paths unless the words of one generator
+        alone have more; then, into ``built``, the generator rows that each
         step's tuples read.  sigma_p from u and sigma_p back from v share
-        their contexts, so a round sorts them once."""
+        their contexts, so a round sorts them once.  A generator with the
+        unit at letter p or p + 1 is the identity (``_identities``)."""
         W = len(self._words)
-        code, which, other = self._directions(steps)
+        src = [word_of[order] for word_of, _, (order, _, _) in steps]
+        dst = [word_of[_swapped(order, p)]
+               for word_of, _, (order, p, _) in steps]
+        ends = np.cumsum([len(ids) for ids in src])
+        step = np.repeat(np.arange(len(steps)), np.diff(ends, prepend=0))
+        p = np.array([p for *_, (_, p, _) in steps])[step]
+        code, which, other = self._directions(p, np.concatenate(src),
+                                              np.concatenate(dst))
         sense = np.zeros((len(code), 2), dtype=bool)
-        sense[which, np.array([[int(over)] for _, _, over in steps])] = True
+        sense[which, np.array([int(over) for *_, (_, _, over) in steps]
+                              )[step]] = True
         edge, up = code // 2, code % 2 == 1
         u = np.where(up, edge % W, other[edge])
         v = np.where(up, other[edge], edge % W)
-        count = self._count[self._rep[v]]
+        ps = edge // W + 1
+        count = np.diff(self._row)[v]
         base = np.cumsum(count) - count
         M = max(_f_keys(self.spec.ring).groups)
         partner = np.zeros((M, int(count.sum())), dtype=np.intp)
         coef = np.zeros((2, M, int(count.sum())), dtype=np.complex128)
         slots = np.empty(len(u), dtype=np.intp)
-        for idx in _rounds(2 * count):
-            slots[idx] = self._generators(partner, coef, base[idx], u[idx],
-                                          v[idx], edge[idx] // W + 1,
-                                          sense[idx])
+        unit = (self._words[u, ps - 1] == 0) | (self._words[u, ps] == 0)
+        for make, idx in ((self._identities, np.flatnonzero(unit)),
+                          (self._generators, np.flatnonzero(~unit))):
+            for at in _rounds(2 * count[idx]):
+                at = idx[at]
+                slots[at] = make(partner, coef, base[at], u[at], v[at],
+                                 ps[at], sense[at])
         # a step's tuples read the generators of their words in its sense,
         # and its slots are those of their largest local block
-        for k, (step, m) in enumerate(zip(steps, slots[which].max(axis=1))):
-            self._built[step] = base[which[k]], partner[:m], coef[
-                int(step[2]), :m]
+        for (_, built, key), ws in zip(steps, np.split(which, ends[:-1])):
+            m = slots[ws].max()
+            built[key] = base[ws], partner[:m], coef[int(key[2]), :m]
+
+    def _identities(self, partner, coef, base, u, v, ps, sense
+                    ) -> np.ndarray:
+        """``_generators`` for generators with the unit at letter p or
+        p + 1, written without a context sort and without local blocks.
+        Their local block is the identity: F[x,b,a,y] R F[x,a,b,y]^-1 with
+        a or b the unit is a product of the identity blocks that the spec
+        holds on unit strands.  Path j of v at a root is path j of u there,
+        as a unit vertex has one channel and index 0, so that swapping it
+        keeps the tree order.  The paths of a context differ only in the
+        index mu_k of the vertex k of the other letter, k = p + 1 if w_p of
+        v is the unit and p otherwise, at the stride in tree order of the
+        vertices after k: a row has a slot per index of vertex k, each
+        holding the position of its path there, and the entry 1 in slot
+        mu_k in each sense read, as the context sort writes them."""
+        L = self.L
+        count = self._row[v + 1] - self._row[v]
+        gen = np.repeat(np.arange(len(v)), count)
+        paths = self._paths[_ranges(self._row[v], count)]
+        words = self._words[v[gen]]
+        rows = np.arange(len(paths))
+        k = np.where(words[rows, ps[gen] - 1] == 0, ps[gen] + 1, ps[gen])
+        # the multiplicity N[A_{i-1}, w_i, A_i] of every vertex i of a path
+        mult = self.spec.ring.N[paths[:, :L], words, paths[:, 1:L + 1]]
+        size = mult[rows, k - 1]
+        stride = np.where(np.arange(1, L + 1) > k[:, None], mult, 1).prod(
+            axis=1)
+        mu, at = paths[rows, _mu(L, k)], _ranges(base, count)
+        slot = _ranges(np.zeros_like(size), size)
+        row = np.repeat(rows, size)
+        partner[slot, at[row]] = (paths[row, self._pos] + (slot - mu[row])
+                                  * stride[row]) * paths[row, self._n]
+        coef[:, mu, at] = sense[gen].T
+        return np.maximum.reduceat(size, np.cumsum(count) - count)
 
     def _generators(self, partner, coef, base, u, v, ps, sense
                     ) -> np.ndarray:
@@ -457,7 +455,7 @@ class PathStack:
         each one's largest local block."""
         spec = self.spec
         r, m = spec.rank, int(spec.ring.N.max())
-        L = self.labels.shape[1]
+        L = self.L
         # each generator reads its source word and its target at p: both
         # have the same contexts, each with as many paths as its local
         # block has trees, so the two sorts align
@@ -509,6 +507,123 @@ class PathStack:
                 coef[over, lj[pick], i[pick]] = _braid_blocks(
                     spec, bool(over))[at[pick]]
         return np.maximum.reduceat(size, np.cumsum(contexts) - contexts)
+
+
+class PathStack:
+    """The label tuples of a sweep, each a tuple of L Python ints in
+    [0, rank), on a ``WordTable`` of their spec that holds the words they
+    spell and the fusion paths of every word that a braid reaches.  A word
+    is ``labels[t, order]``, the letters of tuple t in a word order;
+    ``_word_of[order]`` numbers the word of every tuple in the table, and
+    tuples, orders and stacks that spell one word share its paths and
+    generators.  ``spec`` is the category, for a table of the stack's own,
+    or a ``WordTable`` of it to share with the other stacks on it.
+    A braid's blocks lie in one flat buffer, those of size n from base[n]
+    on and block b from offset[b] on; its rows are numbered in block
+    order.  A built generator step (order, p, over) is held in local form,
+    in ``_built``, as (first, partner, coef): the paths of tuple t's word
+    read the rows of its generator from row first[t] on, and a
+    generator's row holds, in each slot m, the offset partner[m] = j * n
+    of the row j of its context in the source word's block of n rows and
+    the entry coef[m] of its local block there.  A flush holds the rows of
+    all its generators in one array (slots, paths) of partners and one of
+    entries per sense; the rows of a smaller local block are padded with
+    row 0 and entry 0, and a step keeps the slots of its generators'
+    largest local block.  The products of generators are memoised per
+    (source order, positions, over), as arrays."""
+
+    def __init__(self, spec, tuples):
+        table = spec if isinstance(spec, WordTable) else None
+        if table is not None:
+            spec = table.spec
+        tuples = list(tuples)
+        _check_words(*tuples)
+        if len({len(t) for t in tuples}) != 1 or not tuples[0]:
+            raise InvalidWord("label tuples must be non-empty and share one "
+                              "length")
+        labels = np.array(tuples, dtype=np.intp)
+        if not 0 <= labels.min() <= labels.max() < spec.rank:
+            raise InvalidWord(f"labels must lie in [0, {spec.rank})")
+        L = labels.shape[1]
+        if table is None:
+            table = WordTable(spec, L)
+        elif table.L != L:
+            raise InvalidWord(f"label tuples of length {L} on a table of "
+                              f"words of length {table.L}")
+        self.spec, self.labels, self.table = spec, labels, table
+        # the queues of generator steps and twisted word orders named since
+        # the last flush, the word of every tuple in each word order read,
+        # the built steps and the memoised products
+        self._steps, self._orders, self._word_of, self._built, \
+            self._braids = {}, {}, {}, {}, {}
+        # the (tuple, root) blocks, from the tree counts of each tuple's
+        # word by root, which do not depend on the order of its letters
+        dims = _tree_counts(spec.ring, labels)
+        self.tuple_of, self.root_of = np.nonzero(dims)  # of each block
+        self.first_block = np.searchsorted(self.tuple_of,
+                                           np.arange(len(labels)))
+        self.size_of = sizes = dims[self.tuple_of, self.root_of]
+        lay = _Keys(None, None, None, sizes)
+        self.members = {n: bs for n, (bs, _) in lay.groups.items()}
+        self.base = {n: lo for n, (_, lo) in lay.groups.items()}
+        self.offset, self.flat_size = lay.start, lay.total
+        # the rows of the blocks, in block order: row r is row i of block
+        # b, its diagonal entry at diagonal[r], and path[r] of its tuple's
+        # word, whose paths are its blocks' rows in root order
+        b, i, self._row_path = self._items(sizes)
+        self._row_tuple = self.tuple_of[b]
+        self._diagonal = self.offset[b] + i * (sizes[b] + 1)
+        # entry e lies in a row of tuple entry_tuple[e], path
+        # entry_path[e] of its word, and the entry of its column in row j
+        # of its block of n rows is base[e] + j * n
+        block, within, _ = self._items(sizes * sizes)
+        e = self.offset[block] + within
+        i, j = np.divmod(within, sizes[block])
+        self._entry_tuple, self._entry_path, self._entry_base = np.empty(
+            (3, self.flat_size), dtype=np.intp)
+        self._entry_tuple[e] = self.tuple_of[block]
+        self._entry_path[e] = self._row_path[(np.cumsum(sizes) - sizes)[block]
+                                             + i]
+        self._entry_base[e] = self.offset[block] + j
+
+    def __len__(self):
+        return len(self.labels)
+
+    def _items(self, per) -> tuple:
+        """Given per[b] items in each block b: the block of every item, in
+        block order, its index within the block, and its index among the
+        items of its tuple's blocks in root order."""
+        block = np.repeat(np.arange(len(per)), per)
+        before = np.cumsum(per) - per
+        index = np.arange(len(block))
+        return (block, index - before[block],
+                index - before[self.first_block[self.tuple_of[block]]])
+
+    def _singular(self, order, n: int, i: int) -> str:
+        """Where a braid from ``order`` is singular, given the position i
+        of its first singular block among those of size n: its word and
+        root."""
+        b = self.members[n][i]
+        word = tuple(self.labels[self.tuple_of[b], list(order)].tolist())
+        return (f"braid on the word {word} is singular at root "
+                f"{int(self.root_of[b])}: an F- or R-block is not invertible")
+
+    # -- the deferred rounds -----------------------------------------------
+
+    def _queue(self, queue: dict, item):
+        """Queue a generator step or a twisted word order; a stack's queues
+        join its table's when they stop being empty."""
+        if not self._steps and not self._orders:
+            self.table._queued.append((self.labels, self._orders,
+                                       self._steps, self._word_of,
+                                       self._built))
+        queue[item] = None
+
+    def _flush(self):
+        """Build everything queued on the stack's table, this stack's
+        queues among it, unless an earlier flush of the table did."""
+        if self._steps or self._orders:
+            self.table._flush()
 
     def _split(self, flat) -> dict:
         """The blocks that lie in one flat buffer as ``offset`` places
@@ -564,14 +679,15 @@ class PathStack:
         if not 0 <= k <= len(order):
             raise PositionOutOfRange(f"prefix {k} invalid for words of "
                                      f"length {len(order)}")
-        self._orders[order] = None
+        self._queue(self._orders, order)
 
         def make():
-            rows = self._row[self._word_of[order][self._row_tuple]] \
+            table = self.table
+            rows = table._row[self._word_of[order][self._row_tuple]] \
                 + self._row_path
             out = np.zeros(self.flat_size, dtype=np.complex128)
             out[self._diagonal] = (self.spec.theta ** power)[
-                self._paths[rows, k]]
+                table._paths[rows, k]]
             return self._split(out)
         return Braid(self, order, order, make)
 
@@ -594,7 +710,7 @@ class PathStack:
         dst = order
         for p in positions:
             if (dst, p, over) not in self._built:
-                self._steps[dst, p, over] = None
+                self._queue(self._steps, (dst, p, over))
             dst = _swapped(dst, p)
         key = (order, positions, over)
         return Braid(self, order, dst, lambda: self._product(key), key)
@@ -752,9 +868,30 @@ def _worst(stack: PathStack, pairs) -> list:
     return worst.tolist()
 
 
+def _sweep(spec: CategorySpec, tuples, pairs, *args) -> list:
+    """The deviations of a sweep on a stack of its own: ``pairs(stack,
+    *args)`` names the sweep's (lhs, rhs) pairs on a stack."""
+    stack = PathStack(spec, tuples)
+    return _worst(stack, pairs(stack, *args))
+
+
+# Each sweep of the suite is a function that names its (lhs, rhs) pairs on
+# a stack, here ``_*_pairs``, and a public ``*_deviations`` that compares
+# them on a stack of its own tuples.  The suite names every sweep's pairs
+# on stacks that share a ``WordTable`` per tuple length before it compares
+# the first.
+#
 # A pentagon tuple is (m, x1, x2, y1, y2, z1, z2): the module M = (m,) and
 # the objects X = (x1,) x (x2,), Y and Z of the square, at slots
 # M, U1, V1, U2, V2, U3, V3 = 0, ..., 6.
+
+
+def _module_pentagon_pairs(stack: PathStack, n_values) -> list:
+    return [(psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n)
+             @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 2, 2, 1, n),
+             psi(stack, (0, 1, 3, 2, 4, 5, 6), 2, 1, 1, n)
+             @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 3, 1, 2, n))
+            for n in n_values]
 
 
 def module_pentagon_deviations(spec: CategorySpec, tuples, n_values=(0,)
@@ -765,14 +902,14 @@ def module_pentagon_deviations(spec: CategorySpec, tuples, n_values=(0,)
       psi_{M.X,Y,Z} o psi_{M,X,Y(x)Z}  against
       (psi_{M,X,Y} . id_Z) o psi_{M,X(x)Y,Z}
     """
-    n_values = exponents(n_values)
-    stack = PathStack(spec, tuples)
-    return _worst(stack, (
-        (psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n)
-         @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 2, 2, 1, n),
-         psi(stack, (0, 1, 3, 2, 4, 5, 6), 2, 1, 1, n)
-         @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 3, 1, 2, n))
-        for n in n_values))
+    return _sweep(spec, tuples, _module_pentagon_pairs, exponents(n_values))
+
+
+def _left_module_pentagon_pairs(stack: PathStack, n: int) -> list:
+    return [(psi_hat(stack, (1, 3, 2, 4, 5, 6, 0), 1, 1, 1, n)
+             @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 2, 1, 2, n),
+             psi_hat(stack, (1, 2, 3, 5, 4, 6, 0), 3, 1, 1, n)
+             @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 1, 2, 1, n))]
 
 
 def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
@@ -784,17 +921,19 @@ def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
       (id_X (x) psi_hat_{Y,Z,M}) o psi_hat_{X,Y(x)Z,M}
     """
     n, = exponents((n,))
-    stack = PathStack(spec, tuples)
-    lhs = psi_hat(stack, (1, 3, 2, 4, 5, 6, 0), 1, 1, 1, n) \
-        @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 2, 1, 2, n)
-    rhs = psi_hat(stack, (1, 2, 3, 5, 4, 6, 0), 3, 1, 1, n) \
-        @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 1, 2, 1, n)
-    return stack.deviations(lhs, rhs).tolist()
+    return _sweep(spec, tuples, _left_module_pentagon_pairs, n)
 
 
 # A tuple of the other sweeps is (m, x1, x2, y1, y2, ...) at slots M, U1,
 # V1, U2, V2, ... = 0, 1, ..., except for the commutor's (m, u, v, u', v')
 # and the single label of the twist extraction.
+
+
+def _module_triangle_pairs(stack: PathStack, n_values) -> list:
+    order = (0, 1, 2)
+    ident = stack.identity(order)
+    return [(psi(stack, order, mu, up, v, n), ident) for n in n_values
+            for mu, up, v in ((1, 1, 0), (2, 0, 1))]
 
 
 def module_triangle_deviations(spec: CategorySpec, tuples, n_values=(0,)
@@ -803,13 +942,17 @@ def module_triangle_deviations(spec: CategorySpec, tuples, n_values=(0,)
     largest over ``n_values``, one or more Python ints
     (``report.exponents``): psi_{M,1,X} and psi_{M,X,1} against the
     identity."""
-    n_values = exponents(n_values)
-    stack = PathStack(spec, tuples)
-    order = (0, 1, 2)
-    ident = stack.identity(order)
-    return _worst(stack, ((psi(stack, order, mu, up, v, n), ident)
-                          for n in n_values
-                          for mu, up, v in ((1, 1, 0), (2, 0, 1))))
+    return _sweep(spec, tuples, _module_triangle_pairs, exponents(n_values))
+
+
+def _twist_mismatch_pairs(stack: PathStack, n: int) -> list:
+    src, dst = (0, 1, 3, 2, 4), (0, 1, 2, 3, 4)
+    lhs = gamma(stack, dst, 1, 1) @ gamma(stack, dst, 3, 1) \
+        @ psi(stack, src, 2, 1, 1, n)
+    rhs = psi(stack, src, 2, 1, 1, n + 1) @ gamma(stack, src, 1, 2)
+    return [(lhs, rhs)] + [(psi(stack, src, 2, 1, 1, k),
+                            stack.braid(src, _crossing(3, 1, 1), over))
+                           for k, over in ((0, True), (1, False))]
 
 
 def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
@@ -823,15 +966,13 @@ def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
       psi^(0) against c_{U',V} and psi^(1) against c^-1_{V,U'}.
     """
     n, = exponents((n,))
-    stack = PathStack(spec, tuples)
-    src, dst = (0, 1, 3, 2, 4), (0, 1, 2, 3, 4)
-    lhs = gamma(stack, dst, 1, 1) @ gamma(stack, dst, 3, 1) \
-        @ psi(stack, src, 2, 1, 1, n)
-    rhs = psi(stack, src, 2, 1, 1, n + 1) @ gamma(stack, src, 1, 2)
-    return _worst(stack, [(lhs, rhs)] + [
-        (psi(stack, src, 2, 1, 1, k),
-         stack.braid(src, _crossing(3, 1, 1), over))
-        for k, over in ((0, True), (1, False))])
+    return _sweep(spec, tuples, _twist_mismatch_pairs, n)
+
+
+def _associator_chain_pairs(stack: PathStack, n: int) -> list:
+    src = (0, 1, 3, 2, 4)
+    return [(psi(stack, src, 2, 1, 1, n),
+             psi_from_gamma(stack, src, 1, 1, 1, 1, n))]
 
 
 def associator_chain_deviations(spec: CategorySpec, tuples, n: int
@@ -840,11 +981,21 @@ def associator_chain_deviations(spec: CategorySpec, tuples, n: int
     y2), as the associator-chain check of the suite; n a Python int
     (``report.exponents``)."""
     n, = exponents((n,))
-    stack = PathStack(spec, tuples)
-    src = (0, 1, 3, 2, 4)
-    return stack.deviations(psi(stack, src, 2, 1, 1, n),
-                            psi_from_gamma(stack, src, 1, 1, 1, 1, n)
-                            ).tolist()
+    return _sweep(spec, tuples, _associator_chain_pairs, n)
+
+
+def _alpha_functor_pairs(stack: PathStack) -> list:
+    one = (1, 1)
+    # psi^(0)_{M,Y,Z}^-1, the inverse of a crossing
+    back = stack.braid_inverse((0, 3, 5, 4, 6, 1, 2), _crossing(3, 1, 1))
+    return [(alpha_induction(stack, (0, 3, 4, 1, 2, 5, 6), 1, one, one, over)
+             @ alpha_induction(stack, (0, 3, 4, 5, 6, 1, 2), 3, one, one,
+                               over),
+             psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1)
+             @ alpha_induction(stack, (0, 3, 5, 4, 6, 1, 2), 1, one, (2, 2),
+                               over)
+             @ back)
+            for over in (True, False)]
 
 
 def alpha_functor_deviations(spec: CategorySpec, tuples) -> list:
@@ -854,18 +1005,16 @@ def alpha_functor_deviations(spec: CategorySpec, tuples) -> list:
       (gamma^X_{M,Y} . id_Z) o gamma^X_{M.Y,Z}  against
       psi^(0)_{M.X,Y,Z} o gamma^X_{M,Y(x)Z} o (psi^(0)_{M,Y,Z}^-1 . id_X)
     """
-    stack = PathStack(spec, tuples)
+    return _sweep(spec, tuples, _alpha_functor_pairs)
+
+
+def _commutor_witness_pairs(stack: PathStack) -> list:
     one = (1, 1)
-    # psi^(0)_{M,Y,Z}^-1, the inverse of a crossing
-    back = stack.braid_inverse((0, 3, 5, 4, 6, 1, 2), _crossing(3, 1, 1))
-    return _worst(stack, (
-        (alpha_induction(stack, (0, 3, 4, 1, 2, 5, 6), 1, one, one, over)
-         @ alpha_induction(stack, (0, 3, 4, 5, 6, 1, 2), 3, one, one, over),
-         psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1)
-         @ alpha_induction(stack, (0, 3, 5, 4, 6, 1, 2), 1, one, (2, 2),
-                           over)
-         @ back)
-        for over in (True, False)))
+    lhs = alpha_induction(stack, (0, 3, 4, 2, 1), 1, one, one, False) \
+        @ module_commutor(stack, (0, 3, 4, 1, 2), 3, 1, 1)
+    rhs = module_commutor(stack, (0, 1, 2, 3, 4), 1, 1, 1) \
+        @ alpha_induction(stack, (0, 3, 4, 1, 2), 1, one, one, True)
+    return [(lhs, rhs)]
 
 
 def commutor_witness_deviations(spec: CategorySpec, tuples) -> list:
@@ -874,19 +1023,16 @@ def commutor_witness_deviations(spec: CategorySpec, tuples) -> list:
       gamma^{VxU,-}_{M,U'xV'} o Gamma_{M.(U'xV')}  against
       (Gamma_M (x) id) o gamma^{UxV,+}_{M,U'xV'}
     """
-    stack = PathStack(spec, tuples)
-    one = (1, 1)
-    lhs = alpha_induction(stack, (0, 3, 4, 2, 1), 1, one, one, False) \
-        @ module_commutor(stack, (0, 3, 4, 1, 2), 3, 1, 1)
-    rhs = module_commutor(stack, (0, 1, 2, 3, 4), 1, 1, 1) \
-        @ alpha_induction(stack, (0, 3, 4, 1, 2), 1, one, one, True)
-    return stack.deviations(lhs, rhs).tolist()
+    return _sweep(spec, tuples, _commutor_witness_pairs)
+
+
+def _twist_extraction_pairs(stack: PathStack) -> list:
+    order = (0,)
+    got = gamma(stack, order, 0, 0) @ gamma(stack, order, 0, 1).inverse()
+    return [(got, stack.twist(order, 1))]
 
 
 def twist_extraction_deviations(spec: CategorySpec, tuples) -> list:
     """For every (u,), ``modcat.extract_twist`` of the word (u,),
     gamma_{1,1xU} o gamma_{1,Ux1}^-1, against theta_u."""
-    stack = PathStack(spec, tuples)
-    order = (0,)
-    got = gamma(stack, order, 0, 0) @ gamma(stack, order, 0, 1).inverse()
-    return stack.deviations(got, stack.twist(order, 1)).tolist()
+    return _sweep(spec, tuples, _twist_extraction_pairs)

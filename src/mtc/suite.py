@@ -10,7 +10,14 @@ fit the sweep's budget, a seeded sample of that size otherwise.  Every
 sweep takes its whole list at once and evaluates it as one braid-group
 representation on fusion paths (``mtc.fusion_paths``); the per-tuple
 functions of ``modcat`` are the single-tuple API and the tests' reference.
-Check times are measured by the report, not here.
+The sweeps of one tuple length share one ``WordTable``: their words, fusion
+paths and generators, a generator with a unit letter being the identity.
+Every sweep names its pairs of braids before any is compared, so the
+first comparison of a length builds the paths and generators of all its
+sweeps in one flush.  Check times are measured by the report, not here, so
+a module check's time includes its length's flush when it is the first of
+its length to be compared, and the first module check's time includes the
+naming of every sweep's pairs.
 """
 
 from __future__ import annotations
@@ -27,14 +34,12 @@ from .category import (DEFAULT_TOL, CategorySpec, _square_report,
 from .deligne import deligne_power
 from .errors import RankOverflow, SnapFailure
 from .frobenius import frobenius_report
-from .fusion_paths import (alpha_functor_deviations,
-                           associator_chain_deviations,
-                           commutor_witness_deviations,
-                           left_module_pentagon_deviations,
-                           module_pentagon_deviations,
-                           module_triangle_deviations,
-                           twist_extraction_deviations,
-                           twist_mismatch_deviations)
+from .fusion_paths import (PathStack, WordTable, _alpha_functor_pairs,
+                           _associator_chain_pairs, _commutor_witness_pairs,
+                           _left_module_pentagon_pairs,
+                           _module_pentagon_pairs, _module_triangle_pairs,
+                           _twist_extraction_pairs, _twist_mismatch_pairs,
+                           _worst)
 from .invariants import (annulus_defect, induced_decomposition_defect,
                          invariant_report, symmetric_group_check)
 from .report import VerificationReport, exponents, max_dev
@@ -111,31 +116,42 @@ def _module_section(spec, report, tol_config, n_values, rng):
     # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
     # (x1, x2), ... of the square; every sweep takes its whole list at once
     n0, n_top = n_values[0], max(n_values)
-    # name, statement, tuple length, sample budget, deviations of a list of
-    # tuples and their arguments after it
+    # name, statement, tuple length, sample budget, the namer of its (lhs,
+    # rhs) pairs on a stack and its arguments after it
     sweeps = [
         ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
-         module_pentagon_deviations, n_values),
+         _module_pentagon_pairs, n_values),
         ("left_module_pentagon", "left-module-pentagon", 7, 64,
-         left_module_pentagon_deviations, n0),
+         _left_module_pentagon_pairs, n0),
         ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
-         module_triangle_deviations, n_values),
+         _module_triangle_pairs, n_values),
         ("twist_mismatch_functor", "twist-mismatch-equation", 5,
-         _SWEEP_BUDGET, twist_mismatch_deviations, n0),
+         _SWEEP_BUDGET, _twist_mismatch_pairs, n0),
         ("associator_from_chain", "associator-chain", 5, 64,
-         associator_chain_deviations, n_top),
+         _associator_chain_pairs, n_top),
         ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET,
-         twist_extraction_deviations),
+         _twist_extraction_pairs),
         ("alpha_module_functor", "alpha-induction-functor", 7, 32,
-         alpha_functor_deviations),
+         _alpha_functor_pairs),
         ("commutor_witness", "commutor-intertwiner", 5, 32,
-         commutor_witness_deviations),
+         _commutor_witness_pairs),
     ]
-    for name, tag, k, budget, deviations, *args in sweeps:
-        tuples = _label_tuples(spec.rank, k, budget, rng)
-        worst = max_dev(*deviations(spec, tuples, *args))
+    # every sweep names its pairs on a stack of its own tuples before the
+    # first is compared, the stacks of one length on one word table, so
+    # that the first comparison of a length builds the paths and
+    # generators of all its sweeps in one flush; each stack is dropped
+    # once its deviations are read
+    tables, named = {}, []
+    for name, tag, k, budget, pairs, *args in sweeps:
+        if k not in tables:
+            tables[k] = WordTable(spec, k)
+        stack = PathStack(tables[k], _label_tuples(spec.rank, k, budget, rng))
+        named.append((name, tag, stack, pairs(stack, *args)))
+    named.reverse()
+    while named:
+        name, tag, stack, pairs = named.pop()
         report.add_deviation(
-            name, tag, worst, tol_config.atol,
+            name, tag, max_dev(*_worst(stack, pairs)), tol_config.atol,
             detail=f"n in {list(n_values)}" if name == "module_pentagon"
             else "")
 

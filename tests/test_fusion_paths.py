@@ -6,9 +6,13 @@ pentagon builds, at n = 0, 1 and 2, and every sweep of the suite must give
 each tuple the deviation that ``modcat`` gives it; single generators, their
 inverses and the twists of prefixes must equal the engine's on Rep(A4)
 words, whose local blocks have fusion multiplicity 2, also when one
-deferred flush enumerates several word orders at once.  Guards pin the
-number of batched rounds of a module pass and that stacks, braids and a
-spec that ran the module section are freed by reference counting.  The batched sides are products of local
+deferred flush enumerates several word orders at once.  A generator with
+the unit at letter p or p + 1 is written as the identity, and must equal
+bit for bit the rows that the context sort builds.  Guards pin the number
+of batched rounds of a module pass, one flush per tuple length, the
+module deviations of ising, fibonacci, z_5(2) and Rep(A4) bit for bit, and
+that stacks, braids, word tables and a spec that ran the module section
+are freed by reference counting.  The batched sides are products of local
 generators, so on an F that fails the pentagon they can agree where the
 engine's whiskered composites do not: the last tests pin what the report
 still sees then, and which module checks hold by construction.
@@ -26,11 +30,11 @@ import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc import fusion_paths
 from mtc.builtins import BUILTIN_NAMES
-from mtc.category import CategorySpec
+from mtc.category import _ROUND_ROWS, CategorySpec, _ranges
 from mtc.engine import Morphism, braid_generator, embed, twist_endo
 from mtc.errors import (InvalidWord, NotPremodular, PositionOutOfRange,
                         ShapeMismatch)
-from mtc.fusion_paths import PathStack
+from mtc.fusion_paths import PathStack, WordTable
 from mtc.modcat import psi, psi_hat
 from mtc.report import max_dev
 from mtc.suite import run_suite
@@ -154,8 +158,8 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
                                  rng.integers(0, 4, size=(10, 5))})
     stack = PathStack(spec, words)
     rounds = []
-    enumerate_ = PathStack._enumerate
-    monkeypatch.setattr(PathStack, "_enumerate", lambda self, ids: (
+    enumerate_ = WordTable._enumerate
+    monkeypatch.setattr(WordTable, "_enumerate", lambda self, ids: (
         rounds.append(ids.tolist()), enumerate_(self, ids))[1])
     order = (0, 1, 2, 3, 4)
     f = fusion_paths.alpha_induction(stack, order, 1, (1, 1), (1, 1))
@@ -164,7 +168,8 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
     stack.blocks(f, 0)
     moved = fusion_paths._moved(order, 2, 1, 1)
     assert moved in stack._word_of and len(stack._word_of) > 2
-    numbered = [tuple(w) for w in stack._words.tolist()]
+    table = stack.table
+    numbered = [tuple(w) for w in table._words.tolist()]
     assert rounds == [list(range(len(numbered)))]
     assert len(set(numbered)) == len(numbered) < len(stack._word_of) \
         * len(words)
@@ -173,7 +178,7 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
             assert numbered[ids[k]] == tuple(labels[i] for i in order)
     L = len(order)
     for u, word in enumerate(numbered):
-        rows = stack._paths[stack._row[u]:stack._row[u + 1]].tolist()
+        rows = table._paths[table._row[u]:table._row[u + 1]].tolist()
         got = {}
         for row in rows:
             assert row[2 * L + 1] == u
@@ -230,37 +235,142 @@ def test_fibonacci_module_deviations_hold_bit_for_bit():
     assert {c.name: c.max_deviation for c in report.checks} == FIB_MODULE
 
 
+# The same for z_5(2), on whose rank-5 words few repeat.
+Z52_MODULE = {
+    "module_pentagon": 2.4582102826059023e-15,
+    "left_module_pentagon": 2.482534153247273e-16,
+    "module_triangle": 8.082545620880531e-16,
+    "twist_mismatch_functor": 5.461575137144001e-15,
+    "associator_from_chain": 8.948838350958004e-15,
+    "twist_extraction": 1.5700924586837752e-16,
+    "alpha_module_functor": 4.577566798522237e-16,
+    "commutor_witness": 3.510833468576701e-16,
+}
+
+
+def test_z5_module_deviations_hold_bit_for_bit():
+    report = run_suite("z_5(2)", suites=["module"])
+    assert {c.name: c.max_deviation for c in report.checks} == Z52_MODULE
+
+
+# The same for the module section on conftest.random_rep_a4(), whose data
+# is not coherent, and per tuple for each sweep on a stack of its own, on
+# six tuples of each length seeded by 35 in this order: the sweep's tuple
+# length, its batched deviations and the deviations they give.  Unit
+# letters next to multiplicity-2 vertices enter their generators.
+A4_MODULE = {
+    "module_pentagon": 101629621939.40714,
+    "left_module_pentagon": 1.2862197421537486e-12,
+    "module_triangle": 4.440892098500626e-16,
+    "twist_mismatch_functor": 163.8999060829092,
+    "associator_from_chain": 4001.5301719359745,
+    "twist_extraction": 0.0,
+    "alpha_module_functor": 92199580.01176323,
+    "commutor_witness": 47.92089086091081,
+}
+A4_SWEEPS = {
+    "module_pentagon": (
+        7, lambda s, ts: fusion_paths.module_pentagon_deviations(
+            s, ts, N_VALUES),
+        [69.44409267618676, 4.376443472740641e-16, 0.000798552983635691,
+         8.730919876328985e-14, 0.0, 0.0]),
+    "left_module_pentagon": (
+        7, lambda s, ts: fusion_paths.left_module_pentagon_deviations(
+            s, ts, 1),
+        [8.528310906259313e-17, 9.029268013363768e-16, 0.0,
+         1.0418843950660006e-12, 0.0, 0.0]),
+    "module_triangle": (
+        3, lambda s, ts: fusion_paths.module_triangle_deviations(
+            s, ts, N_VALUES),
+        [0.0] * 6),
+    "twist_mismatch_functor": (
+        5, lambda s, ts: fusion_paths.twist_mismatch_deviations(s, ts, -1),
+        [0.08663252251374436, 0.0, 5.961331875953686, 0.7117899385223491,
+         0.32625832070122374, 5.8662544647155865]),
+    "associator_from_chain": (
+        5, lambda s, ts: fusion_paths.associator_chain_deviations(s, ts, 2),
+        [0.0, 0.0, 718.5175143735519, 0.0, 8.621529318813513, 0.0]),
+    "twist_extraction": (
+        1, fusion_paths.twist_extraction_deviations, [0.0] * 6),
+    "alpha_module_functor": (
+        7, fusion_paths.alpha_functor_deviations,
+        [1.2560739669470201e-15, 8.881784197001252e-16, 0.0,
+         19.923445610035966, 5.084229945850415e-13, 6.632608979562184]),
+    "commutor_witness": (
+        5, fusion_paths.commutor_witness_deviations,
+        [0.0, 0.0, 0.0, 1.6068951399541964e-17, 3.227937720230791e-17,
+         5.161858260603477]),
+}
+
+
+def test_rep_a4_module_deviations_hold_bit_for_bit(monkeypatch):
+    spec = random_rep_a4()
+    rng = np.random.default_rng(35)
+    for sweep, (k, batched, want) in A4_SWEEPS.items():
+        tuples = [tuple(int(x) for x in row)
+                  for row in rng.integers(0, spec.rank, size=(6, k))]
+        assert batched(spec, tuples) == want, sweep
+    monkeypatch.setattr(suite, "resolve_target", lambda target: spec)
+    report = run_suite(spec.name, suites=["module"])
+    assert {c.name: c.max_deviation for c in report.checks} == A4_MODULE
+
+
 def test_stacks_enumerate_no_order_of_their_own(monkeypatch):
     """A stack takes its block layout from the tree counts of its words,
-    so it enumerates only the word orders its braids read, in its first
-    flush: a cold ising ``--suite module`` pass makes at most 9
-    enumeration rounds, with the same deviations bit for bit."""
+    so it enumerates only the word orders its braids read, and the stacks
+    of one tuple length share one word table: a cold ising ``--suite
+    module`` pass makes one enumeration round per tuple length, 4 where a
+    flush per stack made 8 and a round per word order 68, with the same
+    deviations bit for bit."""
     rounds = []
-    enumerate_ = PathStack._enumerate
-    monkeypatch.setattr(PathStack, "_enumerate", lambda self, ids: (
-        rounds.append(ids), enumerate_(self, ids))[1])
+    enumerate_ = WordTable._enumerate
+    monkeypatch.setattr(WordTable, "_enumerate", lambda self, ids: (
+        rounds.append(self.L), enumerate_(self, ids))[1])
     report = run_suite("ising", suites=["module"])
-    assert len(rounds) <= 9
+    assert sorted(rounds) == [1, 3, 5, 7]
     assert {c.name: c.max_deviation for c in report.checks} == ISING_MODULE
 
 
 def test_module_sweeps_build_in_few_rounds(monkeypatch):
-    """A cold ``--suite module`` pass on ising makes at most one
-    enumeration round per stack and per comparison, and at most one
-    generator round per comparison, where a round per word order and per
-    generator made 68 enumerations and 140 generator builds."""
-    calls = dict.fromkeys(("__init__", "_enumerate", "_generators",
-                           "deviations"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(PathStack, name),
-                    **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(PathStack, name, counted)
+    """A cold ``--suite module`` pass on ising flushes each of its four
+    word tables once, within the first comparison of a sweep of its
+    length: one numbering per length and one generator build for each of
+    the lengths 7, 5 and 3, where each of 8 stacks flushed on its own and
+    7 of them built generators.  Each round of a build writes the rows of
+    at most ``_ROUND_ROWS`` paths, counting those of source and target,
+    unless it builds one generator."""
+    calls = {name: [] for name in ("_spell", "_build")}
+    for name, got in calls.items():
+        def counted(self, *args, _got=got, _fn=getattr(WordTable, name)):
+            _got.append(self.L)
+            return _fn(self, *args)
+        monkeypatch.setattr(WordTable, name, counted)
+    rounds = []
+    for name in ("_generators", "_identities"):
+        def bounded(self, partner, coef, base, u, v, ps, sense,
+                    _fn=getattr(WordTable, name)):
+            rounds.append((self.L, len(u),
+                           2 * int(np.diff(self._row)[v].sum())))
+            return _fn(self, partner, coef, base, u, v, ps, sense)
+        monkeypatch.setattr(WordTable, name, bounded)
+    flushed = []
+    deviations = PathStack.deviations
+
+    def compare(self, f, g):
+        before = len(calls["_spell"])
+        out = deviations(self, f, g)
+        flushed.append((self.table.L, calls["_spell"][before:]))
+        return out
+    monkeypatch.setattr(PathStack, "deviations", compare)
     run_suite("ising", suites=["module"])
-    assert calls["deviations"] >= 8
-    assert calls["_enumerate"] <= calls["__init__"] + calls["deviations"]
-    assert calls["_generators"] <= calls["deviations"], calls
+    assert sorted(calls["_spell"]) == [1, 3, 5, 7]
+    assert sorted(calls["_build"]) == [3, 5, 7]
+    seen = set()
+    for L, spelt in flushed:
+        assert spelt == ([] if L in seen else [L])
+        seen.add(L)
+    assert {L for L, _, _ in rounds} == {3, 5, 7}
+    assert all(n == 1 or paths <= _ROUND_ROWS for _, n, paths in rounds)
 
 
 def test_each_braid_is_inverted_once_per_stack(monkeypatch):
@@ -335,6 +445,66 @@ def _steps(order, positions, over):
     for p in positions:
         yield order, p, over
         order = fusion_paths._swapped(order, p)
+
+
+def _unit(table, u, ps):
+    """Which generators sigma_p from the words u have the unit at letter p
+    or p + 1."""
+    return (table._words[u, ps - 1] == 0) | (table._words[u, ps] == 0)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "random_rep_a4"])
+def test_unit_letters_write_the_rows_of_the_context_sort(monkeypatch, name):
+    """A generator with the unit at letter p or p + 1 is the identity, so
+    its rows are written without a context sort: on every one that a cold
+    module section writes so, the partners, the entries in both senses
+    and the slot count equal bit for bit those that ``_generators`` builds
+    by the context sort, and no generator that the context sort builds has
+    a unit letter there.  On Rep(A4) the paths of some of them pass
+    multiplicity-2 vertices, whose contexts hold two paths each."""
+    spec = random_rep_a4() if name == "random_rep_a4" else \
+        suite.get_category(name)
+    monkeypatch.setattr(suite, "resolve_target", lambda target: spec)
+    identities, generators = WordTable._identities, WordTable._generators
+    written, mu = [], []
+
+    def checked(self, partner, coef, base, u, v, ps, sense):
+        assert _unit(self, u, ps).all()
+        count = np.diff(self._row)[v]
+        rows = _ranges(base, count)
+        both = np.ones_like(sense)
+        got, want = [(np.zeros_like(partner), np.zeros_like(coef))
+                     for _ in range(2)]
+        slots = identities(self, *got, base, u, v, ps, both)
+        assert np.array_equal(slots, generators(self, *want, base, u, v, ps,
+                                                both))
+        for x, y in zip(got, want):
+            assert x[..., rows].tobytes() == y[..., rows].tobytes()
+        written.append(len(u))
+        L = self.L
+        mu.append(self._paths[_ranges(self._row[v], count),
+                              L + 1:2 * L + 1].max())
+        return identities(self, partner, coef, base, u, v, ps, sense)
+
+    def sorted_(self, partner, coef, base, u, v, ps, sense):
+        assert not _unit(self, u, ps).any()
+        return generators(self, partner, coef, base, u, v, ps, sense)
+    monkeypatch.setattr(WordTable, "_identities", checked)
+    monkeypatch.setattr(WordTable, "_generators", sorted_)
+    run_suite(spec.name, suites=["module"])
+    assert sum(written) >= (11 if name == "trivial" else 100)
+    assert (max(mu) > 0) == (name == "random_rep_a4")
+
+
+def test_a_flush_of_unit_letters_reads_no_local_block(monkeypatch):
+    """On ``trivial`` every letter is the unit, so no generator of its
+    module section reads the table of local blocks, built from the F- and
+    R-blocks and the inverse F-blocks."""
+    def refuse(*args):
+        raise AssertionError("a unit letter's generator read _braid_blocks")
+    monkeypatch.setattr(fusion_paths, "_braid_blocks", refuse)
+    report = run_suite("trivial", suites=["module"])
+    assert len(report.checks) == 8 and report.passed
 
 
 # The sweeps that take one exponent n rather than a list n_values.
@@ -416,14 +586,20 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
                                                            spec_of):
     """Under gc.disable(), every stack and braid of an alpha-functor sweep
     dies by reference counting once the sweep returns, and so does a spec
-    once every section has run on it: its cache holds arrays, not objects
-    that point back at it."""
-    refs = []
+    once every section has run on it, with the word tables that its module
+    section shares between stacks: the spec's cache holds arrays, not
+    objects that point back at it, and a table holds no stack."""
+    refs, tables = [], []
     init, braid = PathStack.__init__, PathStack.braid
+    table_init = WordTable.__init__
 
     def tracked_init(self, *args):
         refs.append(weakref.ref(self))
         init(self, *args)
+
+    def tracked_table(self, *args):
+        tables.append(weakref.ref(self))
+        table_init(self, *args)
 
     def tracked_braid(self, *args):
         out = braid(self, *args)
@@ -431,6 +607,7 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
         return out
     monkeypatch.setattr(PathStack, "__init__", tracked_init)
     monkeypatch.setattr(PathStack, "braid", tracked_braid)
+    monkeypatch.setattr(WordTable, "__init__", tracked_table)
     gc.collect()
     gc.disable()
     try:
@@ -444,8 +621,8 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
             monkeypatch.setattr(suite, "resolve_target",
                                 lambda target: specs.pop())
             assert run_suite(name).passed
-        assert len(refs) > 10
-        assert all(ref() is None for ref in refs)
+        assert len(refs) > 10 and len(tables) > 8
+        assert all(ref() is None for ref in refs + tables)
     finally:
         gc.enable()
 

@@ -62,12 +62,12 @@ def test_suite_check_times_are_measured():
     assert len(set(frob)) > 1
 
 
-# the capped sweeps of the module section, by check name and the batched
-# function that ``suite`` calls
-CAPPED = {"left_module_pentagon": "left_module_pentagon_deviations",
-          "associator_from_chain": "associator_chain_deviations",
-          "alpha_module_functor": "alpha_functor_deviations",
-          "commutor_witness": "commutor_witness_deviations"}
+# the capped sweeps of the module section, by check name and the function
+# that names their pairs on a stack in ``suite``
+CAPPED = {"left_module_pentagon": "_left_module_pentagon_pairs",
+          "associator_from_chain": "_associator_chain_pairs",
+          "alpha_module_functor": "_alpha_functor_pairs",
+          "commutor_witness": "_commutor_witness_pairs"}
 
 
 def test_capped_sweeps_reach_every_module(monkeypatch):
@@ -76,10 +76,11 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
     seen = {}
 
     def record(name):
-        def deviations(spec, tuples, *args):
-            seen.setdefault(name, set()).update((t[0],) for t in tuples)
-            return [0.0] * len(tuples)
-        return deviations
+        def pairs(stack, *args):
+            seen.setdefault(name, set()).update(
+                (int(m),) for m in stack.labels[:, 0])
+            return []
+        return pairs
 
     for name, function in CAPPED.items():
         monkeypatch.setattr(suite, function, record(name))
