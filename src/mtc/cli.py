@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol", type=float, default=None,
                        help="numeric tolerance (default 1e-9 or $MTC_TOL)")
     check.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled sweeps")
+                       help="seed for the sampled module-relation words "
+                            "(ranks above 11)")
     check.add_argument("--suite", action="append", default=None,
                        help="comma-separated subset of: "
                             + ",".join(SUITE_NAMES)

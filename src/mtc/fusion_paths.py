@@ -1,5 +1,6 @@
-"""The module sweeps of the suite as one braid-group representation on
-fusion paths, batched over every label tuple of a sweep.
+"""The module section as one braid-group representation on fusion paths,
+batched over every label tuple of a stack: the two relations that certify
+it, and the eight sweeps of its identities that they replace in the suite.
 
 The tuples of a sweep have one length L, and every word of its identities
 orders a tuple's letters: a word order is a permutation of 0..L-1, the same
@@ -70,35 +71,81 @@ at most that many, unless one word or generator alone needs more, which
 bounds the memory of a flush.  Products, the inverse ones among them, are
 memoised per stack, so the psi^(n) of several n share their monodromies
 and the inverses of those.  Each sweep names all its pairs of braids
-before it compares the first, and the suite names those of every sweep
-before it compares any, so that one flush per tuple length builds them.
+before it compares the first, and ``module_sweeps`` names those of every
+sweep before it compares any, so that one flush per tuple length builds
+them.
 An error of the data, such as a singular block, is therefore raised where
 a braid is first read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
-inverses and diagonal twists, so they compose strictly.  The engine
-whiskers a multi-letter composite through ``split_transform``, whose
-F-move paths agree only when F satisfies the pentagon: on coherent data
-both agree to rounding, and on incoherent F these sweeps test the braid
-relations of the generators, while F's own pentagon is the ``pentagon``
-check of ``validate_category``.  Some identities hold here by
-construction: the unit triangle (psi^(n) with a unit object is D^-n o D^n
-or the identity braid), the left module pentagon, the n = 0 half of the
-psi shortcut (psi^(0) is the crossing it is compared with) and the twist
-extraction (it reads back the twists it is compared with).  The per-tuple
-functions of ``modcat`` remain the single-tuple API and reference.
+inverses and prefix twists, so they compose strictly: each is the image of
+a framed braid under the map rho that sends sigma_p to the generator and
+the twist of a k-letter prefix to the full twist of its strands plus one
+framing on each, the framing of a letter a acting as theta_a.  rho is a
+representation of the framed braid groupoid when three facts and two
+relations hold.  The facts hold by construction: far generators commute
+(sigma_p and sigma_q with |p - q| > 1 read and change disjoint labels of a
+path), an under generator is the inverse of its over generator (sigma_p
+under on (b, a) is c_{a,b}^-1), and a generator with a unit letter is the
+identity.  The relations are checked on the data:
+
+- ``braid_relation_deviations``: sigma_2 sigma_3 sigma_2 against sigma_3
+  sigma_2 sigma_3, over and under, on every word (x, a, b, c).  The
+  relation of sigma_p and sigma_{p+1} reads only the context x = A_{p-1}
+  and the three letters after it, and every context is a label, so these
+  words give it at every p of every word; x = 0 gives the relation of
+  sigma_1 and sigma_2.
+- ``twist_relation_deviations``: theta_{A_3} against the monodromy sigma_2
+  sigma_1 sigma_1 sigma_2 of the third letter around the first two, times
+  theta_{A_2} and the twist of the third letter alone, on every word
+  (x, a, b).  That twist is beta^-1 theta_{A_1} beta, beta = sigma_2
+  sigma_1 carrying the third letter to the front: theta_b on every path, a
+  scalar per tuple, so the comparison is exact.  Words (0, a, b) give the
+  two-letter relation theta_{A_2} = sigma_1 sigma_1 theta_a theta_b, which
+  is ribbon compatibility.  For k letters, the monodromy of letter k
+  around the first k - 1 is sigma_{k-1} ... sigma_1 sigma_1 ... sigma_{k-1}
+  = sigma_{k-1} (sigma_{k-2} ... sigma_1 sigma_1 ... sigma_{k-2})
+  sigma_{k-1}.  By induction the bracket is theta_{A_{k-1}} /
+  (theta_{A_{k-2}} theta_{w_{k-1}}) on each path, and what is left is the
+  three-letter relation at context x = A_{k-2}, read by the same local
+  blocks.  So theta_{A_k} is the full twist of the first k strands times
+  theta_{w_1} ... theta_{w_k}, for every k.
+
+Each identity of the paper's module section compares two framed braids
+that are equal whatever the data, as ``tests/test_module_certificate.py``
+proves by Artin's faithful action on the free group plus a framing count
+per strand (Artin, "Theory of braids", Ann. Math. 48 (1947); Kassel and
+Turaev, "Braid Groups", GTM 247).  So once the relations hold, every
+identity holds on every tuple, and the suite checks the relations, on
+every word up to its budget.  That is exact only where the relations hold
+exactly: a relation deviation eps bounds an identity's deviation by eps
+times the number of relation moves between its two sides, times the norms
+of the generators around each move, so near the tolerance an identity can
+fail where the relations pass (on perturbed data by up to 2.55 eps on
+ising and 24.9 eps on Yang-Lee, whose generators are not unitary).
+``module_sweeps`` keeps the eight sweeps of the identities themselves, on
+sampled tuples, as the tests' reference.
+The engine whiskers a multi-letter composite through ``split_transform``,
+whose F-move paths agree only when F satisfies the pentagon: on coherent
+data both agree to rounding, and on incoherent F the relations and the
+sweeps test the generators that F and R give, while F's own pentagon is
+the ``pentagon`` check of ``validate_category``.  The per-tuple functions
+of ``modcat`` remain the single-tuple API and reference.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .category import (CategorySpec, _blocks, _changes, _check_words,
-                       _codes, _f_inverses, _f_keys, _inverses, _Keys, _mult,
-                       _r_keys, _r_store, _ranges, _rounds, cached)
+from .category import (_ROUND_ROWS, DEFAULT_TOL, CategorySpec, _blocks,
+                       _changes, _check_words, _codes, _f_inverses, _f_keys,
+                       _inverses, _Keys, _mult, _r_keys, _r_store, _ranges,
+                       _rounds, cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
-from .report import exponents
+from .report import VerificationReport, exponents, max_dev
 
 
 def _crossing(start: int, k: int, m: int) -> tuple:
@@ -869,17 +916,61 @@ def _worst(stack: PathStack, pairs) -> list:
 
 
 def _sweep(spec: CategorySpec, tuples, pairs, *args) -> list:
-    """The deviations of a sweep on a stack of its own: ``pairs(stack,
-    *args)`` names the sweep's (lhs, rhs) pairs on a stack."""
-    stack = PathStack(spec, tuples)
-    return _worst(stack, pairs(stack, *args))
+    """The deviations of a sweep on stacks of its own, each of at most
+    ``_ROUND_ROWS`` tuples, which bounds their memory: ``pairs(stack,
+    *args)`` names the sweep's (lhs, rhs) pairs on a stack.  A tuple's
+    deviation does not depend on the other tuples of its stack."""
+    tuples, out = list(tuples), []
+    for at in range(0, max(len(tuples), 1), _ROUND_ROWS):
+        stack = PathStack(spec, tuples[at:at + _ROUND_ROWS])
+        out += _worst(stack, pairs(stack, *args))
+    return out
 
 
-# Each sweep of the suite is a function that names its (lhs, rhs) pairs on
-# a stack, here ``_*_pairs``, and a public ``*_deviations`` that compares
-# them on a stack of its own tuples.  The suite names every sweep's pairs
-# on stacks that share a ``WordTable`` per tuple length before it compares
-# the first.
+# Each relation and each sweep is a function that names its (lhs, rhs)
+# pairs on a stack, here ``_*_pairs``, and a public ``*_deviations`` that
+# compares them on stacks of its own tuples.  ``module_sweeps`` names every
+# sweep's pairs on stacks that share a ``WordTable`` per tuple length
+# before it compares the first.
+#
+# A relation's tuple is a word (x, a, b, c) or (x, a, b), its first letter
+# the context of the generators that follow it.
+
+
+def _braid_relation_pairs(stack: PathStack) -> list:
+    order = (0, 1, 2, 3)
+    return [(stack.braid(order, (2, 3, 2), over),
+             stack.braid(order, (3, 2, 3), over)) for over in (True, False)]
+
+
+def braid_relation_deviations(spec: CategorySpec, words) -> list:
+    """sigma_2 sigma_3 sigma_2 against sigma_3 sigma_2 sigma_3, over and
+    under, on every word (x, a, b, c): the braid relation of sigma_p and
+    sigma_{p+1} at context x."""
+    return _sweep(spec, words, _braid_relation_pairs)
+
+
+def _twist_relation_pairs(stack: PathStack) -> list:
+    order = (0, 1, 2)
+    # beta carries the third letter to the front, where its twist is that
+    # of a prefix
+    beta = stack.braid(order, (2, 1))
+    return [(stack.twist(order, 3),
+             stack.braid(order, (2, 1, 1, 2)) @ stack.twist(order, 2)
+             @ beta.inverse() @ stack.twist(beta.dst, 1) @ beta)]
+
+
+def twist_relation_deviations(spec: CategorySpec, words) -> list:
+    """The twist of a three-letter prefix against the monodromy of its
+    third letter around the first two times the twists of both, on every
+    word (x, a, b):
+
+      theta_{x(x)a(x)b}  against  sigma_2 sigma_1 sigma_1 sigma_2
+        o (theta_{x(x)a} (x) id_b) o (id_{x(x)a} (x) theta_b)
+    """
+    return _sweep(spec, words, _twist_relation_pairs)
+
+
 #
 # A pentagon tuple is (m, x1, x2, y1, y2, z1, z2): the module M = (m,) and
 # the objects X = (x1,) x (x2,), Y and Z of the square, at slots
@@ -1036,3 +1127,73 @@ def twist_extraction_deviations(spec: CategorySpec, tuples) -> list:
     """For every (u,), ``modcat.extract_twist`` of the word (u,),
     gamma_{1,1xU} o gamma_{1,Ux1}^-1, against theta_u."""
     return _sweep(spec, tuples, _twist_extraction_pairs)
+
+
+# The sample budget of a sweep with no smaller cap: above it, a sweep draws
+# that many seeded tuples, with replacement.
+_SWEEP_BUDGET = 256
+
+
+def _label_tuples(rank: int, k: int, budget: int, rng
+                  ) -> list[tuple[int, ...]]:
+    """All r^k label tuples, or a seeded sample of ``budget`` of them."""
+    if rank ** k <= budget:
+        return list(itertools.product(range(rank), repeat=k))
+    picks = rng.integers(0, rank, size=(budget, k))
+    return [tuple(row) for row in picks.tolist()]
+
+
+def module_sweeps(spec: CategorySpec, n_values=(0, 1, 2)
+                  ) -> VerificationReport:
+    """The eight identities of the paper's module section, each swept over
+    the label tuples of its length: all of them while they fit the sweep's
+    budget, a sample of that size drawn with seed 0 otherwise.  A report of
+    eight checks at ``DEFAULT_TOL``.  ``mtc check`` runs the two relations
+    that certify these identities instead; the tests keep the sweeps as
+    their reference.
+
+    Every sweep names its pairs on a stack of its own tuples before the
+    first is compared, the stacks of one length on one ``WordTable``, so
+    that the first comparison of a length builds the paths and generators
+    of all its sweeps in one flush; each stack is dropped once its
+    deviations are read."""
+    # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
+    # (x1, x2), ... of the square
+    n_values = exponents(n_values)
+    n0, n_top = n_values[0], max(n_values)
+    rng = np.random.default_rng(0)
+    # name, statement, tuple length, sample budget, the namer of its (lhs,
+    # rhs) pairs on a stack and its arguments after it
+    sweeps = [
+        ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
+         _module_pentagon_pairs, n_values),
+        ("left_module_pentagon", "left-module-pentagon", 7, 64,
+         _left_module_pentagon_pairs, n0),
+        ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
+         _module_triangle_pairs, n_values),
+        ("twist_mismatch_functor", "twist-mismatch-equation", 5,
+         _SWEEP_BUDGET, _twist_mismatch_pairs, n0),
+        ("associator_from_chain", "associator-chain", 5, 64,
+         _associator_chain_pairs, n_top),
+        ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET,
+         _twist_extraction_pairs),
+        ("alpha_module_functor", "alpha-induction-functor", 7, 32,
+         _alpha_functor_pairs),
+        ("commutor_witness", "commutor-intertwiner", 5, 32,
+         _commutor_witness_pairs),
+    ]
+    tables, named = {}, []
+    for name, tag, k, budget, pairs, *args in sweeps:
+        if k not in tables:
+            tables[k] = WordTable(spec, k)
+        stack = PathStack(tables[k], _label_tuples(spec.rank, k, budget, rng))
+        named.append((name, tag, stack, pairs(stack, *args)))
+    named.reverse()
+    report = VerificationReport(spec.name)
+    while named:
+        name, tag, stack, pairs = named.pop()
+        report.add_deviation(
+            name, tag, max_dev(*_worst(stack, pairs)), DEFAULT_TOL.atol,
+            detail=f"n in {list(n_values)}" if name == "module_pentagon"
+            else "")
+    return report

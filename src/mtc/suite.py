@@ -4,25 +4,25 @@ Sections run in dependency order: the axioms of the input data, its
 modular data, the square of the category, the module associator family on
 the square, the canonical algebra, and the permutation invariants.
 Sections can be selected individually; everything downstream of a failed
-load is reported, not swallowed.  The module section is one table of
-sweeps, each over the label tuples of one length: all of them while they
-fit the sweep's budget, a seeded sample of that size otherwise.  Every
-sweep takes its whole list at once and evaluates it as one braid-group
-representation on fusion paths (``mtc.fusion_paths``); the per-tuple
-functions of ``modcat`` are the single-tuple API and the tests' reference.
-The sweeps of one tuple length share one ``WordTable``: their words, fusion
-paths and generators, a generator with a unit letter being the identity.
-Every sweep names its pairs of braids before any is compared, so the
-first comparison of a length builds the paths and generators of all its
-sweeps in one flush.  Check times are measured by the report, not here, so
-a module check's time includes its length's flush when it is the first of
-its length to be compared, and the first module check's time includes the
-naming of every sweep's pairs.
+load is reported, not swallowed.  The module section certifies the paper's
+module identities by two relations of the braid-group representation on
+fusion paths (``mtc.fusion_paths``): ``braid_relations`` on the words of
+four letters and ``twist_relation`` on those of three.  With the three
+facts that hold by construction, they make that representation one of the
+framed braid groupoid, and each identity of the section compares two equal
+framed braids, so it holds on every label tuple.  That is exact only where
+the relations hold exactly: a relation deviation eps allows each identity
+a multiple of eps (``mtc.fusion_paths``).  Each relation runs on all its
+words while they fit ``_WORD_BUDGET``, and on a seeded sample of that many
+distinct words otherwise, in stacks of at most ``_ROUND_ROWS`` words; its
+``detail`` states which.  The eight sampled sweeps of the identities
+themselves are ``fusion_paths.module_sweeps``, the tests' reference, and
+the per-tuple functions of ``modcat`` remain the single-tuple API.  Check
+times are measured by the report, not here.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np
@@ -34,12 +34,8 @@ from .category import (DEFAULT_TOL, CategorySpec, _square_report,
 from .deligne import deligne_power
 from .errors import RankOverflow, SnapFailure
 from .frobenius import frobenius_report
-from .fusion_paths import (PathStack, WordTable, _alpha_functor_pairs,
-                           _associator_chain_pairs, _commutor_witness_pairs,
-                           _left_module_pentagon_pairs,
-                           _module_pentagon_pairs, _module_triangle_pairs,
-                           _twist_extraction_pairs, _twist_mismatch_pairs,
-                           _worst)
+from .fusion_paths import (braid_relation_deviations,
+                           twist_relation_deviations)
 from .invariants import (annulus_defect, induced_decomposition_defect,
                          invariant_report, symmetric_group_check)
 from .report import VerificationReport, exponents, max_dev
@@ -47,10 +43,10 @@ from .report import VerificationReport, exponents, max_dev
 SUITE_NAMES = ["category", "modular", "product", "module", "frobenius",
                "invariants"]
 
-# module-layer sweeps enumerate r^k label tuples; above a sweep's budget a
-# seeded sample of that size is used instead.  This is the budget of the
-# sweeps with no smaller cap.
-_SWEEP_BUDGET = 256
+# the module relations enumerate r^k words; above this budget each draws a
+# seeded sample of that many distinct words instead.  Every builtin,
+# z_5(2) and z_11(1) (11^4 = 14,641 words) fit it.
+_WORD_BUDGET = 1 << 14
 
 
 def resolve_target(target: str) -> CategorySpec:
@@ -66,13 +62,19 @@ def resolve_target(target: str) -> CategorySpec:
         raise ValueError(exc.args[0]) from None
 
 
-def _label_tuples(rank: int, k: int, budget: int, rng
-                  ) -> list[tuple[int, ...]]:
-    """All r^k label tuples, or a seeded sample of ``budget`` of them."""
-    if rank ** k <= budget:
-        return list(itertools.product(range(rank), repeat=k))
-    picks = rng.integers(0, rank, size=(budget, k))
-    return [tuple(row) for row in picks.tolist()]
+def _relation_words(rank: int, k: int, rng, seed: int) -> tuple[list, str]:
+    """The words of k letters that a relation runs on, and its coverage:
+    all r^k while they fit ``_WORD_BUDGET``, in lexicographic order, or a
+    sample of that many distinct words drawn by ``rng``, sorted."""
+    total = rank ** k
+    if total <= _WORD_BUDGET:
+        codes = np.arange(total)
+        coverage = f"exhaustive {total}/{total} words"
+    else:
+        codes = np.sort(rng.choice(total, size=_WORD_BUDGET, replace=False))
+        coverage = f"sampled {_WORD_BUDGET}/{total} words seed={seed}"
+    words = codes[:, None] // rank ** np.arange(k - 1, -1, -1) % rank
+    return [tuple(w) for w in words.tolist()], coverage
 
 
 def _modular_section(spec, report, tol_config, md):
@@ -112,48 +114,18 @@ def _product_section(spec, report, tol_config, md):
                              dev, tol_config.atol)
 
 
-def _module_section(spec, report, tol_config, n_values, rng):
-    # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
-    # (x1, x2), ... of the square; every sweep takes its whole list at once
-    n0, n_top = n_values[0], max(n_values)
-    # name, statement, tuple length, sample budget, the namer of its (lhs,
-    # rhs) pairs on a stack and its arguments after it
-    sweeps = [
-        ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
-         _module_pentagon_pairs, n_values),
-        ("left_module_pentagon", "left-module-pentagon", 7, 64,
-         _left_module_pentagon_pairs, n0),
-        ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
-         _module_triangle_pairs, n_values),
-        ("twist_mismatch_functor", "twist-mismatch-equation", 5,
-         _SWEEP_BUDGET, _twist_mismatch_pairs, n0),
-        ("associator_from_chain", "associator-chain", 5, 64,
-         _associator_chain_pairs, n_top),
-        ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET,
-         _twist_extraction_pairs),
-        ("alpha_module_functor", "alpha-induction-functor", 7, 32,
-         _alpha_functor_pairs),
-        ("commutor_witness", "commutor-intertwiner", 5, 32,
-         _commutor_witness_pairs),
-    ]
-    # every sweep names its pairs on a stack of its own tuples before the
-    # first is compared, the stacks of one length on one word table, so
-    # that the first comparison of a length builds the paths and
-    # generators of all its sweeps in one flush; each stack is dropped
-    # once its deviations are read
-    tables, named = {}, []
-    for name, tag, k, budget, pairs, *args in sweeps:
-        if k not in tables:
-            tables[k] = WordTable(spec, k)
-        stack = PathStack(tables[k], _label_tuples(spec.rank, k, budget, rng))
-        named.append((name, tag, stack, pairs(stack, *args)))
-    named.reverse()
-    while named:
-        name, tag, stack, pairs = named.pop()
-        report.add_deviation(
-            name, tag, max_dev(*_worst(stack, pairs)), tol_config.atol,
-            detail=f"n in {list(n_values)}" if name == "module_pentagon"
-            else "")
+def _module_section(spec, report, tol_config, seed):
+    # name, statement, word length and the deviations per word of each
+    # relation
+    rng = np.random.default_rng(seed)
+    for name, tag, k, deviations in (
+            ("braid_relations", "braid-relations", 4,
+             braid_relation_deviations),
+            ("twist_relation", "twist-relation", 3,
+             twist_relation_deviations)):
+        words, coverage = _relation_words(spec.rank, k, rng, seed)
+        report.add_deviation(name, tag, max_dev(*deviations(spec, words)),
+                             tol_config.atol, detail=coverage)
 
 
 def _invariants_section(spec, report, tol_config, md):
@@ -198,7 +170,6 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
                          f"choose from {SUITE_NAMES}")
     n_values = exponents(n_values)
     spec = resolve_target(target)
-    rng = np.random.default_rng(seed)
 
     report = VerificationReport(
         target=spec.name,
@@ -218,7 +189,7 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
         _product_section(spec, report, tol_config, md)
 
     if "module" in chosen:
-        _module_section(spec, report, tol_config, n_values, rng)
+        _module_section(spec, report, tol_config, seed)
 
     if "frobenius" in chosen:
         report.extend(frobenius_report(

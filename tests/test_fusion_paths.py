@@ -2,20 +2,21 @@
 
 Every factor of both pentagons, built for a whole stack of label tuples,
 must equal block by block the ``modcat`` morphism that the per-tuple
-pentagon builds, at n = 0, 1 and 2, and every sweep of the suite must give
-each tuple the deviation that ``modcat`` gives it; single generators, their
+pentagon builds, at n = 0, 1 and 2, and every sweep of ``module_sweeps``
+must give each tuple the deviation that ``modcat`` gives it; single
+generators, their
 inverses and the twists of prefixes must equal the engine's on Rep(A4)
 words, whose local blocks have fusion multiplicity 2, also when one
 deferred flush enumerates several word orders at once.  A generator with
 the unit at letter p or p + 1 is written as the identity, and must equal
 bit for bit the rows that the context sort builds.  Guards pin the number
-of batched rounds of a module pass, one flush per tuple length, the
-module deviations of ising, fibonacci, z_5(2) and Rep(A4) bit for bit, and
-that stacks, braids, word tables and a spec that ran the module section
-are freed by reference counting.  The batched sides are products of local
-generators, so on an F that fails the pentagon they can agree where the
-engine's whiskered composites do not: the last tests pin what the report
-still sees then, and which module checks hold by construction.
+of batched rounds of a ``module_sweeps`` pass, one flush per tuple length,
+the sweeps' deviations of ising, fibonacci, z_5(2) and Rep(A4) bit for bit,
+and that stacks, braids, word tables and a spec that ran every section and
+the sweeps are freed by reference counting.  The batched sides are
+products of local generators, so on an F that fails the pentagon they can
+agree where the engine's whiskered composites do not: the last tests pin
+what the report still sees then.
 """
 
 import gc
@@ -34,7 +35,7 @@ from mtc.category import _ROUND_ROWS, CategorySpec, _ranges
 from mtc.engine import Morphism, braid_generator, embed, twist_endo
 from mtc.errors import (InvalidWord, NotPremodular, PositionOutOfRange,
                         ShapeMismatch)
-from mtc.fusion_paths import PathStack, WordTable
+from mtc.fusion_paths import PathStack, WordTable, module_sweeps
 from mtc.modcat import psi, psi_hat
 from mtc.report import max_dev
 from mtc.suite import run_suite
@@ -199,11 +200,10 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
                                  braid_generator(spec, word, p, over), AGREE)
 
 
-# The module deviations of ``run_suite("ising", suites=["module"])``, with
-# the generators held in local form and every inverse product of generators
-# built from the inverse generators.  They pin the sweeps' arithmetic bit
-# for bit: a change meant to move it re-pins them from a fresh
-# ``run_suite(<target>, suites=["module"])``.
+# The deviations of ``module_sweeps`` on ising, with the generators held in
+# local form and every inverse product of generators built from the inverse
+# generators.  They pin the sweeps' arithmetic bit for bit: a change meant
+# to move it re-pins them from a fresh ``module_sweeps(<spec>)``.
 ISING_MODULE = {
     "module_pentagon": 1.3653937842860002e-15,
     "left_module_pentagon": 1.1213173297822986e-16,
@@ -231,7 +231,7 @@ FIB_MODULE = {
 
 
 def test_fibonacci_module_deviations_hold_bit_for_bit():
-    report = run_suite("fibonacci", suites=["module"])
+    report = module_sweeps(suite.get_category("fibonacci"))
     assert {c.name: c.max_deviation for c in report.checks} == FIB_MODULE
 
 
@@ -249,11 +249,11 @@ Z52_MODULE = {
 
 
 def test_z5_module_deviations_hold_bit_for_bit():
-    report = run_suite("z_5(2)", suites=["module"])
+    report = module_sweeps(suite.get_category("z_5(2)"))
     assert {c.name: c.max_deviation for c in report.checks} == Z52_MODULE
 
 
-# The same for the module section on conftest.random_rep_a4(), whose data
+# The same for the sweeps on conftest.random_rep_a4(), whose data
 # is not coherent, and per tuple for each sweep on a stack of its own, on
 # six tuples of each length seeded by 35 in this order: the sweep's tuple
 # length, its batched deviations and the deviations they give.  Unit
@@ -303,36 +303,35 @@ A4_SWEEPS = {
 }
 
 
-def test_rep_a4_module_deviations_hold_bit_for_bit(monkeypatch):
+def test_rep_a4_module_deviations_hold_bit_for_bit():
     spec = random_rep_a4()
     rng = np.random.default_rng(35)
     for sweep, (k, batched, want) in A4_SWEEPS.items():
         tuples = [tuple(int(x) for x in row)
                   for row in rng.integers(0, spec.rank, size=(6, k))]
         assert batched(spec, tuples) == want, sweep
-    monkeypatch.setattr(suite, "resolve_target", lambda target: spec)
-    report = run_suite(spec.name, suites=["module"])
+    report = module_sweeps(spec)
     assert {c.name: c.max_deviation for c in report.checks} == A4_MODULE
 
 
 def test_stacks_enumerate_no_order_of_their_own(monkeypatch):
     """A stack takes its block layout from the tree counts of its words,
     so it enumerates only the word orders its braids read, and the stacks
-    of one tuple length share one word table: a cold ising ``--suite
-    module`` pass makes one enumeration round per tuple length, 4 where a
-    flush per stack made 8 and a round per word order 68, with the same
-    deviations bit for bit."""
+    of one tuple length share one word table: a cold ising
+    ``module_sweeps`` pass makes one enumeration round per tuple length, 4
+    where a flush per stack made 8 and a round per word order 68, with the
+    same deviations bit for bit."""
     rounds = []
     enumerate_ = WordTable._enumerate
     monkeypatch.setattr(WordTable, "_enumerate", lambda self, ids: (
         rounds.append(self.L), enumerate_(self, ids))[1])
-    report = run_suite("ising", suites=["module"])
+    report = module_sweeps(suite.get_category("ising"))
     assert sorted(rounds) == [1, 3, 5, 7]
     assert {c.name: c.max_deviation for c in report.checks} == ISING_MODULE
 
 
 def test_module_sweeps_build_in_few_rounds(monkeypatch):
-    """A cold ``--suite module`` pass on ising flushes each of its four
+    """A cold ``module_sweeps`` pass on ising flushes each of its four
     word tables once, within the first comparison of a sweep of its
     length: one numbering per length and one generator build for each of
     the lengths 7, 5 and 3, where each of 8 stacks flushed on its own and
@@ -362,7 +361,7 @@ def test_module_sweeps_build_in_few_rounds(monkeypatch):
         flushed.append((self.table.L, calls["_spell"][before:]))
         return out
     monkeypatch.setattr(PathStack, "deviations", compare)
-    run_suite("ising", suites=["module"])
+    module_sweeps(suite.get_category("ising"))
     assert sorted(calls["_spell"]) == [1, 3, 5, 7]
     assert sorted(calls["_build"]) == [3, 5, 7]
     seen = set()
@@ -457,14 +456,13 @@ def _unit(table, u, ps):
 def test_unit_letters_write_the_rows_of_the_context_sort(monkeypatch, name):
     """A generator with the unit at letter p or p + 1 is the identity, so
     its rows are written without a context sort: on every one that a cold
-    module section writes so, the partners, the entries in both senses
+    ``module_sweeps`` pass writes so, the partners, the entries in both senses
     and the slot count equal bit for bit those that ``_generators`` builds
     by the context sort, and no generator that the context sort builds has
     a unit letter there.  On Rep(A4) the paths of some of them pass
     multiplicity-2 vertices, whose contexts hold two paths each."""
     spec = random_rep_a4() if name == "random_rep_a4" else \
         suite.get_category(name)
-    monkeypatch.setattr(suite, "resolve_target", lambda target: spec)
     identities, generators = WordTable._identities, WordTable._generators
     written, mu = [], []
 
@@ -491,20 +489,22 @@ def test_unit_letters_write_the_rows_of_the_context_sort(monkeypatch, name):
         return generators(self, partner, coef, base, u, v, ps, sense)
     monkeypatch.setattr(WordTable, "_identities", checked)
     monkeypatch.setattr(WordTable, "_generators", sorted_)
-    run_suite(spec.name, suites=["module"])
+    module_sweeps(spec)
     assert sum(written) >= (11 if name == "trivial" else 100)
     assert (max(mu) > 0) == (name == "random_rep_a4")
 
 
 def test_a_flush_of_unit_letters_reads_no_local_block(monkeypatch):
     """On ``trivial`` every letter is the unit, so no generator of its
-    module section reads the table of local blocks, built from the F- and
-    R-blocks and the inverse F-blocks."""
+    sweeps or of its module section reads the table of local blocks, built
+    from the F- and R-blocks and the inverse F-blocks."""
     def refuse(*args):
         raise AssertionError("a unit letter's generator read _braid_blocks")
     monkeypatch.setattr(fusion_paths, "_braid_blocks", refuse)
-    report = run_suite("trivial", suites=["module"])
+    report = module_sweeps(suite.get_category("trivial"))
     assert len(report.checks) == 8 and report.passed
+    report = run_suite("trivial", suites=["module"])
+    assert len(report.checks) == 2 and report.passed
 
 
 # The sweeps that take one exponent n rather than a list n_values.
@@ -586,9 +586,10 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
                                                            spec_of):
     """Under gc.disable(), every stack and braid of an alpha-functor sweep
     dies by reference counting once the sweep returns, and so does a spec
-    once every section has run on it, with the word tables that its module
-    section shares between stacks: the spec's cache holds arrays, not
-    objects that point back at it, and a table holds no stack."""
+    once every section and ``module_sweeps`` have run on it, with the word
+    tables that the sweeps share between stacks: the spec's cache holds
+    arrays, not objects that point back at it, and a table holds no
+    stack."""
     refs, tables = [], []
     init, braid = PathStack.__init__, PathStack.braid
     table_init = WordTable.__init__
@@ -618,10 +619,11 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
             # the resolver hands its one reference to run_suite
             specs = [suite.get_category(name)]
             refs.append(weakref.ref(specs[0]))
+            assert module_sweeps(specs[0]).passed
             monkeypatch.setattr(suite, "resolve_target",
                                 lambda target: specs.pop())
             assert run_suite(name).passed
-        assert len(refs) > 10 and len(tables) > 8
+        assert len(refs) > 10 and len(tables) > 12
         assert all(ref() is None for ref in refs + tables)
     finally:
         gc.enable()
@@ -896,14 +898,19 @@ def test_twist_refuses_prefixes_outside_the_word(spec_of, k):
 # data that fail their axioms
 
 
-def _report(monkeypatch, name, change, suites):
-    """run_suite on the builtin ``name`` with F and R edited by
-    ``change(F, R)``."""
+def _edited(name, change):
+    """The builtin ``name`` with F and R edited by ``change(F, R)``."""
     spec = suite.get_category(name)
     F, R = dict(spec.F), dict(spec.R)
     change(F, R)
-    bad = CategorySpec(f"{name}-edited", spec.ring, spec.dims, spec.theta,
-                       F, R)
+    return CategorySpec(f"{name}-edited", spec.ring, spec.dims, spec.theta,
+                        F, R)
+
+
+def _report(monkeypatch, name, change, suites):
+    """run_suite on the builtin ``name`` with F and R edited by
+    ``change(F, R)``."""
+    bad = _edited(name, change)
     monkeypatch.setattr(suite, "resolve_target", lambda target: bad)
     report = run_suite(bad.name, suites=suites)
     return {c.name: c for c in report.checks}, report
@@ -911,8 +918,8 @@ def _report(monkeypatch, name, change, suites):
 
 def test_f_failing_the_pentagon_fails_the_report(monkeypatch):
     """Ising with F[sigma, psi, psi; sigma] times 1.1.  Products of local
-    generators still compose, so the right module pentagon may pass; F's
-    own pentagon fails, and so does the report."""
+    generators still compose, so the module relations and the sweeps may
+    pass; F's own pentagon fails, and so does the report."""
     def change(F, R):
         F[1, 2, 2, 1] = F[1, 2, 2, 1] * 1.1
     checks, report = _report(monkeypatch, "ising", change,
@@ -924,18 +931,22 @@ def test_f_failing_the_pentagon_fails_the_report(monkeypatch):
 def test_f_failing_the_pentagon_fails_the_module_pentagon(monkeypatch):
     """Fibonacci with the vacuum entry of F[tau, tau, tau; tau] times 1.1:
     the generators no longer satisfy the braid relations that the module
-    pentagon needs."""
+    pentagon needs, and both relations of the module section fail."""
     def change(F, R):
         F[1, 1, 1, 1] = F[1, 1, 1, 1] * np.array([[1.1, 1], [1, 1]])
-    checks, _ = _report(monkeypatch, "fibonacci", change, ["module"])
+    checks = {c.name: c for c in module_sweeps(_edited("fibonacci",
+                                                       change)).checks}
     assert checks["module_pentagon"].status == "fail"
     assert checks["module_pentagon"].max_deviation > 1e-3
+    checks, _ = _report(monkeypatch, "fibonacci", change, ["module"])
+    for name in ("braid_relations", "twist_relation"):
+        assert checks[name].max_deviation > 1e-3, name
 
 
 def test_nan_braiding_fails_the_module_pentagon(monkeypatch):
     """A NaN or infinite R[tau, tau; tau], or an infinite entry of
-    F[tau, tau, tau; tau], fails both batched module pentagons and the
-    single-tuple one with NaN."""
+    F[tau, tau, tau; tau], fails both batched module pentagons, the
+    single-tuple one and both relations of the module section with NaN."""
     def r_block(value):
         def change(F, R):
             R[1, 1, 1] = np.full((1, 1), value)
@@ -946,65 +957,12 @@ def test_nan_braiding_fails_the_module_pentagon(monkeypatch):
     for change in (r_block(np.nan), r_block(np.inf), inf_f):
         with np.errstate(invalid="ignore"):
             checks, _ = _report(monkeypatch, "fibonacci", change, ["module"])
+            bad = suite.resolve_target("fibonacci-edited")
+            checks.update((c.name, c) for c in module_sweeps(bad).checks)
             single = modcat.module_pentagon_deviation(
-                suite.resolve_target("fibonacci-edited"), (1,), ((1,), (1,)),
-                ((1,), (1,)), ((1,), (1,)), 1)
-        for name in ("module_pentagon", "left_module_pentagon"):
+                bad, (1,), ((1,), (1,)), ((1,), (1,)), ((1,), (1,)), 1)
+        for name in ("module_pentagon", "left_module_pentagon",
+                     "braid_relations", "twist_relation"):
             assert checks[name].status == "fail"
             assert np.isnan(checks[name].max_deviation)
         assert np.isnan(single)
-
-
-# Module checks that hold by construction on the fusion-path representation:
-# no finite F, R, theta or d makes them fail.  The n = 0 half of the psi
-# shortcut is of this kind too (psi^(0) is built as the crossing it is
-# compared with), but twist_mismatch_functor fails through its other terms.
-STRUCTURAL = {
-    # psi^(n)_{M,1,X} is D^-n o D^n of one stacked D, and psi^(n)_{M,X,1}
-    # the identity braid
-    "module_triangle",
-    # its two sides agree to rounding on any finite F and R, even on the
-    # random, incoherent data of conftest.random_rep_a4()
-    "left_module_pentagon",
-    # theta_u is read back from the twists that spec.theta gives, and
-    # compared with spec.theta
-    "twist_extraction",
-}
-
-
-def _perturbations(spec, rng):
-    """(label, spec) for one seeded F-block (first entry times 1.1),
-    R-block (times e^{0.3i}), theta (times e^{0.3i}) and d (times 1.1) of
-    labels other than the unit."""
-    F, R = dict(spec.F), dict(spec.R)
-    f_key = sorted(F)[rng.integers(len(F))]
-    F[f_key] = F[f_key].copy()
-    F[f_key].flat[0] *= 1.1
-    r_key = sorted(R)[rng.integers(len(R))]
-    R[r_key] = R[r_key] * np.exp(0.3j)
-    theta, dims = spec.theta.copy(), spec.dims.copy()
-    theta[rng.integers(1, spec.rank)] *= np.exp(0.3j)
-    dims[rng.integers(1, spec.rank)] *= 1.1
-    for label, args in ((f"F{f_key}", (spec.dims, spec.theta, F, spec.R)),
-                        (f"R{r_key}", (spec.dims, spec.theta, spec.F, R)),
-                        ("theta", (spec.dims, theta, spec.F, spec.R)),
-                        ("d", (dims, spec.theta, spec.F, spec.R))):
-        yield label, CategorySpec(f"{spec.name}-{label}", spec.ring, *args)
-
-
-def test_every_module_check_can_fail(monkeypatch):
-    """Every module check can fail: on ising, fibonacci and z_3(1), each
-    fails for at least one seeded single-datum perturbation, exactly
-    unless it is STRUCTURAL."""
-    rng = np.random.default_rng(0)
-    failed = {}
-    for name in ("ising", "fibonacci", "z_3(1)"):
-        for label, bad in _perturbations(suite.get_category(name), rng):
-            monkeypatch.setattr(suite, "resolve_target",
-                                lambda target, bad=bad: bad)
-            for check in run_suite(bad.name, suites=["module"]).checks:
-                failed.setdefault(check.name, [])
-                if check.status == "fail":
-                    failed[check.name].append(f"{name}:{label}")
-    assert {check for check, where in failed.items() if not where} == \
-        STRUCTURAL, failed

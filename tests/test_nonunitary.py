@@ -58,7 +58,7 @@ def test_every_check_passes_on_negative_dims(build, tmp_path, monkeypatch):
     reports.append(run_suite(spec.name))
     for report in reports:
         assert report.passed, [c.name for c in report.failures()]
-        assert len(report.checks) == 67
+        assert len(report.checks) == 61
 
 
 def test_derived_positive_dims_that_do_not_fuse_are_refused():

@@ -1,5 +1,5 @@
-"""The suite runner: measured check times and the coverage of capped
-module sweeps."""
+"""The suite runner: measured check times, the coverage of the module
+section's relations and of the capped module sweeps, and the goldens."""
 
 import itertools
 import json
@@ -14,8 +14,10 @@ import pytest
 import mtc.engine as engine
 import mtc.modcat as modcat
 import mtc.suite as suite
+from mtc import fusion_paths
 from mtc.builtins import BUILTIN_NAMES
 from mtc.category import save_category
+from mtc.fusion_paths import module_sweeps
 from mtc.report import VerificationReport
 from mtc.suite import run_suite
 
@@ -62,8 +64,8 @@ def test_suite_check_times_are_measured():
     assert len(set(frob)) > 1
 
 
-# the capped sweeps of the module section, by check name and the function
-# that names their pairs on a stack in ``suite``
+# the capped sweeps of ``module_sweeps``, by check name and the function
+# that names their pairs on a stack in ``fusion_paths``
 CAPPED = {"left_module_pentagon": "_left_module_pentagon_pairs",
           "associator_from_chain": "_associator_chain_pairs",
           "alpha_module_functor": "_alpha_functor_pairs",
@@ -83,8 +85,8 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
         return pairs
 
     for name, function in CAPPED.items():
-        monkeypatch.setattr(suite, function, record(name))
-    report = run_suite("fibonacci", suites=["module"])
+        monkeypatch.setattr(fusion_paths, function, record(name))
+    report = module_sweeps(suite.get_category("fibonacci"))
     assert report.passed
     assert seen == {name: {(0,), (1,)} for name in CAPPED}
 
@@ -95,7 +97,8 @@ def test_sampled_label_tuples_are_tuples_of_python_ints(rank, k, budget):
     """A sampled sweep's tuples are those the seeded picks give, entry by
     entry, and each label is a Python int, as ``PathStack`` requires; a
     budget that covers every tuple enumerates them in order."""
-    got = suite._label_tuples(rank, k, budget, np.random.default_rng(5))
+    got = fusion_paths._label_tuples(rank, k, budget,
+                                     np.random.default_rng(5))
     if rank ** k <= budget:
         assert got == list(itertools.product(range(rank), repeat=k))
         return
@@ -113,11 +116,11 @@ MODULE_CHECKS = ["module_pentagon", "left_module_pentagon", "module_triangle",
 
 @pytest.mark.parametrize("target", BUILTIN_NAMES)
 def test_module_sweeps_make_no_per_tuple_call(monkeypatch, target):
-    """Every module sweep runs on fusion paths, and their local blocks come
-    from the F- and R-tables: with the per-tuple structures of ``modcat``,
-    which its deviation functions all build on, and the engine's split
-    transforms and left whiskering made to raise, the module section still
-    runs and passes."""
+    """Every module relation and sweep runs on fusion paths, and their
+    local blocks come from the F- and R-tables: with the per-tuple
+    structures of ``modcat``, which its deviation functions all build on,
+    and the engine's split transforms and left whiskering made to raise,
+    the module section and ``module_sweeps`` still run and pass."""
     def refuse(*args, **kwargs):
         raise AssertionError("a module sweep called modcat per tuple or "
                              "whiskered through the engine")
@@ -127,8 +130,70 @@ def test_module_sweeps_make_no_per_tuple_call(monkeypatch, target):
     for name in ("split_transform", "_whisker_left"):
         monkeypatch.setattr(engine, name, refuse)
     report = run_suite(target, suites=["module"])
+    assert [c.name for c in report.checks] == ["braid_relations",
+                                               "twist_relation"]
+    assert report.passed
+    report = module_sweeps(suite.get_category(target))
     assert [c.name for c in report.checks] == MODULE_CHECKS
     assert report.passed
+
+
+# The coverage of the module relations: the words of each, four letters for
+# braid_relations and three for twist_relation, all of them up to 2^14.
+COVERAGE = {
+    "ising": ("exhaustive 81/81 words", "exhaustive 27/27 words"),
+    "z_5(2)": ("exhaustive 625/625 words", "exhaustive 125/125 words"),
+    "z_11(1)": ("exhaustive 14641/14641 words",
+                "exhaustive 1331/1331 words"),
+    "z_13(1)": ("sampled 16384/28561 words seed=3",
+                "exhaustive 2197/2197 words"),
+}
+
+
+@pytest.mark.parametrize("target", COVERAGE)
+def test_module_relations_state_their_coverage(target):
+    """Each relation's detail states how many of its words it ran on; above
+    the budget, that is a sample of distinct words, seeded by the suite's
+    seed."""
+    report = run_suite(target, suites=["module"], seed=3)
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        ("braid_relations", "pass", COVERAGE[target][0]),
+        ("twist_relation", "pass", COVERAGE[target][1])]
+
+
+def test_sampled_module_reports_are_deterministic(monkeypatch):
+    """Above the word budget the module section samples its words with the
+    suite's seed: two runs on z_13(1) with one seed read the same words and
+    serialize to the same JSON, and another seed reads other words."""
+    drawn = []
+
+    def braid_relations(spec, words):
+        drawn.append(words)
+        return fusion_paths.braid_relation_deviations(spec, words)
+
+    monkeypatch.setattr(suite, "braid_relation_deviations", braid_relations)
+    a, b, c = (run_suite("z_13(1)", suites=["module"], seed=seed).to_json()
+               for seed in (5, 5, 6))
+    assert a == b != c
+    assert drawn[0] == drawn[1] != drawn[2]
+
+
+@pytest.mark.parametrize("rank, k", [(3, 4), (13, 4), (30, 3)])
+def test_relation_words_are_distinct(rank, k):
+    """The words of a relation: every word in lexicographic order while
+    they fit ``_WORD_BUDGET``, otherwise that many distinct words in that
+    order, the same for the same seed and not for another, each a tuple of
+    Python ints as ``PathStack`` requires."""
+    words, _ = suite._relation_words(rank, k, np.random.default_rng(1), 1)
+    if rank ** k <= suite._WORD_BUDGET:
+        assert words == list(itertools.product(range(rank), repeat=k))
+        return
+    assert len(words) == suite._WORD_BUDGET
+    assert words == sorted(set(words))
+    assert all(type(x) is int and 0 <= x < rank for w in words for x in w)
+    again, _ = suite._relation_words(rank, k, np.random.default_rng(1), 1)
+    other, _ = suite._relation_words(rank, k, np.random.default_rng(2), 2)
+    assert again == words != other
 
 
 @pytest.mark.parametrize("target", BUILTIN_NAMES)
@@ -256,10 +321,17 @@ def test_suite_leaves_numpy_ma_unimported():
 
 @pytest.mark.parametrize("name", MODULAR)
 def test_negative_exponents_pass_the_module_section(name):
-    """Coherent data passes every module check at n = -2 and -1.  The
-    associator chain runs at max(n_values) = -1, where the gamma chain
-    steps psi^(0) back once rather than leaving it at psi^(0)."""
-    report = run_suite(name, n_values=(-2, -1), suites=["module"])
+    """The module section does not depend on ``n_values``: at n = -2 and -1
+    its rows equal those at the default, and pass.  So do the sweeps at
+    those n; the associator chain runs at max(n_values) = -1, where the
+    gamma chain steps psi^(0) back once rather than leaving it at
+    psi^(0)."""
+    rows = [[c.to_record() for c in run_suite(
+        name, n_values=n_values, suites=["module"]).checks]
+        for n_values in ((-2, -1), (0, 1, 2))]
+    assert rows[0] == rows[1]
+    assert all(row["status"] == "pass" for row in rows[0])
+    report = module_sweeps(suite.get_category(name), n_values=(-2, -1))
     assert report.passed, [(c.name, c.max_deviation) for c in report.checks
                            if c.status == "fail"]
 
