@@ -35,34 +35,29 @@ theta_{A_k} on each path.
 Braids are built when first used.  ``PathStack.braid`` only names a
 product of generators, and a braid's products, inverses and powers wait
 for it.  Paths and generators depend only on the word a tuple spells, and
-most words repeat, over the orders and tuples of a sweep and over the
-sweeps of one tuple length, so they live in a ``WordTable`` of the spec
-and the length, which several stacks may share; a stack keeps its block
-layout, the word ids of its orders, its built steps and its products.  A
-stack queues on its table every generator step (source order, p, over)
-and twisted order that it names.  The first braid of any stack on the
-table whose blocks are read, by ``PathStack.deviations`` or
-``PathStack.blocks``, flushes the table: it numbers the words of every
-queued word order, each distinct word once, and enumerates the paths of
-the words not seen before together: one row gather per fusion step over
-the ring's fusion vertices (the R-keys), each once per multiplicity.  It
-builds sigma_p from each distinct word that the tuples of any queued step
-read once, in local form, in every sense a step reads: for every path of
-its target word, the positions of the paths of its context in the source
-word and the entries of its local block there, one array of entries per
-sense.  If the unit is letter p or p + 1 of the word, the local block is
-the identity, as the spec holds the identity on every unit strand, and
-its rows are written directly (``WordTable._identities``).  Otherwise
-sigma_p from a word and sigma_p back from its target share their
-contexts, so a round sorts the paths of both by context once, every
-(word, p) in one ``np.lexsort``, and gathers the entries from the spec's
-table of local blocks of each sense.  That table holds the block of every
-F-block key (x, a, b, y), laid out as the F-blocks and built in one
-batched product per block size from their stacks and those of the
-inverse F-blocks and the R-blocks.  A step is then the generator row that
-each of its tuples reads first, since a tuple's blocks are those of its
-word.  No generator is ever written out as dense blocks: a product of
-generators applies them in turn to the identity, each a fixed number of
+most words repeat over the orders and tuples of a stack, so they live in
+the stack's ``WordTable``, which numbers each distinct word once; the
+stack keeps its block layout, the word ids of its orders, its built steps
+and its products.  A stack queues every generator step (source order, p,
+over) and twisted order that it names.  The first braid whose blocks are
+read, by ``PathStack.deviations`` or ``PathStack.blocks``, flushes the
+queues: it numbers the words of every queued word order and enumerates
+the paths of the words not seen before together: one row gather per
+fusion step over the ring's fusion vertices (the R-keys), each once per
+multiplicity.  It builds sigma_p from each distinct word that the tuples
+of any queued step read once, in local form, in every sense a step reads:
+for every path of its target word, the positions of the paths of its
+context in the source word and the entries of its local block there, one
+array of entries per sense.  sigma_p from a word and sigma_p back from its
+target share their contexts, so a round sorts the paths of both by context
+once, every (word, p) in one ``np.lexsort``, and gathers the entries from
+the spec's table of local blocks of each sense.  That table holds the
+block of every F-block key (x, a, b, y), laid out as the F-blocks and
+built in one batched product per block size from their stacks and those
+of the inverse F-blocks and the R-blocks.  A step is then the generator
+row that each of its tuples reads first, since a tuple's blocks are those
+of its word.  No generator is ever written out as dense blocks: a product
+of generators applies them in turn to the identity, each a fixed number of
 gathers and multiply-adds over the stack's flat buffer of blocks, however
 many block sizes it holds.  A stack's blocks come from the tree counts of
 its tuples, so it enumerates no word that no braid reads.  A round
@@ -71,9 +66,7 @@ at most that many, unless one word or generator alone needs more, which
 bounds the memory of a flush.  Products, the inverse ones among them, are
 memoised per stack, so the psi^(n) of several n share their monodromies
 and the inverses of those.  Each sweep names all its pairs of braids
-before it compares the first, and ``module_sweeps`` names those of every
-sweep before it compares any, so that one flush per tuple length builds
-them.
+before it compares the first, so that one flush builds them.
 An error of the data, such as a singular block, is therefore raised where
 a braid is first read, not where it is named.
 
@@ -275,21 +268,15 @@ def _tree_counts(ring, words) -> np.ndarray:
 
 
 class WordTable:
-    """The words of length L that the tuples of the ``PathStack``s on it
-    spell, over one spec, with their fusion paths, and the builder of their
-    generators.  Each distinct word is numbered once, whichever stack, tuple
-    and word order spell it.  ``_paths`` holds the paths of every word
-    numbered so far: one word's rows together, in tree order per root, from
-    row ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word,
-    the position within the block of its root and the size of that block.
-
-    A stack queues its generator steps and twists here as plain dicts (see
-    ``PathStack``); the first read of any stack on the table flushes the
-    queues of them all at once: it numbers their new words, enumerates the
-    paths of those not seen before and builds every direction of sigma_p
-    that the tuples of any queued step read, each once, in the senses read.
-    The table holds no stack, so a stack and its braids die by reference
-    counting while their table lives on in the other stacks."""
+    """The words of length L that the tuples of one ``PathStack`` spell,
+    over its spec, with their fusion paths, and the builder of their
+    generators.  Each distinct word is numbered once, whichever tuple and
+    word order spell it.  ``_paths`` holds the paths of every word numbered
+    so far: one word's rows together, in tree order per root, from row
+    ``_row[word]`` on; columns A_0 .. A_L, mu_1 .. mu_L, then the word, the
+    position within the block of its root and the size of that block.  The
+    table holds no stack, so a stack and its braids die by reference
+    counting."""
 
     def __init__(self, spec: CategorySpec, L: int):
         self.spec, self.L = spec, L
@@ -301,62 +288,31 @@ class WordTable:
         self._local = np.array([[p, _mu(L, p), _mu(L, p + 1)]
                                 for p in range(1, L)],
                                dtype=np.intp).reshape(L - 1, 3)
-        # the queues named since the last flush, one per stack: (labels,
-        # orders, steps, word_of, built), the last four a stack's dicts
-        self._queued = []
 
-    def _flush(self):
-        """Number the words of every queued word order and twist, then
-        build every queued generator step, and empty the queues.  A queue
-        stays until its flush succeeds, so that an error of the data is
-        raised again by the next read."""
-        spell, steps = [], []
-        for labels, orders, queued, word_of, built in self._queued:
-            orders = dict(orders)
-            for order, p, _ in queued:
-                orders[order] = orders[_swapped(order, p)] = None
-            spell.append((labels, word_of,
-                          [order for order in orders if order not in word_of]))
-            steps += [(word_of, built, step) for step in queued]
-        self._spell(spell)
-        if steps:
-            self._build(steps)
-        for _, orders, queued, _, _ in self._queued:
-            orders.clear()
-            queued.clear()
-        self._queued = []
-
-    def _spell(self, spell):
-        """For each (labels, word_of, orders) of ``spell``, number the words
-        of every tuple in each of ``orders`` into ``word_of``; enumerate
-        the paths of those not numbered before, in rounds of at most
+    def _spell(self, labels, orders) -> np.ndarray:
+        """The ids of the words that the tuples ``labels`` spell in each of
+        ``orders``, (len(orders), len(labels)), numbering those not
+        numbered before and enumerating their paths, in rounds of at most
         ``_ROUND_ROWS`` paths unless one word alone has more."""
-        spell = [item for item in spell if item[2]]
-        if not spell:
-            return
         L, seen = self.L, len(self._words)
         # letter i of every numbered word, then of every tuple in each order
-        letters = np.concatenate([self._words.T] + [
-            np.ascontiguousarray(labels.T)[np.array(orders).T].reshape(L, -1)
-            for labels, _, orders in spell], axis=1)
+        letters = np.concatenate([
+            self._words.T,
+            np.ascontiguousarray(labels.T)[np.array(orders).T].reshape(L, -1)],
+            axis=1)
         _, first, inverse = np.unique(_codes(letters, [self.spec.rank] * L),
                                       return_index=True, return_inverse=True)
         new = first >= seen
         number = np.where(new, seen + np.cumsum(new) - 1, first)
-        ids, at = number[inverse[seen:]], 0
-        for labels, word_of, orders in spell:
-            for order in orders:
-                word_of[order] = ids[at:at + len(labels)]
-                at += len(labels)
-        if not new.any():
-            return
-        words = letters[:, first[new]].T
-        self._words = np.concatenate([self._words, words])
-        count = _tree_counts(self.spec.ring, words).sum(axis=1)
-        self._row = np.concatenate([self._row,
-                                    self._row[-1] + np.cumsum(count)])
-        self._paths = np.concatenate([self._paths] + [
-            self._enumerate(seen + ids) for ids in _rounds(count)])
+        if new.any():
+            words = letters[:, first[new]].T
+            self._words = np.concatenate([self._words, words])
+            count = _tree_counts(self.spec.ring, words).sum(axis=1)
+            self._row = np.concatenate([self._row,
+                                        self._row[-1] + np.cumsum(count)])
+            self._paths = np.concatenate([self._paths] + [
+                self._enumerate(seen + ids) for ids in _rounds(count)])
+        return number[inverse[seen:]].reshape(len(orders), len(labels))
 
     def _enumerate(self, ids) -> np.ndarray:
         """The fusion paths of the words ``ids``, in one round: one row
@@ -413,28 +369,23 @@ class WordTable:
         built[code] = True
         return np.flatnonzero(built), (np.cumsum(built) - 1)[code], other
 
-    def _build(self, steps):
-        """Build the generator steps of ``steps``, each (word_of, built,
-        (order, p, over)) of one stack: sigma_p from each distinct word u
-        that the tuples of any of them spell, in the senses they read, once,
-        in local form on the paths of its target word v, in rounds that
-        read at most ``_ROUND_ROWS`` paths unless the words of one generator
-        alone have more; then, into ``built``, the generator rows that each
-        step's tuples read.  sigma_p from u and sigma_p back from v share
-        their contexts, so a round sorts them once.  A generator with the
-        unit at letter p or p + 1 is the identity (``_identities``)."""
+    def _build(self, word_of, steps) -> dict:
+        """The generator steps (order, p, over) of ``steps`` on tuples whose
+        words in each order are ``word_of[order]``: sigma_p from each
+        distinct word u that the tuples of any of them spell, in the senses
+        they read, built once, in local form on the paths of its target
+        word v, in rounds that read at most ``_ROUND_ROWS`` paths unless the
+        words of one generator alone have more; then, per step, the
+        generator rows that its tuples read.  sigma_p from u and sigma_p
+        back from v share their contexts, so a round sorts them once."""
         W = len(self._words)
-        src = [word_of[order] for word_of, _, (order, _, _) in steps]
-        dst = [word_of[_swapped(order, p)]
-               for word_of, _, (order, p, _) in steps]
-        ends = np.cumsum([len(ids) for ids in src])
-        step = np.repeat(np.arange(len(steps)), np.diff(ends, prepend=0))
-        p = np.array([p for *_, (_, p, _) in steps])[step]
-        code, which, other = self._directions(p, np.concatenate(src),
-                                              np.concatenate(dst))
+        src = np.stack([word_of[order] for order, _, _ in steps])
+        dst = np.stack([word_of[_swapped(order, p)] for order, p, _ in steps])
+        per = src.shape[1]
+        p = np.repeat([p for _, p, _ in steps], per)
+        code, which, other = self._directions(p, src.ravel(), dst.ravel())
         sense = np.zeros((len(code), 2), dtype=bool)
-        sense[which, np.array([int(over) for *_, (_, _, over) in steps]
-                              )[step]] = True
+        sense[which, np.repeat([int(over) for *_, over in steps], per)] = True
         edge, up = code // 2, code % 2 == 1
         u = np.where(up, edge % W, other[edge])
         v = np.where(up, other[edge], edge % W)
@@ -445,52 +396,16 @@ class WordTable:
         partner = np.zeros((M, int(count.sum())), dtype=np.intp)
         coef = np.zeros((2, M, int(count.sum())), dtype=np.complex128)
         slots = np.empty(len(u), dtype=np.intp)
-        unit = (self._words[u, ps - 1] == 0) | (self._words[u, ps] == 0)
-        for make, idx in ((self._identities, np.flatnonzero(unit)),
-                          (self._generators, np.flatnonzero(~unit))):
-            for at in _rounds(2 * count[idx]):
-                at = idx[at]
-                slots[at] = make(partner, coef, base[at], u[at], v[at],
-                                 ps[at], sense[at])
+        for at in _rounds(2 * count):
+            slots[at] = self._generators(partner, coef, base[at], u[at],
+                                         v[at], ps[at], sense[at])
         # a step's tuples read the generators of their words in its sense,
         # and its slots are those of their largest local block
-        for (_, built, key), ws in zip(steps, np.split(which, ends[:-1])):
+        built = {}
+        for key, ws in zip(steps, which.reshape(len(steps), per)):
             m = slots[ws].max()
             built[key] = base[ws], partner[:m], coef[int(key[2]), :m]
-
-    def _identities(self, partner, coef, base, u, v, ps, sense
-                    ) -> np.ndarray:
-        """``_generators`` for generators with the unit at letter p or
-        p + 1, written without a context sort and without local blocks.
-        Their local block is the identity: F[x,b,a,y] R F[x,a,b,y]^-1 with
-        a or b the unit is a product of the identity blocks that the spec
-        holds on unit strands.  Path j of v at a root is path j of u there,
-        as a unit vertex has one channel and index 0, so that swapping it
-        keeps the tree order.  The paths of a context differ only in the
-        index mu_k of the vertex k of the other letter, k = p + 1 if w_p of
-        v is the unit and p otherwise, at the stride in tree order of the
-        vertices after k: a row has a slot per index of vertex k, each
-        holding the position of its path there, and the entry 1 in slot
-        mu_k in each sense read, as the context sort writes them."""
-        L = self.L
-        count = self._row[v + 1] - self._row[v]
-        gen = np.repeat(np.arange(len(v)), count)
-        paths = self._paths[_ranges(self._row[v], count)]
-        words = self._words[v[gen]]
-        rows = np.arange(len(paths))
-        k = np.where(words[rows, ps[gen] - 1] == 0, ps[gen] + 1, ps[gen])
-        # the multiplicity N[A_{i-1}, w_i, A_i] of every vertex i of a path
-        mult = self.spec.ring.N[paths[:, :L], words, paths[:, 1:L + 1]]
-        size = mult[rows, k - 1]
-        stride = np.where(np.arange(1, L + 1) > k[:, None], mult, 1).prod(
-            axis=1)
-        mu, at = paths[rows, _mu(L, k)], _ranges(base, count)
-        slot = _ranges(np.zeros_like(size), size)
-        row = np.repeat(rows, size)
-        partner[slot, at[row]] = (paths[row, self._pos] + (slot - mu[row])
-                                  * stride[row]) * paths[row, self._n]
-        coef[:, mu, at] = sense[gen].T
-        return np.maximum.reduceat(size, np.cumsum(count) - count)
+        return built
 
     def _generators(self, partner, coef, base, u, v, ps, sense
                     ) -> np.ndarray:
@@ -558,13 +473,11 @@ class WordTable:
 
 class PathStack:
     """The label tuples of a sweep, each a tuple of L Python ints in
-    [0, rank), on a ``WordTable`` of their spec that holds the words they
+    [0, rank), with a ``WordTable`` of their own that holds the words they
     spell and the fusion paths of every word that a braid reaches.  A word
     is ``labels[t, order]``, the letters of tuple t in a word order;
     ``_word_of[order]`` numbers the word of every tuple in the table, and
-    tuples, orders and stacks that spell one word share its paths and
-    generators.  ``spec`` is the category, for a table of the stack's own,
-    or a ``WordTable`` of it to share with the other stacks on it.
+    tuples and orders that spell one word share its paths and generators.
     A braid's blocks lie in one flat buffer, those of size n from base[n]
     on and block b from offset[b] on; its rows are numbered in block
     order.  A built generator step (order, p, over) is held in local form,
@@ -579,10 +492,7 @@ class PathStack:
     largest local block.  The products of generators are memoised per
     (source order, positions, over), as arrays."""
 
-    def __init__(self, spec, tuples):
-        table = spec if isinstance(spec, WordTable) else None
-        if table is not None:
-            spec = table.spec
+    def __init__(self, spec: CategorySpec, tuples):
         tuples = list(tuples)
         _check_words(*tuples)
         if len({len(t) for t in tuples}) != 1 or not tuples[0]:
@@ -591,13 +501,8 @@ class PathStack:
         labels = np.array(tuples, dtype=np.intp)
         if not 0 <= labels.min() <= labels.max() < spec.rank:
             raise InvalidWord(f"labels must lie in [0, {spec.rank})")
-        L = labels.shape[1]
-        if table is None:
-            table = WordTable(spec, L)
-        elif table.L != L:
-            raise InvalidWord(f"label tuples of length {L} on a table of "
-                              f"words of length {table.L}")
-        self.spec, self.labels, self.table = spec, labels, table
+        self.spec, self.labels = spec, labels
+        self.table = WordTable(spec, labels.shape[1])
         # the queues of generator steps and twisted word orders named since
         # the last flush, the word of every tuple in each word order read,
         # the built steps and the memoised products
@@ -657,20 +562,23 @@ class PathStack:
 
     # -- the deferred rounds -----------------------------------------------
 
-    def _queue(self, queue: dict, item):
-        """Queue a generator step or a twisted word order; a stack's queues
-        join its table's when they stop being empty."""
-        if not self._steps and not self._orders:
-            self.table._queued.append((self.labels, self._orders,
-                                       self._steps, self._word_of,
-                                       self._built))
-        queue[item] = None
-
     def _flush(self):
-        """Build everything queued on the stack's table, this stack's
-        queues among it, unless an earlier flush of the table did."""
-        if self._steps or self._orders:
-            self.table._flush()
+        """Number the words of every queued word order and twist, then
+        build every queued generator step, and empty the queues.  A queue
+        stays until its flush succeeds, so that an error of the data is
+        raised again by the next read."""
+        orders = dict(self._orders)
+        for order, p, _ in self._steps:
+            orders[order] = orders[_swapped(order, p)] = None
+        orders = [order for order in orders if order not in self._word_of]
+        if orders:
+            self._word_of.update(zip(orders, self.table._spell(self.labels,
+                                                               orders)))
+        if self._steps:
+            self._built.update(self.table._build(self._word_of,
+                                                 list(self._steps)))
+        self._orders.clear()
+        self._steps.clear()
 
     def _split(self, flat) -> dict:
         """The blocks that lie in one flat buffer as ``offset`` places
@@ -726,7 +634,7 @@ class PathStack:
         if not 0 <= k <= len(order):
             raise PositionOutOfRange(f"prefix {k} invalid for words of "
                                      f"length {len(order)}")
-        self._queue(self._orders, order)
+        self._orders[order] = None
 
         def make():
             table = self.table
@@ -757,7 +665,7 @@ class PathStack:
         dst = order
         for p in positions:
             if (dst, p, over) not in self._built:
-                self._queue(self._steps, (dst, p, over))
+                self._steps[dst, p, over] = None
             dst = _swapped(dst, p)
         key = (order, positions, over)
         return Braid(self, order, dst, lambda: self._product(key), key)
@@ -929,9 +837,7 @@ def _sweep(spec: CategorySpec, tuples, pairs, *args) -> list:
 
 # Each relation and each sweep is a function that names its (lhs, rhs)
 # pairs on a stack, here ``_*_pairs``, and a public ``*_deviations`` that
-# compares them on stacks of its own tuples.  ``module_sweeps`` names every
-# sweep's pairs on stacks that share a ``WordTable`` per tuple length
-# before it compares the first.
+# compares them on stacks of its own tuples.
 #
 # A relation's tuple is a word (x, a, b, c) or (x, a, b), its first letter
 # the context of the generators that follow it.
@@ -1150,13 +1056,8 @@ def module_sweeps(spec: CategorySpec, n_values=(0, 1, 2)
     budget, a sample of that size drawn with seed 0 otherwise.  A report of
     eight checks at ``DEFAULT_TOL``.  ``mtc check`` runs the two relations
     that certify these identities instead; the tests keep the sweeps as
-    their reference.
-
-    Every sweep names its pairs on a stack of its own tuples before the
-    first is compared, the stacks of one length on one ``WordTable``, so
-    that the first comparison of a length builds the paths and generators
-    of all its sweeps in one flush; each stack is dropped once its
-    deviations are read."""
+    their reference.  Each sweep runs on stacks of its own tuples
+    (``_sweep``), each with its own ``WordTable``."""
     # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
     # (x1, x2), ... of the square
     n_values = exponents(n_values)
@@ -1182,18 +1083,12 @@ def module_sweeps(spec: CategorySpec, n_values=(0, 1, 2)
         ("commutor_witness", "commutor-intertwiner", 5, 32,
          _commutor_witness_pairs),
     ]
-    tables, named = {}, []
-    for name, tag, k, budget, pairs, *args in sweeps:
-        if k not in tables:
-            tables[k] = WordTable(spec, k)
-        stack = PathStack(tables[k], _label_tuples(spec.rank, k, budget, rng))
-        named.append((name, tag, stack, pairs(stack, *args)))
-    named.reverse()
     report = VerificationReport(spec.name)
-    while named:
-        name, tag, stack, pairs = named.pop()
+    for name, tag, k, budget, pairs, *args in sweeps:
+        tuples = _label_tuples(spec.rank, k, budget, rng)
         report.add_deviation(
-            name, tag, max_dev(*_worst(stack, pairs)), DEFAULT_TOL.atol,
+            name, tag, max_dev(*_sweep(spec, tuples, pairs, *args)),
+            DEFAULT_TOL.atol,
             detail=f"n in {list(n_values)}" if name == "module_pentagon"
             else "")
     return report

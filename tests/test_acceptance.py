@@ -220,11 +220,17 @@ def test_criterion_10_annulus_coefficients(spec_of):
 
 
 def test_criterion_11_determinism():
-    """Two identical runs serialize to byte-identical JSON, including a
-    target whose sweeps are genuinely randomized."""
+    """Two identical runs serialize to byte-identical JSON, on ising, whose
+    module section runs every word, and on z_13(1), whose braid relations
+    run on words sampled with the seed."""
     a = run_suite("ising", n_values=(0, 1), suites=["category", "module"],
                   seed=11).to_json()
     b = run_suite("ising", n_values=(0, 1), suites=["category", "module"],
                   seed=11).to_json()
-    ok = a == b and len(a) > 0
+    sampled = [run_suite("z_13(1)", suites=["module"], seed=11)
+               for _ in range(2)]
+    c, d = (report.to_json() for report in sampled)
+    ok = a == b and len(a) > 0 and c == d and any(
+        check.detail == "sampled 16384/28561 words seed=11"
+        for check in sampled[0].checks)
     emit(11, "deterministic reports", 0.0 if ok else 1.0, 0.5, ok)

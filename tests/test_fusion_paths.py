@@ -7,13 +7,12 @@ must give each tuple the deviation that ``modcat`` gives it; single
 generators, their
 inverses and the twists of prefixes must equal the engine's on Rep(A4)
 words, whose local blocks have fusion multiplicity 2, also when one
-deferred flush enumerates several word orders at once.  A generator with
-the unit at letter p or p + 1 is written as the identity, and must equal
-bit for bit the rows that the context sort builds.  Guards pin the number
-of batched rounds of a ``module_sweeps`` pass, one flush per tuple length,
-the sweeps' deviations of ising, fibonacci, z_5(2) and Rep(A4) bit for bit,
-and that stacks, braids, word tables and a spec that ran every section and
-the sweeps are freed by reference counting.  The batched sides are
+deferred flush enumerates several word orders at once.  Guards pin the
+number of batched rounds of a ``module_sweeps`` pass, one flush per stack,
+each stack on a word table of its own, the sweeps' deviations of ising,
+fibonacci, z_5(2) and Rep(A4) bit for bit, and that stacks, braids, word
+tables and a spec that ran every section and the sweeps are freed by
+reference counting.  The batched sides are
 products of local generators, so on an F that fails the pentagon they can
 agree where the engine's whiskered composites do not: the last tests pin
 what the report still sees then.
@@ -31,7 +30,7 @@ import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc import fusion_paths
 from mtc.builtins import BUILTIN_NAMES
-from mtc.category import _ROUND_ROWS, CategorySpec, _ranges
+from mtc.category import _ROUND_ROWS, CategorySpec
 from mtc.engine import Morphism, braid_generator, embed, twist_endo
 from mtc.errors import (InvalidWord, NotPremodular, PositionOutOfRange,
                         ShapeMismatch)
@@ -316,58 +315,60 @@ def test_rep_a4_module_deviations_hold_bit_for_bit():
 
 def test_stacks_enumerate_no_order_of_their_own(monkeypatch):
     """A stack takes its block layout from the tree counts of its words,
-    so it enumerates only the word orders its braids read, and the stacks
-    of one tuple length share one word table: a cold ising
-    ``module_sweeps`` pass makes one enumeration round per tuple length, 4
-    where a flush per stack made 8 and a round per word order 68, with the
-    same deviations bit for bit."""
+    so it enumerates only the word orders its braids read: a cold ising
+    ``module_sweeps`` pass runs each sweep on one stack and makes one
+    enumeration round per stack, 8 in the order of the sweeps, where a
+    round per word order made 68, with the same deviations bit for bit."""
     rounds = []
     enumerate_ = WordTable._enumerate
     monkeypatch.setattr(WordTable, "_enumerate", lambda self, ids: (
         rounds.append(self.L), enumerate_(self, ids))[1])
     report = module_sweeps(suite.get_category("ising"))
-    assert sorted(rounds) == [1, 3, 5, 7]
+    assert rounds == [7, 7, 3, 5, 5, 1, 7, 5]
     assert {c.name: c.max_deviation for c in report.checks} == ISING_MODULE
 
 
 def test_module_sweeps_build_in_few_rounds(monkeypatch):
-    """A cold ``module_sweeps`` pass on ising flushes each of its four
-    word tables once, within the first comparison of a sweep of its
-    length: one numbering per length and one generator build for each of
-    the lengths 7, 5 and 3, where each of 8 stacks flushed on its own and
-    7 of them built generators.  Each round of a build writes the rows of
-    at most ``_ROUND_ROWS`` paths, counting those of source and target,
-    unless it builds one generator."""
-    calls = {name: [] for name in ("_spell", "_build")}
-    for name, got in calls.items():
-        def counted(self, *args, _got=got, _fn=getattr(WordTable, name)):
-            _got.append(self.L)
+    """A cold ``module_sweeps`` pass on ising flushes each stack once,
+    within its first comparison, on the stack's own word table: it numbers
+    the stack's words in one call and builds its generators in one, on
+    every stack but the twist extraction's, which reads twists only.  Each
+    round of a build writes the rows of at most ``_ROUND_ROWS`` paths,
+    counting those of source and target, unless it builds one
+    generator."""
+    calls = []
+    for name in ("_spell", "_build"):
+        def counted(self, *args, _name=name, _fn=getattr(WordTable, name)):
+            calls.append((self, _name))
             return _fn(self, *args)
         monkeypatch.setattr(WordTable, name, counted)
     rounds = []
-    for name in ("_generators", "_identities"):
-        def bounded(self, partner, coef, base, u, v, ps, sense,
-                    _fn=getattr(WordTable, name)):
-            rounds.append((self.L, len(u),
-                           2 * int(np.diff(self._row)[v].sum())))
-            return _fn(self, partner, coef, base, u, v, ps, sense)
-        monkeypatch.setattr(WordTable, name, bounded)
+    generators = WordTable._generators
+
+    def bounded(self, partner, coef, base, u, v, ps, sense):
+        rounds.append((self.L, len(u), 2 * int(np.diff(self._row)[v].sum())))
+        return generators(self, partner, coef, base, u, v, ps, sense)
+    monkeypatch.setattr(WordTable, "_generators", bounded)
     flushed = []
     deviations = PathStack.deviations
 
     def compare(self, f, g):
-        before = len(calls["_spell"])
+        before = len(calls)
         out = deviations(self, f, g)
-        flushed.append((self.table.L, calls["_spell"][before:]))
+        flushed.append((self, calls[before:]))
         return out
     monkeypatch.setattr(PathStack, "deviations", compare)
     module_sweeps(suite.get_category("ising"))
-    assert sorted(calls["_spell"]) == [1, 3, 5, 7]
-    assert sorted(calls["_build"]) == [3, 5, 7]
-    seen = set()
-    for L, spelt in flushed:
-        assert spelt == ([] if L in seen else [L])
-        seen.add(L)
+    stacks = []
+    for stack, made in flushed:
+        if stack in stacks:
+            assert made == []
+            continue
+        stacks.append(stack)
+        want = ["_spell"] + ["_build"] * (stack.table.L > 1)
+        assert made == [(stack.table, name) for name in want]
+    assert [stack.table.L for stack in stacks] == [7, 7, 3, 5, 5, 1, 7, 5]
+    assert len(calls) == 15
     assert {L for L, _, _ in rounds} == {3, 5, 7}
     assert all(n == 1 or paths <= _ROUND_ROWS for _, n, paths in rounds)
 
@@ -444,67 +445,6 @@ def _steps(order, positions, over):
     for p in positions:
         yield order, p, over
         order = fusion_paths._swapped(order, p)
-
-
-def _unit(table, u, ps):
-    """Which generators sigma_p from the words u have the unit at letter p
-    or p + 1."""
-    return (table._words[u, ps - 1] == 0) | (table._words[u, ps] == 0)
-
-
-@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "random_rep_a4"])
-def test_unit_letters_write_the_rows_of_the_context_sort(monkeypatch, name):
-    """A generator with the unit at letter p or p + 1 is the identity, so
-    its rows are written without a context sort: on every one that a cold
-    ``module_sweeps`` pass writes so, the partners, the entries in both senses
-    and the slot count equal bit for bit those that ``_generators`` builds
-    by the context sort, and no generator that the context sort builds has
-    a unit letter there.  On Rep(A4) the paths of some of them pass
-    multiplicity-2 vertices, whose contexts hold two paths each."""
-    spec = random_rep_a4() if name == "random_rep_a4" else \
-        suite.get_category(name)
-    identities, generators = WordTable._identities, WordTable._generators
-    written, mu = [], []
-
-    def checked(self, partner, coef, base, u, v, ps, sense):
-        assert _unit(self, u, ps).all()
-        count = np.diff(self._row)[v]
-        rows = _ranges(base, count)
-        both = np.ones_like(sense)
-        got, want = [(np.zeros_like(partner), np.zeros_like(coef))
-                     for _ in range(2)]
-        slots = identities(self, *got, base, u, v, ps, both)
-        assert np.array_equal(slots, generators(self, *want, base, u, v, ps,
-                                                both))
-        for x, y in zip(got, want):
-            assert x[..., rows].tobytes() == y[..., rows].tobytes()
-        written.append(len(u))
-        L = self.L
-        mu.append(self._paths[_ranges(self._row[v], count),
-                              L + 1:2 * L + 1].max())
-        return identities(self, partner, coef, base, u, v, ps, sense)
-
-    def sorted_(self, partner, coef, base, u, v, ps, sense):
-        assert not _unit(self, u, ps).any()
-        return generators(self, partner, coef, base, u, v, ps, sense)
-    monkeypatch.setattr(WordTable, "_identities", checked)
-    monkeypatch.setattr(WordTable, "_generators", sorted_)
-    module_sweeps(spec)
-    assert sum(written) >= (11 if name == "trivial" else 100)
-    assert (max(mu) > 0) == (name == "random_rep_a4")
-
-
-def test_a_flush_of_unit_letters_reads_no_local_block(monkeypatch):
-    """On ``trivial`` every letter is the unit, so no generator of its
-    sweeps or of its module section reads the table of local blocks, built
-    from the F- and R-blocks and the inverse F-blocks."""
-    def refuse(*args):
-        raise AssertionError("a unit letter's generator read _braid_blocks")
-    monkeypatch.setattr(fusion_paths, "_braid_blocks", refuse)
-    report = module_sweeps(suite.get_category("trivial"))
-    assert len(report.checks) == 8 and report.passed
-    report = run_suite("trivial", suites=["module"])
-    assert len(report.checks) == 2 and report.passed
 
 
 # The sweeps that take one exponent n rather than a list n_values.
@@ -587,9 +527,8 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
     """Under gc.disable(), every stack and braid of an alpha-functor sweep
     dies by reference counting once the sweep returns, and so does a spec
     once every section and ``module_sweeps`` have run on it, with the word
-    tables that the sweeps share between stacks: the spec's cache holds
-    arrays, not objects that point back at it, and a table holds no
-    stack."""
+    table of each stack: the spec's cache holds arrays, not objects that
+    point back at it, and a table holds no stack."""
     refs, tables = [], []
     init, braid = PathStack.__init__, PathStack.braid
     table_init = WordTable.__init__

@@ -248,8 +248,10 @@ def test_under_generators_invert_over_generators(name, spec_of):
 @pytest.mark.parametrize("name", FACT_TARGETS)
 def test_unit_letter_generators_are_the_identity(name, spec_of):
     """sigma_p, over and under, on every 3-letter word with the unit at
-    letter p or p + 1 has identity blocks exactly: the paths of the word
-    and of its swap correspond one to one in tree order."""
+    letter p or p + 1 has identity blocks exactly: the context sort
+    gathers for it the identity blocks that the spec holds on unit
+    strands, and the paths of the word and of its swap correspond one to
+    one in tree order."""
     spec = _spec(name, spec_of)
     for p in (1, 2):
         words = [w for w in _words(spec, 3) if 0 in w[p - 1:p + 1]]
