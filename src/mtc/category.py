@@ -58,10 +58,15 @@ block reads as zeros.  Each side of an identity is a ``_Term``, the one
 evaluator of every identity checked by contraction: tuples whose blocks
 have equal shapes are contracted by one einsum with a batch axis, the
 operands gathered from stores by role, so that stores of the same keys
-can stand in, as in the two hexagons and in ``mtc.frobenius``.  The
-pentagon and hexagons of a Deligne square C (x) C follow from C's two
-sides, slot by slot (``_square_gap``), which the product section of the
-suite uses instead of enumerating the square's tuples (``_square_report``).
+can stand in, as in the two hexagons and in ``mtc.frobenius``.  The two
+sides of the pentagon and of each hexagon are computed once per spec, in
+its ``sides`` section.  Every check of ``validate_category`` on a Deligne
+square C (x) C follows from C's arrays, as the square's data are the
+Kronecker products of C's: each deviation but ``f_completeness``'s from
+the two arrays that the check compares on C, pair of entries by pair of
+entries (``_square_gap``), and ``f_completeness`` from C's F-blocks'
+smallest singular values.  The product section of the suite uses this
+report (``_square_report``) instead of building the square.
 
 Every derived table is memoised on its owner by ``cached``, one section
 of the owner's ``_cache`` per table; README lists them.
@@ -1002,11 +1007,6 @@ def _term(stores, slots, t: _LabelTable, subscripts, factors) -> _Term:
                  owns)
 
 
-def _gap(x, y) -> float:
-    """The largest entry of |x - y|; NaN if one is NaN, 0 if there is none."""
-    return float(np.max(np.abs(x - y), initial=0.0))
-
-
 # The most label tuples that one round of the pentagon or the hexagons
 # enumerates before the last filter of its left side, unless one first
 # label alone needs more, and the most fusion paths that one round of a
@@ -1090,14 +1090,6 @@ def _pentagon_sides(spec: CategorySpec):
         yield lhs, rhs
 
 
-def _pentagon_deviation(spec: CategorySpec) -> float:
-    """Max deviation of the pentagon identity over all admissible labels."""
-    worst = 0.0
-    for lhs, rhs in _pentagon_sides(spec):
-        worst = max_dev(worst, _gap(lhs, rhs))
-    return worst
-
-
 def _hexagon_sides(spec: CategorySpec):
     """Per round of the hexagons, the slots of their two sides: (False,
     lhs, rhs) under the braiding, then (True, lhs, rhs) under the inverse
@@ -1132,12 +1124,25 @@ def _hexagon_sides(spec: CategorySpec):
             yield inverse, lhs.value(roles), rhs.value(roles)
 
 
-def _hexagon_deviations(spec: CategorySpec) -> tuple:
-    """Max deviations of the two hexagon identities: (braiding, inverse)."""
-    worst = [0.0, 0.0]
-    for inverse, lhs, rhs in _hexagon_sides(spec):
-        worst[inverse] = max_dev(worst[inverse], _gap(lhs, rhs))
-    return tuple(worst)
+@cached("sides")
+def _sides(spec: CategorySpec, hexagons: bool) -> tuple:
+    """The sides of the pentagon, or with ``hexagons`` those of the hexagons
+    under the braiding and under the inverse braiding: one (lhs, rhs) pair
+    per identity, every round's slots concatenated.  The category section
+    and the square's checks read this one copy."""
+    if hexagons:
+        rounds = ([], [])
+        for inverse, lhs, rhs in _hexagon_sides(spec):
+            rounds[inverse].append((lhs, rhs))
+    else:
+        rounds = (list(_pentagon_sides(spec)),)
+    return tuple(tuple(np.concatenate(side) for side in zip(*sides))
+                 for sides in rounds)
+
+
+def _gap(x, y) -> float:
+    """The largest entry of |x - y|; NaN if one is NaN, 0 if there is none."""
+    return float(np.max(np.abs(x - y), initial=0.0))
 
 
 # The most pairs of entries that one chunk of ``_square_gap`` multiplies
@@ -1145,21 +1150,20 @@ def _hexagon_deviations(spec: CategorySpec) -> tuple:
 _PAIR_CHUNK = 1 << 20
 
 
-def _square_gap(sides) -> float:
-    """The deviation of an identity on the square C (x) C, from its
-    ``sides`` on C: the (lhs, rhs) slots of C's rounds.
+def _square_gap(lhs, rhs) -> float:
+    """``_gap`` of an identity on the square C (x) C, from its sides on C:
+    two arrays of C's entries, paired entry by entry.
 
-    The square's F and R are the Kronecker products of C's (``deligne``),
-    so each of its label tuples is a pair (s, t) of C's, and each sum over
-    its labels and multiplicities is the product of the sums over the two
-    factors'.  The square's sides at (s, t) are thus the products of C's,
-    l_s l_t and r_s r_t, entry by entry, and its deviation is the largest
+    The square's F, R, twists and dimensions are the Kronecker products of
+    C's (``deligne``), so each of its entries is a pair (s, t) of C's, and
+    each sum over its labels and multiplicities is the product of the sums
+    over the two factors'.  The square's sides at (s, t) are thus the
+    products of C's, l_s l_t and r_s r_t, and its deviation is the largest
     |l_i l_j - r_i r_j| over every pair (i, j) of C's entries.  Entries
     with equal (l, r) give equal pairs, so each distinct (l, r) is taken
     once; and as the pair (j, i) gives the same as (i, j), rows i take
     columns j >= their chunk's first row, in chunks of at most
     ``_PAIR_CHUNK`` pairs."""
-    lhs, rhs = (np.concatenate(side) for side in zip(*sides))
     parts = np.stack([lhs.real, lhs.imag, rhs.real, rhs.imag])
     order = np.lexsort(parts)
     parts = parts[:, order]
@@ -1175,42 +1179,67 @@ def _square_gap(sides) -> float:
     return worst
 
 
-def _square_hexagons(base: CategorySpec) -> tuple:
-    """``_hexagon_deviations`` of the square of ``base``, by
-    ``_square_gap`` from the base's sides: (braiding, inverse)."""
-    sides = ([], [])
-    for inverse, lhs, rhs in _hexagon_sides(base):
-        sides[inverse].append((lhs, rhs))
-    return tuple(_square_gap(s) for s in sides)
+def _pentagon_deviation(spec: CategorySpec, gap=_gap) -> float:
+    """Max deviation of the pentagon identity over all admissible labels,
+    or with ``gap`` = ``_square_gap`` that of the square of ``spec``."""
+    return gap(*_sides(spec, False)[0])
 
 
-def _f_block_failure(spec: CategorySpec, atol: float):
+def _hexagon_deviations(spec: CategorySpec, gap=_gap) -> tuple:
+    """Max deviations of the two hexagon identities: (braiding, inverse);
+    with ``gap`` = ``_square_gap`` those of the square of ``spec``."""
+    return tuple(gap(*sides) for sides in _sides(spec, True))
+
+
+def _f_block_failure(spec: CategorySpec, atol: float, square=False):
     """Why the first F-block in (a, b, c, d) order that is not finite or
-    singular fails, or None.  The smallest singular values come from one
-    stacked SVD per block shape, that of a 1 x 1 block being its modulus."""
-    F, failures = _blocks(spec, "F"), []
+    singular fails, or None; with ``square``, the first such block of the
+    square of ``spec``.  The smallest singular values come from one stacked
+    SVD per block shape, that of a 1 x 1 block being its modulus.
+
+    A block of the square is the Kronecker product of two of spec's, at
+    every pair (s, t) of F-keys, its labels (s_i * rank + t_i).  So it is
+    finite iff both are, and its smallest singular value is the product of
+    theirs (Horn and Johnson, Topics in Matrix Analysis, thm 4.2.15): the
+    square fails iff a block is not finite or the smallest value squared
+    is below ``atol``.  Each failing pair has a key whose value times the
+    smallest is below it, or is not finite, and only the pairs with such a
+    key are enumerated."""
+    F = _blocks(spec, "F")
+    sigma = np.full(len(F.keys.codes), np.nan)  # NaN: not finite
     for n, (idx, _) in F.keys.groups.items():
         stack = F.stack(n)
         finite = np.isfinite(stack).all(axis=(1, 2))
-        singular = np.zeros_like(finite)
         if finite.any():
-            singular[finite] = (np.abs(stack[finite, 0, 0]) if n == 1 else
-                                np.linalg.svd(stack[finite], compute_uv=False
-                                              )[:, -1]) < atol
-        for bad, why in ((~finite, "is not finite"), (singular, "is singular")):
-            if bad.any():
-                failures.append((idx[int(np.argmax(bad))], why))
-    if not failures:
+            sigma[idx[finite]] = (np.abs(stack[finite, 0, 0]) if n == 1 else
+                                  np.linalg.svd(stack[finite],
+                                                compute_uv=False)[:, -1])
+    labels, radix = F.keys.labels(), spec.rank
+    if square:
+        least = np.min(sigma, initial=np.inf, where=~np.isnan(sigma))
+        bad = np.flatnonzero(~(sigma * least >= atol))
+        every = np.arange(len(sigma))
+        s = np.concatenate([np.repeat(bad, len(every)),
+                            np.tile(every, len(bad))])
+        t = np.concatenate([np.tile(every, len(bad)),
+                            np.repeat(bad, len(every))])
+        sigma = sigma[s] * sigma[t]
+        labels, radix = [x[s] * radix + x[t] for x in labels], radix ** 2
+    fails = np.flatnonzero(~(sigma >= atol))
+    if not len(fails):
         return None
-    i, why = min(failures)
-    a, b, c, d = list(F.table())[i]
-    return f"F-block ({a},{b},{c};{d}) {why}"
+    i = fails[np.argmin(_encode([x[fails] for x in labels], radix))]
+    return "F-block ({},{},{};{}) {}".format(
+        *(int(x[i]) for x in labels),
+        "is not finite" if np.isnan(sigma[i]) else "is singular")
 
 
-def _ribbon_deviation(spec: CategorySpec) -> float:
+def _ribbon_deviation(spec: CategorySpec, gap=_gap) -> float:
     """Double braiding on channel c of a (x) b must equal theta_c/(theta_a
-    theta_b): every (a, b, c) at once, one stack of ``_r_double`` blocks
-    per multiplicity."""
+    theta_b): every (a, b, c) at once, the ``_r_double`` blocks against
+    the blocks of their wanted multiples of the identity, one stack per
+    multiplicity; with ``gap`` = ``_square_gap``, on the square of
+    ``spec``, whose double braidings are the Kronecker products of these."""
     D, theta = _r_double(spec), spec.theta
     a, b, c = D.keys.labels()
     # theta_a theta_b with each real product rounded on its own, as numpy
@@ -1220,84 +1249,87 @@ def _ribbon_deviation(spec: CategorySpec) -> float:
     want.real = ta.real * tb.real - ta.imag * tb.imag
     want.imag = ta.real * tb.imag + ta.imag * tb.real
     want = theta[c] / want
-    worst = 0.0
-    for m, (idx, _) in D.keys.groups.items():
-        dev = np.max(np.abs(D.stack(m) - want[idx, None, None] * np.eye(m)),
-                     axis=(1, 2))
-        worst = max_dev(worst, *dev.tolist())
-    return worst
+    W = D.apply(lambda idx, stack: want[idx, None, None]
+                * np.eye(stack.shape[1]))
+    return gap(D.flat[:D.keys.total], W.flat[:D.keys.total])
 
 
 def validate_category(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
                       ) -> VerificationReport:
     """Full coherence validation: ring axioms, F-data completeness, pentagon,
     both hexagons, ribbon compatibility, and dimension consistency."""
-    return _validated(spec, tol, lambda: _pentagon_deviation(spec),
-                      lambda: _hexagon_deviations(spec))
+    return _validated(spec, tol, False)
 
 
-def _square_report(square: CategorySpec, base: CategorySpec,
-                   tol: ToleranceConfig) -> VerificationReport:
-    """``validate_category`` of ``square``, which is deligne_power(base,
-    2), with its pentagon and hexagons from the base's sides
-    (``_square_gap``): equal up to rounding, without enumerating the
-    square's label tuples."""
-    return _validated(square, tol,
-                      lambda: _square_gap(_pentagon_sides(base)),
-                      lambda: _square_hexagons(base))
+def _square_report(base: CategorySpec, tol: ToleranceConfig
+                   ) -> VerificationReport:
+    """``validate_category`` of the square deligne_power(base, 2), from the
+    base's arrays alone: equal up to rounding, without building the square
+    or enumerating its label tuples.  Each check but ``ring_axioms`` and
+    ``f_completeness`` compares the same two arrays of the base as
+    ``validate_category`` does, by ``_square_gap``; ``f_completeness``
+    pairs the base's F-blocks (``_f_block_failure``), and the ring axioms
+    of the square follow from the base's, checked when its ring was built.
+    The pentagon's and the hexagons' sides are the base's ``sides``
+    section, which the category section fills."""
+    return _validated(base, tol, True)
 
 
-def _validated(spec: CategorySpec, tol: ToleranceConfig, pentagon,
-               hexagons) -> VerificationReport:
-    """The checks of ``validate_category``, the pentagon's deviation read
-    from pentagon() and the hexagons' from hexagons(), called only when
-    every F-block is finite and invertible."""
-    rep = VerificationReport(target=spec.name,
+def _validated(spec: CategorySpec, tol: ToleranceConfig, square: bool
+               ) -> VerificationReport:
+    """The checks of ``validate_category`` on ``spec``, or with ``square``
+    on its square, named spec.name^2.  Each deviation is the ``_gap`` of
+    two arrays of spec's, or their ``_square_gap``.  The pentagon and
+    everything after it run only when every F-block is finite and
+    invertible."""
+    gap = _square_gap if square else _gap
+    rep = VerificationReport(target=f"{spec.name}^2" if square else spec.name,
                              options={"atol": tol.atol})
-    ring = spec.ring
+    ring, theta, dims = spec.ring, spec.theta, spec.dims
+    one = np.ones(spec.rank)
     # a FusionRing checks its axioms when it is built
     rep.add_deviation("ring_axioms", "fusion ring axioms", 0.0, tol.atol)
 
     # structural ribbon data
-    dev = max_dev(abs(spec.theta[0] - 1.0), abs(spec.dims[0] - 1.0),
-                  float(np.max(np.abs(spec.theta[ring.dual] - spec.theta))),
-                  float(np.max(np.abs(spec.dims[ring.dual] - spec.dims))),
-                  float(np.max(np.abs(np.abs(spec.theta) - 1.0))))
+    dev = max_dev(gap(theta[:1], one[:1]), gap(dims[:1], one[:1]),
+                  gap(theta[ring.dual], theta), gap(dims[ring.dual], dims),
+                  gap(np.abs(theta), one))
     rep.add_deviation("ribbon_structure", "twist normalization and duality",
                       dev, tol.atol)
 
     # dimension homomorphism d_a d_b = sum_c N_ab^c d_c
-    prod = spec.dims[:, None] * spec.dims[None, :]
-    fused = np.einsum("abc,c->ab", ring.N, spec.dims)
+    fused = np.einsum("abc,c->ab", ring.N, dims)
     rep.add_deviation("dims_homomorphism", "quantum dimensions respect fusion",
-                      float(np.max(np.abs(prod - fused))), tol.atol)
+                      gap(np.outer(dims, dims).ravel(), fused.ravel()),
+                      tol.atol)
 
     # F-block presence / invertibility
-    failure = _f_block_failure(spec, tol.atol)
+    failure = _f_block_failure(spec, tol.atol, square)
     rep.add_deviation("f_completeness", "F-symbols present and invertible",
                       0.0 if failure is None else 1.0, tol.atol,
                       detail=failure or "")
     if failure is not None:
         return rep
 
-    rep.add_deviation("pentagon", "pentagon identity", pentagon(), tol.atol)
-    braiding, inverse = hexagons()
+    rep.add_deviation("pentagon", "pentagon identity",
+                      _pentagon_deviation(spec, gap), tol.atol)
+    braiding, inverse = _hexagon_deviations(spec, gap)
     rep.add_deviation("hexagon_braiding", "hexagon identity for the braiding",
                       braiding, tol.atol)
     rep.add_deviation("hexagon_inverse", "hexagon identity for the inverse braiding",
                       inverse, tol.atol)
     rep.add_deviation("ribbon_compatibility",
                       "double braiding eigenvalues match twists",
-                      _ribbon_deviation(spec), tol.atol)
+                      _ribbon_deviation(spec, gap), tol.atol)
 
     # |d_a * F[a,a*,a;a][0-channel]| = 1, every vacuum entry in one gather
     a = np.arange(spec.rank)
     vac = np.zeros_like(a)
     vacuum = _f_store(spec).take((a, ring.dual, a, a, vac, vac),
                                  (1, 1, 1, 1)).ravel()
-    dev = max_dev(*np.abs(np.abs(spec.dims * vacuum) - 1.0).tolist())
     rep.add_deviation("dims_f_consistency",
-                      "dimensions agree with vacuum F-symbols", dev, tol.atol)
+                      "dimensions agree with vacuum F-symbols",
+                      gap(np.abs(dims * vacuum), one), tol.atol)
     return rep
 
 
@@ -1318,6 +1350,23 @@ class ModularDatum:
         return self.S.shape[0]
 
 
+def _s_matrix(N, theta, dims) -> np.ndarray:
+    """The S-matrix of ``modular_datum`` from the fusion rules N, the twists
+    and the dimensions alone, each entry summed term by term in ascending
+    k: the square's S from the Kronecker products of its base's twists and
+    dimensions and the product rules, as its spec would give it."""
+    r = len(theta)
+    s00 = 1.0 / np.sqrt(float(np.sum(dims ** 2)))
+    d = dims.astype(np.complex128)
+    S = np.zeros((r, r), dtype=np.complex128)
+    for i, j in np.argwhere(N.any(axis=2)).tolist():
+        acc = 0.0 + 0.0j
+        for k in np.flatnonzero(N[i, j]).tolist():
+            acc += N[i, j, k] * theta[k] / (theta[i] * theta[j]) * d[k]
+        S[i, j] = s00 * acc
+    return S
+
+
 def modular_datum(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
                   ) -> ModularDatum:
     """S and T matrices from the skeletal trace formula
@@ -1332,27 +1381,15 @@ def modular_datum(spec: CategorySpec, tol: ToleranceConfig = DEFAULT_TOL
     if not (np.isfinite(spec.dims).all() and np.isfinite(spec.theta).all()):
         raise NotPremodular(f"dims or twists of {spec.name} are not finite")
     r = spec.rank
-    dim = spec.global_dim()
-    s00 = 1.0 / np.sqrt(dim)
-    N = spec.ring.N
-    theta = spec.theta
-    d = spec.dims.astype(np.complex128)
-    S = np.zeros((r, r), dtype=np.complex128)
-    for i in range(r):
-        for j in range(r):
-            acc = 0.0 + 0.0j
-            for k in range(r):
-                if N[i, j, k]:
-                    acc += N[i, j, k] * theta[k] / (theta[i] * theta[j]) * d[k]
-            S[i, j] = s00 * acc
+    S = _s_matrix(spec.ring.N, spec.theta, spec.dims)
     if not np.isfinite(S).all():
         raise NotPremodular(f"S-matrix of {spec.name} is not finite")
-    T = np.diag(theta)
+    T = np.diag(spec.theta)
     C = np.eye(r)[spec.dual]  # C[k, dual(k)] = 1
     svals = np.linalg.svd(S, compute_uv=False)
     is_modular = bool(svals[-1] > np.sqrt(tol.atol))
-    return ModularDatum(S=S, T=T, global_dim=dim, charge_conjugation=C,
-                        is_modular=is_modular)
+    return ModularDatum(S=S, T=T, global_dim=spec.global_dim(),
+                        charge_conjugation=C, is_modular=is_modular)
 
 
 def verlinde_fusion(md: ModularDatum, tol: ToleranceConfig = DEFAULT_TOL

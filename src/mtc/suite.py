@@ -4,7 +4,15 @@ Sections run in dependency order: the axioms of the input data, its
 modular data, the square of the category, the module associator family on
 the square, the canonical algebra, and the permutation invariants.
 Sections can be selected individually; everything downstream of a failed
-load is reported, not swallowed.  The module section certifies the paper's
+load is reported, not swallowed.  The product section reads the base
+alone and builds no square: the square's F, R, twists and dimensions are
+the Kronecker products of the base's, so each check of
+``validate_category`` on it follows from two arrays of the base's
+(``category._square_report``), the pentagon's and hexagons' sides those
+that the category section computed, and its S-matrix from the base's
+twists and dimensions and the product rules (``category._s_matrix``).  It
+keeps the rank bound of the square, ``deligne.MAX_PRODUCT_RANK``, and is
+skipped above it.  The module section certifies the paper's
 module identities by two relations of the braid-group representation on
 fusion paths (``mtc.fusion_paths``): ``braid_relations`` on the words of
 four letters and ``twist_relation`` on those of three.  With the three
@@ -28,10 +36,10 @@ import os
 import numpy as np
 
 from .builtins import BUILTIN_NAMES, get_category
-from .category import (DEFAULT_TOL, CategorySpec, _square_report,
+from .category import (DEFAULT_TOL, CategorySpec, _s_matrix, _square_report,
                        load_category, modular_datum, modular_group_relations,
                        validate_category, verlinde_fusion)
-from .deligne import deligne_power
+from .deligne import MAX_PRODUCT_RANK, _product_rules
 from .errors import RankOverflow, SnapFailure
 from .frobenius import frobenius_report
 from .fusion_paths import (braid_relation_deviations,
@@ -97,19 +105,19 @@ def _modular_section(spec, report, tol_config, md):
 
 
 def _product_section(spec, report, tol_config, md):
-    try:
-        prod = deligne_power(spec, 2)
-    except RankOverflow:
+    if spec.rank ** 2 > MAX_PRODUCT_RANK:
         report.add_skip("product_section", "product-coherence",
                         "square exceeds the rank bound")
         return
-    sub = _square_report(prod, spec, tol_config)
+    sub = _square_report(spec, tol_config)
     report.add_deviation("square_axioms", "product-coherence",
                          sub.max_deviation, tol_config.atol,
-                         detail=f"{len(sub.checks)} checks on {prod.name}")
+                         detail=f"{len(sub.checks)} checks on {sub.target}")
     if md.is_modular:
-        md2 = modular_datum(prod, tol_config)
-        dev = float(np.max(np.abs(md2.S - np.kron(md.S, md.S))))
+        S = _s_matrix(_product_rules(spec.ring, spec.ring)[0],
+                      np.kron(spec.theta, spec.theta),
+                      np.kron(spec.dims, spec.dims))
+        dev = float(np.max(np.abs(S - np.kron(md.S, md.S))))
         report.add_deviation("square_s_matrix", "product-s-factorization",
                              dev, tol_config.atol)
 

@@ -296,7 +296,9 @@ def test_rounds_do_not_change_coherence(monkeypatch, squares, name):
     deviations, bit for bit, when every first label has a round of its
     own.  At the default cap no round enumerates more than ``_ROUND_ROWS``
     label tuples unless its one first label does, and the counts the
-    rounds are cut by are the tuples the checks enumerate."""
+    rounds are cut by are the tuples the checks enumerate.  The sides are
+    cached per spec, so each measurement starts from an empty ``sides``
+    section."""
     spec = random_rep_a4() if name == "rep_a4_random" else squares[name[:-2]]
     rounds, cut = [], category._rounds
 
@@ -307,6 +309,7 @@ def test_rounds_do_not_change_coherence(monkeypatch, squares, name):
 
     def deviations():
         rounds.clear()
+        spec._cache.pop("sides", None)
         return (_pentagon_deviation(spec), *_hexagon_deviations(spec),
                 _ribbon_deviation(spec))
 
@@ -328,8 +331,10 @@ def test_validation_plans_each_round_once(monkeypatch, squares):
     """``validate_category`` of the ising square builds ten gather plans:
     one per side in each of the pentagon's four rounds and in the one round
     that both hexagons share.  With a round per first label and plans per
-    hexagon it built 54."""
+    hexagon it built 54.  The sides are cached per spec, so the module's
+    square starts from an empty ``sides`` section."""
     built, plan = [], category._LabelTable.plan
+    squares["ising"]._cache.pop("sides", None)
 
     def counting(*args):
         built.append(1)

@@ -139,42 +139,79 @@ def test_square_coherence(spec_of, squares, name):
     assert rep.max_deviation < 1e-9
 
 
-@pytest.mark.parametrize("name", [*BUILTINS, "z_5(2)", *FIXTURES,
-                                  "rep_a4_random"])
-def test_square_report_equals_the_full_validation(spec_of, name):
-    """The product section's report on the square, its pentagon and
-    hexagons from the base's sides, has the checks of ``validate_category``
-    on the square with their statuses and details, and deviations equal up
-    to rounding: to 1e-13, or relative to 1e-13 on the incoherent Rep(A4)
-    data, whose multiplicity-2 pairs have deviations far from 0."""
-    spec = random_rep_a4() if name == "rep_a4_random" else \
-        FIXTURES[name]() if name in FIXTURES else spec_of(name)
-    square = deligne_power(spec, 2)
-    full = validate_category(square).checks
-    fast = _square_report(square, spec, DEFAULT_TOL).checks
-    assert [(c.name, c.status, c.detail) for c in fast] == \
-        [(c.name, c.status, c.detail) for c in full]
-    rel = 1e-13 if name == "rep_a4_random" else 0
-    for got, want in zip(fast, full):
-        assert got.max_deviation == pytest.approx(
-            want.max_deviation, rel=rel, abs=0 if rel else 1e-13), got.name
-    if name == "rep_a4_random":
-        assert min(c.max_deviation for c in full
-                   if c.name.startswith(("pentagon", "hexagon"))) > 1
-
-
 def _detuned(spec, table, key, change):
-    """``spec`` with its ``table`` block at ``key`` changed by ``change``."""
-    F, R = dict(spec.F), dict(spec.R)
-    symbols = F if table == "F" else R
-    symbols[key] = change(symbols[key].copy())
+    """``spec`` with its ``table`` block at ``key`` changed by ``change``,
+    or with ``table`` "theta" its array of twists."""
+    F, R, theta = dict(spec.F), dict(spec.R), spec.theta
+    if table == "theta":
+        theta = change(theta.copy())
+    else:
+        symbols = F if table == "F" else R
+        symbols[key] = change(symbols[key].copy())
     return CategorySpec(f"{spec.name}-detuned", spec.ring, spec.dims,
-                        spec.theta, F, R)
+                        theta, F, R)
 
 
 def _nan_entry(block):
     block[1, 0] = np.nan
     return block
+
+
+def _turned_twist(theta):
+    theta[1] *= np.exp(0.3j)
+    return theta
+
+
+# base, table, key and change of each detuned datum: the three of
+# ``test_product_section_detects_a_detuned_base``, a twist turned by a
+# phase of 0.3, and an ising F-block scaled to a smallest singular value
+# of 1e-6, which passes ``f_completeness`` on the base but not on the
+# square, where the Kronecker product of the block with itself has 1e-12
+DETUNED = {
+    "fibonacci-F-scaled": ("fibonacci", "F", (1, 1, 1, 1),
+                           lambda block: block * 1.1),
+    "fibonacci-R-phase": ("fibonacci", "R", (1, 1, 0),
+                          lambda block: block * np.exp(0.3j)),
+    "fibonacci-F-nan": ("fibonacci", "F", (1, 1, 1, 1), _nan_entry),
+    "fibonacci-theta-phase": ("fibonacci", "theta", None, _turned_twist),
+    "ising-F-small": ("ising", "F", (1, 1, 1, 1),
+                      lambda block: block * 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "z_5(2)", *FIXTURES,
+                                  "rep_a4_random", *DETUNED])
+def test_square_report_equals_the_full_validation(spec_of, name):
+    """The product section's report on the square, every check derived from
+    the base's arrays, has the checks of ``validate_category`` on the
+    square built by ``deligne_power`` with their statuses and details, and
+    deviations equal up to rounding: to 1e-13, or relative to 1e-13 on the
+    incoherent Rep(A4) data, whose multiplicity-2 pairs have deviations far
+    from 0.  So it has on detuned data, each of which fails a check, and
+    on the ising F-block whose square alone is singular."""
+    if name in DETUNED:
+        base, table, key, change = DETUNED[name]
+        spec = _detuned(spec_of(base), table, key, change)
+    else:
+        spec = random_rep_a4() if name == "rep_a4_random" else \
+            FIXTURES[name]() if name in FIXTURES else spec_of(name)
+    full = validate_category(deligne_power(spec, 2))
+    fast = _square_report(spec, DEFAULT_TOL)
+    assert fast.target == full.target
+    assert [(c.name, c.status, c.detail) for c in fast.checks] == \
+        [(c.name, c.status, c.detail) for c in full.checks]
+    rel = 1e-13 if name == "rep_a4_random" else 0
+    for got, want in zip(fast.checks, full.checks):
+        assert got.max_deviation == pytest.approx(
+            want.max_deviation, rel=rel, abs=0 if rel else 1e-13), got.name
+    if name == "rep_a4_random":
+        assert min(c.max_deviation for c in full.checks
+                   if c.name.startswith(("pentagon", "hexagon"))) > 1
+    if name in DETUNED:
+        assert not full.passed
+    if name == "ising-F-small":
+        assert validate_category(spec).checks[3].status == "pass"
+        assert full.checks[3].detail == "F-block (4,4,4;4) is singular"
 
 
 @pytest.mark.parametrize("table, change, broken", [
@@ -204,8 +241,8 @@ def test_product_section_detects_a_detuned_base(spec_of, monkeypatch, table,
         assert check.detail == "4 checks on fibonacci-detuned^2"
         return
     assert check.detail == "9 checks on fibonacci-detuned^2"
-    square = {c.name: c.max_deviation for c in _square_report(
-        deligne_power(bad, 2), bad, DEFAULT_TOL).checks}
+    square = {c.name: c.max_deviation
+              for c in _square_report(bad, DEFAULT_TOL).checks}
     assert square[broken] >= by_name[broken].max_deviation > 1e-2
     braiding, inverse = _hexagon_deviations(bad)
     assert square["pentagon"] >= _pentagon_deviation(bad)

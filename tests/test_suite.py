@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc import fusion_paths
 from mtc.builtins import BUILTIN_NAMES
-from mtc.category import save_category
+from mtc.category import CategorySpec, FusionRing, save_category
 from mtc.fusion_paths import module_sweeps
 from mtc.report import VerificationReport
 from mtc.suite import run_suite
@@ -347,3 +348,35 @@ def test_the_ring_caches_only_its_keys_and_bases(monkeypatch, name):
     run_suite(name)
     assert sorted(specs[0].ring._cache) == ["f_keys", "r_keys", "roots",
                                             "trees"]
+
+
+@pytest.mark.parametrize("target", [*BUILTIN_NAMES, "z_5(2)", "z_11(1)"])
+def test_the_suite_builds_no_square(monkeypatch, target):
+    """``run_suite`` builds one CategorySpec and one FusionRing, the base's:
+    the product section derives the square's checks from the base's arrays
+    and builds no square, and no other section builds a spec or a ring."""
+    built = []
+    for cls in (CategorySpec, FusionRing):
+        def counting(self, *args, __init__=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            __init__(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    report = run_suite(target)
+    assert report.passed
+    assert "square_axioms" in {c.name for c in report.checks}
+    assert sorted(built) == ["CategorySpec", "FusionRing"]
+
+
+def test_the_product_section_of_z_11_stays_small():
+    """The product section of z_11(1), whose square has rank 121, allocates
+    at most 100 MB at its peak under ``tracemalloc`` (about 640 MB when it
+    built the square) and passes every check."""
+    tracemalloc.start()
+    try:
+        report = run_suite("z_11(1)", suites=["product"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("square_axioms", "pass"), ("square_s_matrix", "pass")]
+    assert peak < 100e6, peak
