@@ -1243,12 +1243,14 @@ def _ribbon_deviation(spec: CategorySpec, gap=_gap) -> float:
     D, theta = _r_double(spec), spec.theta
     a, b, c = D.keys.labels()
     # theta_a theta_b with each real product rounded on its own, as numpy
-    # multiplies two complex scalars; its array product may fuse them
+    # multiplies two complex scalars; its array product may fuse them.  A
+    # zero or huge twist gives a non-finite entry, and so a NaN deviation.
     ta, tb = theta[a], theta[b]
     want = np.empty(len(a), dtype=np.complex128)
-    want.real = ta.real * tb.real - ta.imag * tb.imag
-    want.imag = ta.real * tb.imag + ta.imag * tb.real
-    want = theta[c] / want
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        want.real = ta.real * tb.real - ta.imag * tb.imag
+        want.imag = ta.real * tb.imag + ta.imag * tb.real
+        want = theta[c] / want
     W = D.apply(lambda idx, stack: want[idx, None, None]
                 * np.eye(stack.shape[1]))
     return gap(D.flat[:D.keys.total], W.flat[:D.keys.total])
@@ -1359,11 +1361,14 @@ def _s_matrix(N, theta, dims) -> np.ndarray:
     s00 = 1.0 / np.sqrt(float(np.sum(dims ** 2)))
     d = dims.astype(np.complex128)
     S = np.zeros((r, r), dtype=np.complex128)
-    for i, j in np.argwhere(N.any(axis=2)).tolist():
-        acc = 0.0 + 0.0j
-        for k in np.flatnonzero(N[i, j]).tolist():
-            acc += N[i, j, k] * theta[k] / (theta[i] * theta[j]) * d[k]
-        S[i, j] = s00 * acc
+    # a zero or huge twist leaves a non-finite entry, which the callers
+    # refuse
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, j in np.argwhere(N.any(axis=2)).tolist():
+            acc = 0.0 + 0.0j
+            for k in np.flatnonzero(N[i, j]).tolist():
+                acc += N[i, j, k] * theta[k] / (theta[i] * theta[j]) * d[k]
+            S[i, j] = s00 * acc
     return S
 
 

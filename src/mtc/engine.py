@@ -53,6 +53,7 @@ from .category import MAX_WORD_LENGTH  # noqa: F401 (re-exported)
 from .category import (CategorySpec, Layout, _blocks, _check_words,
                        _f_inverses, _inverses, _r_inverses, _summands, cached)
 from .errors import PositionOutOfRange, ShapeMismatch, TraceOnNonEndomorphism
+from .fusion_paths import _crossing as _crossing_positions
 from .report import max_dev
 
 
@@ -538,14 +539,9 @@ def block_crossing(spec: CategorySpec, word, k: int, over: bool = True
     strand); with ``over=False`` it is c_{V,U}^-1.
     """
     _check_cut(word, k)
-    m = len(word) - k
     cur = identity(spec, word)
-    cur_word = word
-    for t in range(1, m + 1):
-        for p in range(k + t - 1, t - 1, -1):
-            gen = braid_generator(spec, cur_word, p, over)
-            cur = gen @ cur
-            cur_word = gen.dst
+    for p in _crossing_positions(1, k, len(word) - k):
+        cur = braid_generator(spec, cur.dst, p, over) @ cur
     return cur
 
 

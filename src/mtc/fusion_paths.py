@@ -24,13 +24,17 @@ F-blocks are identities, so that is the R-block of (w_1, w_2) at root A_2.
 A path's position in that block is its rank in the context sorted by
 (A_p, mu_p, mu_{p+1}), the row order of the F-blocks.  A block crossing
 and a monodromy are the generator sequences of ``engine.block_crossing``
-and ``engine.double_braiding``.  The inverse of a product of generators
-is the product of the inverse generators in reverse order, itself such a
-product: sigma_p over on the word (a, b) is c_{a,b}, and sigma_p under on
-(b, a) is c_{a,b}^-1.  So D^-n is named directly as the n-th power of
-that product, and D^n is ``np.linalg.matrix_power`` of the stacked D.
-The twist of the first k letters, whiskered on the right, is diagonal:
-theta_{A_k} on each path.
+and ``engine.double_braiding``.  The twist of the first k letters,
+whiskered on the right, is diagonal: theta_{A_k} on each path.  Every
+braid names its own inverse, and no block is inverted numerically.  The
+inverse of a product of generators is the product of the inverse
+generators in reverse order, itself such a product (Kassel and Turaev,
+"Braid Groups", GTM 247): sigma_p over on the word (a, b) is c_{a,b}, and
+sigma_p under on (b, a) is c_{a,b}^-1.  The inverse of a twist is the same
+twist at the opposite power, that of f g is g^-1 f^-1, that of a power the
+power of the inverse, and the identity is its own.  So D^-n is named
+directly as the n-th power of the inverse product, and D^n is
+``np.linalg.matrix_power`` of the stacked D.
 
 Braids are built when first used.  ``PathStack.braid`` only names a
 product of generators, and a braid's products, inverses and powers wait
@@ -67,8 +71,8 @@ bounds the memory of a flush.  Products, the inverse ones among them, are
 memoised per stack, so the psi^(n) of several n share their monodromies
 and the inverses of those.  Each sweep names all its pairs of braids
 before it compares the first, so that one flush builds them.
-An error of the data, such as a singular block, is therefore raised where
-a braid is first read, not where it is named.
+An error of the data, such as a singular F- or R-block, is therefore
+raised where a braid is first read, not where it is named.
 
 ``psi``, ``psi_hat``, ``gamma``, ``psi_from_gamma``, ``alpha_induction``
 and ``module_commutor`` are then products of local generators, their
@@ -83,13 +87,13 @@ path), an under generator is the inverse of its over generator (sigma_p
 under on (b, a) is c_{a,b}^-1), and a generator with a unit letter is the
 identity.  The relations are checked on the data:
 
-- ``braid_relation_deviations``: sigma_2 sigma_3 sigma_2 against sigma_3
+- ``braid_relation_pairs``: sigma_2 sigma_3 sigma_2 against sigma_3
   sigma_2 sigma_3, over and under, on every word (x, a, b, c).  The
   relation of sigma_p and sigma_{p+1} reads only the context x = A_{p-1}
   and the three letters after it, and every context is a label, so these
   words give it at every p of every word; x = 0 gives the relation of
   sigma_1 and sigma_2.
-- ``twist_relation_deviations``: theta_{A_3} against the monodromy sigma_2
+- ``twist_relation_pairs``: theta_{A_3} against the monodromy sigma_2
   sigma_1 sigma_1 sigma_2 of the third letter around the first two, times
   theta_{A_2} and the twist of the third letter alone, on every word
   (x, a, b).  That twist is beta^-1 theta_{A_1} beta, beta = sigma_2
@@ -117,8 +121,12 @@ times the number of relation moves between its two sides, times the norms
 of the generators around each move, so near the tolerance an identity can
 fail where the relations pass (on perturbed data by up to 2.55 eps on
 ising and 24.9 eps on Yang-Lee, whose generators are not unitary).
-``module_sweeps`` keeps the eight sweeps of the identities themselves, on
-sampled tuples, as the tests' reference.
+``module_sweeps`` keeps the eight sweeps of the identities themselves as
+the tests' reference.  A relation or sweep is one function that names its
+(lhs, rhs) pairs of braids on a stack, ``*_pairs``, and ``sweep`` compares
+them on stacks of its tuples.  Both draw their tuples through ``_words``:
+every tuple while they fit a budget, a seeded sample of that many distinct
+tuples otherwise, with the coverage stated in the report.
 The engine whiskers a multi-letter composite through ``split_transform``,
 whose F-move paths agree only when F satisfies the pentagon: on coherent
 data both agree to rounding, and on incoherent F the relations and the
@@ -129,22 +137,20 @@ of ``modcat`` remain the single-tuple API and reference.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .category import (_ROUND_ROWS, DEFAULT_TOL, CategorySpec, _blocks,
                        _changes, _check_words, _codes, _f_inverses, _f_keys,
-                       _inverses, _Keys, _mult, _r_keys, _r_store, _ranges,
-                       _rounds, cached)
+                       _Keys, _mult, _r_keys, _r_store, _ranges, _rounds,
+                       cached)
 from .errors import InvalidWord, PositionOutOfRange, ShapeMismatch
 from .report import VerificationReport, exponents, max_dev
 
 
 def _crossing(start: int, k: int, m: int) -> tuple:
     """Generator positions of the block crossing of strands start ..
-    start + k - 1 past the next m, in the order ``engine.block_crossing``
-    applies them."""
+    start + k - 1 past the next m, in the order they apply; with start 1,
+    those of ``engine.block_crossing``."""
     return tuple(start - 1 + p for t in range(1, m + 1)
                  for p in range(k + t - 1, t - 1, -1))
 
@@ -199,17 +205,19 @@ class Braid:
     """A morphism between two word orders of one ``PathStack``: ``blocks``
     maps each block size n to the stacked blocks (B_n, n, n).  They are
     computed when first read, after the stack has built every generator
-    queued so far.  A product of generators (``PathStack.braid``) carries
-    its ``key``, under which the stack memoises its blocks.  A braid holds
-    its stack and the stack holds no braid, only arrays, so both are freed
-    by reference counting."""
+    queued so far.  ``_inverse`` names the inverse braid when called, or is
+    None for an identity.  A product of generators (``PathStack.braid``)
+    carries its ``key``, under which the stack memoises its blocks.  A
+    braid holds its stack and the stack holds no braid, only arrays, so
+    both are freed by reference counting."""
 
-    __slots__ = ("stack", "src", "dst", "key", "_make", "_blocks",
-                 "__weakref__")
+    __slots__ = ("stack", "src", "dst", "key", "_make", "_inverse",
+                 "_blocks", "__weakref__")
 
-    def __init__(self, stack: "PathStack", src, dst, make, key=None):
+    def __init__(self, stack: "PathStack", src, dst, make, inverse,
+                 key=None):
         self.stack, self.src, self.dst, self.key = stack, src, dst, key
-        self._make, self._blocks = make, None
+        self._make, self._inverse, self._blocks = make, inverse, None
 
     @property
     def blocks(self) -> dict:
@@ -223,32 +231,27 @@ class Braid:
             raise ShapeMismatch(f"cannot compose: inner word order "
                                 f"{other.dst} != {self.src}")
         return Braid(self.stack, other.src, self.dst, lambda: {
-            n: x @ other.blocks[n] for n, x in self.blocks.items()})
+            n: x @ other.blocks[n] for n, x in self.blocks.items()},
+            lambda: other.inverse() @ self.inverse())
 
     def inverse(self) -> "Braid":
-        """The inverse map.  That of a product of generators is the product
-        of the inverse generators in reverse order
-        (``PathStack.braid_inverse``).  Any other braid is inverted by one
-        stacked ``category._inverses`` per block size: a block that is not
-        finite inverts to NaN, so that its tuple fails, and a singular one
-        raises NotPremodular naming its word and root when the inverse is
-        read."""
-        if self.key is not None:
-            return self.stack.braid_inverse(*self.key)
-        return Braid(self.stack, self.dst, self.src, lambda: {
-            n: _inverses(x, lambda i: self.stack._singular(self.src, n, i))
-            for n, x in self.blocks.items()})
+        """The inverse map, named by the braid's own parts: for a product
+        of generators the product of the inverse generators in reverse
+        order (``PathStack.braid_inverse``), for a twist the same twist at
+        the opposite power, for f @ g the braid g^-1 @ f^-1, for a power
+        the power of the inverse, and an identity itself."""
+        return self if self._inverse is None else self._inverse()
 
     def power(self, e: int) -> "Braid":
         """The e-th power of an endomorphism, block by block; a negative
-        power is that of the inverse, as ``np.linalg.matrix_power``
-        computes it."""
+        power is that of the inverse."""
         if self.src != self.dst:
             raise ShapeMismatch(f"power of a map {self.src} -> {self.dst}")
         if e < 0:
             return self.inverse().power(-e)
         return Braid(self.stack, self.src, self.dst, lambda: {
-            n: np.linalg.matrix_power(x, e) for n, x in self.blocks.items()})
+            n: np.linalg.matrix_power(x, e) for n, x in self.blocks.items()},
+            lambda: self.inverse().power(e))
 
 
 def _mu(L: int, k: int) -> int:
@@ -551,15 +554,6 @@ class PathStack:
         return (block, index - before[block],
                 index - before[self.first_block[self.tuple_of[block]]])
 
-    def _singular(self, order, n: int, i: int) -> str:
-        """Where a braid from ``order`` is singular, given the position i
-        of its first singular block among those of size n: its word and
-        root."""
-        b = self.members[n][i]
-        word = tuple(self.labels[self.tuple_of[b], list(order)].tolist())
-        return (f"braid on the word {word} is singular at root "
-                f"{int(self.root_of[b])}: an F- or R-block is not invertible")
-
     # -- the deferred rounds -----------------------------------------------
 
     def _flush(self):
@@ -624,7 +618,8 @@ class PathStack:
     # -- braids ------------------------------------------------------------
 
     def identity(self, order) -> Braid:
-        return Braid(self, order, order, lambda: self._split(self._eye()))
+        return Braid(self, order, order, lambda: self._split(self._eye()),
+                     None)
 
     def twist(self, order, k: int, power: int = 1) -> Braid:
         """theta_{A_k}^power on each path of the words of ``order``: the
@@ -644,18 +639,15 @@ class PathStack:
             out[self._diagonal] = (self.spec.theta ** power)[
                 table._paths[rows, k]]
             return self._split(out)
-        return Braid(self, order, order, make)
-
-    def generator(self, order, p: int, over: bool = True) -> Braid:
-        """sigma_p (1-based) on the words of ``order``, as
-        ``engine.braid_generator`` with the same ``over``."""
-        return self.braid(order, (p,), over)
+        return Braid(self, order, order, make,
+                     lambda: self.twist(order, k, -power))
 
     def braid(self, order, positions, over: bool = True) -> Braid:
-        """The product of the generators at ``positions``, applied in
-        turn to the words of ``order``.  Its generators are queued here;
-        they are built, and the product memoised, when a braid of the
-        stack is first read."""
+        """The product of the generators at ``positions`` (1-based), applied
+        in turn to the words of ``order``, each sigma_p as
+        ``engine.braid_generator`` with the same ``over``.  Its generators
+        are queued here; they are built, and the product memoised, when a
+        braid of the stack is first read."""
         if not positions:
             return self.identity(order)
         for p in positions:
@@ -668,7 +660,8 @@ class PathStack:
                 self._steps[dst, p, over] = None
             dst = _swapped(dst, p)
         key = (order, positions, over)
-        return Braid(self, order, dst, lambda: self._product(key), key)
+        return Braid(self, order, dst, lambda: self._product(key),
+                     lambda: self.braid_inverse(*key), key)
 
     def braid_inverse(self, order, positions, over: bool = True) -> Braid:
         """The inverse of ``braid(order, positions, over)``, named without
@@ -823,11 +816,12 @@ def _worst(stack: PathStack, pairs) -> list:
     return worst.tolist()
 
 
-def _sweep(spec: CategorySpec, tuples, pairs, *args) -> list:
-    """The deviations of a sweep on stacks of its own, each of at most
-    ``_ROUND_ROWS`` tuples, which bounds their memory: ``pairs(stack,
-    *args)`` names the sweep's (lhs, rhs) pairs on a stack.  A tuple's
-    deviation does not depend on the other tuples of its stack."""
+def sweep(spec: CategorySpec, tuples, pairs, *args) -> list:
+    """The deviation of every tuple under a relation or sweep, on stacks
+    of its own, each of at most ``_ROUND_ROWS`` tuples, which bounds their
+    memory: ``pairs(stack, *args)`` names its (lhs, rhs) pairs on a stack.
+    A tuple's deviation does not depend on the other tuples of its
+    stack."""
     tuples, out = list(tuples), []
     for at in range(0, max(len(tuples), 1), _ROUND_ROWS):
         stack = PathStack(spec, tuples[at:at + _ROUND_ROWS])
@@ -835,28 +829,48 @@ def _sweep(spec: CategorySpec, tuples, pairs, *args) -> list:
     return out
 
 
+def _words(rank: int, k: int, budget: int, rng, seed: int
+           ) -> tuple[list, str]:
+    """The words of k letters that a relation or sweep runs on, each a
+    tuple of Python ints as ``PathStack`` takes them, and its coverage:
+    all r^k while they fit ``budget``, in lexicographic order, or a sample
+    of that many distinct words drawn by ``rng``, seeded with ``seed``,
+    sorted."""
+    total = rank ** k
+    if total <= budget:
+        codes = np.arange(total)
+        coverage = f"exhaustive {total}/{total} words"
+    else:
+        codes = np.sort(rng.choice(total, size=budget, replace=False))
+        coverage = f"sampled {budget}/{total} words seed={seed}"
+    words = codes[:, None] // rank ** np.arange(k - 1, -1, -1) % rank
+    return [tuple(w) for w in words.tolist()], coverage
+
+
 # Each relation and each sweep is a function that names its (lhs, rhs)
-# pairs on a stack, here ``_*_pairs``, and a public ``*_deviations`` that
-# compares them on stacks of its own tuples.
+# pairs on a stack, compared by ``sweep``.
 #
 # A relation's tuple is a word (x, a, b, c) or (x, a, b), its first letter
 # the context of the generators that follow it.
 
 
-def _braid_relation_pairs(stack: PathStack) -> list:
+def braid_relation_pairs(stack: PathStack) -> list:
+    """sigma_2 sigma_3 sigma_2 against sigma_3 sigma_2 sigma_3, over and
+    under, on every word (x, a, b, c): the braid relation of sigma_p and
+    sigma_{p+1} at context x."""
     order = (0, 1, 2, 3)
     return [(stack.braid(order, (2, 3, 2), over),
              stack.braid(order, (3, 2, 3), over)) for over in (True, False)]
 
 
-def braid_relation_deviations(spec: CategorySpec, words) -> list:
-    """sigma_2 sigma_3 sigma_2 against sigma_3 sigma_2 sigma_3, over and
-    under, on every word (x, a, b, c): the braid relation of sigma_p and
-    sigma_{p+1} at context x."""
-    return _sweep(spec, words, _braid_relation_pairs)
+def twist_relation_pairs(stack: PathStack) -> list:
+    """The twist of a three-letter prefix against the monodromy of its
+    third letter around the first two times the twists of both, on every
+    word (x, a, b):
 
-
-def _twist_relation_pairs(stack: PathStack) -> list:
+      theta_{x(x)a(x)b}  against  sigma_2 sigma_1 sigma_1 sigma_2
+        o (theta_{x(x)a} (x) id_b) o (id_{x(x)a} (x) theta_b)
+    """
     order = (0, 1, 2)
     # beta carries the third letter to the front, where its twist is that
     # of a prefix
@@ -866,51 +880,27 @@ def _twist_relation_pairs(stack: PathStack) -> list:
              @ beta.inverse() @ stack.twist(beta.dst, 1) @ beta)]
 
 
-def twist_relation_deviations(spec: CategorySpec, words) -> list:
-    """The twist of a three-letter prefix against the monodromy of its
-    third letter around the first two times the twists of both, on every
-    word (x, a, b):
-
-      theta_{x(x)a(x)b}  against  sigma_2 sigma_1 sigma_1 sigma_2
-        o (theta_{x(x)a} (x) id_b) o (id_{x(x)a} (x) theta_b)
-    """
-    return _sweep(spec, words, _twist_relation_pairs)
-
-
 #
 # A pentagon tuple is (m, x1, x2, y1, y2, z1, z2): the module M = (m,) and
 # the objects X = (x1,) x (x2,), Y and Z of the square, at slots
 # M, U1, V1, U2, V2, U3, V3 = 0, ..., 6.
 
 
-def _module_pentagon_pairs(stack: PathStack, n_values) -> list:
-    return [(psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n)
-             @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 2, 2, 1, n),
-             psi(stack, (0, 1, 3, 2, 4, 5, 6), 2, 1, 1, n)
-             @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 3, 1, 2, n))
-            for n in n_values]
-
-
-def module_pentagon_deviations(spec: CategorySpec, tuples, n_values=(0,)
-                               ) -> list:
+def module_pentagon_pairs(stack: PathStack, n_values) -> list:
     """``modcat.module_pentagon_deviation`` of every tuple, its largest
     over ``n_values``, one or more Python ints (``report.exponents``):
 
       psi_{M.X,Y,Z} o psi_{M,X,Y(x)Z}  against
       (psi_{M,X,Y} . id_Z) o psi_{M,X(x)Y,Z}
     """
-    return _sweep(spec, tuples, _module_pentagon_pairs, exponents(n_values))
+    return [(psi(stack, (0, 1, 2, 3, 5, 4, 6), 4, 1, 1, n)
+             @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 2, 2, 1, n),
+             psi(stack, (0, 1, 3, 2, 4, 5, 6), 2, 1, 1, n)
+             @ psi(stack, (0, 1, 3, 5, 2, 4, 6), 3, 1, 2, n))
+            for n in exponents(n_values)]
 
 
-def _left_module_pentagon_pairs(stack: PathStack, n: int) -> list:
-    return [(psi_hat(stack, (1, 3, 2, 4, 5, 6, 0), 1, 1, 1, n)
-             @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 2, 1, 2, n),
-             psi_hat(stack, (1, 2, 3, 5, 4, 6, 0), 3, 1, 1, n)
-             @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 1, 2, 1, n))]
-
-
-def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
-                                    ) -> list:
+def left_module_pentagon_pairs(stack: PathStack, n: int) -> list:
     """``modcat.left_module_pentagon_deviation`` of every tuple, n a
     Python int (``report.exponents``):
 
@@ -918,7 +908,10 @@ def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
       (id_X (x) psi_hat_{Y,Z,M}) o psi_hat_{X,Y(x)Z,M}
     """
     n, = exponents((n,))
-    return _sweep(spec, tuples, _left_module_pentagon_pairs, n)
+    return [(psi_hat(stack, (1, 3, 2, 4, 5, 6, 0), 1, 1, 1, n)
+             @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 2, 1, 2, n),
+             psi_hat(stack, (1, 2, 3, 5, 4, 6, 0), 3, 1, 1, n)
+             @ psi_hat(stack, (1, 3, 5, 2, 4, 6, 0), 1, 2, 1, n))]
 
 
 # A tuple of the other sweeps is (m, x1, x2, y1, y2, ...) at slots M, U1,
@@ -926,34 +919,19 @@ def left_module_pentagon_deviations(spec: CategorySpec, tuples, n: int = 0
 # and the single label of the twist extraction.
 
 
-def _module_triangle_pairs(stack: PathStack, n_values) -> list:
-    order = (0, 1, 2)
-    ident = stack.identity(order)
-    return [(psi(stack, order, mu, up, v, n), ident) for n in n_values
-            for mu, up, v in ((1, 1, 0), (2, 0, 1))]
-
-
-def module_triangle_deviations(spec: CategorySpec, tuples, n_values=(0,)
-                               ) -> list:
+def module_triangle_pairs(stack: PathStack, n_values) -> list:
     """``modcat.module_triangle_deviation`` of every (m, x1, x2), its
     largest over ``n_values``, one or more Python ints
     (``report.exponents``): psi_{M,1,X} and psi_{M,X,1} against the
     identity."""
-    return _sweep(spec, tuples, _module_triangle_pairs, exponents(n_values))
+    order = (0, 1, 2)
+    ident = stack.identity(order)
+    return [(psi(stack, order, mu, up, v, n), ident)
+            for n in exponents(n_values)
+            for mu, up, v in ((1, 1, 0), (2, 0, 1))]
 
 
-def _twist_mismatch_pairs(stack: PathStack, n: int) -> list:
-    src, dst = (0, 1, 3, 2, 4), (0, 1, 2, 3, 4)
-    lhs = gamma(stack, dst, 1, 1) @ gamma(stack, dst, 3, 1) \
-        @ psi(stack, src, 2, 1, 1, n)
-    rhs = psi(stack, src, 2, 1, 1, n + 1) @ gamma(stack, src, 1, 2)
-    return [(lhs, rhs)] + [(psi(stack, src, 2, 1, 1, k),
-                            stack.braid(src, _crossing(3, 1, 1), over))
-                           for k, over in ((0, True), (1, False))]
-
-
-def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
-                              ) -> list:
+def twist_mismatch_pairs(stack: PathStack, n: int) -> list:
     """The larger of ``modcat.gamma_functor_deviation`` at n and
     ``modcat.psi_shortcut_deviation`` for every (m, x1, x2, y1, y2), n a
     Python int (``report.exponents``):
@@ -963,25 +941,32 @@ def twist_mismatch_deviations(spec: CategorySpec, tuples, n: int = 0
       psi^(0) against c_{U',V} and psi^(1) against c^-1_{V,U'}.
     """
     n, = exponents((n,))
-    return _sweep(spec, tuples, _twist_mismatch_pairs, n)
+    src, dst = (0, 1, 3, 2, 4), (0, 1, 2, 3, 4)
+    lhs = gamma(stack, dst, 1, 1) @ gamma(stack, dst, 3, 1) \
+        @ psi(stack, src, 2, 1, 1, n)
+    rhs = psi(stack, src, 2, 1, 1, n + 1) @ gamma(stack, src, 1, 2)
+    return [(lhs, rhs)] + [(psi(stack, src, 2, 1, 1, k),
+                            stack.braid(src, _crossing(3, 1, 1), over))
+                           for k, over in ((0, True), (1, False))]
 
 
-def _associator_chain_pairs(stack: PathStack, n: int) -> list:
+def associator_chain_pairs(stack: PathStack, n: int) -> list:
+    """psi^(n) against ``psi_from_gamma`` at n for every (m, x1, x2, y1,
+    y2), as the associator-chain check of the suite; n a Python int
+    (``report.exponents``)."""
+    n, = exponents((n,))
     src = (0, 1, 3, 2, 4)
     return [(psi(stack, src, 2, 1, 1, n),
              psi_from_gamma(stack, src, 1, 1, 1, 1, n))]
 
 
-def associator_chain_deviations(spec: CategorySpec, tuples, n: int
-                                ) -> list:
-    """psi^(n) against ``psi_from_gamma`` at n for every (m, x1, x2, y1,
-    y2), as the associator-chain check of the suite; n a Python int
-    (``report.exponents``)."""
-    n, = exponents((n,))
-    return _sweep(spec, tuples, _associator_chain_pairs, n)
+def alpha_functor_pairs(stack: PathStack) -> list:
+    """``modcat.alpha_functor_deviation`` of every tuple, the larger of its
+    two signs:
 
-
-def _alpha_functor_pairs(stack: PathStack) -> list:
+      (gamma^X_{M,Y} . id_Z) o gamma^X_{M.Y,Z}  against
+      psi^(0)_{M.X,Y,Z} o gamma^X_{M,Y(x)Z} o (psi^(0)_{M,Y,Z}^-1 . id_X)
+    """
     one = (1, 1)
     # psi^(0)_{M,Y,Z}^-1, the inverse of a crossing
     back = stack.braid_inverse((0, 3, 5, 4, 6, 1, 2), _crossing(3, 1, 1))
@@ -995,17 +980,12 @@ def _alpha_functor_pairs(stack: PathStack) -> list:
             for over in (True, False)]
 
 
-def alpha_functor_deviations(spec: CategorySpec, tuples) -> list:
-    """``modcat.alpha_functor_deviation`` of every tuple, the larger of its
-    two signs:
+def commutor_witness_pairs(stack: PathStack) -> list:
+    """``modcat.commutor_witness_deviation`` of every (m, u, v, u', v'):
 
-      (gamma^X_{M,Y} . id_Z) o gamma^X_{M.Y,Z}  against
-      psi^(0)_{M.X,Y,Z} o gamma^X_{M,Y(x)Z} o (psi^(0)_{M,Y,Z}^-1 . id_X)
+      gamma^{VxU,-}_{M,U'xV'} o Gamma_{M.(U'xV')}  against
+      (Gamma_M (x) id) o gamma^{UxV,+}_{M,U'xV'}
     """
-    return _sweep(spec, tuples, _alpha_functor_pairs)
-
-
-def _commutor_witness_pairs(stack: PathStack) -> list:
     one = (1, 1)
     lhs = alpha_induction(stack, (0, 3, 4, 2, 1), 1, one, one, False) \
         @ module_commutor(stack, (0, 3, 4, 1, 2), 3, 1, 1)
@@ -1014,50 +994,29 @@ def _commutor_witness_pairs(stack: PathStack) -> list:
     return [(lhs, rhs)]
 
 
-def commutor_witness_deviations(spec: CategorySpec, tuples) -> list:
-    """``modcat.commutor_witness_deviation`` of every (m, u, v, u', v'):
-
-      gamma^{VxU,-}_{M,U'xV'} o Gamma_{M.(U'xV')}  against
-      (Gamma_M (x) id) o gamma^{UxV,+}_{M,U'xV'}
-    """
-    return _sweep(spec, tuples, _commutor_witness_pairs)
-
-
-def _twist_extraction_pairs(stack: PathStack) -> list:
+def twist_extraction_pairs(stack: PathStack) -> list:
+    """For every (u,), ``modcat.extract_twist`` of the word (u,),
+    gamma_{1,1xU} o gamma_{1,Ux1}^-1, against theta_u."""
     order = (0,)
     got = gamma(stack, order, 0, 0) @ gamma(stack, order, 0, 1).inverse()
     return [(got, stack.twist(order, 1))]
 
 
-def twist_extraction_deviations(spec: CategorySpec, tuples) -> list:
-    """For every (u,), ``modcat.extract_twist`` of the word (u,),
-    gamma_{1,1xU} o gamma_{1,Ux1}^-1, against theta_u."""
-    return _sweep(spec, tuples, _twist_extraction_pairs)
-
-
 # The sample budget of a sweep with no smaller cap: above it, a sweep draws
-# that many seeded tuples, with replacement.
+# that many distinct seeded tuples.
 _SWEEP_BUDGET = 256
-
-
-def _label_tuples(rank: int, k: int, budget: int, rng
-                  ) -> list[tuple[int, ...]]:
-    """All r^k label tuples, or a seeded sample of ``budget`` of them."""
-    if rank ** k <= budget:
-        return list(itertools.product(range(rank), repeat=k))
-    picks = rng.integers(0, rank, size=(budget, k))
-    return [tuple(row) for row in picks.tolist()]
 
 
 def module_sweeps(spec: CategorySpec, n_values=(0, 1, 2)
                   ) -> VerificationReport:
     """The eight identities of the paper's module section, each swept over
     the label tuples of its length: all of them while they fit the sweep's
-    budget, a sample of that size drawn with seed 0 otherwise.  A report of
-    eight checks at ``DEFAULT_TOL``.  ``mtc check`` runs the two relations
-    that certify these identities instead; the tests keep the sweeps as
-    their reference.  Each sweep runs on stacks of its own tuples
-    (``_sweep``), each with its own ``WordTable``."""
+    budget, a sample of that many distinct tuples drawn with seed 0
+    otherwise (``_words``), its coverage in the check's detail.  A report
+    of eight checks at ``DEFAULT_TOL``.  ``mtc check`` runs the two
+    relations that certify these identities instead; the tests keep the
+    sweeps as their reference.  Each sweep runs on stacks of its own
+    tuples (``sweep``), each with its own ``WordTable``."""
     # a label tuple is (m, x1, x2, ...): the module M = (m,) and objects
     # (x1, x2), ... of the square
     n_values = exponents(n_values)
@@ -1067,28 +1026,28 @@ def module_sweeps(spec: CategorySpec, n_values=(0, 1, 2)
     # rhs) pairs on a stack and its arguments after it
     sweeps = [
         ("module_pentagon", "module-pentagon", 7, _SWEEP_BUDGET,
-         _module_pentagon_pairs, n_values),
+         module_pentagon_pairs, n_values),
         ("left_module_pentagon", "left-module-pentagon", 7, 64,
-         _left_module_pentagon_pairs, n0),
+         left_module_pentagon_pairs, n0),
         ("module_triangle", "module-unit-triangle", 3, _SWEEP_BUDGET,
-         _module_triangle_pairs, n_values),
+         module_triangle_pairs, n_values),
         ("twist_mismatch_functor", "twist-mismatch-equation", 5,
-         _SWEEP_BUDGET, _twist_mismatch_pairs, n0),
+         _SWEEP_BUDGET, twist_mismatch_pairs, n0),
         ("associator_from_chain", "associator-chain", 5, 64,
-         _associator_chain_pairs, n_top),
+         associator_chain_pairs, n_top),
         ("twist_extraction", "twist-from-mismatch", 1, _SWEEP_BUDGET,
-         _twist_extraction_pairs),
+         twist_extraction_pairs),
         ("alpha_module_functor", "alpha-induction-functor", 7, 32,
-         _alpha_functor_pairs),
+         alpha_functor_pairs),
         ("commutor_witness", "commutor-intertwiner", 5, 32,
-         _commutor_witness_pairs),
+         commutor_witness_pairs),
     ]
     report = VerificationReport(spec.name)
     for name, tag, k, budget, pairs, *args in sweeps:
-        tuples = _label_tuples(spec.rank, k, budget, rng)
-        report.add_deviation(
-            name, tag, max_dev(*_sweep(spec, tuples, pairs, *args)),
-            DEFAULT_TOL.atol,
-            detail=f"n in {list(n_values)}" if name == "module_pentagon"
-            else "")
+        tuples, coverage = _words(spec.rank, k, budget, rng, 0)
+        if name == "module_pentagon":
+            coverage = f"n in {list(n_values)}; {coverage}"
+        report.add_deviation(name, tag,
+                             max_dev(*sweep(spec, tuples, pairs, *args)),
+                             DEFAULT_TOL.atol, detail=coverage)
     return report

@@ -22,11 +22,12 @@ framed braids, so it holds on every label tuple.  That is exact only where
 the relations hold exactly: a relation deviation eps allows each identity
 a multiple of eps (``mtc.fusion_paths``).  Each relation runs on all its
 words while they fit ``_WORD_BUDGET``, and on a seeded sample of that many
-distinct words otherwise, in stacks of at most ``_ROUND_ROWS`` words; its
-``detail`` states which.  The eight sampled sweeps of the identities
-themselves are ``fusion_paths.module_sweeps``, the tests' reference, and
-the per-tuple functions of ``modcat`` remain the single-tuple API.  Check
-times are measured by the report, not here.
+distinct words otherwise (``fusion_paths._words``), in stacks of at most
+``_ROUND_ROWS`` words (``fusion_paths.sweep``); its ``detail`` states
+which.  The eight sweeps of the identities themselves are
+``fusion_paths.module_sweeps``, the tests' reference, and the per-tuple
+functions of ``modcat`` remain the single-tuple API.  Check times are
+measured by the report, not here.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .category import (DEFAULT_TOL, CategorySpec, _s_matrix, _square_report,
 from .deligne import MAX_PRODUCT_RANK, _product_rules
 from .errors import RankOverflow, SnapFailure
 from .frobenius import frobenius_report
-from .fusion_paths import (braid_relation_deviations,
-                           twist_relation_deviations)
+from .fusion_paths import (_words, braid_relation_pairs, sweep,
+                           twist_relation_pairs)
 from .invariants import (annulus_defect, induced_decomposition_defect,
                          invariant_report, symmetric_group_check)
 from .report import VerificationReport, exponents, max_dev
@@ -68,21 +69,6 @@ def resolve_target(target: str) -> CategorySpec:
         return get_category(target)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
-
-
-def _relation_words(rank: int, k: int, rng, seed: int) -> tuple[list, str]:
-    """The words of k letters that a relation runs on, and its coverage:
-    all r^k while they fit ``_WORD_BUDGET``, in lexicographic order, or a
-    sample of that many distinct words drawn by ``rng``, sorted."""
-    total = rank ** k
-    if total <= _WORD_BUDGET:
-        codes = np.arange(total)
-        coverage = f"exhaustive {total}/{total} words"
-    else:
-        codes = np.sort(rng.choice(total, size=_WORD_BUDGET, replace=False))
-        coverage = f"sampled {_WORD_BUDGET}/{total} words seed={seed}"
-    words = codes[:, None] // rank ** np.arange(k - 1, -1, -1) % rank
-    return [tuple(w) for w in words.tolist()], coverage
 
 
 def _modular_section(spec, report, tol_config, md):
@@ -123,16 +109,13 @@ def _product_section(spec, report, tol_config, md):
 
 
 def _module_section(spec, report, tol_config, seed):
-    # name, statement, word length and the deviations per word of each
-    # relation
+    # name, statement, word length and the namer of each relation's pairs
     rng = np.random.default_rng(seed)
-    for name, tag, k, deviations in (
-            ("braid_relations", "braid-relations", 4,
-             braid_relation_deviations),
-            ("twist_relation", "twist-relation", 3,
-             twist_relation_deviations)):
-        words, coverage = _relation_words(spec.rank, k, rng, seed)
-        report.add_deviation(name, tag, max_dev(*deviations(spec, words)),
+    for name, tag, k, pairs in (
+            ("braid_relations", "braid-relations", 4, braid_relation_pairs),
+            ("twist_relation", "twist-relation", 3, twist_relation_pairs)):
+        words, coverage = _words(spec.rank, k, _WORD_BUDGET, rng, seed)
+        report.add_deviation(name, tag, max_dev(*sweep(spec, words, pairs)),
                              tol_config.atol, detail=coverage)
 
 
@@ -177,6 +160,9 @@ def run_suite(target: str, n_values=(0, 1, 2), tol_config=None, suites=None,
         raise ValueError(f"unknown suite(s) {unknown}; "
                          f"choose from {SUITE_NAMES}")
     n_values = exponents(n_values)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative Python int, not "
+                         f"{seed!r}")
     spec = resolve_target(target)
 
     report = VerificationReport(

@@ -179,6 +179,45 @@ def test_check_singular_block_is_a_usage_error(capsys, tmp_path, table, key,
     assert err == f"error: {block} is singular\n"
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e308 * (1 + 1j)],
+                         ids=["zero", "huge"])
+def test_degenerate_twist_fails_without_warnings(tmp_path, theta):
+    """A fibonacci spec with theta_tau zero or near the float limit fails
+    ribbon_structure and ribbon_compatibility, with no RuntimeWarning,
+    which the tests turn into errors.  ``mtc check`` on its file exits 2
+    with one ``error:`` line and nothing else on stderr; run in a fresh
+    interpreter, where warnings are printed."""
+    from mtc import get_category
+    from mtc.category import CategorySpec, save_category, validate_category
+    fib = get_category("fibonacci")
+    twists = fib.theta.astype(complex)
+    twists[1] = theta
+    spec = CategorySpec("fibonacci-degenerate", fib.ring, fib.dims, twists,
+                        fib.F, fib.R)
+    checks = {c.name: c.status for c in validate_category(spec).checks}
+    assert checks["ribbon_structure"] == "fail"
+    assert checks["ribbon_compatibility"] == "fail"
+    path = tmp_path / "fibonacci-degenerate.json"
+    save_category(spec, path)
+    done = subprocess.run(
+        [sys.executable, "-m", "mtc.cli", "check", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 2
+    assert done.stderr == \
+        "error: S-matrix of fibonacci-degenerate is not finite\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_check_negative_seed_is_a_usage_error(capsys, seed):
+    """A negative --seed exits 2 naming the seed, not with numpy's bare
+    "expected non-negative integer"."""
+    code, out, err = run(capsys, "check", "semion", "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be a non-negative Python int, not " \
+        f"{seed}\n"
+
+
 # ---------------------------------------------------------------------------
 # compute
 

@@ -9,10 +9,10 @@ inverses and the twists of prefixes must equal the engine's on Rep(A4)
 words, whose local blocks have fusion multiplicity 2, also when one
 deferred flush enumerates several word orders at once.  Guards pin the
 number of batched rounds of a ``module_sweeps`` pass, one flush per stack,
-each stack on a word table of its own, the sweeps' deviations of ising,
-fibonacci, z_5(2) and Rep(A4) bit for bit, and that stacks, braids, word
-tables and a spec that ran every section and the sweeps are freed by
-reference counting.  The batched sides are
+each stack on a word table of its own, no numerical inversion of a braid,
+the sweeps' deviations of ising, fibonacci, z_5(2) and Rep(A4) bit for
+bit, and that stacks, braids, word tables and a spec that ran every section
+and the sweeps are freed by reference counting.  The batched sides are
 products of local generators, so on an F that fails the pentagon they can
 agree where the engine's whiskered composites do not: the last tests pin
 what the report still sees then.
@@ -21,11 +21,13 @@ what the report still sees then.
 import gc
 import itertools
 import re
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import mtc.category as category
 import mtc.modcat as modcat
 import mtc.suite as suite
 from mtc import fusion_paths
@@ -34,7 +36,7 @@ from mtc.category import _ROUND_ROWS, CategorySpec
 from mtc.engine import Morphism, braid_generator, embed, twist_endo
 from mtc.errors import (InvalidWord, NotPremodular, PositionOutOfRange,
                         ShapeMismatch)
-from mtc.fusion_paths import PathStack, WordTable, module_sweeps
+from mtc.fusion_paths import PathStack, WordTable, module_sweeps, sweep
 from mtc.modcat import psi, psi_hat
 from mtc.report import max_dev
 from mtc.suite import run_suite
@@ -136,7 +138,7 @@ def test_generators_equal_the_engine_with_multiplicity_two():
         stack = PathStack(spec, words)
         assert max(stack.members) > 1
         for p, over in itertools.product(range(1, L), (True, False)):
-            g = stack.generator(tuple(range(L)), p, over)
+            g = stack.braid(tuple(range(L)), (p,), over)
             for k, word in enumerate(words):
                 _assert_equal_blocks(stack, g, k,
                                      braid_generator(spec, word, p, over))
@@ -192,7 +194,7 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
     assert len(built) > 10 and {over for *_, over in built} == {True, False}
     # relative: the generators of this random data reach entries of 170
     for order, p, over in built:
-        g = stack.generator(order, p, over)
+        g = stack.braid(order, (p,), over)
         for k, labels in enumerate(stack.labels.tolist()):
             word = tuple(labels[i] for i in order)
             _assert_equal_blocks(stack, g, k,
@@ -200,18 +202,19 @@ def test_one_flush_enumerates_every_order_in_tree_order(monkeypatch):
 
 
 # The deviations of ``module_sweeps`` on ising, with the generators held in
-# local form and every inverse product of generators built from the inverse
-# generators.  They pin the sweeps' arithmetic bit for bit: a change meant
-# to move it re-pins them from a fresh ``module_sweeps(<spec>)``.
+# local form, every braid's inverse named by its parts and the tuples of a
+# sampled sweep distinct.  They pin the sweeps' arithmetic bit for bit: a
+# change meant to move it re-pins them from a fresh
+# ``module_sweeps(<spec>)``.
 ISING_MODULE = {
-    "module_pentagon": 1.3653937842860002e-15,
-    "left_module_pentagon": 1.1213173297822986e-16,
+    "module_pentagon": 1.2222885963113926e-15,
+    "left_module_pentagon": 1.1102230246251565e-16,
     "module_triangle": 4.440892098500626e-16,
     "twist_mismatch_functor": 2.482534153247273e-16,
     "associator_from_chain": 4.577566798522237e-16,
     "twist_extraction": 0.0,
-    "alpha_module_functor": 3.2368285245694683e-16,
-    "commutor_witness": 1.5700924586837752e-16,
+    "alpha_module_functor": 2.482534153247273e-16,
+    "commutor_witness": 2.2887833992611187e-16,
 }
 
 
@@ -223,7 +226,7 @@ FIB_MODULE = {
     "module_triangle": 8.082545620880531e-16,
     "twist_mismatch_functor": 8.400361489980554e-16,
     "associator_from_chain": 1.6946818973100074e-15,
-    "twist_extraction": 1.5700924586837752e-16,
+    "twist_extraction": 0.0,
     "alpha_module_functor": 4.710277376051326e-16,
     "commutor_witness": 5.185169430563076e-16,
 }
@@ -236,14 +239,14 @@ def test_fibonacci_module_deviations_hold_bit_for_bit():
 
 # The same for z_5(2), on whose rank-5 words few repeat.
 Z52_MODULE = {
-    "module_pentagon": 2.4582102826059023e-15,
-    "left_module_pentagon": 2.482534153247273e-16,
+    "module_pentagon": 2.8332447843781514e-15,
+    "left_module_pentagon": 2.220446049250313e-16,
     "module_triangle": 8.082545620880531e-16,
-    "twist_mismatch_functor": 5.461575137144001e-15,
-    "associator_from_chain": 8.948838350958004e-15,
-    "twist_extraction": 1.5700924586837752e-16,
-    "alpha_module_functor": 4.577566798522237e-16,
-    "commutor_witness": 3.510833468576701e-16,
+    "twist_mismatch_functor": 5.4128353991207e-15,
+    "associator_from_chain": 1.0810431491176359e-14,
+    "twist_extraction": 0.0,
+    "alpha_module_functor": 6.684427777288334e-16,
+    "commutor_witness": 3.7238012298709097e-16,
 }
 
 
@@ -258,45 +261,48 @@ def test_z5_module_deviations_hold_bit_for_bit():
 # length, its batched deviations and the deviations they give.  Unit
 # letters next to multiplicity-2 vertices enter their generators.
 A4_MODULE = {
-    "module_pentagon": 101629621939.40714,
-    "left_module_pentagon": 1.2862197421537486e-12,
+    "module_pentagon": 2409963397.0123115,
+    "left_module_pentagon": 1.4551915228366852e-11,
     "module_triangle": 4.440892098500626e-16,
     "twist_mismatch_functor": 163.8999060829092,
-    "associator_from_chain": 4001.5301719359745,
+    "associator_from_chain": 718.5175143735519,
     "twist_extraction": 0.0,
-    "alpha_module_functor": 92199580.01176323,
-    "commutor_witness": 47.92089086091081,
+    "alpha_module_functor": 43689464.42627388,
+    "commutor_witness": 35.399858567878624,
 }
 A4_SWEEPS = {
     "module_pentagon": (
-        7, lambda s, ts: fusion_paths.module_pentagon_deviations(
-            s, ts, N_VALUES),
+        7, lambda s, ts: sweep(s, ts, fusion_paths.module_pentagon_pairs,
+                               N_VALUES),
         [69.44409267618676, 4.376443472740641e-16, 0.000798552983635691,
          8.730919876328985e-14, 0.0, 0.0]),
     "left_module_pentagon": (
-        7, lambda s, ts: fusion_paths.left_module_pentagon_deviations(
-            s, ts, 1),
+        7, lambda s, ts: sweep(s, ts,
+                               fusion_paths.left_module_pentagon_pairs, 1),
         [8.528310906259313e-17, 9.029268013363768e-16, 0.0,
          1.0418843950660006e-12, 0.0, 0.0]),
     "module_triangle": (
-        3, lambda s, ts: fusion_paths.module_triangle_deviations(
-            s, ts, N_VALUES),
+        3, lambda s, ts: sweep(s, ts, fusion_paths.module_triangle_pairs,
+                               N_VALUES),
         [0.0] * 6),
     "twist_mismatch_functor": (
-        5, lambda s, ts: fusion_paths.twist_mismatch_deviations(s, ts, -1),
+        5, lambda s, ts: sweep(s, ts, fusion_paths.twist_mismatch_pairs,
+                               -1),
         [0.08663252251374436, 0.0, 5.961331875953686, 0.7117899385223491,
          0.32625832070122374, 5.8662544647155865]),
     "associator_from_chain": (
-        5, lambda s, ts: fusion_paths.associator_chain_deviations(s, ts, 2),
+        5, lambda s, ts: sweep(s, ts, fusion_paths.associator_chain_pairs,
+                               2),
         [0.0, 0.0, 718.5175143735519, 0.0, 8.621529318813513, 0.0]),
     "twist_extraction": (
-        1, fusion_paths.twist_extraction_deviations, [0.0] * 6),
+        1, lambda s, ts: sweep(s, ts, fusion_paths.twist_extraction_pairs),
+        [0.0] * 6),
     "alpha_module_functor": (
-        7, fusion_paths.alpha_functor_deviations,
+        7, lambda s, ts: sweep(s, ts, fusion_paths.alpha_functor_pairs),
         [1.2560739669470201e-15, 8.881784197001252e-16, 0.0,
          19.923445610035966, 5.084229945850415e-13, 6.632608979562184]),
     "commutor_witness": (
-        5, fusion_paths.commutor_witness_deviations,
+        5, lambda s, ts: sweep(s, ts, fusion_paths.commutor_witness_pairs),
         [0.0, 0.0, 0.0, 1.6068951399541964e-17, 3.227937720230791e-17,
          5.161858260603477]),
 }
@@ -373,17 +379,33 @@ def test_module_sweeps_build_in_few_rounds(monkeypatch):
     assert all(n == 1 or paths <= _ROUND_ROWS for _, n, paths in rounds)
 
 
+def _inversions(monkeypatch) -> list:
+    """The size of every stack that ``category._inverses`` inverts from
+    now on, under every name by which a module of the package holds it."""
+    calls, inverses = [], category._inverses
+
+    def counted(stack, message):
+        calls.append(len(stack))
+        return inverses(stack, message)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mtc" \
+                and getattr(module, "_inverses", None) is inverses:
+            monkeypatch.setattr(module, "_inverses", counted)
+    return calls
+
+
 def test_each_braid_is_inverted_once_per_stack(monkeypatch):
     """psi^(1) and psi^(2) invert the same monodromies, and the inverse of
     a product of generators is the product of the inverse generators: a
-    fibonacci pentagon sweep at n = 1, at n = 2 or at both makes no stacked
-    inversion, builds each product once per stack, the same four inverse
-    monodromies at each n, and gives each tuple the larger of the
-    deviations of the sweeps at n = 1 and at n = 2."""
-    inverted, built = [], []
-    inverses = fusion_paths._inverses
-    monkeypatch.setattr(fusion_paths, "_inverses", lambda stack, message: (
-        inverted.append(len(stack)), inverses(stack, message))[1])
+    fibonacci pentagon sweep at n = 1, at n = 2 or at both, on a spec whose
+    F- and R-inverses are cached, makes no stacked inversion, builds each
+    product once per stack, the same four inverse monodromies at each n,
+    and gives each tuple the larger of the deviations of the sweeps at
+    n = 1 and at n = 2."""
+    spec = suite.get_category("fibonacci")
+    tuples = list(itertools.product(range(2), repeat=7))
+    sweep(spec, tuples[-1:], fusion_paths.module_pentagon_pairs, (1,))
+    inverted, built = _inversions(monkeypatch), []
     product = PathStack._product
 
     def counted(self, key):
@@ -391,18 +413,41 @@ def test_each_braid_is_inverted_once_per_stack(monkeypatch):
             built.append(key)
         return product(self, key)
     monkeypatch.setattr(PathStack, "_product", counted)
-    spec = suite.get_category("fibonacci")
-    tuples = list(itertools.product(range(2), repeat=7))
     once, inverse = [], []
     for n_values in ((1,), (2,), (1, 2)):
         built.clear()
-        once.append(fusion_paths.module_pentagon_deviations(spec, tuples,
-                                                            n_values))
+        once.append(sweep(spec, tuples, fusion_paths.module_pentagon_pairs,
+                          n_values))
         assert len(set(built)) == len(built)
         inverse.append(sorted(key for key in built if not key[2]))
     assert not inverted
     assert len(inverse[0]) == 4 and inverse[0] == inverse[1] == inverse[2]
     assert once[2] == np.maximum(*once[:2]).tolist()
+
+
+@pytest.mark.parametrize("build", [lambda: suite.get_category("ising"),
+                                   FIXTURES["yang_lee"], random_rep_a4],
+                         ids=["ising", "yang_lee", "random_rep_a4"])
+def test_warm_module_sweeps_invert_no_block(monkeypatch, build):
+    """Every braid names its inverse: twists, their composites and powers
+    as well as products of generators.  So a second ``module_sweeps`` pass
+    on a spec whose F- and R-inverses are cached makes no
+    ``category._inverses`` call, and gives the same report."""
+    spec = build()
+    first = module_sweeps(spec)
+    inverted = _inversions(monkeypatch)
+    assert module_sweeps(spec).to_json() == first.to_json()
+    assert inverted == []
+
+
+def test_twist_extraction_is_exact():
+    """gamma_{1,Ux1}^-1 is named as the twists of gamma at the opposite
+    powers, so extracting the twist of every label compares theta_u with
+    itself: the deviation is exactly 0 on every builtin."""
+    for name in BUILTIN_NAMES:
+        checks = {c.name: c for c in module_sweeps(
+            suite.get_category(name)).checks}
+        assert checks["twist_extraction"].max_deviation == 0.0, name
 
 
 def test_generators_are_held_in_local_form(spec_of):
@@ -447,30 +492,36 @@ def _steps(order, positions, over):
         order = fusion_paths._swapped(order, p)
 
 
-# The sweeps that take one exponent n rather than a list n_values.
-SINGLE_N = (fusion_paths.left_module_pentagon_deviations,
-            fusion_paths.twist_mismatch_deviations,
-            fusion_paths.associator_chain_deviations)
+# The namers that take one exponent n rather than a list n_values.
+SINGLE_N = (fusion_paths.left_module_pentagon_pairs,
+            fusion_paths.twist_mismatch_pairs,
+            fusion_paths.associator_chain_pairs)
 
 
 @pytest.mark.parametrize("n_values", [(), (True,), (0.0,)],
                          ids=["empty", "bool", "float"])
-@pytest.mark.parametrize("sweep, width", [
-    (fusion_paths.module_pentagon_deviations, 7),
-    (fusion_paths.module_triangle_deviations, 3),
-    (fusion_paths.left_module_pentagon_deviations, 7),
-    (fusion_paths.twist_mismatch_deviations, 5),
-    (fusion_paths.associator_chain_deviations, 5)])
-def test_module_sweeps_refuse_non_integer_n_values(sweep, width, n_values):
-    """No exponent, or one that is not a Python int, is refused as
-    ``run_suite`` refuses it, not swept to a vacuous deviation of 0 per
-    tuple or run as the int it equals.  A sweep of one exponent is given
-    the list's one entry, or None for the empty list."""
+@pytest.mark.parametrize("pairs, width", [
+    pytest.param(fusion_paths.module_pentagon_pairs, 7,
+                 id="module_pentagon_deviations-7"),
+    pytest.param(fusion_paths.module_triangle_pairs, 3,
+                 id="module_triangle_deviations-3"),
+    pytest.param(fusion_paths.left_module_pentagon_pairs, 7,
+                 id="left_module_pentagon_deviations-7"),
+    pytest.param(fusion_paths.twist_mismatch_pairs, 5,
+                 id="twist_mismatch_deviations-5"),
+    pytest.param(fusion_paths.associator_chain_pairs, 5,
+                 id="associator_chain_deviations-5")])
+def test_module_sweeps_refuse_non_integer_n_values(pairs, width, n_values):
+    """No exponent, or one that is not a Python int, is refused by the
+    namer as ``run_suite`` refuses it, not swept to a vacuous deviation of
+    0 per tuple or run as the int it equals.  A namer of one exponent is
+    given the list's one entry, or None for the empty list.  Each case is
+    named after the deviations that its sweep gives."""
     spec = suite.get_category("fibonacci")
-    if sweep in SINGLE_N:
+    if pairs in SINGLE_N:
         n_values = n_values[0] if n_values else None
     with pytest.raises(ValueError, match="n_values must list Python ints"):
-        sweep(spec, [(1,) * width], n_values)
+        sweep(spec, [(1,) * width], pairs, n_values)
 
 
 def _spelt(rng, spec, L):
@@ -551,9 +602,9 @@ def test_stacks_and_braids_are_freed_without_the_collector(monkeypatch,
     gc.collect()
     gc.disable()
     try:
-        fusion_paths.alpha_functor_deviations(
-            spec_of("fibonacci"), [(1, 1, 0, 1, 1, 1, 1),
-                                   (0, 1, 1, 1, 0, 1, 1)])
+        sweep(spec_of("fibonacci"), [(1, 1, 0, 1, 1, 1, 1),
+                                     (0, 1, 1, 1, 0, 1, 1)],
+              fusion_paths.alpha_functor_pairs)
         for name in ("fibonacci", "ising"):
             # the resolver hands its one reference to run_suite
             specs = [suite.get_category(name)]
@@ -581,39 +632,40 @@ N_VALUES = (0, 1, 2)
 # gives one tuple.
 SWEEPS = {
     "module_pentagon": (
-        7, lambda s, ts: fusion_paths.module_pentagon_deviations(
-            s, ts, N_VALUES),
+        7, lambda s, ts: sweep(s, ts, fusion_paths.module_pentagon_pairs,
+                               N_VALUES),
         lambda s, t: max_dev(*(modcat.module_pentagon_deviation(
             s, t[:1], *_square(t), n) for n in N_VALUES))),
     "left_module_pentagon": (
-        7, lambda s, ts: fusion_paths.left_module_pentagon_deviations(
-            s, ts, 0),
+        7, lambda s, ts: sweep(s, ts,
+                               fusion_paths.left_module_pentagon_pairs, 0),
         lambda s, t: modcat.left_module_pentagon_deviation(
             s, *_square(t), t[:1], 0)),
     "module_triangle": (
-        3, lambda s, ts: fusion_paths.module_triangle_deviations(
-            s, ts, N_VALUES),
+        3, lambda s, ts: sweep(s, ts, fusion_paths.module_triangle_pairs,
+                               N_VALUES),
         lambda s, t: max_dev(*(modcat.module_triangle_deviation(
             s, t[:1], *_square(t), n) for n in N_VALUES))),
     "twist_mismatch_functor": (
-        5, lambda s, ts: fusion_paths.twist_mismatch_deviations(s, ts, 0),
+        5, lambda s, ts: sweep(s, ts, fusion_paths.twist_mismatch_pairs, 0),
         lambda s, t: max_dev(
             modcat.gamma_functor_deviation(s, t[:1], *_square(t), 0),
             modcat.psi_shortcut_deviation(s, t[:1], *_square(t)))),
     "associator_from_chain": (
-        5, lambda s, ts: fusion_paths.associator_chain_deviations(s, ts, 2),
+        5, lambda s, ts: sweep(s, ts, fusion_paths.associator_chain_pairs,
+                               2),
         lambda s, t: psi(s, t[:1], *_square(t), 2).deviation(
             modcat.psi_from_gamma(s, t[:1], *_square(t), 2))),
     "twist_extraction": (
-        1, fusion_paths.twist_extraction_deviations,
+        1, lambda s, ts: sweep(s, ts, fusion_paths.twist_extraction_pairs),
         lambda s, t: abs(modcat.extract_twist(s, t).blocks[t[0]][0, 0]
                          - complex(s.theta[t[0]]))),
     "alpha_module_functor": (
-        7, fusion_paths.alpha_functor_deviations,
+        7, lambda s, ts: sweep(s, ts, fusion_paths.alpha_functor_pairs),
         lambda s, t: max_dev(*(modcat.alpha_functor_deviation(
             s, t[:1], *_square(t), sign) for sign in "+-"))),
     "commutor_witness": (
-        5, fusion_paths.commutor_witness_deviations,
+        5, lambda s, ts: sweep(s, ts, fusion_paths.commutor_witness_pairs),
         lambda s, t: modcat.commutor_witness_deviation(
             s, *((x,) for x in t))),
 }
@@ -674,7 +726,7 @@ def test_inverses_and_twists_equal_the_engine_with_multiplicity_two():
                                      rng.integers(0, 4, size=(12, L))})
         stack = PathStack(spec, words)
         order = tuple(range(L))
-        braids = [stack.generator(order, p, over) for p, over in
+        braids = [stack.braid(order, (p,), over) for p, over in
                   itertools.product(range(1, L), (True, False))]
         braids += [stack.braid(order, fusion_paths._monodromy(
             1, cut, L - cut)) for cut in range(1, L)]
@@ -748,7 +800,7 @@ def test_singular_braids_are_refused_with_their_word(spec_of):
     names the singular R-block, as ``engine.braid_generator`` does."""
     spec = _with_r(spec_of("fibonacci"), (1, 1, 0), np.zeros((1, 1)))
     stack = PathStack(spec, [(0, 1), (1, 1)])
-    inv = stack.generator((0, 1), 1).inverse()
+    inv = stack.braid((0, 1), (1,)).inverse()
     with pytest.raises(NotPremodular, match=re.escape(
             "R-block (1, 1, 0) is singular")):
         stack.blocks(inv, 1)
@@ -765,7 +817,7 @@ def test_non_finite_blocks_invert_to_nan(spec_of):
         spec = _with_r(spec_of("fibonacci"), (1, 1, 0),
                        np.full((1, 1), value))
         stack = PathStack(spec, [(0, 1), (1, 1)])
-        inv = stack.generator((0, 1), 1).inverse()
+        inv = stack.braid((0, 1), (1,)).inverse()
         got = stack.blocks(inv, 1)
         assert np.isnan(got[0]).all()
         engine = braid_generator(spec, (1, 1), 1)
@@ -781,7 +833,7 @@ def test_blocks_refuse_tuples_outside_the_stack(spec_of, k):
     """A tuple that is not in the stack has no blocks to compare: it is
     refused, not read as an empty dict."""
     stack = PathStack(spec_of("ising"), [(1, 2), (1, 1)])
-    g = stack.generator((0, 1), 1)
+    g = stack.braid((0, 1), (1,))
     with pytest.raises(IndexError, match="no tuple"):
         stack.blocks(g, k)
 
@@ -812,7 +864,7 @@ def test_stack_refuses_bad_tuples(spec_of, tuples):
 
 def test_braids_between_other_word_orders_are_refused(spec_of):
     stack = PathStack(spec_of("ising"), [(1, 2, 1)])
-    g = stack.generator((0, 1, 2), 1)
+    g = stack.braid((0, 1, 2), (1,))
     for bad in (lambda: g @ g, lambda: g.power(2),
                 lambda: stack.deviations(g, stack.identity((0, 1, 2)))):
         with pytest.raises(ShapeMismatch):
@@ -823,7 +875,7 @@ def test_braids_between_other_word_orders_are_refused(spec_of):
 def test_generator_refuses_positions_outside_the_word(spec_of, p):
     stack = PathStack(spec_of("ising"), [(1, 1, 1)])
     with pytest.raises(PositionOutOfRange):
-        stack.generator((0, 1, 2), p)
+        stack.braid((0, 1, 2), (p,))
 
 
 @pytest.mark.parametrize("k", [-1, 4])

@@ -130,16 +130,16 @@ EXPONENTS = range(-4, 5)
 # Each namer of the module section and of the sweeps: its tuple length and
 # its arguments after the stack at exponent n.
 NAMERS = {
-    "_module_pentagon_pairs": (7, lambda n: ((n,),)),
-    "_left_module_pentagon_pairs": (7, lambda n: (n,)),
-    "_module_triangle_pairs": (3, lambda n: ((n,),)),
-    "_twist_mismatch_pairs": (5, lambda n: (n,)),
-    "_associator_chain_pairs": (5, lambda n: (n,)),
-    "_twist_extraction_pairs": (1, lambda n: ()),
-    "_alpha_functor_pairs": (7, lambda n: ()),
-    "_commutor_witness_pairs": (5, lambda n: ()),
-    "_braid_relation_pairs": (4, lambda n: ()),
-    "_twist_relation_pairs": (3, lambda n: ()),
+    "module_pentagon_pairs": (7, lambda n: ((n,),)),
+    "left_module_pentagon_pairs": (7, lambda n: (n,)),
+    "module_triangle_pairs": (3, lambda n: ((n,),)),
+    "twist_mismatch_pairs": (5, lambda n: (n,)),
+    "associator_chain_pairs": (5, lambda n: (n,)),
+    "twist_extraction_pairs": (1, lambda n: ()),
+    "alpha_functor_pairs": (7, lambda n: ()),
+    "commutor_witness_pairs": (5, lambda n: ()),
+    "braid_relation_pairs": (4, lambda n: ()),
+    "twist_relation_pairs": (3, lambda n: ()),
 }
 
 
@@ -152,8 +152,7 @@ def _pairs(name, n, full_twist=True):
 def test_namers_cover_the_sweeps_and_the_relations():
     """Every namer of ``fusion_paths`` is proved below."""
     assert {name for name in vars(fusion_paths)
-            if name.startswith("_") and name.endswith("_pairs")} \
-        == set(NAMERS)
+            if name.endswith("_pairs")} == set(NAMERS)
 
 
 @pytest.mark.parametrize("name", NAMERS)
@@ -172,18 +171,18 @@ def test_negative_controls_are_different_framed_braids():
     against its rhs at n = 2, a pair with one extra prefix twist, and the
     pairs with twists counted as framing only, of which those of the twist
     mismatch and the associator chain then differ."""
-    L, ((lhs, _),) = _pairs("_module_pentagon_pairs", 1)
-    _, ((_, rhs),) = _pairs("_module_pentagon_pairs", 2)
+    L, ((lhs, _),) = _pairs("module_pentagon_pairs", 1)
+    _, ((_, rhs),) = _pairs("module_pentagon_pairs", 2)
     assert (lhs.src, lhs.dst) == (rhs.src, rhs.dst)
     assert not equal(L, lhs, rhs)
-    L, pairs = _pairs("_twist_mismatch_pairs", 1)
+    L, pairs = _pairs("twist_mismatch_pairs", 1)
     lhs, rhs = pairs[0]
     assert not equal(L, lhs @ SymbolicStack(L).twist(lhs.src, 3), rhs)
     framing_only = {name for name in NAMERS for n in EXPONENTS
                     for L, pairs in [_pairs(name, n, full_twist=False)]
                     if not all(equal(L, *pair) for pair in pairs)}
-    assert {"_twist_mismatch_pairs", "_associator_chain_pairs",
-            "_twist_relation_pairs"} <= framing_only
+    assert {"twist_mismatch_pairs", "associator_chain_pairs",
+            "twist_relation_pairs"} <= framing_only
 
 
 # ---------------------------------------------------------------------------

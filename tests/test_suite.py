@@ -67,10 +67,10 @@ def test_suite_check_times_are_measured():
 
 # the capped sweeps of ``module_sweeps``, by check name and the function
 # that names their pairs on a stack in ``fusion_paths``
-CAPPED = {"left_module_pentagon": "_left_module_pentagon_pairs",
-          "associator_from_chain": "_associator_chain_pairs",
-          "alpha_module_functor": "_alpha_functor_pairs",
-          "commutor_witness": "_commutor_witness_pairs"}
+CAPPED = {"left_module_pentagon": "left_module_pentagon_pairs",
+          "associator_from_chain": "associator_chain_pairs",
+          "alpha_module_functor": "alpha_functor_pairs",
+          "commutor_witness": "commutor_witness_pairs"}
 
 
 def test_capped_sweeps_reach_every_module(monkeypatch):
@@ -90,23 +90,6 @@ def test_capped_sweeps_reach_every_module(monkeypatch):
     report = module_sweeps(suite.get_category("fibonacci"))
     assert report.passed
     assert seen == {name: {(0,), (1,)} for name in CAPPED}
-
-
-@pytest.mark.parametrize("rank, k, budget", [(3, 7, 256), (4, 5, 64),
-                                              (2, 7, 200)])
-def test_sampled_label_tuples_are_tuples_of_python_ints(rank, k, budget):
-    """A sampled sweep's tuples are those the seeded picks give, entry by
-    entry, and each label is a Python int, as ``PathStack`` requires; a
-    budget that covers every tuple enumerates them in order."""
-    got = fusion_paths._label_tuples(rank, k, budget,
-                                     np.random.default_rng(5))
-    if rank ** k <= budget:
-        assert got == list(itertools.product(range(rank), repeat=k))
-        return
-    picks = np.random.default_rng(5).integers(0, rank, size=(budget, k))
-    assert got == [tuple(int(x) for x in row) for row in picks]
-    assert all(type(x) is int for t in got for x in t)
-    assert all(type(t) is tuple and len(t) == k for t in got)
 
 
 MODULE_CHECKS = ["module_pentagon", "left_module_pentagon", "module_triangle",
@@ -168,15 +151,22 @@ def test_sampled_module_reports_are_deterministic(monkeypatch):
     serialize to the same JSON, and another seed reads other words."""
     drawn = []
 
-    def braid_relations(spec, words):
-        drawn.append(words)
-        return fusion_paths.braid_relation_deviations(spec, words)
+    def recorded(spec, words, pairs, *args):
+        if pairs is fusion_paths.braid_relation_pairs:
+            drawn.append(words)
+        return fusion_paths.sweep(spec, words, pairs, *args)
 
-    monkeypatch.setattr(suite, "braid_relation_deviations", braid_relations)
+    monkeypatch.setattr(suite, "sweep", recorded)
     a, b, c = (run_suite("z_13(1)", suites=["module"], seed=seed).to_json()
                for seed in (5, 5, 6))
     assert a == b != c
     assert drawn[0] == drawn[1] != drawn[2]
+
+
+def _words(rank, k, seed):
+    """The words of a relation, drawn as the suite draws them."""
+    return fusion_paths._words(rank, k, suite._WORD_BUDGET,
+                               np.random.default_rng(seed), seed)
 
 
 @pytest.mark.parametrize("rank, k", [(3, 4), (13, 4), (30, 3)])
@@ -185,16 +175,49 @@ def test_relation_words_are_distinct(rank, k):
     they fit ``_WORD_BUDGET``, otherwise that many distinct words in that
     order, the same for the same seed and not for another, each a tuple of
     Python ints as ``PathStack`` requires."""
-    words, _ = suite._relation_words(rank, k, np.random.default_rng(1), 1)
+    words, _ = _words(rank, k, 1)
     if rank ** k <= suite._WORD_BUDGET:
         assert words == list(itertools.product(range(rank), repeat=k))
         return
     assert len(words) == suite._WORD_BUDGET
     assert words == sorted(set(words))
     assert all(type(x) is int and 0 <= x < rank for w in words for x in w)
-    again, _ = suite._relation_words(rank, k, np.random.default_rng(1), 1)
-    other, _ = suite._relation_words(rank, k, np.random.default_rng(2), 2)
+    assert all(type(w) is tuple and len(w) == k for w in words)
+    again, _ = _words(rank, k, 1)
+    other, _ = _words(rank, k, 2)
     assert again == words != other
+
+
+# The coverage that ``module_sweeps`` states for each sweep on ising: its
+# budget is 256, or 64 or 32 for the capped sweeps, and its tuples are
+# drawn in the order of the sweeps from one generator seeded with 0.
+ISING_COVERAGE = {
+    "module_pentagon": "n in [0, 1, 2]; sampled 256/2187 words seed=0",
+    "left_module_pentagon": "sampled 64/2187 words seed=0",
+    "module_triangle": "exhaustive 27/27 words",
+    "twist_mismatch_functor": "exhaustive 243/243 words",
+    "associator_from_chain": "sampled 64/243 words seed=0",
+    "twist_extraction": "exhaustive 3/3 words",
+    "alpha_module_functor": "sampled 32/2187 words seed=0",
+    "commutor_witness": "sampled 32/243 words seed=0",
+}
+
+
+def test_module_sweeps_state_their_coverage(monkeypatch):
+    """Each sweep runs on distinct tuples and its detail says how many, as
+    the relations' details do; the module pentagon's also lists its
+    exponents."""
+    drawn, sweep = [], fusion_paths.sweep
+
+    def recorded(spec, tuples, pairs, *args):
+        drawn.append(tuples)
+        return sweep(spec, tuples, pairs, *args)
+
+    monkeypatch.setattr(fusion_paths, "sweep", recorded)
+    report = module_sweeps(suite.get_category("ising"))
+    assert {c.name: c.detail for c in report.checks} == ISING_COVERAGE
+    assert [len(set(tuples)) for tuples in drawn] == \
+        [256, 64, 27, 243, 64, 3, 32, 32]
 
 
 @pytest.mark.parametrize("target", BUILTIN_NAMES)
@@ -303,6 +326,18 @@ def test_non_integer_n_values_are_refused(monkeypatch, n_values):
     monkeypatch.setattr(suite, "resolve_target", None)
     with pytest.raises(ValueError, match="n_values"):
         run_suite("semion", n_values=n_values, suites=["module"])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, np.int64(3)],
+                         ids=["negative", "float", "bool", "int64"])
+def test_bad_seeds_are_refused(monkeypatch, seed):
+    """A seed that is not a non-negative Python int is refused before the
+    target is resolved, with a message naming the seed, not numpy's bare
+    "expected non-negative integer" from the module section."""
+    monkeypatch.setattr(suite, "resolve_target", None)
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         "Python int"):
+        run_suite("semion", seed=seed, suites=["module"])
 
 
 def test_suite_leaves_numpy_ma_unimported():
